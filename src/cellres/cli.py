@@ -96,6 +96,30 @@ def _parse_permutations(text):
     ]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_exponents(name, vector, n):
+    if not (isinstance(vector, (list, tuple)) and len(vector) == n
+            and all(_is_int(x) and x >= 0 for x in vector)):
+        raise InputError(f"{name} must be {n} nonnegative integers, got {vector!r}")
+    return tuple(vector)
+
+
+def _check_options(options, n):
+    for key in ("t", "seed"):
+        if key in options and not _is_int(options[key]):
+            raise InputError(f"option {key} must be an integer")
+    if "box" in options:
+        _check_exponents("option box", options["box"], n)
+    perms = options.get("permutations", [])
+    if not (isinstance(perms, list) and all(
+        isinstance(p, list) and all(_is_int(x) for x in p) for p in perms
+    )):
+        raise InputError("option permutations must be a list of integer lists")
+
+
 def _load_job(args):
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
@@ -119,6 +143,7 @@ def _load_job(args):
         if unknown:
             raise InputError(f"unknown option keys: {sorted(unknown)}")
         ideal = ideal_from_json(obj["ideal"])
+        _check_options(options, ideal.n)
         source = obj.get("complex_source")
         return ideal, source, options
     return ideal_from_json(obj), None, {}
@@ -251,26 +276,28 @@ def _cmd_compare(M, X, args, options):
 
 
 def _cmd_annihilator(M, X, args, options):
+    beta = None
+    if args.beta is not None:
+        beta = _check_exponents("--beta", _parse_vector(args.beta), M.n)
     R = _residue(M, X)
     components = [
         {"face": list(fid), "alpha": list(c.alpha)}
         for fid, c in sorted(R.entries.items())
     ]
     payload = {"components": components}
-    if args.beta is not None:
-        beta = _parse_vector(args.beta)
+    if beta is not None:
         payload["beta"] = list(beta)
         payload["annihilates"] = annihilator_contains(R, beta)
     return payload, 0
 
 
 def _cmd_duality_check(M, X, args, options):
-    R = _residue(M, X)
     box = None
     if args.box is not None:
-        box = _parse_vector(args.box)
+        box = _check_exponents("--box", _parse_vector(args.box), M.n)
     elif "box" in options:
         box = tuple(options["box"])
+    R = _residue(M, X)
     counterexample = duality_counterexample(R, M, box)
     ok = counterexample is None
     payload = {

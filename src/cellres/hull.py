@@ -1,15 +1,19 @@
 """Hull, Scarf, and Taylor complexes of Artinian monomial ideals.
 
-The hull complex is built from the exact rational convex hull of the
-lifted generator points t^alpha: its faces are the hull faces whose inner
-normal cone meets the strictly positive orthant, decided by exact linear
-feasibility.  Everything is checked for stability by recomputing at t+1.
+The hull complex is built from the lifted generator points t^alpha, which
+are integer vectors: the facets of conv(points) + R_+^n are enumerated from
+integer cross products of point differences, and a face is bounded exactly
+when the supports of the (nonnegative) normals of the facets containing it
+cover every coordinate.  Everything is checked for stability by
+recomputing at t+1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
+from operator import mul
 
 from . import linalg
 from .cellcomplex import (
@@ -35,13 +39,15 @@ def default_lift_base(n: int) -> int:
 def _check_lift_base(n: int, t) -> int:
     if t is None:
         return default_lift_base(n)
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise InputError(f"lift base must be an integer, not {t!r}")
     if t < default_lift_base(n):
         raise InputError(f"lift base must be at least {default_lift_base(n)} for n={n}")
     return t
 
 
 def _lifted_points(M: MonomialIdeal, t: int):
-    return [tuple(Fraction(t) ** a for a in g) for g in M.generators]
+    return [tuple(t**a for a in g) for g in M.generators]
 
 
 def _closure_under_intersection(face_sets):
@@ -59,39 +65,69 @@ def _closure_under_intersection(face_sets):
     return faces
 
 
-def _positive_normal_exists(normal_gens, lineality, ambient) -> bool:
-    """Whether the cone spanned by the normals plus the lineality space
-    contains a strictly positive vector."""
-    nvars = len(normal_gens) + len(lineality)
-    rows = []
-    for coord in range(ambient):
-        coeffs = [g[coord] for g in normal_gens] + [w[coord] for w in lineality]
-        rows.append((coeffs, Fraction(1)))
-    for j in range(len(normal_gens)):
-        unit = [Fraction(0)] * nvars
-        unit[j] = Fraction(1)
-        rows.append((unit, Fraction(0)))
-    return linalg.fm_feasible(rows, nvars)
+def _facet_supports(points):
+    """Point-index sets of the facets of conv(points) + R_+^n, each mapped
+    to the union of the supports of its inner normals, as a bit mask.
+
+    Every inner normal w of the polyhedron is >= 0.  A facet whose normal
+    is supported on k coordinates C contains the directions e_i (i not in
+    C) and k points whose projections to C are affinely independent, so w
+    restricted to C is the cross product of their k-1 projected
+    differences.  Candidates that support a lower-dimensional face are
+    kept too: their normals lie in that face's normal cone, which changes
+    no union of supports.
+    """
+    npoints = len(points)
+    ambient = len(points[0])
+    facets = {}
+    for k in range(1, ambient + 1):
+        for coords in combinations(range(ambient), k):
+            proj = [tuple(p[i] for i in coords) for p in points]
+            for combo in combinations(range(npoints), k):
+                base = proj[combo[0]]
+                diffs = [[x - y for x, y in zip(proj[j], base)] for j in combo[1:]]
+                w = linalg.cross_product(diffs, k)
+                if w is None:
+                    continue
+                if any(x < 0 for x in w):
+                    if any(x > 0 for x in w):
+                        continue
+                    w = [-x for x in w]
+                level = sum(map(mul, w, base))
+                members = []
+                for j, q in enumerate(proj):
+                    value = sum(map(mul, w, q))
+                    if value < level:
+                        break
+                    if value == level:
+                        members.append(j)
+                else:
+                    members = frozenset(members)
+                    support = sum(1 << coords[i] for i, x in enumerate(w) if x)
+                    facets[members] = facets.get(members, 0) | support
+    return facets
 
 
 def _bounded_face_sets(points):
-    """Vertex-index sets of the bounded faces of conv(points) + R_+^n."""
+    """Point-index sets of the bounded faces of conv(points) + R_+^n.
+
+    The face with point set S is bounded exactly when its normal cone holds
+    a strictly positive vector; as the cone is spanned by the nonnegative
+    normals of the facets containing S, that is when their supports cover
+    all coordinates.
+    """
     npoints = len(points)
-    ambient = len(points[0])
     if npoints == 1:
         return [frozenset({0})]
-    facets, normals = linalg.convex_position_facets(points)
-    basis_idx = linalg.affine_basis_indices(points)
-    origin = points[basis_idx[0]]
-    hull_dirs = [linalg.vec_sub(points[i], origin) for i in basis_idx[1:]]
-    lineality = linalg.nullspace([list(d) for d in hull_dirs], ambient)
-    lattice = _closure_under_intersection(
-        [frozenset(range(npoints))] + list(facets)
-    )
+    facets = _facet_supports(points)
+    everything = (1 << len(points[0])) - 1
     bounded = []
-    for members in lattice:
-        gens = [normals[i] for i, fac in enumerate(facets) if members <= fac]
-        if _positive_normal_exists(gens, lineality, ambient):
+    for members in _closure_under_intersection(facets):
+        cover = 0
+        for fac, support in facets.items():
+            if members <= fac:
+                cover |= support
+        if cover == everything:
             bounded.append(members)
     for i in range(npoints):
         if frozenset({i}) not in bounded:

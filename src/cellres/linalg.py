@@ -7,7 +7,6 @@ helpers; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 Vector = tuple[Fraction, ...]
 
@@ -18,10 +17,6 @@ def vec(xs) -> Vector:
 
 def vec_sub(a, b) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a, b) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_scale(c, a) -> Vector:
@@ -89,29 +84,65 @@ def rank(matrix) -> int:
     return r
 
 
-def bareiss_rank(matrix) -> int:
-    """Rank of an integer matrix via fraction-free Bareiss elimination."""
-    m = [list(map(int, row)) for row in matrix]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+def _bareiss(m, full=False) -> list[int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns the pivot columns, one per pivot row 0, 1, ...  Every division
+    is exact.  Rows below each pivot are cleared; with ``full`` the rows
+    above are cleared too, which leaves every pivot entry equal to the last
+    pivot (a fraction-free Gauss-Jordan form).
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
     prev = 1
     for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[i][c] = (m[r][col] * m[i][c] - m[i][col] * m[r][c]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        top = m[r]
+        p = top[col]
+        start = 0 if full else col + 1
+        for i in range(0 if full else r + 1, nrows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[col]
+            for c in range(start, ncols):
+                row[c] = (p * row[c] - f * top[c]) // prev
+            row[col] = 0
+        prev = p
+        pivots.append(col)
+    return pivots
+
+
+def bareiss_rank(matrix) -> int:
+    """Rank of an integer matrix via fraction-free Bareiss elimination."""
+    return len(_bareiss([list(map(int, row)) for row in matrix]))
+
+
+def cross_product(vectors, k):
+    """Integer vector orthogonal to k-1 integer vectors in Z^k, or None.
+
+    It is the generalized cross product (the signed (k-1)-minors) up to a
+    global sign, read off the fraction-free Gauss-Jordan form; None when
+    the vectors are linearly dependent.
+    """
+    m = [list(v) for v in vectors]
+    pivots = _bareiss(m, full=True)
+    if len(pivots) != k - 1:
+        return None
+    free = next(c for c in range(k) if c not in pivots)
+    normal = [0] * k
+    normal[free] = m[-1][pivots[-1]] if pivots else 1
+    for row, c in zip(m, pivots):
+        normal[c] = -row[free]
+    return normal
 
 
 def solve(matrix, rhs):
@@ -163,37 +194,6 @@ def orthogonal_residual(v, basis):
     return tuple(residual)
 
 
-def nullspace(matrix, ncols):
-    """Basis of the right nullspace of a matrix given as a list of rows."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    piv_of_col = {}
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        piv_of_col[col] = r
-        r += 1
-    basis = []
-    for free in range(ncols):
-        if free in piv_of_col:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for col, piv in piv_of_col.items():
-            v[col] = -rows[piv][free]
-        basis.append(tuple(v))
-    return basis
-
-
 def affine_basis_indices(points) -> list[int]:
     """Indices of a maximal affinely independent subset, scanning in order.
 
@@ -225,92 +225,3 @@ def basis_change_det_sign(basis_from, basis_to) -> int:
     """
     g = [[dot(b, a) for a in basis_from] for b in basis_to]
     return det_sign(g)
-
-
-def fm_feasible(rows, nvars) -> bool:
-    """Fourier-Motzkin feasibility for a system of rows (coeffs, rhs)
-    meaning coeffs . x >= rhs."""
-    system = []
-    for coeffs, rhs in rows:
-        system.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs in system:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, rhs))
-            elif c < 0:
-                neg.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        new = rest
-        for pc, pr in pos:
-            for nc, nr in neg:
-                # eliminate var: scale to cancel, combine lower/upper bounds
-                a = pc[var]
-                b = -nc[var]
-                coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
-                new.append((coeffs, b * pr + a * nr))
-        # normalize and dedupe to keep the system small
-        seen = {}
-        for coeffs, rhs in new:
-            scale = None
-            for c in coeffs:
-                if c != 0:
-                    scale = abs(c)
-                    break
-            if scale is None:
-                if rhs > 0:
-                    return False
-                continue
-            key = tuple(c / scale for c in coeffs)
-            val = rhs / scale
-            if key not in seen or val > seen[key]:
-                seen[key] = val
-        system = [(k, v) for k, v in seen.items()]
-    return all(rhs <= 0 for _, rhs in system)
-
-
-def convex_position_facets(points):
-    """Facets of conv(points) inside its affine hull.
-
-    Returns (facets, normals): for each facet, the frozenset of indices of
-    the points lying on it and an inner normal (points of the hull have
-    value >= the facet's). Points are assumed pairwise distinct.
-    """
-    npoints = len(points)
-    ambient = len(points[0])
-    basis_idx = affine_basis_indices(points)
-    d = len(basis_idx) - 1
-    if d == 0:
-        return [], []
-    origin = points[basis_idx[0]]
-    hull_dirs = [vec_sub(points[i], origin) for i in basis_idx[1:]]
-    facets = {}
-    for combo in combinations(range(npoints), d):
-        base = points[combo[0]]
-        dirs = [vec_sub(points[i], base) for i in combo[1:]]
-        if len(affine_basis_indices([points[i] for i in combo])) != d:
-            continue
-        # normal inside the hull's direction space, orthogonal to the flat
-        rows = [[dot(dv, hv) for hv in hull_dirs] for dv in dirs]
-        kernel = nullspace(rows, d)
-        if len(kernel) != 1:
-            continue
-        normal = tuple(
-            sum((kernel[0][j] * hull_dirs[j][c] for j in range(d)), Fraction(0))
-            for c in range(ambient)
-        )
-        values = [dot(normal, p) for p in points]
-        level = values[combo[0]]
-        if all(v >= level for v in values):
-            inner = normal
-        elif all(v <= level for v in values):
-            inner = tuple(-x for x in normal)
-            values = [-v for v in values]
-            level = -level
-        else:
-            continue
-        members = frozenset(i for i in range(npoints) if values[i] == level)
-        facets[members] = inner
-    return list(facets.keys()), [facets[f] for f in facets.keys()]

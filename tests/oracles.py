@@ -3,7 +3,9 @@
 These deliberately avoid the library's computation paths: subset
 enumeration instead of join closure, inclusion-exclusion instead of
 lattice counting, graded strand ranks with a local elimination instead of
-subcomplex homology.
+subcomplex homology, and for the hull the facets of conv(points) in its
+affine hull with a Fourier-Motzkin test per face instead of integer facet
+enumeration of conv(points) + R_+^n with a support-cover test.
 """
 
 from fractions import Fraction
@@ -142,3 +144,132 @@ def smith_diagonal(matrix):
         r += 1
         c += 1
     return [d for d in diag if d != 0]
+
+
+def _nullspace(rows, ncols):
+    """Basis of the right nullspace, by reduced row echelon form over Q."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def _affine_basis(points):
+    """Indices of a maximal affinely independent subset, scanning in order."""
+    chosen = [0]
+    for i in range(1, len(points)):
+        dirs = [[x - y for x, y in zip(points[j], points[0])] for j in chosen[1:]]
+        d = [x - y for x, y in zip(points[i], points[0])]
+        if _rank(dirs + [d]) > len(dirs):
+            chosen.append(i)
+    return chosen
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _fm_feasible(rows, nvars):
+    """Whether some x satisfies every coeffs . x >= rhs, by Fourier-Motzkin."""
+    system = [(tuple(Fraction(c) for c in cs), Fraction(rhs)) for cs, rhs in rows]
+    for var in range(nvars):
+        pos = [(c, r) for c, r in system if c[var] > 0]
+        neg = [(c, r) for c, r in system if c[var] < 0]
+        new = [(c, r) for c, r in system if c[var] == 0]
+        for pc, pr in pos:
+            for nc, nr in neg:
+                a, b = pc[var], -nc[var]
+                new.append((tuple(b * x + a * y for x, y in zip(pc, nc)), b * pr + a * nr))
+        seen = {}
+        for coeffs, rhs in new:
+            scale = next((abs(c) for c in coeffs if c != 0), None)
+            if scale is None:
+                if rhs > 0:
+                    return False
+                continue
+            key = tuple(c / scale for c in coeffs)
+            seen[key] = max(seen.get(key, rhs / scale), rhs / scale)
+        system = list(seen.items())
+    return all(rhs <= 0 for _, rhs in system)
+
+
+def _convex_facets(points):
+    """{point-index set: inner normal} of the facets of conv(points) inside
+    its affine hull."""
+    basis = _affine_basis(points)
+    d = len(basis) - 1
+    origin = points[basis[0]]
+    hull_dirs = [[x - y for x, y in zip(points[i], origin)] for i in basis[1:]]
+    facets = {}
+    for combo in combinations(range(len(points)), d):
+        if d == 0 or len(_affine_basis([points[i] for i in combo])) != d:
+            continue
+        dirs = [[x - y for x, y in zip(points[i], points[combo[0]])] for i in combo[1:]]
+        kernel = _nullspace([[_dot(dv, hv) for hv in hull_dirs] for dv in dirs], d)
+        if len(kernel) != 1:
+            continue
+        normal = [_dot(kernel[0], col) for col in zip(*hull_dirs)]
+        values = [_dot(normal, p) for p in points]
+        level = values[combo[0]]
+        if not all(v >= level for v in values):
+            if not all(v <= level for v in values):
+                continue
+            normal = [-x for x in normal]
+            values = [-v for v in values]
+            level = -level
+        facets[frozenset(i for i, v in enumerate(values) if v == level)] = normal
+    return facets
+
+
+def hull_face_sets(generators, t):
+    """Sorted point-index tuples of the bounded faces of conv{t^a} + R_+^n.
+
+    A face of conv(points) is bounded when the cone of the inner normals of
+    the facets containing it, plus the orthogonal complement of the affine
+    hull, holds a strictly positive vector: a Fourier-Motzkin test.
+    """
+    points = [tuple(Fraction(t) ** a for a in g) for g in generators]
+    ambient = len(points[0])
+    if len(points) == 1:
+        return {(0,)}
+    facets = _convex_facets(points)
+    basis = _affine_basis(points)
+    lineality = _nullspace(
+        [[x - y for x, y in zip(points[i], points[basis[0]])] for i in basis[1:]],
+        ambient,
+    )
+    lattice = {frozenset(range(len(points)))} | set(facets)
+    frontier = set(lattice)
+    while frontier:
+        frontier = {a & b for a in frontier for b in lattice} - lattice - {frozenset()}
+        lattice |= frontier
+    bounded = set()
+    for members in lattice:
+        gens = [w for fac, w in facets.items() if members <= fac] + lineality
+        nvars = len(gens)
+        rows = [([g[c] for g in gens], 1) for c in range(ambient)]
+        rows += [([int(i == j) for i in range(nvars)], 0)
+                 for j in range(nvars - len(lineality))]
+        if _fm_feasible(rows, nvars):
+            bounded.add(tuple(sorted(members)))
+    return bounded

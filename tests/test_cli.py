@@ -82,6 +82,8 @@ def test_compare(capsys, monkeypatch):
 def test_duality_check(capsys, monkeypatch):
     code, out = invoke(capsys, monkeypatch, ["duality-check"], EX61)
     assert code == 0 and out["ok"] and out["counterexample"] is None
+    code, out = invoke(capsys, monkeypatch, ["duality-check", "--box", "2,2"], EX61)
+    assert code == 2 and "--box" in out["error"]
 
 
 def test_annihilator(capsys, monkeypatch):
@@ -92,6 +94,9 @@ def test_annihilator(capsys, monkeypatch):
     assert sorted(c["alpha"] for c in out["components"]) == [
         [1, 1, 1], [1, 1, 2], [1, 2, 1], [2, 1, 1],
     ]
+    for beta in ("1,1", "-1,5,5"):
+        code, out = invoke(capsys, monkeypatch, ["annihilator", f"--beta={beta}"], EX61)
+        assert code == 2 and "--beta" in out["error"]
 
 
 def test_fundamental_cycle(capsys, monkeypatch):
@@ -178,6 +183,16 @@ def test_input_errors_exit_2(capsys, monkeypatch):
         {"ideal": STAIRCASE, "options": {"tt": 1}},
     )
     assert code == 2 and "unknown option keys" in out["error"]
+    for options, message in (
+        ({"t": "x"}, "option t must be an integer"),
+        ({"t": 30.0}, "option t must be an integer"),
+        ({"box": 5}, "option box must be 2 nonnegative integers"),
+    ):
+        code, out = invoke(
+            capsys, monkeypatch, ["duality-check"],
+            {"ideal": STAIRCASE, "options": options},
+        )
+        assert code == 2 and message in out["error"]
     code, out = invoke(capsys, monkeypatch, ["residue", "--t", "3"], STAIRCASE)
     assert code == 2 and "lift base" in out["error"]
     code, out = invoke(

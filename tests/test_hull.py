@@ -1,7 +1,8 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellres import (
     InputError,
@@ -20,7 +21,8 @@ from cellres import (
     taylor_complex,
 )
 from cellres.cellcomplex import face_volume_rel
-from conftest import embedded_hull, random_generic_ideal_3
+from conftest import embedded_hull, random_generic_ideal_3, random_staircase_ideal
+from oracles import hull_face_sets
 
 
 def test_complete_intersection_hull_is_simplex():
@@ -62,8 +64,9 @@ def test_hull_stability_between_lift_bases(ex61_ideal):
 
 
 def test_hull_rejects_small_lift_base(ex61_ideal):
-    with pytest.raises(InputError):
-        hull_complex(ex61_ideal, 3)
+    for t in (3, 30.0, "x", True):
+        with pytest.raises(InputError):
+            hull_complex(ex61_ideal, t)
 
 
 def test_hull_requires_artinian():
@@ -191,3 +194,41 @@ def test_hull_n1():
     assert X.vertex_point(0) == H.vertex_point(0)
     F = cellular_complex(X)
     assert exactness_witness(F, X, M) is None
+
+
+def assert_hull_matches_oracle(M):
+    t = default_lift_base(M.n)
+    for base in (t, t + 1):
+        faces = set(hull_complex(M, base, check_stability=False).faces) - {()}
+        assert faces == hull_face_sets(M.generators, base)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_hull_matches_oracle_on_maximal_ideal_powers(n, d):
+    assert_hull_matches_oracle(
+        minimize([e for e in product(range(d + 1), repeat=n) if sum(e) == d])
+    )
+
+
+def test_hull_matches_oracle_on_seeded_ideals(ex61_ideal, rng):
+    assert_hull_matches_oracle(ex61_ideal)
+    for _ in range(5):
+        assert_hull_matches_oracle(random_generic_ideal_3(rng))
+        assert_hull_matches_oracle(random_staircase_ideal(rng))
+
+
+@st.composite
+def artinian_ideals(draw):
+    n = draw(st.integers(2, 3))
+    powers = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    extras = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=4
+    ))
+    pure = [tuple(p if j == i else 0 for j in range(n)) for i, p in enumerate(powers)]
+    return minimize(pure + [tuple(e) for e in extras if any(e)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(artinian_ideals())
+def test_hull_matches_oracle_on_random_ideals(M):
+    assert_hull_matches_oracle(M)
