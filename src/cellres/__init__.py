@@ -6,8 +6,9 @@ from .monomial import (
     MonomialIdeal,
     contains,
     equals_ideal,
+    first_difference,
     ideal_from_json,
-    intersection_contains,
+    irreducible_intersection,
     is_artinian,
     is_generic,
     lcm,

@@ -19,7 +19,6 @@ from .cellcomplex import (
 )
 from .cycle import (
     fundamental_cycle_check,
-    multiplicity,
     permutation_cycle_check,
     staircase_partition_2d,
 )
@@ -31,6 +30,7 @@ from .monomial import (
     is_generic,
     lcm_lattice,
     minimize,
+    multiplicity,
     pure_power_exponents,
 )
 from .residue import (
@@ -91,9 +91,14 @@ def _parse_vector(text):
 
 
 def _parse_permutations(text):
-    return [
-        [int(x) for x in block.split(",")] for block in text.split(";") if block
-    ]
+    try:
+        return [
+            [int(x) for x in block.split(",")] for block in text.split(";") if block
+        ]
+    except ValueError as exc:
+        raise InputError(
+            f"expected semicolon-separated integer permutations: {text}"
+        ) from exc
 
 
 def _is_int(x):
@@ -408,7 +413,7 @@ def _build_parser():
         help="worker processes for the per-degree exactness scan",
     )
     parser.add_argument("--beta", help="exponent vector for annihilator queries")
-    parser.add_argument("--box", help="box override for the duality scan")
+    parser.add_argument("--box", help="box override for the duality check")
     parser.add_argument("--order", choices=("P", "Q"), help="partition order")
     parser.add_argument(
         "--permutations",

@@ -7,7 +7,6 @@ an ideal is stored by its divisibility-minimal generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import InputError, PreconditionError
 
@@ -138,12 +137,32 @@ def lcm_lattice(M: MonomialIdeal) -> frozenset[ExponentVector]:
     return frozenset(lattice)
 
 
-def multiplicity(M: MonomialIdeal) -> int:
-    """Colength of an Artinian ideal: lattice points under the staircase."""
-    b = pure_power_exponents(M)
+def _colength(gens) -> int:
+    """Colength of the ideal generated by gens, which must hold a pure power
+    of every variable: a sum over slices at the distinct last exponents."""
+    if len(gens[0]) == 1:
+        return min(g[0] for g in gens)
+    levels = sorted({g[-1] for g in gens})
     return sum(
-        1 for beta in product(*(range(bi) for bi in b)) if not contains(M, beta)
+        (hi - lo) * _colength([g[:-1] for g in gens if g[-1] <= lo])
+        for lo, hi in zip(levels, levels[1:])
     )
+
+
+def multiplicity(M: MonomialIdeal) -> int:
+    """Colength of an Artinian ideal: lattice points under the staircase.
+
+    With 0 = c_0 < ... < c_k = b_n the distinct last exponents of the
+    generators, the points at heights [c_j, c_{j+1}) are those outside the
+    slice ideal generated by g[:-1] over the generators with g_n <= c_j, so
+    colength(M) = sum_j (c_{j+1} - c_j) * colength(slice_j), and for n = 1
+    the colength is the least generator.  Every slice keeps the pure powers
+    of the other variables, so it is Artinian.  At most r^(n-1) slices of
+    O(r) work each, and never more than prod_{i>=2} b_i of them: the cost
+    does not grow with the exponents.
+    """
+    pure_power_exponents(M)
+    return _colength(M.generators)
 
 
 def is_generic(M: MonomialIdeal) -> bool:
@@ -171,28 +190,59 @@ def is_generic(M: MonomialIdeal) -> bool:
     return True
 
 
-def intersection_contains(components, beta) -> bool:
-    """Membership of z^beta in an intersection of ideals (z_1^{a_1},...,z_n^{a_n})."""
-    components = [tuple(c) for c in components]
-    if not components:
-        raise InputError("empty component list")
-    beta = _check_vector(beta, len(components[0]))
-    return all(
-        any(beta[i] >= alpha[i] for i in range(len(alpha))) for alpha in components
-    )
+def irreducible_intersection(components, n: int) -> MonomialIdeal:
+    """Minimal generators of the intersection of the ideals
+    (z_1^{a_1}, ..., z_n^{a_n}), one per component; none gives the unit ideal.
+
+    Intersects one component at a time: the lcm of each current generator
+    with each a_i e_i, minimized.  A step costs O((g n)^2 n) for g current
+    generators, whatever the size of the exponents.
+    """
+    gens = [(0,) * n]
+    for alpha in components:
+        alpha = _check_vector(alpha, n)
+        gens = minimize(
+            g[:i] + (max(g[i], a),) + g[i + 1:]
+            for g in gens
+            for i, a in enumerate(alpha)
+        ).generators
+    return MonomialIdeal(n, tuple(gens))
+
+
+def first_difference(I: MonomialIdeal, J: MonomialIdeal, box):
+    """Lex-first exponent in [0, box] lying in exactly one of I and J, or None.
+
+    Every point of I outside J lies above a generator of I outside J, which
+    precedes it componentwise and hence lexicographically (and the same with
+    I and J swapped), so the answer is the lex-least generator of either
+    ideal that divides z^box and lies outside the other: O(r_I r_J n) work,
+    independent of the box.
+    """
+    box = _check_vector(box, I.n)
+    candidates = [
+        g
+        for A, B in ((I, J), (J, I))
+        for g in A.generators
+        if divides(g, box) and not contains(B, g)
+    ]
+    return min(candidates, default=None)
 
 
 def equals_ideal(components, M: MonomialIdeal, box=None) -> bool:
-    """Exhaustively compare an irreducible intersection with M on [0, box]."""
+    """Whether an irreducible intersection agrees with M on [0, box].
+
+    Builds the minimal generators of the intersection
+    (irreducible_intersection) and compares them with M's
+    (first_difference), so the cost depends on the numbers of components
+    and generators but not on the box, which must dominate the pure-power
+    exponents b (default b).
+    """
     if box is None:
         box = pure_power_exponents(M)
     box = _check_vector(box, M.n)
     if not divides(pure_power_exponents(M), box):
         raise PreconditionError("box must dominate the pure-power exponents")
-    for beta in product(*(range(b + 1) for b in box)):
-        if intersection_contains(components, beta) != contains(M, beta):
-            return False
-    return True
+    return first_difference(irreducible_intersection(components, M.n), M, box) is None
 
 
 def staircase_corners_2d(M: MonomialIdeal) -> list[tuple[int, int]]:

@@ -9,7 +9,6 @@ coefficient extraction, so every identity here is an integer identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .cellcomplex import (
     LabeledCellComplex,
@@ -19,7 +18,13 @@ from .cellcomplex import (
 )
 from .errors import PreconditionError
 from .hull import corner_simplex_complex
-from .monomial import MonomialIdeal, contains, minimize, pure_power_exponents
+from .monomial import (
+    MonomialIdeal,
+    first_difference,
+    irreducible_intersection,
+    minimize,
+    pure_power_exponents,
+)
 from .resolution import (
     SignedMonomial,
     cellular_complex,
@@ -225,14 +230,20 @@ def annihilator_contains(R: ResidueCurrent, beta) -> bool:
 
 
 def duality_counterexample(R: ResidueCurrent, M: MonomialIdeal, box=None):
-    """First exponent in [0, box] where annihilation and membership differ."""
+    """First exponent in [0, box] (lexicographic order, default box b) where
+    annihilation of R and membership in M differ, or None.
+
+    ann R is the intersection of the irreducible ideals
+    (z_1^{a_1}, ..., z_n^{a_n}) over the nonzero entries, so the witness is
+    the first difference of its minimal generators with M's
+    (monomial.irreducible_intersection, monomial.first_difference): the
+    cost depends on the numbers of entries and generators but not on the
+    box.
+    """
     if box is None:
         box = pure_power_exponents(M)
-    box = tuple(box)
-    for beta in product(*(range(x + 1) for x in box)):
-        if annihilator_contains(R, beta) != contains(M, beta):
-            return beta
-    return None
+    alphas = [c.alpha for c in R.entries.values() if not c.is_zero]
+    return first_difference(M, irreducible_intersection(alphas, M.n), box)
 
 
 def duality_check(R: ResidueCurrent, M: MonomialIdeal, box=None) -> bool:

@@ -1,11 +1,13 @@
 """Independent brute-force oracles for the test suite.
 
 These deliberately avoid the library's computation paths: subset
-enumeration instead of join closure, inclusion-exclusion instead of
-lattice counting, graded strand ranks with a local elimination instead of
-subcomplex homology, and for the hull the facets of conv(points) in its
-affine hull with a Fourier-Motzkin test per face instead of integer facet
-enumeration of conv(points) + R_+^n with a support-cover test.
+enumeration instead of join closure, inclusion-exclusion and box scans
+instead of slicing the staircase, a box scan instead of comparing minimal
+generators for the duality witness, graded strand ranks with a local
+elimination instead of subcomplex homology, and for the hull the facets of
+conv(points) in its affine hull with a Fourier-Motzkin test per face
+instead of integer facet enumeration of conv(points) + R_+^n with a
+support-cover test.
 """
 
 from fractions import Fraction
@@ -41,13 +43,30 @@ def multiplicity_by_inclusion_exclusion(generators, box):
 
 
 def staircase_lattice_points(generators, box):
-    """Exponents in [0, box) whose monomials avoid the ideal."""
+    """Exponents in [0, box) whose monomials avoid the ideal, by scanning the
+    box; their number is the multiplicity when box is the pure-power vector."""
     gens = [tuple(g) for g in generators]
     points = []
     for beta in product(*(range(b) for b in box)):
         if not any(all(g[i] <= beta[i] for i in range(len(beta))) for g in gens):
             points.append(beta)
     return points
+
+
+def first_difference_by_box_scan(components, generators, box):
+    """First exponent of [0, box], in lexicographic order, whose monomial lies
+    in exactly one of the intersection of the ideals (z_1^{a_1}, ...,
+    z_n^{a_n}) over the components and the ideal of the generators; None
+    when they agree on the whole box."""
+    gens = [tuple(g) for g in generators]
+    for beta in product(*(range(b + 1) for b in box)):
+        in_components = all(
+            any(x >= a for x, a in zip(beta, alpha)) for alpha in components
+        )
+        in_ideal = any(all(g[i] <= beta[i] for i in range(len(beta))) for g in gens)
+        if in_components != in_ideal:
+            return beta
+    return None
 
 
 def _rank(rows):

@@ -1,6 +1,7 @@
 import json
 
 from cellres.cli import run
+from oracles import multiplicity_by_inclusion_exclusion
 
 EX61 = {
     "n": 3,
@@ -107,6 +108,31 @@ def test_fundamental_cycle(capsys, monkeypatch):
         "lhs": -3, "expected": -3, "ok": True, "asserted": True,
     }
     assert out["per_permutation"]["2,1"]["ok"]
+
+
+def test_permutation_parse_errors_exit_2(capsys, monkeypatch):
+    for text in ("a,b", "1,2;x", "1,,2"):
+        code, out = invoke(
+            capsys, monkeypatch, ["fundamental-cycle", "--permutations", text], EX61
+        )
+        assert code == 2 and "permutations" in out["error"]
+
+
+def test_large_exponents(capsys, monkeypatch):
+    big = {
+        "n": 3,
+        "generators": [
+            [1000, 0, 0], [0, 1000, 0], [0, 0, 1000], [400, 300, 200], [100, 600, 500],
+        ],
+    }
+    m = multiplicity_by_inclusion_exclusion(big["generators"], (1000, 1000, 1000))
+    code, out = invoke(capsys, monkeypatch, ["multiplicity"], big)
+    assert code == 0 and out["multiplicity"] == m
+    code, out = invoke(capsys, monkeypatch, ["duality-check"], big)
+    assert code == 0 and out["ok"] is True and out["counterexample"] is None
+    code, out = invoke(capsys, monkeypatch, ["fundamental-cycle"], big)
+    assert code == 0 and out["ok"] is True
+    assert out["lhs"] == out["n_factorial_times_m"] == 6 * m
 
 
 def test_fundamental_cycle_nongeneric_reported(capsys, monkeypatch):

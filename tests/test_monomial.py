@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellres import (
     InputError,
     PreconditionError,
     contains,
     equals_ideal,
+    first_difference,
     ideal_from_json,
-    intersection_contains,
+    irreducible_intersection,
     is_artinian,
     is_generic,
     lcm,
@@ -17,7 +19,23 @@ from cellres import (
     staircase_corners_2d,
 )
 from conftest import EX61_GENERATORS, random_staircase_ideal
-from oracles import multiplicity_by_inclusion_exclusion, subset_lcm_lattice
+from oracles import (
+    first_difference_by_box_scan,
+    multiplicity_by_inclusion_exclusion,
+    staircase_lattice_points,
+    subset_lcm_lattice,
+)
+
+
+@st.composite
+def artinian_ideals(draw):
+    n = draw(st.integers(1, 4))
+    powers = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    extras = draw(st.lists(
+        st.lists(st.integers(0, 5), min_size=n, max_size=n), max_size=5
+    ))
+    gens = [tuple(p if j == i else 0 for j in range(n)) for i, p in enumerate(powers)]
+    return minimize(gens + [tuple(g) for g in extras if any(g)])
 
 
 def test_minimize_drops_divisible():
@@ -173,6 +191,27 @@ def test_multiplicity_against_inclusion_exclusion(rng):
     )
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(artinian_ideals())
+def test_multiplicity_against_box_scan_and_inclusion_exclusion(M):
+    b = pure_power_exponents(M)
+    m = multiplicity(M)
+    assert m == len(staircase_lattice_points(M.generators, b))
+    assert m == multiplicity_by_inclusion_exclusion(M.generators, b)
+
+
+def test_multiplicity_large_exponents():
+    assert multiplicity(minimize([(1000, 0, 0), (0, 1000, 0), (0, 0, 1000)])) == 10**9
+    gens = [(1000, 0, 0), (0, 1000, 0), (0, 0, 1000), (400, 300, 200), (100, 600, 500)]
+    M = minimize(gens)
+    assert multiplicity(M) == multiplicity_by_inclusion_exclusion(
+        M.generators, (1000, 1000, 1000)
+    )
+    assert multiplicity(minimize([(7,), (9,)])) == 7
+    with pytest.raises(PreconditionError):
+        multiplicity(minimize([(1000, 0), (1, 1)]))
+
+
 def test_is_generic(ex61_ideal, rng):
     assert not is_generic(ex61_ideal)
     for _ in range(10):
@@ -186,10 +225,61 @@ def test_irreducible_intersection(ex61_ideal):
     assert equals_ideal(components + [(1, 1, 1)], ex61_ideal, (2, 2, 2))
     ci = minimize([(3, 0), (0, 2)])
     assert equals_ideal([(3, 2)], ci)
-    assert intersection_contains(components, (1, 1, 0))
-    assert not intersection_contains(components, (1, 0, 0))
+    assert contains(irreducible_intersection(components, 3), (1, 1, 0))
+    assert not contains(irreducible_intersection(components, 3), (1, 0, 0))
     with pytest.raises(InputError):
-        intersection_contains([], (0, 0))
+        irreducible_intersection([(1, 1)], 3)
+
+
+def test_irreducible_intersection_generators(ex61_ideal):
+    components = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
+    assert irreducible_intersection(components, 3) == ex61_ideal
+    assert irreducible_intersection([(2, 1), (1, 2)], 2) == minimize(
+        [(2, 0), (1, 1), (0, 2)]
+    )
+    assert irreducible_intersection([(3, 2)], 2).generators == ((3, 0), (0, 2))
+    assert irreducible_intersection([], 2).generators == ((0, 0),)
+    assert irreducible_intersection([(0, 5), (2, 3)], 2).generators == ((2, 0), (0, 3))
+
+
+def test_first_difference_hand_cases(ex61_ideal):
+    M = minimize([(2, 0), (1, 1), (0, 2)])
+    bumped = irreducible_intersection([(3, 1), (1, 2)], 2)  # (x^3, xy, y^2)
+    assert first_difference(M, bumped, (2, 2)) == (2, 0)
+    assert first_difference(bumped, M, (2, 2)) == (2, 0)
+    assert first_difference(M, bumped, (1, 5)) is None
+    assert first_difference(M, M, (9, 9)) is None
+    # Dropping the component (2,1,1) of Example 6.1 lets x into the intersection.
+    loose = irreducible_intersection([(1, 1, 1), (1, 1, 2), (1, 2, 1)], 3)
+    assert first_difference(ex61_ideal, loose, (2, 2, 2)) == (1, 0, 0)
+    with pytest.raises(InputError):
+        first_difference(M, bumped, (2, 2, 2))
+
+
+def test_equals_ideal_false_verdicts(ex61_ideal):
+    M = minimize([(2, 0), (1, 1), (0, 2)])
+    assert equals_ideal([(2, 1), (1, 2)], M)
+    assert not equals_ideal([(3, 1), (1, 2)], M)
+    assert not equals_ideal([(2, 1)], M)
+    assert equals_ideal([(2, 1), (1, 2), (1, 1)], M)
+    assert not equals_ideal([(2, 1), (1, 2), (1, 3)], M)
+    assert not equals_ideal([(1, 1, 2), (1, 2, 1), (1, 1, 1)], ex61_ideal, (3, 3, 3))
+    with pytest.raises(PreconditionError):
+        equals_ideal([(2, 1), (1, 2)], M, (1, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(artinian_ideals(), st.data())
+def test_equals_ideal_against_box_scan(M, data):
+    n = M.n
+    b = pure_power_exponents(M)
+    components = data.draw(st.lists(
+        st.lists(st.integers(1, 6), min_size=n, max_size=n), max_size=5
+    ))
+    box = tuple(x + data.draw(st.integers(0, 2)) for x in b)
+    witness = first_difference_by_box_scan(components, M.generators, box)
+    assert equals_ideal(components, M, box) == (witness is None)
+    assert first_difference(irreducible_intersection(components, n), M, box) == witness
 
 
 def test_staircase_corners():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellres import (
     CHProduct,
@@ -13,6 +14,8 @@ from cellres import (
     delta_complex,
     duality_check,
     duality_counterexample,
+    equals_ideal,
+    minimize,
     monomial_times_ch,
     pure_power_exponents,
     reoriented,
@@ -21,10 +24,11 @@ from cellres import (
     sign_same_span,
     verify_chain_maps,
 )
-from cellres.residue import ChainMap, ch_zero
+from cellres.residue import ChainMap, ResidueCurrent, ch_zero
 from cellres.resolution import SignedMonomial
 from conftest import embedded_hull, random_generic_ideal_3, random_staircase_ideal
 from itertools import product
+from oracles import first_difference_by_box_scan
 
 
 def test_complete_intersection_residue():
@@ -198,6 +202,80 @@ def test_duality_random(rng):
         b = pure_power_exponents(M)
         X = embedded_hull(M)
         assert duality_check(residue_current(X, b), M)
+
+
+def _perturbed(R, kind, fid, alpha):
+    """R with one entry dropped, one exponent of an entry bumped, or an extra
+    component alpha."""
+    entries = dict(R.entries)
+    if kind == "drop":
+        del entries[fid]
+    elif kind == "bump":
+        c = entries[fid]
+        entries[fid] = CHProduct(c.sign, (c.alpha[0] + 1,) + c.alpha[1:])
+    elif kind == "extra":
+        entries["extra"] = CHProduct(1, tuple(alpha))
+    return ResidueCurrent(R.n, entries)
+
+
+def test_duality_counterexample_hand_cases(ex61_embedded, ex61_ideal):
+    R = residue_current(ex61_embedded, (2, 2, 2))
+    by_alpha = {c.alpha: fid for fid, c in R.entries.items()}
+    M = minimize([(2, 0), (1, 1), (0, 2)])
+    R2 = residue_current(embedded_hull(M), (2, 2))
+    bumped2 = _perturbed(R2, "bump", next(iter(R2.entries)), None)
+    assert sorted(c.alpha for c in bumped2.entries.values()) == [(1, 2), (3, 1)]
+    extra = _perturbed(R, "extra", None, (1, 1, 3))
+    cases = [
+        # without (2,1,1), x annihilates the current
+        (_perturbed(R, "drop", by_alpha[(2, 1, 1)], None), ex61_ideal, None, (1, 0, 0)),
+        (_perturbed(R, "drop", by_alpha[(1, 1, 1)], None), ex61_ideal, None, None),
+        # with (3,1,1) for (2,1,1), x^2 no longer annihilates
+        (_perturbed(R, "bump", by_alpha[(2, 1, 1)], None), ex61_ideal, None, (2, 0, 0)),
+        (extra, ex61_ideal, None, (0, 0, 2)),
+        (extra, ex61_ideal, (1, 1, 1), None),
+        (bumped2, M, None, (2, 0)),
+    ]
+    for current, ideal, box, expected in cases:
+        assert duality_counterexample(current, ideal, box) == expected
+        assert duality_check(current, ideal, box) == (expected is None)
+        alphas = [c.alpha for c in current.entries.values()]
+        assert first_difference_by_box_scan(
+            alphas, ideal.generators, box or pure_power_exponents(ideal)
+        ) == expected
+
+
+@st.composite
+def small_artinian_ideals(draw):
+    n = draw(st.integers(2, 3))
+    powers = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    extras = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=3
+    ))
+    gens = [tuple(p if j == i else 0 for j in range(n)) for i, p in enumerate(powers)]
+    return minimize(gens + [tuple(g) for g in extras if any(g)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_artinian_ideals(), st.sampled_from([None, "drop", "bump", "extra"]),
+       st.data())
+def test_duality_against_box_scan(M, kind, data):
+    n = M.n
+    b = pure_power_exponents(M)
+    R = residue_current(embedded_hull(M), b)
+    fid = data.draw(st.sampled_from(sorted(R.entries)))
+    alpha = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    R = _perturbed(R, kind, fid, alpha)
+    alphas = [c.alpha for c in R.entries.values()]
+    for box in (None, tuple(data.draw(st.integers(0, 6)) for _ in range(n))):
+        expected = first_difference_by_box_scan(alphas, M.generators, box or b)
+        assert duality_counterexample(R, M, box) == expected
+        if kind is None:
+            assert expected is None
+    wide = tuple(x + data.draw(st.integers(0, 2)) for x in b)
+    assert equals_ideal(alphas, M, wide) == (
+        first_difference_by_box_scan(alphas, M.generators, wide) is None
+    )
 
 
 def test_residue_invariant_under_lower_reorientation(ex61_embedded, rng):
