@@ -97,15 +97,27 @@ def _validate_basis(basis, dirs, dim, fid):
         raise InputError(f"face {fid}: orientation basis must have {dim} vectors")
     if dim <= 0:
         return
+    if any(len(b) != len(dirs[0]) for b in basis):
+        raise InputError(f"face {fid}: basis vectors must have the ambient dimension")
     if linalg.rank(basis) != dim:
         raise InputError(f"face {fid}: degenerate orientation basis")
-    for b in basis:
-        if not linalg.is_zero_vec(linalg.orthogonal_residual(b, dirs)):
-            raise InputError(f"face {fid}: basis vector outside the face's span")
+    if linalg.rank(list(dirs) + list(basis)) != dim:
+        raise InputError(f"face {fid}: basis vector outside the face's span")
 
 
 def _face_dirs(points):
     return [linalg.vec_sub(p, points[0]) for p in points[1:]]
+
+
+def _orthogonal_residual(v, dirs):
+    """Component of v orthogonal to span(dirs), from one solve of the Gram
+    system (dirs^T dirs) c = dirs^T v."""
+    gram = [[linalg.dot(a, b) for b in dirs] for a in dirs]
+    coeffs = linalg.solve(gram, [linalg.dot(a, v) for a in dirs])
+    return tuple(
+        x - sum((c * d[i] for c, d in zip(coeffs, dirs) if c), Fraction(0))
+        for i, x in enumerate(v)
+    )
 
 
 def _geometric_facets(points_by_vertex, sigma_ids, candidates):
@@ -124,8 +136,9 @@ def _geometric_facets(points_by_vertex, sigma_ids, candidates):
         if not set(tau) < set(sigma_ids):
             continue
         tau_pts = [points_by_vertex[v] for v in tau]
-        dirs = _face_dirs(tau_pts)
-        normal = linalg.orthogonal_residual(linalg.vec_sub(bary, tau_pts[0]), dirs)
+        normal = _orthogonal_residual(
+            linalg.vec_sub(bary, tau_pts[0]), _face_dirs(tau_pts)
+        )
         if linalg.is_zero_vec(normal):
             continue
         values = {
@@ -244,13 +257,10 @@ def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
     if sigma.dim == 0:
         X._signs[key] = 1
         return 1
-    tau = X.face(tau_id)
-    eta = linalg.orthogonal_residual(
-        linalg.vec_sub(X.barycenter(sigma_id), X.barycenter(tau_id)), tau.basis
-    )
-    if linalg.is_zero_vec(eta):
-        raise PreconditionError(f"degenerate inward normal for {tau_id} in {sigma_id}")
-    columns = (eta,) + tau.basis
+    # The inward direction need not be projected off tau's span: adding a
+    # combination of tau's basis to it leaves the determinant unchanged.
+    eta = linalg.vec_sub(X.barycenter(sigma_id), X.barycenter(tau_id))
+    columns = (eta,) + X.face(tau_id).basis
     sign = linalg.det_sign([[linalg.dot(b, c) for c in columns] for b in sigma.basis])
     if sign == 0:
         raise PreconditionError(f"degenerate orientation data for {tau_id} in {sigma_id}")
@@ -264,9 +274,8 @@ def sign_same_span(face_a: Face, face_b: Face) -> int:
         raise PreconditionError("orientation comparison needs equal dimensions")
     if face_a.dim <= 0:
         return 1
-    for u in face_a.basis:
-        if not linalg.is_zero_vec(linalg.orthogonal_residual(u, face_b.basis)):
-            raise PreconditionError("orientation comparison needs equal spans")
+    if linalg.rank(face_a.basis + face_b.basis) != face_a.dim:
+        raise PreconditionError("orientation comparison needs equal spans")
     sign = linalg.basis_change_det_sign(face_a.basis, face_b.basis)
     if sign == 0:
         raise PreconditionError("degenerate orientation basis")
@@ -502,10 +511,44 @@ def complex_to_json(X: LabeledCellComplex) -> dict:
     return {"n": X.n, "vertices": vertices, "faces": faces}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_objects(value, what):
+    if not (isinstance(value, list) and all(isinstance(e, dict) for e in value)):
+        raise InputError(f"complex {what} must be a list of objects")
+    return value
+
+
+def _json_ints(value, what):
+    if not (isinstance(value, list) and all(_is_int(x) for x in value)):
+        raise InputError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
+def _json_rational(x) -> Fraction:
+    if _is_int(x):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"coordinate {x!r} is neither an integer nor a rational string")
+
+
+def _json_point(value, what) -> tuple:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of coordinates")
+    return tuple(_json_rational(c) for c in value)
+
+
 def complex_from_json(obj) -> LabeledCellComplex:
     """Load a complex from its JSON form; see complex_to_json for the shape.
 
-    Coordinates are exact rational strings.  Faces with omitted bases get
+    Coordinates are integers or exact rational strings, ids are integers and
+    labels are lists of n nonnegative integers.  Faces with omitted bases get
     the deterministic orientation rule; if the labels carry a full set of
     pure powers and the top faces span the corresponding simplex, top faces
     are flipped to agree with it.
@@ -516,32 +559,41 @@ def complex_from_json(obj) -> LabeledCellComplex:
     if extra:
         raise InputError(f"complex JSON has unknown keys: {sorted(extra)}")
     points, labels = {}, {}
-    for entry in obj["vertices"]:
+    for entry in _json_objects(obj["vertices"], "vertices"):
         if set(entry) != {"id", "coords", "label"}:
             raise InputError('complex vertices need exactly "id", "coords", "label"')
         vid = entry["id"]
+        if not _is_int(vid):
+            raise InputError(f"vertex id {vid!r} is not an integer")
         if vid in points:
             raise InputError(f"duplicate vertex id {vid}")
-        points[vid] = tuple(Fraction(c) for c in entry["coords"])
-        labels[vid] = tuple(int(e) for e in entry["label"])
+        points[vid] = _json_point(entry["coords"], f"vertex {vid}: coords")
+        labels[vid] = _json_ints(entry["label"], f"vertex {vid}: label")
     n = obj.get("n", len(next(iter(labels.values()))) if labels else 0)
+    if not _is_int(n):
+        raise InputError(f"complex n must be an integer, got {n!r}")
     face_sets = []
     bases = {}
-    for entry in obj["faces"]:
+    for entry in _json_objects(obj["faces"], "faces"):
         unknown = set(entry) - {"vertices", "orientation_basis", "dim", "label"}
         if unknown:
             raise InputError(f"complex face has unknown keys: {sorted(unknown)}")
-        fid = tuple(sorted(entry["vertices"]))
+        if "vertices" not in entry:
+            raise InputError('complex faces need "vertices"')
+        fid = tuple(sorted(_json_ints(entry["vertices"], "face vertices")))
         face_sets.append(fid)
         if "orientation_basis" in entry:
-            bases[fid] = [
-                tuple(Fraction(c) for c in row) for row in entry["orientation_basis"]
-            ]
+            rows = entry["orientation_basis"]
+            if not isinstance(rows, list):
+                raise InputError(f"face {fid}: orientation basis must be a list")
+            bases[fid] = [_json_point(row, f"face {fid}: basis vector") for row in rows]
     X = make_complex(n, points, labels, face_sets, bases=bases)
     for entry in obj["faces"]:
         fid = tuple(sorted(entry["vertices"]))
-        if "label" in entry and tuple(entry["label"]) != X.face(fid).label:
-            raise InputError(f"face {fid}: stated label disagrees with the vertex lcm")
+        if "label" in entry:
+            stated = _json_ints(entry["label"], f"face {fid}: label")
+            if stated != X.face(fid).label:
+                raise InputError(f"face {fid}: stated label disagrees with the vertex lcm")
         if "dim" in entry and entry["dim"] != X.face(fid).dim:
             raise InputError(f"face {fid}: stated dimension disagrees with the geometry")
     return _orient_tops_by_pure_powers(X)

@@ -8,15 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 from itertools import permutations as iter_permutations
 
-from .cellcomplex import (
-    complex_from_json,
-    complex_to_json,
-    subcomplex_leq,
-)
+from .cellcomplex import complex_from_json, complex_to_json
 from .cycle import (
     fundamental_cycle_check,
     permutation_cycle_check,
@@ -28,8 +23,6 @@ from .monomial import (
     MonomialIdeal,
     ideal_from_json,
     is_generic,
-    lcm_lattice,
-    minimize,
     multiplicity,
     pure_power_exponents,
 )
@@ -44,7 +37,6 @@ from .resolution import (
     cellular_complex,
     exactness_witness,
     minimality_witness,
-    reduced_homology_ranks,
 )
 
 SCHEMA = "cellres/1"
@@ -174,34 +166,6 @@ def _build_complex(source, M: MonomialIdeal, t):
     raise InputError(f"unknown complex source: {source}")
 
 
-_WORKER_COMPLEX = None
-
-
-def _init_worker(X):
-    global _WORKER_COMPLEX
-    _WORKER_COMPLEX = X
-
-
-def _beta_fails(beta):
-    sub = subcomplex_leq(_WORKER_COMPLEX, beta)
-    if sub.dim < 0:
-        return False
-    return any(reduced_homology_ranks(sub))
-
-
-def _exactness_witness_parallel(F, X, M, jobs):
-    vertex_ideal = minimize([X.vertex_label(v) for v in X.vertices])
-    if vertex_ideal.generators != M.generators:
-        raise PreconditionError("vertex labels do not generate the given ideal")
-    degrees = sorted(lcm_lattice(M) | {(0,) * M.n})
-    with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(X,)) as pool:
-        failures = pool.map(_beta_fails, degrees)
-    for beta, failed in zip(degrees, failures):
-        if failed:
-            return beta
-    return None
-
-
 def _signed_matrix_json(matrix):
     return [
         [{"sign": cell.sign, "exp": list(cell.exp)} for cell in row]
@@ -233,11 +197,7 @@ def _cmd_resolve(M, X, args, options):
 
 
 def _cmd_check_exact(M, X, args, options):
-    F = cellular_complex(X)
-    if args.jobs and args.jobs > 1:
-        witness = _exactness_witness_parallel(F, X, M, args.jobs)
-    else:
-        witness = exactness_witness(F, X, M)
+    witness = exactness_witness(cellular_complex(X), X, M)
     ok = witness is None
     return {"ok": ok, "witness": list(witness) if witness else None}, 0 if ok else 1
 
@@ -408,10 +368,6 @@ def _build_parser():
         help="seed for randomized cross-checks (reserved; the shipped "
         "subcommands are deterministic)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the per-degree exactness scan",
-    )
     parser.add_argument("--beta", help="exponent vector for annihilator queries")
     parser.add_argument("--box", help="box override for the duality check")
     parser.add_argument("--order", choices=("P", "Q"), help="partition order")
@@ -425,9 +381,6 @@ def _build_parser():
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        _emit({"error": "--jobs must be at least 1"})
-        return 2
     try:
         M, job_source, options = _load_job(args)
         t = args.t if args.t is not None else options.get("t")

@@ -203,6 +203,17 @@ def reference_simplex_face(X: LabeledCellComplex, b) -> Face:
     )
 
 
+def _subsets(r):
+    """The nonempty subsets of range(r) as sorted tuples, in bit-mask order."""
+    return [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1, 1 << r)]
+
+
+def _pure_power_labels(b):
+    """Vertex i of the corner simplex is labeled z_i^{b_i}."""
+    n = len(b)
+    return {i: tuple(b[i] if j == i else 0 for j in range(n)) for i in range(n)}
+
+
 def corner_simplex_complex(X: LabeledCellComplex, b) -> LabeledCellComplex:
     """The simplex complex on X's corner vertices, labeled by the pure powers.
 
@@ -211,14 +222,8 @@ def corner_simplex_complex(X: LabeledCellComplex, b) -> LabeledCellComplex:
     corners = _corner_vertex_ids(X, b)
     n = X.n
     points = {i: X.vertex_point(corners[i]) for i in range(n)}
-    labels = {
-        i: tuple(b[i] if j == i else 0 for j in range(n)) for i in range(n)
-    }
-    subsets = [
-        tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2**n)
-    ]
-    return make_complex(n, points, labels, subsets, simplicial=True,
-                        lift_base=X.lift_base)
+    return make_complex(n, points, _pure_power_labels(b), _subsets(n),
+                        simplicial=True, lift_base=X.lift_base)
 
 
 def delta_complex(b, t=None) -> LabeledCellComplex:
@@ -232,11 +237,8 @@ def delta_complex(b, t=None) -> LabeledCellComplex:
         i: tuple(Fraction(t) ** b[i] if j == i else Fraction(1) for j in range(n))
         for i in range(n)
     }
-    labels = {i: tuple(b[i] if j == i else 0 for j in range(n)) for i in range(n)}
-    subsets = [
-        tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2**n)
-    ]
-    return make_complex(n, points, labels, subsets, simplicial=True, lift_base=t)
+    return make_complex(n, points, _pure_power_labels(b), _subsets(n),
+                        simplicial=True, lift_base=t)
 
 
 def embed_in_simplex(H: LabeledCellComplex, b) -> LabeledCellComplex:
@@ -322,7 +324,4 @@ def taylor_complex(M: MonomialIdeal) -> LabeledCellComplex:
             coords[i] = Fraction(1)
         points[i] = tuple(coords)
     labels = dict(enumerate(M.generators))
-    subsets = [
-        tuple(i for i in range(r) if mask >> i & 1) for mask in range(1, 1 << r)
-    ]
-    return make_complex(M.n, points, labels, subsets, simplicial=True)
+    return make_complex(M.n, points, labels, _subsets(r), simplicial=True)

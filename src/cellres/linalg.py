@@ -1,12 +1,17 @@
 """Exact linear algebra over rationals and big integers.
 
 Everything in this package that touches geometry goes through these
-helpers; no floating point anywhere.
+helpers; no floating point anywhere.  Every elimination is the one
+fraction-free routine ``_bareiss``: rational rows (for ``solve``, the
+columns and the right-hand side) are first scaled to integers by the lcm
+of their denominators, a positive scale that changes no rank and no
+determinant sign, and changes a solution only by the known scales.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Vector = tuple[Fraction, ...]
 
@@ -31,70 +36,39 @@ def is_zero_vec(a) -> bool:
     return all(x == 0 for x in a)
 
 
-def det(matrix) -> Fraction:
-    """Determinant of a square matrix of Fractions by Gaussian elimination."""
-    m = [list(row) for row in matrix]
-    k = len(m)
-    if k == 0:
-        return Fraction(1)
-    result = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, k):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, k):
-                    m[r][c] -= factor * m[col][c]
-    return result
+def _common_denominator(xs):
+    """(integers, d): the ints or Fractions xs times the lcm d of their
+    denominators."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def det_sign(matrix) -> int:
-    d = det(matrix)
-    return (d > 0) - (d < 0)
+def _integer_rows(matrix):
+    """Rows of ints or Fractions scaled to integer rows; also returns the
+    product of the (positive) row scales."""
+    rows = []
+    total = 1
+    for row in matrix:
+        scaled, d = _common_denominator(row)
+        rows.append(scaled)
+        total *= d
+    return rows, total
 
 
-def rank(matrix) -> int:
-    """Rank of a matrix (list of row tuples) of Fractions."""
-    rows = [list(r) for r in matrix if not is_zero_vec(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] * inv
-                for c in range(col, ncols):
-                    rows[i][c] -= factor * rows[r][c]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def _bareiss(m, full=False) -> list[int]:
+def _bareiss(m, full=False):
     """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
-    Returns the pivot columns, one per pivot row 0, 1, ...  Every division
-    is exact.  Rows below each pivot are cleared; with ``full`` the rows
-    above are cleared too, which leaves every pivot entry equal to the last
-    pivot (a fraction-free Gauss-Jordan form).
+    Returns the pivot columns, one per pivot row 0, 1, ..., and the parity
+    of the row swaps as a sign.  Every division is exact.  Rows below each
+    pivot are cleared, and the last pivot of a square nonsingular matrix is
+    its determinant times that sign; with ``full`` the rows above are
+    cleared too, which leaves every pivot entry equal to the last pivot (a
+    fraction-free Gauss-Jordan form).
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
+    sign = 1
     prev = 1
     for col in range(ncols):
         r = len(pivots)
@@ -105,6 +79,7 @@ def _bareiss(m, full=False) -> list[int]:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
         top = m[r]
         p = top[col]
         start = 0 if full else col + 1
@@ -118,12 +93,32 @@ def _bareiss(m, full=False) -> list[int]:
             row[col] = 0
         prev = p
         pivots.append(col)
-    return pivots
+    return pivots, sign
 
 
-def bareiss_rank(matrix) -> int:
-    """Rank of an integer matrix via fraction-free Bareiss elimination."""
-    return len(_bareiss([list(map(int, row)) for row in matrix]))
+def rank(matrix) -> int:
+    """Rank of a matrix (a list of rows) of ints or Fractions."""
+    return len(_bareiss(_integer_rows(matrix)[0])[0])
+
+
+def _scaled_det(matrix):
+    """(d, s) with det(matrix) = d / s and s > 0, for a square matrix."""
+    m, scale = _integer_rows(matrix)
+    pivots, sign = _bareiss(m)
+    if len(pivots) < len(m):
+        return 0, scale
+    return (sign * m[-1][-1] if m else 1), scale
+
+
+def det(matrix) -> Fraction:
+    """Determinant of a square matrix of ints or Fractions."""
+    d, scale = _scaled_det(matrix)
+    return Fraction(d, scale)
+
+
+def det_sign(matrix) -> int:
+    d = _scaled_det(matrix)[0]
+    return (d > 0) - (d < 0)
 
 
 def cross_product(vectors, k):
@@ -134,7 +129,7 @@ def cross_product(vectors, k):
     the vectors are linearly dependent.
     """
     m = [list(v) for v in vectors]
-    pivots = _bareiss(m, full=True)
+    pivots = _bareiss(m, full=True)[0]
     if len(pivots) != k - 1:
         return None
     free = next(c for c in range(k) if c not in pivots)
@@ -148,69 +143,41 @@ def cross_product(vectors, k):
 def solve(matrix, rhs):
     """Solve A x = b exactly; returns a solution tuple or None if inconsistent.
 
-    When underdetermined, free variables are set to zero.
+    Column c of A is scaled to integers by the lcm d_c of its denominators
+    (the columns are the vectors of a basis or a simplex, each with its own
+    denominator) and b as a whole by the lcm e of its own, so no pivot
+    carries the denominators of b.  Read off the fraction-free Gauss-Jordan
+    form of the scaled [A | b]: x_c is d_c / e times the b entry of the pivot
+    row of column c over its pivot, free variables are zero, and the system
+    is inconsistent when the b column holds a pivot.
     """
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    nrows = len(a)
-    ncols = len(matrix[0]) if nrows else 0
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if a[i][ncols] != 0:
-            return None
+    columns = [_common_denominator(col) for col in zip(*matrix)]
+    b, e = _common_denominator(rhs)
+    m = [list(row) for row in zip(*(col for col, _ in columns), b)]
+    ncols = len(columns)
+    pivots = _bareiss(m, full=True)[0]
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for i, col in enumerate(piv_cols):
-        x[col] = a[i][ncols]
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[ncols] * columns[c][1], row[c] * e)
     return tuple(x)
-
-
-def orthogonal_residual(v, basis):
-    """Component of v orthogonal to the span of the given vectors."""
-    residual = list(vec(v))
-    ortho = []
-    for b in basis:
-        u = list(b)
-        for g in ortho:
-            coeff = dot(u, g) / dot(g, g)
-            u = [x - coeff * y for x, y in zip(u, g)]
-        if not is_zero_vec(u):
-            ortho.append(u)
-    for g in ortho:
-        coeff = dot(residual, g) / dot(g, g)
-        residual = [x - coeff * y for x, y in zip(residual, g)]
-    return tuple(residual)
 
 
 def affine_basis_indices(points) -> list[int]:
     """Indices of a maximal affinely independent subset, scanning in order.
 
-    The first point is always taken; the result has affine_rank(points)
-    entries.
+    The first point is always taken, then each point whose difference with
+    it is independent of the differences taken before: the pivot columns of
+    the differences, each scaled to integers, laid out as columns.  The
+    result has affine_rank(points) entries.
     """
     if not points:
         return []
-    chosen = [0]
-    directions: list[Vector] = []
-    for i in range(1, len(points)):
-        d = vec_sub(points[i], points[chosen[0]])
-        residual = orthogonal_residual(d, directions)
-        if not is_zero_vec(residual):
-            directions.append(d)
-            chosen.append(i)
-    return chosen
+    origin = points[0]
+    columns = [_common_denominator(vec_sub(p, origin))[0] for p in points[1:]]
+    pivots = _bareiss([list(r) for r in zip(*columns)])[0]
+    return [0] + [c + 1 for c in pivots]
 
 
 def affine_dim(points) -> int:

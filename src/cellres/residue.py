@@ -198,12 +198,12 @@ def residue_via_chain_maps(X: LabeledCellComplex, b, check=True) -> ResidueCurre
     quotient.  Must agree entrywise with the closed form.
     """
     b = tuple(b)
+    maps = chain_maps(X, b)
     if check:
-        ok, witness = verify_chain_maps(X, b)
+        ok, witness = verify_chain_maps(X, b, maps)
         if not ok:
             raise PreconditionError(f"comparison square does not commute at {witness}")
         _check_exact(X)
-    maps = chain_maps(X, b)
     n = X.n
     top = maps.levels[n - 1]
     rows = maps.row_bases[n - 1]

@@ -135,7 +135,7 @@ def reduced_homology_ranks(X_sub: LabeledCellComplex) -> list[int]:
         for j, sigma in enumerate(cols):
             for tau in X_sub.facets(sigma):
                 matrix[row_index[tau]][j] = sign_facet(X_sub, tau, sigma)
-        boundary_rank[k] = linalg.bareiss_rank(matrix)
+        boundary_rank[k] = linalg.rank(matrix)
     boundary_rank[top + 1] = 0
     boundary_rank[-1] = 0
     return [

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -5,6 +6,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# pytest puts src/ on sys.path (pyproject.toml); the CLI subprocess tests
+# need it on PYTHONPATH too, so an uninstalled checkout runs the suite.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))
+)
 
 from cellres import (
     embed_in_simplex,

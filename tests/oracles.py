@@ -69,9 +69,11 @@ def first_difference_by_box_scan(components, generators, box):
     return None
 
 
-def _rank(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows or not rows[0]:
+def fraction_rank(matrix):
+    """Rank by Gaussian elimination over Fractions (the library's retired
+    ``linalg.rank``)."""
+    rows = [[Fraction(x) for x in r] for r in matrix if any(x != 0 for x in r)]
+    if not rows:
         return 0
     ncols = len(rows[0])
     r = 0
@@ -80,12 +82,102 @@ def _rank(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        inv = 1 / rows[r][col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col] != 0:
+                factor = rows[i][col] * inv
+                for c in range(col, ncols):
+                    rows[i][c] -= factor * rows[r][c]
         r += 1
+        if r == len(rows):
+            break
     return r
+
+
+def fraction_det(matrix):
+    """Determinant by Gaussian elimination over Fractions (the retired
+    ``linalg.det``)."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    k = len(m)
+    result = Fraction(1)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, k):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                for c in range(col, k):
+                    m[r][c] -= factor * m[col][c]
+    return result
+
+
+def fraction_solve(matrix, rhs):
+    """A solution of A x = b with free variables 0, or None when
+    inconsistent, by Gauss-Jordan over Fractions (the retired
+    ``linalg.solve``)."""
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    nrows = len(a)
+    ncols = len(matrix[0]) if nrows else 0
+    piv_cols = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][col] != 0:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(col)
+        r += 1
+    if any(a[i][ncols] != 0 for i in range(r, nrows)):
+        return None
+    x = [Fraction(0)] * ncols
+    for i, col in enumerate(piv_cols):
+        x[col] = a[i][ncols]
+    return tuple(x)
+
+
+def _orthogonal_residual(v, basis):
+    """Component of v orthogonal to span(basis), by Gram-Schmidt."""
+    residual = [Fraction(x) for x in v]
+    ortho = []
+    for b in basis:
+        u = [Fraction(x) for x in b]
+        for g in ortho:
+            coeff = _dot(u, g) / _dot(g, g)
+            u = [x - coeff * y for x, y in zip(u, g)]
+        if any(x != 0 for x in u):
+            ortho.append(u)
+    for g in ortho:
+        coeff = _dot(residual, g) / _dot(g, g)
+        residual = [x - coeff * y for x, y in zip(residual, g)]
+    return residual
+
+
+def affine_basis_by_gram_schmidt(points):
+    """Indices of a maximal affinely independent subset, scanning in order
+    and testing each difference against a Gram-Schmidt basis of the ones
+    taken (the retired ``linalg.affine_basis_indices``)."""
+    if not points:
+        return []
+    chosen = [0]
+    directions = []
+    for i in range(1, len(points)):
+        d = [x - y for x, y in zip(points[i], points[0])]
+        if any(x != 0 for x in _orthogonal_residual(d, directions)):
+            directions.append(d)
+            chosen.append(i)
+    return chosen
 
 
 def graded_strand_inexact_degree(free_complex, box):
@@ -108,7 +200,7 @@ def graded_strand_inexact_degree(free_complex, box):
             rows = bases[k - 1]
             cols = bases[k]
             matrix = [[F.matrix(k)[i][j].sign for j in cols] for i in rows]
-            ranks[k] = _rank(matrix)
+            ranks[k] = fraction_rank(matrix)
         ranks[top + 1] = 0
         for k in range(0, top + 1):
             if ranks[k] + ranks[k + 1] != len(bases[k]):
@@ -193,17 +285,6 @@ def _nullspace(rows, ncols):
     return basis
 
 
-def _affine_basis(points):
-    """Indices of a maximal affinely independent subset, scanning in order."""
-    chosen = [0]
-    for i in range(1, len(points)):
-        dirs = [[x - y for x, y in zip(points[j], points[0])] for j in chosen[1:]]
-        d = [x - y for x, y in zip(points[i], points[0])]
-        if _rank(dirs + [d]) > len(dirs):
-            chosen.append(i)
-    return chosen
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -235,13 +316,13 @@ def _fm_feasible(rows, nvars):
 def _convex_facets(points):
     """{point-index set: inner normal} of the facets of conv(points) inside
     its affine hull."""
-    basis = _affine_basis(points)
+    basis = affine_basis_by_gram_schmidt(points)
     d = len(basis) - 1
     origin = points[basis[0]]
     hull_dirs = [[x - y for x, y in zip(points[i], origin)] for i in basis[1:]]
     facets = {}
     for combo in combinations(range(len(points)), d):
-        if d == 0 or len(_affine_basis([points[i] for i in combo])) != d:
+        if d == 0 or len(affine_basis_by_gram_schmidt([points[i] for i in combo])) != d:
             continue
         dirs = [[x - y for x, y in zip(points[i], points[combo[0]])] for i in combo[1:]]
         kernel = _nullspace([[_dot(dv, hv) for hv in hull_dirs] for dv in dirs], d)
@@ -272,7 +353,7 @@ def hull_face_sets(generators, t):
     if len(points) == 1:
         return {(0,)}
     facets = _convex_facets(points)
-    basis = _affine_basis(points)
+    basis = affine_basis_by_gram_schmidt(points)
     lineality = _nullspace(
         [[x - y for x, y in zip(points[i], points[basis[0]])] for i in basis[1:]],
         ambient,

@@ -318,6 +318,33 @@ def test_json_loader_rejects_garbage(ex61_embedded):
         complex_from_json(obj)
     with pytest.raises(InputError):
         complex_from_json({"vertices": []})
+    # wrong types exit 2 like any bad input, never truncated or crashing
+    for corrupt in (
+        lambda o: o["vertices"][0].update(label=[2.7, 0, 0]),
+        lambda o: o["vertices"][0].update(label=[True, 0, 0]),
+        lambda o: o["vertices"][0].update(label=5),
+        lambda o: o["vertices"][0].update(coords=[1.5, 1, 1]),
+        lambda o: o["vertices"][0].update(coords=["x", "1", "1"]),
+        lambda o: o["vertices"][0].update(coords=["1/0", "1", "1"]),
+        lambda o: o["vertices"][0].update(coords="1,1,1"),
+        lambda o: o["vertices"][0].update(id=[0]),
+        lambda o: o["vertices"][0].update(id="0"),
+        lambda o: o.update(vertices=5),
+        lambda o: o.update(faces=5),
+        lambda o: o.update(faces=[5]),
+        lambda o: o.update(n="3"),
+        lambda o: o["faces"][0].update(vertices=5),
+        lambda o: o["faces"][0].update(vertices=[[0]]),
+        lambda o: o["faces"][0].pop("vertices"),
+        lambda o: o["faces"][0].update(label=5),
+        lambda o: o["faces"][-1].update(orientation_basis=5),
+        lambda o: o["faces"][-1].update(orientation_basis=[[0.5, 1, 1], [1, 1, 1]]),
+        lambda o: o["faces"][-1].update(orientation_basis=[[1, 1], [1, 0]]),
+    ):
+        obj = complex_to_json(ex61_embedded)
+        corrupt(obj)
+        with pytest.raises(InputError):
+            complex_from_json(obj)
 
 
 def test_make_complex_rejects_missing_intersection_face():

@@ -51,11 +51,6 @@ def test_check_exact_taylor(capsys, monkeypatch):
     assert code == 0 and out == {"ok": True, "witness": None, "schema": "cellres/1"}
 
 
-def test_check_exact_parallel(capsys, monkeypatch):
-    code, out = invoke(capsys, monkeypatch, ["check-exact", "--jobs", "2"], EX61)
-    assert code == 0 and out["ok"]
-
-
 def test_check_minimal_verdict_exit_code(capsys, monkeypatch):
     code, out = invoke(capsys, monkeypatch, ["check-minimal"], EX61)
     assert code == 1
@@ -199,7 +194,7 @@ def test_jobspec_options(tmp_path, capsys, monkeypatch):
     assert code == 0 and out["ok"]
 
 
-def test_input_errors_exit_2(capsys, monkeypatch):
+def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture):
     code, out = invoke(capsys, monkeypatch, ["residue"], text="{oops")
     assert code == 2 and "position" in out["error"]
     code, out = invoke(capsys, monkeypatch, ["residue"], {"ideal": STAIRCASE, "x": 1})
@@ -225,6 +220,12 @@ def test_input_errors_exit_2(capsys, monkeypatch):
         capsys, monkeypatch, ["residue"], {"n": 2, "generators": [[1, 1]]}
     )
     assert code == 2  # not Artinian: precondition violation
+    truncated = json.loads(json.dumps(ex61_minimal_fixture))
+    truncated["vertices"][0]["label"] = [2.7, 0, 0]
+    path = tmp_path / "bad-label.json"
+    path.write_text(json.dumps(truncated))
+    code, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], EX61)
+    assert code == 2 and "label" in out["error"]
 
 
 def test_non_artinian_multiplicity_precondition(capsys, monkeypatch):
