@@ -14,7 +14,7 @@ from math import factorial
 
 from . import linalg
 from .errors import InputError, PreconditionError
-from .monomial import divides, lcm_many
+from .monomial import divides, is_int, lcm_many
 
 EMPTY = ()
 
@@ -123,9 +123,9 @@ def _orthogonal_residual(v, dirs):
 def _geometric_facets(points_by_vertex, sigma_ids, candidates):
     """Facet candidates of a face, by exact supporting-flat tests.
 
-    ``candidates`` are vertex-id tuples with one dimension less; a candidate
-    is a facet when the face lies weakly on one side of the candidate's
-    affine hull and touches it exactly in the candidate's vertices.
+    ``candidates`` are vertex-id tuples inside the face, one dimension
+    lower; a candidate is a facet when the face lies weakly on one side of
+    its affine hull and touches it exactly in the candidate's vertices.
     """
     sigma_pts = [points_by_vertex[v] for v in sigma_ids]
     bary = tuple(
@@ -133,8 +133,6 @@ def _geometric_facets(points_by_vertex, sigma_ids, candidates):
     )
     facets = []
     for tau in candidates:
-        if not set(tau) < set(sigma_ids):
-            continue
         tau_pts = [points_by_vertex[v] for v in tau]
         normal = _orthogonal_residual(
             linalg.vec_sub(bary, tau_pts[0]), _face_dirs(tau_pts)
@@ -163,9 +161,11 @@ def make_complex(
 ):
     """Assemble a labeled complex from vertex data and face vertex sets.
 
-    Singleton faces and the empty face are added automatically.  With
-    ``simplicial`` every face must span a simplex and incidence is taken
-    combinatorially; otherwise facets are found geometrically.
+    Singleton faces and the empty face are added automatically.  A face's
+    facets are its listed faces of one dimension less: all of them for a
+    simplex, where each is the simplex minus one vertex, and otherwise those
+    passing ``_geometric_facets``; they must cover the boundary.  With
+    ``simplicial`` every face must be a non-degenerate simplex.
     """
     bases = dict(bases or {})
     ids = sorted(vertex_points)
@@ -229,16 +229,13 @@ def make_complex(
         if f.dim == 0:
             facet_ids[fid] = (EMPTY,)
             continue
-        candidates = [t for t in by_dim.get(f.dim - 1, []) if set(t) < set(fid)]
-        if simplicial:
-            found = sorted(candidates)
-            if len(found) != len(fid):
-                raise InputError(f"face {fid}: missing simplex facets")
-        else:
-            found = sorted(_geometric_facets(points, fid, candidates))
-            if len(found) < f.dim + 1:
-                raise InputError(f"face {fid}: boundary is not covered by listed faces")
-        facet_ids[fid] = tuple(found)
+        members = set(fid)
+        found = [t for t in by_dim.get(f.dim - 1, []) if set(t) < members]
+        if len(fid) > f.dim + 1:
+            found = _geometric_facets(points, fid, found)
+        if len(found) < f.dim + 1:
+            raise InputError(f"face {fid}: boundary is not covered by listed faces")
+        facet_ids[fid] = tuple(sorted(found))
 
     vertices = {v: (points[v], tuple(vertex_labels[v])) for v in ids}
     return LabeledCellComplex(n, vertices, faces, facet_ids, lift_base=lift_base)
@@ -511,10 +508,6 @@ def complex_to_json(X: LabeledCellComplex) -> dict:
     return {"n": X.n, "vertices": vertices, "faces": faces}
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _json_objects(value, what):
     if not (isinstance(value, list) and all(isinstance(e, dict) for e in value)):
         raise InputError(f"complex {what} must be a list of objects")
@@ -522,13 +515,13 @@ def _json_objects(value, what):
 
 
 def _json_ints(value, what):
-    if not (isinstance(value, list) and all(_is_int(x) for x in value)):
+    if not (isinstance(value, list) and all(is_int(x) for x in value)):
         raise InputError(f"{what} must be a list of integers, got {value!r}")
     return tuple(value)
 
 
 def _json_rational(x) -> Fraction:
-    if _is_int(x):
+    if is_int(x):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -563,14 +556,14 @@ def complex_from_json(obj) -> LabeledCellComplex:
         if set(entry) != {"id", "coords", "label"}:
             raise InputError('complex vertices need exactly "id", "coords", "label"')
         vid = entry["id"]
-        if not _is_int(vid):
+        if not is_int(vid):
             raise InputError(f"vertex id {vid!r} is not an integer")
         if vid in points:
             raise InputError(f"duplicate vertex id {vid}")
         points[vid] = _json_point(entry["coords"], f"vertex {vid}: coords")
         labels[vid] = _json_ints(entry["label"], f"vertex {vid}: label")
     n = obj.get("n", len(next(iter(labels.values()))) if labels else 0)
-    if not _is_int(n):
+    if not is_int(n):
         raise InputError(f"complex n must be an integer, got {n!r}")
     face_sets = []
     bases = {}

@@ -23,6 +23,7 @@ from .monomial import (
     MonomialIdeal,
     ideal_from_json,
     is_generic,
+    is_int,
     multiplicity,
     pure_power_exponents,
 )
@@ -93,26 +94,22 @@ def _parse_permutations(text):
         ) from exc
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_exponents(name, vector, n):
     if not (isinstance(vector, (list, tuple)) and len(vector) == n
-            and all(_is_int(x) and x >= 0 for x in vector)):
+            and all(is_int(x) and x >= 0 for x in vector)):
         raise InputError(f"{name} must be {n} nonnegative integers, got {vector!r}")
     return tuple(vector)
 
 
 def _check_options(options, n):
     for key in ("t", "seed"):
-        if key in options and not _is_int(options[key]):
+        if key in options and not is_int(options[key]):
             raise InputError(f"option {key} must be an integer")
     if "box" in options:
         _check_exponents("option box", options["box"], n)
     perms = options.get("permutations", [])
     if not (isinstance(perms, list) and all(
-        isinstance(p, list) and all(_is_int(x) for x in p) for p in perms
+        isinstance(p, list) and all(is_int(x) for x in p) for p in perms
     )):
         raise InputError("option permutations must be a list of integer lists")
 

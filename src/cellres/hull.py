@@ -27,6 +27,7 @@ from .errors import CellresError, InputError, PreconditionError
 from .monomial import (
     MonomialIdeal,
     is_artinian,
+    is_int,
     lcm_many,
     pure_power_exponents,
 )
@@ -39,7 +40,7 @@ def default_lift_base(n: int) -> int:
 def _check_lift_base(n: int, t) -> int:
     if t is None:
         return default_lift_base(n)
-    if not isinstance(t, int) or isinstance(t, bool):
+    if not is_int(t):
         raise InputError(f"lift base must be an integer, not {t!r}")
     if t < default_lift_base(n):
         raise InputError(f"lift base must be at least {default_lift_base(n)} for n={n}")

@@ -13,12 +13,17 @@ from .errors import InputError, PreconditionError
 ExponentVector = tuple[int, ...]
 
 
+def is_int(x) -> bool:
+    """An ``int`` that is not a ``bool``; JSON ``true`` decodes to ``True``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_vector(v, n=None) -> ExponentVector:
     t = tuple(v)
     if n is not None and len(t) != n:
         raise InputError(f"exponent vector {t} has length {len(t)}, expected {n}")
     for x in t:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+        if not is_int(x) or x < 0:
             raise InputError(f"exponent vector entries must be nonnegative integers: {t}")
     return t
 
@@ -84,7 +89,7 @@ def ideal_from_json(obj) -> MonomialIdeal:
     if not isinstance(obj, dict) or set(obj) != {"n", "generators"}:
         raise InputError('ideal JSON must be {"n": ..., "generators": [...]}')
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InputError("ideal JSON: n must be a positive integer")
     gens = obj["generators"]
     if not isinstance(gens, list) or not gens:

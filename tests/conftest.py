@@ -1,9 +1,11 @@
 import os
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 # pytest puts src/ on sys.path (pyproject.toml); the CLI subprocess tests
@@ -61,10 +63,28 @@ def random_generic_ideal_3(rng, max_extra=3):
             return M
 
 
+def maximal_ideal_power(n, d):
+    """m^d: all monomials of degree d in n variables."""
+    return minimize([e for e in product(range(d + 1), repeat=n) if sum(e) == d])
+
+
 def random_complete_intersection(rng, n):
     powers = [rng.randint(1, 5) for _ in range(n)]
     gens = [tuple(powers[i] if j == i else 0 for j in range(n)) for i in range(n)]
     return minimize(gens)
+
+
+@st.composite
+def artinian_ideals(draw):
+    """Artinian ideals in two or three variables with up to four extra
+    generators."""
+    n = draw(st.integers(2, 3))
+    powers = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    extras = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=4
+    ))
+    pure = [tuple(p if j == i else 0 for j in range(n)) for i, p in enumerate(powers)]
+    return minimize(pure + [tuple(e) for e in extras if any(e)])
 
 
 def embedded_hull(M):

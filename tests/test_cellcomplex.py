@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from cellres import (
     InputError,
@@ -10,15 +11,28 @@ from cellres import (
     complex_to_json,
     contained_faces,
     corner_simplex_complex,
+    hull_complex,
     is_refinement,
     lcm,
     make_complex,
+    minimize,
     reoriented,
+    scarf_complex,
     sign_facet,
     sign_same_span,
     subcomplex_leq,
+    taylor_complex,
 )
-from cellres.cellcomplex import point_in_simplex
+from cellres.cellcomplex import _geometric_facets, point_in_simplex
+from conftest import (
+    EX61_GENERATORS,
+    artinian_ideals,
+    embedded_hull,
+    maximal_ideal_power,
+    random_complete_intersection,
+    random_generic_ideal_3,
+    random_staircase_ideal,
+)
 
 
 def triangle_complex(bases=None):
@@ -361,3 +375,62 @@ def test_make_complex_rejects_missing_intersection_face():
         [(0, 1, 2), (0, 1, 3), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3)],
     )
     assert len(cofaces(X, (0, 1), 2)) == 2
+
+
+def _assert_facets_are_geometric(X):
+    """Every face's facets equal the supporting-flat test on the same
+    candidates: the listed faces of one dimension less inside it."""
+    points = {v: X.vertex_point(v) for v in X.vertices}
+    for fid, face in X.faces.items():
+        if face.dim <= 0:
+            continue
+        candidates = [t for t in X.faces_of_dim(face.dim - 1) if set(t) < set(fid)]
+        assert X.facets(fid) == tuple(sorted(_geometric_facets(points, fid, candidates)))
+
+
+def _assert_all_complexes_geometric(M):
+    _assert_facets_are_geometric(hull_complex(M))
+    _assert_facets_are_geometric(embedded_hull(M))
+    r = len(M.generators)
+    # the Scarf sweep visits 2^r subsets and the Taylor complex has 2^r faces
+    if r <= 15:
+        _assert_facets_are_geometric(scarf_complex(M))
+    if r <= 8:
+        _assert_facets_are_geometric(taylor_complex(M))
+
+
+def test_facets_match_geometry_on_fixed_ideals():
+    for M in (
+        minimize(EX61_GENERATORS),
+        maximal_ideal_power(3, 4),
+        maximal_ideal_power(3, 5),
+        maximal_ideal_power(4, 2),
+    ):
+        _assert_all_complexes_geometric(M)
+
+
+def test_facets_match_geometry_on_seeded_ideals(rng):
+    for _ in range(5):
+        _assert_all_complexes_geometric(random_staircase_ideal(rng))
+        _assert_all_complexes_geometric(random_generic_ideal_3(rng))
+        for n in (2, 3, 4):
+            _assert_all_complexes_geometric(random_complete_intersection(rng, n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(artinian_ideals())
+def test_facets_match_geometry_on_random_ideals(M):
+    _assert_all_complexes_geometric(M)
+
+
+def test_quadrilateral_facets_skip_listed_diagonal():
+    # a listed diagonal lies inside the square but is not a facet of it;
+    # only a face with more vertices than a simplex can tell them apart
+    points = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
+    labels = {i: (1, 1) for i in range(4)}
+    X = make_complex(
+        2, points, labels,
+        [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
+    )
+    assert X.facets((0, 1, 2, 3)) == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert X.facets((0, 2)) == ((0,), (2,))

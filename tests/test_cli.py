@@ -220,6 +220,10 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
         capsys, monkeypatch, ["residue"], {"n": 2, "generators": [[1, 1]]}
     )
     assert code == 2  # not Artinian: precondition violation
+    code, out = invoke(
+        capsys, monkeypatch, ["multiplicity"], {"n": True, "generators": [[3]]}
+    )
+    assert code == 2 and "n must be a positive integer" in out["error"]
     truncated = json.loads(json.dumps(ex61_minimal_fixture))
     truncated["vertices"][0]["label"] = [2.7, 0, 0]
     path = tmp_path / "bad-label.json"

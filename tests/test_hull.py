@@ -1,8 +1,8 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from cellres import (
     InputError,
@@ -21,7 +21,13 @@ from cellres import (
     taylor_complex,
 )
 from cellres.cellcomplex import face_volume_rel
-from conftest import embedded_hull, random_generic_ideal_3, random_staircase_ideal
+from conftest import (
+    artinian_ideals,
+    embedded_hull,
+    maximal_ideal_power,
+    random_generic_ideal_3,
+    random_staircase_ideal,
+)
 from oracles import hull_face_sets
 
 
@@ -205,9 +211,7 @@ def assert_hull_matches_oracle(M):
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 5), (3, 2), (3, 3), (4, 2)])
 def test_hull_matches_oracle_on_maximal_ideal_powers(n, d):
-    assert_hull_matches_oracle(
-        minimize([e for e in product(range(d + 1), repeat=n) if sum(e) == d])
-    )
+    assert_hull_matches_oracle(maximal_ideal_power(n, d))
 
 
 def test_hull_matches_oracle_on_seeded_ideals(ex61_ideal, rng):
@@ -217,18 +221,7 @@ def test_hull_matches_oracle_on_seeded_ideals(ex61_ideal, rng):
         assert_hull_matches_oracle(random_staircase_ideal(rng))
 
 
-@st.composite
-def artinian_ideals(draw):
-    n = draw(st.integers(2, 3))
-    powers = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    extras = draw(st.lists(
-        st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=4
-    ))
-    pure = [tuple(p if j == i else 0 for j in range(n)) for i, p in enumerate(powers)]
-    return minimize(pure + [tuple(e) for e in extras if any(e)])
-
-
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(artinian_ideals())
 def test_hull_matches_oracle_on_random_ideals(M):
     assert_hull_matches_oracle(M)

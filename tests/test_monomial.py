@@ -310,4 +310,6 @@ def test_ideal_from_json():
     with pytest.raises(InputError):
         ideal_from_json({"n": 0, "generators": [[1]]})
     with pytest.raises(InputError):
+        ideal_from_json({"n": True, "generators": [[3]]})
+    with pytest.raises(InputError):
         ideal_from_json({"n": 2, "generators": []})
