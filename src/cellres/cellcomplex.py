@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from . import linalg
 from .errors import InputError, PreconditionError
@@ -42,7 +41,7 @@ class LabeledCellComplex:
         self.facet_ids = facet_ids
         self.lift_base = lift_base
         self._signs = {} if signs is None else signs
-        self._triangulations = {}
+        self._barycentric = {}
 
     @property
     def dim(self) -> int:
@@ -320,66 +319,19 @@ def barycentric_coordinates(point, simplex_points):
     return linalg.solve(rows, rhs)
 
 
-def point_in_simplex(point, simplex_points) -> bool:
-    coords = barycentric_coordinates(point, simplex_points)
-    return coords is not None and all(c >= 0 for c in coords)
-
-
-def _face_in_simplex(X, fid, simplex_points) -> bool:
-    return all(
-        point_in_simplex(X.vertex_point(v), simplex_points)
-        for v in X.face(fid).vertices
-    )
-
-
 def _triangulate(X: LabeledCellComplex, fid):
-    """Simplices (as vertex-id tuples) decomposing a face, via its own
-    facet structure."""
-    cached = X._triangulations.get(fid)
-    if cached is not None:
-        return cached
+    """Simplices (as vertex-id tuples) decomposing a face: cones from its
+    first vertex over the simplices of the facets that miss it."""
     face = X.face(fid)
     if face.dim <= 0 or len(face.vertices) == face.dim + 1:
-        result = [face.vertices]
-    else:
-        apex = face.vertices[0]
-        result = []
-        for tau in X.facets(fid):
-            if apex in tau:
-                continue
-            for s in _triangulate(X, tau):
-                result.append((apex,) + s)
-    X._triangulations[fid] = result
-    return result
-
-
-def _coords_in_basis(v, basis):
-    rows = [[b[c] for b in basis] for c in range(len(v))]
-    coords = linalg.solve(rows, list(v))
-    if coords is None:
-        raise PreconditionError("vector outside the reference span")
-    return coords
-
-
-def face_volume_rel(X: LabeledCellComplex, fid, basis, origin) -> Fraction:
-    """k-dimensional volume of a face measured in the given reference basis.
-
-    The face must be parallel to span(basis); volumes of same-span faces
-    measured against one basis compare and add exactly.
-    """
-    face = X.face(fid)
-    k = face.dim
-    if k <= 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for simplex in _triangulate(X, fid):
-        p0 = X.vertex_point(simplex[0])
-        edges = [
-            _coords_in_basis(linalg.vec_sub(X.vertex_point(v), p0), basis)
-            for v in simplex[1:]
-        ]
-        total += abs(linalg.det(edges))
-    return total / factorial(k)
+        return [face.vertices]
+    apex = face.vertices[0]
+    return [
+        (apex,) + s
+        for tau in X.facets(fid)
+        if apex not in tau
+        for s in _triangulate(X, tau)
+    ]
 
 
 def _check_simplex_complex(Y: LabeledCellComplex):
@@ -392,47 +344,81 @@ def _check_simplex_complex(Y: LabeledCellComplex):
         raise PreconditionError("reference complex is not the face set of one simplex")
 
 
+def _vertex_barycentrics(X: LabeledCellComplex, Y: LabeledCellComplex) -> dict:
+    """Barycentric coordinates of every vertex of X against the simplex
+    complex Y: {vertex: {vertex id of Y: lambda}}, None outside aff |Y|.
+
+    One solve per vertex, cached on X for Y's vertices.  Y's vertices are
+    affinely independent, so lambda is unique and a point lies in the face S
+    of Y exactly when its lambda is nonnegative and supported in S.
+    """
+    _check_simplex_complex(Y)
+    key = tuple((y, Y.vertex_point(y)) for y in sorted(Y.vertices))
+    if key not in X._barycentric:
+        ids, points = zip(*key)
+        solved = {v: barycentric_coordinates(X.vertex_point(v), points) for v in X.vertices}
+        X._barycentric[key] = {v: lam and dict(zip(ids, lam)) for v, lam in solved.items()}
+    return X._barycentric[key]
+
+
+def _in_face(lam, members) -> bool:
+    return (
+        lam is not None
+        and all(c >= 0 for c in lam.values())
+        and all(y in members for y, c in lam.items() if c)
+    )
+
+
+def _lambda_volume(X: LabeledCellComplex, fid, coords, span) -> Fraction:
+    """k! times the volume of a k-face of X relative to the face ``span`` of
+    Y containing it: |det| of lambda-differences over the simplices of the
+    face, in the coordinates of span without its last vertex."""
+    total = Fraction(0)
+    for simplex in _triangulate(X, fid):
+        base = coords[simplex[0]]
+        total += abs(linalg.det(
+            [[coords[v][y] - base[y] for y in span[:-1]] for v in simplex[1:]]
+        ))
+    return total
+
+
+def _refinement_failure(X: LabeledCellComplex, Y: LabeledCellComplex):
+    """Why X does not refine the simplex complex Y, or None if it does.
+
+    Reads the barycentric coordinates of X's vertices once.  For a face f,
+    the union U(f) of its vertices' supports is the smallest face of Y
+    containing f.  X refines Y when every vertex lies in |Y|, each label of
+    f divides the label of U(f), and the faces f with |U(f)| = dim f + 1
+    cover each face of Y with relative volume exactly 1.
+    """
+    coords = _vertex_barycentrics(X, Y)
+    for v in sorted(X.vertices):
+        if not _in_face(coords[v], Y.vertices):
+            return f"vertex {v} lies outside the simplex"
+    covered = {}
+    for fid in sorted(X.faces):
+        f = X.face(fid)
+        if f.dim < 0:
+            continue
+        span = tuple(sorted({y for v in fid for y, c in coords[v].items() if c}))
+        if not divides(f.label, Y.face(span).label):
+            return f"label of face {fid} does not divide the label of {span}"
+        if len(span) == f.dim + 1:
+            covered[span] = covered.get(span, 0) + _lambda_volume(X, fid, coords, span)
+    for sid in sorted(Y.faces):
+        if sid and covered.get(sid, 0) != 1:
+            return f"face {sid} is covered with volume {covered.get(sid, 0)}"
+    return None
+
+
 def is_refinement(X: LabeledCellComplex, Y: LabeledCellComplex) -> bool:
     """Whether X subdivides the simplex complex Y compatibly with labels.
 
     Checks that X covers |Y| exactly (vertices inside, volumes adding up
-    facewise) and that geometric containment implies label divisibility.
+    facewise) and that geometric containment implies label divisibility;
+    see _refinement_failure.
     """
-    _check_simplex_complex(Y)
-    top = Y.faces_of_dim(Y.dim)[0]
-    top_points = Y.face_points(top)
-    for v in X.vertices:
-        if not point_in_simplex(X.vertex_point(v), top_points):
-            return False
-    for k in range(0, Y.dim + 1):
-        for sid in Y.faces_of_dim(k):
-            spts = Y.face_points(sid)
-            inside = [fid for fid in X.faces_of_dim(k) if _face_in_simplex(X, fid, spts)]
-            if k == 0:
-                if len(inside) != 1:
-                    return False
-                continue
-            basis = Y.face(sid).basis
-            origin = spts[0]
-            try:
-                total = sum(
-                    (face_volume_rel(X, fid, basis, origin) for fid in inside),
-                    Fraction(0),
-                )
-            except PreconditionError:
-                return False
-            if total != face_volume_rel(Y, sid, basis, origin):
-                return False
-    for sid, sface in Y.faces.items():
-        if sface.dim < 0:
-            continue
-        spts = Y.face_points(sid)
-        for fid, f in X.faces.items():
-            if f.dim < 0 or f.dim > sface.dim:
-                continue
-            if _face_in_simplex(X, fid, spts) and not divides(f.label, sface.label):
-                return False
-    return True
+    return _refinement_failure(X, Y) is None
 
 
 def _simplex_variable(Y: LabeledCellComplex, vid) -> int:
@@ -446,24 +432,24 @@ def _simplex_variable(Y: LabeledCellComplex, vid) -> int:
 def contained_faces(Y: LabeledCellComplex, sigma_id, X: LabeledCellComplex, k) -> list:
     """Faces of X of dimension k inside a k-face of the reference simplex.
 
-    Combines the label-support test with exact barycentric containment of
-    the vertices; the two agree on genuine refinements.
+    Combines the label-support test with barycentric containment, a support
+    test on the vertices' barycentric coordinates; the two agree on genuine
+    refinements.
     """
     sigma = Y.face(sigma_id)
     if sigma.dim != k:
         raise PreconditionError("contained-face query needs a face of dimension k")
     allowed = {_simplex_variable(Y, v) for v in sigma.vertices}
-    spts = Y.face_points(sigma_id)
+    coords = _vertex_barycentrics(X, Y)
     result = []
     for fid in X.faces_of_dim(k):
-        label = X.face(fid).label
         support_ok = all(
             i in allowed
             for v in fid
             for i, e in enumerate(X.vertex_label(v))
             if e > 0
         )
-        geometric_ok = _face_in_simplex(X, fid, spts)
+        geometric_ok = all(_in_face(coords[v], sigma.vertices) for v in fid)
         if support_ok != geometric_ok:
             raise PreconditionError(
                 f"support and geometry disagree on {fid}: X does not refine the simplex"

@@ -24,6 +24,7 @@ from .monomial import (
     ideal_from_json,
     is_generic,
     is_int,
+    minimize,
     multiplicity,
     pure_power_exponents,
 )
@@ -159,7 +160,10 @@ def _build_complex(source, M: MonomialIdeal, t):
                 raise InputError(
                     f"malformed complex JSON at position {exc.pos}: {exc.msg}"
                 ) from exc
-        return complex_from_json(obj)
+        X = complex_from_json(obj)
+        if minimize([X.vertex_label(v) for v in X.vertices]) != M:
+            raise PreconditionError("vertex labels do not generate the given ideal")
+        return X
     raise InputError(f"unknown complex source: {source}")
 
 

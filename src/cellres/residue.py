@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .cellcomplex import (
     LabeledCellComplex,
+    _refinement_failure,
     contained_faces,
     is_refinement,
     sign_same_span,
@@ -77,7 +78,10 @@ def _reference_complex(X: LabeledCellComplex, b):
     b = tuple(b)
     Y = corner_simplex_complex(X, b)
     if not is_refinement(X, Y):
-        raise PreconditionError("complex does not refine the corner simplex")
+        # the witness rereads the barycentric coordinates cached on X
+        raise PreconditionError(
+            f"complex does not refine the corner simplex: {_refinement_failure(X, Y)}"
+        )
     return Y
 
 

@@ -5,7 +5,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
+
+# Property tests draw the same examples on every run and have no deadline:
+# exact arithmetic on a large draw may take long.
+settings.register_profile("cellres", derandomize=True, deadline=None)
+settings.load_profile("cellres")
 
 sys.path.insert(0, str(Path(__file__).parent))
 # pytest puts src/ on sys.path (pyproject.toml); the CLI subprocess tests

@@ -7,11 +7,15 @@ generators for the duality witness, graded strand ranks with a local
 elimination instead of subcomplex homology, and for the hull the facets of
 conv(points) in its affine hull with a Fourier-Motzkin test per face
 instead of integer facet enumeration of conv(points) + R_+^n with a
-support-cover test.
+support-cover test, and for refinement and contained faces a containment
+solve per pair of a face of X and a face of the simplex, with volumes in
+the simplex face's orientation basis, instead of one set of barycentric
+coordinates per vertex.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 
 def subset_lcm_lattice(generators):
@@ -373,3 +377,124 @@ def hull_face_sets(generators, t):
         if _fm_feasible(rows, nvars):
             bounded.add(tuple(sorted(members)))
     return bounded
+
+
+def point_in_simplex(point, simplex_points):
+    """Whether the point is a nonnegative affine combination of the simplex
+    vertices, by one solve (the retired ``cellcomplex.point_in_simplex``)."""
+    rows = [[p[c] for p in simplex_points] for c in range(len(point))]
+    rows.append([1] * len(simplex_points))
+    coords = fraction_solve(rows, list(point) + [1])
+    return coords is not None and all(c >= 0 for c in coords)
+
+
+def _face_in_simplex(X, fid, simplex_points):
+    return all(
+        point_in_simplex(X.vertex_point(v), simplex_points)
+        for v in X.face(fid).vertices
+    )
+
+
+def _triangulate(X, fid):
+    """Simplices decomposing a face: cones from its first vertex over the
+    simplices of the facets that miss it."""
+    face = X.face(fid)
+    if face.dim <= 0 or len(face.vertices) == face.dim + 1:
+        return [face.vertices]
+    apex = face.vertices[0]
+    return [
+        (apex,) + s
+        for tau in X.facets(fid)
+        if apex not in tau
+        for s in _triangulate(X, tau)
+    ]
+
+
+def _coords_in_basis(v, basis):
+    rows = [[b[c] for b in basis] for c in range(len(v))]
+    coords = fraction_solve(rows, list(v))
+    if coords is None:
+        raise ValueError("vector outside the reference span")
+    return coords
+
+
+def face_volume_rel(X, fid, basis, origin):
+    """k-dimensional volume of a face measured in the given reference basis,
+    which must span the face's direction space (the retired
+    ``cellcomplex.face_volume_rel``)."""
+    k = X.face(fid).dim
+    if k <= 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for simplex in _triangulate(X, fid):
+        p0 = X.vertex_point(simplex[0])
+        edges = [
+            _coords_in_basis([x - y for x, y in zip(X.vertex_point(v), p0)], basis)
+            for v in simplex[1:]
+        ]
+        total += abs(fraction_det(edges))
+    return total / factorial(k)
+
+
+def pairwise_is_refinement(X, Y):
+    """Whether X refines the simplex complex Y, by a containment test per
+    pair of a face of X and a face of Y (the retired
+    ``cellcomplex.is_refinement``): every vertex inside the top simplex,
+    the k-faces inside each k-face of Y filling its volume, and the label
+    of every face inside a face of Y dividing that face's label."""
+    top = max(Y.faces, key=len)
+    top_points = Y.face_points(top)
+    if not all(point_in_simplex(X.vertex_point(v), top_points) for v in X.vertices):
+        return False
+    for k in range(0, len(top)):
+        for sid in Y.faces_of_dim(k):
+            spts = Y.face_points(sid)
+            inside = [fid for fid in X.faces_of_dim(k) if _face_in_simplex(X, fid, spts)]
+            if k == 0:
+                if len(inside) != 1:
+                    return False
+                continue
+            basis = Y.face(sid).basis
+            try:
+                total = sum(
+                    (face_volume_rel(X, fid, basis, spts[0]) for fid in inside),
+                    Fraction(0),
+                )
+            except ValueError:
+                return False
+            if total != face_volume_rel(Y, sid, basis, spts[0]):
+                return False
+    for sid, sface in Y.faces.items():
+        if sface.dim < 0:
+            continue
+        spts = Y.face_points(sid)
+        for fid, f in X.faces.items():
+            if 0 <= f.dim <= sface.dim and _face_in_simplex(X, fid, spts):
+                if any(a > b for a, b in zip(f.label, sface.label)):
+                    return False
+    return True
+
+
+def pairwise_contained_faces(Y, sigma_id, X, k):
+    """The k-faces of X inside the k-face sigma of the simplex complex Y,
+    by a containment solve per face (the retired
+    ``cellcomplex.contained_faces``); raises ValueError when that
+    disagrees with the test that every vertex label is supported on the
+    variables of sigma's pure powers."""
+    allowed = {
+        i for v in sigma_id for i, e in enumerate(Y.vertex_label(v)) if e > 0
+    }
+    spts = Y.face_points(sigma_id)
+    result = []
+    for fid in X.faces_of_dim(k):
+        support_ok = all(
+            i in allowed
+            for v in fid
+            for i, e in enumerate(X.vertex_label(v))
+            if e > 0
+        )
+        if support_ok != _face_in_simplex(X, fid, spts):
+            raise ValueError(f"support and geometry disagree on {fid}")
+        if support_ok:
+            result.append(fid)
+    return result

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from cellres import (
     InputError,
@@ -14,8 +15,11 @@ from cellres import (
     hull_complex,
     is_refinement,
     lcm,
+    linalg,
     make_complex,
     minimize,
+    pure_power_exponents,
+    residue_current,
     reoriented,
     scarf_complex,
     sign_facet,
@@ -23,7 +27,7 @@ from cellres import (
     subcomplex_leq,
     taylor_complex,
 )
-from cellres.cellcomplex import _geometric_facets, point_in_simplex
+from cellres.cellcomplex import _geometric_facets, _refinement_failure
 from conftest import (
     EX61_GENERATORS,
     artinian_ideals,
@@ -32,6 +36,12 @@ from conftest import (
     random_complete_intersection,
     random_generic_ideal_3,
     random_staircase_ideal,
+)
+from oracles import (
+    face_volume_rel,
+    pairwise_contained_faces,
+    pairwise_is_refinement,
+    point_in_simplex,
 )
 
 
@@ -188,8 +198,6 @@ def test_contained_faces_edge(ex61_embedded):
 
 
 def test_contained_faces_partition_volumes(ex61_embedded):
-    from cellres.cellcomplex import face_volume_rel
-
     X = ex61_embedded
     Y = _delta(ex61_embedded)
     for k in (1, 2):
@@ -417,7 +425,7 @@ def test_facets_match_geometry_on_seeded_ideals(rng):
             _assert_all_complexes_geometric(random_complete_intersection(rng, n))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(artinian_ideals())
 def test_facets_match_geometry_on_random_ideals(M):
     _assert_all_complexes_geometric(M)
@@ -434,3 +442,166 @@ def test_quadrilateral_facets_skip_listed_diagonal():
     )
     assert X.facets((0, 1, 2, 3)) == ((0, 1), (0, 3), (1, 2), (2, 3))
     assert X.facets((0, 2)) == ((0,), (2,))
+
+
+def _bumped(X, vid, var):
+    """X with one exponent of one vertex label raised by one."""
+    obj = complex_to_json(X)
+    for v in obj["vertices"]:
+        if v["id"] == vid:
+            v["label"][var] += 1
+    for f in obj["faces"]:
+        del f["label"]
+    return complex_from_json(obj)
+
+
+def _moved(X, vid, target):
+    """X with one vertex moved to the target point."""
+    obj = complex_to_json(X)
+    for v in obj["vertices"]:
+        if v["id"] == vid:
+            v["coords"] = [f"{c.numerator}/{c.denominator}" for c in target]
+    for f in obj["faces"]:
+        del f["dim"]
+    return complex_from_json(obj)
+
+
+def _without_top_face(X, fid):
+    obj = complex_to_json(X)
+    obj["faces"] = [f for f in obj["faces"] if tuple(f["vertices"]) != fid]
+    return complex_from_json(obj)
+
+
+def test_refinement_witness_names_the_failure(ex61_embedded):
+    X = ex61_embedded
+    Y = _delta(X)
+    assert _refinement_failure(X, Y) is None
+    assert _refinement_failure(_bumped(X, 0, 0), Y) == (
+        "label of face (0,) does not divide the label of (0,)"
+    )
+    # vertex 4 (z2 z3) lies on the edge of z2^2 and z3^2: reflect it
+    # through the corner z1^2, out of the simplex
+    outside = tuple(2 * c - p for c, p in zip(X.vertex_point(0), X.vertex_point(4)))
+    with pytest.raises(PreconditionError, match=r"corner simplex: vertex 4 lies outside"):
+        residue_current(_moved(X, 4, outside), (2, 2, 2))
+    with pytest.raises(
+        PreconditionError,
+        match=r"corner simplex: face \(0, 1, 2\) is covered with volume 3/4$",
+    ):
+        residue_current(_without_top_face(X, (0, 1, 2)), (2, 2, 2))
+    with pytest.raises(
+        PreconditionError,
+        match=r"corner simplex: face \(0, 1, 2\) is covered with volume 0$",
+    ):
+        residue_current(scarf_complex(minimize(EX61_GENERATORS)), (2, 2, 2))
+
+
+def _containment(X, Y, refines, contained):
+    """The refinement verdict and the faces of X inside each face of Y; a
+    disagreement of support and geometry counts as an outcome."""
+    outcomes = [refines(X, Y)]
+    for sid in sorted(Y.faces):
+        if not sid:
+            continue
+        try:
+            outcomes.append(contained(Y, sid, X, len(sid) - 1))
+        except (PreconditionError, ValueError) as exc:
+            outcomes.append(str(exc).split(":")[0])
+    return outcomes
+
+
+def _assert_containment_matches_oracle(X, Y):
+    assert _containment(X, Y, is_refinement, contained_faces) == _containment(
+        X, Y, pairwise_is_refinement, pairwise_contained_faces
+    )
+
+
+def _perturbations(X, Y):
+    """Complexes next to X, most of which do not refine Y: every vertex
+    label bumped in every variable, every top face dropped, and every inner
+    vertex moved towards or away from each corner of Y or off the affine
+    hull of Y (moves that leave no complex are skipped)."""
+    for v in sorted(X.vertices):
+        for var in range(X.n):
+            yield _bumped(X, v, var)
+    for fid in X.faces_of_dim(X.dim):
+        yield _without_top_face(X, fid)
+    corners = [Y.vertex_point(y) for y in sorted(Y.vertices)]
+    for v in sorted(X.vertices):
+        p = X.vertex_point(v)
+        if p in corners:
+            continue
+        targets = [
+            tuple(x + s * (c - x) for x, c in zip(p, corner))
+            for corner in corners
+            for s in (Fraction(-1, 2), Fraction(1, 3), Fraction(2))
+        ]
+        for target in targets + [tuple(2 * x for x in p)]:
+            try:
+                yield _moved(X, v, target)
+            except InputError:
+                pass
+
+
+def _containment_cases(M):
+    X = embedded_hull(M)
+    Y = corner_simplex_complex(X, pure_power_exponents(M))
+    yield X, Y
+    if len(M.generators) <= 15:
+        yield scarf_complex(M), Y
+
+
+@settings(max_examples=40)
+@given(artinian_ideals())
+def test_containment_matches_pairwise_oracle(M):
+    for X, Y in _containment_cases(M):
+        _assert_containment_matches_oracle(X, Y)
+    assert is_refinement(*next(_containment_cases(M)))
+
+
+@settings(max_examples=40)
+@given(artinian_ideals(), st.data())
+def test_containment_matches_pairwise_oracle_on_perturbed_complexes(M, data):
+    X, Y = next(_containment_cases(M))
+    _assert_containment_matches_oracle(
+        data.draw(st.sampled_from(list(_perturbations(X, Y)))), Y
+    )
+
+
+def test_containment_matches_pairwise_oracle_on_seeded_ideals(rng):
+    # the random draws above are mostly complete intersections; these
+    # families are not, and Scarf complexes of non-generic ideals among
+    # them do not refine the simplex
+    ideals = [minimize(EX61_GENERATORS), maximal_ideal_power(3, 3)]
+    for _ in range(3):
+        ideals += [random_staircase_ideal(rng), random_generic_ideal_3(rng)]
+    verdicts = []
+    for M in ideals:
+        for X, Y in _containment_cases(M):
+            _assert_containment_matches_oracle(X, Y)
+            verdicts.append(is_refinement(X, Y))
+    assert True in verdicts and False in verdicts
+
+
+def test_containment_matches_pairwise_oracle_on_perturbed_ex61(ex61_embedded):
+    X = ex61_embedded
+    Y = _delta(X)
+    verdicts = []
+    for perturbed in _perturbations(X, Y):
+        _assert_containment_matches_oracle(perturbed, Y)
+        verdicts.append(is_refinement(perturbed, Y))
+    assert verdicts.count(True) < verdicts.count(False)
+
+
+@settings(max_examples=20)
+@given(artinian_ideals())
+def test_barycentric_coordinates_solved_once_per_vertex(M):
+    X = embedded_hull(M)
+    Y = corner_simplex_complex(X, pure_power_exponents(M))
+    with mock.patch.object(linalg, "solve", side_effect=linalg.solve) as solve:
+        assert is_refinement(X, Y)
+        assert solve.call_count == len(X.vertices)
+        for sid in Y.faces:
+            if sid:
+                contained_faces(Y, sid, X, len(sid) - 1)
+        assert solve.call_count == len(X.vertices)

@@ -173,6 +173,16 @@ def test_residue_through_scarf_source(capsys, monkeypatch):
     assert out_h["entries"] == out_s["entries"]
 
 
+def test_non_refining_scarf_source_names_the_failure(capsys, monkeypatch):
+    # Example 6.1 is not generic: its Scarf complex has no triangle at all
+    code, out = invoke(capsys, monkeypatch, ["residue", "--complex", "scarf"], EX61)
+    assert code == 2
+    assert out["error"] == (
+        "complex does not refine the corner simplex: "
+        "face (0, 1, 2) is covered with volume 0"
+    )
+
+
 def test_file_complex_source(tmp_path, capsys, monkeypatch, ex61_minimal_fixture):
     path = tmp_path / "minimal.json"
     path.write_text(json.dumps(ex61_minimal_fixture))
@@ -264,3 +274,22 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["multiplicity"] == 3
+
+
+def test_file_complex_for_another_ideal_exits_2(tmp_path, capsys, monkeypatch):
+    # the simplex on z1^2, z2^2, z3^2 resolves (z1^2, z2^2, z3^2), not the
+    # ideal of Example 6.1; every subcommand that reads a complex refuses it
+    from cellres import complex_to_json, delta_complex
+
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(complex_to_json(delta_complex((2, 2, 2)))))
+    for sub in (
+        "resolve", "check-exact", "check-minimal", "residue", "compare",
+        "annihilator", "duality-check", "fundamental-cycle",
+    ):
+        code, out = invoke(capsys, monkeypatch, [sub, "--complex", f"file:{path}"], EX61)
+        assert code == 2, sub
+        assert out["error"] == "vertex labels do not generate the given ideal", sub
+    job = {"n": 3, "generators": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}
+    code, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], job)
+    assert code == 0 and len(out["entries"]) == 1

@@ -85,13 +85,13 @@ def point_sets(draw):
     return points
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(matrices())
 def test_rank_matches_fraction_elimination(a):
     assert linalg.rank(a) == fraction_rank(a)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(square_matrices())
 def test_det_and_sign_match_fraction_elimination(a):
     expected = fraction_det(a)
@@ -99,7 +99,7 @@ def test_det_and_sign_match_fraction_elimination(a):
     assert linalg.det_sign(a) == (expected > 0) - (expected < 0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(systems())
 def test_solve_matches_fraction_elimination(system):
     a, b = system
@@ -110,7 +110,7 @@ def test_solve_matches_fraction_elimination(system):
                    for row, rhs in zip(a, b))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(point_sets())
 def test_affine_basis_matches_gram_schmidt(points):
     chosen = linalg.affine_basis_indices(points)

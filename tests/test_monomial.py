@@ -191,7 +191,7 @@ def test_multiplicity_against_inclusion_exclusion(rng):
     )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(artinian_ideals())
 def test_multiplicity_against_box_scan_and_inclusion_exclusion(M):
     b = pure_power_exponents(M)
@@ -268,7 +268,7 @@ def test_equals_ideal_false_verdicts(ex61_ideal):
         equals_ideal([(2, 1), (1, 2)], M, (1, 2))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(artinian_ideals(), st.data())
 def test_equals_ideal_against_box_scan(M, data):
     n = M.n

@@ -15,6 +15,7 @@ from cellres import (
     duality_check,
     duality_counterexample,
     equals_ideal,
+    fundamental_cycle_check,
     minimize,
     monomial_times_ch,
     pure_power_exponents,
@@ -26,7 +27,12 @@ from cellres import (
 )
 from cellres.residue import ChainMap, ResidueCurrent, ch_zero
 from cellres.resolution import SignedMonomial
-from conftest import embedded_hull, random_generic_ideal_3, random_staircase_ideal
+from conftest import (
+    artinian_ideals,
+    embedded_hull,
+    random_generic_ideal_3,
+    random_staircase_ideal,
+)
 from itertools import product
 from oracles import first_difference_by_box_scan
 
@@ -256,7 +262,7 @@ def small_artinian_ideals(draw):
     return minimize(gens + [tuple(g) for g in extras if any(g)])
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(small_artinian_ideals(), st.sampled_from([None, "drop", "bump", "extra"]),
        st.data())
 def test_duality_against_box_scan(M, kind, data):
@@ -291,3 +297,13 @@ def test_residue_invariant_under_lower_reorientation(ex61_embedded, rng):
         residue_via_chain_maps(Xr, (2, 2, 2)).entries
         == residue_current(X, (2, 2, 2)).entries
     )
+
+
+@settings(max_examples=40)
+@given(artinian_ideals())
+def test_routes_agree_and_fundamental_cycle_on_random_ideals(M):
+    X = embedded_hull(M)
+    b = pure_power_exponents(M)
+    R = residue_current(X, b)
+    assert residue_via_chain_maps(X, b).entries == R.entries
+    assert fundamental_cycle_check(X, M, R=R)["ok"]
