@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from . import linalg
 from .errors import InputError, PreconditionError
@@ -31,7 +32,8 @@ class LabeledCellComplex:
 
     ``vertices`` maps vertex id to (point, label); ``faces`` maps the face
     id (the sorted tuple of its vertex ids) to its Face; ``facet_ids`` maps
-    each face to its codimension-one faces.
+    each face to its codimension-one faces.  ``_derived`` holds the objects
+    built from the complex by ``derived`` functions.
     """
 
     def __init__(self, n, vertices, faces, facet_ids, lift_base=None, signs=None):
@@ -41,16 +43,11 @@ class LabeledCellComplex:
         self.facet_ids = facet_ids
         self.lift_base = lift_base
         self._signs = {} if signs is None else signs
-        self._barycentric = {}
+        self._derived = {}
 
     @property
     def dim(self) -> int:
         return max(f.dim for f in self.faces.values())
-
-    @property
-    def ambient_dim(self) -> int:
-        point, _ = next(iter(self.vertices.values()))
-        return len(point)
 
     def face(self, fid) -> Face:
         return self.faces[fid]
@@ -75,6 +72,27 @@ class LabeledCellComplex:
 
     def face_points(self, fid):
         return [self.vertex_point(v) for v in self.faces[fid].vertices]
+
+
+def derived(build):
+    """Build ``build(X, *args)`` once per complex and share the result.
+
+    List arguments are turned into tuples, and the result is stored on X
+    under the function's name and the arguments.  X is immutable, so the
+    result stays valid; a caller that changes a result copies it first.  A
+    call that raises stores nothing.
+    """
+    name = build.__name__
+
+    @wraps(build)
+    def memo(X, *args):
+        args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
+        key = (name, *args)
+        if key not in X._derived:
+            X._derived[key] = build(X, *args)
+        return X._derived[key]
+
+    return memo
 
 
 def default_orientation_basis(points):
@@ -344,21 +362,20 @@ def _check_simplex_complex(Y: LabeledCellComplex):
         raise PreconditionError("reference complex is not the face set of one simplex")
 
 
+@derived
 def _vertex_barycentrics(X: LabeledCellComplex, Y: LabeledCellComplex) -> dict:
     """Barycentric coordinates of every vertex of X against the simplex
     complex Y: {vertex: {vertex id of Y: lambda}}, None outside aff |Y|.
 
-    One solve per vertex, cached on X for Y's vertices.  Y's vertices are
-    affinely independent, so lambda is unique and a point lies in the face S
-    of Y exactly when its lambda is nonnegative and supported in S.
+    One solve per vertex.  Y's vertices are affinely independent, so lambda
+    is unique and a point lies in the face S of Y exactly when its lambda is
+    nonnegative and supported in S.
     """
     _check_simplex_complex(Y)
-    key = tuple((y, Y.vertex_point(y)) for y in sorted(Y.vertices))
-    if key not in X._barycentric:
-        ids, points = zip(*key)
-        solved = {v: barycentric_coordinates(X.vertex_point(v), points) for v in X.vertices}
-        X._barycentric[key] = {v: lam and dict(zip(ids, lam)) for v, lam in solved.items()}
-    return X._barycentric[key]
+    ids = sorted(Y.vertices)
+    points = [Y.vertex_point(y) for y in ids]
+    solved = {v: barycentric_coordinates(X.vertex_point(v), points) for v in X.vertices}
+    return {v: lam and dict(zip(ids, lam)) for v, lam in solved.items()}
 
 
 def _in_face(lam, members) -> bool:
@@ -457,6 +474,35 @@ def contained_faces(Y: LabeledCellComplex, sigma_id, X: LabeledCellComplex, k) -
         if support_ok:
             result.append(fid)
     return result
+
+
+def _corner_vertex_ids(X: LabeledCellComplex, b):
+    corners = {}
+    for v in sorted(X.vertices):
+        label = X.vertex_label(v)
+        support = [i for i, e in enumerate(label) if e > 0]
+        if len(support) == 1 and label[support[0]] == b[support[0]]:
+            corners.setdefault(support[0], v)
+    missing = [i for i in range(X.n) if i not in corners]
+    if missing:
+        raise PreconditionError(
+            f"pure powers for variables {missing} are not among the vertex labels"
+        )
+    return corners
+
+
+def reference_simplex_face(X: LabeledCellComplex, b) -> Face:
+    """Top face of the corner simplex, oriented by ascending variable order."""
+    corners = _corner_vertex_ids(X, b)
+    pts = [X.vertex_point(corners[i]) for i in range(X.n)]
+    if linalg.affine_dim(pts) != X.n - 1:
+        raise PreconditionError("corner points are affinely dependent")
+    return Face(
+        tuple(corners[i] for i in range(X.n)),
+        X.n - 1,
+        tuple(b),
+        default_orientation_basis(pts),
+    )
 
 
 def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex:
@@ -579,25 +625,16 @@ def complex_from_json(obj) -> LabeledCellComplex:
 
 
 def _orient_tops_by_pure_powers(X: LabeledCellComplex) -> LabeledCellComplex:
-    """Apply the canonical top orientation when the corner simplex is visible."""
-    corners = {}
-    for v in X.vertices:
-        label = X.vertex_label(v)
-        support = [i for i, e in enumerate(label) if e > 0]
-        if len(support) == 1 and support[0] not in corners:
-            corners[support[0]] = v
-    if sorted(corners) != list(range(X.n)) or X.dim != X.n - 1:
+    """Apply the canonical top orientation when the corner simplex is visible:
+    b is read off the first single-support vertex label of each variable."""
+    if X.dim != X.n - 1:
         return X
-    pts = [X.vertex_point(corners[i]) for i in range(X.n)]
-    if linalg.affine_dim(pts) != X.n - 1:
-        return X
-    reference = Face(
-        tuple(range(X.n)),
-        X.n - 1,
-        lcm_many([X.vertex_label(corners[i]) for i in range(X.n)]),
-        default_orientation_basis(pts),
-    )
+    b = [0] * X.n
+    for v in sorted(X.vertices):
+        support = [i for i, e in enumerate(X.vertex_label(v)) if e > 0]
+        if len(support) == 1 and not b[support[0]]:
+            b[support[0]] = X.vertex_label(v)[support[0]]
     try:
-        return orient_tops_to(X, reference)
+        return orient_tops_to(X, reference_simplex_face(X, b))
     except PreconditionError:
         return X

@@ -198,7 +198,7 @@ def _cmd_resolve(M, X, args, options):
 
 
 def _cmd_check_exact(M, X, args, options):
-    witness = exactness_witness(cellular_complex(X), X, M)
+    witness = exactness_witness(X, M)
     ok = witness is None
     return {"ok": ok, "witness": list(witness) if witness else None}, 0 if ok else 1
 
@@ -214,12 +214,8 @@ def _cmd_check_minimal(M, X, args, options):
     return payload, 0 if ok else 1
 
 
-def _residue(M, X):
-    return residue_current(X, pure_power_exponents(M))
-
-
 def _cmd_residue(M, X, args, options):
-    R = _residue(M, X)
+    R = residue_current(X, pure_power_exponents(M))
     entries = [
         {"face": list(fid), "sign": c.sign, "alpha": list(c.alpha)}
         for fid, c in sorted(R.entries.items())
@@ -230,7 +226,7 @@ def _cmd_residue(M, X, args, options):
 def _cmd_compare(M, X, args, options):
     b = pure_power_exponents(M)
     maps = chain_maps(X, b)
-    ok, witness = verify_chain_maps(X, b, maps)
+    ok, witness = verify_chain_maps(X, b)
     payload = {
         "maps": {k: _signed_matrix_json(maps.levels[k]) for k in sorted(maps.levels)},
         "row_bases": {k: [list(f) for f in maps.row_bases[k]] for k in maps.row_bases},
@@ -245,7 +241,7 @@ def _cmd_annihilator(M, X, args, options):
     beta = None
     if args.beta is not None:
         beta = _check_exponents("--beta", _parse_vector(args.beta), M.n)
-    R = _residue(M, X)
+    R = residue_current(X, pure_power_exponents(M))
     components = [
         {"face": list(fid), "alpha": list(c.alpha)}
         for fid, c in sorted(R.entries.items())
@@ -263,7 +259,7 @@ def _cmd_duality_check(M, X, args, options):
         box = _check_exponents("--box", _parse_vector(args.box), M.n)
     elif "box" in options:
         box = tuple(options["box"])
-    R = _residue(M, X)
+    R = residue_current(X, pure_power_exponents(M))
     counterexample = duality_counterexample(R, M, box)
     ok = counterexample is None
     payload = {
@@ -275,8 +271,7 @@ def _cmd_duality_check(M, X, args, options):
 
 def _cmd_fundamental_cycle(M, X, args, options):
     n = M.n
-    R = _residue(M, X)
-    result = fundamental_cycle_check(X, M, R=R)
+    result = fundamental_cycle_check(X, M)
     if args.permutations is not None:
         perms = _parse_permutations(args.permutations)
     elif "permutations" in options:
@@ -288,7 +283,7 @@ def _cmd_fundamental_cycle(M, X, args, options):
     asserted = is_generic(M)
     per_permutation = {}
     for p in perms:
-        sub = permutation_cycle_check(X, M, p, allow_nongeneric=True, R=R)
+        sub = permutation_cycle_check(X, M, p, allow_nongeneric=True)
         per_permutation[",".join(str(x) for x in p)] = {
             "lhs": sub["lhs"],
             "expected": sub["expected"],

@@ -20,8 +20,8 @@ from .monomial import (
     staircase_corners_2d,
 )
 from .residue import ResidueCurrent, residue_current
-from .resolution import FreeComplex, cellular_complex
-from .cellcomplex import LabeledCellComplex
+from .resolution import FreeComplex, _exp_sub, cellular_complex
+from .cellcomplex import LabeledCellComplex, derived
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,6 @@ class FormMatrix:
 
 def _unit(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def differentiate(F: FreeComplex, k) -> FormMatrix:
@@ -181,29 +177,28 @@ def _contract(composed: FormMatrix, top_basis, R: ResidueCurrent):
     return per_face
 
 
-def _prepare(X: LabeledCellComplex, M: MonomialIdeal, R):
-    b = pure_power_exponents(M)
-    if R is None:
-        R = residue_current(X, b)
-    F = cellular_complex(X)
-    return F, R
+@derived
+def _prepare(X: LabeledCellComplex, M: MonomialIdeal):
+    """The free complex, the residue current and the multiplicity."""
+    R = residue_current(X, pure_power_exponents(M))
+    return cellular_complex(X), R, multiplicity(M)
 
 
-def fundamental_cycle_check(X: LabeledCellComplex, M: MonomialIdeal, R=None) -> dict:
+def fundamental_cycle_check(X: LabeledCellComplex, M: MonomialIdeal) -> dict:
     """Pair the composed full differentials with the current; the point-mass
     coefficient must be n! times the multiplicity."""
-    F, R = _prepare(X, M, R)
+    F, R, m = _prepare(X, M)
     n = F.n
     composed = compose([differentiate(F, k) for k in range(n)])
     per_face = _contract(composed, F.basis(n - 1), R)
     mass = sum(per_face.values())
     lhs = cycle_constant(n) * mass
-    rhs = factorial(n) * multiplicity(M)
+    rhs = factorial(n) * m
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
 
 def permutation_cycle_check(
-    X: LabeledCellComplex, M: MonomialIdeal, s, allow_nongeneric=False, R=None
+    X: LabeledCellComplex, M: MonomialIdeal, s, allow_nongeneric=False
 ) -> dict:
     """Single-variable-per-level route: level k differentiates in z_{s_{k+1}}.
 
@@ -219,11 +214,11 @@ def permutation_cycle_check(
             "the per-permutation identity is only claimed for generic ideals; "
             "pass allow_nongeneric=True to evaluate anyway"
         )
-    F, R = _prepare(X, M, R)
+    F, R, m = _prepare(X, M)
     composed = compose([partial_only(F, k, s[k] - 1) for k in range(n)])
     per_face = _contract(composed, F.basis(n - 1), R)
     lhs = sum(per_face.values())
-    expected = cycle_constant(n) * multiplicity(M)
+    expected = cycle_constant(n) * m
     return {"lhs": lhs, "expected": expected, "ok": lhs == expected,
             "per_face": per_face}
 

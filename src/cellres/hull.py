@@ -17,11 +17,11 @@ from operator import mul
 
 from . import linalg
 from .cellcomplex import (
-    Face,
     LabeledCellComplex,
-    default_orientation_basis,
+    _corner_vertex_ids,
     make_complex,
     orient_tops_to,
+    reference_simplex_face,
 )
 from .errors import CellresError, InputError, PreconditionError
 from .monomial import (
@@ -173,35 +173,6 @@ def _projection_to_simplex(point, b, t):
         raise PreconditionError("cannot project the all-ones point")
     s = 1 / denom
     return tuple(1 + s * (p - 1) for p in point)
-
-
-def _corner_vertex_ids(X: LabeledCellComplex, b):
-    corners = {}
-    for v in sorted(X.vertices):
-        label = X.vertex_label(v)
-        support = [i for i, e in enumerate(label) if e > 0]
-        if len(support) == 1 and label[support[0]] == b[support[0]]:
-            corners.setdefault(support[0], v)
-    missing = [i for i in range(X.n) if i not in corners]
-    if missing:
-        raise PreconditionError(
-            f"pure powers for variables {missing} are not among the vertex labels"
-        )
-    return corners
-
-
-def reference_simplex_face(X: LabeledCellComplex, b) -> Face:
-    """Top face of the corner simplex, oriented by ascending variable order."""
-    corners = _corner_vertex_ids(X, b)
-    pts = [X.vertex_point(corners[i]) for i in range(X.n)]
-    if linalg.affine_dim(pts) != X.n - 1:
-        raise PreconditionError("corner points are affinely dependent")
-    return Face(
-        tuple(corners[i] for i in range(X.n)),
-        X.n - 1,
-        tuple(b),
-        default_orientation_basis(pts),
-    )
 
 
 def _subsets(r):

@@ -14,6 +14,7 @@ from .cellcomplex import (
     LabeledCellComplex,
     _refinement_failure,
     contained_faces,
+    derived,
     is_refinement,
     sign_same_span,
 )
@@ -74,8 +75,9 @@ class ChainMap:
     col_bases: dict[int, tuple]
 
 
+@derived
 def _reference_complex(X: LabeledCellComplex, b):
-    b = tuple(b)
+    """The corner simplex Y, once X is known to refine it."""
     Y = corner_simplex_complex(X, b)
     if not is_refinement(X, Y):
         # the witness rereads the barycentric coordinates cached on X
@@ -87,23 +89,20 @@ def _reference_complex(X: LabeledCellComplex, b):
 
 def _check_exact(X: LabeledCellComplex):
     M = minimize([X.vertex_label(v) for v in X.vertices])
-    F = cellular_complex(X)
-    witness = exactness_witness(F, X, M)
+    witness = exactness_witness(X, M)
     if witness is not None:
         raise PreconditionError(f"complex is not a resolution; fails at degree {witness}")
 
 
-def residue_current(X: LabeledCellComplex, b, check=True) -> ResidueCurrent:
+@derived
+def residue_current(X: LabeledCellComplex, b) -> ResidueCurrent:
     """Closed form: one entry per top face, the signed product of its label.
 
     The sign compares the face's orientation with the corner simplex; the
     complex must refine the simplex and support an exact complex.
     """
-    if check:
-        Y = _reference_complex(X, b)
-        _check_exact(X)
-    else:
-        Y = corner_simplex_complex(X, tuple(b))
+    Y = _reference_complex(X, b)
+    _check_exact(X)
     delta = Y.face(tuple(range(X.n)))
     entries = {}
     for fid in X.faces_of_dim(X.n - 1):
@@ -138,13 +137,13 @@ def monomial_times_ch(gamma, c: CHProduct) -> CHProduct:
     return ch_zero(len(gamma))
 
 
+@derived
 def chain_maps(X: LabeledCellComplex, b) -> ChainMap:
     """Comparison maps from the corner-simplex complex into X.
 
     a_k sends a simplex face to the signed label quotients of the X-faces
     of the same dimension it contains; a_{-1} is the identity.
     """
-    b = tuple(b)
     Y = _reference_complex(X, b)
     n = X.n
     levels = {}
@@ -174,11 +173,11 @@ def chain_maps(X: LabeledCellComplex, b) -> ChainMap:
 
 def verify_chain_maps(X: LabeledCellComplex, b, maps: ChainMap | None = None):
     """Exact polynomial check that the comparison square commutes at every
-    level; returns (ok, witness) with the first failing level and faces."""
-    b = tuple(b)
+    level; returns (ok, witness) with the first failing level and faces.
+    ``maps`` replaces the computed chain maps."""
     if maps is None:
         maps = chain_maps(X, b)
-    Y = corner_simplex_complex(X, b)
+    Y = _reference_complex(X, b)
     phi = cellular_complex(X)
     psi = cellular_complex(Y)
     n = X.n
@@ -194,20 +193,18 @@ def verify_chain_maps(X: LabeledCellComplex, b, maps: ChainMap | None = None):
     return True, None
 
 
-def residue_via_chain_maps(X: LabeledCellComplex, b, check=True) -> ResidueCurrent:
+def residue_via_chain_maps(X: LabeledCellComplex, b) -> ResidueCurrent:
     """Transport the corner-simplex current through the top comparison map.
 
     The simplex complex carries the product of the pure powers with sign
     +1 under its fixed orientation; each top face of X picks up its label
     quotient.  Must agree entrywise with the closed form.
     """
-    b = tuple(b)
     maps = chain_maps(X, b)
-    if check:
-        ok, witness = verify_chain_maps(X, b, maps)
-        if not ok:
-            raise PreconditionError(f"comparison square does not commute at {witness}")
-        _check_exact(X)
+    ok, witness = verify_chain_maps(X, b)
+    if not ok:
+        raise PreconditionError(f"comparison square does not commute at {witness}")
+    _check_exact(X)
     n = X.n
     top = maps.levels[n - 1]
     rows = maps.row_bases[n - 1]

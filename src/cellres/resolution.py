@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cellcomplex import LabeledCellComplex, sign_facet, subcomplex_leq
+from .cellcomplex import LabeledCellComplex, derived, sign_facet, subcomplex_leq
 from .errors import CellresError, PreconditionError
 from .monomial import MonomialIdeal, lcm_lattice, minimize
 
@@ -85,6 +85,7 @@ def poly_matrix_is_zero(p) -> bool:
     return all(not entry for row in p for entry in row)
 
 
+@derived
 def cellular_complex(X: LabeledCellComplex) -> FreeComplex:
     """Boundary matrices with entries sign(tau,sigma) z^{m_sigma - m_tau}.
 
@@ -144,12 +145,15 @@ def reduced_homology_ranks(X_sub: LabeledCellComplex) -> list[int]:
     ]
 
 
-def exactness_witness(F: FreeComplex, X: LabeledCellComplex, M: MonomialIdeal):
-    """First degree in the lcm lattice where acyclicity fails, or None.
+@derived
+def exactness_witness(X: LabeledCellComplex, M: MonomialIdeal):
+    """First degree in the lcm lattice where the free complex of X fails to
+    be acyclic, or None; the free complex is built, with its d^2 = 0 check.
 
     The scan over the lattice joins (plus zero) is sufficient because the
     subcomplex of faces dividing a degree only changes at joins.
     """
+    cellular_complex(X)
     vertex_ideal = minimize([X.vertex_label(v) for v in X.vertices])
     if vertex_ideal.generators != M.generators:
         raise PreconditionError("vertex labels do not generate the given ideal")
@@ -164,8 +168,8 @@ def exactness_witness(F: FreeComplex, X: LabeledCellComplex, M: MonomialIdeal):
     return None
 
 
-def is_exact(F: FreeComplex, X: LabeledCellComplex, M: MonomialIdeal) -> bool:
-    return exactness_witness(F, X, M) is None
+def is_exact(X: LabeledCellComplex, M: MonomialIdeal) -> bool:
+    return exactness_witness(X, M) is None
 
 
 def minimality_witness(F: FreeComplex):

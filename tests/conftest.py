@@ -81,15 +81,35 @@ def random_complete_intersection(rng, n):
 
 @st.composite
 def artinian_ideals(draw):
-    """Artinian ideals in two or three variables with up to four extra
-    generators."""
+    """Artinian ideals in two or three variables, drawn by their staircase.
+
+    The staircase, the monomials outside the ideal, is a partition (n = 2)
+    or a plane partition (n = 3) inside a box of side at most 4: heights in
+    0..side over the cells of the (n-1)-dimensional base, sorted to be
+    weakly decreasing along every axis, and at least 1 at the origin.  The
+    ideal is minimally generated by the monomials outside the staircase
+    whose every predecessor z^e / z_i lies inside it.
+    """
     n = draw(st.integers(2, 3))
-    powers = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    extras = draw(st.lists(
-        st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=4
-    ))
-    pure = [tuple(p if j == i else 0 for j in range(n)) for i, p in enumerate(powers)]
-    return minimize(pure + [tuple(e) for e in extras if any(e)])
+    side = draw(st.integers(2, 4))
+    raw = draw(st.lists(st.integers(0, side), min_size=side ** (n - 1),
+                        max_size=side ** (n - 1)))
+    # sorting the rows, then the columns, keeps the rows sorted; one row
+    # when n = 2, and heights[j][i] is the height over the cell (i, j)
+    rows = [sorted(raw[i:i + side], reverse=True) for i in range(0, len(raw), side)]
+    heights = [sorted(column, reverse=True) for column in zip(*rows)]
+    heights[0][0] = max(heights[0][0], 1)
+
+    def inside(e):
+        i, j = ((0,) + e[:-1])[-2:]
+        return i < len(rows) and j < side and e[-1] < heights[j][i]
+
+    return minimize([
+        e for e in product(range(side + 1), repeat=n)
+        if not inside(e) and all(
+            inside(e[:i] + (e[i] - 1,) + e[i + 1:]) for i in range(n) if e[i]
+        )
+    ])
 
 
 def embedded_hull(M):

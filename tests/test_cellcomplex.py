@@ -569,9 +569,8 @@ def test_containment_matches_pairwise_oracle_on_perturbed_complexes(M, data):
 
 
 def test_containment_matches_pairwise_oracle_on_seeded_ideals(rng):
-    # the random draws above are mostly complete intersections; these
-    # families are not, and Scarf complexes of non-generic ideals among
-    # them do not refine the simplex
+    # fixed and seeded families beside the random draws above; Scarf
+    # complexes of non-generic ideals among them do not refine the simplex
     ideals = [minimize(EX61_GENERATORS), maximal_ideal_power(3, 3)]
     for _ in range(3):
         ideals += [random_staircase_ideal(rng), random_generic_ideal_3(rng)]

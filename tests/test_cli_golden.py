@@ -1,0 +1,100 @@
+"""Byte-identity of the command line against recorded outputs.
+
+``tests/data/cli_golden.json`` holds, for each case, the argument list, the
+JSON job read from stdin, the exact stdout and the exit code.  A complex file
+named ``file:@<name>`` in the arguments is written from the recorded
+``files`` entry first.  Regenerate the record only when an output change is
+intended:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from cellres.cli import SUBCOMMANDS, run
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+EX61 = {
+    "n": 3,
+    "generators": [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]],
+}
+M2_IN_4 = {
+    "n": 4,
+    "generators": [list(e) for e in product(range(3), repeat=4) if sum(e) == 2],
+}
+STAIRCASE = {"n": 2, "generators": [[4, 0], [3, 1], [1, 2], [0, 4]]}
+
+
+def _cases():
+    cases = [([sub], EX61) for sub in SUBCOMMANDS]
+    for source in ("scarf", "taylor", "file:@minimal"):
+        for sub in ("residue", "compare", "check-exact", "fundamental-cycle"):
+            cases.append(([sub, "--complex", source], EX61))
+    cases.append((["fundamental-cycle"], M2_IN_4))
+    cases += [(["partition", "--order", order], STAIRCASE) for order in ("P", "Q")]
+    return cases
+
+
+def _invoke(args, job, files, directory):
+    argv = []
+    for arg in args:
+        if arg.startswith("file:@"):
+            path = Path(directory) / f"{arg[len('file:@'):]}.json"
+            path.write_text(json.dumps(files[arg[len("file:@"):]]))
+            arg = f"file:{path}"
+        argv.append(arg)
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(job))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return out.getvalue(), code
+
+
+def _record():
+    from cellres import minimize
+    from conftest import embedded_hull, minimal_ex61_json
+
+    files = {"minimal": minimal_ex61_json(
+        embedded_hull(minimize([tuple(g) for g in EX61["generators"]])))}
+    cases = []
+    with tempfile.TemporaryDirectory() as directory:
+        for args, job in _cases():
+            stdout, code = _invoke(args, job, files, directory)
+            cases.append({"args": args, "stdin": job, "stdout": stdout, "code": code})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({"files": files, "cases": cases}, indent=1) + "\n")
+
+
+_RECORD = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"files": {}, "cases": []}
+
+
+@pytest.mark.parametrize(
+    "case", _RECORD["cases"], ids=lambda c: " ".join(c["args"]).replace("file:@", "file:")
+)
+def test_cli_output_matches_record(case, tmp_path):
+    stdout, code = _invoke(case["args"], case["stdin"], _RECORD["files"], tmp_path)
+    assert code == case["code"]
+    assert stdout == case["stdout"]
+
+
+def test_record_covers_every_case():
+    assert [(c["args"], c["stdin"]) for c in _RECORD["cases"]] == [
+        (args, job) for args, job in _cases()
+    ]
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).parent))
+    _record()

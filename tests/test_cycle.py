@@ -208,9 +208,9 @@ def test_four_variable_squared_maximal_ideal():
     assert residue_via_chain_maps(X, b).entries == R.entries
     assert duality_check(R, M)
     assert multiplicity(M) == 5
-    result = fundamental_cycle_check(X, M, R=R)
+    result = fundamental_cycle_check(X, M)
     assert result["ok"] and result["lhs"] == 120
-    sub = permutation_cycle_check(X, M, (2, 4, 1, 3), allow_nongeneric=True, R=R)
+    sub = permutation_cycle_check(X, M, (2, 4, 1, 3), allow_nongeneric=True)
     assert sub["ok"] and sub["lhs"] == cycle_constant(4) * 5 == 5
 
 

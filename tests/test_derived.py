@@ -1,0 +1,168 @@
+"""Objects derived from a complex are built once per complex and shared.
+
+The free complex, the refined corner simplex, the exactness verdict, the
+chain maps, the current and the multiplicity are stored on the complex X
+(``cellcomplex.derived``).  These tests count the builds one command makes,
+and check that a new complex gets its own objects and that a caller's
+changed copy leaves the stored ones alone.
+"""
+
+import importlib
+import io
+import json
+import sys
+from itertools import product
+
+import pytest
+
+from cellres import (
+    ChainMap,
+    PreconditionError,
+    SignedMonomial,
+    cellular_complex,
+    chain_maps,
+    duality_check,
+    minimize,
+    pure_power_exponents,
+    reoriented,
+    residue_current,
+    scarf_complex,
+    subcomplex_leq,
+    verify_chain_maps,
+)
+from cellres.cli import run
+from cellres.residue import ResidueCurrent
+from conftest import EX61_GENERATORS, embedded_hull
+
+EX61 = {"n": 3, "generators": [list(g) for g in EX61_GENERATORS]}
+M2_IN_4 = {
+    "n": 4,
+    "generators": [list(e) for e in product(range(3), repeat=4) if sum(e) == 2],
+}
+
+COUNTED = (
+    "resolution.poly_matrix_is_zero",  # one call per d^2 = 0 level of a built F
+    "hull.corner_simplex_complex",
+    "cellcomplex._refinement_failure",
+    "monomial.lcm_lattice",  # one call per exactness scan
+    "monomial.multiplicity",
+)
+
+
+def _counting(monkeypatch):
+    """Count calls of the COUNTED functions in every module that binds them."""
+    counts = dict.fromkeys(COUNTED, 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("cellres")]
+    for name in COUNTED:
+        layer, attr = name.split(".")
+        original = getattr(importlib.import_module(f"cellres.{layer}"), attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def _run(monkeypatch, args, job):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    return run(args)
+
+
+@pytest.mark.parametrize("job, dim", [(EX61, 2), (M2_IN_4, 3)], ids=["n3", "n4"])
+def test_fundamental_cycle_builds_each_object_once(monkeypatch, job, dim):
+    counts = _counting(monkeypatch)
+    assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
+    assert counts == {
+        "resolution.poly_matrix_is_zero": dim,  # F of X, levels 1..dim
+        "hull.corner_simplex_complex": 1,
+        "cellcomplex._refinement_failure": 1,
+        "monomial.lcm_lattice": 1,
+        "monomial.multiplicity": 1,
+    }
+
+
+def test_compare_builds_each_object_once(monkeypatch):
+    counts = _counting(monkeypatch)
+    assert _run(monkeypatch, ["compare"], EX61) == 0
+    assert counts == {
+        "resolution.poly_matrix_is_zero": 2 + 2,  # F of X and F of Y
+        "hull.corner_simplex_complex": 1,
+        "cellcomplex._refinement_failure": 1,
+        "monomial.lcm_lattice": 0,
+        "monomial.multiplicity": 0,
+    }
+
+
+def test_list_and_tuple_arguments_share_one_object():
+    X = embedded_hull(minimize(EX61_GENERATORS))
+    assert chain_maps(X, [2, 2, 2]) is chain_maps(X, (2, 2, 2))
+    assert residue_current(X, [2, 2, 2]) is residue_current(X, (2, 2, 2))
+
+
+def test_reoriented_complex_has_its_own_free_complex():
+    X = embedded_hull(minimize(EX61_GENERATORS))
+    F = cellular_complex(X)
+    edge = X.faces_of_dim(1)[0]
+    Xr = reoriented(X, {edge})
+    Fr = cellular_complex(Xr)
+    assert Fr is not F
+    j = F.basis(1).index(edge)
+    for row, row_r in zip(F.matrix(1), Fr.matrix(1)):
+        assert row_r[j].sign == -row[j].sign
+    assert cellular_complex(X) is F
+    assert residue_current(Xr, (2, 2, 2)).entries == residue_current(X, (2, 2, 2)).entries
+
+
+def test_subcomplex_has_its_own_free_complex():
+    X = embedded_hull(minimize(EX61_GENERATORS))
+    F = cellular_complex(X)
+    sub = subcomplex_leq(X, (1, 1, 1))
+    F_sub = cellular_complex(sub)
+    assert F_sub is not F
+    assert len(F_sub.basis(0)) == 3 < len(F.basis(0)) == 6
+    assert cellular_complex(X).basis(0) == F.basis(0)
+
+
+def test_non_refining_complex_raises_the_same_message_again():
+    M = minimize(EX61_GENERATORS)
+    X = scarf_complex(M)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as err:
+            residue_current(X, pure_power_exponents(M))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == (
+        "complex does not refine the corner simplex: "
+        "face (0, 1, 2) is covered with volume 0"
+    )
+
+
+def test_changed_copies_leave_the_stored_objects_alone():
+    M = minimize(EX61_GENERATORS)
+    X = embedded_hull(M)
+    b = (2, 2, 2)
+    R = residue_current(X, b)
+    entries = dict(R.entries)
+    dropped = dict(R.entries)
+    del dropped[next(iter(dropped))]
+    assert not duality_check(ResidueCurrent(R.n, dropped), M)
+    assert residue_current(X, b).entries == entries
+    assert duality_check(residue_current(X, b), M)
+
+    maps = chain_maps(X, b)
+    levels = dict(maps.levels)
+    level1 = [list(row) for row in levels[1]]
+    i, j = next(
+        (i, j) for i, row in enumerate(level1) for j, c in enumerate(row) if c.sign
+    )
+    level1[i][j] = SignedMonomial(-level1[i][j].sign, level1[i][j].exp)
+    levels[1] = tuple(tuple(row) for row in level1)
+    corrupted = ChainMap(levels, maps.row_bases, maps.col_bases)
+    assert not verify_chain_maps(X, b, corrupted)[0]
+    assert verify_chain_maps(X, b) == (True, None)
+    assert chain_maps(X, b).levels[1] == maps.levels[1] != levels[1]

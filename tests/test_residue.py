@@ -306,4 +306,4 @@ def test_routes_agree_and_fundamental_cycle_on_random_ideals(M):
     b = pure_power_exponents(M)
     R = residue_current(X, b)
     assert residue_via_chain_maps(X, b).entries == R.entries
-    assert fundamental_cycle_check(X, M, R=R)["ok"]
+    assert fundamental_cycle_check(X, M)["ok"]
