@@ -8,7 +8,7 @@ componentwise maximum of its vertices' labels.  The empty face (dimension
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 
@@ -19,12 +19,11 @@ from .monomial import divides, is_int, lcm_many
 EMPTY = ()
 
 
-@dataclass(frozen=True)
-class Face:
-    vertices: tuple
-    dim: int
-    label: tuple[int, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
+class Face(namedtuple("Face", "vertices dim label basis")):
+    """Vertex ids, dimension, label and orientation basis (tuples of
+    Fractions) of one face."""
+
+    __slots__ = ()
 
 
 class LabeledCellComplex:
@@ -294,13 +293,6 @@ def sign_same_span(face_a: Face, face_b: Face) -> int:
     if sign == 0:
         raise PreconditionError("degenerate orientation basis")
     return sign
-
-
-def cofaces(X: LabeledCellComplex, tau_id, k) -> list:
-    """Faces of dimension k having the given (k-1)-face as a facet."""
-    if X.face(tau_id).dim != k - 1:
-        raise PreconditionError("coface query needs a face of dimension k-1")
-    return [fid for fid in X.faces_of_dim(k) if tau_id in X.facets(fid)]
 
 
 def subcomplex_leq(X: LabeledCellComplex, beta) -> LabeledCellComplex:

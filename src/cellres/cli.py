@@ -2,6 +2,9 @@
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict, 2 for
 bad input or violated preconditions.
+
+Each subcommand imports the layers it uses when it runs, so ``generators``,
+``multiplicity`` and ``partition`` load ``monomial`` only.
 """
 
 from __future__ import annotations
@@ -11,14 +14,7 @@ import json
 import sys
 from itertools import permutations as iter_permutations
 
-from .cellcomplex import complex_from_json, complex_to_json
-from .cycle import (
-    fundamental_cycle_check,
-    permutation_cycle_check,
-    staircase_partition_2d,
-)
 from .errors import CellresError, InputError, PreconditionError
-from .hull import embed_in_simplex, hull_complex, scarf_complex, taylor_complex
 from .monomial import (
     MonomialIdeal,
     ideal_from_json,
@@ -27,18 +23,7 @@ from .monomial import (
     minimize,
     multiplicity,
     pure_power_exponents,
-)
-from .residue import (
-    annihilator_contains,
-    chain_maps,
-    duality_counterexample,
-    residue_current,
-    verify_chain_maps,
-)
-from .resolution import (
-    cellular_complex,
-    exactness_witness,
-    minimality_witness,
+    staircase_partition_2d,
 )
 
 SCHEMA = "cellres/1"
@@ -140,18 +125,24 @@ def _load_job(args):
         ideal = ideal_from_json(obj["ideal"])
         _check_options(options, ideal.n)
         source = obj.get("complex_source")
+        if source is not None and not isinstance(source, str):
+            raise InputError(f"complex_source must be a string, got {source!r}")
         return ideal, source, options
     return ideal_from_json(obj), None, {}
 
 
 def _build_complex(source, M: MonomialIdeal, t):
     if source == "hull":
+        from .hull import embed_in_simplex, hull_complex
         return embed_in_simplex(hull_complex(M, t), pure_power_exponents(M))
     if source == "scarf":
+        from .hull import scarf_complex
         return scarf_complex(M, t)
     if source == "taylor":
+        from .hull import taylor_complex
         return taylor_complex(M)
     if source and source.startswith("file:"):
+        from .cellcomplex import complex_from_json
         path = source[len("file:"):]
         with open(path, "r", encoding="utf-8") as handle:
             try:
@@ -183,14 +174,19 @@ def _cmd_multiplicity(M, X, args, options):
 
 
 def _cmd_hull(M, X, args, options):
+    from .cellcomplex import complex_to_json
+    from .hull import hull_complex
     return complex_to_json(hull_complex(M, args.t)), 0
 
 
 def _cmd_scarf(M, X, args, options):
+    from .cellcomplex import complex_to_json
+    from .hull import scarf_complex
     return complex_to_json(scarf_complex(M, args.t)), 0
 
 
 def _cmd_resolve(M, X, args, options):
+    from .resolution import cellular_complex
     F = cellular_complex(X)
     levels = {k: [list(fid) for fid in F.basis(k)] for k in sorted(F.levels)}
     matrices = {k: _signed_matrix_json(F.matrix(k)) for k in sorted(F.matrices)}
@@ -198,12 +194,14 @@ def _cmd_resolve(M, X, args, options):
 
 
 def _cmd_check_exact(M, X, args, options):
+    from .resolution import exactness_witness
     witness = exactness_witness(X, M)
     ok = witness is None
     return {"ok": ok, "witness": list(witness) if witness else None}, 0 if ok else 1
 
 
 def _cmd_check_minimal(M, X, args, options):
+    from .resolution import cellular_complex, minimality_witness
     F = cellular_complex(X)
     witness = minimality_witness(F)
     ok = witness is None
@@ -215,6 +213,7 @@ def _cmd_check_minimal(M, X, args, options):
 
 
 def _cmd_residue(M, X, args, options):
+    from .residue import residue_current
     R = residue_current(X, pure_power_exponents(M))
     entries = [
         {"face": list(fid), "sign": c.sign, "alpha": list(c.alpha)}
@@ -224,6 +223,7 @@ def _cmd_residue(M, X, args, options):
 
 
 def _cmd_compare(M, X, args, options):
+    from .residue import chain_maps, verify_chain_maps
     b = pure_power_exponents(M)
     maps = chain_maps(X, b)
     ok, witness = verify_chain_maps(X, b)
@@ -238,6 +238,7 @@ def _cmd_compare(M, X, args, options):
 
 
 def _cmd_annihilator(M, X, args, options):
+    from .residue import annihilator_contains, residue_current
     beta = None
     if args.beta is not None:
         beta = _check_exponents("--beta", _parse_vector(args.beta), M.n)
@@ -254,6 +255,7 @@ def _cmd_annihilator(M, X, args, options):
 
 
 def _cmd_duality_check(M, X, args, options):
+    from .residue import duality_counterexample, residue_current
     box = None
     if args.box is not None:
         box = _check_exponents("--box", _parse_vector(args.box), M.n)
@@ -270,6 +272,7 @@ def _cmd_duality_check(M, X, args, options):
 
 
 def _cmd_fundamental_cycle(M, X, args, options):
+    from .cycle import fundamental_cycle_check, permutation_cycle_check
     n = M.n
     result = fundamental_cycle_check(X, M)
     if args.permutations is not None:

@@ -8,7 +8,7 @@ with the unit (2 pi i)^n factored out symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 from .errors import PreconditionError
@@ -17,21 +17,17 @@ from .monomial import (
     is_generic,
     multiplicity,
     pure_power_exponents,
-    staircase_corners_2d,
 )
 from .residue import ResidueCurrent, residue_current
 from .resolution import FreeComplex, _exp_sub, cellular_complex
 from .cellcomplex import LabeledCellComplex, derived
 
 
-@dataclass(frozen=True)
-class FormMonomial:
+class FormMonomial(namedtuple("FormMonomial", "coeff exp dz")):
     """coeff * z^exp * dz_{i_1} ^ ... ^ dz_{i_k} with strictly increasing
     indices; reordering signs are absorbed into the coefficient."""
 
-    coeff: int
-    exp: tuple[int, ...]
-    dz: tuple[int, ...]
+    __slots__ = ()
 
 
 def form_term(coeff, exp, dz):
@@ -63,11 +59,8 @@ def _combine(terms):
     )
 
 
-@dataclass(frozen=True)
-class FormMatrix:
-    rows: int
-    cols: int
-    entries: tuple
+class FormMatrix(namedtuple("FormMatrix", "rows cols entries")):
+    __slots__ = ()
 
 
 def _unit(i, n):
@@ -221,44 +214,3 @@ def permutation_cycle_check(
     expected = cycle_constant(n) * m
     return {"lhs": lhs, "expected": expected, "ok": lhs == expected,
             "per_face": per_face}
-
-
-@dataclass(frozen=True)
-class Rectangle2D:
-    """Half-open axis-aligned rectangle [x_lo, x_hi) x [y_lo, y_hi)."""
-
-    x_lo: int
-    x_hi: int
-    y_lo: int
-    y_hi: int
-
-    def __post_init__(self):
-        if not (0 <= self.x_lo < self.x_hi and 0 <= self.y_lo < self.y_hi):
-            raise PreconditionError("rectangle bounds must be nonnegative and ordered")
-
-    @property
-    def area(self) -> int:
-        return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
-
-    def contains(self, x, y) -> bool:
-        return self.x_lo <= x < self.x_hi and self.y_lo <= y < self.y_hi
-
-
-def staircase_partition_2d(M: MonomialIdeal, order: str) -> list[Rectangle2D]:
-    """Partition of the plane staircase into rectangles, one per outer corner.
-
-    Order "P" slices horizontally ([0,a_i) x [b_i,b_{i+1})), order "Q"
-    vertically ([a_{i+1},a_i) x [0,b_{i+1})).
-    """
-    if order not in ("P", "Q"):
-        raise PreconditionError('partition order must be "P" or "Q"')
-    corners = staircase_corners_2d(M)
-    rectangles = []
-    for i in range(len(corners) - 1):
-        a_i, b_i = corners[i]
-        a_next, b_next = corners[i + 1]
-        if order == "P":
-            rectangles.append(Rectangle2D(0, a_i, b_i, b_next))
-        else:
-            rectangles.append(Rectangle2D(a_next, a_i, 0, b_next))
-    return rectangles

@@ -6,7 +6,7 @@ an ideal is stored by its divisibility-minimal generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError, PreconditionError
 
@@ -48,8 +48,7 @@ def lcm_many(vectors) -> ExponentVector:
     return result
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(namedtuple("MonomialIdeal", "n generators")):
     """A monomial ideal given by its minimal monomial generators.
 
     Generators are kept sorted in descending lexicographic order, which for
@@ -57,14 +56,14 @@ class MonomialIdeal:
     exponent.
     """
 
-    n: int
-    generators: tuple[ExponentVector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, generators: tuple[ExponentVector, ...]):
+        if n < 1:
             raise InputError("ambient dimension must be >= 1")
-        if not self.generators:
+        if not generators:
             raise InputError("a monomial ideal needs at least one generator")
+        return super().__new__(cls, n, generators)
 
 
 def minimize(generators) -> MonomialIdeal:
@@ -272,3 +271,41 @@ def staircase_corners_2d(M: MonomialIdeal) -> list[tuple[int, int]]:
     if not ok:
         raise PreconditionError("generators do not form a strict staircase")
     return corners
+
+
+class Rectangle2D(namedtuple("Rectangle2D", "x_lo x_hi y_lo y_hi")):
+    """Half-open axis-aligned rectangle [x_lo, x_hi) x [y_lo, y_hi)."""
+
+    __slots__ = ()
+
+    def __new__(cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int):
+        if not (0 <= x_lo < x_hi and 0 <= y_lo < y_hi):
+            raise PreconditionError("rectangle bounds must be nonnegative and ordered")
+        return super().__new__(cls, x_lo, x_hi, y_lo, y_hi)
+
+    @property
+    def area(self) -> int:
+        return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
+
+    def contains(self, x, y) -> bool:
+        return self.x_lo <= x < self.x_hi and self.y_lo <= y < self.y_hi
+
+
+def staircase_partition_2d(M: MonomialIdeal, order: str) -> list[Rectangle2D]:
+    """Partition of the plane staircase into rectangles, one per outer corner.
+
+    Order "P" slices horizontally ([0,a_i) x [b_i,b_{i+1})), order "Q"
+    vertically ([a_{i+1},a_i) x [0,b_{i+1})).
+    """
+    if order not in ("P", "Q"):
+        raise PreconditionError('partition order must be "P" or "Q"')
+    corners = staircase_corners_2d(M)
+    rectangles = []
+    for i in range(len(corners) - 1):
+        a_i, b_i = corners[i]
+        a_next, b_next = corners[i + 1]
+        if order == "P":
+            rectangles.append(Rectangle2D(0, a_i, b_i, b_next))
+        else:
+            rectangles.append(Rectangle2D(a_next, a_i, 0, b_next))
+    return rectangles

@@ -8,7 +8,7 @@ coefficient extraction, so every identity here is an integer identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cellcomplex import (
     LabeledCellComplex,
@@ -36,13 +36,11 @@ from .resolution import (
 )
 
 
-@dataclass(frozen=True)
-class CHProduct:
+class CHProduct(namedtuple("CHProduct", "sign alpha")):
     """sign * dbar[1/z_n^{a_n}] ^ ... ^ dbar[1/z_1^{a_1}]; sign 0 is the
     absorbed zero element."""
 
-    sign: int
-    alpha: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -60,19 +58,14 @@ def ch_product(sign: int, alpha) -> CHProduct:
     return CHProduct(sign, alpha)
 
 
-@dataclass(frozen=True)
-class ResidueCurrent:
-    n: int
-    entries: dict
+class ResidueCurrent(namedtuple("ResidueCurrent", "n entries")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(namedtuple("ChainMap", "levels row_bases col_bases")):
     """Maps a_k from the corner-simplex resolution into the refined one."""
 
-    levels: dict[int, tuple[tuple[SignedMonomial, ...], ...]]
-    row_bases: dict[int, tuple]
-    col_bases: dict[int, tuple]
+    __slots__ = ()
 
 
 @derived
@@ -109,19 +102,6 @@ def residue_current(X: LabeledCellComplex, b) -> ResidueCurrent:
         face = X.face(fid)
         entries[fid] = ch_product(sign_same_span(face, delta), face.label)
     return ResidueCurrent(X.n, entries)
-
-
-def ch_action(c: CHProduct, beta) -> int:
-    """Action on the monomial test coefficient z^beta, in units of (2 pi i)^n:
-    the sign when beta is exactly alpha - 1, else zero."""
-    beta = tuple(beta)
-    if any(x < 0 for x in beta):
-        raise PreconditionError("test exponents must be nonnegative")
-    if c.is_zero:
-        return 0
-    if beta == tuple(a - 1 for a in c.alpha):
-        return c.sign
-    return 0
 
 
 def monomial_times_ch(gamma, c: CHProduct) -> CHProduct:

@@ -6,7 +6,7 @@ checks are exact polynomial identities over the integers/rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .cellcomplex import LabeledCellComplex, derived, sign_facet, subcomplex_leq
@@ -14,10 +14,8 @@ from .errors import CellresError, PreconditionError
 from .monomial import MonomialIdeal, lcm_lattice, minimize
 
 
-@dataclass(frozen=True)
-class SignedMonomial:
-    sign: int
-    exp: tuple[int, ...]
+class SignedMonomial(namedtuple("SignedMonomial", "sign exp")):
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -28,15 +26,11 @@ def zero_entry(n: int) -> SignedMonomial:
     return SignedMonomial(0, (0,) * n)
 
 
-@dataclass(frozen=True)
-class FreeComplex:
+class FreeComplex(namedtuple("FreeComplex", "n levels labels matrices")):
     """Graded free complex: bases of face ids per level and the boundary
     matrices phi_k: A_k -> A_{k-1} as signed-monomial matrices."""
 
-    n: int
-    levels: dict[int, tuple]
-    labels: dict
-    matrices: dict[int, tuple[tuple[SignedMonomial, ...], ...]]
+    __slots__ = ()
 
     @property
     def top(self) -> int:

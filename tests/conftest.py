@@ -80,29 +80,36 @@ def random_complete_intersection(rng, n):
 
 
 @st.composite
-def artinian_ideals(draw):
-    """Artinian ideals in two or three variables, drawn by their staircase.
+def artinian_ideals(draw, min_n=2, max_n=3, max_side=4):
+    """Artinian ideals in min_n..max_n variables, drawn by their staircase.
 
-    The staircase, the monomials outside the ideal, is a partition (n = 2)
-    or a plane partition (n = 3) inside a box of side at most 4: heights in
-    0..side over the cells of the (n-1)-dimensional base, sorted to be
-    weakly decreasing along every axis, and at least 1 at the origin.  The
-    ideal is minimally generated by the monomials outside the staircase
-    whose every predecessor z^e / z_i lies inside it.
+    The staircase, the monomials outside the ideal, is given by heights in
+    0..side over the cells of the (n-1)-dimensional base [0, side)^(n-1),
+    side at most max_side, sorted to be weakly decreasing along every axis
+    and at least 1 at the origin: a partition for n = 2, a plane partition
+    for n = 3.  The ideal is minimally generated by the monomials outside
+    the staircase whose every predecessor z^e / z_i lies inside it.
     """
-    n = draw(st.integers(2, 3))
-    side = draw(st.integers(2, 4))
-    raw = draw(st.lists(st.integers(0, side), min_size=side ** (n - 1),
-                        max_size=side ** (n - 1)))
-    # sorting the rows, then the columns, keeps the rows sorted; one row
-    # when n = 2, and heights[j][i] is the height over the cell (i, j)
-    rows = [sorted(raw[i:i + side], reverse=True) for i in range(0, len(raw), side)]
-    heights = [sorted(column, reverse=True) for column in zip(*rows)]
-    heights[0][0] = max(heights[0][0], 1)
+    n = draw(st.integers(min_n, max_n))
+    side = draw(st.integers(2, max_side))
+    cells = list(product(range(side), repeat=n - 1))
+    raw = draw(st.lists(st.integers(0, side), min_size=len(cells),
+                        max_size=len(cells)))
+    height = dict(zip(cells, raw))
+    # sorting the lines along one axis keeps the lines along the axes sorted
+    # before it sorted, so one pass per axis, the last axis first, leaves
+    # heights decreasing along every axis
+    for axis in reversed(range(n - 1)):
+        for start in cells:
+            if start[axis] == 0:
+                line = [start[:axis] + (i,) + start[axis + 1:] for i in range(side)]
+                for cell, h in zip(line, sorted((height[c] for c in line), reverse=True)):
+                    height[cell] = h
+    origin = (0,) * (n - 1)
+    height[origin] = max(height[origin], 1)
 
     def inside(e):
-        i, j = ((0,) + e[:-1])[-2:]
-        return i < len(rows) and j < side and e[-1] < heights[j][i]
+        return e[-1] < height.get(e[:-1], 0)
 
     return minimize([
         e for e in product(range(side + 1), repeat=n)

@@ -498,3 +498,24 @@ def pairwise_contained_faces(Y, sigma_id, X, k):
         if support_ok:
             result.append(fid)
     return result
+
+
+def cofaces(X, tau_id, k):
+    """Faces of dimension k having the given (k-1)-face as a facet, by a scan
+    over every k-face."""
+    if X.face(tau_id).dim != k - 1:
+        raise ValueError("coface query needs a face of dimension k-1")
+    return [fid for fid in X.faces_of_dim(k) if tau_id in X.facets(fid)]
+
+
+def ch_action(c, beta):
+    """Action of a current entry on the monomial test coefficient z^beta, in
+    units of (2 pi i)^n: the sign when beta is exactly alpha - 1, else zero."""
+    beta = tuple(beta)
+    if any(x < 0 for x in beta):
+        raise ValueError("test exponents must be nonnegative")
+    if c.sign == 0:
+        return 0
+    if beta == tuple(a - 1 for a in c.alpha):
+        return c.sign
+    return 0

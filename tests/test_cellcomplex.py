@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cellres import (
     InputError,
     PreconditionError,
-    cofaces,
     complex_from_json,
     complex_to_json,
     contained_faces,
@@ -38,6 +37,7 @@ from conftest import (
     random_staircase_ideal,
 )
 from oracles import (
+    cofaces,
     face_volume_rel,
     pairwise_contained_faces,
     pairwise_is_refinement,

@@ -293,3 +293,18 @@ def test_file_complex_for_another_ideal_exits_2(tmp_path, capsys, monkeypatch):
     job = {"n": 3, "generators": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}
     code, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], job)
     assert code == 0 and len(out["entries"]) == 1
+
+
+def test_non_string_complex_source_exits_2(capsys, monkeypatch):
+    # a number, list or boolean used to reach str.startswith and crash
+    for source in (5, ["hull"], False):
+        for sub in ("residue", "duality-check", "fundamental-cycle", "generators"):
+            code, out = invoke(
+                capsys, monkeypatch, [sub], {"ideal": EX61, "complex_source": source}
+            )
+            assert code == 2, (sub, source)
+            assert out["error"] == f"complex_source must be a string, got {source!r}"
+    code, out = invoke(
+        capsys, monkeypatch, ["residue"], {"ideal": EX61, "complex_source": None}
+    )
+    assert code == 0 and len(out["entries"]) == 4

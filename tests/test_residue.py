@@ -5,7 +5,6 @@ from cellres import (
     CHProduct,
     PreconditionError,
     annihilator_contains,
-    ch_action,
     ch_product,
     chain_maps,
     complex_from_json,
@@ -34,7 +33,7 @@ from conftest import (
     random_staircase_ideal,
 )
 from itertools import product
-from oracles import first_difference_by_box_scan
+from oracles import ch_action, first_difference_by_box_scan
 
 
 def test_complete_intersection_residue():
