@@ -63,12 +63,6 @@ class LabeledCellComplex:
     def facets(self, fid) -> tuple:
         return self.facet_ids[fid]
 
-    def barycenter(self, fid):
-        ids = self.faces[fid].vertices
-        m = len(ids)
-        coords = [self.vertex_point(v) for v in ids]
-        return tuple(sum(c, Fraction(0)) / m for c in zip(*coords))
-
     def face_points(self, fid):
         return [self.vertex_point(v) for v in self.faces[fid].vertices]
 
@@ -94,18 +88,13 @@ def derived(build):
     return memo
 
 
-def default_orientation_basis(points):
-    """Orientation basis from the first affinely independent points in order.
-
-    For the chosen points q_0 < ... < q_k this is the simplex convention
-    (q_0 - q_k, ..., q_{k-1} - q_k).
-    """
-    idx = linalg.affine_basis_indices(points)
+def _pivot_basis(points, idx):
+    """Orientation basis (q_0 - q_k, ..., q_{k-1} - q_k) of the points
+    q_0 < ... < q_k at the indices ``linalg.affine_basis_indices`` chose."""
     if len(idx) <= 1:
         return ()
-    chosen = [points[i] for i in idx]
-    last = chosen[-1]
-    return tuple(linalg.vec_sub(p, last) for p in chosen[:-1])
+    last = points[idx[-1]]
+    return tuple(linalg.vec_sub(points[i], last) for i in idx[:-1])
 
 
 def _validate_basis(basis, dirs, dim, fid):
@@ -181,7 +170,9 @@ def make_complex(
     facets are its listed faces of one dimension less: all of them for a
     simplex, where each is the simplex minus one vertex, and otherwise those
     passing ``_geometric_facets``; they must cover the boundary.  With
-    ``simplicial`` every face must be a non-degenerate simplex.
+    ``simplicial`` every face must be a non-degenerate simplex.  One
+    elimination per face gives its dimension and its default orientation
+    basis; only the bases in ``bases`` are validated.
     """
     bases = dict(bases or {})
     ids = sorted(vertex_points)
@@ -212,16 +203,17 @@ def make_complex(
     faces[EMPTY] = Face(EMPTY, -1, zero_label, ())
     for fid in sorted(face_ids):
         pts = [points[v] for v in fid]
-        dim = linalg.affine_dim(pts)
+        idx = linalg.affine_basis_indices(pts)
+        dim = len(idx) - 1
         if simplicial and dim != len(fid) - 1:
             raise InputError(f"face {fid}: degenerate simplex realization")
         label = lcm_many([tuple(vertex_labels[v]) for v in fid])
         basis = bases.get(fid)
         if basis is None:
-            basis = default_orientation_basis(pts)
+            basis = _pivot_basis(pts, idx)
         else:
             basis = tuple(linalg.vec(b) for b in basis)
-        _validate_basis(basis, _face_dirs(pts), dim, fid)
+            _validate_basis(basis, _face_dirs(pts), dim, fid)
         faces[fid] = Face(fid, dim, label, basis)
 
     # closure under vertex-set intersections (faces of a complex intersect
@@ -237,17 +229,17 @@ def make_complex(
                 )
 
     facet_ids = {EMPTY: ()}
-    by_dim = {}
-    for fid, f in faces.items():
-        by_dim.setdefault(f.dim, []).append(fid)
     for fid in sorted(face_ids):
         f = faces[fid]
         if f.dim == 0:
             facet_ids[fid] = (EMPTY,)
             continue
-        members = set(fid)
-        found = [t for t in by_dim.get(f.dim - 1, []) if set(t) < members]
-        if len(fid) > f.dim + 1:
+        if len(fid) == f.dim + 1:
+            drops = (fid[:i] + fid[i + 1:] for i in range(len(fid)))
+            found = [sub for sub in drops if sub in faces]
+        else:
+            members = set(fid)
+            found = [t for t, g in faces.items() if g.dim == f.dim - 1 and set(t) < members]
             found = _geometric_facets(points, fid, found)
         if len(found) < f.dim + 1:
             raise InputError(f"face {fid}: boundary is not covered by listed faces")
@@ -270,9 +262,12 @@ def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
     if sigma.dim == 0:
         X._signs[key] = 1
         return 1
-    # The inward direction need not be projected off tau's span: adding a
-    # combination of tau's basis to it leaves the determinant unchanged.
-    eta = linalg.vec_sub(X.barycenter(sigma_id), X.barycenter(tau_id))
+    # The inward direction is from tau's first vertex to the first vertex of
+    # sigma outside tau, which lies strictly on sigma's side of tau.  It
+    # need not be projected off tau's span: adding a combination of tau's
+    # basis to it leaves the determinant unchanged.
+    outside = next(v for v in sigma.vertices if v not in tau_id)
+    eta = linalg.vec_sub(X.vertex_point(outside), X.vertex_point(tau_id[0]))
     columns = (eta,) + X.face(tau_id).basis
     sign = linalg.det_sign([[linalg.dot(b, c) for c in columns] for b in sigma.basis])
     if sign == 0:
@@ -347,7 +342,7 @@ def _triangulate(X: LabeledCellComplex, fid):
 def _check_simplex_complex(Y: LabeledCellComplex):
     ids = sorted(Y.vertices)
     m = len(ids)
-    if linalg.affine_dim([Y.vertex_point(v) for v in ids]) != m - 1:
+    if len(linalg.affine_basis_indices([Y.vertex_point(v) for v in ids])) != m:
         raise PreconditionError("reference complex vertices are affinely dependent")
     expected = 2 ** m
     if len(Y.faces) != expected or tuple(ids) not in Y.faces:
@@ -487,13 +482,14 @@ def reference_simplex_face(X: LabeledCellComplex, b) -> Face:
     """Top face of the corner simplex, oriented by ascending variable order."""
     corners = _corner_vertex_ids(X, b)
     pts = [X.vertex_point(corners[i]) for i in range(X.n)]
-    if linalg.affine_dim(pts) != X.n - 1:
+    idx = linalg.affine_basis_indices(pts)
+    if len(idx) != X.n:
         raise PreconditionError("corner points are affinely dependent")
     return Face(
         tuple(corners[i] for i in range(X.n)),
         X.n - 1,
         tuple(b),
-        default_orientation_basis(pts),
+        _pivot_basis(pts, idx),
     )
 
 

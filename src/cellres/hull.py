@@ -26,9 +26,10 @@ from .cellcomplex import (
 from .errors import CellresError, InputError, PreconditionError
 from .monomial import (
     MonomialIdeal,
+    divides,
     is_artinian,
     is_int,
-    lcm_many,
+    lcm,
     pure_power_exponents,
 )
 
@@ -70,42 +71,43 @@ def _facet_supports(points):
     """Point-index sets of the facets of conv(points) + R_+^n, each mapped
     to the union of the supports of its inner normals, as a bit mask.
 
-    Every inner normal w of the polyhedron is >= 0.  A facet whose normal
-    is supported on k coordinates C contains the directions e_i (i not in
-    C) and k points whose projections to C are affinely independent, so w
-    restricted to C is the cross product of their k-1 projected
-    differences.  Candidates that support a lower-dimensional face are
-    kept too: their normals lie in that face's normal cone, which changes
-    no union of supports.
+    The points must be lifted from an Artinian ideal.  Every inner normal
+    is >= 0.  One that misses a coordinate j is e_i for some i: z_j^{b_j}
+    projects to (1,...,1) on the other coordinates, where the polyhedron
+    projects to the orthant at (1,...,1).  Facet x_i = 1 holds the
+    generators with a_i = 0.  A normal w supported on every coordinate is
+    the cross product of the differences of n points on its facet.
+    Candidates that support a lower-dimensional face are kept too: their
+    normals lie in that face's normal cone, which changes no union of
+    supports.
     """
-    npoints = len(points)
     ambient = len(points[0])
     facets = {}
-    for k in range(1, ambient + 1):
-        for coords in combinations(range(ambient), k):
-            proj = [tuple(p[i] for i in coords) for p in points]
-            for combo in combinations(range(npoints), k):
-                base = proj[combo[0]]
-                diffs = [[x - y for x, y in zip(proj[j], base)] for j in combo[1:]]
-                w = linalg.cross_product(diffs, k)
-                if w is None:
-                    continue
-                if any(x < 0 for x in w):
-                    if any(x > 0 for x in w):
-                        continue
-                    w = [-x for x in w]
-                level = sum(map(mul, w, base))
-                members = []
-                for j, q in enumerate(proj):
-                    value = sum(map(mul, w, q))
-                    if value < level:
-                        break
-                    if value == level:
-                        members.append(j)
-                else:
-                    members = frozenset(members)
-                    support = sum(1 << coords[i] for i, x in enumerate(w) if x)
-                    facets[members] = facets.get(members, 0) | support
+    for i in range(ambient):
+        members = frozenset(j for j, p in enumerate(points) if p[i] == 1)
+        facets[members] = facets.get(members, 0) | 1 << i
+    for combo in combinations(range(len(points)), ambient):
+        base = points[combo[0]]
+        diffs = [[x - y for x, y in zip(points[j], base)] for j in combo[1:]]
+        w = linalg.cross_product(diffs, ambient)
+        if w is None:
+            continue
+        if any(x < 0 for x in w):
+            if any(x > 0 for x in w):
+                continue
+            w = [-x for x in w]
+        level = sum(map(mul, w, base))
+        members = []
+        for j, q in enumerate(points):
+            value = sum(map(mul, w, q))
+            if value < level:
+                break
+            if value == level:
+                members.append(j)
+        else:
+            members = frozenset(members)
+            support = sum(1 << i for i, x in enumerate(w) if x)
+            facets[members] = facets.get(members, 0) | support
     return facets
 
 
@@ -235,11 +237,41 @@ def embed_in_simplex(H: LabeledCellComplex, b) -> LabeledCellComplex:
     return orient_tops_to(embedded, reference_simplex_face(embedded, b))
 
 
+def _scarf_faces(generators):
+    """Generator-index tuples of the subsets with a unique lcm.
+
+    The Scarf complex is closed under subsets, so a depth-first search that
+    extends a face only by an index above its last one reaches every face.
+    A face with lcm m is extended by j when, for the members S and the lcm
+    m' of S + {j}, (a) no generator outside S + {j} divides m' and (b) no
+    member divides the lcm of the others, that is, each member is the only
+    one to reach m' in some coordinate.
+    """
+    r = len(generators)
+    faces = []
+    stack = [((i,), g) for i, g in enumerate(generators)]
+    while stack:
+        face, m = stack.pop()
+        faces.append(face)
+        for j in range(face[-1] + 1, r):
+            members = face + (j,)
+            joined = lcm(m, generators[j])
+            reach = [[i for i in members if generators[i][c] == top]
+                     for c, top in enumerate(joined)]
+            owners = {at[0] for at in reach if len(at) == 1}
+            if len(owners) == len(members) and not any(
+                divides(generators[k], joined) for k in range(r) if k not in members
+            ):
+                stack.append((members, joined))
+    return faces
+
+
 def scarf_complex(M: MonomialIdeal, t=None, max_generators=22) -> LabeledCellComplex:
     """Simplicial complex of generator subsets with a unique lcm.
 
-    Realized on the embedded hull vertex coordinates, with simplex
-    orientations from the sorted vertex order.
+    M must be Artinian.  The faces come from a depth-first search (see
+    _scarf_faces) and are realized on the embedded hull vertex coordinates,
+    with simplex orientations from the sorted vertex order.
     """
     r = len(M.generators)
     if r > max_generators:
@@ -250,27 +282,6 @@ def scarf_complex(M: MonomialIdeal, t=None, max_generators=22) -> LabeledCellCom
         raise PreconditionError("the embedded realization requires an Artinian ideal")
     b = pure_power_exponents(M)
     t = _check_lift_base(M.n, t)
-
-    lcms = [None] * (1 << r)
-    counts: dict[tuple, int] = {}
-    for mask in range(1, 1 << r):
-        low = mask & -mask
-        rest = mask ^ low
-        gen = M.generators[low.bit_length() - 1]
-        lcms[mask] = gen if rest == 0 else lcm_many([lcms[rest], gen])
-        counts[lcms[mask]] = counts.get(lcms[mask], 0) + 1
-    members = [
-        tuple(i for i in range(r) if mask >> i & 1)
-        for mask in range(1, 1 << r)
-        if counts[lcms[mask]] == 1
-    ]
-    member_set = set(members)
-    for face in members:
-        for drop in range(len(face)):
-            sub = face[:drop] + face[drop + 1 :]
-            if sub and sub not in member_set:
-                raise CellresError("unique-lcm subsets are not closed under subsets")
-
     points = {
         i: _projection_to_simplex(
             tuple(Fraction(t) ** a for a in M.generators[i]), b, t
@@ -278,7 +289,8 @@ def scarf_complex(M: MonomialIdeal, t=None, max_generators=22) -> LabeledCellCom
         for i in range(r)
     }
     labels = dict(enumerate(M.generators))
-    return make_complex(M.n, points, labels, members, simplicial=True, lift_base=t)
+    return make_complex(M.n, points, labels, _scarf_faces(M.generators),
+                        simplicial=True, lift_base=t)
 
 
 def taylor_complex(M: MonomialIdeal) -> LabeledCellComplex:

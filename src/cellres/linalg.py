@@ -180,10 +180,6 @@ def affine_basis_indices(points) -> list[int]:
     return [0] + [c + 1 for c in pivots]
 
 
-def affine_dim(points) -> int:
-    return len(affine_basis_indices(points)) - 1 if points else -1
-
-
 def basis_change_det_sign(basis_from, basis_to) -> int:
     """Sign of det C where columns(basis_from) = columns(basis_to) @ C.
 

@@ -65,6 +65,9 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n generators")):
             raise InputError("a monomial ideal needs at least one generator")
         return super().__new__(cls, n, generators)
 
+    # namedtuple's _make, and _replace through it, would skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
 
 def minimize(generators) -> MonomialIdeal:
     """Build an ideal from any generating set, discarding divisible ones."""
@@ -282,6 +285,8 @@ class Rectangle2D(namedtuple("Rectangle2D", "x_lo x_hi y_lo y_hi")):
         if not (0 <= x_lo < x_hi and 0 <= y_lo < y_hi):
             raise PreconditionError("rectangle bounds must be nonnegative and ordered")
         return super().__new__(cls, x_lo, x_hi, y_lo, y_hi)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def area(self) -> int:

@@ -68,6 +68,26 @@ def random_generic_ideal_3(rng, max_extra=3):
             return M
 
 
+def random_generic_ideal(rng, n, r):
+    """Artinian generic ideal in n variables with exactly r generators.
+
+    The r - n mixed generators share one total degree S, so none divides
+    another, and have positive exponents pairwise distinct per variable;
+    the pure powers are z_i^S.
+    """
+    S = 3 * r
+    mixed = []
+    while len(mixed) < r - n:
+        head = [rng.randint(1, S // n) for _ in range(n - 1)]
+        g = tuple(head) + (S - sum(head),)
+        if all(g[i] != h[i] for h in mixed for i in range(n)):
+            mixed.append(g)
+    pure = [tuple(S if j == i else 0 for j in range(n)) for i in range(n)]
+    M = minimize(pure + mixed)
+    assert len(M.generators) == r and is_generic(M)
+    return M
+
+
 def maximal_ideal_power(n, d):
     """m^d: all monomials of degree d in n variables."""
     return minimize([e for e in product(range(d + 1), repeat=n) if sum(e) == d])
@@ -117,6 +137,13 @@ def artinian_ideals(draw, min_n=2, max_n=3, max_side=4):
             inside(e[:i] + (e[i] - 1,) + e[i + 1:]) for i in range(n) if e[i]
         )
     ])
+
+
+def artinian_ideals_2_to_4():
+    """Artinian ideals in 2 to 4 variables; in 4 variables on the base
+    [0, 2)^3, so that brute-force oracles stay short."""
+    return st.one_of(artinian_ideals(max_n=3),
+                     artinian_ideals(min_n=4, max_n=4, max_side=2))
 
 
 def embedded_hull(M):

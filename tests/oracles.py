@@ -10,7 +10,12 @@ instead of integer facet enumeration of conv(points) + R_+^n with a
 support-cover test, and for refinement and contained faces a containment
 solve per pair of a face of X and a face of the simplex, with volumes in
 the simplex face's orientation basis, instead of one set of barycentric
-coordinates per vertex.
+coordinates per vertex.  The enumerations the library retired live here
+too: the lcm of every generator subset for the Scarf faces instead of a
+depth-first search, candidate normals on every coordinate subset instead
+of the n coordinate facets in closed form, a Gram-Schmidt pass and a scan
+over the faces one dimension lower for the dimension, orientation basis
+and facets of a face, and barycenter differences for incidence signs.
 """
 
 from fractions import Fraction
@@ -345,6 +350,16 @@ def _convex_facets(points):
     return facets
 
 
+def _intersection_closure(sets):
+    """The sets and all their nonempty pairwise intersections, repeated."""
+    lattice = set(sets)
+    frontier = set(lattice)
+    while frontier:
+        frontier = {a & b for a in frontier for b in lattice} - lattice - {frozenset()}
+        lattice |= frontier
+    return lattice
+
+
 def hull_face_sets(generators, t):
     """Sorted point-index tuples of the bounded faces of conv{t^a} + R_+^n.
 
@@ -362,11 +377,7 @@ def hull_face_sets(generators, t):
         [[x - y for x, y in zip(points[i], points[basis[0]])] for i in basis[1:]],
         ambient,
     )
-    lattice = {frozenset(range(len(points)))} | set(facets)
-    frontier = set(lattice)
-    while frontier:
-        frontier = {a & b for a in frontier for b in lattice} - lattice - {frozenset()}
-        lattice |= frontier
+    lattice = _intersection_closure({frozenset(range(len(points)))} | set(facets))
     bounded = set()
     for members in lattice:
         gens = [w for fac, w in facets.items() if members <= fac] + lineality
@@ -519,3 +530,128 @@ def ch_action(c, beta):
     if beta == tuple(a - 1 for a in c.alpha):
         return c.sign
     return 0
+
+
+def subset_scan_scarf_faces(generators):
+    """Sorted index tuples of the nonempty generator subsets whose lcm no
+    other subset shares, from the lcm of all 2^r subsets."""
+    gens = [tuple(g) for g in generators]
+    by_lcm = {}
+    for size in range(1, len(gens) + 1):
+        for combo in combinations(range(len(gens)), size):
+            key = tuple(max(col) for col in zip(*(gens[i] for i in combo)))
+            by_lcm.setdefault(key, []).append(combo)
+    return {combos[0] for combos in by_lcm.values() if len(combos) == 1}
+
+
+def all_k_facet_supports(points):
+    """{point-index set: union of normal supports} of the facets of
+    conv(points) + R_+^n, from a candidate normal for every coordinate set C
+    and every |C| points, the kernel of their differences projected to C
+    (the retired scan of ``hull._facet_supports``)."""
+    npoints, ambient = len(points), len(points[0])
+    facets = {}
+    for k in range(1, ambient + 1):
+        for coords in combinations(range(ambient), k):
+            proj = [tuple(p[i] for i in coords) for p in points]
+            for combo in combinations(range(npoints), k):
+                base = proj[combo[0]]
+                diffs = [[x - y for x, y in zip(proj[j], base)] for j in combo[1:]]
+                kernel = _nullspace(diffs, k)
+                if len(kernel) != 1:
+                    continue
+                w = kernel[0]
+                if any(x < 0 for x in w):
+                    if any(x > 0 for x in w):
+                        continue
+                    w = [-x for x in w]
+                level = _dot(w, base)
+                values = [_dot(w, q) for q in proj]
+                if min(values) < level:
+                    continue
+                members = frozenset(j for j, v in enumerate(values) if v == level)
+                support = sum(1 << coords[i] for i, x in enumerate(w) if x)
+                facets[members] = facets.get(members, 0) | support
+    return facets
+
+
+def all_k_bounded_face_sets(points):
+    """Point-index sets of the bounded faces of conv(points) + R_+^n: the
+    intersections of the facets of ``all_k_facet_supports`` whose
+    containing facets' supports cover every coordinate."""
+    if len(points) == 1:
+        return {frozenset({0})}
+    facets = all_k_facet_supports(points)
+    lattice = _intersection_closure(facets)
+    everything = (1 << len(points[0])) - 1
+    bounded = set()
+    for members in lattice:
+        cover = 0
+        for fac, support in facets.items():
+            if members <= fac:
+                cover |= support
+        if cover == everything:
+            bounded.add(members)
+    return bounded
+
+
+def _is_geometric_facet(points, sigma, tau):
+    """Whether the face with vertex set tau is a facet of the face with
+    vertex set sigma: sigma lies weakly on one side of tau's affine hull,
+    inside sigma's, and touches it exactly in tau."""
+    origin = points[tau[0]]
+    tau_dirs = [[x - y for x, y in zip(points[v], origin)] for v in tau[1:]]
+    inside = [Fraction(sum(c), len(sigma)) - o
+              for c, o in zip(zip(*(points[v] for v in sigma)), origin)]
+    normal = _orthogonal_residual(inside, tau_dirs)
+    if all(x == 0 for x in normal):
+        return False
+    values = {v: _dot(normal, [x - y for x, y in zip(points[v], origin)]) for v in sigma}
+    return (all(val >= 0 for val in values.values())
+            and set(tau) == {v for v, val in values.items() if val == 0})
+
+
+def scan_face_data(points, face_ids):
+    """{face: (dim, orientation basis, facets)} by the rule ``make_complex``
+    had: the dimension and the chosen points q_0 < ... < q_k from a
+    Gram-Schmidt pass, the basis (q_0 - q_k, ..., q_{k-1} - q_k), and as
+    facets the listed faces of one dimension less inside the face, kept
+    for a face that is not a simplex when they pass the supporting-flat
+    test."""
+    dims, bases = {}, {}
+    for fid in face_ids:
+        pts = [points[v] for v in fid]
+        chosen = [pts[i] for i in affine_basis_by_gram_schmidt(pts)]
+        dims[fid] = len(chosen) - 1
+        bases[fid] = tuple(
+            tuple(Fraction(x) - y for x, y in zip(q, chosen[-1])) for q in chosen[:-1]
+        )
+    data = {}
+    for fid in face_ids:
+        dim = dims[fid]
+        found = [t for t in face_ids if dims[t] == dim - 1 and set(t) < set(fid)]
+        if dim == 0:
+            found = [()]
+        elif len(fid) > dim + 1:
+            found = [t for t in found if _is_geometric_facet(points, fid, t)]
+        data[fid] = (dim, bases[fid], tuple(sorted(found)))
+    return data
+
+
+def barycenter_sign_facet(X, tau_id, sigma_id):
+    """Incidence sign of the facet tau of sigma with the inward direction
+    from tau's barycenter to sigma's (the rule ``sign_facet`` had): the
+    sign of det of the Gram matrix of sigma's basis against (inward
+    direction, tau's basis)."""
+    sigma = X.face(sigma_id)
+    if sigma.dim == 0:
+        return 1
+
+    def barycenter(fid):
+        pts = X.face_points(fid)
+        return [Fraction(sum(c), len(pts)) for c in zip(*pts)]
+
+    eta = [x - y for x, y in zip(barycenter(sigma_id), barycenter(tau_id))]
+    columns = [eta] + list(X.face(tau_id).basis)
+    det = fraction_det([[_dot(b, c) for c in columns] for b in sigma.basis])
+    return (det > 0) - (det < 0)

@@ -30,6 +30,7 @@ from cellres.cellcomplex import _geometric_facets, _refinement_failure
 from conftest import (
     EX61_GENERATORS,
     artinian_ideals,
+    artinian_ideals_2_to_4,
     embedded_hull,
     maximal_ideal_power,
     random_complete_intersection,
@@ -37,11 +38,13 @@ from conftest import (
     random_staircase_ideal,
 )
 from oracles import (
+    barycenter_sign_facet,
     cofaces,
     face_volume_rel,
     pairwise_contained_faces,
     pairwise_is_refinement,
     point_in_simplex,
+    scan_face_data,
 )
 
 
@@ -399,11 +402,9 @@ def _assert_facets_are_geometric(X):
 def _assert_all_complexes_geometric(M):
     _assert_facets_are_geometric(hull_complex(M))
     _assert_facets_are_geometric(embedded_hull(M))
-    r = len(M.generators)
-    # the Scarf sweep visits 2^r subsets and the Taylor complex has 2^r faces
-    if r <= 15:
-        _assert_facets_are_geometric(scarf_complex(M))
-    if r <= 8:
+    _assert_facets_are_geometric(scarf_complex(M))
+    # the Taylor complex has 2^r faces
+    if len(M.generators) <= 8:
         _assert_facets_are_geometric(taylor_complex(M))
 
 
@@ -604,3 +605,55 @@ def test_barycentric_coordinates_solved_once_per_vertex(M):
             if sid:
                 contained_faces(Y, sid, X, len(sid) - 1)
         assert solve.call_count == len(X.vertices)
+
+
+def _assert_face_data_matches_scan(X, tops_may_flip=False):
+    """Dimensions, orientation bases and facets agree with the rule
+    make_complex had; tops that orient_tops_to may have flipped can carry
+    the first basis vector negated."""
+    points = {v: X.vertex_point(v) for v in X.vertices}
+    expected = scan_face_data(points, [fid for fid in X.faces if fid])
+    for fid, (dim, basis, facets) in expected.items():
+        face = X.face(fid)
+        allowed = {basis}
+        if tops_may_flip and dim == X.dim and basis:
+            allowed.add((tuple(-x for x in basis[0]),) + basis[1:])
+        assert (face.dim, X.facets(fid)) == (dim, facets), fid
+        assert face.basis in allowed, fid
+
+
+def _assert_signs_match_barycenter_rule(X):
+    for sigma, face in X.faces.items():
+        if face.dim >= 1:
+            for tau in X.facets(sigma):
+                assert sign_facet(X, tau, sigma) == barycenter_sign_facet(X, tau, sigma)
+
+
+def _assert_retired_rules_hold(M):
+    """On the hull, the embedded hull, the Scarf and (for r <= 6) the
+    Taylor complex of M, and on the embedded hull with every other face
+    reoriented."""
+    X = embedded_hull(M)
+    found = [(hull_complex(M), False), (X, True), (scarf_complex(M), False)]
+    if len(M.generators) <= 6:
+        found.append((taylor_complex(M), False))
+    for Y, tops_may_flip in found:
+        _assert_face_data_matches_scan(Y, tops_may_flip)
+        _assert_signs_match_barycenter_rule(Y)
+    _assert_signs_match_barycenter_rule(reoriented(X, set(sorted(X.faces)[::2])))
+
+
+@settings(max_examples=25)
+@given(artinian_ideals_2_to_4())
+def test_face_data_and_signs_match_retired_rules(M):
+    _assert_retired_rules_hold(M)
+
+
+def test_face_data_and_signs_match_retired_rules_on_fixed_complexes(
+        ex61_ideal, ex61_minimal_fixture):
+    loaded = complex_from_json(ex61_minimal_fixture)
+    assert (0, 1, 2, 4) in loaded.faces
+    _assert_face_data_matches_scan(loaded, tops_may_flip=True)
+    _assert_signs_match_barycenter_rule(loaded)
+    for M in (ex61_ideal, maximal_ideal_power(3, 4), maximal_ideal_power(4, 2)):
+        _assert_retired_rules_hold(M)

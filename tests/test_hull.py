@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +20,22 @@ from cellres import (
     scarf_complex,
     taylor_complex,
 )
+from cellres import hull, linalg, monomial
 from conftest import (
     artinian_ideals,
+    artinian_ideals_2_to_4,
     embedded_hull,
     maximal_ideal_power,
+    random_generic_ideal,
     random_generic_ideal_3,
     random_staircase_ideal,
 )
-from oracles import face_volume_rel, hull_face_sets
+from oracles import (
+    all_k_bounded_face_sets,
+    face_volume_rel,
+    hull_face_sets,
+    subset_scan_scarf_faces,
+)
 
 
 def test_complete_intersection_hull_is_simplex():
@@ -221,3 +230,77 @@ def test_hull_matches_oracle_on_seeded_ideals(ex61_ideal, rng):
 @given(artinian_ideals())
 def test_hull_matches_oracle_on_random_ideals(M):
     assert_hull_matches_oracle(M)
+
+
+def seeded_generic_ideals(rng):
+    return [random_generic_ideal(rng, n, r)
+            for n, r in ((2, 9), (3, 8), (3, 12), (3, 16), (4, 10))]
+
+
+def assert_scarf_matches_subset_scan(M):
+    S = scarf_complex(M)
+    assert set(S.faces) - {()} == subset_scan_scarf_faces(M.generators)
+
+
+def assert_bounded_faces_match_all_k_scan(M):
+    t = default_lift_base(M.n)
+    for base in (t, t + 1):
+        points = [tuple(base ** a for a in g) for g in M.generators]
+        assert set(hull._bounded_face_sets(points)) == all_k_bounded_face_sets(points)
+
+
+@settings(max_examples=40)
+@given(artinian_ideals_2_to_4())
+def test_scarf_and_bounded_faces_match_retired_scans(M):
+    assert_scarf_matches_subset_scan(M)
+    assert_bounded_faces_match_all_k_scan(M)
+
+
+def test_scarf_and_bounded_faces_match_retired_scans_on_generic_ideals(rng):
+    for M in seeded_generic_ideals(rng):
+        assert_scarf_matches_subset_scan(M)
+        assert_bounded_faces_match_all_k_scan(M)
+
+
+def test_scarf_search_matches_subset_scan_on_maximal_ideal_powers():
+    for n, d in ((2, 4), (3, 2), (3, 3), (4, 2)):
+        assert_scarf_matches_subset_scan(maximal_ideal_power(n, d))
+
+
+def counting(monkeypatch, targets):
+    """Wrap each (module, name) so that its calls are counted; returns the
+    list holding the count."""
+    count = [0]
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def wrapper(*args, _original=original):
+            count[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return count
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (3, 4), (4, 2)])
+def test_facet_supports_makes_one_cross_product_per_n_subset(monkeypatch, n, d):
+    M = maximal_ideal_power(n, d)
+    points = [tuple(default_lift_base(n) ** a for a in g) for g in M.generators]
+    calls = counting(monkeypatch, [(linalg, "cross_product")])
+    hull._facet_supports(points)
+    assert calls[0] == comb(len(points), n)
+
+
+def test_scarf_search_is_output_sensitive(monkeypatch, rng):
+    """On 16 generic generators in 3 variables the search makes at most
+    r^2 lcm and divisibility tests per face, far below the 2^16 lcms of a
+    scan over all subsets."""
+    M = random_generic_ideal(rng, 3, 16)
+    r = len(M.generators)
+    calls = counting(monkeypatch, [(hull, "lcm"), (hull, "divides"),
+                                   (monomial, "lcm"), (monomial, "divides")])
+    S = scarf_complex(M)
+    faces = len(S.faces) - 1
+    assert calls[0] <= faces * r * r
+    assert calls[0] < 2 ** r // 8
+    assert set(S.faces) - {()} == subset_scan_scarf_faces(M.generators)

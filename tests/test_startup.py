@@ -165,3 +165,17 @@ def test_record_validation_messages():
             Rectangle2D(*bounds)
     assert Rectangle2D(0, 2, 1, 3).area == 4
     assert Rectangle2D(0, 2, 1, 3).contains(1, 1)
+
+
+def test_replace_goes_through_the_constructor():
+    with pytest.raises(InputError, match="ambient dimension must be >= 1"):
+        MonomialIdeal(1, ((2,),))._replace(n=0)
+    replaced = MonomialIdeal(1, ((2,),))._replace(generators=((3,),))
+    assert replaced == MonomialIdeal(1, ((3,),))
+
+
+def test_make_goes_through_the_constructor():
+    with pytest.raises(PreconditionError, match="rectangle bounds must be nonnegative"):
+        Rectangle2D._make((3, 1, 0, 1))
+    assert Rectangle2D._make((0, 2, 1, 3)) == Rectangle2D(0, 2, 1, 3)
+    assert Rectangle2D(0, 2, 1, 3)._replace(x_hi=4).area == 8
