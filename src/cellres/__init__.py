@@ -22,7 +22,7 @@ _EXPORTS = {
     "cellcomplex": (
         "Face", "LabeledCellComplex", "complex_from_json", "complex_to_json",
         "contained_faces", "is_refinement", "make_complex", "reoriented",
-        "sign_facet", "sign_same_span", "subcomplex_leq",
+        "sign_facet", "sign_same_span",
     ),
     "hull": (
         "corner_simplex_complex", "default_lift_base", "delta_complex",

@@ -35,13 +35,12 @@ class LabeledCellComplex:
     built from the complex by ``derived`` functions.
     """
 
-    def __init__(self, n, vertices, faces, facet_ids, lift_base=None, signs=None):
+    def __init__(self, n, vertices, faces, facet_ids, lift_base=None):
         self.n = n
         self.vertices = vertices
         self.faces = faces
         self.facet_ids = facet_ids
         self.lift_base = lift_base
-        self._signs = {} if signs is None else signs
         self._derived = {}
 
     @property
@@ -252,15 +251,10 @@ def make_complex(
 def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
     """Incidence sign of a facet: orientation of (inward normal, facet basis)
     against the face's orientation."""
-    key = (tau_id, sigma_id)
-    cached = X._signs.get(key)
-    if cached is not None:
-        return cached
     sigma = X.face(sigma_id)
     if tau_id not in X.facets(sigma_id):
         raise PreconditionError(f"{tau_id} is not a facet of {sigma_id}")
     if sigma.dim == 0:
-        X._signs[key] = 1
         return 1
     # The inward direction is from tau's first vertex to the first vertex of
     # sigma outside tau, which lies strictly on sigma's side of tau.  It
@@ -272,7 +266,6 @@ def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
     sign = linalg.det_sign([[linalg.dot(b, c) for c in columns] for b in sigma.basis])
     if sign == 0:
         raise PreconditionError(f"degenerate orientation data for {tau_id} in {sigma_id}")
-    X._signs[key] = sign
     return sign
 
 
@@ -288,18 +281,6 @@ def sign_same_span(face_a: Face, face_b: Face) -> int:
     if sign == 0:
         raise PreconditionError("degenerate orientation basis")
     return sign
-
-
-def subcomplex_leq(X: LabeledCellComplex, beta) -> LabeledCellComplex:
-    """Subcomplex of faces whose label divides z^beta."""
-    beta = tuple(beta)
-    keep = {fid for fid, f in X.faces.items() if divides(f.label, beta)}
-    faces = {fid: X.faces[fid] for fid in keep}
-    facet_ids = {fid: X.facet_ids[fid] for fid in keep}
-    vertices = {fid[0]: X.vertices[fid[0]] for fid in keep if len(fid) == 1}
-    sub = LabeledCellComplex(X.n, vertices, faces, facet_ids, lift_base=X.lift_base,
-                             signs=X._signs)
-    return sub
 
 
 def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
@@ -607,6 +588,8 @@ def complex_from_json(obj) -> LabeledCellComplex:
             stated = _json_ints(entry["label"], f"face {fid}: label")
             if stated != X.face(fid).label:
                 raise InputError(f"face {fid}: stated label disagrees with the vertex lcm")
+        if "dim" in entry and not is_int(entry["dim"]):
+            raise InputError(f"face {fid}: dim must be an integer, got {entry['dim']!r}")
         if "dim" in entry and entry["dim"] != X.face(fid).dim:
             raise InputError(f"face {fid}: stated dimension disagrees with the geometry")
     return _orient_tops_by_pure_powers(X)

@@ -45,7 +45,7 @@ SUBCOMMANDS = (
 )
 
 _JOB_KEYS = {"ideal", "complex_source", "options"}
-_OPTION_KEYS = {"t", "box", "permutations", "seed"}
+_OPTION_KEYS = {"t", "box", "permutations"}
 
 
 def _json_ready(value):
@@ -88,9 +88,8 @@ def _check_exponents(name, vector, n):
 
 
 def _check_options(options, n):
-    for key in ("t", "seed"):
-        if key in options and not is_int(options[key]):
-            raise InputError(f"option {key} must be an integer")
+    if "t" in options and not is_int(options["t"]):
+        raise InputError("option t must be an integer")
     if "box" in options:
         _check_exponents("option box", options["box"], n)
     perms = options.get("permutations", [])
@@ -362,11 +361,6 @@ def _build_parser():
         help="complex source: hull, scarf, taylor, or file:<path> (default hull)",
     )
     parser.add_argument("--t", type=int, default=None, help="override the lift base")
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for randomized cross-checks (reserved; the shipped "
-        "subcommands are deterministic)",
-    )
     parser.add_argument("--beta", help="exponent vector for annihilator queries")
     parser.add_argument("--box", help="box override for the duality check")
     parser.add_argument("--order", choices=("P", "Q"), help="partition order")

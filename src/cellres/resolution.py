@@ -9,9 +9,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import linalg
-from .cellcomplex import LabeledCellComplex, derived, sign_facet, subcomplex_leq
+from .cellcomplex import LabeledCellComplex, derived, sign_facet
 from .errors import CellresError, PreconditionError
-from .monomial import MonomialIdeal, lcm_lattice, minimize
+from .monomial import MonomialIdeal, divides, lcm_lattice, minimize
 
 
 class SignedMonomial(namedtuple("SignedMonomial", "sign exp")):
@@ -111,53 +111,46 @@ def cellular_complex(X: LabeledCellComplex) -> FreeComplex:
     return FreeComplex(n, levels, labels, matrices)
 
 
-def reduced_homology_ranks(X_sub: LabeledCellComplex) -> list[int]:
-    """Ranks of reduced rational homology in degrees -1 .. dim.
+def reduced_homology_ranks(F: FreeComplex, beta) -> list[int]:
+    """Ranks of reduced rational homology of X_{<=beta} in degrees -1 .. top.
 
-    Uses the augmented chain complex (the empty face included) with
-    fraction-free integer rank computations.
+    X_{<=beta} is the subcomplex of the faces whose label divides z^beta.
+    Its augmented chain complex (the empty face included) is F with the
+    basis elements of those faces kept and the incidence signs of F's
+    matrices between them; the ranks come from fraction-free elimination.
     """
-    top = X_sub.dim
-    if top < 0:
-        raise PreconditionError("homology of the complex with no nonempty faces")
-    levels = {k: X_sub.faces_of_dim(k) for k in range(-1, top + 1)}
-    boundary_rank = {}
+    top = F.top
+    keep = {
+        k: [i for i, fid in enumerate(F.basis(k)) if divides(F.labels[fid], beta)]
+        for k in range(-1, top + 1)
+    }
+    boundary_rank = {-1: 0, top + 1: 0}
     for k in range(0, top + 1):
-        rows = levels[k - 1]
-        cols = levels[k]
-        row_index = {fid: i for i, fid in enumerate(rows)}
-        matrix = [[0] * len(cols) for _ in rows]
-        for j, sigma in enumerate(cols):
-            for tau in X_sub.facets(sigma):
-                matrix[row_index[tau]][j] = sign_facet(X_sub, tau, sigma)
-        boundary_rank[k] = linalg.rank(matrix)
-    boundary_rank[top + 1] = 0
-    boundary_rank[-1] = 0
+        matrix = F.matrix(k)
+        boundary_rank[k] = linalg.rank(
+            [[matrix[i][j].sign for j in keep[k]] for i in keep[k - 1]]
+        )
     return [
-        len(levels[k]) - boundary_rank[k] - boundary_rank[k + 1]
+        len(keep[k]) - boundary_rank[k] - boundary_rank[k + 1]
         for k in range(-1, top + 1)
     ]
 
 
 @derived
 def exactness_witness(X: LabeledCellComplex, M: MonomialIdeal):
-    """First degree in the lcm lattice where the free complex of X fails to
-    be acyclic, or None; the free complex is built, with its d^2 = 0 check.
+    """First degree in the lcm lattice where the free complex F of X fails to
+    be acyclic, or None; F is built, with its d^2 = 0 check, and scanned.
 
-    The scan over the lattice joins (plus zero) is sufficient because the
-    subcomplex of faces dividing a degree only changes at joins.
+    F is exact when every X_{<=beta} is acyclic (Bayer-Sturmfels), and the
+    scan over the lattice joins is sufficient because the subcomplex of
+    faces dividing a degree only changes at joins.
     """
-    cellular_complex(X)
+    F = cellular_complex(X)
     vertex_ideal = minimize([X.vertex_label(v) for v in X.vertices])
     if vertex_ideal.generators != M.generators:
         raise PreconditionError("vertex labels do not generate the given ideal")
-    degrees = sorted(lcm_lattice(M) | {(0,) * M.n})
-    for beta in degrees:
-        sub = subcomplex_leq(X, beta)
-        if sub.dim < 0:
-            continue
-        ranks = reduced_homology_ranks(sub)
-        if any(ranks):
+    for beta in sorted(lcm_lattice(M)):
+        if any(reduced_homology_ranks(F, beta)):
             return beta
     return None
 

@@ -150,6 +150,16 @@ def embedded_hull(M):
     return embed_in_simplex(hull_complex(M), pure_power_exponents(M))
 
 
+def without_face(X, fid):
+    """X with the face fid left out, reloaded from its JSON form as a file
+    complex is."""
+    from cellres import complex_from_json, complex_to_json
+
+    obj = complex_to_json(X)
+    obj["faces"] = [f for f in obj["faces"] if tuple(f["vertices"]) != fid]
+    return complex_from_json(obj)
+
+
 @pytest.fixture(scope="session")
 def ex61_ideal():
     return minimize(EX61_GENERATORS)

@@ -15,7 +15,10 @@ too: the lcm of every generator subset for the Scarf faces instead of a
 depth-first search, candidate normals on every coordinate subset instead
 of the n coordinate facets in closed form, a Gram-Schmidt pass and a scan
 over the faces one dimension lower for the dimension, orientation basis
-and facets of a face, and barycenter differences for incidence signs.
+and facets of a face, barycenter differences for incidence signs, and for
+exactness a subcomplex rebuilt at every lcm-lattice degree with its own
+boundary matrices instead of the free complex's signs restricted to the
+faces under the degree.
 """
 
 from fractions import Fraction
@@ -655,3 +658,45 @@ def barycenter_sign_facet(X, tau_id, sigma_id):
     columns = [eta] + list(X.face(tau_id).basis)
     det = fraction_det([[_dot(b, c) for c in columns] for b in sigma.basis])
     return (det > 0) - (det < 0)
+
+
+def subcomplex_leq(X, beta):
+    """Subcomplex of the faces whose label divides z^beta, rebuilt as a
+    complex of X's own type (the retired ``cellcomplex.subcomplex_leq``)."""
+    keep = {fid for fid, f in X.faces.items()
+            if all(x <= y for x, y in zip(f.label, beta))}
+    return type(X)(
+        X.n,
+        {fid[0]: X.vertices[fid[0]] for fid in keep if len(fid) == 1},
+        {fid: X.faces[fid] for fid in keep},
+        {fid: X.facet_ids[fid] for fid in keep},
+        lift_base=X.lift_base,
+    )
+
+
+def subcomplex_homology_ranks(S):
+    """Ranks of reduced rational homology of a complex in degrees -1 .. dim,
+    from boundary matrices built for it with barycenter incidence signs."""
+    top = max(f.dim for f in S.faces.values())
+    levels = {k: sorted(fid for fid, f in S.faces.items() if f.dim == k)
+              for k in range(-1, top + 1)}
+    ranks = {-1: 0, top + 1: 0}
+    for k in range(0, top + 1):
+        ranks[k] = fraction_rank([
+            [barycenter_sign_facet(S, tau, sigma) if tau in S.facet_ids[sigma] else 0
+             for sigma in levels[k]]
+            for tau in levels[k - 1]
+        ])
+    return [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)]
+
+
+def subcomplex_exactness_witness(X, generators):
+    """First degree among zero and the joins of the generators, in sorted
+    order, whose rebuilt subcomplex has a vertex and nonzero reduced
+    homology, or None (the scan ``exactness_witness`` had)."""
+    n = len(generators[0])
+    for beta in sorted(subset_lcm_lattice(generators) | {(0,) * n}):
+        S = subcomplex_leq(X, beta)
+        if len(S.faces) > 1 and any(subcomplex_homology_ranks(S)):
+            return beta
+    return None

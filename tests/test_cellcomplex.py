@@ -23,7 +23,6 @@ from cellres import (
     scarf_complex,
     sign_facet,
     sign_same_span,
-    subcomplex_leq,
     taylor_complex,
 )
 from cellres.cellcomplex import _geometric_facets, _refinement_failure
@@ -36,6 +35,7 @@ from conftest import (
     random_complete_intersection,
     random_generic_ideal_3,
     random_staircase_ideal,
+    without_face,
 )
 from oracles import (
     barycenter_sign_facet,
@@ -45,6 +45,7 @@ from oracles import (
     pairwise_is_refinement,
     point_in_simplex,
     scan_face_data,
+    subcomplex_leq,
 )
 
 
@@ -365,6 +366,8 @@ def test_json_loader_rejects_garbage(ex61_embedded):
         lambda o: o["faces"][-1].update(orientation_basis=5),
         lambda o: o["faces"][-1].update(orientation_basis=[[0.5, 1, 1], [1, 1, 1]]),
         lambda o: o["faces"][-1].update(orientation_basis=[[1, 1], [1, 0]]),
+        lambda o: o["faces"][0].update(dim=True),
+        lambda o: o["faces"][0].update(dim=1.0),
     ):
         obj = complex_to_json(ex61_embedded)
         corrupt(obj)
@@ -467,12 +470,6 @@ def _moved(X, vid, target):
     return complex_from_json(obj)
 
 
-def _without_top_face(X, fid):
-    obj = complex_to_json(X)
-    obj["faces"] = [f for f in obj["faces"] if tuple(f["vertices"]) != fid]
-    return complex_from_json(obj)
-
-
 def test_refinement_witness_names_the_failure(ex61_embedded):
     X = ex61_embedded
     Y = _delta(X)
@@ -489,7 +486,7 @@ def test_refinement_witness_names_the_failure(ex61_embedded):
         PreconditionError,
         match=r"corner simplex: face \(0, 1, 2\) is covered with volume 3/4$",
     ):
-        residue_current(_without_top_face(X, (0, 1, 2)), (2, 2, 2))
+        residue_current(without_face(X, (0, 1, 2)), (2, 2, 2))
     with pytest.raises(
         PreconditionError,
         match=r"corner simplex: face \(0, 1, 2\) is covered with volume 0$",
@@ -526,7 +523,7 @@ def _perturbations(X, Y):
         for var in range(X.n):
             yield _bumped(X, v, var)
     for fid in X.faces_of_dim(X.dim):
-        yield _without_top_face(X, fid)
+        yield without_face(X, fid)
     corners = [Y.vertex_point(y) for y in sorted(Y.vertices)]
     for v in sorted(X.vertices):
         p = X.vertex_point(v)

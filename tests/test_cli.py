@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cellres.cli import run
 from oracles import multiplicity_by_inclusion_exclusion
 
@@ -214,6 +216,14 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
         {"ideal": STAIRCASE, "options": {"tt": 1}},
     )
     assert code == 2 and "unknown option keys" in out["error"]
+    code, out = invoke(
+        capsys, monkeypatch, ["residue"],
+        {"ideal": STAIRCASE, "options": {"seed": 1}},
+    )
+    assert code == 2 and "unknown option keys: ['seed']" in out["error"]
+    with pytest.raises(SystemExit) as exc:
+        run(["residue", "--seed", "1"])
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
     for options, message in (
         ({"t": "x"}, "option t must be an integer"),
         ({"t": 30.0}, "option t must be an integer"),

@@ -3,8 +3,9 @@
 The free complex, the refined corner simplex, the exactness verdict, the
 chain maps, the current and the multiplicity are stored on the complex X
 (``cellcomplex.derived``).  These tests count the builds one command makes,
-and check that a new complex gets its own objects and that a caller's
-changed copy leaves the stored ones alone.
+and the incidence signs, which only the free complex computes, and check
+that a new complex gets its own objects and that a caller's changed copy
+leaves the stored ones alone.
 """
 
 import importlib
@@ -27,12 +28,12 @@ from cellres import (
     reoriented,
     residue_current,
     scarf_complex,
-    subcomplex_leq,
     verify_chain_maps,
 )
 from cellres.cli import run
 from cellres.residue import ResidueCurrent
 from conftest import EX61_GENERATORS, embedded_hull
+from oracles import subcomplex_leq
 
 EX61 = {"n": 3, "generators": [list(g) for g in EX61_GENERATORS]}
 M2_IN_4 = {
@@ -42,6 +43,7 @@ M2_IN_4 = {
 
 COUNTED = (
     "resolution.poly_matrix_is_zero",  # one call per d^2 = 0 level of a built F
+    "cellcomplex.sign_facet",  # one call per facet incidence of a built F
     "hull.corner_simplex_complex",
     "cellcomplex._refinement_failure",
     "monomial.lcm_lattice",  # one call per exactness scan
@@ -52,7 +54,11 @@ COUNTED = (
 def _counting(monkeypatch):
     """Count calls of the COUNTED functions in every module that binds them."""
     counts = dict.fromkeys(COUNTED, 0)
-    modules = [m for name, m in sys.modules.items() if name.startswith("cellres")]
+    # a layer first imported while the patches are in place would keep a
+    # counting wrapper after they are undone, and the next test would miss it
+    for layer in ("hull", "resolution", "residue", "cycle"):
+        importlib.import_module(f"cellres.{layer}")
+    modules =[m for name, m in sys.modules.items() if name.startswith("cellres")]
     for name in COUNTED:
         layer, attr = name.split(".")
         original = getattr(importlib.import_module(f"cellres.{layer}"), attr)
@@ -73,12 +79,17 @@ def _run(monkeypatch, args, job):
     return run(args)
 
 
-@pytest.mark.parametrize("job, dim", [(EX61, 2), (M2_IN_4, 3)], ids=["n3", "n4"])
-def test_fundamental_cycle_builds_each_object_once(monkeypatch, job, dim):
+@pytest.mark.parametrize(
+    "job, dim, incidences", [(EX61, 2, 36), (M2_IN_4, 3, 142)], ids=["n3", "n4"]
+)
+def test_fundamental_cycle_builds_each_object_once(monkeypatch, job, dim, incidences):
+    X = embedded_hull(minimize([tuple(g) for g in job["generators"]]))
+    assert sum(len(X.facets(fid)) for fid in X.faces) == incidences
     counts = _counting(monkeypatch)
     assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
     assert counts == {
         "resolution.poly_matrix_is_zero": dim,  # F of X, levels 1..dim
+        "cellcomplex.sign_facet": incidences,  # the exactness scan reads F's signs
         "hull.corner_simplex_complex": 1,
         "cellcomplex._refinement_failure": 1,
         "monomial.lcm_lattice": 1,
@@ -91,6 +102,7 @@ def test_compare_builds_each_object_once(monkeypatch):
     assert _run(monkeypatch, ["compare"], EX61) == 0
     assert counts == {
         "resolution.poly_matrix_is_zero": 2 + 2,  # F of X and F of Y
+        "cellcomplex.sign_facet": 36 + 12,  # incidences of X and of the simplex Y
         "hull.corner_simplex_complex": 1,
         "cellcomplex._refinement_failure": 1,
         "monomial.lcm_lattice": 0,
@@ -121,7 +133,7 @@ def test_reoriented_complex_has_its_own_free_complex():
 def test_subcomplex_has_its_own_free_complex():
     X = embedded_hull(minimize(EX61_GENERATORS))
     F = cellular_complex(X)
-    sub = subcomplex_leq(X, (1, 1, 1))
+    sub = subcomplex_leq(X, (1, 1, 1))  # the rebuilt subcomplex of the oracles
     F_sub = cellular_complex(sub)
     assert F_sub is not F
     assert len(F_sub.basis(0)) == 3 < len(F.basis(0)) == 6

@@ -1,12 +1,11 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellres import (
     CellresError,
     cellular_complex,
-    complex_from_json,
-    complex_to_json,
     delta_complex,
     exactness_witness,
     is_exact,
@@ -18,12 +17,24 @@ from cellres import (
     reduced_homology_ranks,
     reoriented,
     scarf_complex,
+    sign_facet,
     staircase_corners_2d,
     taylor_complex,
 )
 from cellres.resolution import SignedMonomial, zero_entry
-from conftest import embedded_hull, random_staircase_ideal
-from oracles import graded_strand_inexact_degree, smith_diagonal
+from conftest import (
+    artinian_ideals_2_to_4,
+    embedded_hull,
+    random_staircase_ideal,
+    without_face,
+)
+from oracles import (
+    graded_strand_inexact_degree,
+    smith_diagonal,
+    subcomplex_exactness_witness,
+    subcomplex_homology_ranks,
+    subcomplex_leq,
+)
 
 
 def koszul_matrices(b):
@@ -109,23 +120,13 @@ def test_is_exact_taylor_and_hull(ex61_ideal, ex61_embedded):
     assert is_exact(ex61_embedded, ex61_ideal)
 
 
-def _without_inner_triangle(ex61_embedded):
-    obj = complex_to_json(ex61_embedded)
-    faces = [
-        {"vertices": f["vertices"]}
-        for f in obj["faces"]
-        if f["vertices"] != [1, 2, 4]
-    ]
-    return complex_from_json({"vertices": obj["vertices"], "faces": faces})
-
-
 def test_face_deleted_ex61_is_inexact(ex61_ideal, ex61_embedded):
-    X = _without_inner_triangle(ex61_embedded)
+    X = without_face(ex61_embedded, (1, 2, 4))
     assert exactness_witness(X, ex61_ideal) == (1, 1, 1)
-    # the offending subcomplex is a hollow triangle; rank via a Smith-form
-    # oracle on its edge boundary
-    from cellres import subcomplex_leq, sign_facet
-
+    # the offending subcomplex is a hollow triangle: one 1-cycle survives
+    assert reduced_homology_ranks(cellular_complex(X), (1, 1, 1)) == [0, 0, 1, 0]
+    # the same rank via a Smith-form oracle on the edge boundary of the
+    # subcomplex rebuilt on its own
     sub = subcomplex_leq(X, (1, 1, 1))
     edges = sub.faces_of_dim(1)
     verts = sub.faces_of_dim(0)
@@ -144,15 +145,30 @@ def test_face_deleted_ex61_is_inexact(ex61_ideal, ex61_embedded):
 
 def test_homology_rank_examples(ex61_ideal):
     T = taylor_complex(minimize([(2, 0), (1, 1), (0, 2)]))
-    assert reduced_homology_ranks(T) == [0, 0, 0, 0]
+    assert reduced_homology_ranks(cellular_complex(T), (2, 2)) == [0, 0, 0, 0]
 
     points = {0: (0, 0), 1: (1, 0), 2: (0, 1)}
     labels = {i: (1, 1) for i in range(3)}
-    hollow = make_complex(2, points, labels, [(0, 1), (0, 2), (1, 2)])
-    assert reduced_homology_ranks(hollow) == [0, 0, 1]
+    hollow = cellular_complex(make_complex(2, points, labels, [(0, 1), (0, 2), (1, 2)]))
+    assert reduced_homology_ranks(hollow, (1, 1)) == [0, 0, 1]
+    # under beta = 0 only the empty face is left: reduced H_{-1} is Q
+    assert reduced_homology_ranks(hollow, (0, 0)) == [1, 0, 0]
 
-    two_points = make_complex(1, {0: (0,), 1: (1,)}, {0: (1,), 1: (2,)}, [])
-    assert reduced_homology_ranks(two_points) == [0, 1]
+    two_points = cellular_complex(
+        make_complex(1, {0: (0,), 1: (1,)}, {0: (1,), 1: (2,)}, [])
+    )
+    assert reduced_homology_ranks(two_points, (2,)) == [0, 1]
+    assert reduced_homology_ranks(two_points, (1,)) == [0, 0]
+
+
+def test_homology_ranks_match_rebuilt_subcomplexes(ex61_ideal, ex61_embedded):
+    for X in (ex61_embedded, without_face(ex61_embedded, (1, 2, 4)),
+              taylor_complex(ex61_ideal)):
+        F = cellular_complex(X)
+        for beta in product(range(3), repeat=3):
+            ranks = reduced_homology_ranks(F, beta)
+            rebuilt = subcomplex_homology_ranks(subcomplex_leq(X, beta))
+            assert ranks == rebuilt + [0] * (len(ranks) - len(rebuilt)), beta
 
 
 def test_minimality(ex61_ideal, ex61_embedded, rng):
@@ -169,20 +185,48 @@ def test_minimality(ex61_ideal, ex61_embedded, rng):
     assert is_minimal(cellular_complex(K))
 
 
+def _assert_witnesses_agree(X, M):
+    """The library scan, the rebuilt-subcomplex scan and the graded strands
+    over the whole box name the same first inexact degree, or all None."""
+    witness = exactness_witness(X, M)
+    assert witness == subcomplex_exactness_witness(X, M.generators)
+    F = cellular_complex(X)
+    assert witness == graded_strand_inexact_degree(F, pure_power_exponents(M))
+    return witness
+
+
 def test_exactness_agrees_with_graded_strand_oracle(ex61_ideal, ex61_embedded, rng):
-    cases = [
-        (ex61_ideal, ex61_embedded),
-        (ex61_ideal, _without_inner_triangle(ex61_embedded)),
-    ]
+    # Example 6.1: hull, Taylor and Scarf (not a resolution: the ideal is not
+    # generic), and the hull with each of its triangles left out
+    X = ex61_embedded
+    complexes = [X, taylor_complex(ex61_ideal), scarf_complex(ex61_ideal)]
+    complexes += [without_face(X, fid) for fid in X.faces_of_dim(2)]
+    witnesses = [_assert_witnesses_agree(Z, ex61_ideal) for Z in complexes]
+    assert witnesses[:2] == [None, None] and None not in witnesses[2:]
+    assert witnesses[3 + X.faces_of_dim(2).index((1, 2, 4))] == (1, 1, 1)
     for _ in range(3):
         M = random_staircase_ideal(rng, max_corners=4, max_step=2)
-        cases.append((M, embedded_hull(M)))
-    for M, X in cases:
-        F = cellular_complex(X)
-        box = pure_power_exponents(M)
-        lattice_witness = exactness_witness(X, M)
-        strand_witness = graded_strand_inexact_degree(F, box)
-        assert (lattice_witness is None) == (strand_witness is None)
+        assert _assert_witnesses_agree(embedded_hull(M), M) is None
+
+
+def _exactness_cases(M, data):
+    """Hull, Scarf (inexact when M is not generic), Taylor for few
+    generators, and a file complex with one top face of the hull left out."""
+    X = embedded_hull(M)
+    yield X
+    if len(M.generators) <= 12:
+        yield scarf_complex(M)
+    if len(M.generators) <= 6:
+        yield taylor_complex(M)
+    if X.dim >= 1:
+        yield without_face(X, data.draw(st.sampled_from(X.faces_of_dim(X.dim))))
+
+
+@settings(max_examples=25)
+@given(artinian_ideals_2_to_4(), st.data())
+def test_exactness_witness_matches_rebuilt_subcomplex_oracle(M, data):
+    for X in _exactness_cases(M, data):
+        _assert_witnesses_agree(X, M)
 
 
 def test_exactness_invariant_under_reorientation(ex61_ideal, ex61_embedded, rng):
