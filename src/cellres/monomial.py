@@ -128,14 +128,19 @@ def pure_power_exponents(M: MonomialIdeal) -> ExponentVector:
     return tuple(powers)
 
 
-def lcm_lattice(M: MonomialIdeal) -> frozenset[ExponentVector]:
-    """All joins of nonempty generator subsets, by closure under pairwise lcm."""
-    lattice = set(M.generators)
-    frontier = set(M.generators)
+def lcm_lattice(M) -> frozenset[ExponentVector]:
+    """All joins of nonempty generator subsets, by closure under pairwise lcm.
+
+    M is an ideal or any generating set of exponent vectors, which need not
+    be minimal.
+    """
+    gens = set(M.generators if isinstance(M, MonomialIdeal) else M)
+    lattice = set(gens)
+    frontier = set(gens)
     while frontier:
         new = set()
         for a in frontier:
-            for b in M.generators:
+            for b in gens:
                 j = lcm(a, b)
                 if j not in lattice:
                     new.add(j)

@@ -138,18 +138,21 @@ def reduced_homology_ranks(F: FreeComplex, beta) -> list[int]:
 
 @derived
 def exactness_witness(X: LabeledCellComplex, M: MonomialIdeal):
-    """First degree in the lcm lattice where the free complex F of X fails to
-    be acyclic, or None; F is built, with its d^2 = 0 check, and scanned.
+    """First degree among the joins of X's vertex labels where the free
+    complex F of X fails to be acyclic, or None; F is built, with its
+    d^2 = 0 check, and scanned.
 
     F is exact when every X_{<=beta} is acyclic (Bayer-Sturmfels), and the
-    scan over the lattice joins is sufficient because the subcomplex of
-    faces dividing a degree only changes at joins.
+    scan over the joins is sufficient because the subcomplex of faces
+    dividing a degree only changes at joins of face labels, which are
+    joins of vertex labels.  A vertex label need not be a minimal
+    generator of M, so these joins can be more than M's lcm lattice.
     """
     F = cellular_complex(X)
-    vertex_ideal = minimize([X.vertex_label(v) for v in X.vertices])
-    if vertex_ideal.generators != M.generators:
+    labels = [X.vertex_label(v) for v in X.vertices]
+    if minimize(labels).generators != M.generators:
         raise PreconditionError("vertex labels do not generate the given ideal")
-    for beta in sorted(lcm_lattice(M)):
+    for beta in sorted(lcm_lattice(labels)):
         if any(reduced_homology_ranks(F, beta)):
             return beta
     return None

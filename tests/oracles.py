@@ -26,6 +26,19 @@ from itertools import combinations, product
 from math import factorial
 
 
+def affine(point):
+    """The point x / w of a homogeneous vector (x, w), as Fractions."""
+    return tuple(Fraction(x, point[-1]) for x in point[:-1])
+
+
+def _point(X, v):
+    return affine(X.vertex_point(v))
+
+
+def _face_points(X, fid):
+    return [_point(X, v) for v in X.face(fid).vertices]
+
+
 def subset_lcm_lattice(generators):
     """All joins of nonempty generator subsets, by explicit enumeration."""
     gens = [tuple(g) for g in generators]
@@ -404,7 +417,7 @@ def point_in_simplex(point, simplex_points):
 
 def _face_in_simplex(X, fid, simplex_points):
     return all(
-        point_in_simplex(X.vertex_point(v), simplex_points)
+        point_in_simplex(_point(X, v), simplex_points)
         for v in X.face(fid).vertices
     )
 
@@ -441,9 +454,9 @@ def face_volume_rel(X, fid, basis, origin):
         return Fraction(1)
     total = Fraction(0)
     for simplex in _triangulate(X, fid):
-        p0 = X.vertex_point(simplex[0])
+        p0 = _point(X, simplex[0])
         edges = [
-            _coords_in_basis([x - y for x, y in zip(X.vertex_point(v), p0)], basis)
+            _coords_in_basis([x - y for x, y in zip(_point(X, v), p0)], basis)
             for v in simplex[1:]
         ]
         total += abs(fraction_det(edges))
@@ -457,12 +470,12 @@ def pairwise_is_refinement(X, Y):
     the k-faces inside each k-face of Y filling its volume, and the label
     of every face inside a face of Y dividing that face's label."""
     top = max(Y.faces, key=len)
-    top_points = Y.face_points(top)
-    if not all(point_in_simplex(X.vertex_point(v), top_points) for v in X.vertices):
+    top_points = _face_points(Y, top)
+    if not all(point_in_simplex(_point(X, v), top_points) for v in X.vertices):
         return False
     for k in range(0, len(top)):
         for sid in Y.faces_of_dim(k):
-            spts = Y.face_points(sid)
+            spts = _face_points(Y, sid)
             inside = [fid for fid in X.faces_of_dim(k) if _face_in_simplex(X, fid, spts)]
             if k == 0:
                 if len(inside) != 1:
@@ -481,7 +494,7 @@ def pairwise_is_refinement(X, Y):
     for sid, sface in Y.faces.items():
         if sface.dim < 0:
             continue
-        spts = Y.face_points(sid)
+        spts = _face_points(Y, sid)
         for fid, f in X.faces.items():
             if 0 <= f.dim <= sface.dim and _face_in_simplex(X, fid, spts):
                 if any(a > b for a, b in zip(f.label, sface.label)):
@@ -498,7 +511,7 @@ def pairwise_contained_faces(Y, sigma_id, X, k):
     allowed = {
         i for v in sigma_id for i, e in enumerate(Y.vertex_label(v)) if e > 0
     }
-    spts = Y.face_points(sigma_id)
+    spts = _face_points(Y, sigma_id)
     result = []
     for fid in X.faces_of_dim(k):
         support_ok = all(
@@ -651,7 +664,7 @@ def barycenter_sign_facet(X, tau_id, sigma_id):
         return 1
 
     def barycenter(fid):
-        pts = X.face_points(fid)
+        pts = _face_points(X, fid)
         return [Fraction(sum(c), len(pts)) for c in zip(*pts)]
 
     eta = [x - y for x, y in zip(barycenter(sigma_id), barycenter(tau_id))]
@@ -700,3 +713,33 @@ def subcomplex_exactness_witness(X, generators):
         if len(S.faces) > 1 and any(subcomplex_homology_ranks(S)):
             return beta
     return None
+
+
+def argparse_cli_parser():
+    """The ``argparse`` parser the command line had (the retired
+    ``cli._build_parser``)."""
+    import argparse
+
+    from cellres.cli import SUBCOMMANDS
+
+    parser = argparse.ArgumentParser(
+        prog="cellres",
+        description="Cellular resolutions and residue currents of Artinian "
+        "monomial ideals, in exact arithmetic.",
+    )
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--input", help="read the JSON job from a file instead of stdin")
+    parser.add_argument(
+        "--complex",
+        default=None,
+        help="complex source: hull, scarf, taylor, or file:<path> (default hull)",
+    )
+    parser.add_argument("--t", type=int, default=None, help="override the lift base")
+    parser.add_argument("--beta", help="exponent vector for annihilator queries")
+    parser.add_argument("--box", help="box override for the duality check")
+    parser.add_argument("--order", choices=("P", "Q"), help="partition order")
+    parser.add_argument(
+        "--permutations",
+        help='permutation list for fundamental-cycle, e.g. "1,2;2,1"',
+    )
+    return parser

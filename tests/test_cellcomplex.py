@@ -11,6 +11,7 @@ from cellres import (
     complex_to_json,
     contained_faces,
     corner_simplex_complex,
+    homogeneous,
     hull_complex,
     is_refinement,
     lcm,
@@ -25,7 +26,11 @@ from cellres import (
     sign_same_span,
     taylor_complex,
 )
-from cellres.cellcomplex import _geometric_facets, _refinement_failure
+from cellres.cellcomplex import (
+    _geometric_facets,
+    _refinement_failure,
+    _vertex_barycentrics,
+)
 from conftest import (
     EX61_GENERATORS,
     artinian_ideals,
@@ -38,6 +43,7 @@ from conftest import (
     without_face,
 )
 from oracles import (
+    affine,
     barycenter_sign_facet,
     cofaces,
     face_volume_rel,
@@ -49,8 +55,12 @@ from oracles import (
 )
 
 
+def homogeneous_points(points):
+    return {v: homogeneous(p) for v, p in points.items()}
+
+
 def triangle_complex(bases=None):
-    points = {0: (0, 0), 1: (1, 0), 2: (0, 1)}
+    points = homogeneous_points({0: (0, 0), 1: (1, 0), 2: (0, 1)})
     labels = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
     return make_complex(3, points, labels, [(0, 1, 2), (0, 1), (0, 2), (1, 2)],
                         bases=bases)
@@ -83,7 +93,7 @@ def test_sign_same_span():
     assert sign_same_span(top, top) == 1
     swapped = make_complex(
         3,
-        {0: (0, 0), 1: (1, 0), 2: (0, 1)},
+        homogeneous_points({0: (0, 0), 1: (1, 0), 2: (0, 1)}),
         {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)},
         [(0, 1, 2), (0, 1), (0, 2), (1, 2)],
         bases={(0, 1, 2): [top.basis[1], top.basis[0]]},
@@ -94,9 +104,9 @@ def test_sign_same_span():
 
 def test_sign_same_span_subtriangle_det_oracle():
     # a small counterclockwise triangle inside a counterclockwise one
-    inner_pts = {0: (Fraction(1, 4), Fraction(1, 4)),
-                 1: (Fraction(1, 2), Fraction(1, 4)),
-                 2: (Fraction(1, 4), Fraction(1, 2))}
+    inner_pts = homogeneous_points({0: (Fraction(1, 4), Fraction(1, 4)),
+                                    1: (Fraction(1, 2), Fraction(1, 4)),
+                                    2: (Fraction(1, 4), Fraction(1, 2))})
     labels = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
     inner = make_complex(3, inner_pts, labels,
                          [(0, 1, 2), (0, 1), (0, 2), (1, 2)])
@@ -142,9 +152,11 @@ def _delta(ex61_embedded):
 def test_cofaces_counts(ex61_embedded):
     X = ex61_embedded
     Y = _delta(ex61_embedded)
-    boundary_simplices = [Y.face_points(fid) for fid in Y.faces_of_dim(1)]
+    boundary_simplices = [
+        [affine(p) for p in Y.face_points(fid)] for fid in Y.faces_of_dim(1)
+    ]
     for edge in X.faces_of_dim(1):
-        pts = X.face_points(edge)
+        pts = [affine(p) for p in X.face_points(edge)]
         on_boundary = any(
             all(point_in_simplex(p, spts) for p in pts)
             for spts in boundary_simplices
@@ -193,10 +205,10 @@ def test_contained_faces_edge(ex61_embedded):
     assert inside == [(0, 1), (1, 3)]
     assert {X.face(f).label for f in inside} == {(2, 1, 0), (1, 2, 0)}
     # barycentric containment oracle
-    segment = Y.face_points((0, 1))
+    segment = [affine(p) for p in Y.face_points((0, 1))]
     for fid in X.faces_of_dim(1):
         contained = all(
-            point_in_simplex(X.vertex_point(v), segment) for v in fid
+            point_in_simplex(affine(X.vertex_point(v)), segment) for v in fid
         )
         assert contained == (fid in inside)
 
@@ -239,12 +251,12 @@ def test_refinement_sign_identity(ex61_embedded):
                 for tau in Y.facets(sid):
                     if Y.face(tau).dim < 0:
                         continue
-                    tau_pts = Y.face_points(tau)
+                    tau_pts = [affine(p) for p in Y.face_points(tau)]
                     for tprime in X.facets(sprime):
                         if X.face(tprime).dim < 0:
                             continue
                         if not all(
-                            point_in_simplex(X.vertex_point(v), tau_pts)
+                            point_in_simplex(affine(X.vertex_point(v)), tau_pts)
                             for v in tprime
                         ):
                             continue
@@ -267,12 +279,12 @@ def test_interior_facet_cancellation(ex61_embedded):
     checked = 0
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
-            spts = Y.face_points(sid)
+            spts = [affine(p) for p in Y.face_points(sid)]
             inside_k = contained_faces(Y, sid, X, k)
             inside_km1 = [
                 fid
                 for fid in X.faces_of_dim(k - 1)
-                if all(point_in_simplex(X.vertex_point(v), spts) for v in fid)
+                if all(point_in_simplex(affine(X.vertex_point(v)), spts) for v in fid)
             ]
             for tau in inside_km1:
                 cof = [s for s in inside_k if tau in X.facets(s)]
@@ -317,14 +329,13 @@ def test_json_roundtrip(ex61_embedded):
 
 def test_json_loader_honors_explicit_bases(ex61_embedded):
     obj = complex_to_json(ex61_embedded)
-    from cellres.cellcomplex import _fraction_str
 
     # flip one interior edge by reversing its basis vector
     target = [1, 4]
     basis = ex61_embedded.face((1, 4)).basis
     for f in obj["faces"]:
         if f["vertices"] == target:
-            f["orientation_basis"] = [[_fraction_str(-c) for c in basis[0]]]
+            f["orientation_basis"] = [[str(-c) for c in basis[0]]]
         del f["label"], f["dim"]
     loaded = complex_from_json(obj)
     assert sign_same_span(loaded.face((1, 4)), ex61_embedded.face((1, 4))) == -1
@@ -376,7 +387,7 @@ def test_json_loader_rejects_garbage(ex61_embedded):
 
 
 def test_make_complex_rejects_missing_intersection_face():
-    points = {0: (0, 0), 1: (2, 0), 2: (1, 1), 3: (1, -1)}
+    points = homogeneous_points({0: (0, 0), 1: (2, 0), 2: (1, 1), 3: (1, -1)})
     labels = {i: (1, 1) for i in range(4)}
     with pytest.raises(InputError):
         make_complex(
@@ -438,7 +449,7 @@ def test_facets_match_geometry_on_random_ideals(M):
 def test_quadrilateral_facets_skip_listed_diagonal():
     # a listed diagonal lies inside the square but is not a facet of it;
     # only a face with more vertices than a simplex can tell them apart
-    points = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
+    points = homogeneous_points({0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)})
     labels = {i: (1, 1) for i in range(4)}
     X = make_complex(
         2, points, labels,
@@ -479,7 +490,9 @@ def test_refinement_witness_names_the_failure(ex61_embedded):
     )
     # vertex 4 (z2 z3) lies on the edge of z2^2 and z3^2: reflect it
     # through the corner z1^2, out of the simplex
-    outside = tuple(2 * c - p for c, p in zip(X.vertex_point(0), X.vertex_point(4)))
+    outside = tuple(
+        2 * c - p for c, p in zip(affine(X.vertex_point(0)), affine(X.vertex_point(4)))
+    )
     with pytest.raises(PreconditionError, match=r"corner simplex: vertex 4 lies outside"):
         residue_current(_moved(X, 4, outside), (2, 2, 2))
     with pytest.raises(
@@ -524,9 +537,9 @@ def _perturbations(X, Y):
             yield _bumped(X, v, var)
     for fid in X.faces_of_dim(X.dim):
         yield without_face(X, fid)
-    corners = [Y.vertex_point(y) for y in sorted(Y.vertices)]
+    corners = [affine(Y.vertex_point(y)) for y in sorted(Y.vertices)]
     for v in sorted(X.vertices):
-        p = X.vertex_point(v)
+        p = affine(X.vertex_point(v))
         if p in corners:
             continue
         targets = [
@@ -606,17 +619,28 @@ def test_barycentric_coordinates_solved_once_per_vertex(M):
 
 def _assert_face_data_matches_scan(X, tops_may_flip=False):
     """Dimensions, orientation bases and facets agree with the rule
-    make_complex had; tops that orient_tops_to may have flipped can carry
-    the first basis vector negated."""
-    points = {v: X.vertex_point(v) for v in X.vertices}
+    make_complex had, each basis vector up to a positive scale; tops that
+    orient_tops_to may have flipped can carry the first basis vector
+    negated."""
+    points = {v: affine(X.vertex_point(v)) for v in X.vertices}
     expected = scan_face_data(points, [fid for fid in X.faces if fid])
     for fid, (dim, basis, facets) in expected.items():
         face = X.face(fid)
-        allowed = {basis}
+        allowed = [basis]
         if tops_may_flip and dim == X.dim and basis:
-            allowed.add((tuple(-x for x in basis[0]),) + basis[1:])
+            allowed.append((tuple(-x for x in basis[0]),) + basis[1:])
         assert (face.dim, X.facets(fid)) == (dim, facets), fid
-        assert face.basis in allowed, fid
+        assert any(
+            len(face.basis) == len(vectors)
+            and all(map(_positive_multiple, face.basis, vectors))
+            for vectors in allowed
+        ), fid
+
+
+def _positive_multiple(b, e):
+    k = next(i for i, x in enumerate(e) if x)
+    c = Fraction(b[k]) / e[k]
+    return c > 0 and all(x == c * y for x, y in zip(b, e))
 
 
 def _assert_signs_match_barycenter_rule(X):
@@ -654,3 +678,58 @@ def test_face_data_and_signs_match_retired_rules_on_fixed_complexes(
     _assert_signs_match_barycenter_rule(loaded)
     for M in (ex61_ideal, maximal_ideal_power(3, 4), maximal_ideal_power(4, 2)):
         _assert_retired_rules_hold(M)
+
+
+def test_make_complex_rejects_nonpositive_weights_and_repeated_points():
+    labels = {0: (1, 0), 1: (0, 1)}
+    for bad in ((1, 0), (1, -1), (-2, -1), (Fraction(1, 2), 1), (1.0, 1)):
+        with pytest.raises(InputError, match="positive last entry"):
+            make_complex(2, {0: (0, 1), 1: bad}, labels, [(0, 1)])
+    # (2, 2) is (1, 1) scaled: the same point
+    with pytest.raises(InputError, match="pairwise distinct"):
+        make_complex(2, {0: (1, 1), 1: (2, 2)}, labels, [(0, 1)])
+    assert homogeneous((Fraction(-3, 4), 2, Fraction(5, 6))) == (-9, 24, 10, 12)
+
+
+def _scaled(X, scales):
+    """X rebuilt from its face sets, with each homogeneous vertex v times
+    scales[v]."""
+    return make_complex(
+        X.n,
+        {v: tuple(scales[v] * x for x in X.vertex_point(v)) for v in X.vertices},
+        {v: X.vertex_label(v) for v in X.vertices},
+        [fid for fid in X.faces if len(fid) >= 2],
+        lift_base=X.lift_base,
+    )
+
+
+def _geometry(X, Y):
+    """What the geometry decides: dimensions, facets, incidence signs, the
+    signs of the barycentric coordinates against Y, the refinement verdict
+    and the faces of X inside each face of Y."""
+    signs = {(tau, sigma): sign_facet(X, tau, sigma)
+             for sigma in X.faces for tau in X.facets(sigma)}
+    coords = _vertex_barycentrics(X, Y)[0]
+    supports = {v: mu and {y: (c > 0) - (c < 0) for y, c in mu.items()}
+                for v, mu in coords.items()}
+    return ({fid: f.dim for fid, f in X.faces.items()}, X.facet_ids, signs, supports,
+            _refinement_failure(X, Y),
+            _containment(X, Y, is_refinement, contained_faces))
+
+
+@settings(max_examples=30)
+@given(artinian_ideals(), st.data())
+def test_positive_vertex_scales_change_no_geometry(M, data):
+    X = embedded_hull(M)
+    Y = corner_simplex_complex(X, pure_power_exponents(M))
+    complexes = [X, scarf_complex(M)]
+    if X.dim >= 1:
+        complexes.append(without_face(X, data.draw(st.sampled_from(X.faces_of_dim(X.dim)))))
+    scale = st.integers(1, 10**6)
+    Ys = _scaled(Y, {y: data.draw(scale) for y in Y.vertices})
+    for Z in complexes:
+        Zs = _scaled(Z, {v: data.draw(scale) for v in Z.vertices})
+        Z1 = _scaled(Z, dict.fromkeys(Z.vertices, 1))
+        assert _geometry(Zs, Ys) == _geometry(Z1, Y)
+        for fid, face in Zs.faces.items():
+            assert all(map(_positive_multiple, face.basis, Z1.face(fid).basis))

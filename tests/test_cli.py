@@ -318,3 +318,23 @@ def test_non_string_complex_source_exits_2(capsys, monkeypatch):
         capsys, monkeypatch, ["residue"], {"ideal": EX61, "complex_source": None}
     )
     assert code == 0 and len(out["entries"]) == 4
+
+
+def test_check_exact_scans_non_minimal_vertex_labels(tmp_path, capsys, monkeypatch):
+    # the path z1^2 - z2^2 - z1^2 z2 on a line: its vertex labels generate
+    # (z1^2, z2^2), but under (2, 1) it is the two points z1^2 and z1^2 z2,
+    # a degree outside the lcm lattice {(2,0), (0,2), (2,2)} of the ideal
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({
+        "n": 2,
+        "vertices": [
+            {"id": 0, "coords": [0], "label": [2, 0]},
+            {"id": 1, "coords": [1], "label": [0, 2]},
+            {"id": 2, "coords": [2], "label": [2, 1]},
+        ],
+        "faces": [{"vertices": [0, 1]}, {"vertices": [1, 2]}],
+    }))
+    job = {"n": 2, "generators": [[2, 0], [0, 2]]}
+    code, out = invoke(capsys, monkeypatch, ["check-exact", "--complex", f"file:{path}"], job)
+    assert code == 1
+    assert out == {"ok": False, "witness": [2, 1], "schema": "cellres/1"}

@@ -1,8 +1,11 @@
 """The fraction-free kernel against the retired Fraction eliminations.
 
 Every matrix routine of ``cellres.linalg`` reads its answer off one Bareiss
-elimination of integer-scaled rows; the oracles in ``oracles.py`` are the
-Gaussian eliminations over Fractions it replaced.  Both pick the
+elimination of an integer matrix; the oracles in ``oracles.py`` are the
+Gaussian eliminations over Fractions it replaced.  The drawn rational
+matrices reach the kernel with each row scaled to integers, which changes
+no rank and no solution and scales the determinant by the known factor;
+rational points reach it as homogeneous vectors.  Both pick the
 lexicographically first pivot columns and set free variables to zero, so
 ``solve`` must agree tuple for tuple, not only up to the solution space.
 """
@@ -11,7 +14,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from cellres import linalg
+from cellres import homogeneous, linalg
 from oracles import (
     affine_basis_by_gram_schmidt,
     fraction_det,
@@ -23,6 +26,28 @@ SMALL = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 
 HUGE = st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**12))
 ENTRIES = st.one_of(st.just(0), st.integers(-4, 4), SMALL, HUGE)
 COEFFS = st.one_of(st.integers(-3, 3), SMALL, HUGE)
+
+
+def integer_rows(matrix):
+    """Each row times the lcm of its denominators, and the product of those
+    (positive) scales."""
+    rows, scale = [], 1
+    for row in matrix:
+        *scaled, d = homogeneous([Fraction(x) for x in row])
+        rows.append(scaled)
+        scale *= d
+    return rows, scale
+
+
+def rational_solve(a, b):
+    """linalg.solve on the rows of [A | b] scaled to integers, as Fractions."""
+    rows = integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])[0]
+    solved = linalg.solve([row[:-1] for row in rows], [row[-1] for row in rows])
+    if solved is None:
+        return None
+    x, d = solved
+    assert d > 0
+    return tuple(Fraction(c, d) for c in x)
 
 
 @st.composite
@@ -88,22 +113,23 @@ def point_sets(draw):
 @settings(max_examples=300)
 @given(matrices())
 def test_rank_matches_fraction_elimination(a):
-    assert linalg.rank(a) == fraction_rank(a)
+    assert linalg.rank(integer_rows(a)[0]) == fraction_rank(a)
 
 
 @settings(max_examples=300)
 @given(square_matrices())
 def test_det_and_sign_match_fraction_elimination(a):
     expected = fraction_det(a)
-    assert linalg.det(a) == expected
-    assert linalg.det_sign(a) == (expected > 0) - (expected < 0)
+    m, scale = integer_rows(a)
+    assert Fraction(linalg.det(m), scale) == expected
+    assert linalg.det_sign(m) == (expected > 0) - (expected < 0)
 
 
 @settings(max_examples=300)
 @given(systems())
 def test_solve_matches_fraction_elimination(system):
     a, b = system
-    x = linalg.solve(a, b)
+    x = rational_solve(a, b)
     assert x == fraction_solve(a, b)
     if x is not None:
         assert all(sum(Fraction(c) * v for c, v in zip(row, x)) == rhs
@@ -113,16 +139,19 @@ def test_solve_matches_fraction_elimination(system):
 @settings(max_examples=300)
 @given(point_sets())
 def test_affine_basis_matches_gram_schmidt(points):
-    chosen = linalg.affine_basis_indices(points)
+    chosen = linalg.affine_basis_indices([homogeneous(p) for p in points])
     assert chosen == affine_basis_by_gram_schmidt(points)
 
 
 def test_kernel_small_cases():
     assert linalg.det([]) == 1 and linalg.det_sign([]) == 1
     assert linalg.det([[0, 1], [1, 0]]) == -1
-    assert linalg.det([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
+    m, scale = integer_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
+    assert Fraction(linalg.det(m), scale) == Fraction(1, 3)
     assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
-    assert linalg.solve([[0, 2, 4]], [2]) == (0, 1, 0)
-    assert linalg.solve([], []) == ()
+    assert linalg.solve([[0, 2, 4]], [2]) == ((0, 2, 0), 2)
+    assert linalg.solve([[0, -2, 4]], [2]) == ((0, -2, 0), 2)
+    assert linalg.solve([], []) == ((), 1)
     assert linalg.rank([[0, 0], [0, 0]]) == 0
-    assert linalg.affine_basis_indices([(1, 1), (2, 2), (3, 3), (0, 1)]) == [0, 1, 3]
+    points = [(1, 1), (2, 2), (3, 3), (0, 1)]
+    assert linalg.affine_basis_indices([homogeneous(p) for p in points]) == [0, 1, 3]

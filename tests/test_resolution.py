@@ -8,6 +8,7 @@ from cellres import (
     cellular_complex,
     delta_complex,
     exactness_witness,
+    homogeneous,
     is_exact,
     is_minimal,
     make_complex,
@@ -21,6 +22,7 @@ from cellres import (
     staircase_corners_2d,
     taylor_complex,
 )
+from cellres.monomial import lcm_many
 from cellres.resolution import SignedMonomial, zero_entry
 from conftest import (
     artinian_ideals_2_to_4,
@@ -91,7 +93,7 @@ def test_staircase_mapping_shape():
 
 
 def test_single_vertex_complex():
-    X = make_complex(2, {0: (0, 0)}, {0: (1, 2)}, [])
+    X = make_complex(2, {0: homogeneous((0, 0))}, {0: (1, 2)}, [])
     F = cellular_complex(X)
     assert F.basis(0) == ((0,),)
     assert F.matrix(0) == ((SignedMonomial(1, (1, 2)),),)
@@ -105,7 +107,8 @@ def test_boundary_squared_zero_everywhere(ex61_embedded, rng):
 
 
 def test_broken_boundary_is_rejected():
-    points = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
+    points = {v: homogeneous(p) for v, p in
+              {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}.items()}
     labels = {i: (1, 1) for i in range(4)}
     X = make_complex(
         2, points, labels, [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3)]
@@ -147,7 +150,7 @@ def test_homology_rank_examples(ex61_ideal):
     T = taylor_complex(minimize([(2, 0), (1, 1), (0, 2)]))
     assert reduced_homology_ranks(cellular_complex(T), (2, 2)) == [0, 0, 0, 0]
 
-    points = {0: (0, 0), 1: (1, 0), 2: (0, 1)}
+    points = {v: homogeneous(p) for v, p in {0: (0, 0), 1: (1, 0), 2: (0, 1)}.items()}
     labels = {i: (1, 1) for i in range(3)}
     hollow = cellular_complex(make_complex(2, points, labels, [(0, 1), (0, 2), (1, 2)]))
     assert reduced_homology_ranks(hollow, (1, 1)) == [0, 0, 1]
@@ -155,7 +158,8 @@ def test_homology_rank_examples(ex61_ideal):
     assert reduced_homology_ranks(hollow, (0, 0)) == [1, 0, 0]
 
     two_points = cellular_complex(
-        make_complex(1, {0: (0,), 1: (1,)}, {0: (1,), 1: (2,)}, [])
+        make_complex(1, {0: homogeneous((0,)), 1: homogeneous((1,))},
+                     {0: (1,), 1: (2,)}, [])
     )
     assert reduced_homology_ranks(two_points, (2,)) == [0, 1]
     assert reduced_homology_ranks(two_points, (1,)) == [0, 0]
@@ -186,12 +190,15 @@ def test_minimality(ex61_ideal, ex61_embedded, rng):
 
 
 def _assert_witnesses_agree(X, M):
-    """The library scan, the rebuilt-subcomplex scan and the graded strands
-    over the whole box name the same first inexact degree, or all None."""
+    """The library scan, the rebuilt-subcomplex scan over the joins of the
+    vertex labels and the graded strands over the box of the labels' lcm
+    (M's pure powers when every label is a generator) name the same first
+    inexact degree, or all None."""
+    labels = [X.vertex_label(v) for v in sorted(X.vertices)]
     witness = exactness_witness(X, M)
-    assert witness == subcomplex_exactness_witness(X, M.generators)
+    assert witness == subcomplex_exactness_witness(X, labels)
     F = cellular_complex(X)
-    assert witness == graded_strand_inexact_degree(F, pure_power_exponents(M))
+    assert witness == graded_strand_inexact_degree(F, lcm_many(labels))
     return witness
 
 
@@ -220,6 +227,35 @@ def _exactness_cases(M, data):
         yield taylor_complex(M)
     if X.dim >= 1:
         yield without_face(X, data.draw(st.sampled_from(X.faces_of_dim(X.dim))))
+    vertices = sorted(X.vertices)
+    yield with_whisker(X, data.draw(st.sampled_from(vertices)),
+                       data.draw(st.integers(0, M.n - 1)),
+                       data.draw(st.sampled_from(vertices)))
+
+
+def with_whisker(X, u, i, v):
+    """X and one more vertex, joined by an edge to the vertex v, with the
+    label of the vertex u times z_i: not a minimal generator, so the vertex
+    labels still generate M.  It lies beyond X in the first coordinate."""
+    far = 1 + max(abs(x) for v in X.vertices for x in X.vertex_point(v))
+    point = list(X.vertex_point(v))
+    point[0] += far * point[-1]
+    label = list(X.vertex_label(u))
+    label[i] += 1
+    new = max(X.vertices) + 1
+    points = {w: X.vertex_point(w) for w in X.vertices}
+    labels = {w: X.vertex_label(w) for w in X.vertices}
+    return make_complex(
+        X.n, {**points, new: tuple(point)}, {**labels, new: tuple(label)},
+        [fid for fid in X.faces if len(fid) >= 2] + [(v, new)],
+    )
+
+
+def test_whisker_with_a_non_minimal_label_can_break_exactness(ex61_ideal, ex61_embedded):
+    # z1^2 z2 hangs off z2^2: under (2, 1, 0) it is a point apart from z1^2
+    X = with_whisker(ex61_embedded, 0, 1, 3)
+    assert _assert_witnesses_agree(X, ex61_ideal) == (2, 1, 0)
+    assert _assert_witnesses_agree(with_whisker(ex61_embedded, 0, 1, 0), ex61_ideal) is None
 
 
 @settings(max_examples=25)

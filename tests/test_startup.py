@@ -51,6 +51,10 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 """
 
 
+# fractions brings decimal and numbers; argparse brings gettext and locale
+HEAVY = {"fractions", "decimal", "numbers", "argparse", "gettext", "locale"}
+
+
 def _loaded(argv, tmp_path, job):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
@@ -70,6 +74,21 @@ def _cellres(loaded):
 @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
 def test_subcommand_loads_no_dataclasses(sub, tmp_path):
     assert "dataclasses" not in _loaded([sub], tmp_path, SUBCOMMANDS[sub])
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+def test_subcommand_loads_no_fractions_or_argparse(sub, tmp_path):
+    assert not _loaded([sub], tmp_path, SUBCOMMANDS[sub]) & HEAVY
+
+
+@pytest.mark.parametrize("sub", ["check-exact", "residue", "fundamental-cycle"])
+def test_file_complex_job_may_load_fractions_only(sub, tmp_path, ex61_minimal_fixture):
+    # the loader parses rational coordinate strings with Fraction
+    path = tmp_path / "ex61.complex.json"
+    path.write_text(json.dumps(ex61_minimal_fixture))
+    loaded = _loaded([sub, "--complex", f"file:{path}"], tmp_path, EX61)
+    assert "fractions" in loaded
+    assert not loaded & HEAVY - {"fractions", "decimal", "numbers"}
 
 
 @pytest.mark.parametrize("sub", ["generators", "multiplicity", "partition"])
