@@ -39,9 +39,7 @@ _EXPORTS = {
         "verify_chain_maps",
     ),
     "cycle": (
-        "FormMatrix", "FormMonomial", "compose", "cycle_constant",
-        "differentiate", "form_term", "fundamental_cycle_check", "partial_only",
-        "permutation_cycle_check",
+        "cycle_constant", "fundamental_cycle_check", "permutation_cycle_check",
     ),
 }
 

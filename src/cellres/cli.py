@@ -104,16 +104,28 @@ def _check_options(options, n):
         raise InputError("option permutations must be a list of integer lists")
 
 
+def _parse_json(text, what):
+    """The JSON value of text; every way it can fail is an InputError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed {what} at position {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # past the interpreter's int-string limit
+        raise InputError(
+            f"{what} has an integer literal longer than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise InputError(f"{what} nests too deeply") from exc
+
+
 def _load_job(args):
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
     else:
         text = sys.stdin.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON at position {exc.pos}: {exc.msg}") from exc
+    obj = _parse_json(text, "JSON")
     if not isinstance(obj, dict):
         raise InputError("top-level JSON must be an object")
     if "ideal" in obj:
@@ -149,13 +161,8 @@ def _build_complex(source, M: MonomialIdeal, t):
         from .cellcomplex import complex_from_json
         path = source[len("file:"):]
         with open(path, "r", encoding="utf-8") as handle:
-            try:
-                obj = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InputError(
-                    f"malformed complex JSON at position {exc.pos}: {exc.msg}"
-                ) from exc
-        X = complex_from_json(obj)
+            text = handle.read()
+        X = complex_from_json(_parse_json(text, "complex JSON"))
         if minimize([X.vertex_label(v) for v in X.vertices]) != M:
             raise PreconditionError("vertex labels do not generate the given ideal")
         return X
@@ -290,7 +297,7 @@ def _cmd_fundamental_cycle(M, X, args, options):
     asserted = is_generic(M)
     per_permutation = {}
     for p in perms:
-        sub = permutation_cycle_check(X, M, p, allow_nongeneric=True)
+        sub = permutation_cycle_check(X, M, p)
         per_permutation[",".join(str(x) for x in p)] = {
             "lhs": sub["lhs"],
             "expected": sub["expected"],

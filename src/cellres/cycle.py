@@ -1,139 +1,23 @@
 """Fundamental-cycle factorization checks, exactly.
 
-The differentials of the resolution matrices are matrices of
-polynomial-coefficient holomorphic forms; composing them and pairing
-against the residue current reduces to integer coefficient extraction,
-with the unit (2 pi i)^n factored out symbolically.
+Each differential dphi_k is the matrix of holomorphic 1-forms
+sum_i (d phi_k / dz_i) dz_i.  A product dphi_0 ^ ... ^ dphi_{n-1} that uses
+a variable twice vanishes, and one that uses every variable once is a
+polynomial matrix times +-dz_1 ^ ... ^ dz_n.  So the product is composed as
+one row of polynomials per set of variables used so far, and pairing the
+full row against the residue current reduces to integer coefficient
+extraction, with the unit (2 pi i)^n factored out symbolically.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import factorial
 
 from .errors import PreconditionError
-from .monomial import (
-    MonomialIdeal,
-    is_generic,
-    multiplicity,
-    pure_power_exponents,
-)
-from .residue import ResidueCurrent, residue_current
-from .resolution import FreeComplex, _exp_sub, cellular_complex
+from .monomial import MonomialIdeal, multiplicity, pure_power_exponents
+from .residue import residue_current
+from .resolution import cellular_complex
 from .cellcomplex import LabeledCellComplex, derived
-
-
-class FormMonomial(namedtuple("FormMonomial", "coeff exp dz")):
-    """coeff * z^exp * dz_{i_1} ^ ... ^ dz_{i_k} with strictly increasing
-    indices; reordering signs are absorbed into the coefficient."""
-
-    __slots__ = ()
-
-
-def form_term(coeff, exp, dz):
-    """Canonicalize a wedge term; None when it vanishes."""
-    if coeff == 0:
-        return None
-    indices = list(dz)
-    if len(set(indices)) != len(indices):
-        return None
-    sign = 1
-    # bubble sort, counting swaps of the odd-degree factors
-    for i in range(len(indices)):
-        for j in range(len(indices) - 1 - i):
-            if indices[j] > indices[j + 1]:
-                indices[j], indices[j + 1] = indices[j + 1], indices[j]
-                sign = -sign
-    return FormMonomial(sign * coeff, tuple(exp), tuple(indices))
-
-
-def _combine(terms):
-    acc = {}
-    for t in terms:
-        if t is None:
-            continue
-        key = (t.exp, t.dz)
-        acc[key] = acc.get(key, 0) + t.coeff
-    return tuple(
-        FormMonomial(c, exp, dz) for (exp, dz), c in sorted(acc.items()) if c != 0
-    )
-
-
-class FormMatrix(namedtuple("FormMatrix", "rows cols entries")):
-    __slots__ = ()
-
-
-def _unit(i, n):
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-def differentiate(F: FreeComplex, k) -> FormMatrix:
-    """Entrywise full differential of a boundary matrix."""
-    return _differential(F, k, None)
-
-
-def partial_only(F: FreeComplex, k, i) -> FormMatrix:
-    """Only the derivative in variable i (0-based) of a boundary matrix."""
-    if not 0 <= i < F.n:
-        raise PreconditionError("variable index out of range")
-    return _differential(F, k, i)
-
-
-def _differential(F: FreeComplex, k, only) -> FormMatrix:
-    if k not in F.matrices:
-        raise PreconditionError(f"no boundary matrix at level {k}")
-    matrix = F.matrix(k)
-    n = F.n
-    entries = []
-    for row in matrix:
-        out_row = []
-        for cell in row:
-            terms = []
-            if cell.sign != 0:
-                for i in range(n):
-                    if only is not None and i != only:
-                        continue
-                    if cell.exp[i] > 0:
-                        terms.append(
-                            form_term(
-                                cell.sign * cell.exp[i],
-                                _exp_sub(cell.exp, _unit(i, n)),
-                                (i,),
-                            )
-                        )
-            out_row.append(_combine(terms))
-        entries.append(tuple(out_row))
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    return FormMatrix(rows, cols, tuple(entries))
-
-
-def compose(matrices) -> FormMatrix:
-    """Matrix product where entries multiply by wedge, left factors first."""
-    matrices = list(matrices)
-    result = matrices[0]
-    for m in matrices[1:]:
-        if result.cols != m.rows:
-            raise PreconditionError("form matrix dimensions do not match")
-        entries = []
-        for i in range(result.rows):
-            row = []
-            for j in range(m.cols):
-                terms = []
-                for k in range(result.cols):
-                    for a in result.entries[i][k]:
-                        for b in m.entries[k][j]:
-                            terms.append(
-                                form_term(
-                                    a.coeff * b.coeff,
-                                    tuple(x + y for x, y in zip(a.exp, b.exp)),
-                                    a.dz + b.dz,
-                                )
-                            )
-                row.append(_combine(terms))
-            entries.append(tuple(row))
-        result = FormMatrix(result.rows, m.cols, tuple(entries))
-    return result
 
 
 def cycle_constant(n: int) -> int:
@@ -141,32 +25,63 @@ def cycle_constant(n: int) -> int:
     return -1 if (n + n * (n - 1) // 2) % 2 else 1
 
 
-def _orientation_parity(n: int) -> int:
-    # moving the holomorphic n-form block left past the (0,n) current block
-    return -1 if n % 2 else 1
+def _top_row(F, choices) -> list:
+    """The row of dphi_0 ^ ... ^ dphi_{n-1} as polynomials {exponent:
+    coefficient} times dz_1 ^ ... ^ dz_n, one per top face, with level k
+    differentiated only in the variables choices[k] (0-based).
 
-
-def _contract(composed: FormMatrix, top_basis, R: ResidueCurrent):
-    """Per-face mass of the composed form row against the current.
-
-    For each top face, extract the coefficient at exponent alpha - 1 on the
-    full coordinate volume form, then apply the entry's sign and the block
-    reordering parity; the total is the coefficient of the point mass in
-    units of (2 pi i)^n.
+    ``rows`` maps the bit mask of the variables used so far to the row of
+    their product.  Each dphi_k is sum_i (d phi_k / dz_i) dz_i, and wedging
+    dz_used with dz_i costs the sign of moving dz_i past the used variables
+    above i; a variable used twice gives zero.  Every level adds one
+    variable, so after n levels only the full mask is left.
     """
-    n = R.n
-    full_dz = tuple(range(n))
-    parity = _orientation_parity(n)
+    n = F.n
+    rows = {0: [{(0,) * n: 1}]}
+    for k, variables in enumerate(choices):
+        cells = [
+            (r, c, cell)
+            for r, matrix_row in enumerate(F.matrix(k))
+            for c, cell in enumerate(matrix_row)
+            if cell.sign
+        ]
+        width = len(F.basis(k))
+        composed = {}
+        for used, row in rows.items():
+            for i in variables:
+                if used >> i & 1:
+                    continue
+                sign = -1 if (used >> (i + 1)).bit_count() & 1 else 1
+                out = composed.setdefault(used | 1 << i, [{} for _ in range(width)])
+                for r, c, cell in cells:
+                    e = cell.exp
+                    if not e[i] or not row[r]:
+                        continue
+                    coeff = sign * cell.sign * e[i]
+                    shift = e[:i] + (e[i] - 1,) + e[i + 1:]
+                    acc = out[c]
+                    for exp, value in row[r].items():
+                        key = tuple(a + b for a, b in zip(exp, shift))
+                        total = acc.get(key, 0) + coeff * value
+                        if total:
+                            acc[key] = total
+                        else:
+                            del acc[key]
+        rows = composed
+    return rows[(1 << n) - 1]
+
+
+def _masses(F, R, choices) -> dict:
+    """Point mass per top face of the top row against the current R, in
+    units of (2 pi i)^n: the coefficient at alpha - 1, times the entry's
+    sign and (-1)^n for moving the n-form block left past the (0, n)
+    current block."""
+    parity = -1 if F.n % 2 else 1
     per_face = {}
-    for j, fid in enumerate(top_basis):
+    for fid, poly in zip(F.basis(F.n - 1), _top_row(F, choices)):
         entry = R.entries[fid]
         target = tuple(a - 1 for a in entry.alpha)
-        coeff = 0
-        for term in composed.entries[0][j]:
-            if term.dz == full_dz and term.exp == target:
-                coeff = term.coeff
-                break
-        per_face[fid] = parity * entry.sign * coeff
+        per_face[fid] = parity * entry.sign * poly.get(target, 0)
     return per_face
 
 
@@ -182,34 +97,25 @@ def fundamental_cycle_check(X: LabeledCellComplex, M: MonomialIdeal) -> dict:
     coefficient must be n! times the multiplicity."""
     F, R, m = _prepare(X, M)
     n = F.n
-    composed = compose([differentiate(F, k) for k in range(n)])
-    per_face = _contract(composed, F.basis(n - 1), R)
-    mass = sum(per_face.values())
+    mass = sum(_masses(F, R, [range(n)] * n).values())
     lhs = cycle_constant(n) * mass
     rhs = factorial(n) * m
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
 
-def permutation_cycle_check(
-    X: LabeledCellComplex, M: MonomialIdeal, s, allow_nongeneric=False
-) -> dict:
+def permutation_cycle_check(X: LabeledCellComplex, M: MonomialIdeal, s) -> dict:
     """Single-variable-per-level route: level k differentiates in z_{s_{k+1}}.
 
-    The point mass equals the cycle constant times the multiplicity; the
-    claim is only asserted for generic ideals unless overridden.
+    The point mass equals the cycle constant times the multiplicity.  The
+    identity is claimed for generic ideals only; it is evaluated for any
+    ideal, and whether it is claimed is left to the caller.
     """
     s = tuple(s)
     n = X.n
     if sorted(s) != list(range(1, n + 1)):
         raise PreconditionError(f"{s} is not a permutation of 1..{n}")
-    if not is_generic(M) and not allow_nongeneric:
-        raise PreconditionError(
-            "the per-permutation identity is only claimed for generic ideals; "
-            "pass allow_nongeneric=True to evaluate anyway"
-        )
     F, R, m = _prepare(X, M)
-    composed = compose([partial_only(F, k, s[k] - 1) for k in range(n)])
-    per_face = _contract(composed, F.basis(n - 1), R)
+    per_face = _masses(F, R, [(x - 1,) for x in s])
     lhs = sum(per_face.values())
     expected = cycle_constant(n) * m
     return {"lhs": lhs, "expected": expected, "ok": lhs == expected,

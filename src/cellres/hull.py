@@ -142,12 +142,11 @@ def _bounded_face_sets(points):
     return bounded
 
 
-def hull_complex(M: MonomialIdeal, t=None, check_stability=True) -> LabeledCellComplex:
+def hull_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
     """Bounded faces of conv{t^alpha} + R_+^n with lcm labels.
 
     Vertices are the minimal generators in descending lexicographic order;
-    with ``check_stability`` the face poset is recomputed at t+1 and must
-    agree.
+    the face poset is recomputed at t+1 and must agree.
     """
     if not is_artinian(M):
         raise PreconditionError("hull complex requires an Artinian ideal")
@@ -158,7 +157,7 @@ def hull_complex(M: MonomialIdeal, t=None, check_stability=True) -> LabeledCellC
         return {tuple(sorted(fs)) for fs in _bounded_face_sets(points)}
 
     sets_t = face_sets(t)
-    if check_stability and face_sets(t + 1) != sets_t:
+    if face_sets(t + 1) != sets_t:
         raise CellresError("hull face poset differs between t and t+1")
     points = {i: p + (1,) for i, p in enumerate(_lifted_points(M, t))}
     labels = dict(enumerate(M.generators))

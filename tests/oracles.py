@@ -18,9 +18,12 @@ over the faces one dimension lower for the dimension, orientation basis
 and facets of a face, barycenter differences for incidence signs, and for
 exactness a subcomplex rebuilt at every lcm-lattice degree with its own
 boundary matrices instead of the free complex's signs restricted to the
-faces under the degree.
+faces under the degree, and for the fundamental cycle a general algebra of
+wedge forms, each term sorted by a bubble sort, instead of one polynomial
+row per set of used variables.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
@@ -743,3 +746,126 @@ def argparse_cli_parser():
         help='permutation list for fundamental-cycle, e.g. "1,2;2,1"',
     )
     return parser
+
+
+class FormMonomial(namedtuple("FormMonomial", "coeff exp dz")):
+    """coeff * z^exp * dz_{i_1} ^ ... ^ dz_{i_k} with strictly increasing
+    indices; reordering signs are absorbed into the coefficient."""
+
+    __slots__ = ()
+
+
+class FormMatrix(namedtuple("FormMatrix", "rows cols entries")):
+    """A matrix whose entries are tuples of FormMonomials."""
+
+    __slots__ = ()
+
+
+def form_term(coeff, exp, dz):
+    """Canonicalize a wedge term; None when it vanishes."""
+    if coeff == 0:
+        return None
+    indices = list(dz)
+    if len(set(indices)) != len(indices):
+        return None
+    sign = 1
+    # bubble sort, counting swaps of the odd-degree factors
+    for i in range(len(indices)):
+        for j in range(len(indices) - 1 - i):
+            if indices[j] > indices[j + 1]:
+                indices[j], indices[j + 1] = indices[j + 1], indices[j]
+                sign = -sign
+    return FormMonomial(sign * coeff, tuple(exp), tuple(indices))
+
+
+def _combine_forms(terms):
+    acc = {}
+    for t in terms:
+        if t is None:
+            continue
+        key = (t.exp, t.dz)
+        acc[key] = acc.get(key, 0) + t.coeff
+    return tuple(
+        FormMonomial(c, exp, dz) for (exp, dz), c in sorted(acc.items()) if c != 0
+    )
+
+
+def _form_differential(F, k, only):
+    n = F.n
+    entries = []
+    for row in F.matrix(k):
+        out_row = []
+        for cell in row:
+            terms = []
+            if cell.sign != 0:
+                for i in range(n):
+                    if only is not None and i != only:
+                        continue
+                    if cell.exp[i] > 0:
+                        exp = tuple(e - (j == i) for j, e in enumerate(cell.exp))
+                        terms.append(form_term(cell.sign * cell.exp[i], exp, (i,)))
+            out_row.append(_combine_forms(terms))
+        entries.append(tuple(out_row))
+    return FormMatrix(len(entries), len(entries[0]) if entries else 0,
+                      tuple(entries))
+
+
+def differentiate(F, k):
+    """Entrywise full differential of the boundary matrix phi_k of F."""
+    return _form_differential(F, k, None)
+
+
+def partial_only(F, k, i):
+    """Only the derivative in variable i (0-based) of phi_k."""
+    return _form_differential(F, k, i)
+
+
+def compose(matrices):
+    """Matrix product where entries multiply by wedge, left factors first."""
+    matrices = list(matrices)
+    result = matrices[0]
+    for m in matrices[1:]:
+        if result.cols != m.rows:
+            raise ValueError("form matrix dimensions do not match")
+        entries = []
+        for i in range(result.rows):
+            row = []
+            for j in range(m.cols):
+                terms = []
+                for k in range(result.cols):
+                    for a in result.entries[i][k]:
+                        for b in m.entries[k][j]:
+                            terms.append(form_term(
+                                a.coeff * b.coeff,
+                                tuple(x + y for x, y in zip(a.exp, b.exp)),
+                                a.dz + b.dz,
+                            ))
+                row.append(_combine_forms(terms))
+            entries.append(tuple(row))
+        result = FormMatrix(result.rows, m.cols, tuple(entries))
+    return result
+
+
+def wedge_masses(F, R, s=None):
+    """Point mass per top face of the composed differentials against the
+    residue current R, by the wedge-form algebra (the retired
+    ``cycle._contract``): every level differentiated fully when s is None,
+    else level k only in z_{s[k]} (1-based).  The mass is the coefficient
+    at alpha - 1 on dz_1 ^ ... ^ dz_n, times the entry's sign and (-1)^n."""
+    n = F.n
+    if s is None:
+        factors = [differentiate(F, k) for k in range(n)]
+    else:
+        factors = [partial_only(F, k, s[k] - 1) for k in range(n)]
+    composed = compose(factors)
+    parity = -1 if n % 2 else 1
+    per_face = {}
+    for j, fid in enumerate(F.basis(n - 1)):
+        entry = R.entries[fid]
+        target = tuple(a - 1 for a in entry.alpha)
+        coeff = 0
+        for term in composed.entries[0][j]:
+            if term.dz == tuple(range(n)) and term.exp == target:
+                coeff = term.coeff
+        per_face[fid] = parity * entry.sign * coeff
+    return per_face

@@ -283,8 +283,8 @@ def test_criterion_9_hull_stability(staircase_pool, generic3_pool, ex61):
         ideals = [M for M, _ in staircase_pool + generic3_pool] + [ex61[0]]
         for M in ideals:
             t = default_lift_base(M.n)
-            fa = hull_complex(M, t, check_stability=False)
-            fb = hull_complex(M, t + 1, check_stability=False)
+            fa = hull_complex(M, t)
+            fb = hull_complex(M, t + 1)
             assert set(fa.faces) == set(fb.faces)
             assert fa.facet_ids == fb.facet_ids
 

@@ -250,6 +250,18 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     path.write_text(json.dumps(truncated))
     code, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], EX61)
     assert code == 2 and "label" in out["error"]
+    # past the interpreter's int-string limit, json raises a plain ValueError
+    huge = "9" * 5000
+    code, out = invoke(
+        capsys, monkeypatch, ["generators"], text=f'{{"n":1,"generators":[[{huge}]]}}'
+    )
+    assert code == 2 and out["error"].startswith("JSON has an integer literal longer")
+    path = tmp_path / "huge-label.json"
+    path.write_text(json.dumps(ex61_minimal_fixture).replace("[2, 0, 0]", f"[{huge}, 0, 0]", 1))
+    code, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], EX61)
+    assert code == 2 and out["error"].startswith("complex JSON has an integer literal longer")
+    code, out = invoke(capsys, monkeypatch, ["generators"], text="[" * 100000)
+    assert code == 2 and out["error"] == "JSON nests too deeply"
 
 
 def test_non_artinian_multiplicity_precondition(capsys, monkeypatch):

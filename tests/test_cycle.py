@@ -2,28 +2,41 @@ from itertools import permutations
 from math import factorial, prod
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from cellres import (
     PreconditionError,
     Rectangle2D,
     cellular_complex,
-    compose,
     cycle_constant,
-    differentiate,
-    form_term,
     fundamental_cycle_check,
+    is_generic,
     minimize,
     multiplicity,
-    partial_only,
     permutation_cycle_check,
     pure_power_exponents,
     reoriented,
+    residue_current,
     staircase_corners_2d,
     staircase_partition_2d,
 )
-from cellres.cycle import FormMatrix, FormMonomial
-from conftest import embedded_hull, random_generic_ideal_3, random_staircase_ideal
-from oracles import staircase_lattice_points
+from cellres.cycle import _masses, _top_row
+from conftest import (
+    artinian_ideals,
+    embedded_hull,
+    maximal_ideal_power,
+    random_generic_ideal_3,
+    random_staircase_ideal,
+)
+from oracles import (
+    FormMatrix,
+    FormMonomial,
+    compose,
+    differentiate,
+    form_term,
+    staircase_lattice_points,
+    wedge_masses,
+)
 
 
 def test_cycle_constant_values():
@@ -79,21 +92,20 @@ def test_compose_antisymmetry():
 
 def test_staircase_product_matches_formula(rng):
     # -d_z(phi_0) o d_w(phi_1) has sigma_i entry Vol(P_i) z^{a_i} w^{b_{i+1}}
-    # dz/z ^ dw/w
+    # dz/z ^ dw/w, so the top row holds the one term -Vol(P_i) z^{a_i - 1}
+    # w^{b_{i+1} - 1} on dz ^ dw
     for _ in range(5):
         M = random_staircase_ideal(rng)
         X = embedded_hull(M)
         F = cellular_complex(X)
         corners = staircase_corners_2d(M)
-        composed = compose([partial_only(F, 0, 0), partial_only(F, 1, 1)])
+        row = _top_row(F, [(0,), (1,)])
         for i in range(len(corners) - 1):
             a_i, _ = corners[i]
             _, b_next = corners[i + 1]
             vol = a_i * (b_next - corners[i][1])
             col = F.basis(1).index((i, i + 1))
-            assert composed.entries[0][col] == (
-                FormMonomial(-vol, (a_i - 1, b_next - 1), (0, 1)),
-            )
+            assert row[col] == {(a_i - 1, b_next - 1): -vol}
 
 
 @pytest.mark.parametrize("b", [(3,), (2, 3), (2, 3, 4), (2, 1, 3, 2)])
@@ -152,12 +164,54 @@ def test_permutation_checks_n3_generic(rng):
 
 
 def test_permutation_check_requires_generic(ex61_ideal, ex61_embedded):
-    with pytest.raises(PreconditionError):
-        permutation_cycle_check(ex61_embedded, ex61_ideal, (1, 2, 3))
-    result = permutation_cycle_check(
-        ex61_embedded, ex61_ideal, (1, 2, 3), allow_nongeneric=True
-    )
+    # Example 6.1 is not generic, so the identity is not claimed there, but
+    # it holds on this route
+    result = permutation_cycle_check(ex61_embedded, ex61_ideal, (1, 2, 3))
     assert result["lhs"] == result["expected"]
+
+
+def test_permutation_check_rejects_non_permutations(ex61_ideal, ex61_embedded):
+    for s in ((1, 2), (1, 1, 3), (0, 1, 2), (1, 2, 4)):
+        with pytest.raises(PreconditionError, match="not a permutation"):
+            permutation_cycle_check(ex61_embedded, ex61_ideal, s)
+
+
+_SEEDED = st.randoms(use_true_random=False)
+CYCLE_IDEALS = {
+    "staircase": _SEEDED.map(random_staircase_ideal),
+    "generic-3": _SEEDED.map(random_generic_ideal_3),
+    "artinian-3": artinian_ideals(min_n=3, max_n=3),
+    "artinian-4": artinian_ideals(min_n=4, max_n=4, max_side=2),
+    "m2-4": st.just(maximal_ideal_power(4, 2)),
+    "n1": st.integers(1, 6).map(lambda a: minimize([(a,)])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CYCLE_IDEALS))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_cycle_routes_match_wedge_oracle(kind, data):
+    # both routes against the wedge-form algebra, face by face, on the hull
+    # with a drawn set of lower faces reoriented; on a generic ideal every
+    # permutation route meets the claimed identity
+    M = data.draw(CYCLE_IDEALS[kind])
+    n = M.n
+    generic = is_generic(M)
+    X = embedded_hull(M)
+    lower = sorted(fid for fid, f in X.faces.items() if 1 <= f.dim < n - 1)
+    flips = data.draw(st.sets(st.sampled_from(lower))) if lower else ()
+    X = reoriented(X, flips)
+    event(f"generic: {generic}, lower faces reoriented: {bool(flips)}")
+    F = cellular_complex(X)
+    R = residue_current(X, pure_power_exponents(M))
+    full = wedge_masses(F, R)
+    assert _masses(F, R, [range(n)] * n) == full
+    assert fundamental_cycle_check(X, M)["lhs"] == cycle_constant(n) * sum(full.values())
+    for s in permutations(range(1, n + 1)):
+        result = permutation_cycle_check(X, M, s)
+        assert result["per_face"] == wedge_masses(F, R, s)
+        assert result["lhs"] == sum(result["per_face"].values())
+        assert result["ok"] or not generic
 
 
 def test_permutation_sum_recovers_full_differential(rng, ex61_ideal, ex61_embedded):
@@ -170,7 +224,7 @@ def test_permutation_sum_recovers_full_differential(rng, ex61_ideal, ex61_embedd
         n = M.n
         full = fundamental_cycle_check(X, M)
         total = sum(
-            permutation_cycle_check(X, M, s, allow_nongeneric=True)["lhs"]
+            permutation_cycle_check(X, M, s)["lhs"]
             for s in permutations(range(1, n + 1))
         )
         assert total == cycle_constant(n) * full["lhs"]
@@ -210,7 +264,7 @@ def test_four_variable_squared_maximal_ideal():
     assert multiplicity(M) == 5
     result = fundamental_cycle_check(X, M)
     assert result["ok"] and result["lhs"] == 120
-    sub = permutation_cycle_check(X, M, (2, 4, 1, 3), allow_nongeneric=True)
+    sub = permutation_cycle_check(X, M, (2, 4, 1, 3))
     assert sub["ok"] and sub["lhs"] == cycle_constant(4) * 5 == 5
 
 

@@ -72,8 +72,8 @@ def test_staircase_path_hull():
 
 def test_hull_stability_between_lift_bases(ex61_ideal):
     t = default_lift_base(3)
-    fa = set(hull_complex(ex61_ideal, t, check_stability=False).faces)
-    fb = set(hull_complex(ex61_ideal, t + 1, check_stability=False).faces)
+    fa = set(hull_complex(ex61_ideal, t).faces)
+    fb = set(hull_complex(ex61_ideal, t + 1).faces)
     assert fa == fb
 
 
@@ -211,7 +211,7 @@ def test_hull_n1():
 def assert_hull_matches_oracle(M):
     t = default_lift_base(M.n)
     for base in (t, t + 1):
-        faces = set(hull_complex(M, base, check_stability=False).faces) - {()}
+        faces = set(hull_complex(M, base).faces) - {()}
         assert faces == hull_face_sets(M.generators, base)
 
 

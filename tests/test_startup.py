@@ -14,7 +14,6 @@ import pytest
 import cellres
 from cellres import InputError, PreconditionError
 from cellres.cellcomplex import Face
-from cellres.cycle import FormMatrix, FormMonomial
 from cellres.monomial import MonomialIdeal, Rectangle2D
 from cellres.residue import ChainMap, CHProduct, ResidueCurrent
 from cellres.resolution import FreeComplex, SignedMonomial
@@ -140,8 +139,6 @@ RECORDS = [
     (CHProduct, (1, (2, 1)), "CHProduct(sign=1, alpha=(2, 1))"),
     (ResidueCurrent, (2, {}), "ResidueCurrent(n=2, entries={})"),
     (ChainMap, ({}, {}, {}), "ChainMap(levels={}, row_bases={}, col_bases={})"),
-    (FormMonomial, (3, (0, 1), (0,)), "FormMonomial(coeff=3, exp=(0, 1), dz=(0,))"),
-    (FormMatrix, (1, 1, ((),)), "FormMatrix(rows=1, cols=1, entries=((),))"),
 ]
 
 
@@ -169,8 +166,8 @@ def test_records_differ_by_fields():
     assert CHProduct(1, (2, 1)) != CHProduct(1, (1, 2))
     assert Rectangle2D(0, 1, 0, 2) != Rectangle2D(0, 2, 0, 1)
     assert MonomialIdeal(1, ((2,),)) != MonomialIdeal(1, ((3,),))
-    assert len({FormMonomial(1, (0,), ()), FormMonomial(1, (0,), ()),
-                FormMonomial(2, (0,), ())}) == 2
+    assert len({SignedMonomial(1, (0,)), SignedMonomial(1, (0,)),
+                SignedMonomial(-1, (0,))}) == 2
 
 
 def test_record_validation_messages():
