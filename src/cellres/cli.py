@@ -200,7 +200,7 @@ def _cmd_resolve(M, X, args, options):
     from .resolution import cellular_complex
     F = cellular_complex(X)
     levels = {k: [list(fid) for fid in F.basis(k)] for k in sorted(F.levels)}
-    matrices = {k: _signed_matrix_json(F.matrix(k)) for k in sorted(F.matrices)}
+    matrices = {k: _signed_matrix_json(F.matrix(k)) for k in sorted(F.columns)}
     return {"levels": levels, "matrices": matrices}, 0
 
 
@@ -239,7 +239,7 @@ def _cmd_compare(M, X, args, options):
     maps = chain_maps(X, b)
     ok, witness = verify_chain_maps(X, b)
     payload = {
-        "maps": {k: _signed_matrix_json(maps.levels[k]) for k in sorted(maps.levels)},
+        "maps": {k: _signed_matrix_json(maps.matrix(k)) for k in sorted(maps.columns)},
         "row_bases": {k: [list(f) for f in maps.row_bases[k]] for k in maps.row_bases},
         "col_bases": {k: [list(f) for f in maps.col_bases[k]] for k in maps.col_bases},
         "ok": ok,
@@ -473,7 +473,12 @@ def run(argv=None) -> int:
     except (InputError, PreconditionError, CellresError, OSError) as exc:
         _emit({"error": str(exc)})
         return 2
-    _emit(payload)
+    try:
+        _emit(payload)
+    except ValueError:  # past the interpreter's int-string limit
+        _emit({"error": "result has an integer longer than "
+                        f"{sys.get_int_max_str_digits()} digits"})
+        return 2
     return code
 
 

@@ -12,6 +12,7 @@ extraction, with the unit (2 pi i)^n factored out symbolically.
 from __future__ import annotations
 
 from math import factorial
+from operator import sub
 
 from .errors import PreconditionError
 from .monomial import MonomialIdeal, multiplicity, pure_power_exponents
@@ -39,13 +40,13 @@ def _top_row(F, choices) -> list:
     n = F.n
     rows = {0: [{(0,) * n: 1}]}
     for k, variables in enumerate(choices):
-        cells = [
-            (r, c, cell)
-            for r, matrix_row in enumerate(F.matrix(k))
-            for c, cell in enumerate(matrix_row)
-            if cell.sign
-        ]
-        width = len(F.basis(k))
+        lower, upper = F.basis(k - 1), F.basis(k)
+        cells = []
+        for c, sigma in enumerate(upper):
+            for r, sign in F.columns[k][c].items():
+                e = tuple(map(sub, F.labels[sigma], F.labels[lower[r]]))
+                cells.append((r, c, sign, e))
+        width = len(upper)
         composed = {}
         for used, row in rows.items():
             for i in variables:
@@ -53,11 +54,10 @@ def _top_row(F, choices) -> list:
                     continue
                 sign = -1 if (used >> (i + 1)).bit_count() & 1 else 1
                 out = composed.setdefault(used | 1 << i, [{} for _ in range(width)])
-                for r, c, cell in cells:
-                    e = cell.exp
+                for r, c, cell_sign, e in cells:
                     if not e[i] or not row[r]:
                         continue
-                    coeff = sign * cell.sign * e[i]
+                    coeff = sign * cell_sign * e[i]
                     shift = e[:i] + (e[i] - 1,) + e[i + 1:]
                     acc = out[c]
                     for exp, value in row[r].items():

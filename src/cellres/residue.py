@@ -27,13 +27,7 @@ from .monomial import (
     minimize,
     pure_power_exponents,
 )
-from .resolution import (
-    SignedMonomial,
-    cellular_complex,
-    exactness_witness,
-    poly_matmul,
-    zero_entry,
-)
+from .resolution import _compose, _dense_view, cellular_complex, exactness_witness
 
 
 class CHProduct(namedtuple("CHProduct", "sign alpha")):
@@ -62,10 +56,22 @@ class ResidueCurrent(namedtuple("ResidueCurrent", "n entries")):
     __slots__ = ()
 
 
-class ChainMap(namedtuple("ChainMap", "levels row_bases col_bases")):
-    """Maps a_k from the corner-simplex resolution into the refined one."""
+class ChainMap(
+    namedtuple("ChainMap", "n columns row_bases col_bases row_labels col_labels")
+):
+    """Maps a_k from the corner-simplex resolution into the refined one, as
+    one {row index: sign} dict per basis element of level k of the simplex.
+
+    Rows are faces of X and columns faces of the simplex Y; both number
+    their faces by vertex tuples, so their labels are kept apart.
+    """
 
     __slots__ = ()
+
+    def matrix(self, k):
+        """a_k as a dense matrix of signed monomials z^{m_sigma - m_tau}."""
+        return _dense_view(self.columns[k], self.row_bases[k], self.col_bases[k],
+                           self.row_labels, self.col_labels, self.n)
 
 
 @derived
@@ -125,51 +131,46 @@ def chain_maps(X: LabeledCellComplex, b) -> ChainMap:
     of the same dimension it contains; a_{-1} is the identity.
     """
     Y = _reference_complex(X, b)
-    n = X.n
-    levels = {}
-    row_bases = {}
-    col_bases = {}
-    row_bases[-1] = ((),)
-    col_bases[-1] = ((),)
-    levels[-1] = ((SignedMonomial(1, (0,) * n),),)
-    for k in range(0, n):
-        rows = tuple(X.faces_of_dim(k))
-        cols = tuple(Y.faces_of_dim(k))
+    row_bases, col_bases, columns = {-1: ((),)}, {-1: ((),)}, {-1: ({0: 1},)}
+    for k in range(0, X.n):
+        rows = row_bases[k] = tuple(X.faces_of_dim(k))
+        cols = col_bases[k] = tuple(Y.faces_of_dim(k))
         row_index = {fid: i for i, fid in enumerate(rows)}
-        matrix = [[zero_entry(n) for _ in cols] for _ in rows]
-        for j, sid in enumerate(cols):
-            sigma = Y.face(sid)
-            for fid in contained_faces(Y, sid, X, k):
-                face = X.face(fid)
-                exp = tuple(s - f for s, f in zip(sigma.label, face.label))
-                matrix[row_index[fid]][j] = SignedMonomial(
-                    sign_same_span(face, sigma), exp
-                )
-        levels[k] = tuple(tuple(row) for row in matrix)
-        row_bases[k] = rows
-        col_bases[k] = cols
-    return ChainMap(levels, row_bases, col_bases)
+        columns[k] = tuple(
+            {row_index[fid]: sign_same_span(X.face(fid), Y.face(sid))
+             for fid in contained_faces(Y, sid, X, k)}
+            for sid in cols
+        )
+    labels = [{fid: face.label for fid, face in Z.faces.items()} for Z in (X, Y)]
+    return ChainMap(X.n, columns, row_bases, col_bases, *labels)
 
 
 def verify_chain_maps(X: LabeledCellComplex, b, maps: ChainMap | None = None):
-    """Exact polynomial check that the comparison square commutes at every
-    level; returns (ok, witness) with the first failing level and faces.
-    ``maps`` replaces the computed chain maps."""
+    """Check that the comparison square commutes at every level; returns
+    (ok, witness) with the first failing level, row face and column face.
+    ``maps`` replaces the computed chain maps.
+
+    Entry (rho, sigma) of a_{k-1} psi_k and of phi_k a_k is the same
+    monomial z^{m_sigma - m_rho} times an integer sum of signs, so the
+    square commutes when the two sums agree.
+    """
     if maps is None:
         maps = chain_maps(X, b)
     Y = _reference_complex(X, b)
     phi = cellular_complex(X)
     psi = cellular_complex(Y)
-    n = X.n
-    for k in range(0, n):
-        lhs = poly_matmul(maps.levels[k - 1], psi.matrix(k), n)
-        rhs = poly_matmul(phi.matrix(k), maps.levels[k], n)
-        rows = phi.basis(k - 1)
-        cols = psi.basis(k)
-        for i in range(len(rows)):
-            for j in range(len(cols)):
-                if lhs[i][j] != rhs[i][j]:
-                    return False, (k, rows[i], cols[j])
+    for k in range(0, X.n):
+        lhs = _compose(maps.columns[k - 1], psi.columns[k])
+        rhs = _compose(phi.columns[k], maps.columns[k])
+        failures = [
+            (i, j)
+            for j, (left, right) in enumerate(zip(lhs, rhs))
+            for i in left.keys() | right.keys()
+            if left.get(i) != right.get(i)
+        ]
+        if failures:
+            i, j = min(failures)
+            return False, (k, phi.basis(k - 1)[i], psi.basis(k)[j])
     return True, None
 
 
@@ -186,16 +187,17 @@ def residue_via_chain_maps(X: LabeledCellComplex, b) -> ResidueCurrent:
         raise PreconditionError(f"comparison square does not commute at {witness}")
     _check_exact(X)
     n = X.n
-    top = maps.levels[n - 1]
-    rows = maps.row_bases[n - 1]
+    column = maps.columns[n - 1][0]
+    corner = maps.col_labels[maps.col_bases[n - 1][0]]
     koszul = ch_product(1, b)
     entries = {}
-    for i, fid in enumerate(rows):
-        entry = top[i][0]
-        if entry.sign == 0:
+    for i, fid in enumerate(maps.row_bases[n - 1]):
+        sign = column.get(i)
+        if sign is None:
             raise PreconditionError(f"top face {fid} is missing from the chain map")
-        transported = monomial_times_ch(entry.exp, koszul)
-        entries[fid] = CHProduct(entry.sign * transported.sign, transported.alpha)
+        exp = tuple(a - f for a, f in zip(corner, maps.row_labels[fid]))
+        transported = monomial_times_ch(exp, koszul)
+        entries[fid] = CHProduct(sign * transported.sign, transported.alpha)
     return ResidueCurrent(n, entries)
 
 

@@ -1,7 +1,11 @@
 """Free complexes supported on labeled cell complexes.
 
-Matrix entries are signed monomials; boundary-squared and all exactness
-checks are exact polynomial identities over the integers/rationals.
+Entry (tau, sigma) of a boundary map is sign(tau, sigma) z^{m_sigma - m_tau},
+so only the incidence signs are stored and the exponents are read off the
+labels.  An entry of a product of two such maps is one monomial times an
+integer sum of signs, because the exponents add up to the same label
+difference along every path; boundary-squared and the comparison square
+are therefore integer sums of incidence signs.
 """
 
 from __future__ import annotations
@@ -15,20 +19,28 @@ from .monomial import MonomialIdeal, divides, lcm_lattice, minimize
 
 
 class SignedMonomial(namedtuple("SignedMonomial", "sign exp")):
+    """An entry sign * z^exp of a dense view; sign 0 is a zero entry."""
+
     __slots__ = ()
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
+
+def _dense_view(columns, rows, cols, row_labels, col_labels, n):
+    """Dense view of sign columns: entry (tau, sigma) is
+    sign * z^{m_sigma - m_tau}, zero entries SignedMonomial(0, (0,) * n)."""
+    zero = SignedMonomial(0, (0,) * n)
+    matrix = [[zero] * len(cols) for _ in rows]
+    for j, column in enumerate(columns):
+        top = col_labels[cols[j]]
+        for i, sign in column.items():
+            exp = tuple(a - b for a, b in zip(top, row_labels[rows[i]]))
+            matrix[i][j] = SignedMonomial(sign, exp)
+    return tuple(tuple(row) for row in matrix)
 
 
-def zero_entry(n: int) -> SignedMonomial:
-    return SignedMonomial(0, (0,) * n)
-
-
-class FreeComplex(namedtuple("FreeComplex", "n levels labels matrices")):
-    """Graded free complex: bases of face ids per level and the boundary
-    matrices phi_k: A_k -> A_{k-1} as signed-monomial matrices."""
+class FreeComplex(namedtuple("FreeComplex", "n levels labels columns")):
+    """Graded free complex: bases of face ids per level, and the boundary
+    phi_k: A_k -> A_{k-1} as one {row index: sign} dict per basis element
+    of level k."""
 
     __slots__ = ()
 
@@ -40,75 +52,47 @@ class FreeComplex(namedtuple("FreeComplex", "n levels labels matrices")):
         return self.levels.get(k, ())
 
     def matrix(self, k):
-        return self.matrices[k]
+        """phi_k as a dense matrix of signed monomials."""
+        return _dense_view(self.columns[k], self.basis(k - 1), self.basis(k),
+                           self.labels, self.labels, self.n)
 
 
-def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def poly_matmul(a, b, n):
-    """Product of signed-monomial matrices as polynomial matrices.
-
-    Entries of the result are dicts exponent -> integer coefficient with
-    zero coefficients dropped.
-    """
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    if a and len(a[0]) != inner:
-        raise CellresError("matrix dimensions do not match")
-    result = [[{} for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = result[i][j]
-            for k in range(inner):
-                x, y = a[i][k], b[k][j]
-                if x.sign == 0 or y.sign == 0:
-                    continue
-                e = tuple(p + q for p, q in zip(x.exp, y.exp))
-                c = acc.get(e, 0) + x.sign * y.sign
-                if c:
-                    acc[e] = c
-                else:
-                    acc.pop(e, None)
-    return result
-
-
-def poly_matrix_is_zero(p) -> bool:
-    return all(not entry for row in p for entry in row)
+def _compose(a, b) -> list:
+    """Sign columns of a after b: column j is {i: sum_t a[t][i] b[j][t]},
+    zero sums dropped."""
+    product = []
+    for column in b:
+        acc = {}
+        for t, s in column.items():
+            for i, r in a[t].items():
+                acc[i] = acc.get(i, 0) + r * s
+        product.append({i: c for i, c in acc.items() if c})
+    return product
 
 
 @derived
 def cellular_complex(X: LabeledCellComplex) -> FreeComplex:
-    """Boundary matrices with entries sign(tau,sigma) z^{m_sigma - m_tau}.
+    """Boundary maps with entries sign(tau,sigma) z^{m_sigma - m_tau}.
 
-    Verifies that consecutive matrices compose to zero.
+    Verifies that consecutive maps compose to zero.
     """
-    n = X.n
     top = X.dim
     levels = {k: tuple(X.faces_of_dim(k)) for k in range(-1, top + 1)}
     labels = {fid: X.face(fid).label for fid in X.faces}
-    matrices = {}
+    columns = {}
     for k in range(0, top + 1):
-        rows = levels[k - 1]
-        cols = levels[k]
-        row_index = {fid: i for i, fid in enumerate(rows)}
-        matrix = [[zero_entry(n) for _ in cols] for _ in rows]
-        for j, sigma in enumerate(cols):
-            for tau in X.facets(sigma):
-                i = row_index[tau]
-                matrix[i][j] = SignedMonomial(
-                    sign_facet(X, tau, sigma), _exp_sub(labels[sigma], labels[tau])
-                )
-        matrices[k] = tuple(tuple(row) for row in matrix)
+        row_index = {fid: i for i, fid in enumerate(levels[k - 1])}
+        columns[k] = tuple(
+            {row_index[tau]: sign_facet(X, tau, sigma) for tau in X.facets(sigma)}
+            for sigma in levels[k]
+        )
     for k in range(1, top + 1):
-        if not poly_matrix_is_zero(poly_matmul(matrices[k - 1], matrices[k], n)):
+        if any(_compose(columns[k - 1], columns[k])):
             raise CellresError(
                 f"boundary squared is nonzero between levels {k} and {k-2}; "
                 "orientation data is inconsistent"
             )
-    return FreeComplex(n, levels, labels, matrices)
+    return FreeComplex(X.n, levels, labels, columns)
 
 
 def reduced_homology_ranks(F: FreeComplex, beta) -> list[int]:
@@ -116,8 +100,8 @@ def reduced_homology_ranks(F: FreeComplex, beta) -> list[int]:
 
     X_{<=beta} is the subcomplex of the faces whose label divides z^beta.
     Its augmented chain complex (the empty face included) is F with the
-    basis elements of those faces kept and the incidence signs of F's
-    matrices between them; the ranks come from fraction-free elimination.
+    basis elements of those faces kept and F's incidence signs between
+    them; the ranks come from fraction-free elimination.
     """
     top = F.top
     keep = {
@@ -126,10 +110,12 @@ def reduced_homology_ranks(F: FreeComplex, beta) -> list[int]:
     }
     boundary_rank = {-1: 0, top + 1: 0}
     for k in range(0, top + 1):
-        matrix = F.matrix(k)
-        boundary_rank[k] = linalg.rank(
-            [[matrix[i][j].sign for j in keep[k]] for i in keep[k - 1]]
-        )
+        position = {i: r for r, i in enumerate(keep[k - 1])}
+        matrix = [[0] * len(keep[k]) for _ in position]
+        for c, j in enumerate(keep[k]):
+            for i, sign in F.columns[k][j].items():
+                matrix[position[i]][c] = sign
+        boundary_rank[k] = linalg.rank(matrix)
     return [
         len(keep[k]) - boundary_rank[k] - boundary_rank[k + 1]
         for k in range(-1, top + 1)
@@ -163,16 +149,20 @@ def is_exact(X: LabeledCellComplex, M: MonomialIdeal) -> bool:
 
 
 def minimality_witness(F: FreeComplex):
-    """A facet pair with equal labels (a unit matrix entry), or None."""
-    for k in sorted(F.matrices):
+    """The first facet pair with equal labels (a unit matrix entry), by
+    level, row and column, or None."""
+    for k in sorted(F.columns):
         rows = F.basis(k - 1)
         cols = F.basis(k)
-        matrix = F.matrix(k)
-        for i, row in enumerate(rows):
-            for j, col in enumerate(cols):
-                entry = matrix[i][j]
-                if entry.sign != 0 and all(e == 0 for e in entry.exp):
-                    return (row, col)
+        units = [
+            (i, j)
+            for j, column in enumerate(F.columns[k])
+            for i in column
+            if F.labels[rows[i]] == F.labels[cols[j]]
+        ]
+        if units:
+            i, j = min(units)
+            return (rows[i], cols[j])
     return None
 
 

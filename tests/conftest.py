@@ -150,6 +150,16 @@ def embedded_hull(M):
     return embed_in_simplex(hull_complex(M), pure_power_exponents(M))
 
 
+def flip_sign(record, k, nth=0):
+    """A copy of a free complex or chain map whose nth nonzero entry at level
+    k, in row-major order, has the opposite sign; the stored sign columns
+    are left alone."""
+    level = [dict(column) for column in record.columns[k]]
+    i, j = sorted((i, j) for j, column in enumerate(level) for i in column)[nth]
+    level[j][i] = -level[j][i]
+    return record._replace(columns={**record.columns, k: tuple(level)})
+
+
 def without_face(X, fid):
     """X with the face fid left out, reloaded from its JSON form as a file
     complex is."""

@@ -18,9 +18,11 @@ over the faces one dimension lower for the dimension, orientation basis
 and facets of a face, barycenter differences for incidence signs, and for
 exactness a subcomplex rebuilt at every lcm-lattice degree with its own
 boundary matrices instead of the free complex's signs restricted to the
-faces under the degree, and for the fundamental cycle a general algebra of
+faces under the degree, for the fundamental cycle a general algebra of
 wedge forms, each term sorted by a bubble sort, instead of one polynomial
-row per set of used variables.
+row per set of used variables, and for d^2 = 0 and the comparison square a
+product of dense signed-monomial matrices as polynomial matrices instead
+of integer sums of incidence signs.
 """
 
 from collections import namedtuple
@@ -227,7 +229,8 @@ def graded_strand_inexact_degree(free_complex, box):
         for k in range(0, top + 1):
             rows = bases[k - 1]
             cols = bases[k]
-            matrix = [[F.matrix(k)[i][j].sign for j in cols] for i in rows]
+            phi = F.matrix(k)
+            matrix = [[phi[i][j].sign for j in cols] for i in rows]
             ranks[k] = fraction_rank(matrix)
         ranks[top + 1] = 0
         for k in range(0, top + 1):
@@ -869,3 +872,51 @@ def wedge_masses(F, R, s=None):
                 coeff = term.coeff
         per_face[fid] = parity * entry.sign * coeff
     return per_face
+
+
+def poly_matmul(a, b):
+    """Product of dense signed-monomial matrices (entries with .sign and
+    .exp) as polynomial matrices: entries are dicts exponent -> integer
+    coefficient with zero coefficients dropped."""
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    if a and len(a[0]) != inner:
+        raise ValueError("matrix dimensions do not match")
+    result = [[{} for _ in range(cols)] for _ in a]
+    for i, row in enumerate(a):
+        for j in range(cols):
+            acc = result[i][j]
+            for k in range(inner):
+                x, y = row[k], b[k][j]
+                if x.sign == 0 or y.sign == 0:
+                    continue
+                e = tuple(p + q for p, q in zip(x.exp, y.exp))
+                c = acc.get(e, 0) + x.sign * y.sign
+                if c:
+                    acc[e] = c
+                else:
+                    acc.pop(e, None)
+    return result
+
+
+def boundary_squared_failure(F):
+    """The first level k whose polynomial product phi_{k-1} phi_k over F's
+    dense views is nonzero, or None."""
+    for k in range(1, F.top + 1):
+        if any(entry for row in poly_matmul(F.matrix(k - 1), F.matrix(k)) for entry in row):
+            return k
+    return None
+
+
+def comparison_square_failure(phi, psi, maps, n):
+    """The first (level, row face, column face), by level, row and column,
+    where the polynomial products a_{k-1} psi_k and phi_k a_k over the
+    dense views differ, or None."""
+    for k in range(n):
+        lhs = poly_matmul(maps.matrix(k - 1), psi.matrix(k))
+        rhs = poly_matmul(phi.matrix(k), maps.matrix(k))
+        for i, (left, right) in enumerate(zip(lhs, rhs)):
+            for j, (x, y) in enumerate(zip(left, right)):
+                if x != y:
+                    return (k, phi.basis(k - 1)[i], psi.basis(k)[j])
+    return None

@@ -38,11 +38,10 @@ from cellres import (
     verify_chain_maps,
 )
 from cellres.hull import default_lift_base
-from cellres.residue import ChainMap
-from cellres.resolution import SignedMonomial
 from conftest import (
     EX61_GENERATORS,
     embedded_hull,
+    flip_sign,
     minimal_ex61_json,
     random_generic_ideal_3,
     random_staircase_ideal,
@@ -154,23 +153,9 @@ def test_criterion_4_commuting_diagram(staircase_pool, generic3_pool, ex61):
             ok, witness = verify_chain_maps(X, b)
             assert ok and witness is None
         M, X = ex61
-        maps = chain_maps(X, (2, 2, 2))
-        levels = dict(maps.levels)
-        level = [list(row) for row in levels[1]]
-        done = False
-        for i, row in enumerate(level):
-            for j, cell in enumerate(row):
-                if cell.sign != 0:
-                    level[i][j] = SignedMonomial(-cell.sign, cell.exp)
-                    done = True
-                    break
-            if done:
-                break
-        levels[1] = tuple(tuple(row) for row in level)
-        ok, witness = verify_chain_maps(
-            X, (2, 2, 2), ChainMap(levels, maps.row_bases, maps.col_bases)
-        )
-        assert not ok and witness is not None
+        corrupted = flip_sign(chain_maps(X, (2, 2, 2)), 1)
+        ok, witness = verify_chain_maps(X, (2, 2, 2), corrupted)
+        assert not ok and witness == (1, (0,), (0, 1))
 
 
 def test_criterion_5_exactness_oracle_agreement(ex61):

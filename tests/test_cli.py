@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -262,6 +263,14 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     assert code == 2 and out["error"].startswith("complex JSON has an integer literal longer")
     code, out = invoke(capsys, monkeypatch, ["generators"], text="[" * 100000)
     assert code == 2 and out["error"] == "JSON nests too deeply"
+    # the multiplicity a^2 of (z1^a, z2^a) has 6000 digits: too long to print
+    a = "9" * 3000
+    code, out = invoke(
+        capsys, monkeypatch, ["multiplicity"], text=f'{{"n":2,"generators":[[{a},0],[0,{a}]]}}'
+    )
+    assert code == 2 and out["error"] == (
+        f"result has an integer longer than {sys.get_int_max_str_digits()} digits"
+    )
 
 
 def test_non_artinian_multiplicity_precondition(capsys, monkeypatch):

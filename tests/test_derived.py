@@ -17,9 +17,7 @@ from itertools import product
 import pytest
 
 from cellres import (
-    ChainMap,
     PreconditionError,
-    SignedMonomial,
     cellular_complex,
     chain_maps,
     duality_check,
@@ -32,7 +30,7 @@ from cellres import (
 )
 from cellres.cli import run
 from cellres.residue import ResidueCurrent
-from conftest import EX61_GENERATORS, embedded_hull
+from conftest import EX61_GENERATORS, embedded_hull, flip_sign
 from oracles import subcomplex_leq
 
 EX61 = {"n": 3, "generators": [list(g) for g in EX61_GENERATORS]}
@@ -42,7 +40,7 @@ M2_IN_4 = {
 }
 
 COUNTED = (
-    "resolution.poly_matrix_is_zero",  # one call per d^2 = 0 level of a built F
+    "resolution._compose",  # one product of sign columns per level checked
     "cellcomplex.sign_facet",  # one call per facet incidence of a built F
     "hull.corner_simplex_complex",
     "cellcomplex._refinement_failure",
@@ -88,7 +86,7 @@ def test_fundamental_cycle_builds_each_object_once(monkeypatch, job, dim, incide
     counts = _counting(monkeypatch)
     assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
     assert counts == {
-        "resolution.poly_matrix_is_zero": dim,  # F of X, levels 1..dim
+        "resolution._compose": dim,  # d^2 = 0 of F of X at levels 1..dim; no chain maps
         "cellcomplex.sign_facet": incidences,  # the exactness scan reads F's signs
         "hull.corner_simplex_complex": 1,
         "cellcomplex._refinement_failure": 1,
@@ -101,7 +99,9 @@ def test_compare_builds_each_object_once(monkeypatch):
     counts = _counting(monkeypatch)
     assert _run(monkeypatch, ["compare"], EX61) == 0
     assert counts == {
-        "resolution.poly_matrix_is_zero": 2 + 2,  # F of X and F of Y
+        # d^2 = 0 at levels 1..2 of F of X and of F of Y, then the two sides
+        # a_{k-1} psi_k and phi_k a_k of the square at levels 0..2
+        "resolution._compose": 2 + 2 + 2 * 3,
         "cellcomplex.sign_facet": 36 + 12,  # incidences of X and of the simplex Y
         "hull.corner_simplex_complex": 1,
         "cellcomplex._refinement_failure": 1,
@@ -167,14 +167,8 @@ def test_changed_copies_leave_the_stored_objects_alone():
     assert duality_check(residue_current(X, b), M)
 
     maps = chain_maps(X, b)
-    levels = dict(maps.levels)
-    level1 = [list(row) for row in levels[1]]
-    i, j = next(
-        (i, j) for i, row in enumerate(level1) for j, c in enumerate(row) if c.sign
-    )
-    level1[i][j] = SignedMonomial(-level1[i][j].sign, level1[i][j].exp)
-    levels[1] = tuple(tuple(row) for row in level1)
-    corrupted = ChainMap(levels, maps.row_bases, maps.col_bases)
+    stored = [dict(column) for column in maps.columns[1]]
+    corrupted = flip_sign(maps, 1)
     assert not verify_chain_maps(X, b, corrupted)[0]
     assert verify_chain_maps(X, b) == (True, None)
-    assert chain_maps(X, b).levels[1] == maps.levels[1] != levels[1]
+    assert list(chain_maps(X, b).columns[1]) == stored != list(corrupted.columns[1])

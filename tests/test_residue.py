@@ -24,11 +24,12 @@ from cellres import (
     sign_same_span,
     verify_chain_maps,
 )
-from cellres.residue import ChainMap, ResidueCurrent, ch_zero
+from cellres.residue import ResidueCurrent, ch_zero
 from cellres.resolution import SignedMonomial
 from conftest import (
     artinian_ideals,
     embedded_hull,
+    flip_sign,
     random_generic_ideal_3,
     random_staircase_ideal,
 )
@@ -97,7 +98,7 @@ def test_chain_maps_identity_on_delta():
     D = delta_complex(b)
     maps = chain_maps(D, b)
     for k in range(-1, 2):
-        matrix = maps.levels[k]
+        matrix = maps.matrix(k)
         assert maps.row_bases[k] == maps.col_bases[k]
         for i, row in enumerate(matrix):
             for j, cell in enumerate(row):
@@ -109,13 +110,13 @@ def test_chain_maps_identity_on_delta():
 
 def test_chain_maps_ex61(ex61_embedded):
     maps = chain_maps(ex61_embedded, (2, 2, 2))
-    top = maps.levels[2]
+    top = maps.matrix(2)
     rows = maps.row_bases[2]
     entries = {rows[i]: top[i][0] for i in range(len(rows))}
     assert entries[(0, 1, 2)] == SignedMonomial(1, (0, 1, 1))  # z2 z3
     assert entries[(1, 2, 4)] == SignedMonomial(1, (1, 1, 1))
     # vertex level: each corner maps to the coinciding vertex with unit
-    a0 = maps.levels[0]
+    a0 = maps.matrix(0)
     rows0 = maps.row_bases[0]
     for j, corner in enumerate(maps.col_bases[0]):
         column = [a0[i][j] for i in range(len(rows0))]
@@ -135,21 +136,13 @@ def test_verify_chain_maps(ex61_embedded):
 
 def test_corrupted_chain_map_fails_with_witness(ex61_embedded):
     maps = chain_maps(ex61_embedded, (2, 2, 2))
-    levels = dict(maps.levels)
-    level1 = [list(row) for row in levels[1]]
-    for i, row in enumerate(level1):
-        for j, cell in enumerate(row):
-            if cell.sign != 0:
-                level1[i][j] = SignedMonomial(-cell.sign, cell.exp)
-                break
-        else:
-            continue
-        break
-    levels[1] = tuple(tuple(row) for row in level1)
-    corrupted = ChainMap(levels, maps.row_bases, maps.col_bases)
-    ok, witness = verify_chain_maps(ex61_embedded, (2, 2, 2), corrupted)
-    assert not ok
-    assert witness is not None and witness[0] in (1, 2)
+    for k, witness in (
+        (0, (0, (), (0,))),
+        (1, (1, (0,), (0, 1))),
+        (2, (2, (0, 1), (0, 1, 2))),
+    ):
+        corrupted = flip_sign(maps, k)
+        assert verify_chain_maps(ex61_embedded, (2, 2, 2), corrupted) == (False, witness)
 
 
 def test_route_equality_small(ex61_embedded):

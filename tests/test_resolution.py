@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import pytest
@@ -5,10 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from cellres import (
     CellresError,
+    PreconditionError,
+    chain_maps,
+    corner_simplex_complex,
     cellular_complex,
     delta_complex,
     exactness_witness,
     homogeneous,
+    hull_complex,
     is_exact,
     is_minimal,
     make_complex,
@@ -21,16 +26,20 @@ from cellres import (
     sign_facet,
     staircase_corners_2d,
     taylor_complex,
+    verify_chain_maps,
 )
 from cellres.monomial import lcm_many
-from cellres.resolution import SignedMonomial, zero_entry
+from cellres.resolution import SignedMonomial
 from conftest import (
     artinian_ideals_2_to_4,
     embedded_hull,
+    flip_sign,
     random_staircase_ideal,
     without_face,
 )
 from oracles import (
+    boundary_squared_failure,
+    comparison_square_failure,
     graded_strand_inexact_degree,
     smith_diagonal,
     subcomplex_exactness_witness,
@@ -51,7 +60,7 @@ def koszul_matrices(b):
         rows = levels[k - 1]
         cols = levels[k]
         row_index = {f: i for i, f in enumerate(rows)}
-        matrix = [[zero_entry(n) for _ in cols] for _ in rows]
+        matrix = [[SignedMonomial(0, (0,) * n) for _ in cols] for _ in rows]
         for j, col in enumerate(cols):
             for pos, var in enumerate(col):
                 row = col[:pos] + col[pos + 1 :]
@@ -113,7 +122,20 @@ def test_broken_boundary_is_rejected():
     X = make_complex(
         2, points, labels, [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3)]
     )
-    with pytest.raises(CellresError):
+    with pytest.raises(CellresError, match="between levels 2 and 0"):
+        cellular_complex(X)
+
+
+def test_edge_with_equal_vertex_signs_is_rejected(monkeypatch):
+    # both ends of one edge enter its boundary with +1, so edge -> vertices
+    # -> empty face sums to 2: only the level-1 product sees it first
+    X = taylor_complex(minimize([(2, 0), (1, 1), (0, 2)]))
+    edge = X.faces_of_dim(1)[0]
+    monkeypatch.setattr(
+        "cellres.resolution.sign_facet",
+        lambda Z, tau, sigma: 1 if sigma == edge else sign_facet(Z, tau, sigma),
+    )
+    with pytest.raises(CellresError, match="between levels 1 and -1"):
         cellular_complex(X)
 
 
@@ -272,3 +294,67 @@ def test_exactness_invariant_under_reorientation(ex61_ideal, ex61_embedded, rng)
     flips = {fid for fid in flippable if rng.random() < 0.5}
     X = reoriented(ex61_embedded, flips)
     assert is_exact(X, ex61_ideal)
+
+
+def _sign_cases(M, data):
+    """Hull, embedded hull, Scarf, Taylor for few generators, and the
+    embedded hull with a drawn set of faces reoriented."""
+    X = embedded_hull(M)
+    yield hull_complex(M)
+    yield X
+    if len(M.generators) <= 12:
+        yield scarf_complex(M)
+    if len(M.generators) <= 6:
+        yield taylor_complex(M)
+    yield reoriented(X, data.draw(st.sets(st.sampled_from(sorted(X.faces)))))
+
+
+def _draw_flip(record, data):
+    """A level of the record's sign columns and the index of one of its
+    nonzero entries."""
+    k = data.draw(st.sampled_from(sorted(record.columns)))
+    count = sum(len(column) for column in record.columns[k])
+    return k, data.draw(st.integers(0, count - 1))
+
+
+def _d_squared_verdict(X, G):
+    """The first level cellular_complex reports d^2 != 0 at, or None, when
+    it builds a fresh copy of X with the incidence signs of G."""
+    signs = {
+        (G.basis(k - 1)[i], G.basis(k)[j]): sign
+        for k, level in G.columns.items()
+        for j, column in enumerate(level)
+        for i, sign in column.items()
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cellres.resolution.sign_facet",
+                   lambda Z, tau, sigma: signs[tau, sigma])
+        try:
+            cellular_complex(reoriented(X, ()))
+        except CellresError as exc:
+            return int(re.search(r"between levels (\d+) and", str(exc)).group(1))
+    return None
+
+
+@settings(max_examples=25)
+@given(artinian_ideals_2_to_4(), st.data())
+def test_sign_sums_match_polynomial_oracle(M, data):
+    """d^2 = 0 and the comparison square decided on integer sums of signs
+    agree with the polynomial products of the dense views, on the complexes
+    as built and with one drawn sign negated."""
+    b = pure_power_exponents(M)
+    for X in _sign_cases(M, data):
+        F = cellular_complex(X)
+        assert boundary_squared_failure(F) is None
+        G = flip_sign(F, *_draw_flip(F, data))
+        assert _d_squared_verdict(X, G) == boundary_squared_failure(G)
+        try:
+            maps = chain_maps(X, b)
+        except PreconditionError:  # X does not refine the corner simplex
+            continue
+        phi, psi = F, cellular_complex(corner_simplex_complex(X, b))
+        assert verify_chain_maps(X, b, maps) == (True, None)
+        assert comparison_square_failure(phi, psi, maps, X.n) is None
+        corrupted = flip_sign(maps, *_draw_flip(maps, data))
+        expected = comparison_square_failure(phi, psi, corrupted, X.n)
+        assert verify_chain_maps(X, b, corrupted) == (expected is None, expected)

@@ -135,10 +135,11 @@ RECORDS = [
     (Rectangle2D, (0, 2, 1, 3), "Rectangle2D(x_lo=0, x_hi=2, y_lo=1, y_hi=3)"),
     (Face, ((0, 1), 1, (2, 1), ((1, -1),)), "Face(vertices=(0, 1), dim=1, label=(2, 1), basis=((1, -1),))"),
     (SignedMonomial, (-1, (1, 0)), "SignedMonomial(sign=-1, exp=(1, 0))"),
-    (FreeComplex, (1, {}, {}, {}), "FreeComplex(n=1, levels={}, labels={}, matrices={})"),
+    (FreeComplex, (1, {}, {}, {}), "FreeComplex(n=1, levels={}, labels={}, columns={})"),
     (CHProduct, (1, (2, 1)), "CHProduct(sign=1, alpha=(2, 1))"),
     (ResidueCurrent, (2, {}), "ResidueCurrent(n=2, entries={})"),
-    (ChainMap, ({}, {}, {}), "ChainMap(levels={}, row_bases={}, col_bases={})"),
+    (ChainMap, (1, {}, {}, {}, {}, {}),
+     "ChainMap(n=1, columns={}, row_bases={}, col_bases={}, row_labels={}, col_labels={})"),
 ]
 
 
