@@ -208,7 +208,8 @@ def make_complex(
     Singleton faces and the empty face are added automatically.  A face's
     facets are its listed faces of one dimension less: all of them for a
     simplex, where each is the simplex minus one vertex, and otherwise those
-    passing ``_geometric_facets``; they must cover the boundary.  With
+    passing ``_geometric_facets``; they must cover the boundary, and every
+    listed face inside a face must be one of its faces.  With
     ``simplicial`` every face must be a non-degenerate simplex.  One
     elimination per face gives its dimension and its default orientation
     basis; only the bases in ``bases`` are validated.
@@ -282,12 +283,19 @@ def make_complex(
         if len(fid) == f.dim + 1:
             drops = (fid[:i] + fid[i + 1:] for i in range(len(fid)))
             found = [sub for sub in drops if sub in faces]
+            inside = ()
         else:
             members = set(fid)
-            found = [t for t, g in faces.items() if g.dim == f.dim - 1 and set(t) < members]
-            found = _geometric_facets(points, fid, found)
+            inside = [t for t in face_ids if set(t) < members]
+            found = _geometric_facets(
+                points, fid, [t for t in inside if faces[t].dim == f.dim - 1]
+            )
         if len(found) < f.dim + 1:
             raise InputError(f"face {fid}: boundary is not covered by listed faces")
+        # a face inside a facet tau is checked against tau's facets in turn
+        for t in inside:
+            if not any(set(t) <= set(tau) for tau in found):
+                raise InputError(f"face {t} lies in face {fid} but is not one of its faces")
         facet_ids[fid] = tuple(sorted(found))
 
     vertices = {v: (points[v], tuple(vertex_labels[v])) for v in ids}

@@ -3,16 +3,19 @@
 Each differential dphi_k is the matrix of holomorphic 1-forms
 sum_i (d phi_k / dz_i) dz_i.  A product dphi_0 ^ ... ^ dphi_{n-1} that uses
 a variable twice vanishes, and one that uses every variable once is a
-polynomial matrix times +-dz_1 ^ ... ^ dz_n.  So the product is composed as
-one row of polynomials per set of variables used so far, and pairing the
-full row against the residue current reduces to integer coefficient
-extraction, with the unit (2 pi i)^n factored out symbolically.
+polynomial matrix times +-dz_1 ^ ... ^ dz_n.  Each entry of the product of
+the first levels, for the set U of variables used so far and a face sigma,
+is one monomial c z^{m_sigma - 1_U}: a level multiplies the entry of tau by
+z^{m_sigma - m_tau} and differentiates once in a new variable i, which
+scales it by (m_sigma - m_tau)_i and lowers the exponent of z_i by one.  So
+the product is composed as one integer c per face and set of used
+variables, and pairing the full row against the residue current reads off
+c, with the unit (2 pi i)^n factored out symbolically.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from operator import sub
 
 from .errors import PreconditionError
 from .monomial import MonomialIdeal, multiplicity, pure_power_exponents
@@ -27,8 +30,8 @@ def cycle_constant(n: int) -> int:
 
 
 def _top_row(F, choices) -> list:
-    """The row of dphi_0 ^ ... ^ dphi_{n-1} as polynomials {exponent:
-    coefficient} times dz_1 ^ ... ^ dz_n, one per top face, with level k
+    """The row of dphi_0 ^ ... ^ dphi_{n-1} on dz_1 ^ ... ^ dz_n, one integer c
+    per top face sigma standing for c z^{m_sigma - 1}, with level k
     differentiated only in the variables choices[k] (0-based).
 
     ``rows`` maps the bit mask of the variables used so far to the row of
@@ -38,51 +41,37 @@ def _top_row(F, choices) -> list:
     variable, so after n levels only the full mask is left.
     """
     n = F.n
-    rows = {0: [{(0,) * n: 1}]}
+    rows = {0: [1]}
     for k, variables in enumerate(choices):
         lower, upper = F.basis(k - 1), F.basis(k)
-        cells = []
-        for c, sigma in enumerate(upper):
-            for r, sign in F.columns[k][c].items():
-                e = tuple(map(sub, F.labels[sigma], F.labels[lower[r]]))
-                cells.append((r, c, sign, e))
-        width = len(upper)
         composed = {}
         for used, row in rows.items():
             for i in variables:
                 if used >> i & 1:
                     continue
                 sign = -1 if (used >> (i + 1)).bit_count() & 1 else 1
-                out = composed.setdefault(used | 1 << i, [{} for _ in range(width)])
-                for r, c, cell_sign, e in cells:
-                    if not e[i] or not row[r]:
-                        continue
-                    coeff = sign * cell_sign * e[i]
-                    shift = e[:i] + (e[i] - 1,) + e[i + 1:]
-                    acc = out[c]
-                    for exp, value in row[r].items():
-                        key = tuple(a + b for a, b in zip(exp, shift))
-                        total = acc.get(key, 0) + coeff * value
-                        if total:
-                            acc[key] = total
-                        else:
-                            del acc[key]
+                out = composed.setdefault(used | 1 << i, [0] * len(upper))
+                for c, sigma in enumerate(upper):
+                    out[c] += sign * sum(
+                        cell_sign * (F.labels[sigma][i] - F.labels[lower[r]][i]) * row[r]
+                        for r, cell_sign in F.columns[k][c].items()
+                    )
         rows = composed
     return rows[(1 << n) - 1]
 
 
 def _masses(F, R, choices) -> dict:
     """Point mass per top face of the top row against the current R, in
-    units of (2 pi i)^n: the coefficient at alpha - 1, times the entry's
-    sign and (-1)^n for moving the n-form block left past the (0, n)
-    current block."""
+    units of (2 pi i)^n: the entry c z^{m_sigma - 1} paired with
+    dbar[1/z^alpha] gives c when alpha = m_sigma, times the entry's sign and
+    (-1)^n for moving the n-form block left past the (0, n) current block.
+    ``residue_current`` sets every alpha to its face's label, so the
+    coefficient is c itself."""
     parity = -1 if F.n % 2 else 1
-    per_face = {}
-    for fid, poly in zip(F.basis(F.n - 1), _top_row(F, choices)):
-        entry = R.entries[fid]
-        target = tuple(a - 1 for a in entry.alpha)
-        per_face[fid] = parity * entry.sign * poly.get(target, 0)
-    return per_face
+    return {
+        fid: parity * R.entries[fid].sign * c
+        for fid, c in zip(F.basis(F.n - 1), _top_row(F, choices))
+    }
 
 
 @derived

@@ -145,21 +145,22 @@ def chain_maps(X: LabeledCellComplex, b) -> ChainMap:
     return ChainMap(X.n, columns, row_bases, col_bases, *labels)
 
 
-def verify_chain_maps(X: LabeledCellComplex, b, maps: ChainMap | None = None):
-    """Check that the comparison square commutes at every level; returns
-    (ok, witness) with the first failing level, row face and column face.
-    ``maps`` replaces the computed chain maps.
-
-    Entry (rho, sigma) of a_{k-1} psi_k and of phi_k a_k is the same
-    monomial z^{m_sigma - m_rho} times an integer sum of signs, so the
-    square commutes when the two sums agree.
-    """
-    if maps is None:
-        maps = chain_maps(X, b)
+def verify_chain_maps(X: LabeledCellComplex, b):
+    """(ok, witness) for the comparison square of the chain maps, the
+    witness the first failing level, row face and column face."""
+    maps = chain_maps(X, b)
     Y = _reference_complex(X, b)
-    phi = cellular_complex(X)
-    psi = cellular_complex(Y)
-    for k in range(0, X.n):
+    return _verify_square(cellular_complex(X), cellular_complex(Y), maps)
+
+
+def _verify_square(phi, psi, maps: ChainMap):
+    """(ok, witness) for a_{k-1} psi_k = phi_k a_k at levels 0 .. n - 1.
+
+    Entry (rho, sigma) of both sides is the same monomial
+    z^{m_sigma - m_rho} times an integer sum of signs, so the square
+    commutes when the two sums agree.
+    """
+    for k in range(0, maps.n):
         lhs = _compose(maps.columns[k - 1], psi.columns[k])
         rhs = _compose(phi.columns[k], maps.columns[k])
         failures = [

@@ -160,6 +160,16 @@ def flip_sign(record, k, nth=0):
     return record._replace(columns={**record.columns, k: tuple(level)})
 
 
+def square_verdict(X, b, maps):
+    """The (ok, witness) of verify_chain_maps(X, b), with ``maps`` in place
+    of the chain maps the library builds."""
+    from cellres import cellular_complex
+    from cellres.residue import _reference_complex, _verify_square
+
+    phi, psi = cellular_complex(X), cellular_complex(_reference_complex(X, b))
+    return _verify_square(phi, psi, maps)
+
+
 def without_face(X, fid):
     """X with the face fid left out, reloaded from its JSON form as a file
     complex is."""

@@ -45,6 +45,7 @@ from conftest import (
     minimal_ex61_json,
     random_generic_ideal_3,
     random_staircase_ideal,
+    square_verdict,
 )
 from oracles import graded_strand_inexact_degree, staircase_lattice_points
 
@@ -154,7 +155,7 @@ def test_criterion_4_commuting_diagram(staircase_pool, generic3_pool, ex61):
             assert ok and witness is None
         M, X = ex61
         corrupted = flip_sign(chain_maps(X, (2, 2, 2)), 1)
-        ok, witness = verify_chain_maps(X, (2, 2, 2), corrupted)
+        ok, witness = square_verdict(X, (2, 2, 2), corrupted)
         assert not ok and witness == (1, (0,), (0, 1))
 
 

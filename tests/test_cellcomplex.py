@@ -446,17 +446,34 @@ def test_facets_match_geometry_on_random_ideals(M):
     _assert_all_complexes_geometric(M)
 
 
-def test_quadrilateral_facets_skip_listed_diagonal():
-    # a listed diagonal lies inside the square but is not a facet of it;
+def test_listed_diagonal_inside_a_face_is_rejected():
+    # a listed diagonal lies inside the square but is not a face of it;
     # only a face with more vertices than a simplex can tell them apart
     points = homogeneous_points({0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)})
     labels = {i: (1, 1) for i in range(4)}
-    X = make_complex(
-        2, points, labels,
-        [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
-    )
+    square = [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3)]
+    X = make_complex(2, points, labels, square)
     assert X.facets((0, 1, 2, 3)) == ((0, 1), (0, 3), (1, 2), (2, 3))
-    assert X.facets((0, 2)) == ((0,), (2,))
+    with pytest.raises(InputError, match=r"face \(0, 2\) lies in face \(0, 1, 2, 3\)"):
+        make_complex(2, points, labels, square + [(0, 2)])
+
+
+def test_listed_space_diagonal_of_a_cube_is_rejected():
+    # the space diagonal lies in the cube and in none of its squares
+    points = homogeneous_points(
+        {v: (v & 1, v >> 1 & 1, v >> 2) for v in range(8)}
+    )
+    labels = {v: (1, 1, 1) for v in range(8)}
+    squares = [
+        tuple(v for v in range(8) if v >> bit & 1 == side)
+        for bit in range(3) for side in (0, 1)
+    ]
+    edges = [(v, v | 1 << bit) for v in range(8) for bit in range(3) if not v >> bit & 1]
+    cube = [tuple(range(8))] + squares + edges
+    X = make_complex(3, points, labels, cube)
+    assert len(X.facets(tuple(range(8)))) == 6
+    with pytest.raises(InputError, match=r"face \(0, 7\) lies in face \(0, 1, 2, 3, 4, 5, 6, 7\)"):
+        make_complex(3, points, labels, cube + [(0, 7)])
 
 
 def _bumped(X, vid, var):

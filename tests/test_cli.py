@@ -251,6 +251,20 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     path.write_text(json.dumps(truncated))
     code, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], EX61)
     assert code == 2 and "label" in out["error"]
+    # a listed diagonal of the unit square is not one of its faces
+    square = {
+        "vertices": [{"id": v, "coords": list(p), "label": [1, 1]}
+                     for v, p in enumerate([(0, 0), (1, 0), (1, 1), (0, 1)])],
+        "faces": [{"vertices": f} for f in
+                  ([0, 1, 2, 3], [0, 1], [1, 2], [2, 3], [0, 3], [0, 2])],
+    }
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(square))
+    code, out = invoke(capsys, monkeypatch, ["check-exact", "--complex", f"file:{path}"],
+                       {"n": 2, "generators": [[1, 1]]})
+    assert code == 2 and out["error"] == (
+        "face (0, 2) lies in face (0, 1, 2, 3) but is not one of its faces"
+    )
     # past the interpreter's int-string limit, json raises a plain ValueError
     huge = "9" * 5000
     code, out = invoke(

@@ -32,6 +32,7 @@ from conftest import (
     flip_sign,
     random_generic_ideal_3,
     random_staircase_ideal,
+    square_verdict,
 )
 from itertools import product
 from oracles import ch_action, first_difference_by_box_scan
@@ -142,7 +143,7 @@ def test_corrupted_chain_map_fails_with_witness(ex61_embedded):
         (2, (2, (0, 1), (0, 1, 2))),
     ):
         corrupted = flip_sign(maps, k)
-        assert verify_chain_maps(ex61_embedded, (2, 2, 2), corrupted) == (False, witness)
+        assert square_verdict(ex61_embedded, (2, 2, 2), corrupted) == (False, witness)
 
 
 def test_route_equality_small(ex61_embedded):

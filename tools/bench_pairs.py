@@ -19,11 +19,12 @@ bytecode skips compiling ``src/`` in every job and reads about 20% faster on
 hull-dense than the same code without it.
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json, each
-side's median and quartiles and how many pairs the change won (ties count
-for neither side), plus the ``src/`` line count of both trees, the Python
-version, ``nproc``, both revisions and the git tree ids of both ``src/``
-directories, which identify the measured code even when the change was an
-uncommitted working tree.
+side's median and quartiles, how many pairs the change won (ties count for
+neither side), how much worse the change's median is and the verdict of the
+benchmark's rule against the metric's bound (see ``summarize``), plus the
+``src/`` line count of both trees, the Python version, ``nproc``, both
+revisions and the git tree ids of both ``src/`` directories, which identify
+the measured code even when the change was an uncommitted working tree.
 """
 
 from __future__ import annotations
@@ -97,18 +98,45 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs, better: str) -> dict:
-    """Per-side median and quartiles of one metric over the pairs, and how
-    many pairs the change won; ``runs`` is a list of {"base": v, "head": v}."""
+def summarize(runs, better: str, bound: float) -> dict:
+    """Per-side median and quartiles of one metric over the pairs, how many
+    pairs the change won, and the verdict of the benchmark's rule;
+    ``runs`` is a list of {"base": v, "head": v}.
+
+    ``worse_by`` is the relative change of the median in the metric's bad
+    direction.  The verdict is the first that holds of: "regressed" when
+    worse_by exceeds ``bound``; "unresolved" when the parent's
+    (q3 - q1) / median exceeds ``bound`` and not every change run beats
+    every parent run; "gain" when the change wins at least 9 pairs in 10
+    and its median is better by more than the parent's q3 - q1;
+    "no_regression" otherwise.
+    """
     sign = 1 if better == "higher" else -1
     wins = sum(1 for r in runs if sign * (r["head"] - r["base"]) > 0)
     losses = sum(1 for r in runs if sign * (r["head"] - r["base"]) < 0)
+    stats = {side: quartiles([r[side] for r in runs]) for side in SIDES}
+    base, head = stats["base"], stats["head"]
+    gained = sign * (head["median"] - base["median"])
+    worse_by = -gained / base["median"]
+    spread = base["q3"] - base["q1"]
+    separated = (min(sign * r["head"] for r in runs)
+                 > max(sign * r["base"] for r in runs))
+    if worse_by > bound:
+        verdict = "regressed"
+    elif spread / base["median"] > bound and not separated:
+        verdict = "unresolved"
+    elif 10 * wins >= 9 * len(runs) and gained > spread:
+        verdict = "gain"
+    else:
+        verdict = "no_regression"
     return {
         "better": better,
-        **{side: quartiles([r[side] for r in runs]) for side in SIDES},
+        **stats,
         "pairs": len(runs),
         "pairs_better": wins,
         "pairs_worse": losses,
+        "worse_by": worse_by,
+        "verdict": verdict,
     }
 
 
@@ -148,7 +176,7 @@ def main(argv=None) -> int:
         metrics = {
             m["name"]: summarize(
                 [{side: r[side]["metrics"][m["name"]]["value"] for side in SIDES} for r in raw],
-                m["better"])
+                m["better"], m["bound"])
             for m in spec["end_to_end"]
         }
         failures = {side: sum(r[side]["failed"] for r in raw) for side in SIDES}
