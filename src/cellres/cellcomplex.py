@@ -240,6 +240,8 @@ def make_complex(
     face_ids |= {(v,) for v in ids}
     face_ids.discard(EMPTY)
     for fid in face_ids:
+        if len(set(fid)) < len(fid):
+            raise InputError(f"face {fid} lists a vertex twice")
         for v in fid:
             if v not in points:
                 raise InputError(f"face {fid} references unknown vertex {v}")
@@ -263,8 +265,10 @@ def make_complex(
         faces[fid] = Face(fid, dim, label, basis)
 
     # closure under vertex-set intersections (faces of a complex intersect
-    # in common faces)
-    listed = sorted(face_ids)
+    # in common faces), checked between non-simplices only: the facet rule
+    # below lists every vertex-drop of a listed simplex, so the listed
+    # simplices are closed under subsets and a simplex meets any face in one
+    listed = [fid for fid in sorted(face_ids) if len(fid) > faces[fid].dim + 1]
     for i in range(len(listed)):
         for j in range(i + 1, len(listed)):
             inter = tuple(sorted(set(listed[i]) & set(listed[j])))

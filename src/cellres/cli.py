@@ -1,12 +1,14 @@
 """Batch command-line front end: JSON in, deterministic JSON out.
 
-Exit codes: 0 for success or a true verdict, 1 for a false verdict, 2 for
-bad input or violated preconditions.
+A job is an ideal ``{"n": ..., "generators": [...]}``; the complex, the
+lift base, the box and the permutations come from their flags.  Exit
+codes: 0 for success or a true verdict, 1 for a false verdict, 2 for bad
+input or violated preconditions.
 
 Each subcommand imports the layers it uses when it runs, so ``generators``,
 ``multiplicity`` and ``partition`` load ``monomial`` only.  The command
 line is read by ``_parse_args``, written for its one positional argument and
-seven options; it accepts what an ``argparse`` parser of the same arguments
+seven flags; it accepts what an ``argparse`` parser of the same arguments
 does (see its docstring), without loading ``argparse``, ``gettext`` and
 ``locale``.
 """
@@ -24,7 +26,6 @@ from .monomial import (
     MonomialIdeal,
     ideal_from_json,
     is_generic,
-    is_int,
     minimize,
     multiplicity,
     pure_power_exponents,
@@ -33,45 +34,15 @@ from .monomial import (
 
 SCHEMA = "cellres/1"
 
-SUBCOMMANDS = (
-    "generators",
-    "hull",
-    "scarf",
-    "resolve",
-    "check-exact",
-    "check-minimal",
-    "residue",
-    "compare",
-    "annihilator",
-    "duality-check",
-    "multiplicity",
-    "fundamental-cycle",
-    "partition",
-)
 
-_JOB_KEYS = {"ideal", "complex_source", "options"}
-_OPTION_KEYS = {"t", "box", "permutations"}
-
-
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {str(_key(k)): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    return value
-
-
-def _key(k):
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    return k
-
-
-def _parse_vector(text):
+def _parse_exponents(name, text, n):
     try:
-        return tuple(int(x) for x in text.split(","))
+        vector = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise InputError(f"expected a comma-separated integer vector: {text}") from exc
+    if len(vector) != n or min(vector) < 0:
+        raise InputError(f"{name} must be {n} nonnegative integers, got {vector!r}")
+    return vector
 
 
 def _parse_permutations(text):
@@ -83,25 +54,6 @@ def _parse_permutations(text):
         raise InputError(
             f"expected semicolon-separated integer permutations: {text}"
         ) from exc
-
-
-def _check_exponents(name, vector, n):
-    if not (isinstance(vector, (list, tuple)) and len(vector) == n
-            and all(is_int(x) and x >= 0 for x in vector)):
-        raise InputError(f"{name} must be {n} nonnegative integers, got {vector!r}")
-    return tuple(vector)
-
-
-def _check_options(options, n):
-    if "t" in options and not is_int(options["t"]):
-        raise InputError("option t must be an integer")
-    if "box" in options:
-        _check_exponents("option box", options["box"], n)
-    perms = options.get("permutations", [])
-    if not (isinstance(perms, list) and all(
-        isinstance(p, list) and all(is_int(x) for x in p) for p in perms
-    )):
-        raise InputError("option permutations must be a list of integer lists")
 
 
 def _parse_json(text, what):
@@ -125,39 +77,21 @@ def _load_job(args):
             text = handle.read()
     else:
         text = sys.stdin.read()
-    obj = _parse_json(text, "JSON")
-    if not isinstance(obj, dict):
-        raise InputError("top-level JSON must be an object")
-    if "ideal" in obj:
-        unknown = set(obj) - _JOB_KEYS
-        if unknown:
-            raise InputError(f"unknown job keys: {sorted(unknown)}")
-        options = obj.get("options", {})
-        if not isinstance(options, dict):
-            raise InputError("options must be an object")
-        unknown = set(options) - _OPTION_KEYS
-        if unknown:
-            raise InputError(f"unknown option keys: {sorted(unknown)}")
-        ideal = ideal_from_json(obj["ideal"])
-        _check_options(options, ideal.n)
-        source = obj.get("complex_source")
-        if source is not None and not isinstance(source, str):
-            raise InputError(f"complex_source must be a string, got {source!r}")
-        return ideal, source, options
-    return ideal_from_json(obj), None, {}
+    return ideal_from_json(_parse_json(text, "JSON"))
 
 
-def _build_complex(source, M: MonomialIdeal, t):
+def _build_complex(M: MonomialIdeal, args):
+    source = args.complex or "hull"
     if source == "hull":
         from .hull import embed_in_simplex, hull_complex
-        return embed_in_simplex(hull_complex(M, t), pure_power_exponents(M))
+        return embed_in_simplex(hull_complex(M, args.t), pure_power_exponents(M))
     if source == "scarf":
         from .hull import scarf_complex
-        return scarf_complex(M, t)
+        return scarf_complex(M, args.t)
     if source == "taylor":
         from .hull import taylor_complex
         return taylor_complex(M)
-    if source and source.startswith("file:"):
+    if source.startswith("file:"):
         from .cellcomplex import complex_from_json
         path = source[len("file:"):]
         with open(path, "r", encoding="utf-8") as handle:
@@ -171,127 +105,119 @@ def _build_complex(source, M: MonomialIdeal, t):
 
 def _signed_matrix_json(matrix):
     return [
-        [{"sign": cell.sign, "exp": list(cell.exp)} for cell in row]
+        [{"sign": cell.sign, "exp": cell.exp} for cell in row]
         for row in matrix
     ]
 
 
-def _cmd_generators(M, X, args, options):
-    return {"n": M.n, "generators": [list(g) for g in M.generators]}, 0
+def _cmd_generators(M, args):
+    return {"n": M.n, "generators": M.generators}, 0
 
 
-def _cmd_multiplicity(M, X, args, options):
+def _cmd_multiplicity(M, args):
     return {"multiplicity": multiplicity(M)}, 0
 
 
-def _cmd_hull(M, X, args, options):
+def _cmd_hull(M, args):
     from .cellcomplex import complex_to_json
     from .hull import hull_complex
     return complex_to_json(hull_complex(M, args.t)), 0
 
 
-def _cmd_scarf(M, X, args, options):
+def _cmd_scarf(M, args):
     from .cellcomplex import complex_to_json
     from .hull import scarf_complex
     return complex_to_json(scarf_complex(M, args.t)), 0
 
 
-def _cmd_resolve(M, X, args, options):
+def _cmd_resolve(M, args):
+    X = _build_complex(M, args)
     from .resolution import cellular_complex
     F = cellular_complex(X)
-    levels = {k: [list(fid) for fid in F.basis(k)] for k in sorted(F.levels)}
-    matrices = {k: _signed_matrix_json(F.matrix(k)) for k in sorted(F.columns)}
+    levels = {str(k): F.basis(k) for k in F.levels}
+    matrices = {str(k): _signed_matrix_json(F.matrix(k)) for k in F.columns}
     return {"levels": levels, "matrices": matrices}, 0
 
 
-def _cmd_check_exact(M, X, args, options):
+def _cmd_check_exact(M, args):
+    X = _build_complex(M, args)
     from .resolution import exactness_witness
     witness = exactness_witness(X, M)
-    ok = witness is None
-    return {"ok": ok, "witness": list(witness) if witness else None}, 0 if ok else 1
+    return {"ok": witness is None, "witness": witness}, 0 if witness is None else 1
 
 
-def _cmd_check_minimal(M, X, args, options):
+def _cmd_check_minimal(M, args):
+    X = _build_complex(M, args)
     from .resolution import cellular_complex, minimality_witness
-    F = cellular_complex(X)
-    witness = minimality_witness(F)
-    ok = witness is None
-    payload = {
-        "ok": ok,
-        "witness": [list(witness[0]), list(witness[1])] if witness else None,
-    }
-    return payload, 0 if ok else 1
+    witness = minimality_witness(cellular_complex(X))
+    return {"ok": witness is None, "witness": witness}, 0 if witness is None else 1
 
 
-def _cmd_residue(M, X, args, options):
+def _cmd_residue(M, args):
+    X = _build_complex(M, args)
     from .residue import residue_current
     R = residue_current(X, pure_power_exponents(M))
     entries = [
-        {"face": list(fid), "sign": c.sign, "alpha": list(c.alpha)}
+        {"face": fid, "sign": c.sign, "alpha": c.alpha}
         for fid, c in sorted(R.entries.items())
     ]
     return {"entries": entries}, 0
 
 
-def _cmd_compare(M, X, args, options):
+def _cmd_compare(M, args):
+    X = _build_complex(M, args)
     from .residue import chain_maps, verify_chain_maps
     b = pure_power_exponents(M)
     maps = chain_maps(X, b)
     ok, witness = verify_chain_maps(X, b)
     payload = {
-        "maps": {k: _signed_matrix_json(maps.matrix(k)) for k in sorted(maps.columns)},
-        "row_bases": {k: [list(f) for f in maps.row_bases[k]] for k in maps.row_bases},
-        "col_bases": {k: [list(f) for f in maps.col_bases[k]] for k in maps.col_bases},
+        "maps": {str(k): _signed_matrix_json(maps.matrix(k)) for k in maps.columns},
+        "row_bases": {str(k): bases for k, bases in maps.row_bases.items()},
+        "col_bases": {str(k): bases for k, bases in maps.col_bases.items()},
         "ok": ok,
-        "witness": _json_ready(list(witness)) if witness else None,
+        "witness": witness,
     }
     return payload, 0 if ok else 1
 
 
-def _cmd_annihilator(M, X, args, options):
+def _cmd_annihilator(M, args):
+    X = _build_complex(M, args)
     from .residue import annihilator_contains, residue_current
     beta = None
     if args.beta is not None:
-        beta = _check_exponents("--beta", _parse_vector(args.beta), M.n)
+        beta = _parse_exponents("--beta", args.beta, M.n)
     R = residue_current(X, pure_power_exponents(M))
     components = [
-        {"face": list(fid), "alpha": list(c.alpha)}
+        {"face": fid, "alpha": c.alpha}
         for fid, c in sorted(R.entries.items())
     ]
     payload = {"components": components}
     if beta is not None:
-        payload["beta"] = list(beta)
+        payload["beta"] = beta
         payload["annihilates"] = annihilator_contains(R, beta)
     return payload, 0
 
 
-def _cmd_duality_check(M, X, args, options):
+def _cmd_duality_check(M, args):
+    X = _build_complex(M, args)
     from .residue import duality_counterexample, residue_current
     box = None
     if args.box is not None:
-        box = _check_exponents("--box", _parse_vector(args.box), M.n)
-    elif "box" in options:
-        box = tuple(options["box"])
+        box = _parse_exponents("--box", args.box, M.n)
     R = residue_current(X, pure_power_exponents(M))
     counterexample = duality_counterexample(R, M, box)
     ok = counterexample is None
-    payload = {
-        "ok": ok,
-        "counterexample": list(counterexample) if counterexample else None,
-    }
-    return payload, 0 if ok else 1
+    return {"ok": ok, "counterexample": counterexample}, 0 if ok else 1
 
 
-def _cmd_fundamental_cycle(M, X, args, options):
+def _cmd_fundamental_cycle(M, args):
+    X = _build_complex(M, args)
     from .cycle import fundamental_cycle_check, permutation_cycle_check
-    n = M.n
     result = fundamental_cycle_check(X, M)
     if args.permutations is not None:
         perms = _parse_permutations(args.permutations)
-    elif "permutations" in options:
-        perms = [list(p) for p in options["permutations"]]
-    elif n <= 4:
-        perms = [list(p) for p in iter_permutations(range(1, n + 1))]
+    elif M.n <= 4:
+        perms = list(iter_permutations(range(1, M.n + 1)))
     else:
         perms = []
     asserted = is_generic(M)
@@ -313,7 +239,7 @@ def _cmd_fundamental_cycle(M, X, args, options):
     return payload, 0 if result["ok"] else 1
 
 
-def _cmd_partition(M, X, args, options):
+def _cmd_partition(M, args):
     order = args.order or "P"
     rectangles = staircase_partition_2d(M, order)
     m = multiplicity(M)
@@ -331,17 +257,6 @@ def _cmd_partition(M, X, args, options):
     return payload, 0 if total == m else 1
 
 
-_NEEDS_COMPLEX = {
-    "resolve",
-    "check-exact",
-    "check-minimal",
-    "residue",
-    "compare",
-    "annihilator",
-    "duality-check",
-    "fundamental-cycle",
-}
-
 _HANDLERS = {
     "generators": _cmd_generators,
     "hull": _cmd_hull,
@@ -357,6 +272,8 @@ _HANDLERS = {
     "fundamental-cycle": _cmd_fundamental_cycle,
     "partition": _cmd_partition,
 }
+
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 _OPTIONS = ("--help", "--input", "--complex", "--t", "--beta", "--box", "--order",
@@ -395,7 +312,7 @@ def _option(token):
 
 
 def _parse_args(argv):
-    """The namespace of subcommand and options, as ``argparse`` gives it.
+    """The namespace of subcommand and flags, as ``argparse`` gives it.
 
     Options come before or after the subcommand, as ``--name value``,
     ``--name=value`` or a unique prefix of the name; the last value wins.
@@ -462,14 +379,7 @@ def _parse_args(argv):
 def run(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        M, job_source, options = _load_job(args)
-        t = args.t if args.t is not None else options.get("t")
-        args.t = t
-        source = args.complex or job_source or "hull"
-        X = None
-        if args.subcommand in _NEEDS_COMPLEX:
-            X = _build_complex(source, M, t)
-        payload, code = _HANDLERS[args.subcommand](M, X, args, options)
+        payload, code = _HANDLERS[args.subcommand](_load_job(args), args)
     except (InputError, PreconditionError, CellresError, OSError) as exc:
         _emit({"error": str(exc)})
         return 2
@@ -483,9 +393,7 @@ def run(argv=None) -> int:
 
 
 def _emit(payload):
-    payload = dict(payload)
-    payload["schema"] = SCHEMA
-    sys.stdout.write(json.dumps(_json_ready(payload), sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps({**payload, "schema": SCHEMA}, sort_keys=True) + "\n")
 
 
 def main():

@@ -274,7 +274,11 @@ def _scarf_faces(generators):
     return faces
 
 
-def scarf_complex(M: MonomialIdeal, t=None, max_generators=22) -> LabeledCellComplex:
+# the largest generator count scarf_complex accepts
+SCARF_MAX_GENERATORS = 22
+
+
+def scarf_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
     """Simplicial complex of generator subsets with a unique lcm.
 
     M must be Artinian.  The faces come from a depth-first search (see
@@ -282,9 +286,9 @@ def scarf_complex(M: MonomialIdeal, t=None, max_generators=22) -> LabeledCellCom
     with simplex orientations from the sorted vertex order.
     """
     r = len(M.generators)
-    if r > max_generators:
+    if r > SCARF_MAX_GENERATORS:
         raise PreconditionError(
-            f"{r} generators exceed the subset-enumeration bound {max_generators}"
+            f"{r} generators exceed the subset-enumeration bound {SCARF_MAX_GENERATORS}"
         )
     if not is_artinian(M):
         raise PreconditionError("the embedded realization requires an Artinian ideal")

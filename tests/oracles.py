@@ -18,11 +18,12 @@ over the faces one dimension lower for the dimension, orientation basis
 and facets of a face, barycenter differences for incidence signs, and for
 exactness a subcomplex rebuilt at every lcm-lattice degree with its own
 boundary matrices instead of the free complex's signs restricted to the
-faces under the degree, for the fundamental cycle a general algebra of
-wedge forms, each term sorted by a bubble sort, instead of one polynomial
-row per set of used variables, and for d^2 = 0 and the comparison square a
-product of dense signed-monomial matrices as polynomial matrices instead
-of integer sums of incidence signs.
+faces under the degree, for the intersection rule of a complex every pair
+of listed faces instead of the pairs of non-simplices, for the fundamental
+cycle a general algebra of wedge forms, each term sorted by a bubble sort,
+instead of one polynomial row per set of used variables, and for d^2 = 0
+and the comparison square a product of dense signed-monomial matrices as
+polynomial matrices instead of integer sums of incidence signs.
 """
 
 from collections import namedtuple
@@ -658,6 +659,21 @@ def scan_face_data(points, face_ids):
             found = [t for t in found if _is_geometric_facet(points, fid, t)]
         data[fid] = (dim, bases[fid], tuple(sorted(found)))
     return data
+
+
+def all_pairs_intersection_failure(vertex_ids, face_sets):
+    """The first two listed faces, in sorted order, whose vertex sets meet in
+    a set that is not a listed face, with that set, or None: the check
+    ``make_complex`` ran on every pair of faces, simplices included.
+    Singleton faces count as listed."""
+    listed = sorted({tuple(sorted(f)) for f in face_sets if f} | {(v,) for v in vertex_ids})
+    known = set(listed)
+    for i, a in enumerate(listed):
+        for b in listed[i + 1:]:
+            inter = tuple(sorted(set(a) & set(b)))
+            if inter and inter not in known:
+                return a, b, inter
+    return None
 
 
 def barycenter_sign_facet(X, tau_id, sigma_id):

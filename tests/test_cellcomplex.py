@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellres import (
     InputError,
@@ -44,6 +44,7 @@ from conftest import (
 )
 from oracles import (
     affine,
+    all_pairs_intersection_failure,
     barycenter_sign_facet,
     cofaces,
     face_volume_rel,
@@ -400,6 +401,90 @@ def test_make_complex_rejects_missing_intersection_face():
         [(0, 1, 2), (0, 1, 3), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3)],
     )
     assert len(cofaces(X, (0, 1), 2)) == 2
+
+
+def test_make_complex_rejects_a_face_that_lists_a_vertex_twice():
+    points = {0: (5, 1, 1), 1: (3, 3, 1), 2: (1, 5, 1)}
+    labels = {0: (2, 0), 1: (1, 1), 2: (0, 2)}
+    with pytest.raises(InputError, match=r"^face \(0, 1, 1\) lists a vertex twice$"):
+        make_complex(2, points, labels, [(0, 1), (1, 0, 1), (1, 2)])
+    with pytest.raises(InputError, match=r"^face \(0, 0, 1\) lists a vertex twice$"):
+        make_complex(2, points, labels, [(0, 0, 1)])
+
+
+# Two squares, one in the plane z = 0 and one in the plane x = y, that share
+# only the diagonal pair of vertices (0, 0, 0), (2, 2, 0): their vertex sets
+# meet in (0, 2), which is no face, and only the intersection rule sees it.
+TWO_SQUARES = (
+    3,
+    homogeneous_points({0: (0, 0, 0), 1: (2, 0, 0), 2: (2, 2, 0), 3: (0, 2, 0),
+                        4: (1, 1, 1), 5: (1, 1, -1)}),
+    dict.fromkeys(range(6), (1, 1, 1)),
+    [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3),
+     (0, 2, 4, 5), (0, 4), (2, 4), (2, 5), (0, 5)],
+)
+
+
+def test_make_complex_rejects_squares_meeting_in_a_diagonal():
+    with pytest.raises(InputError) as exc:
+        make_complex(*TWO_SQUARES)
+    assert str(exc.value) == (
+        "faces (0, 1, 2, 3) and (0, 2, 4, 5) meet in (0, 2), "
+        "which is not a face of the complex"
+    )
+
+
+def _complex_data(X):
+    return (X.n, {v: X.vertex_point(v) for v in X.vertices},
+            {v: X.vertex_label(v) for v in X.vertices},
+            [fid for fid in X.faces if len(fid) >= 2])
+
+
+@st.composite
+def complex_inputs(draw):
+    """make_complex inputs: those of a hull, embedded hull, Scarf or Taylor
+    complex of an Artinian ideal, of the minimal Example 6.1 complex or of
+    the two squares, as they are or with one listed face dropped or one
+    vertex set of two or more added."""
+    source = draw(st.sampled_from(
+        ("hull", "embedded", "scarf", "taylor", "ex61-minimal", "two-squares")))
+    if source == "two-squares":
+        n, points, labels, faces = TWO_SQUARES
+    elif source == "ex61-minimal":
+        from conftest import minimal_ex61_json
+        n, points, labels, faces = _complex_data(complex_from_json(
+            minimal_ex61_json(embedded_hull(minimize(EX61_GENERATORS)))))
+    else:
+        M = draw(artinian_ideals(max_side=3))
+        if source == "taylor" and len(M.generators) > 7:
+            source = "scarf"
+        build = {"hull": hull_complex, "embedded": embedded_hull,
+                 "scarf": scarf_complex, "taylor": taylor_complex}[source]
+        n, points, labels, faces = _complex_data(build(M))
+    change = draw(st.sampled_from(("none", "drop", "add")))
+    if change == "drop" and faces:
+        faces = [f for f in faces if f != draw(st.sampled_from(sorted(faces)))]
+    elif change == "add" and len(points) >= 2:
+        faces = faces + [tuple(draw(st.lists(st.sampled_from(sorted(points)),
+                                             min_size=2, unique=True)))]
+    return n, points, labels, faces
+
+
+@settings(max_examples=60)
+@given(complex_inputs())
+@example(TWO_SQUARES)
+def test_intersection_rule_matches_all_pairs_oracle(inputs):
+    # make_complex checks the intersection rule between non-simplices only:
+    # whatever the check on every pair rejects, it must reject too, and on
+    # the rest it runs the same checks as before, each an InputError
+    if all_pairs_intersection_failure(inputs[1], inputs[3]) is not None:
+        with pytest.raises(InputError):
+            make_complex(*inputs)
+    else:
+        try:
+            make_complex(*inputs)
+        except InputError:
+            pass
 
 
 def _assert_facets_are_geometric(X):

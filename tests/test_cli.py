@@ -197,44 +197,26 @@ def test_file_complex_source(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     assert all(e["sign"] == 1 for e in out["entries"])
 
 
-def test_jobspec_options(tmp_path, capsys, monkeypatch):
-    job = {
-        "ideal": STAIRCASE,
-        "complex_source": "hull",
-        "options": {"t": 10, "box": [2, 2]},
-    }
-    code, out = invoke(capsys, monkeypatch, ["duality-check"], job)
+def test_settings_come_from_flags(capsys, monkeypatch):
+    code, out = invoke(
+        capsys, monkeypatch, ["duality-check", "--complex", "hull", "--t", "10",
+                              "--box", "2,2"], STAIRCASE,
+    )
     assert code == 0 and out["ok"]
+    code, out = invoke(
+        capsys, monkeypatch, ["fundamental-cycle", "--permutations", "2,1"], STAIRCASE
+    )
+    assert code == 0 and list(out["per_permutation"]) == ["2,1"]
 
 
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture):
     code, out = invoke(capsys, monkeypatch, ["residue"], text="{oops")
     assert code == 2 and "position" in out["error"]
-    code, out = invoke(capsys, monkeypatch, ["residue"], {"ideal": STAIRCASE, "x": 1})
-    assert code == 2 and "unknown job keys" in out["error"]
-    code, out = invoke(
-        capsys, monkeypatch, ["residue"],
-        {"ideal": STAIRCASE, "options": {"tt": 1}},
-    )
-    assert code == 2 and "unknown option keys" in out["error"]
-    code, out = invoke(
-        capsys, monkeypatch, ["residue"],
-        {"ideal": STAIRCASE, "options": {"seed": 1}},
-    )
-    assert code == 2 and "unknown option keys: ['seed']" in out["error"]
     with pytest.raises(SystemExit) as exc:
         run(["residue", "--seed", "1"])
     assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
-    for options, message in (
-        ({"t": "x"}, "option t must be an integer"),
-        ({"t": 30.0}, "option t must be an integer"),
-        ({"box": 5}, "option box must be 2 nonnegative integers"),
-    ):
-        code, out = invoke(
-            capsys, monkeypatch, ["duality-check"],
-            {"ideal": STAIRCASE, "options": options},
-        )
-        assert code == 2 and message in out["error"]
+    code, out = invoke(capsys, monkeypatch, ["duality-check", "--box", "5"], STAIRCASE)
+    assert code == 2 and "--box must be 2 nonnegative integers" in out["error"]
     code, out = invoke(capsys, monkeypatch, ["residue", "--t", "3"], STAIRCASE)
     assert code == 2 and "lift base" in out["error"]
     code, out = invoke(
@@ -265,6 +247,16 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     assert code == 2 and out["error"] == (
         "face (0, 2) lies in face (0, 1, 2, 3) but is not one of its faces"
     )
+    # a face that lists a vertex twice is no face
+    path = tmp_path / "repeated-vertex.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": v, "coords": list(p), "label": list(g)} for v, p, g in
+                     zip(range(3), [(5, 1), (3, 3), (1, 5)], STAIRCASE["generators"])],
+        "faces": [{"vertices": f} for f in ([0, 1], [0, 1, 1], [1, 2])],
+    }))
+    code, out = invoke(capsys, monkeypatch, ["resolve", "--complex", f"file:{path}"],
+                       STAIRCASE)
+    assert code == 2 and out["error"] == "face (0, 1, 1) lists a vertex twice"
     # past the interpreter's int-string limit, json raises a plain ValueError
     huge = "9" * 5000
     code, out = invoke(
@@ -340,19 +332,14 @@ def test_file_complex_for_another_ideal_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(out["entries"]) == 1
 
 
-def test_non_string_complex_source_exits_2(capsys, monkeypatch):
-    # a number, list or boolean used to reach str.startswith and crash
-    for source in (5, ["hull"], False):
+def test_job_object_exits_2(capsys, monkeypatch):
+    # a job is the ideal alone; its settings are flags
+    for job in ({"ideal": EX61}, {"ideal": EX61, "complex_source": "taylor"},
+                {"ideal": STAIRCASE, "options": {"t": 10}}):
         for sub in ("residue", "duality-check", "fundamental-cycle", "generators"):
-            code, out = invoke(
-                capsys, monkeypatch, [sub], {"ideal": EX61, "complex_source": source}
-            )
-            assert code == 2, (sub, source)
-            assert out["error"] == f"complex_source must be a string, got {source!r}"
-    code, out = invoke(
-        capsys, monkeypatch, ["residue"], {"ideal": EX61, "complex_source": None}
-    )
-    assert code == 0 and len(out["entries"]) == 4
+            code, out = invoke(capsys, monkeypatch, [sub], job)
+            assert code == 2, (sub, job)
+            assert out["error"] == 'ideal JSON must be {"n": ..., "generators": [...]}'
 
 
 def test_check_exact_scans_non_minimal_vertex_labels(tmp_path, capsys, monkeypatch):

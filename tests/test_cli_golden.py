@@ -89,6 +89,31 @@ def test_cli_output_matches_record(case, tmp_path):
     assert stdout == case["stdout"]
 
 
+def _keys(value):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield k
+            yield from _keys(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _keys(v)
+
+
+def test_payload_keys_are_strings(monkeypatch, tmp_path):
+    # json.dumps turns int keys into strings itself; the handlers must not
+    # lean on it, so the payload handed to _emit has str keys throughout
+    from cellres import cli
+
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload: (payloads.append(payload),
+                                                       emit(payload)))
+    for case in _RECORD["cases"]:
+        _invoke(case["args"], case["stdin"], _RECORD["files"], tmp_path)
+    assert len(payloads) == len(_RECORD["cases"])
+    assert all(isinstance(k, str) for payload in payloads for k in _keys(payload))
+
+
 def test_record_covers_every_case():
     assert [(c["args"], c["stdin"]) for c in _RECORD["cases"]] == [
         (args, job) for args, job in _cases()

@@ -169,9 +169,13 @@ def test_scarf_single_generator():
     assert set(S.faces) == {(), (0,)}
 
 
-def test_scarf_bound():
-    with pytest.raises(PreconditionError):
-        scarf_complex(minimize([(2, 0), (0, 2)]), max_generators=1)
+def test_scarf_bound(monkeypatch):
+    # a plane staircase with 23 generators is refused before the search
+    M = minimize([(22 - i, i) for i in range(23)])
+    monkeypatch.setattr(hull, "_scarf_faces", lambda generators: pytest.fail("searched"))
+    with pytest.raises(PreconditionError,
+                       match="^23 generators exceed the subset-enumeration bound 22$"):
+        scarf_complex(M)
 
 
 def test_taylor_small_counts():
