@@ -22,7 +22,7 @@ _EXPORTS = {
     "cellcomplex": (
         "Face", "LabeledCellComplex", "complex_from_json", "complex_to_json",
         "contained_faces", "homogeneous", "is_refinement", "make_complex", "reoriented",
-        "sign_facet", "sign_same_span",
+        "sign_facet", "sign_same_span", "vertex_ideal",
     ),
     "hull": (
         "corner_simplex_complex", "default_lift_base", "delta_complex",

@@ -13,13 +13,14 @@ is always part of a complex.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from functools import wraps
 from math import gcd, lcm, prod
 
 from . import linalg
-from .errors import InputError, PreconditionError
-from .monomial import divides, is_int, lcm_many
+from .errors import CellresError, InputError, PreconditionError
+from .monomial import divides, is_int, lcm_many, minimize, pure_power_exponents
 
 EMPTY = ()
 
@@ -105,22 +106,27 @@ class LabeledCellComplex:
 def derived(build):
     """Build ``build(X, *args)`` once per complex and share the result.
 
-    List arguments are turned into tuples, and the result is stored on X
-    under the function's name and the arguments.  X is immutable, so the
-    result stays valid; a caller that changes a result copies it first.  A
-    call that raises stores nothing.
+    The result is stored on X under the function's name and the arguments.
+    X is immutable, so the result stays valid; a caller that changes a
+    result copies it first.  A call that raises stores nothing.
     """
     name = build.__name__
 
     @wraps(build)
     def memo(X, *args):
-        args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
         key = (name, *args)
         if key not in X._derived:
             X._derived[key] = build(X, *args)
         return X._derived[key]
 
     return memo
+
+
+@derived
+def vertex_ideal(X: LabeledCellComplex):
+    """The ideal of X's vertex labels, by its minimal generators; its
+    pure powers are the exponents b of the corner simplex."""
+    return minimize([X.vertex_label(v) for v in X.vertices])
 
 
 def _pivot_basis(points, idx):
@@ -532,32 +538,25 @@ def contained_faces(Y: LabeledCellComplex, sigma_id, X: LabeledCellComplex, k) -
     return result
 
 
-def _corner_vertex_ids(X: LabeledCellComplex, b):
-    corners = {}
-    for v in sorted(X.vertices):
-        label = X.vertex_label(v)
-        support = [i for i, e in enumerate(label) if e > 0]
-        if len(support) == 1 and label[support[0]] == b[support[0]]:
-            corners.setdefault(support[0], v)
-    missing = [i for i in range(X.n) if i not in corners]
-    if missing:
-        raise PreconditionError(
-            f"pure powers for variables {missing} are not among the vertex labels"
-        )
-    return corners
+def _corner_vertex_ids(X: LabeledCellComplex) -> tuple:
+    """Per variable i, the first vertex labeled z_i^{b_i}, a pure power of
+    X's ideal; every minimal generator is a vertex label."""
+    b = pure_power_exponents(vertex_ideal(X))
+    powers = [tuple(bi if j == i else 0 for j in range(X.n)) for i, bi in enumerate(b)]
+    return tuple(min(v for v in X.vertices if X.vertex_label(v) == p) for p in powers)
 
 
-def reference_simplex_face(X: LabeledCellComplex, b) -> Face:
+def reference_simplex_face(X: LabeledCellComplex) -> Face:
     """Top face of the corner simplex, oriented by ascending variable order."""
-    corners = _corner_vertex_ids(X, b)
-    pts = [X.vertex_point(corners[i]) for i in range(X.n)]
+    corners = _corner_vertex_ids(X)
+    pts = [X.vertex_point(v) for v in corners]
     idx = linalg.affine_basis_indices(pts)
     if len(idx) != X.n:
         raise PreconditionError("corner points are affinely dependent")
     return Face(
-        tuple(corners[i] for i in range(X.n)),
+        corners,
         X.n - 1,
-        tuple(b),
+        lcm_many([X.vertex_label(v) for v in corners]),
         _pivot_basis(pts, idx),
     )
 
@@ -574,7 +573,11 @@ def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex
 
 def _fraction_str(a, b) -> str:
     g = gcd(a, b)
-    return f"{a // g}/{b // g}"
+    try:
+        return f"{a // g}/{b // g}"
+    except ValueError as exc:  # past the interpreter's int-string limit
+        raise CellresError("result has an integer longer than "
+                           f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def complex_to_json(X: LabeledCellComplex) -> dict:
@@ -691,15 +694,10 @@ def complex_from_json(obj) -> LabeledCellComplex:
 
 def _orient_tops_by_pure_powers(X: LabeledCellComplex) -> LabeledCellComplex:
     """Apply the canonical top orientation when the corner simplex is visible:
-    b is read off the first single-support vertex label of each variable."""
+    the one of ``reference_simplex_face``, on the pure powers of X's ideal."""
     if X.dim != X.n - 1:
         return X
-    b = [0] * X.n
-    for v in sorted(X.vertices):
-        support = [i for i, e in enumerate(X.vertex_label(v)) if e > 0]
-        if len(support) == 1 and not b[support[0]]:
-            b[support[0]] = X.vertex_label(v)[support[0]]
     try:
-        return orient_tops_to(X, reference_simplex_face(X, b))
+        return orient_tops_to(X, reference_simplex_face(X))
     except PreconditionError:
         return X

@@ -1,14 +1,14 @@
 """Batch command-line front end: JSON in, deterministic JSON out.
 
 A job is an ideal ``{"n": ..., "generators": [...]}``; the complex, the
-lift base, the box and the permutations come from their flags.  Exit
+lift base, beta, the order and the permutations come from their flags.  Exit
 codes: 0 for success or a true verdict, 1 for a false verdict, 2 for bad
 input or violated preconditions.
 
 Each subcommand imports the layers it uses when it runs, so ``generators``,
 ``multiplicity`` and ``partition`` load ``monomial`` only.  The command
 line is read by ``_parse_args``, written for its one positional argument and
-seven flags; it accepts what an ``argparse`` parser of the same arguments
+six flags; it accepts what an ``argparse`` parser of the same arguments
 does (see its docstring), without loading ``argparse``, ``gettext`` and
 ``locale``.
 """
@@ -26,22 +26,20 @@ from .monomial import (
     MonomialIdeal,
     ideal_from_json,
     is_generic,
-    minimize,
     multiplicity,
-    pure_power_exponents,
     staircase_partition_2d,
 )
 
 SCHEMA = "cellres/1"
 
 
-def _parse_exponents(name, text, n):
+def _parse_beta(text, n):
     try:
         vector = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise InputError(f"expected a comma-separated integer vector: {text}") from exc
     if len(vector) != n or min(vector) < 0:
-        raise InputError(f"{name} must be {n} nonnegative integers, got {vector!r}")
+        raise InputError(f"--beta must be {n} nonnegative integers, got {vector!r}")
     return vector
 
 
@@ -71,20 +69,28 @@ def _parse_json(text, what):
         raise InputError(f"{what} nests too deeply") from exc
 
 
+def _read_json(path, what):
+    """The JSON value of a UTF-8 file; see _parse_json."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"malformed {what} at byte {exc.start}: not UTF-8") from exc
+    return _parse_json(text, what)
+
+
 def _load_job(args):
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = sys.stdin.read()
-    return ideal_from_json(_parse_json(text, "JSON"))
+        return ideal_from_json(_read_json(args.input, "JSON"))
+    return ideal_from_json(_parse_json(sys.stdin.read(), "JSON"))
 
 
 def _build_complex(M: MonomialIdeal, args):
     source = args.complex or "hull"
     if source == "hull":
         from .hull import embed_in_simplex, hull_complex
-        return embed_in_simplex(hull_complex(M, args.t), pure_power_exponents(M))
+        return embed_in_simplex(hull_complex(M, args.t))
     if source == "scarf":
         from .hull import scarf_complex
         return scarf_complex(M, args.t)
@@ -92,12 +98,9 @@ def _build_complex(M: MonomialIdeal, args):
         from .hull import taylor_complex
         return taylor_complex(M)
     if source.startswith("file:"):
-        from .cellcomplex import complex_from_json
-        path = source[len("file:"):]
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        X = complex_from_json(_parse_json(text, "complex JSON"))
-        if minimize([X.vertex_label(v) for v in X.vertices]) != M:
+        from .cellcomplex import complex_from_json, vertex_ideal
+        X = complex_from_json(_read_json(source[len("file:"):], "complex JSON"))
+        if vertex_ideal(X) != M:
             raise PreconditionError("vertex labels do not generate the given ideal")
         return X
     raise InputError(f"unknown complex source: {source}")
@@ -142,7 +145,7 @@ def _cmd_resolve(M, args):
 def _cmd_check_exact(M, args):
     X = _build_complex(M, args)
     from .resolution import exactness_witness
-    witness = exactness_witness(X, M)
+    witness = exactness_witness(X)
     return {"ok": witness is None, "witness": witness}, 0 if witness is None else 1
 
 
@@ -156,7 +159,7 @@ def _cmd_check_minimal(M, args):
 def _cmd_residue(M, args):
     X = _build_complex(M, args)
     from .residue import residue_current
-    R = residue_current(X, pure_power_exponents(M))
+    R = residue_current(X)
     entries = [
         {"face": fid, "sign": c.sign, "alpha": c.alpha}
         for fid, c in sorted(R.entries.items())
@@ -167,9 +170,8 @@ def _cmd_residue(M, args):
 def _cmd_compare(M, args):
     X = _build_complex(M, args)
     from .residue import chain_maps, verify_chain_maps
-    b = pure_power_exponents(M)
-    maps = chain_maps(X, b)
-    ok, witness = verify_chain_maps(X, b)
+    maps = chain_maps(X)
+    ok, witness = verify_chain_maps(X)
     payload = {
         "maps": {str(k): _signed_matrix_json(maps.matrix(k)) for k in maps.columns},
         "row_bases": {str(k): bases for k, bases in maps.row_bases.items()},
@@ -185,8 +187,8 @@ def _cmd_annihilator(M, args):
     from .residue import annihilator_contains, residue_current
     beta = None
     if args.beta is not None:
-        beta = _parse_exponents("--beta", args.beta, M.n)
-    R = residue_current(X, pure_power_exponents(M))
+        beta = _parse_beta(args.beta, M.n)
+    R = residue_current(X)
     components = [
         {"face": fid, "alpha": c.alpha}
         for fid, c in sorted(R.entries.items())
@@ -201,11 +203,7 @@ def _cmd_annihilator(M, args):
 def _cmd_duality_check(M, args):
     X = _build_complex(M, args)
     from .residue import duality_counterexample, residue_current
-    box = None
-    if args.box is not None:
-        box = _parse_exponents("--box", args.box, M.n)
-    R = residue_current(X, pure_power_exponents(M))
-    counterexample = duality_counterexample(R, M, box)
+    counterexample = duality_counterexample(residue_current(X), M)
     ok = counterexample is None
     return {"ok": ok, "counterexample": counterexample}, 0 if ok else 1
 
@@ -213,7 +211,7 @@ def _cmd_duality_check(M, args):
 def _cmd_fundamental_cycle(M, args):
     X = _build_complex(M, args)
     from .cycle import fundamental_cycle_check, permutation_cycle_check
-    result = fundamental_cycle_check(X, M)
+    result = fundamental_cycle_check(X)
     if args.permutations is not None:
         perms = _parse_permutations(args.permutations)
     elif M.n <= 4:
@@ -223,7 +221,7 @@ def _cmd_fundamental_cycle(M, args):
     asserted = is_generic(M)
     per_permutation = {}
     for p in perms:
-        sub = permutation_cycle_check(X, M, p)
+        sub = permutation_cycle_check(X, p)
         per_permutation[",".join(str(x) for x in p)] = {
             "lhs": sub["lhs"],
             "expected": sub["expected"],
@@ -276,12 +274,12 @@ _HANDLERS = {
 SUBCOMMANDS = tuple(_HANDLERS)
 
 
-_OPTIONS = ("--help", "--input", "--complex", "--t", "--beta", "--box", "--order",
+_OPTIONS = ("--help", "--input", "--complex", "--t", "--beta", "--order",
             "--permutations")
 
 USAGE = """\
 usage: cellres [-h] [--input PATH] [--complex SOURCE] [--t T] [--beta BETA]
-               [--box BOX] [--order {P,Q}] [--permutations PERMS] SUBCOMMAND
+               [--order {P,Q}] [--permutations PERMS] SUBCOMMAND
 """
 
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")

@@ -18,10 +18,10 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import PreconditionError
-from .monomial import MonomialIdeal, multiplicity, pure_power_exponents
+from .monomial import multiplicity
 from .residue import residue_current
 from .resolution import cellular_complex
-from .cellcomplex import LabeledCellComplex, derived
+from .cellcomplex import LabeledCellComplex, derived, vertex_ideal
 
 
 def cycle_constant(n: int) -> int:
@@ -75,16 +75,17 @@ def _masses(F, R, choices) -> dict:
 
 
 @derived
-def _prepare(X: LabeledCellComplex, M: MonomialIdeal):
-    """The free complex, the residue current and the multiplicity."""
-    R = residue_current(X, pure_power_exponents(M))
-    return cellular_complex(X), R, multiplicity(M)
+def _prepare(X: LabeledCellComplex):
+    """The free complex, the residue current and the multiplicity of X's
+    ideal."""
+    R = residue_current(X)
+    return cellular_complex(X), R, multiplicity(vertex_ideal(X))
 
 
-def fundamental_cycle_check(X: LabeledCellComplex, M: MonomialIdeal) -> dict:
+def fundamental_cycle_check(X: LabeledCellComplex) -> dict:
     """Pair the composed full differentials with the current; the point-mass
     coefficient must be n! times the multiplicity."""
-    F, R, m = _prepare(X, M)
+    F, R, m = _prepare(X)
     n = F.n
     mass = sum(_masses(F, R, [range(n)] * n).values())
     lhs = cycle_constant(n) * mass
@@ -92,7 +93,7 @@ def fundamental_cycle_check(X: LabeledCellComplex, M: MonomialIdeal) -> dict:
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
 
-def permutation_cycle_check(X: LabeledCellComplex, M: MonomialIdeal, s) -> dict:
+def permutation_cycle_check(X: LabeledCellComplex, s) -> dict:
     """Single-variable-per-level route: level k differentiates in z_{s_{k+1}}.
 
     The point mass equals the cycle constant times the multiplicity.  The
@@ -103,7 +104,7 @@ def permutation_cycle_check(X: LabeledCellComplex, M: MonomialIdeal, s) -> dict:
     n = X.n
     if sorted(s) != list(range(1, n + 1)):
         raise PreconditionError(f"{s} is not a permutation of 1..{n}")
-    F, R, m = _prepare(X, M)
+    F, R, m = _prepare(X)
     per_face = _masses(F, R, [(x - 1,) for x in s])
     lhs = sum(per_face.values())
     expected = cycle_constant(n) * m

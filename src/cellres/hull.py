@@ -23,6 +23,7 @@ from .cellcomplex import (
     make_complex,
     orient_tops_to,
     reference_simplex_face,
+    vertex_ideal,
 )
 from .errors import CellresError, InputError, PreconditionError
 from .monomial import (
@@ -190,21 +191,16 @@ def _subsets(r):
     return [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1, 1 << r)]
 
 
-def _pure_power_labels(b):
-    """Vertex i of the corner simplex is labeled z_i^{b_i}."""
-    n = len(b)
-    return {i: tuple(b[i] if j == i else 0 for j in range(n)) for i in range(n)}
-
-
-def corner_simplex_complex(X: LabeledCellComplex, b) -> LabeledCellComplex:
-    """The simplex complex on X's corner vertices, labeled by the pure powers.
+def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
+    """The simplex complex on X's corner vertices, labeled by the pure powers
+    of X's ideal.
 
     Vertex ids are the variable indices, so faces are subsets of 0..n-1.
     """
-    corners = _corner_vertex_ids(X, b)
-    n = X.n
-    points = {i: X.vertex_point(corners[i]) for i in range(n)}
-    return make_complex(n, points, _pure_power_labels(b), _subsets(n),
+    corners = _corner_vertex_ids(X)
+    points = {i: X.vertex_point(v) for i, v in enumerate(corners)}
+    labels = {i: X.vertex_label(v) for i, v in enumerate(corners)}
+    return make_complex(X.n, points, labels, _subsets(X.n),
                         simplicial=True, lift_base=X.lift_base)
 
 
@@ -219,21 +215,21 @@ def delta_complex(b, t=None) -> LabeledCellComplex:
         i: tuple(t ** b[i] if j == i else 1 for j in range(n)) + (1,)
         for i in range(n)
     }
-    return make_complex(n, points, _pure_power_labels(b), _subsets(n),
+    labels = {i: tuple(b[i] if j == i else 0 for j in range(n)) for i in range(n)}
+    return make_complex(n, points, labels, _subsets(n),
                         simplicial=True, lift_base=t)
 
 
-def embed_in_simplex(H: LabeledCellComplex, b) -> LabeledCellComplex:
+def embed_in_simplex(H: LabeledCellComplex) -> LabeledCellComplex:
     """Project a hull complex onto the corner simplex along lines through 1.
 
     Labels and the face poset are unchanged; top faces are flipped to agree
     with the simplex orientation.
     """
-    b = tuple(b)
     t = H.lift_base
     if t is None:
         raise PreconditionError("complex carries no lift base; cannot embed")
-    _corner_vertex_ids(H, b)
+    b = pure_power_exponents(vertex_ideal(H))
     points = {
         v: _projection_to_simplex(H.vertex_point(v), b, t) for v in H.vertices
     }
@@ -242,7 +238,7 @@ def embed_in_simplex(H: LabeledCellComplex, b) -> LabeledCellComplex:
     embedded = make_complex(H.n, points, labels, face_sets, lift_base=t)
     if embedded.facet_ids != H.facet_ids:
         raise CellresError("projection changed the face poset")
-    return orient_tops_to(embedded, reference_simplex_face(embedded, b))
+    return orient_tops_to(embedded, reference_simplex_face(embedded))
 
 
 def _scarf_faces(generators):

@@ -76,12 +76,12 @@ def minimize(generators) -> MonomialIdeal:
         raise InputError("empty generator list")
     n = len(gens[0])
     gens = [_check_vector(g, n) for g in gens]
-    unique = sorted(set(gens))
-    minimal = [
-        g
-        for g in unique
-        if not any(h != g and divides(h, g) for h in unique)
-    ]
+    # a proper divisor precedes its multiple lexicographically, so each
+    # vector is tested against the minimal ones kept before it
+    minimal = []
+    for g in sorted(set(gens)):
+        if not any(divides(h, g) for h in minimal):
+            minimal.append(g)
     minimal.sort(reverse=True)
     return MonomialIdeal(n, tuple(minimal))
 
@@ -221,40 +221,32 @@ def irreducible_intersection(components, n: int) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(gens))
 
 
-def first_difference(I: MonomialIdeal, J: MonomialIdeal, box):
-    """Lex-first exponent in [0, box] lying in exactly one of I and J, or None.
+def first_difference(I: MonomialIdeal, J: MonomialIdeal):
+    """Lex-first exponent lying in exactly one of I and J, or None.
 
     Every point of I outside J lies above a generator of I outside J, which
     precedes it componentwise and hence lexicographically (and the same with
     I and J swapped), so the answer is the lex-least generator of either
-    ideal that divides z^box and lies outside the other: O(r_I r_J n) work,
-    independent of the box.
+    ideal that lies outside the other: O(r_I r_J n) work.
     """
-    box = _check_vector(box, I.n)
     candidates = [
         g
         for A, B in ((I, J), (J, I))
         for g in A.generators
-        if divides(g, box) and not contains(B, g)
+        if not contains(B, g)
     ]
     return min(candidates, default=None)
 
 
-def equals_ideal(components, M: MonomialIdeal, box=None) -> bool:
-    """Whether an irreducible intersection agrees with M on [0, box].
+def equals_ideal(components, M: MonomialIdeal) -> bool:
+    """Whether an irreducible intersection equals M.
 
     Builds the minimal generators of the intersection
     (irreducible_intersection) and compares them with M's
     (first_difference), so the cost depends on the numbers of components
-    and generators but not on the box, which must dominate the pure-power
-    exponents b (default b).
+    and generators but not on the exponents.
     """
-    if box is None:
-        box = pure_power_exponents(M)
-    box = _check_vector(box, M.n)
-    if not divides(pure_power_exponents(M), box):
-        raise PreconditionError("box must dominate the pure-power exponents")
-    return first_difference(irreducible_intersection(components, M.n), M, box) is None
+    return first_difference(irreducible_intersection(components, M.n), M) is None
 
 
 def staircase_corners_2d(M: MonomialIdeal) -> list[tuple[int, int]]:

@@ -20,13 +20,7 @@ from .cellcomplex import (
 )
 from .errors import PreconditionError
 from .hull import corner_simplex_complex
-from .monomial import (
-    MonomialIdeal,
-    first_difference,
-    irreducible_intersection,
-    minimize,
-    pure_power_exponents,
-)
+from .monomial import MonomialIdeal, first_difference, irreducible_intersection
 from .resolution import _compose, _dense_view, cellular_complex, exactness_witness
 
 
@@ -75,9 +69,9 @@ class ChainMap(
 
 
 @derived
-def _reference_complex(X: LabeledCellComplex, b):
+def _reference_complex(X: LabeledCellComplex):
     """The corner simplex Y, once X is known to refine it."""
-    Y = corner_simplex_complex(X, b)
+    Y = corner_simplex_complex(X)
     if not is_refinement(X, Y):
         # the witness rereads the barycentric coordinates cached on X
         raise PreconditionError(
@@ -87,20 +81,19 @@ def _reference_complex(X: LabeledCellComplex, b):
 
 
 def _check_exact(X: LabeledCellComplex):
-    M = minimize([X.vertex_label(v) for v in X.vertices])
-    witness = exactness_witness(X, M)
+    witness = exactness_witness(X)
     if witness is not None:
         raise PreconditionError(f"complex is not a resolution; fails at degree {witness}")
 
 
 @derived
-def residue_current(X: LabeledCellComplex, b) -> ResidueCurrent:
+def residue_current(X: LabeledCellComplex) -> ResidueCurrent:
     """Closed form: one entry per top face, the signed product of its label.
 
     The sign compares the face's orientation with the corner simplex; the
     complex must refine the simplex and support an exact complex.
     """
-    Y = _reference_complex(X, b)
+    Y = _reference_complex(X)
     _check_exact(X)
     delta = Y.face(tuple(range(X.n)))
     entries = {}
@@ -124,13 +117,13 @@ def monomial_times_ch(gamma, c: CHProduct) -> CHProduct:
 
 
 @derived
-def chain_maps(X: LabeledCellComplex, b) -> ChainMap:
+def chain_maps(X: LabeledCellComplex) -> ChainMap:
     """Comparison maps from the corner-simplex complex into X.
 
     a_k sends a simplex face to the signed label quotients of the X-faces
     of the same dimension it contains; a_{-1} is the identity.
     """
-    Y = _reference_complex(X, b)
+    Y = _reference_complex(X)
     row_bases, col_bases, columns = {-1: ((),)}, {-1: ((),)}, {-1: ({0: 1},)}
     for k in range(0, X.n):
         rows = row_bases[k] = tuple(X.faces_of_dim(k))
@@ -145,11 +138,11 @@ def chain_maps(X: LabeledCellComplex, b) -> ChainMap:
     return ChainMap(X.n, columns, row_bases, col_bases, *labels)
 
 
-def verify_chain_maps(X: LabeledCellComplex, b):
+def verify_chain_maps(X: LabeledCellComplex):
     """(ok, witness) for the comparison square of the chain maps, the
     witness the first failing level, row face and column face."""
-    maps = chain_maps(X, b)
-    Y = _reference_complex(X, b)
+    maps = chain_maps(X)
+    Y = _reference_complex(X)
     return _verify_square(cellular_complex(X), cellular_complex(Y), maps)
 
 
@@ -175,22 +168,22 @@ def _verify_square(phi, psi, maps: ChainMap):
     return True, None
 
 
-def residue_via_chain_maps(X: LabeledCellComplex, b) -> ResidueCurrent:
+def residue_via_chain_maps(X: LabeledCellComplex) -> ResidueCurrent:
     """Transport the corner-simplex current through the top comparison map.
 
-    The simplex complex carries the product of the pure powers with sign
-    +1 under its fixed orientation; each top face of X picks up its label
-    quotient.  Must agree entrywise with the closed form.
+    The simplex complex carries the product of the pure powers, its top
+    label, with sign +1 under its fixed orientation; each top face of X
+    picks up its label quotient.  Must agree entrywise with the closed form.
     """
-    maps = chain_maps(X, b)
-    ok, witness = verify_chain_maps(X, b)
+    maps = chain_maps(X)
+    ok, witness = verify_chain_maps(X)
     if not ok:
         raise PreconditionError(f"comparison square does not commute at {witness}")
     _check_exact(X)
     n = X.n
     column = maps.columns[n - 1][0]
     corner = maps.col_labels[maps.col_bases[n - 1][0]]
-    koszul = ch_product(1, b)
+    koszul = ch_product(1, corner)
     entries = {}
     for i, fid in enumerate(maps.row_bases[n - 1]):
         sign = column.get(i)
@@ -213,22 +206,22 @@ def annihilator_contains(R: ResidueCurrent, beta) -> bool:
     return True
 
 
-def duality_counterexample(R: ResidueCurrent, M: MonomialIdeal, box=None):
-    """First exponent in [0, box] (lexicographic order, default box b) where
-    annihilation of R and membership in M differ, or None.
+def duality_counterexample(R: ResidueCurrent, M: MonomialIdeal):
+    """First exponent (lexicographic order) where annihilation of R and
+    membership in M differ, or None.
 
     ann R is the intersection of the irreducible ideals
     (z_1^{a_1}, ..., z_n^{a_n}) over the nonzero entries, so the witness is
     the first difference of its minimal generators with M's
     (monomial.irreducible_intersection, monomial.first_difference): the
     cost depends on the numbers of entries and generators but not on the
-    box.
+    exponents.  For an Artinian M with pure powers b the witness lies in
+    [0, b]: every generator of M divides z^b, and a generator of ann R
+    with some exponent a_i >= b_i lies in M.
     """
-    if box is None:
-        box = pure_power_exponents(M)
     alphas = [c.alpha for c in R.entries.values() if not c.is_zero]
-    return first_difference(M, irreducible_intersection(alphas, M.n), box)
+    return first_difference(M, irreducible_intersection(alphas, M.n))
 
 
-def duality_check(R: ResidueCurrent, M: MonomialIdeal, box=None) -> bool:
-    return duality_counterexample(R, M, box) is None
+def duality_check(R: ResidueCurrent, M: MonomialIdeal) -> bool:
+    return duality_counterexample(R, M) is None

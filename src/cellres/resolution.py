@@ -14,8 +14,8 @@ from collections import namedtuple
 
 from . import linalg
 from .cellcomplex import LabeledCellComplex, derived, sign_facet
-from .errors import CellresError, PreconditionError
-from .monomial import MonomialIdeal, divides, lcm_lattice, minimize
+from .errors import CellresError
+from .monomial import divides, lcm_lattice
 
 
 class SignedMonomial(namedtuple("SignedMonomial", "sign exp")):
@@ -123,7 +123,7 @@ def reduced_homology_ranks(F: FreeComplex, beta) -> list[int]:
 
 
 @derived
-def exactness_witness(X: LabeledCellComplex, M: MonomialIdeal):
+def exactness_witness(X: LabeledCellComplex):
     """First degree among the joins of X's vertex labels where the free
     complex F of X fails to be acyclic, or None; F is built, with its
     d^2 = 0 check, and scanned.
@@ -132,20 +132,18 @@ def exactness_witness(X: LabeledCellComplex, M: MonomialIdeal):
     scan over the joins is sufficient because the subcomplex of faces
     dividing a degree only changes at joins of face labels, which are
     joins of vertex labels.  A vertex label need not be a minimal
-    generator of M, so these joins can be more than M's lcm lattice.
+    generator of X's ideal, so these joins can be more than its lcm
+    lattice.
     """
     F = cellular_complex(X)
-    labels = [X.vertex_label(v) for v in X.vertices]
-    if minimize(labels).generators != M.generators:
-        raise PreconditionError("vertex labels do not generate the given ideal")
-    for beta in sorted(lcm_lattice(labels)):
+    for beta in sorted(lcm_lattice([X.vertex_label(v) for v in X.vertices])):
         if any(reduced_homology_ranks(F, beta)):
             return beta
     return None
 
 
-def is_exact(X: LabeledCellComplex, M: MonomialIdeal) -> bool:
-    return exactness_witness(X, M) is None
+def is_exact(X: LabeledCellComplex) -> bool:
+    return exactness_witness(X) is None
 
 
 def minimality_witness(F: FreeComplex):

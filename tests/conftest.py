@@ -26,7 +26,6 @@ from cellres import (
     is_artinian,
     is_generic,
     minimize,
-    pure_power_exponents,
 )
 
 EX61_GENERATORS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
@@ -147,7 +146,7 @@ def artinian_ideals_2_to_4():
 
 
 def embedded_hull(M):
-    return embed_in_simplex(hull_complex(M), pure_power_exponents(M))
+    return embed_in_simplex(hull_complex(M))
 
 
 def flip_sign(record, k, nth=0):
@@ -160,13 +159,13 @@ def flip_sign(record, k, nth=0):
     return record._replace(columns={**record.columns, k: tuple(level)})
 
 
-def square_verdict(X, b, maps):
-    """The (ok, witness) of verify_chain_maps(X, b), with ``maps`` in place
+def square_verdict(X, maps):
+    """The (ok, witness) of verify_chain_maps(X), with ``maps`` in place
     of the chain maps the library builds."""
     from cellres import cellular_complex
     from cellres.residue import _reference_complex, _verify_square
 
-    phi, psi = cellular_complex(X), cellular_complex(_reference_complex(X, b))
+    phi, psi = cellular_complex(X), cellular_complex(_reference_complex(X))
     return _verify_square(phi, psi, maps)
 
 
@@ -191,8 +190,8 @@ def ex61_hull(ex61_ideal):
 
 
 @pytest.fixture(scope="session")
-def ex61_embedded(ex61_ideal, ex61_hull):
-    return embed_in_simplex(ex61_hull, pure_power_exponents(ex61_ideal))
+def ex61_embedded(ex61_hull):
+    return embed_in_simplex(ex61_hull)
 
 
 def minimal_ex61_json(ex61_embedded):

@@ -758,7 +758,6 @@ def argparse_cli_parser():
     )
     parser.add_argument("--t", type=int, default=None, help="override the lift base")
     parser.add_argument("--beta", help="exponent vector for annihilator queries")
-    parser.add_argument("--box", help="box override for the duality check")
     parser.add_argument("--order", choices=("P", "Q"), help="partition order")
     parser.add_argument(
         "--permutations",

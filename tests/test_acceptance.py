@@ -97,9 +97,9 @@ def test_criterion_1_example_61_end_to_end(ex61):
             (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1),
         ]
         F = cellular_complex(X)
-        assert is_exact(X, M)
+        assert is_exact(X)
         assert not is_minimal(F)
-        R = residue_current(X, (2, 2, 2))
+        R = residue_current(X)
         assert len(R.entries) == 4
         assert all(c.sign == 1 for c in R.entries.values())
         assert sorted(c.alpha for c in R.entries.values()) == [
@@ -128,34 +128,32 @@ def test_criterion_2_complete_intersections():
                 M = minimize(gens)
                 X = embedded_hull(M)
                 assert set(X.faces) == set(delta_complex(b).faces)
-                R = residue_current(X, b)
+                R = residue_current(X)
                 assert R.entries == {tuple(range(n)): CHProduct(1, b)}
                 assert multiplicity(M) == prod(b)
-                result = fundamental_cycle_check(X, M)
+                result = fundamental_cycle_check(X)
                 assert result["ok"] and result["lhs"] == factorial(n) * prod(b)
 
 
 def test_criterion_3_route_equivalence(staircase_pool, generic3_pool):
     with criterion(3, "closed form vs chain-map transport on 50 + 10 ideals"):
         assert len(staircase_pool) >= 50 and len(generic3_pool) >= 10
-        for M, X in staircase_pool + generic3_pool:
-            b = pure_power_exponents(M)
+        for _, X in staircase_pool + generic3_pool:
             assert (
-                residue_current(X, b).entries
-                == residue_via_chain_maps(X, b).entries
+                residue_current(X).entries
+                == residue_via_chain_maps(X).entries
             )
 
 
 def test_criterion_4_commuting_diagram(staircase_pool, generic3_pool, ex61):
     with criterion(4, "comparison squares commute; corrupted sign fails"):
         instances = staircase_pool + generic3_pool + [ex61]
-        for M, X in instances:
-            b = pure_power_exponents(M)
-            ok, witness = verify_chain_maps(X, b)
+        for _, X in instances:
+            ok, witness = verify_chain_maps(X)
             assert ok and witness is None
-        M, X = ex61
-        corrupted = flip_sign(chain_maps(X, (2, 2, 2)), 1)
-        ok, witness = square_verdict(X, (2, 2, 2), corrupted)
+        X = ex61[1]
+        corrupted = flip_sign(chain_maps(X), 1)
+        ok, witness = square_verdict(X, corrupted)
         assert not ok and witness == (1, (0,), (0, 1))
 
 
@@ -185,22 +183,22 @@ def test_criterion_5_exactness_oracle_agreement(ex61):
             F = cellular_complex(X)
             box = pure_power_exponents(M)
             assert all(x <= 5 for x in box)
-            lattice_route = exactness_witness(X, M)
+            lattice_route = exactness_witness(X)
             strand_route = graded_strand_inexact_degree(F, box)
             assert (lattice_route is None) == (strand_route is None)
         F = cellular_complex(deleted)
-        assert exactness_witness(deleted, M61) == (1, 1, 1)
+        assert exactness_witness(deleted) == (1, 1, 1)
         assert graded_strand_inexact_degree(F, (2, 2, 2)) is not None
 
 
 def test_criterion_6_fundamental_cycle(staircase_pool, generic3_pool, ex61):
     with criterion(6, "point-mass factorization, full and per permutation"):
-        M61, X61 = ex61
-        result = fundamental_cycle_check(X61, M61)
+        X61 = ex61[1]
+        result = fundamental_cycle_check(X61)
         assert result["ok"] and result["lhs"] == 24
         for M, X in staircase_pool:
             m = multiplicity(M)
-            assert fundamental_cycle_check(X, M)["ok"]
+            assert fundamental_cycle_check(X)["ok"]
             corners = staircase_corners_2d(M)
             volumes = [
                 corners[i][0] * (corners[i + 1][1] - corners[i][1])
@@ -209,7 +207,7 @@ def test_criterion_6_fundamental_cycle(staircase_pool, generic3_pool, ex61):
             assert sum(volumes) == m
             tops = X.faces_of_dim(1)
             for s, order in (((1, 2), "P"), ((2, 1), "Q")):
-                sub = permutation_cycle_check(X, M, s)
+                sub = permutation_cycle_check(X, s)
                 assert sub["ok"] and sub["lhs"] == -m  # two-variable constant -1
                 areas = [r.area for r in staircase_partition_2d(M, order)]
                 assert [-sub["per_face"][f] for f in tops] == areas
@@ -217,9 +215,9 @@ def test_criterion_6_fundamental_cycle(staircase_pool, generic3_pool, ex61):
                     assert areas == volumes
         for M, X in generic3_pool:
             m = multiplicity(M)
-            assert fundamental_cycle_check(X, M)["ok"]
+            assert fundamental_cycle_check(X)["ok"]
             for s in permutations((1, 2, 3)):
-                sub = permutation_cycle_check(X, M, s)
+                sub = permutation_cycle_check(X, s)
                 assert sub["ok"] and sub["lhs"] == m  # three-variable constant +1
 
 
@@ -249,18 +247,17 @@ def test_criterion_8_orientation_robustness(staircase_pool, generic3_pool, ex61)
     with criterion(8, "lower-face re-orientation changes nothing observable"):
         rng = random.Random(65)
         instances = [ex61] + staircase_pool[:5] + generic3_pool[:2]
-        for M, X in instances:
-            b = pure_power_exponents(M)
+        for _, X in instances:
             lower = [fid for fid, f in X.faces.items() if 1 <= f.dim < X.dim]
             flips = {fid for fid in lower if rng.random() < 0.5}
             Xr = reoriented(X, flips)
-            baseline = residue_current(X, b)
-            assert residue_current(Xr, b).entries == baseline.entries
-            assert residue_via_chain_maps(Xr, b).entries == baseline.entries
-            assert is_exact(Xr, M) == is_exact(X, M)
+            baseline = residue_current(X)
+            assert residue_current(Xr).entries == baseline.entries
+            assert residue_via_chain_maps(Xr).entries == baseline.entries
+            assert is_exact(Xr) == is_exact(X)
             assert (
-                fundamental_cycle_check(Xr, M)["lhs"]
-                == fundamental_cycle_check(X, M)["lhs"]
+                fundamental_cycle_check(Xr)["lhs"]
+                == fundamental_cycle_check(X)["lhs"]
             )
 
 
@@ -278,19 +275,19 @@ def test_criterion_9_hull_stability(staircase_pool, generic3_pool, ex61):
 def test_duality_on_the_pools(staircase_pool, generic3_pool):
     # cross-module closure: annihilators match ideals on the pure-power box
     for M, X in staircase_pool[:10] + generic3_pool[:3]:
-        R = residue_current(X, pure_power_exponents(M))
+        R = residue_current(X)
         assert duality_counterexample(R, M) is None
 
 
 def test_minimal_fixture_round_trip(ex61):
     # the user-supplied minimal complex stays supported end to end
-    M, X = ex61
+    X = ex61[1]
     fixture = minimal_ex61_json(X)
     loaded = complex_from_json(fixture)
     F = cellular_complex(loaded)
-    assert is_exact(loaded, M) and is_minimal(F)
-    R = residue_current(loaded, (2, 2, 2))
+    assert is_exact(loaded) and is_minimal(F)
+    R = residue_current(loaded)
     assert sorted(c.alpha for c in R.entries.values()) == [
         (1, 1, 2), (1, 2, 1), (2, 1, 1),
     ]
-    assert fundamental_cycle_check(loaded, M)["ok"]
+    assert fundamental_cycle_check(loaded)["ok"]

@@ -18,18 +18,19 @@ from cellres import (
     linalg,
     make_complex,
     minimize,
-    pure_power_exponents,
     residue_current,
     reoriented,
     scarf_complex,
     sign_facet,
     sign_same_span,
     taylor_complex,
+    vertex_ideal,
 )
 from cellres.cellcomplex import (
     _geometric_facets,
     _refinement_failure,
     _vertex_barycentrics,
+    reference_simplex_face,
 )
 from conftest import (
     EX61_GENERATORS,
@@ -147,7 +148,7 @@ def test_reorientation_flips_signs():
 
 
 def _delta(ex61_embedded):
-    return corner_simplex_complex(ex61_embedded, (2, 2, 2))
+    return corner_simplex_complex(ex61_embedded)
 
 
 def test_cofaces_counts(ex61_embedded):
@@ -326,6 +327,28 @@ def test_json_roundtrip(ex61_embedded):
         assert loaded.face(fid).label == ex61_embedded.face(fid).label
         assert loaded.face(fid).dim == ex61_embedded.face(fid).dim
     assert loaded.facet_ids == ex61_embedded.facet_ids
+
+
+def test_vertex_ideal_is_the_ideal(ex61_ideal, ex61_hull, ex61_embedded,
+                                   ex61_minimal_fixture):
+    for X in (ex61_hull, ex61_embedded, scarf_complex(ex61_ideal),
+              taylor_complex(ex61_ideal), complex_from_json(ex61_minimal_fixture)):
+        assert vertex_ideal(X) == ex61_ideal
+
+
+def test_loader_orients_tops_by_the_minimal_pure_powers():
+    # z1^3 (vertex 0) is listed before z1^2 (vertex 1) but is no minimal
+    # generator: the corner simplex runs from vertex 1 to the z2^2 corner
+    # (vertex 2), in the negative direction, not from vertex 0
+    X = complex_from_json({
+        "vertices": [{"id": v, "coords": [x], "label": g}
+                     for v, x, g in ((0, 3, [3, 0]), (1, 0, [2, 0]), (2, 1, [0, 2]))],
+        "faces": [{"vertices": [1, 2]}, {"vertices": [0, 2]}],
+    })
+    assert vertex_ideal(X) == minimize([(2, 0), (0, 2)])
+    assert reference_simplex_face(X).vertices == (1, 2)
+    assert X.faces_of_dim(1) == [(0, 2), (1, 2)]
+    assert all(X.face(fid).basis[0][0] < 0 for fid in X.faces_of_dim(1))
 
 
 def test_json_loader_honors_explicit_bases(ex61_embedded):
@@ -596,17 +619,17 @@ def test_refinement_witness_names_the_failure(ex61_embedded):
         2 * c - p for c, p in zip(affine(X.vertex_point(0)), affine(X.vertex_point(4)))
     )
     with pytest.raises(PreconditionError, match=r"corner simplex: vertex 4 lies outside"):
-        residue_current(_moved(X, 4, outside), (2, 2, 2))
+        residue_current(_moved(X, 4, outside))
     with pytest.raises(
         PreconditionError,
         match=r"corner simplex: face \(0, 1, 2\) is covered with volume 3/4$",
     ):
-        residue_current(without_face(X, (0, 1, 2)), (2, 2, 2))
+        residue_current(without_face(X, (0, 1, 2)))
     with pytest.raises(
         PreconditionError,
         match=r"corner simplex: face \(0, 1, 2\) is covered with volume 0$",
     ):
-        residue_current(scarf_complex(minimize(EX61_GENERATORS)), (2, 2, 2))
+        residue_current(scarf_complex(minimize(EX61_GENERATORS)))
 
 
 def _containment(X, Y, refines, contained):
@@ -658,7 +681,7 @@ def _perturbations(X, Y):
 
 def _containment_cases(M):
     X = embedded_hull(M)
-    Y = corner_simplex_complex(X, pure_power_exponents(M))
+    Y = corner_simplex_complex(X)
     yield X, Y
     if len(M.generators) <= 15:
         yield scarf_complex(M), Y
@@ -709,7 +732,7 @@ def test_containment_matches_pairwise_oracle_on_perturbed_ex61(ex61_embedded):
 @given(artinian_ideals())
 def test_barycentric_coordinates_solved_once_per_vertex(M):
     X = embedded_hull(M)
-    Y = corner_simplex_complex(X, pure_power_exponents(M))
+    Y = corner_simplex_complex(X)
     with mock.patch.object(linalg, "solve", side_effect=linalg.solve) as solve:
         assert is_refinement(X, Y)
         assert solve.call_count == len(X.vertices)
@@ -823,7 +846,7 @@ def _geometry(X, Y):
 @given(artinian_ideals(), st.data())
 def test_positive_vertex_scales_change_no_geometry(M, data):
     X = embedded_hull(M)
-    Y = corner_simplex_complex(X, pure_power_exponents(M))
+    Y = corner_simplex_complex(X)
     complexes = [X, scarf_complex(M)]
     if X.dim >= 1:
         complexes.append(without_face(X, data.draw(st.sampled_from(X.faces_of_dim(X.dim)))))

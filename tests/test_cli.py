@@ -81,8 +81,6 @@ def test_compare(capsys, monkeypatch):
 def test_duality_check(capsys, monkeypatch):
     code, out = invoke(capsys, monkeypatch, ["duality-check"], EX61)
     assert code == 0 and out["ok"] and out["counterexample"] is None
-    code, out = invoke(capsys, monkeypatch, ["duality-check", "--box", "2,2"], EX61)
-    assert code == 2 and "--box" in out["error"]
 
 
 def test_annihilator(capsys, monkeypatch):
@@ -199,8 +197,8 @@ def test_file_complex_source(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
 
 def test_settings_come_from_flags(capsys, monkeypatch):
     code, out = invoke(
-        capsys, monkeypatch, ["duality-check", "--complex", "hull", "--t", "10",
-                              "--box", "2,2"], STAIRCASE,
+        capsys, monkeypatch, ["duality-check", "--complex", "hull", "--t", "10"],
+        STAIRCASE,
     )
     assert code == 0 and out["ok"]
     code, out = invoke(
@@ -215,8 +213,6 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     with pytest.raises(SystemExit) as exc:
         run(["residue", "--seed", "1"])
     assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
-    code, out = invoke(capsys, monkeypatch, ["duality-check", "--box", "5"], STAIRCASE)
-    assert code == 2 and "--box must be 2 nonnegative integers" in out["error"]
     code, out = invoke(capsys, monkeypatch, ["residue", "--t", "3"], STAIRCASE)
     assert code == 2 and "lift base" in out["error"]
     code, out = invoke(
@@ -277,6 +273,20 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     assert code == 2 and out["error"] == (
         f"result has an integer longer than {sys.get_int_max_str_digits()} digits"
     )
+    # the lift base is 7, so the vertex coordinate 7^6000 has 5071 digits
+    wide = {"n": 2, "generators": [[6000, 0], [0, 6000], [1, 1]]}
+    for command in ("hull", "scarf"):
+        code, out = invoke(capsys, monkeypatch, [command], wide)
+        assert code == 2 and out["error"] == (
+            f"result has an integer longer than {sys.get_int_max_str_digits()} digits"
+        )
+    # a file that is not UTF-8, as the job and as the complex
+    path = tmp_path / "latin-1.json"
+    path.write_bytes(b'{"n":1,"generators":[[4]]}\xff')
+    code, out = invoke(capsys, monkeypatch, ["generators", "--input", str(path)])
+    assert code == 2 and out["error"] == "malformed JSON at byte 26: not UTF-8"
+    code, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], EX61)
+    assert code == 2 and out["error"] == "malformed complex JSON at byte 26: not UTF-8"
 
 
 def test_non_artinian_multiplicity_precondition(capsys, monkeypatch):

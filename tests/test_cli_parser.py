@@ -1,6 +1,6 @@
 """The command-line parser against the ``argparse`` parser it replaced.
 
-``cli._parse_args`` is written for the one positional argument and seven
+``cli._parse_args`` is written for the one positional argument and six
 options the command line has; ``oracles.argparse_cli_parser`` is the
 ``argparse`` parser of the same arguments.  On every drawn argument list
 both give the same namespace, or both exit 2, or both exit 0 for help.
@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from cellres.cli import SUBCOMMANDS, USAGE, _parse_args, run
 from oracles import argparse_cli_parser
 
-NAMES = ("--input", "--complex", "--t", "--beta", "--box", "--order",
-         "--permutations", "--help", "-h")
+NAMES = ("--input", "--complex", "--t", "--beta", "--order", "--permutations",
+         "--help", "-h")
 VALUES = ("", "3", "-1", "-12", "+4", " 5", "1_0", "x", "P", "Q", "p", "-1,2",
           "-1.5", "-.5", "- 1", "-x", "1,0,2", "1,2;2,1", "file:x.json", "x y",
           "-h y", "--in x", "h", "hh", "=", "-", "--")
@@ -73,8 +73,9 @@ def test_parser_examples(argv, expected):
 
 
 @pytest.mark.parametrize("argv", [
-    ["hull", "--b", "1"], ["hull", "--t", "x"], ["hull", "--order", "R"],
+    ["duality-check", "--box", "2,2"], ["hull", "--t", "x"], ["hull", "--order", "R"],
     ["hull", "--beta", "-1,2"], ["bogus"], [], ["hull", "extra"], ["hull", "--seed", "1"],
+    ["hull", "--=1"],
 ])
 def test_usage_errors_exit_2_with_the_usage(argv, capsys):
     with pytest.raises(SystemExit) as exc:

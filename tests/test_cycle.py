@@ -115,7 +115,7 @@ def test_fundamental_cycle_complete_intersection(b):
     gens = [tuple(b[i] if j == i else 0 for j in range(n)) for i in range(n)]
     M = minimize(gens)
     X = embedded_hull(M)
-    result = fundamental_cycle_check(X, M)
+    result = fundamental_cycle_check(X)
     assert result["ok"]
     assert result["lhs"] == factorial(n) * prod(b)
 
@@ -123,12 +123,12 @@ def test_fundamental_cycle_complete_intersection(b):
 def test_fundamental_cycle_small_staircase():
     M = minimize([(2, 0), (1, 1), (0, 2)])
     X = embedded_hull(M)
-    result = fundamental_cycle_check(X, M)
+    result = fundamental_cycle_check(X)
     assert result == {"lhs": 6, "rhs": 6, "ok": True}
 
 
-def test_fundamental_cycle_ex61(ex61_ideal, ex61_embedded):
-    result = fundamental_cycle_check(ex61_embedded, ex61_ideal)
+def test_fundamental_cycle_ex61(ex61_embedded):
+    result = fundamental_cycle_check(ex61_embedded)
     assert result == {"lhs": 24, "rhs": 24, "ok": True}
 
 
@@ -139,7 +139,7 @@ def test_permutation_checks_n2_match_partition_volumes(rng):
         m = multiplicity(M)
         tops = X.faces_of_dim(1)
         for s, order in (((1, 2), "P"), ((2, 1), "Q")):
-            result = permutation_cycle_check(X, M, s)
+            result = permutation_cycle_check(X, s)
             assert result["ok"]
             assert result["lhs"] == -m  # the two-variable constant is -1
             areas = [r.area for r in staircase_partition_2d(M, order)]
@@ -149,7 +149,7 @@ def test_permutation_checks_n2_match_partition_volumes(rng):
 def test_permutation_check_n1():
     M = minimize([(5,)])
     X = embedded_hull(M)
-    result = permutation_cycle_check(X, M, (1,))
+    result = permutation_cycle_check(X, (1,))
     assert result["ok"]
     assert result["lhs"] == cycle_constant(1) * 5 == -5
 
@@ -159,22 +159,22 @@ def test_permutation_checks_n3_generic(rng):
     X = embedded_hull(M)
     m = multiplicity(M)
     for s in permutations((1, 2, 3)):
-        result = permutation_cycle_check(X, M, s)
+        result = permutation_cycle_check(X, s)
         assert result["ok"]
         assert result["lhs"] == cycle_constant(3) * m == m
 
 
-def test_permutation_check_requires_generic(ex61_ideal, ex61_embedded):
+def test_permutation_check_requires_generic(ex61_embedded):
     # Example 6.1 is not generic, so the identity is not claimed there, but
     # it holds on this route
-    result = permutation_cycle_check(ex61_embedded, ex61_ideal, (1, 2, 3))
+    result = permutation_cycle_check(ex61_embedded, (1, 2, 3))
     assert result["lhs"] == result["expected"]
 
 
-def test_permutation_check_rejects_non_permutations(ex61_ideal, ex61_embedded):
+def test_permutation_check_rejects_non_permutations(ex61_embedded):
     for s in ((1, 2), (1, 1, 3), (0, 1, 2), (1, 2, 4)):
         with pytest.raises(PreconditionError, match="not a permutation"):
-            permutation_cycle_check(ex61_embedded, ex61_ideal, s)
+            permutation_cycle_check(ex61_embedded, s)
 
 
 _SEEDED = st.randoms(use_true_random=False)
@@ -204,12 +204,12 @@ def test_cycle_routes_match_wedge_oracle(kind, data):
     X = reoriented(X, flips)
     event(f"generic: {generic}, lower faces reoriented: {bool(flips)}")
     F = cellular_complex(X)
-    R = residue_current(X, pure_power_exponents(M))
+    R = residue_current(X)
     full = wedge_masses(F, R)
     assert _masses(F, R, [range(n)] * n) == full
-    assert fundamental_cycle_check(X, M)["lhs"] == cycle_constant(n) * sum(full.values())
+    assert fundamental_cycle_check(X)["lhs"] == cycle_constant(n) * sum(full.values())
     for s in permutations(range(1, n + 1)):
-        result = permutation_cycle_check(X, M, s)
+        result = permutation_cycle_check(X, s)
         assert result["per_face"] == wedge_masses(F, R, s)
         assert result["lhs"] == sum(result["per_face"].values())
         assert result["ok"] or not generic
@@ -223,21 +223,19 @@ def test_permutation_sum_recovers_full_differential(rng, ex61_ideal, ex61_embedd
     cases.append((M, embedded_hull(M)))
     for M, X in cases:
         n = M.n
-        full = fundamental_cycle_check(X, M)
+        full = fundamental_cycle_check(X)
         total = sum(
-            permutation_cycle_check(X, M, s)["lhs"]
+            permutation_cycle_check(X, s)["lhs"]
             for s in permutations(range(1, n + 1))
         )
         assert total == cycle_constant(n) * full["lhs"]
 
 
-def test_fundamental_cycle_invariant_under_lower_reorientation(
-    rng, ex61_ideal, ex61_embedded
-):
+def test_fundamental_cycle_invariant_under_lower_reorientation(rng, ex61_embedded):
     lower = [fid for fid, f in ex61_embedded.faces.items() if 1 <= f.dim < 2]
     flips = {fid for fid in lower if rng.random() < 0.5}
     X = reoriented(ex61_embedded, flips)
-    assert fundamental_cycle_check(X, ex61_ideal)["lhs"] == 24
+    assert fundamental_cycle_check(X)["lhs"] == 24
 
 
 def test_four_variable_squared_maximal_ideal():
@@ -253,19 +251,18 @@ def test_four_variable_squared_maximal_ideal():
         for pair in combinations(range(4), 2)
     ]
     M = minimize(gens)
-    b = (2, 2, 2, 2)
     X = embedded_hull(M)
     assert [len(X.faces_of_dim(k)) for k in range(4)] == [10, 24, 20, 5]
-    R = residue_current(X, b)
+    R = residue_current(X)
     assert len(R.entries) == 5
     assert all(c.sign == 1 for c in R.entries.values())
     assert (1, 1, 1, 1) in {c.alpha for c in R.entries.values()}
-    assert residue_via_chain_maps(X, b).entries == R.entries
+    assert residue_via_chain_maps(X).entries == R.entries
     assert duality_check(R, M)
     assert multiplicity(M) == 5
-    result = fundamental_cycle_check(X, M)
+    result = fundamental_cycle_check(X)
     assert result["ok"] and result["lhs"] == 120
-    sub = permutation_cycle_check(X, M, (2, 4, 1, 3))
+    sub = permutation_cycle_check(X, (2, 4, 1, 3))
     assert sub["ok"] and sub["lhs"] == cycle_constant(4) * 5 == 5
 
 

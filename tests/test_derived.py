@@ -22,11 +22,11 @@ from cellres import (
     chain_maps,
     duality_check,
     minimize,
-    pure_power_exponents,
     reoriented,
     residue_current,
     scarf_complex,
     verify_chain_maps,
+    vertex_ideal,
 )
 from cellres.cli import run
 from cellres.residue import ResidueCurrent
@@ -110,10 +110,13 @@ def test_compare_builds_each_object_once(monkeypatch):
     }
 
 
-def test_list_and_tuple_arguments_share_one_object():
+def test_repeated_calls_share_one_object():
     X = embedded_hull(minimize(EX61_GENERATORS))
-    assert chain_maps(X, [2, 2, 2]) is chain_maps(X, (2, 2, 2))
-    assert residue_current(X, [2, 2, 2]) is residue_current(X, (2, 2, 2))
+    assert chain_maps(X) is chain_maps(X)
+    assert residue_current(X) is residue_current(X)
+    assert vertex_ideal(X) is vertex_ideal(X)
+    # the complex determines every object, so its name is the whole key
+    assert {("chain_maps",), ("residue_current",), ("vertex_ideal",)} <= set(X._derived)
 
 
 def test_reoriented_complex_has_its_own_free_complex():
@@ -127,7 +130,7 @@ def test_reoriented_complex_has_its_own_free_complex():
     for row, row_r in zip(F.matrix(1), Fr.matrix(1)):
         assert row_r[j].sign == -row[j].sign
     assert cellular_complex(X) is F
-    assert residue_current(Xr, (2, 2, 2)).entries == residue_current(X, (2, 2, 2)).entries
+    assert residue_current(Xr).entries == residue_current(X).entries
 
 
 def test_subcomplex_has_its_own_free_complex():
@@ -146,7 +149,7 @@ def test_non_refining_complex_raises_the_same_message_again():
     messages = []
     for _ in range(2):
         with pytest.raises(PreconditionError) as err:
-            residue_current(X, pure_power_exponents(M))
+            residue_current(X)
         messages.append(str(err.value))
     assert messages[0] == messages[1] == (
         "complex does not refine the corner simplex: "
@@ -157,18 +160,17 @@ def test_non_refining_complex_raises_the_same_message_again():
 def test_changed_copies_leave_the_stored_objects_alone():
     M = minimize(EX61_GENERATORS)
     X = embedded_hull(M)
-    b = (2, 2, 2)
-    R = residue_current(X, b)
+    R = residue_current(X)
     entries = dict(R.entries)
     dropped = dict(R.entries)
     del dropped[next(iter(dropped))]
     assert not duality_check(ResidueCurrent(R.n, dropped), M)
-    assert residue_current(X, b).entries == entries
-    assert duality_check(residue_current(X, b), M)
+    assert residue_current(X).entries == entries
+    assert duality_check(residue_current(X), M)
 
-    maps = chain_maps(X, b)
+    maps = chain_maps(X)
     stored = [dict(column) for column in maps.columns[1]]
     corrupted = flip_sign(maps, 1)
-    assert not square_verdict(X, b, corrupted)[0]
-    assert verify_chain_maps(X, b) == (True, None)
-    assert list(chain_maps(X, b).columns[1]) == stored != list(corrupted.columns[1])
+    assert not square_verdict(X, corrupted)[0]
+    assert verify_chain_maps(X) == (True, None)
+    assert list(chain_maps(X).columns[1]) == stored != list(corrupted.columns[1])

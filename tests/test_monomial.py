@@ -216,8 +216,8 @@ def test_is_generic(ex61_ideal, rng):
 
 def test_irreducible_intersection(ex61_ideal):
     components = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
-    assert equals_ideal(components, ex61_ideal, (2, 2, 2))
-    assert equals_ideal(components + [(1, 1, 1)], ex61_ideal, (2, 2, 2))
+    assert equals_ideal(components, ex61_ideal)
+    assert equals_ideal(components + [(1, 1, 1)], ex61_ideal)
     ci = minimize([(3, 0), (0, 2)])
     assert equals_ideal([(3, 2)], ci)
     assert contains(irreducible_intersection(components, 3), (1, 1, 0))
@@ -240,15 +240,14 @@ def test_irreducible_intersection_generators(ex61_ideal):
 def test_first_difference_hand_cases(ex61_ideal):
     M = minimize([(2, 0), (1, 1), (0, 2)])
     bumped = irreducible_intersection([(3, 1), (1, 2)], 2)  # (x^3, xy, y^2)
-    assert first_difference(M, bumped, (2, 2)) == (2, 0)
-    assert first_difference(bumped, M, (2, 2)) == (2, 0)
-    assert first_difference(M, bumped, (1, 5)) is None
-    assert first_difference(M, M, (9, 9)) is None
+    assert first_difference(M, bumped) == (2, 0)
+    assert first_difference(bumped, M) == (2, 0)
+    assert first_difference(M, M) is None
+    # no box: the ideals need not be Artinian
+    assert first_difference(minimize([(1, 0)]), minimize([(1, 0), (0, 3)])) == (0, 3)
     # Dropping the component (2,1,1) of Example 6.1 lets x into the intersection.
     loose = irreducible_intersection([(1, 1, 1), (1, 1, 2), (1, 2, 1)], 3)
-    assert first_difference(ex61_ideal, loose, (2, 2, 2)) == (1, 0, 0)
-    with pytest.raises(InputError):
-        first_difference(M, bumped, (2, 2, 2))
+    assert first_difference(ex61_ideal, loose) == (1, 0, 0)
 
 
 def test_equals_ideal_false_verdicts(ex61_ideal):
@@ -258,23 +257,25 @@ def test_equals_ideal_false_verdicts(ex61_ideal):
     assert not equals_ideal([(2, 1)], M)
     assert equals_ideal([(2, 1), (1, 2), (1, 1)], M)
     assert not equals_ideal([(2, 1), (1, 2), (1, 3)], M)
-    assert not equals_ideal([(1, 1, 2), (1, 2, 1), (1, 1, 1)], ex61_ideal, (3, 3, 3))
-    with pytest.raises(PreconditionError):
-        equals_ideal([(2, 1), (1, 2)], M, (1, 2))
+    assert not equals_ideal([(1, 1, 2), (1, 2, 1), (1, 1, 1)], ex61_ideal)
 
 
 @settings(max_examples=80)
 @given(IDEALS, st.data())
 def test_equals_ideal_against_box_scan(M, data):
+    """The box-free witness is the scan's over the pure-power box b and over
+    any drawn box that dominates both ideals' pure powers."""
     n = M.n
     b = pure_power_exponents(M)
     components = data.draw(st.lists(
         st.lists(st.integers(1, 6), min_size=n, max_size=n), max_size=5
     ))
-    box = tuple(x + data.draw(st.integers(0, 2)) for x in b)
+    top = [max([x] + [a[i] for a in components]) for i, x in enumerate(b)]
+    box = tuple(x + data.draw(st.integers(0, 2)) for x in top)
     witness = first_difference_by_box_scan(components, M.generators, box)
-    assert equals_ideal(components, M, box) == (witness is None)
-    assert first_difference(irreducible_intersection(components, n), M, box) == witness
+    assert first_difference_by_box_scan(components, M.generators, b) == witness
+    assert equals_ideal(components, M) == (witness is None)
+    assert first_difference(irreducible_intersection(components, n), M) == witness
 
 
 def test_staircase_corners():

@@ -41,12 +41,12 @@ from oracles import ch_action, first_difference_by_box_scan
 def test_complete_intersection_residue():
     b = (2, 3, 4)
     D = delta_complex(b)
-    R = residue_current(D, b)
+    R = residue_current(D)
     assert R.entries == {(0, 1, 2): CHProduct(1, b)}
 
 
 def test_ex61_residue_entries(ex61_embedded):
-    R = residue_current(ex61_embedded, (2, 2, 2))
+    R = residue_current(ex61_embedded)
     assert len(R.entries) == 4
     assert all(c.sign == 1 for c in R.entries.values())
     assert R.entries[(1, 2, 4)] == CHProduct(1, (1, 1, 1))
@@ -56,7 +56,7 @@ def test_ex61_residue_entries(ex61_embedded):
 
 def test_fixture_minimal_complex_residue(ex61_ideal, ex61_minimal_fixture):
     X = complex_from_json(ex61_minimal_fixture)
-    R = residue_current(X, (2, 2, 2))
+    R = residue_current(X)
     assert sorted(c.alpha for c in R.entries.values()) == [
         (1, 1, 2),
         (1, 2, 1),
@@ -75,7 +75,7 @@ def test_residue_rejects_inexact_complex(ex61_embedded, ex61_ideal):
     ]
     X = complex_from_json({"vertices": obj["vertices"], "faces": faces})
     with pytest.raises(PreconditionError):
-        residue_current(X, (2, 2, 2))
+        residue_current(X)
 
 
 def test_ch_action():
@@ -97,7 +97,7 @@ def test_monomial_times_ch():
 def test_chain_maps_identity_on_delta():
     b = (3, 2)
     D = delta_complex(b)
-    maps = chain_maps(D, b)
+    maps = chain_maps(D)
     for k in range(-1, 2):
         matrix = maps.matrix(k)
         assert maps.row_bases[k] == maps.col_bases[k]
@@ -110,7 +110,7 @@ def test_chain_maps_identity_on_delta():
 
 
 def test_chain_maps_ex61(ex61_embedded):
-    maps = chain_maps(ex61_embedded, (2, 2, 2))
+    maps = chain_maps(ex61_embedded)
     top = maps.matrix(2)
     rows = maps.row_bases[2]
     entries = {rows[i]: top[i][0] for i in range(len(rows))}
@@ -125,44 +125,41 @@ def test_chain_maps_ex61(ex61_embedded):
         assert len(nonzero) == 1
         fid, cell = nonzero[0]
         assert cell == SignedMonomial(1, (0, 0, 0))
-        assert ex61_embedded.vertex_point(fid[0]) == corner_simplex_complex(
-            ex61_embedded, (2, 2, 2)
-        ).vertex_point(j)
+        Y = corner_simplex_complex(ex61_embedded)
+        assert ex61_embedded.vertex_point(fid[0]) == Y.vertex_point(j)
 
 
 def test_verify_chain_maps(ex61_embedded):
-    ok, witness = verify_chain_maps(ex61_embedded, (2, 2, 2))
+    ok, witness = verify_chain_maps(ex61_embedded)
     assert ok and witness is None
 
 
 def test_corrupted_chain_map_fails_with_witness(ex61_embedded):
-    maps = chain_maps(ex61_embedded, (2, 2, 2))
+    maps = chain_maps(ex61_embedded)
     for k, witness in (
         (0, (0, (), (0,))),
         (1, (1, (0,), (0, 1))),
         (2, (2, (0, 1), (0, 1, 2))),
     ):
         corrupted = flip_sign(maps, k)
-        assert square_verdict(ex61_embedded, (2, 2, 2), corrupted) == (False, witness)
+        assert square_verdict(ex61_embedded, corrupted) == (False, witness)
 
 
 def test_route_equality_small(ex61_embedded):
-    R1 = residue_current(ex61_embedded, (2, 2, 2))
-    R2 = residue_via_chain_maps(ex61_embedded, (2, 2, 2))
+    R1 = residue_current(ex61_embedded)
+    R2 = residue_via_chain_maps(ex61_embedded)
     assert R1.entries == R2.entries
 
 
 def test_route_equality_random(rng):
     for _ in range(8):
         M = random_staircase_ideal(rng)
-        b = pure_power_exponents(M)
         X = embedded_hull(M)
-        assert residue_current(X, b).entries == residue_via_chain_maps(X, b).entries
+        assert residue_current(X).entries == residue_via_chain_maps(X).entries
     for _ in range(2):
         M = random_generic_ideal_3(rng)
-        b = pure_power_exponents(M)
         X = embedded_hull(M)
-        assert residue_current(X, b).entries == residue_via_chain_maps(X, b).entries
+        assert residue_current(X).entries == residue_via_chain_maps(X).entries
 
 
 def test_residue_entry_invariants(rng):
@@ -170,10 +167,10 @@ def test_residue_entry_invariants(rng):
         M = random_staircase_ideal(rng)
         b = pure_power_exponents(M)
         X = embedded_hull(M)
-        R = residue_current(X, b)
+        R = residue_current(X)
         tops = X.faces_of_dim(X.n - 1)
         assert set(R.entries) == set(tops)
-        delta = corner_simplex_complex(X, b).face(tuple(range(X.n)))
+        delta = corner_simplex_complex(X).face(tuple(range(X.n)))
         for fid in tops:
             c = R.entries[fid]
             assert c.alpha == X.face(fid).label
@@ -186,7 +183,7 @@ def test_residue_entry_invariants(rng):
 
 
 def test_annihilator_and_duality(ex61_embedded, ex61_ideal):
-    R = residue_current(ex61_embedded, (2, 2, 2))
+    R = residue_current(ex61_embedded)
     assert annihilator_contains(R, (1, 1, 0))
     assert not annihilator_contains(R, (1, 0, 0))
     assert duality_check(R, ex61_ideal)
@@ -198,9 +195,8 @@ def test_annihilator_and_duality(ex61_embedded, ex61_ideal):
 def test_duality_random(rng):
     for _ in range(5):
         M = random_staircase_ideal(rng)
-        b = pure_power_exponents(M)
         X = embedded_hull(M)
-        assert duality_check(residue_current(X, b), M)
+        assert duality_check(residue_current(X), M)
 
 
 def _perturbed(R, kind, fid, alpha):
@@ -218,30 +214,30 @@ def _perturbed(R, kind, fid, alpha):
 
 
 def test_duality_counterexample_hand_cases(ex61_embedded, ex61_ideal):
-    R = residue_current(ex61_embedded, (2, 2, 2))
+    R = residue_current(ex61_embedded)
     by_alpha = {c.alpha: fid for fid, c in R.entries.items()}
     M = minimize([(2, 0), (1, 1), (0, 2)])
-    R2 = residue_current(embedded_hull(M), (2, 2))
+    R2 = residue_current(embedded_hull(M))
     bumped2 = _perturbed(R2, "bump", next(iter(R2.entries)), None)
     assert sorted(c.alpha for c in bumped2.entries.values()) == [(1, 2), (3, 1)]
     extra = _perturbed(R, "extra", None, (1, 1, 3))
     cases = [
         # without (2,1,1), x annihilates the current
-        (_perturbed(R, "drop", by_alpha[(2, 1, 1)], None), ex61_ideal, None, (1, 0, 0)),
-        (_perturbed(R, "drop", by_alpha[(1, 1, 1)], None), ex61_ideal, None, None),
+        (_perturbed(R, "drop", by_alpha[(2, 1, 1)], None), ex61_ideal, (1, 0, 0)),
+        (_perturbed(R, "drop", by_alpha[(1, 1, 1)], None), ex61_ideal, None),
         # with (3,1,1) for (2,1,1), x^2 no longer annihilates
-        (_perturbed(R, "bump", by_alpha[(2, 1, 1)], None), ex61_ideal, None, (2, 0, 0)),
-        (extra, ex61_ideal, None, (0, 0, 2)),
-        (extra, ex61_ideal, (1, 1, 1), None),
-        (bumped2, M, None, (2, 0)),
+        (_perturbed(R, "bump", by_alpha[(2, 1, 1)], None), ex61_ideal, (2, 0, 0)),
+        (extra, ex61_ideal, (0, 0, 2)),
+        (bumped2, M, (2, 0)),
     ]
-    for current, ideal, box, expected in cases:
-        assert duality_counterexample(current, ideal, box) == expected
-        assert duality_check(current, ideal, box) == (expected is None)
+    for current, ideal, expected in cases:
+        assert duality_counterexample(current, ideal) == expected
+        assert duality_check(current, ideal) == (expected is None)
         alphas = [c.alpha for c in current.entries.values()]
-        assert first_difference_by_box_scan(
-            alphas, ideal.generators, box or pure_power_exponents(ideal)
-        ) == expected
+        b = pure_power_exponents(ideal)
+        # the box b, and one that dominates every alpha too
+        for box in (b, tuple(x + 2 for x in b)):
+            assert first_difference_by_box_scan(alphas, ideal.generators, box) == expected
 
 
 @st.composite
@@ -261,20 +257,21 @@ def small_artinian_ideals(draw):
 def test_duality_against_box_scan(M, kind, data):
     n = M.n
     b = pure_power_exponents(M)
-    R = residue_current(embedded_hull(M), b)
+    R = residue_current(embedded_hull(M))
     fid = data.draw(st.sampled_from(sorted(R.entries)))
     alpha = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
     R = _perturbed(R, kind, fid, alpha)
     alphas = [c.alpha for c in R.entries.values()]
-    for box in (None, tuple(data.draw(st.integers(0, 6)) for _ in range(n))):
-        expected = first_difference_by_box_scan(alphas, M.generators, box or b)
-        assert duality_counterexample(R, M, box) == expected
-        if kind is None:
-            assert expected is None
-    wide = tuple(x + data.draw(st.integers(0, 2)) for x in b)
-    assert equals_ideal(alphas, M, wide) == (
-        first_difference_by_box_scan(alphas, M.generators, wide) is None
-    )
+    # the box-free witness is the scan's over b and over any drawn box that
+    # dominates both ideals' pure powers
+    top = [max([x] + [a[i] for a in alphas]) for i, x in enumerate(b)]
+    box = tuple(x + data.draw(st.integers(0, 2)) for x in top)
+    expected = first_difference_by_box_scan(alphas, M.generators, box)
+    assert first_difference_by_box_scan(alphas, M.generators, b) == expected
+    assert duality_counterexample(R, M) == expected
+    assert equals_ideal(alphas, M) == (expected is None)
+    if kind is None:
+        assert expected is None
 
 
 def test_residue_invariant_under_lower_reorientation(ex61_embedded, rng):
@@ -283,12 +280,12 @@ def test_residue_invariant_under_lower_reorientation(ex61_embedded, rng):
     flips = {fid for fid in lower if rng.random() < 0.5}
     Xr = reoriented(X, flips)
     assert (
-        residue_current(Xr, (2, 2, 2)).entries
-        == residue_current(X, (2, 2, 2)).entries
+        residue_current(Xr).entries
+        == residue_current(X).entries
     )
     assert (
-        residue_via_chain_maps(Xr, (2, 2, 2)).entries
-        == residue_current(X, (2, 2, 2)).entries
+        residue_via_chain_maps(Xr).entries
+        == residue_current(X).entries
     )
 
 
@@ -296,7 +293,6 @@ def test_residue_invariant_under_lower_reorientation(ex61_embedded, rng):
 @given(artinian_ideals())
 def test_routes_agree_and_fundamental_cycle_on_random_ideals(M):
     X = embedded_hull(M)
-    b = pure_power_exponents(M)
-    R = residue_current(X, b)
-    assert residue_via_chain_maps(X, b).entries == R.entries
-    assert fundamental_cycle_check(X, M)["ok"]
+    R = residue_current(X)
+    assert residue_via_chain_maps(X).entries == R.entries
+    assert fundamental_cycle_check(X)["ok"]

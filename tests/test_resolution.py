@@ -19,7 +19,6 @@ from cellres import (
     make_complex,
     minimality_witness,
     minimize,
-    pure_power_exponents,
     reduced_homology_ranks,
     reoriented,
     scarf_complex,
@@ -142,13 +141,13 @@ def test_edge_with_equal_vertex_signs_is_rejected(monkeypatch):
 
 def test_is_exact_taylor_and_hull(ex61_ideal, ex61_embedded):
     T = taylor_complex(ex61_ideal)
-    assert is_exact(T, ex61_ideal)
-    assert is_exact(ex61_embedded, ex61_ideal)
+    assert is_exact(T)
+    assert is_exact(ex61_embedded)
 
 
-def test_face_deleted_ex61_is_inexact(ex61_ideal, ex61_embedded):
+def test_face_deleted_ex61_is_inexact(ex61_embedded):
     X = without_face(ex61_embedded, (1, 2, 4))
-    assert exactness_witness(X, ex61_ideal) == (1, 1, 1)
+    assert exactness_witness(X) == (1, 1, 1)
     # the offending subcomplex is a hollow triangle: one 1-cycle survives
     assert reduced_homology_ranks(cellular_complex(X), (1, 1, 1)) == [0, 0, 1, 0]
     # the same rank via a Smith-form oracle on the edge boundary of the
@@ -218,7 +217,7 @@ def _assert_witnesses_agree(X, M):
     (M's pure powers when every label is a generator) name the same first
     inexact degree, or all None."""
     labels = [X.vertex_label(v) for v in sorted(X.vertices)]
-    witness = exactness_witness(X, M)
+    witness = exactness_witness(X)
     assert witness == subcomplex_exactness_witness(X, labels)
     F = cellular_complex(X)
     assert witness == graded_strand_inexact_degree(F, lcm_many(labels))
@@ -288,13 +287,13 @@ def test_exactness_witness_matches_rebuilt_subcomplex_oracle(M, data):
         _assert_witnesses_agree(X, M)
 
 
-def test_exactness_invariant_under_reorientation(ex61_ideal, ex61_embedded, rng):
+def test_exactness_invariant_under_reorientation(ex61_embedded, rng):
     flippable = [
         fid for fid, f in ex61_embedded.faces.items() if f.dim >= 1
     ]
     flips = {fid for fid in flippable if rng.random() < 0.5}
     X = reoriented(ex61_embedded, flips)
-    assert is_exact(X, ex61_ideal)
+    assert is_exact(X)
 
 
 def _sign_cases(M, data):
@@ -343,18 +342,17 @@ def test_sign_sums_match_polynomial_oracle(M, data):
     """d^2 = 0 and the comparison square decided on integer sums of signs
     agree with the polynomial products of the dense views, on the complexes
     as built and with one drawn sign negated."""
-    b = pure_power_exponents(M)
     for X in _sign_cases(M, data):
         F = cellular_complex(X)
         assert boundary_squared_failure(F) is None
         G = flip_sign(F, *_draw_flip(F, data))
         assert _d_squared_verdict(X, G) == boundary_squared_failure(G)
         try:
-            maps = chain_maps(X, b)
+            maps = chain_maps(X)
         except PreconditionError:  # X does not refine the corner simplex
             continue
-        phi, psi = F, cellular_complex(corner_simplex_complex(X, b))
-        assert verify_chain_maps(X, b) == (True, None)
+        phi, psi = F, cellular_complex(corner_simplex_complex(X))
+        assert verify_chain_maps(X) == (True, None)
         assert comparison_square_failure(phi, psi, maps, X.n) is None
         corrupted = flip_sign(maps, *_draw_flip(maps, data))
         expected = comparison_square_failure(phi, psi, corrupted, X.n)

@@ -25,6 +25,13 @@ benchmark's rule against the metric's bound (see ``summarize``), plus the
 ``src/`` line count of both trees, the Python version, ``nproc``, both
 revisions and the git tree ids of both ``src/`` directories, which identify
 the measured code even when the change was an uncommitted working tree.
+
+The ``peak_rss_mb`` verdicts say nothing about ``src/``: ``benchmark/run.py``
+reads each job's ``ru_maxrss`` from ``os.wait4``, and a child process
+inherits the high-water RSS of the process that forked it, across exec.
+So the metric reads the benchmark process's own peak whenever that is above
+the job's (a ``python3 -c pass`` child of a process that once held 60 MB
+more reports about 74 MB).
 """
 
 from __future__ import annotations
