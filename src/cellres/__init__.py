@@ -13,28 +13,28 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "monomial": (
-        "MonomialIdeal", "Rectangle2D", "contains", "equals_ideal",
-        "first_difference", "ideal_from_json", "irreducible_intersection",
-        "is_artinian", "is_generic", "lcm", "lcm_lattice", "minimize",
-        "multiplicity", "pure_power_exponents", "staircase_corners_2d",
-        "staircase_partition_2d",
+        "MonomialIdeal", "Rectangle2D", "contains", "first_difference",
+        "ideal_from_json", "irreducible_intersection", "is_artinian", "is_generic",
+        "lcm", "lcm_lattice", "minimize", "multiplicity", "pure_power_exponents",
+        "staircase_corners_2d", "staircase_partition_2d",
     ),
     "cellcomplex": (
         "Face", "LabeledCellComplex", "complex_from_json", "complex_to_json",
-        "contained_faces", "homogeneous", "is_refinement", "make_complex", "reoriented",
-        "sign_facet", "sign_same_span", "vertex_ideal",
+        "contained_faces", "corner_simplex_complex", "homogeneous", "make_complex",
+        "refinement_failure", "reoriented", "sign_facet", "sign_same_span",
+        "vertex_ideal",
     ),
     "hull": (
-        "corner_simplex_complex", "default_lift_base", "delta_complex",
-        "embed_in_simplex", "hull_complex", "scarf_complex", "taylor_complex",
+        "default_lift_base", "embed_in_simplex", "hull_complex", "scarf_complex",
+        "taylor_complex",
     ),
     "resolution": (
         "FreeComplex", "SignedMonomial", "cellular_complex", "exactness_witness",
-        "is_exact", "is_minimal", "minimality_witness", "reduced_homology_ranks",
+        "minimality_witness", "reduced_homology_ranks",
     ),
     "residue": (
         "CHProduct", "ChainMap", "ResidueCurrent", "annihilator_contains",
-        "chain_maps", "ch_product", "duality_check", "duality_counterexample",
+        "chain_maps", "ch_product", "duality_counterexample",
         "monomial_times_ch", "residue_current", "residue_via_chain_maps",
         "verify_chain_maps",
     ),

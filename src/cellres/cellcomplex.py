@@ -104,20 +104,19 @@ class LabeledCellComplex:
 
 
 def derived(build):
-    """Build ``build(X, *args)`` once per complex and share the result.
+    """Build ``build(X)`` once per complex and share the result.
 
-    The result is stored on X under the function's name and the arguments.
-    X is immutable, so the result stays valid; a caller that changes a
-    result copies it first.  A call that raises stores nothing.
+    The result is stored on X under the function's name.  X is immutable,
+    so the result stays valid; a caller that changes a result copies it
+    first.  A call that raises stores nothing.
     """
     name = build.__name__
 
     @wraps(build)
-    def memo(X, *args):
-        key = (name, *args)
-        if key not in X._derived:
-            X._derived[key] = build(X, *args)
-        return X._derived[key]
+    def memo(X):
+        if name not in X._derived:
+            X._derived[name] = build(X)
+        return X._derived[name]
 
     return memo
 
@@ -390,32 +389,21 @@ def _triangulate(X: LabeledCellComplex, fid):
     ]
 
 
-def _check_simplex_complex(Y: LabeledCellComplex):
-    ids = sorted(Y.vertices)
-    m = len(ids)
-    if len(linalg.affine_basis_indices([Y.vertex_point(v) for v in ids])) != m:
-        raise PreconditionError("reference complex vertices are affinely dependent")
-    expected = 2 ** m
-    if len(Y.faces) != expected or tuple(ids) not in Y.faces:
-        raise PreconditionError("reference complex is not the face set of one simplex")
-
-
 @derived
-def _vertex_barycentrics(X: LabeledCellComplex, Y: LabeledCellComplex):
+def _vertex_barycentrics(X: LabeledCellComplex):
     """Homogeneous barycentric coordinates of every vertex of X against the
-    simplex complex Y: ({vertex: {vertex id of Y: mu}}, d), with None for a
-    vertex outside aff |Y|; see barycentric_coordinates.
+    corner simplex Y: ({vertex: {variable: mu}}, d), with None for a vertex
+    outside aff |Y|; see barycentric_coordinates.
 
     One solve per vertex.  Y's vertices are affinely independent, so mu is
     unique and a point lies in the face S of Y exactly when its mu is
     nonnegative and supported in S.
     """
-    _check_simplex_complex(Y)
-    ids = sorted(Y.vertices)
-    points = [Y.vertex_point(y) for y in ids]
+    Y = corner_simplex_complex(X)
+    points = [Y.vertex_point(y) for y in range(X.n)]
     solved = {v: barycentric_coordinates(X.vertex_point(v), points) for v in X.vertices}
     d = next((s[1] for s in solved.values() if s), 1)
-    return {v: s and dict(zip(ids, s[0])) for v, s in solved.items()}, d
+    return {v: s and dict(enumerate(s[0])) for v, s in solved.items()}, d
 
 
 def _in_face(mu, members) -> bool:
@@ -430,7 +418,7 @@ def _mu_volume(X: LabeledCellComplex, fid, coords, span):
     """Sum over the simplices s of a face of X of |det mu_s| / prod of the
     weights of s, as (numerator, denominator); mu_s has a row of mu,
     restricted to the face ``span`` of Y containing the face, per vertex
-    of s.  See _refinement_failure."""
+    of s.  See refinement_failure."""
     total = (0, 1)
     for simplex in _triangulate(X, fid):
         volume = abs(linalg.det([[coords[v][y] for y in span] for v in simplex]))
@@ -446,8 +434,9 @@ def _add_ratio(x, y):
     return a * (common // b) + c * (common // e), common
 
 
-def _refinement_failure(X: LabeledCellComplex, Y: LabeledCellComplex):
-    """Why X does not refine the simplex complex Y, or None if it does.
+@derived
+def refinement_failure(X: LabeledCellComplex):
+    """Why X does not refine its corner simplex Y, or None if it does.
 
     Reads the barycentric coordinates of X's vertices once.  For a face f,
     the union U(f) of its vertices' supports is the smallest face of Y
@@ -462,7 +451,8 @@ def _refinement_failure(X: LabeledCellComplex, Y: LabeledCellComplex):
     sum_s |det mu_s| / prod_{v in s} w_v = d^(k+1) / prod_{y in U(f)} w_y,
     an integer identity after cross-multiplication.
     """
-    coords, d = _vertex_barycentrics(X, Y)
+    Y = corner_simplex_complex(X)
+    coords, d = _vertex_barycentrics(X)
     for v in sorted(X.vertices):
         if not _in_face(coords[v], Y.vertices):
             return f"vertex {v} lies outside the simplex"
@@ -490,45 +480,27 @@ def _refinement_failure(X: LabeledCellComplex, Y: LabeledCellComplex):
     return None
 
 
-def is_refinement(X: LabeledCellComplex, Y: LabeledCellComplex) -> bool:
-    """Whether X subdivides the simplex complex Y compatibly with labels.
+def contained_faces(X: LabeledCellComplex, sigma_id, k) -> list:
+    """Faces of X of dimension k inside the k-face sigma_id of the corner
+    simplex, whose vertex i is labeled z_i^{b_i}.
 
-    Checks that X covers |Y| exactly (vertices inside, volumes adding up
-    facewise) and that geometric containment implies label divisibility;
-    see _refinement_failure.
+    Combines the label-support test, variables among sigma_id, with
+    barycentric containment, a support test on the vertices' barycentric
+    coordinates; the two agree on genuine refinements.
     """
-    return _refinement_failure(X, Y) is None
-
-
-def _simplex_variable(Y: LabeledCellComplex, vid) -> int:
-    label = Y.vertex_label(vid)
-    support = [i for i, e in enumerate(label) if e > 0]
-    if len(support) != 1:
-        raise PreconditionError("reference vertex labels must be pure powers")
-    return support[0]
-
-
-def contained_faces(Y: LabeledCellComplex, sigma_id, X: LabeledCellComplex, k) -> list:
-    """Faces of X of dimension k inside a k-face of the reference simplex.
-
-    Combines the label-support test with barycentric containment, a support
-    test on the vertices' barycentric coordinates; the two agree on genuine
-    refinements.
-    """
-    sigma = Y.face(sigma_id)
+    sigma = corner_simplex_complex(X).face(sigma_id)
     if sigma.dim != k:
         raise PreconditionError("contained-face query needs a face of dimension k")
-    allowed = {_simplex_variable(Y, v) for v in sigma.vertices}
-    coords = _vertex_barycentrics(X, Y)[0]
+    coords = _vertex_barycentrics(X)[0]
     result = []
     for fid in X.faces_of_dim(k):
         support_ok = all(
-            i in allowed
+            i in sigma_id
             for v in fid
             for i, e in enumerate(X.vertex_label(v))
             if e > 0
         )
-        geometric_ok = all(_in_face(coords[v], sigma.vertices) for v in fid)
+        geometric_ok = all(_in_face(coords[v], sigma_id) for v in fid)
         if support_ok != geometric_ok:
             raise PreconditionError(
                 f"support and geometry disagree on {fid}: X does not refine the simplex"
@@ -544,6 +516,25 @@ def _corner_vertex_ids(X: LabeledCellComplex) -> tuple:
     b = pure_power_exponents(vertex_ideal(X))
     powers = [tuple(bi if j == i else 0 for j in range(X.n)) for i, bi in enumerate(b)]
     return tuple(min(v for v in X.vertices if X.vertex_label(v) == p) for p in powers)
+
+
+def _subsets(r):
+    """The nonempty subsets of range(r) as sorted tuples, in bit-mask order."""
+    return [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1, 1 << r)]
+
+
+@derived
+def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
+    """The simplex complex on X's corner vertices, labeled by the pure powers
+    of X's ideal.
+
+    Vertex ids are the variable indices, so faces are subsets of 0..n-1.
+    """
+    corners = _corner_vertex_ids(X)
+    points = {i: X.vertex_point(v) for i, v in enumerate(corners)}
+    labels = {i: X.vertex_label(v) for i, v in enumerate(corners)}
+    return make_complex(X.n, points, labels, _subsets(X.n),
+                        simplicial=True, lift_base=X.lift_base)
 
 
 def reference_simplex_face(X: LabeledCellComplex) -> Face:

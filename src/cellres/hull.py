@@ -19,7 +19,7 @@ from operator import mul
 from . import linalg
 from .cellcomplex import (
     LabeledCellComplex,
-    _corner_vertex_ids,
+    _subsets,
     make_complex,
     orient_tops_to,
     reference_simplex_face,
@@ -184,40 +184,6 @@ def _projection_to_simplex(point, b, t):
     y = [denom + (xi - w) * common for xi in x] + [denom]
     g = math.gcd(*y)
     return tuple(c // g for c in y)
-
-
-def _subsets(r):
-    """The nonempty subsets of range(r) as sorted tuples, in bit-mask order."""
-    return [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1, 1 << r)]
-
-
-def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
-    """The simplex complex on X's corner vertices, labeled by the pure powers
-    of X's ideal.
-
-    Vertex ids are the variable indices, so faces are subsets of 0..n-1.
-    """
-    corners = _corner_vertex_ids(X)
-    points = {i: X.vertex_point(v) for i, v in enumerate(corners)}
-    labels = {i: X.vertex_label(v) for i, v in enumerate(corners)}
-    return make_complex(X.n, points, labels, _subsets(X.n),
-                        simplicial=True, lift_base=X.lift_base)
-
-
-def delta_complex(b, t=None) -> LabeledCellComplex:
-    """Simplex complex of the complete intersection (z_1^{b_1},...,z_n^{b_n})."""
-    b = tuple(b)
-    n = len(b)
-    if any(bi < 1 for bi in b):
-        raise InputError("pure-power exponents must be positive")
-    t = _check_lift_base(n, t)
-    points = {
-        i: tuple(t ** b[i] if j == i else 1 for j in range(n)) + (1,)
-        for i in range(n)
-    }
-    labels = {i: tuple(b[i] if j == i else 0 for j in range(n)) for i in range(n)}
-    return make_complex(n, points, labels, _subsets(n),
-                        simplicial=True, lift_base=t)
 
 
 def embed_in_simplex(H: LabeledCellComplex) -> LabeledCellComplex:

@@ -238,17 +238,6 @@ def first_difference(I: MonomialIdeal, J: MonomialIdeal):
     return min(candidates, default=None)
 
 
-def equals_ideal(components, M: MonomialIdeal) -> bool:
-    """Whether an irreducible intersection equals M.
-
-    Builds the minimal generators of the intersection
-    (irreducible_intersection) and compares them with M's
-    (first_difference), so the cost depends on the numbers of components
-    and generators but not on the exponents.
-    """
-    return first_difference(irreducible_intersection(components, M.n), M) is None
-
-
 def staircase_corners_2d(M: MonomialIdeal) -> list[tuple[int, int]]:
     """Generators of a plane ideal sorted as staircase inner corners.
 

@@ -12,14 +12,13 @@ from collections import namedtuple
 
 from .cellcomplex import (
     LabeledCellComplex,
-    _refinement_failure,
     contained_faces,
+    corner_simplex_complex,
     derived,
-    is_refinement,
+    refinement_failure,
     sign_same_span,
 )
 from .errors import PreconditionError
-from .hull import corner_simplex_complex
 from .monomial import MonomialIdeal, first_difference, irreducible_intersection
 from .resolution import _compose, _dense_view, cellular_complex, exactness_witness
 
@@ -33,10 +32,6 @@ class CHProduct(namedtuple("CHProduct", "sign alpha")):
     @property
     def is_zero(self) -> bool:
         return self.sign == 0
-
-
-def ch_zero(n: int) -> CHProduct:
-    return CHProduct(0, (0,) * n)
 
 
 def ch_product(sign: int, alpha) -> CHProduct:
@@ -68,16 +63,12 @@ class ChainMap(
                            self.row_labels, self.col_labels, self.n)
 
 
-@derived
 def _reference_complex(X: LabeledCellComplex):
     """The corner simplex Y, once X is known to refine it."""
-    Y = corner_simplex_complex(X)
-    if not is_refinement(X, Y):
-        # the witness rereads the barycentric coordinates cached on X
-        raise PreconditionError(
-            f"complex does not refine the corner simplex: {_refinement_failure(X, Y)}"
-        )
-    return Y
+    failure = refinement_failure(X)
+    if failure is not None:
+        raise PreconditionError(f"complex does not refine the corner simplex: {failure}")
+    return corner_simplex_complex(X)
 
 
 def _check_exact(X: LabeledCellComplex):
@@ -113,7 +104,7 @@ def monomial_times_ch(gamma, c: CHProduct) -> CHProduct:
     alpha = tuple(a - g for a, g in zip(c.alpha, gamma))
     if all(a >= 1 for a in alpha):
         return CHProduct(c.sign, alpha)
-    return ch_zero(len(gamma))
+    return CHProduct(0, (0,) * len(gamma))
 
 
 @derived
@@ -131,7 +122,7 @@ def chain_maps(X: LabeledCellComplex) -> ChainMap:
         row_index = {fid: i for i, fid in enumerate(rows)}
         columns[k] = tuple(
             {row_index[fid]: sign_same_span(X.face(fid), Y.face(sid))
-             for fid in contained_faces(Y, sid, X, k)}
+             for fid in contained_faces(X, sid, k)}
             for sid in cols
         )
     labels = [{fid: face.label for fid, face in Z.faces.items()} for Z in (X, Y)]
@@ -221,7 +212,3 @@ def duality_counterexample(R: ResidueCurrent, M: MonomialIdeal):
     """
     alphas = [c.alpha for c in R.entries.values() if not c.is_zero]
     return first_difference(M, irreducible_intersection(alphas, M.n))
-
-
-def duality_check(R: ResidueCurrent, M: MonomialIdeal) -> bool:
-    return duality_counterexample(R, M) is None

@@ -142,10 +142,6 @@ def exactness_witness(X: LabeledCellComplex):
     return None
 
 
-def is_exact(X: LabeledCellComplex) -> bool:
-    return exactness_witness(X) is None
-
-
 def minimality_witness(F: FreeComplex):
     """The first facet pair with equal labels (a unit matrix entry), by
     level, row and column, or None."""
@@ -162,7 +158,3 @@ def minimality_witness(F: FreeComplex):
             i, j = min(units)
             return (rows[i], cols[j])
     return None
-
-
-def is_minimal(F: FreeComplex) -> bool:
-    return minimality_witness(F) is None

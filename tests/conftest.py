@@ -92,10 +92,16 @@ def maximal_ideal_power(n, d):
     return minimize([e for e in product(range(d + 1), repeat=n) if sum(e) == d])
 
 
+def complete_intersection(b):
+    """The ideal (z_1^{b_1}, ..., z_n^{b_n}); its embedded hull is the simplex
+    on its corners."""
+    n = len(b)
+    return minimize([tuple(bi if j == i else 0 for j in range(n))
+                     for i, bi in enumerate(b)])
+
+
 def random_complete_intersection(rng, n):
-    powers = [rng.randint(1, 5) for _ in range(n)]
-    gens = [tuple(powers[i] if j == i else 0 for j in range(n)) for i in range(n)]
-    return minimize(gens)
+    return complete_intersection([rng.randint(1, 5) for _ in range(n)])
 
 
 @st.composite

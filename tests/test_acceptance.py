@@ -18,13 +18,12 @@ from cellres import (
     complex_from_json,
     complex_to_json,
     contains,
-    delta_complex,
+    corner_simplex_complex,
     duality_counterexample,
     exactness_witness,
     fundamental_cycle_check,
     hull_complex,
-    is_exact,
-    is_minimal,
+    minimality_witness,
     minimize,
     multiplicity,
     permutation_cycle_check,
@@ -97,8 +96,8 @@ def test_criterion_1_example_61_end_to_end(ex61):
             (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1),
         ]
         F = cellular_complex(X)
-        assert is_exact(X)
-        assert not is_minimal(F)
+        assert exactness_witness(X) is None
+        assert minimality_witness(F) is not None
         R = residue_current(X)
         assert len(R.entries) == 4
         assert all(c.sign == 1 for c in R.entries.values())
@@ -127,7 +126,7 @@ def test_criterion_2_complete_intersections():
                 ]
                 M = minimize(gens)
                 X = embedded_hull(M)
-                assert set(X.faces) == set(delta_complex(b).faces)
+                assert set(X.faces) == set(corner_simplex_complex(X).faces)
                 R = residue_current(X)
                 assert R.entries == {tuple(range(n)): CHProduct(1, b)}
                 assert multiplicity(M) == prod(b)
@@ -254,7 +253,7 @@ def test_criterion_8_orientation_robustness(staircase_pool, generic3_pool, ex61)
             baseline = residue_current(X)
             assert residue_current(Xr).entries == baseline.entries
             assert residue_via_chain_maps(Xr).entries == baseline.entries
-            assert is_exact(Xr) == is_exact(X)
+            assert exactness_witness(Xr) == exactness_witness(X)
             assert (
                 fundamental_cycle_check(Xr)["lhs"]
                 == fundamental_cycle_check(X)["lhs"]
@@ -285,7 +284,7 @@ def test_minimal_fixture_round_trip(ex61):
     fixture = minimal_ex61_json(X)
     loaded = complex_from_json(fixture)
     F = cellular_complex(loaded)
-    assert is_exact(loaded) and is_minimal(F)
+    assert exactness_witness(loaded) is None and minimality_witness(F) is None
     R = residue_current(loaded)
     assert sorted(c.alpha for c in R.entries.values()) == [
         (1, 1, 2), (1, 2, 1), (2, 1, 1),

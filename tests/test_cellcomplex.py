@@ -13,11 +13,11 @@ from cellres import (
     corner_simplex_complex,
     homogeneous,
     hull_complex,
-    is_refinement,
     lcm,
     linalg,
     make_complex,
     minimize,
+    refinement_failure,
     residue_current,
     reoriented,
     scarf_complex,
@@ -28,7 +28,6 @@ from cellres import (
 )
 from cellres.cellcomplex import (
     _geometric_facets,
-    _refinement_failure,
     _vertex_barycentrics,
     reference_simplex_face,
 )
@@ -171,39 +170,47 @@ def test_cofaces_counts(ex61_embedded):
 
 def test_refinement_identity_and_ex61(ex61_embedded):
     Y = _delta(ex61_embedded)
-    assert is_refinement(Y, Y)
-    assert is_refinement(ex61_embedded, Y)
+    assert corner_simplex_complex(Y).faces == Y.faces
+    assert refinement_failure(Y) is None
+    assert refinement_failure(ex61_embedded) is None
 
 
 def test_refinement_rejects_label_bump(ex61_embedded):
-    Y = _delta(ex61_embedded)
     obj = complex_to_json(ex61_embedded)
     for v in obj["vertices"]:
-        if v["label"] == [2, 0, 0]:
-            v["label"] = [3, 0, 0]
+        if v["label"] == [1, 1, 0]:
+            v["label"] = [1, 1, 1]
     for f in obj["faces"]:
         del f["label"]
     bumped = complex_from_json(obj)
-    assert not is_refinement(bumped, Y)
+    assert refinement_failure(bumped) == (
+        "label of face (0, 1) does not divide the label of (0, 1)"
+    )
 
 
-def test_refinement_rejects_non_simplex_reference(ex61_embedded):
-    with pytest.raises(PreconditionError):
-        is_refinement(ex61_embedded, ex61_embedded)
+def test_bumped_corner_relabels_the_corner_simplex(ex61_embedded):
+    # z1^2 -> z1^3 is the pure power of the new ideal, so the simplex moves
+    # with X; z1^2 -> z1^2 z2 leaves X's ideal without a pure power of z1
+    raised = _bumped(ex61_embedded, 0, 0)
+    assert corner_simplex_complex(raised).vertex_label(0) == (3, 0, 0)
+    assert refinement_failure(raised) is None
+    with pytest.raises(PreconditionError, match="not Artinian"):
+        refinement_failure(_bumped(ex61_embedded, 0, 1))
 
 
 def test_contained_faces_top_and_vertices(ex61_embedded):
     X = ex61_embedded
-    Y = _delta(ex61_embedded)
-    assert contained_faces(Y, (0, 1, 2), X, 2) == X.faces_of_dim(2)
+    assert contained_faces(X, (0, 1, 2), 2) == X.faces_of_dim(2)
     for i, vid in enumerate([0, 3, 5]):
-        assert contained_faces(Y, (i,), X, 0) == [(vid,)]
+        assert contained_faces(X, (i,), 0) == [(vid,)]
+    with pytest.raises(PreconditionError, match="dimension k"):
+        contained_faces(X, (0, 1), 2)
 
 
 def test_contained_faces_edge(ex61_embedded):
     X = ex61_embedded
     Y = _delta(ex61_embedded)
-    inside = contained_faces(Y, (0, 1), X, 1)
+    inside = contained_faces(X, (0, 1), 1)
     assert inside == [(0, 1), (1, 3)]
     assert {X.face(f).label for f in inside} == {(2, 1, 0), (1, 2, 0)}
     # barycentric containment oracle
@@ -224,7 +231,7 @@ def test_contained_faces_partition_volumes(ex61_embedded):
             origin = Y.face_points(sid)[0]
             total = sum(
                 face_volume_rel(X, fid, basis, origin)
-                for fid in contained_faces(Y, sid, X, k)
+                for fid in contained_faces(X, sid, k)
             )
             assert total == face_volume_rel(Y, sid, basis, origin)
 
@@ -249,7 +256,7 @@ def test_refinement_sign_identity(ex61_embedded):
     checked = 0
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
-            for sprime in contained_faces(Y, sid, X, k):
+            for sprime in contained_faces(X, sid, k):
                 for tau in Y.facets(sid):
                     if Y.face(tau).dim < 0:
                         continue
@@ -282,7 +289,7 @@ def test_interior_facet_cancellation(ex61_embedded):
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
             spts = [affine(p) for p in Y.face_points(sid)]
-            inside_k = contained_faces(Y, sid, X, k)
+            inside_k = contained_faces(X, sid, k)
             inside_km1 = [
                 fid
                 for fid in X.faces_of_dim(k - 1)
@@ -608,11 +615,14 @@ def _moved(X, vid, target):
 
 def test_refinement_witness_names_the_failure(ex61_embedded):
     X = ex61_embedded
-    Y = _delta(X)
-    assert _refinement_failure(X, Y) is None
-    assert _refinement_failure(_bumped(X, 0, 0), Y) == (
-        "label of face (0,) does not divide the label of (0,)"
-    )
+    assert refinement_failure(X) is None
+    # vertex 1 (z1 z2) lies on the edge of z1^2 and z2^2; the corners are
+    # left alone, as a bumped or moved corner moves the simplex with it
+    with pytest.raises(
+        PreconditionError,
+        match=r"corner simplex: label of face \(0, 1\) does not divide the label of \(0, 1\)$",
+    ):
+        residue_current(_bumped(X, 1, 2))
     # vertex 4 (z2 z3) lies on the edge of z2^2 and z3^2: reflect it
     # through the corner z1^2, out of the simplex
     outside = tuple(
@@ -632,36 +642,53 @@ def test_refinement_witness_names_the_failure(ex61_embedded):
         residue_current(scarf_complex(minimize(EX61_GENERATORS)))
 
 
-def _containment(X, Y, refines, contained):
-    """The refinement verdict and the faces of X inside each face of Y; a
-    disagreement of support and geometry counts as an outcome."""
-    outcomes = [refines(X, Y)]
-    for sid in sorted(Y.faces):
+def _containment(X, refines, contained):
+    """The refinement verdict and the faces of X inside each face of its
+    corner simplex; a disagreement of support and geometry counts as an
+    outcome."""
+    outcomes = [refines()]
+    for sid in sorted(corner_simplex_complex(X).faces):
         if not sid:
             continue
         try:
-            outcomes.append(contained(Y, sid, X, len(sid) - 1))
+            outcomes.append(contained(sid, len(sid) - 1))
         except (PreconditionError, ValueError) as exc:
             outcomes.append(str(exc).split(":")[0])
     return outcomes
 
 
-def _assert_containment_matches_oracle(X, Y):
-    assert _containment(X, Y, is_refinement, contained_faces) == _containment(
-        X, Y, pairwise_is_refinement, pairwise_contained_faces
+def _library_containment(X):
+    return _containment(X, lambda: refinement_failure(X) is None,
+                        lambda sid, k: contained_faces(X, sid, k))
+
+
+def _assert_containment_matches_oracle(X):
+    """The library against the pairwise oracles, which are handed X's own
+    corner simplex; a complex whose labels miss a pure power has none."""
+    try:
+        Y = corner_simplex_complex(X)
+    except PreconditionError:
+        with pytest.raises(PreconditionError, match="not Artinian"):
+            refinement_failure(X)
+        return
+    assert _library_containment(X) == _containment(
+        X, lambda: pairwise_is_refinement(X, Y),
+        lambda sid, k: pairwise_contained_faces(Y, sid, X, k),
     )
 
 
-def _perturbations(X, Y):
-    """Complexes next to X, most of which do not refine Y: every vertex
-    label bumped in every variable, every top face dropped, and every inner
-    vertex moved towards or away from each corner of Y or off the affine
-    hull of Y (moves that leave no complex are skipped)."""
+def _perturbations(X):
+    """Complexes next to X, most of which do not refine its corner simplex:
+    every vertex label bumped in every variable, every top face dropped,
+    and every inner vertex moved towards or away from each corner or off
+    the affine hull of the simplex (moves that leave no complex are
+    skipped).  A bumped corner relabels the simplex with it."""
     for v in sorted(X.vertices):
         for var in range(X.n):
             yield _bumped(X, v, var)
     for fid in X.faces_of_dim(X.dim):
         yield without_face(X, fid)
+    Y = corner_simplex_complex(X)
     corners = [affine(Y.vertex_point(y)) for y in sorted(Y.vertices)]
     for v in sorted(X.vertices):
         p = affine(X.vertex_point(v))
@@ -680,27 +707,25 @@ def _perturbations(X, Y):
 
 
 def _containment_cases(M):
-    X = embedded_hull(M)
-    Y = corner_simplex_complex(X)
-    yield X, Y
+    yield embedded_hull(M)
     if len(M.generators) <= 15:
-        yield scarf_complex(M), Y
+        yield scarf_complex(M)
 
 
 @settings(max_examples=40)
 @given(artinian_ideals())
 def test_containment_matches_pairwise_oracle(M):
-    for X, Y in _containment_cases(M):
-        _assert_containment_matches_oracle(X, Y)
-    assert is_refinement(*next(_containment_cases(M)))
+    for X in _containment_cases(M):
+        _assert_containment_matches_oracle(X)
+    assert refinement_failure(next(_containment_cases(M))) is None
 
 
 @settings(max_examples=40)
 @given(artinian_ideals(), st.data())
 def test_containment_matches_pairwise_oracle_on_perturbed_complexes(M, data):
-    X, Y = next(_containment_cases(M))
+    X = next(_containment_cases(M))
     _assert_containment_matches_oracle(
-        data.draw(st.sampled_from(list(_perturbations(X, Y)))), Y
+        data.draw(st.sampled_from(list(_perturbations(X))))
     )
 
 
@@ -712,33 +737,36 @@ def test_containment_matches_pairwise_oracle_on_seeded_ideals(rng):
         ideals += [random_staircase_ideal(rng), random_generic_ideal_3(rng)]
     verdicts = []
     for M in ideals:
-        for X, Y in _containment_cases(M):
-            _assert_containment_matches_oracle(X, Y)
-            verdicts.append(is_refinement(X, Y))
+        for X in _containment_cases(M):
+            _assert_containment_matches_oracle(X)
+            verdicts.append(refinement_failure(X) is None)
     assert True in verdicts and False in verdicts
 
 
 def test_containment_matches_pairwise_oracle_on_perturbed_ex61(ex61_embedded):
-    X = ex61_embedded
-    Y = _delta(X)
-    verdicts = []
-    for perturbed in _perturbations(X, Y):
-        _assert_containment_matches_oracle(perturbed, Y)
-        verdicts.append(is_refinement(perturbed, Y))
-    assert verdicts.count(True) < verdicts.count(False)
+    failures = []
+    for perturbed in _perturbations(ex61_embedded):
+        _assert_containment_matches_oracle(perturbed)
+        try:
+            failures.append(refinement_failure(perturbed))
+        except PreconditionError:  # a corner bumped off its pure power
+            pass
+    assert failures.count(None) < len(failures) / 2
+    # every kind of failure is among them
+    for kind in ("lies outside the simplex", "does not divide", "is covered with volume"):
+        assert any(kind in (f or "") for f in failures), kind
 
 
 @settings(max_examples=20)
 @given(artinian_ideals())
 def test_barycentric_coordinates_solved_once_per_vertex(M):
     X = embedded_hull(M)
-    Y = corner_simplex_complex(X)
     with mock.patch.object(linalg, "solve", side_effect=linalg.solve) as solve:
-        assert is_refinement(X, Y)
+        assert refinement_failure(X) is None
         assert solve.call_count == len(X.vertices)
-        for sid in Y.faces:
+        for sid in corner_simplex_complex(X).faces:
             if sid:
-                contained_faces(Y, sid, X, len(sid) - 1)
+                contained_faces(X, sid, len(sid) - 1)
         assert solve.call_count == len(X.vertices)
 
 
@@ -828,33 +856,32 @@ def _scaled(X, scales):
     )
 
 
-def _geometry(X, Y):
+def _geometry(X):
     """What the geometry decides: dimensions, facets, incidence signs, the
-    signs of the barycentric coordinates against Y, the refinement verdict
-    and the faces of X inside each face of Y."""
+    signs of the barycentric coordinates against the corner simplex, the
+    refinement verdict and the faces of X inside each face of the
+    simplex."""
     signs = {(tau, sigma): sign_facet(X, tau, sigma)
              for sigma in X.faces for tau in X.facets(sigma)}
-    coords = _vertex_barycentrics(X, Y)[0]
+    coords = _vertex_barycentrics(X)[0]
     supports = {v: mu and {y: (c > 0) - (c < 0) for y, c in mu.items()}
                 for v, mu in coords.items()}
     return ({fid: f.dim for fid, f in X.faces.items()}, X.facet_ids, signs, supports,
-            _refinement_failure(X, Y),
-            _containment(X, Y, is_refinement, contained_faces))
+            refinement_failure(X), _library_containment(X))
 
 
 @settings(max_examples=30)
 @given(artinian_ideals(), st.data())
 def test_positive_vertex_scales_change_no_geometry(M, data):
     X = embedded_hull(M)
-    Y = corner_simplex_complex(X)
     complexes = [X, scarf_complex(M)]
     if X.dim >= 1:
         complexes.append(without_face(X, data.draw(st.sampled_from(X.faces_of_dim(X.dim)))))
     scale = st.integers(1, 10**6)
-    Ys = _scaled(Y, {y: data.draw(scale) for y in Y.vertices})
     for Z in complexes:
+        # the corner simplex takes the scales of Z's corners
         Zs = _scaled(Z, {v: data.draw(scale) for v in Z.vertices})
         Z1 = _scaled(Z, dict.fromkeys(Z.vertices, 1))
-        assert _geometry(Zs, Ys) == _geometry(Z1, Y)
+        assert _geometry(Zs) == _geometry(Z1)
         for fid, face in Zs.faces.items():
             assert all(map(_positive_multiple, face.basis, Z1.face(fid).basis))

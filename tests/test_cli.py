@@ -326,10 +326,12 @@ def test_cli_entry_point_subprocess(tmp_path):
 def test_file_complex_for_another_ideal_exits_2(tmp_path, capsys, monkeypatch):
     # the simplex on z1^2, z2^2, z3^2 resolves (z1^2, z2^2, z3^2), not the
     # ideal of Example 6.1; every subcommand that reads a complex refuses it
-    from cellres import complex_to_json, delta_complex
+    from cellres import complex_to_json
+    from conftest import complete_intersection, embedded_hull
 
     path = tmp_path / "simplex.json"
-    path.write_text(json.dumps(complex_to_json(delta_complex((2, 2, 2)))))
+    simplex = embedded_hull(complete_intersection((2, 2, 2)))
+    path.write_text(json.dumps(complex_to_json(simplex)))
     for sub in (
         "resolve", "check-exact", "check-minimal", "residue", "compare",
         "annihilator", "duality-check", "fundamental-cycle",

@@ -1,11 +1,12 @@
 """Objects derived from a complex are built once per complex and shared.
 
-The free complex, the refined corner simplex, the exactness verdict, the
-chain maps, the current and the multiplicity are stored on the complex X
-(``cellcomplex.derived``).  These tests count the builds one command makes,
-and the incidence signs, which only the free complex computes, and check
-that a new complex gets its own objects and that a caller's changed copy
-leaves the stored ones alone.
+The free complex, the corner simplex, the refinement and exactness
+verdicts, the chain maps, the current and the multiplicity are stored on
+the complex X under their function's name (``cellcomplex.derived``).
+These tests count the builds one command makes, and the incidence signs,
+which only the free complex computes, and check that a new complex gets
+its own objects and that a caller's changed copy leaves the stored ones
+alone.
 """
 
 import importlib
@@ -20,7 +21,7 @@ from cellres import (
     PreconditionError,
     cellular_complex,
     chain_maps,
-    duality_check,
+    duality_counterexample,
     minimize,
     reoriented,
     residue_current,
@@ -28,7 +29,8 @@ from cellres import (
     verify_chain_maps,
     vertex_ideal,
 )
-from cellres.cli import run
+from cellres.cellcomplex import LabeledCellComplex
+from cellres.cli import _HANDLERS, run
 from cellres.residue import ResidueCurrent
 from conftest import EX61_GENERATORS, embedded_hull, flip_sign, square_verdict
 from oracles import subcomplex_leq
@@ -42,11 +44,43 @@ M2_IN_4 = {
 COUNTED = (
     "resolution._compose",  # one product of sign columns per level checked
     "cellcomplex.sign_facet",  # one call per facet incidence of a built F
-    "hull.corner_simplex_complex",
-    "cellcomplex._refinement_failure",
     "monomial.lcm_lattice",  # one call per exactness scan
     "monomial.multiplicity",
 )
+
+
+class _StoredObjects(dict):
+    """The ``_derived`` store of one complex, recording every object stored
+    in it by the name it is stored under."""
+
+    def __init__(self, stores):
+        super().__init__()
+        self.stored = []
+        stores.append(self)
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def _builds(stores) -> dict:
+    """How many complexes built each derived object."""
+    names = [key for store in stores for key in store.stored]
+    return {name: names.count(name) for name in sorted(set(names))}
+
+
+def _recording(monkeypatch) -> list:
+    """Give every complex built from now on a recording store; returns the
+    list of those stores."""
+    stores = []
+    init = LabeledCellComplex.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._derived = _StoredObjects(stores)
+
+    monkeypatch.setattr(LabeledCellComplex, "__init__", recorded_init)
+    return stores
 
 
 def _counting(monkeypatch):
@@ -77,37 +111,70 @@ def _run(monkeypatch, args, job):
     return run(args)
 
 
+# the complexes of the hull route: the hull, the projected hull and, when
+# orienting the tops flips one, the oriented copy; each reads its ideal once
 @pytest.mark.parametrize(
-    "job, dim, incidences", [(EX61, 2, 36), (M2_IN_4, 3, 142)], ids=["n3", "n4"]
+    "job, dim, incidences, complexes",
+    [(EX61, 2, 36, 3), (M2_IN_4, 3, 142, 2)], ids=["n3", "n4"],
 )
-def test_fundamental_cycle_builds_each_object_once(monkeypatch, job, dim, incidences):
+def test_fundamental_cycle_builds_each_object_once(
+        monkeypatch, job, dim, incidences, complexes):
     X = embedded_hull(minimize([tuple(g) for g in job["generators"]]))
     assert sum(len(X.facets(fid)) for fid in X.faces) == incidences
     counts = _counting(monkeypatch)
+    stores = _recording(monkeypatch)
     assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
     assert counts == {
         "resolution._compose": dim,  # d^2 = 0 of F of X at levels 1..dim; no chain maps
         "cellcomplex.sign_facet": incidences,  # the exactness scan reads F's signs
-        "hull.corner_simplex_complex": 1,
-        "cellcomplex._refinement_failure": 1,
         "monomial.lcm_lattice": 1,
         "monomial.multiplicity": 1,
+    }
+    assert _builds(stores) == {
+        "_prepare": 1,
+        "_vertex_barycentrics": 1,
+        "cellular_complex": 1,
+        "corner_simplex_complex": 1,  # shared by refinement, containment and the current
+        "exactness_witness": 1,
+        "refinement_failure": 1,
+        "residue_current": 1,
+        "vertex_ideal": complexes,
     }
 
 
 def test_compare_builds_each_object_once(monkeypatch):
     counts = _counting(monkeypatch)
+    stores = _recording(monkeypatch)
     assert _run(monkeypatch, ["compare"], EX61) == 0
     assert counts == {
         # d^2 = 0 at levels 1..2 of F of X and of F of Y, then the two sides
         # a_{k-1} psi_k and phi_k a_k of the square at levels 0..2
         "resolution._compose": 2 + 2 + 2 * 3,
         "cellcomplex.sign_facet": 36 + 12,  # incidences of X and of the simplex Y
-        "hull.corner_simplex_complex": 1,
-        "cellcomplex._refinement_failure": 1,
         "monomial.lcm_lattice": 0,
         "monomial.multiplicity": 0,
     }
+    assert _builds(stores) == {
+        "_vertex_barycentrics": 1,
+        "cellular_complex": 2,  # F of X and F of the simplex Y
+        "chain_maps": 1,
+        "corner_simplex_complex": 1,  # shared by refinement, containment and the maps
+        "refinement_failure": 1,
+        "vertex_ideal": 3,
+    }
+
+
+@pytest.mark.parametrize("subcommand", sorted(_HANDLERS))
+def test_every_object_is_stored_under_its_function_name(monkeypatch, subcommand):
+    stores = _recording(monkeypatch)
+    _run(monkeypatch, [subcommand], EX61)
+    functions = {
+        attr for name, module in list(sys.modules.items()) if name.startswith("cellres.")
+        for attr, value in vars(module).items() if callable(value)
+    }
+    for store in stores:
+        assert set(store) <= functions, subcommand
+        assert len(store.stored) == len(set(store.stored)), subcommand
 
 
 def test_repeated_calls_share_one_object():
@@ -116,7 +183,7 @@ def test_repeated_calls_share_one_object():
     assert residue_current(X) is residue_current(X)
     assert vertex_ideal(X) is vertex_ideal(X)
     # the complex determines every object, so its name is the whole key
-    assert {("chain_maps",), ("residue_current",), ("vertex_ideal",)} <= set(X._derived)
+    assert {"chain_maps", "residue_current", "vertex_ideal"} <= set(X._derived)
 
 
 def test_reoriented_complex_has_its_own_free_complex():
@@ -164,9 +231,9 @@ def test_changed_copies_leave_the_stored_objects_alone():
     entries = dict(R.entries)
     dropped = dict(R.entries)
     del dropped[next(iter(dropped))]
-    assert not duality_check(ResidueCurrent(R.n, dropped), M)
+    assert duality_counterexample(ResidueCurrent(R.n, dropped), M) is not None
     assert residue_current(X).entries == entries
-    assert duality_check(residue_current(X), M)
+    assert duality_counterexample(residue_current(X), M) is None
 
     maps = chain_maps(X)
     stored = [dict(column) for column in maps.columns[1]]

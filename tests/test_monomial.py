@@ -5,7 +5,6 @@ from cellres import (
     InputError,
     PreconditionError,
     contains,
-    equals_ideal,
     first_difference,
     ideal_from_json,
     irreducible_intersection,
@@ -214,12 +213,17 @@ def test_is_generic(ex61_ideal, rng):
     assert is_generic(minimize([(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)]))
 
 
+def _difference(components, M):
+    """The first difference of the irreducible intersection with M."""
+    return first_difference(irreducible_intersection(components, M.n), M)
+
+
 def test_irreducible_intersection(ex61_ideal):
     components = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
-    assert equals_ideal(components, ex61_ideal)
-    assert equals_ideal(components + [(1, 1, 1)], ex61_ideal)
+    assert _difference(components, ex61_ideal) is None
+    assert _difference(components + [(1, 1, 1)], ex61_ideal) is None
     ci = minimize([(3, 0), (0, 2)])
-    assert equals_ideal([(3, 2)], ci)
+    assert _difference([(3, 2)], ci) is None
     assert contains(irreducible_intersection(components, 3), (1, 1, 0))
     assert not contains(irreducible_intersection(components, 3), (1, 0, 0))
     with pytest.raises(InputError):
@@ -252,12 +256,12 @@ def test_first_difference_hand_cases(ex61_ideal):
 
 def test_equals_ideal_false_verdicts(ex61_ideal):
     M = minimize([(2, 0), (1, 1), (0, 2)])
-    assert equals_ideal([(2, 1), (1, 2)], M)
-    assert not equals_ideal([(3, 1), (1, 2)], M)
-    assert not equals_ideal([(2, 1)], M)
-    assert equals_ideal([(2, 1), (1, 2), (1, 1)], M)
-    assert not equals_ideal([(2, 1), (1, 2), (1, 3)], M)
-    assert not equals_ideal([(1, 1, 2), (1, 2, 1), (1, 1, 1)], ex61_ideal)
+    assert _difference([(2, 1), (1, 2)], M) is None
+    assert _difference([(3, 1), (1, 2)], M) == (2, 0)
+    assert _difference([(2, 1)], M) == (0, 1)
+    assert _difference([(2, 1), (1, 2), (1, 1)], M) is None
+    assert _difference([(2, 1), (1, 2), (1, 3)], M) == (0, 2)
+    assert _difference([(1, 1, 2), (1, 2, 1), (1, 1, 1)], ex61_ideal) == (1, 0, 0)
 
 
 @settings(max_examples=80)
@@ -274,7 +278,6 @@ def test_equals_ideal_against_box_scan(M, data):
     box = tuple(x + data.draw(st.integers(0, 2)) for x in top)
     witness = first_difference_by_box_scan(components, M.generators, box)
     assert first_difference_by_box_scan(components, M.generators, b) == witness
-    assert equals_ideal(components, M) == (witness is None)
     assert first_difference(irreducible_intersection(components, n), M) == witness
 
 

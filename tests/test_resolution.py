@@ -10,12 +10,9 @@ from cellres import (
     chain_maps,
     corner_simplex_complex,
     cellular_complex,
-    delta_complex,
     exactness_witness,
     homogeneous,
     hull_complex,
-    is_exact,
-    is_minimal,
     make_complex,
     minimality_witness,
     minimize,
@@ -32,6 +29,7 @@ from cellres.residue import _verify_square
 from cellres.resolution import SignedMonomial
 from conftest import (
     artinian_ideals_2_to_4,
+    complete_intersection,
     embedded_hull,
     flip_sign,
     random_staircase_ideal,
@@ -72,7 +70,7 @@ def koszul_matrices(b):
 
 @pytest.mark.parametrize("b", [(2, 3), (2, 3, 4), (1, 2, 1, 3)])
 def test_delta_cellular_complex_is_koszul(b):
-    F = cellular_complex(delta_complex(b))
+    F = cellular_complex(embedded_hull(complete_intersection(b)))
     levels, matrices = koszul_matrices(b)
     for k in range(0, len(b)):
         assert list(F.basis(k)) == levels[k]
@@ -141,8 +139,8 @@ def test_edge_with_equal_vertex_signs_is_rejected(monkeypatch):
 
 def test_is_exact_taylor_and_hull(ex61_ideal, ex61_embedded):
     T = taylor_complex(ex61_ideal)
-    assert is_exact(T)
-    assert is_exact(ex61_embedded)
+    assert exactness_witness(T) is None
+    assert exactness_witness(ex61_embedded) is None
 
 
 def test_face_deleted_ex61_is_inexact(ex61_embedded):
@@ -199,16 +197,14 @@ def test_homology_ranks_match_rebuilt_subcomplexes(ex61_ideal, ex61_embedded):
 
 def test_minimality(ex61_ideal, ex61_embedded, rng):
     F = cellular_complex(ex61_embedded)
-    assert not is_minimal(F)
     assert minimality_witness(F) == ((1, 2), (1, 2, 4))
     from conftest import random_generic_ideal_3
 
     M = random_generic_ideal_3(rng)
     S = scarf_complex(M)
-    assert is_minimal(cellular_complex(S))
-    ci = minimize([(2, 0, 0), (0, 3, 0), (0, 0, 4)])
-    K = delta_complex((2, 3, 4))
-    assert is_minimal(cellular_complex(K))
+    assert minimality_witness(cellular_complex(S)) is None
+    K = embedded_hull(complete_intersection((2, 3, 4)))
+    assert minimality_witness(cellular_complex(K)) is None
 
 
 def _assert_witnesses_agree(X, M):
@@ -293,7 +289,7 @@ def test_exactness_invariant_under_reorientation(ex61_embedded, rng):
     ]
     flips = {fid for fid in flippable if rng.random() < 0.5}
     X = reoriented(ex61_embedded, flips)
-    assert is_exact(X)
+    assert exactness_witness(X) is None
 
 
 def _sign_cases(M, data):
