@@ -35,8 +35,7 @@ _EXPORTS = {
     "residue": (
         "CHProduct", "ChainMap", "ResidueCurrent", "annihilator_contains",
         "chain_maps", "ch_product", "duality_counterexample",
-        "monomial_times_ch", "residue_current", "residue_via_chain_maps",
-        "verify_chain_maps",
+        "residue_current", "verify_chain_maps",
     ),
     "cycle": (
         "cycle_constant", "fundamental_cycle_check", "permutation_cycle_check",

@@ -11,8 +11,6 @@ its vertices' labels.  The empty face (dimension -1, label the zero vector)
 is always part of a complex.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from functools import wraps
@@ -98,9 +96,6 @@ class LabeledCellComplex:
 
     def facets(self, fid) -> tuple:
         return self.facet_ids[fid]
-
-    def face_points(self, fid):
-        return [self.vertex_point(v) for v in self.faces[fid].vertices]
 
 
 def derived(build):
@@ -348,7 +343,11 @@ def sign_same_span(face_a: Face, face_b: Face) -> int:
 
 
 def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
-    """Copy of X with the orientation of the given faces reversed."""
+    """Copy of X with the orientation of the given faces reversed.
+
+    The copy starts with X's stored vertex ideal and corner simplex, which
+    depend only on the vertex points and labels.
+    """
     faces = {}
     for fid, f in X.faces.items():
         if fid in flip_ids and f.dim >= 1:
@@ -356,8 +355,12 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
             faces[fid] = Face(f.vertices, f.dim, f.label, basis)
         else:
             faces[fid] = f
-    return LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids,
+    copy = LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids,
                               lift_base=X.lift_base)
+    copy._derived.update((name, X._derived[name])
+                         for name in ("vertex_ideal", "corner_simplex_complex")
+                         if name in X._derived)
+    return copy
 
 
 def barycentric_coordinates(point, simplex_points):
@@ -537,21 +540,6 @@ def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
                         simplicial=True, lift_base=X.lift_base)
 
 
-def reference_simplex_face(X: LabeledCellComplex) -> Face:
-    """Top face of the corner simplex, oriented by ascending variable order."""
-    corners = _corner_vertex_ids(X)
-    pts = [X.vertex_point(v) for v in corners]
-    idx = linalg.affine_basis_indices(pts)
-    if len(idx) != X.n:
-        raise PreconditionError("corner points are affinely dependent")
-    return Face(
-        corners,
-        X.n - 1,
-        lcm_many([X.vertex_label(v) for v in corners]),
-        _pivot_basis(pts, idx),
-    )
-
-
 def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex:
     """Flip top-dimensional faces so each agrees with the reference orientation."""
     flips = {
@@ -685,10 +673,11 @@ def complex_from_json(obj) -> LabeledCellComplex:
 
 def _orient_tops_by_pure_powers(X: LabeledCellComplex) -> LabeledCellComplex:
     """Apply the canonical top orientation when the corner simplex is visible:
-    the one of ``reference_simplex_face``, on the pure powers of X's ideal."""
+    the one of the top face of ``corner_simplex_complex``, oriented by
+    ascending variable order."""
     if X.dim != X.n - 1:
         return X
     try:
-        return orient_tops_to(X, reference_simplex_face(X))
-    except PreconditionError:
+        return orient_tops_to(X, corner_simplex_complex(X).face(tuple(range(X.n))))
+    except (InputError, PreconditionError):  # no pure powers, or dependent corners
         return X

@@ -13,8 +13,6 @@ does (see its docstring), without loading ``argparse``, ``gettext`` and
 ``locale``.
 """
 
-from __future__ import annotations
-
 import json
 import re
 import sys

@@ -13,8 +13,6 @@ variables, and pairing the full row against the residue current reads off
 c, with the unit (2 pi i)^n factored out symbolically.
 """
 
-from __future__ import annotations
-
 from math import factorial
 
 from .errors import PreconditionError

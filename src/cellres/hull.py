@@ -10,8 +10,6 @@ integer vectors, the lifted points with weight 1 and their projections onto
 the corner simplex in lowest terms.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import combinations
 from operator import mul
@@ -20,9 +18,9 @@ from . import linalg
 from .cellcomplex import (
     LabeledCellComplex,
     _subsets,
+    corner_simplex_complex,
     make_complex,
     orient_tops_to,
-    reference_simplex_face,
     vertex_ideal,
 )
 from .errors import CellresError, InputError, PreconditionError
@@ -204,7 +202,8 @@ def embed_in_simplex(H: LabeledCellComplex) -> LabeledCellComplex:
     embedded = make_complex(H.n, points, labels, face_sets, lift_base=t)
     if embedded.facet_ids != H.facet_ids:
         raise CellresError("projection changed the face poset")
-    return orient_tops_to(embedded, reference_simplex_face(embedded))
+    top = corner_simplex_complex(embedded).face(tuple(range(H.n)))
+    return orient_tops_to(embedded, top)
 
 
 def _scarf_faces(generators):

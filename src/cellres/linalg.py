@@ -7,8 +7,6 @@ integer entries, and every elimination is the one fraction-free routine
 ``_bareiss``.
 """
 
-from __future__ import annotations
-
 
 def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))

@@ -4,8 +4,6 @@ Monomials are exponent tuples of arbitrary-precision nonnegative integers;
 an ideal is stored by its divisibility-minimal generators.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import InputError, PreconditionError

@@ -1,12 +1,10 @@
-"""Residue currents of cellular resolutions, in closed form and via chain maps.
+"""Residue currents of cellular resolutions, by the comparison formula.
 
 A current entry is a signed product of antiholomorphic derivatives of
 principal values of coordinate powers, kept in the fixed descending
 variable order; its action on monomial test coefficients is exact
 coefficient extraction, so every identity here is an integer identity.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -78,36 +76,6 @@ def _check_exact(X: LabeledCellComplex):
 
 
 @derived
-def residue_current(X: LabeledCellComplex) -> ResidueCurrent:
-    """Closed form: one entry per top face, the signed product of its label.
-
-    The sign compares the face's orientation with the corner simplex; the
-    complex must refine the simplex and support an exact complex.
-    """
-    Y = _reference_complex(X)
-    _check_exact(X)
-    delta = Y.face(tuple(range(X.n)))
-    entries = {}
-    for fid in X.faces_of_dim(X.n - 1):
-        face = X.face(fid)
-        entries[fid] = ch_product(sign_same_span(face, delta), face.label)
-    return ResidueCurrent(X.n, entries)
-
-
-def monomial_times_ch(gamma, c: CHProduct) -> CHProduct:
-    """z^gamma times the product: lowers the exponents, or annihilates."""
-    gamma = tuple(gamma)
-    if any(g < 0 for g in gamma):
-        raise PreconditionError("monomial exponents must be nonnegative")
-    if c.is_zero:
-        return c
-    alpha = tuple(a - g for a, g in zip(c.alpha, gamma))
-    if all(a >= 1 for a in alpha):
-        return CHProduct(c.sign, alpha)
-    return CHProduct(0, (0,) * len(gamma))
-
-
-@derived
 def chain_maps(X: LabeledCellComplex) -> ChainMap:
     """Comparison maps from the corner-simplex complex into X.
 
@@ -159,31 +127,30 @@ def _verify_square(phi, psi, maps: ChainMap):
     return True, None
 
 
-def residue_via_chain_maps(X: LabeledCellComplex) -> ResidueCurrent:
-    """Transport the corner-simplex current through the top comparison map.
+@derived
+def residue_current(X: LabeledCellComplex) -> ResidueCurrent:
+    """The comparison formula: the Koszul current of the corner simplex
+    carried to X through the top comparison map.
 
-    The simplex complex carries the product of the pure powers, its top
-    label, with sign +1 under its fixed orientation; each top face of X
-    picks up its label quotient.  Must agree entrywise with the closed form.
+    The complex must refine the simplex, support an exact complex and have
+    a commuting comparison square.  Each top face of X then gets the sign
+    of its entry in the single column of a_{n-1} and its label as the
+    exponents.
     """
-    maps = chain_maps(X)
+    _reference_complex(X)
+    _check_exact(X)
     ok, witness = verify_chain_maps(X)
     if not ok:
         raise PreconditionError(f"comparison square does not commute at {witness}")
-    _check_exact(X)
-    n = X.n
-    column = maps.columns[n - 1][0]
-    corner = maps.col_labels[maps.col_bases[n - 1][0]]
-    koszul = ch_product(1, corner)
+    maps = chain_maps(X)
+    column = maps.columns[X.n - 1][0]
     entries = {}
-    for i, fid in enumerate(maps.row_bases[n - 1]):
+    for i, fid in enumerate(maps.row_bases[X.n - 1]):
         sign = column.get(i)
         if sign is None:
             raise PreconditionError(f"top face {fid} is missing from the chain map")
-        exp = tuple(a - f for a, f in zip(corner, maps.row_labels[fid]))
-        transported = monomial_times_ch(exp, koszul)
-        entries[fid] = CHProduct(sign * transported.sign, transported.alpha)
-    return ResidueCurrent(n, entries)
+        entries[fid] = ch_product(sign, maps.row_labels[fid])
+    return ResidueCurrent(X.n, entries)
 
 
 def annihilator_contains(R: ResidueCurrent, beta) -> bool:

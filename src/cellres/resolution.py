@@ -8,8 +8,6 @@ difference along every path; boundary-squared and the comparison square
 are therefore integer sums of incidence signs.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import linalg

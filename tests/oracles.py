@@ -23,7 +23,10 @@ of listed faces instead of the pairs of non-simplices, for the fundamental
 cycle a general algebra of wedge forms, each term sorted by a bubble sort,
 instead of one polynomial row per set of used variables, and for d^2 = 0
 and the comparison square a product of dense signed-monomial matrices as
-polynomial matrices instead of integer sums of incidence signs.
+polynomial matrices instead of integer sums of incidence signs, and for
+the residue current its closed form, each top face's label signed by a
+Fraction determinant against the corner simplex, instead of the sign
+column of the top comparison map.
 """
 
 from collections import namedtuple
@@ -540,6 +543,40 @@ def cofaces(X, tau_id, k):
     if X.face(tau_id).dim != k - 1:
         raise ValueError("coface query needs a face of dimension k-1")
     return [fid for fid in X.faces_of_dim(k) if tau_id in X.facets(fid)]
+
+
+def _corner_points(X):
+    """Per variable i, the point of the first vertex labeled by the smallest
+    pure power z_i^{b_i} among the vertex labels."""
+    points = []
+    for i in range(X.n):
+        powers = []
+        for v in sorted(X.vertices):
+            label = X.vertex_label(v)
+            if label[i] == sum(label) > 0:
+                powers.append((label[i], v))
+        points.append(_point(X, min(powers)[1]))
+    return points
+
+
+def closed_form_current(X):
+    """The residue current in closed form (the retired
+    ``residue.residue_current``): {top face: (sign, label)}, the sign that
+    of det C for the face's orientation basis written in the corner
+    simplex's basis (q_0 - q_{n-1}, ..., q_{n-2} - q_{n-1}), q_i the corner
+    points, by a Fraction solve per basis vector.  Raises ValueError for a
+    label with a zero exponent."""
+    q = _corner_points(X)
+    reference = [[x - y for x, y in zip(p, q[-1])] for p in q[:-1]]
+    entries = {}
+    for fid in X.faces_of_dim(X.n - 1):
+        face = X.face(fid)
+        det = fraction_det([_coords_in_basis(b, reference) for b in face.basis])
+        alpha = tuple(map(max, zip(*(X.vertex_label(v) for v in fid))))
+        if det == 0 or min(alpha) < 1:
+            raise ValueError(f"no closed-form entry for face {fid}")
+        entries[fid] = (1 if det > 0 else -1, alpha)
+    return entries
 
 
 def ch_action(c, beta):

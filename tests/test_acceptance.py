@@ -30,7 +30,6 @@ from cellres import (
     pure_power_exponents,
     reoriented,
     residue_current,
-    residue_via_chain_maps,
     staircase_corners_2d,
     staircase_partition_2d,
     taylor_complex,
@@ -46,7 +45,11 @@ from conftest import (
     random_staircase_ideal,
     square_verdict,
 )
-from oracles import graded_strand_inexact_degree, staircase_lattice_points
+from oracles import (
+    closed_form_current,
+    graded_strand_inexact_degree,
+    staircase_lattice_points,
+)
 
 
 @contextmanager
@@ -135,13 +138,10 @@ def test_criterion_2_complete_intersections():
 
 
 def test_criterion_3_route_equivalence(staircase_pool, generic3_pool):
-    with criterion(3, "closed form vs chain-map transport on 50 + 10 ideals"):
+    with criterion(3, "chain-map transport vs closed form on 50 + 10 ideals"):
         assert len(staircase_pool) >= 50 and len(generic3_pool) >= 10
         for _, X in staircase_pool + generic3_pool:
-            assert (
-                residue_current(X).entries
-                == residue_via_chain_maps(X).entries
-            )
+            assert residue_current(X).entries == closed_form_current(X)
 
 
 def test_criterion_4_commuting_diagram(staircase_pool, generic3_pool, ex61):
@@ -252,7 +252,7 @@ def test_criterion_8_orientation_robustness(staircase_pool, generic3_pool, ex61)
             Xr = reoriented(X, flips)
             baseline = residue_current(X)
             assert residue_current(Xr).entries == baseline.entries
-            assert residue_via_chain_maps(Xr).entries == baseline.entries
+            assert closed_form_current(Xr) == baseline.entries
             assert exactness_witness(Xr) == exactness_witness(X)
             assert (
                 fundamental_cycle_check(Xr)["lhs"]

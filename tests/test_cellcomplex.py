@@ -29,7 +29,6 @@ from cellres import (
 from cellres.cellcomplex import (
     _geometric_facets,
     _vertex_barycentrics,
-    reference_simplex_face,
 )
 from conftest import (
     EX61_GENERATORS,
@@ -43,6 +42,7 @@ from conftest import (
     without_face,
 )
 from oracles import (
+    _face_points,
     affine,
     all_pairs_intersection_failure,
     barycenter_sign_facet,
@@ -153,11 +153,9 @@ def _delta(ex61_embedded):
 def test_cofaces_counts(ex61_embedded):
     X = ex61_embedded
     Y = _delta(ex61_embedded)
-    boundary_simplices = [
-        [affine(p) for p in Y.face_points(fid)] for fid in Y.faces_of_dim(1)
-    ]
+    boundary_simplices = [_face_points(Y, fid) for fid in Y.faces_of_dim(1)]
     for edge in X.faces_of_dim(1):
-        pts = [affine(p) for p in X.face_points(edge)]
+        pts = _face_points(X, edge)
         on_boundary = any(
             all(point_in_simplex(p, spts) for p in pts)
             for spts in boundary_simplices
@@ -214,7 +212,7 @@ def test_contained_faces_edge(ex61_embedded):
     assert inside == [(0, 1), (1, 3)]
     assert {X.face(f).label for f in inside} == {(2, 1, 0), (1, 2, 0)}
     # barycentric containment oracle
-    segment = [affine(p) for p in Y.face_points((0, 1))]
+    segment = _face_points(Y, (0, 1))
     for fid in X.faces_of_dim(1):
         contained = all(
             point_in_simplex(affine(X.vertex_point(v)), segment) for v in fid
@@ -228,7 +226,7 @@ def test_contained_faces_partition_volumes(ex61_embedded):
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
             basis = Y.face(sid).basis
-            origin = Y.face_points(sid)[0]
+            origin = _face_points(Y, sid)[0]
             total = sum(
                 face_volume_rel(X, fid, basis, origin)
                 for fid in contained_faces(X, sid, k)
@@ -260,7 +258,7 @@ def test_refinement_sign_identity(ex61_embedded):
                 for tau in Y.facets(sid):
                     if Y.face(tau).dim < 0:
                         continue
-                    tau_pts = [affine(p) for p in Y.face_points(tau)]
+                    tau_pts = _face_points(Y, tau)
                     for tprime in X.facets(sprime):
                         if X.face(tprime).dim < 0:
                             continue
@@ -288,7 +286,7 @@ def test_interior_facet_cancellation(ex61_embedded):
     checked = 0
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
-            spts = [affine(p) for p in Y.face_points(sid)]
+            spts = _face_points(Y, sid)
             inside_k = contained_faces(X, sid, k)
             inside_km1 = [
                 fid
@@ -353,9 +351,35 @@ def test_loader_orients_tops_by_the_minimal_pure_powers():
         "faces": [{"vertices": [1, 2]}, {"vertices": [0, 2]}],
     })
     assert vertex_ideal(X) == minimize([(2, 0), (0, 2)])
-    assert reference_simplex_face(X).vertices == (1, 2)
+    Y = corner_simplex_complex(X)
+    assert [Y.vertex_point(i) for i in Y.vertices] == [X.vertex_point(1),
+                                                        X.vertex_point(2)]
     assert X.faces_of_dim(1) == [(0, 2), (1, 2)]
     assert all(X.face(fid).basis[0][0] < 0 for fid in X.faces_of_dim(1))
+
+
+def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
+    # the pure powers of z1, z2, z3 sit on one line, so they span no simplex
+    # to orient by; the top faces keep the bases they were given or got
+    points = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (1, 1)}
+    labels = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1), 3: (1, 1, 1)}
+    faces = [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (0, 1, 3), (1, 2, 3)]
+    obj = {
+        "n": 3,
+        "vertices": [{"id": v, "coords": list(p), "label": list(labels[v])}
+                     for v, p in points.items()],
+        "faces": [{"vertices": list(fid)} for fid in faces],
+    }
+    obj["faces"][-1]["orientation_basis"] = [[0, 1], [1, 0]]
+    X = complex_from_json(obj)
+    unflipped = make_complex(3, {v: homogeneous(p) for v, p in points.items()},
+                             labels, faces, bases={(1, 2, 3): [(0, 1), (1, 0)]})
+    assert X.dim == X.n - 1
+    assert X.faces == unflipped.faces
+    assert X.facet_ids == unflipped.facet_ids
+    assert X.face((1, 2, 3)).basis == ((0, 1), (1, 0))
+    with pytest.raises(InputError, match="degenerate simplex"):
+        corner_simplex_complex(X)
 
 
 def test_json_loader_honors_explicit_bases(ex61_embedded):

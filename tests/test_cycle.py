@@ -31,6 +31,7 @@ from conftest import (
 from oracles import (
     FormMatrix,
     FormMonomial,
+    closed_form_current,
     compose,
     differentiate,
     form_term,
@@ -243,7 +244,7 @@ def test_four_variable_squared_maximal_ideal():
     # once in a regime the random pools do not reach
     from itertools import combinations
 
-    from cellres import duality_counterexample, residue_current, residue_via_chain_maps
+    from cellres import duality_counterexample, residue_current
 
     gens = [tuple(2 if j == i else 0 for j in range(4)) for i in range(4)]
     gens += [
@@ -257,7 +258,7 @@ def test_four_variable_squared_maximal_ideal():
     assert len(R.entries) == 5
     assert all(c.sign == 1 for c in R.entries.values())
     assert (1, 1, 1, 1) in {c.alpha for c in R.entries.values()}
-    assert residue_via_chain_maps(X).entries == R.entries
+    assert closed_form_current(X) == R.entries
     assert duality_counterexample(R, M) is None
     assert multiplicity(M) == 5
     result = fundamental_cycle_check(X)

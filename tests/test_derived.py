@@ -111,34 +111,39 @@ def _run(monkeypatch, args, job):
     return run(args)
 
 
-# the complexes of the hull route: the hull, the projected hull and, when
-# orienting the tops flips one, the oriented copy; each reads its ideal once
+# the simplex Y of n vertices has k facets on each of its C(n, k) k-vertex faces
 @pytest.mark.parametrize(
-    "job, dim, incidences, complexes",
-    [(EX61, 2, 36, 3), (M2_IN_4, 3, 142, 2)], ids=["n3", "n4"],
+    "job, dim, incidences, simplex_incidences",
+    [(EX61, 2, 36, 12), (M2_IN_4, 3, 142, 32)], ids=["n3", "n4"],
 )
 def test_fundamental_cycle_builds_each_object_once(
-        monkeypatch, job, dim, incidences, complexes):
+        monkeypatch, job, dim, incidences, simplex_incidences):
     X = embedded_hull(minimize([tuple(g) for g in job["generators"]]))
     assert sum(len(X.facets(fid)) for fid in X.faces) == incidences
     counts = _counting(monkeypatch)
     stores = _recording(monkeypatch)
     assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
     assert counts == {
-        "resolution._compose": dim,  # d^2 = 0 of F of X at levels 1..dim; no chain maps
-        "cellcomplex.sign_facet": incidences,  # the exactness scan reads F's signs
+        # d^2 = 0 at levels 1..dim of F of X and of F of Y, then the two
+        # sides of the comparison square at levels 0..dim
+        "resolution._compose": dim + dim + 2 * (dim + 1),
+        # incidences of X, which the exactness scan reads off F, and of Y
+        "cellcomplex.sign_facet": incidences + simplex_incidences,
         "monomial.lcm_lattice": 1,
         "monomial.multiplicity": 1,
     }
     assert _builds(stores) == {
         "_prepare": 1,
         "_vertex_barycentrics": 1,
-        "cellular_complex": 1,
-        "corner_simplex_complex": 1,  # shared by refinement, containment and the current
+        "cellular_complex": 2,  # F of X and F of the simplex Y
+        "chain_maps": 1,
+        "corner_simplex_complex": 1,  # shared by refinement, containment and the maps
         "exactness_witness": 1,
         "refinement_failure": 1,
         "residue_current": 1,
-        "vertex_ideal": complexes,
+        # the hull and the projected hull; a copy with flipped tops takes both
+        # the ideal and the corner simplex from the projected hull
+        "vertex_ideal": 2,
     }
 
 
@@ -160,7 +165,7 @@ def test_compare_builds_each_object_once(monkeypatch):
         "chain_maps": 1,
         "corner_simplex_complex": 1,  # shared by refinement, containment and the maps
         "refinement_failure": 1,
-        "vertex_ideal": 3,
+        "vertex_ideal": 2,
     }
 
 
@@ -198,6 +203,16 @@ def test_reoriented_complex_has_its_own_free_complex():
         assert row_r[j].sign == -row[j].sign
     assert cellular_complex(X) is F
     assert residue_current(Xr).entries == residue_current(X).entries
+
+
+def test_flipped_copy_starts_with_the_vertex_only_objects():
+    X = embedded_hull(minimize(EX61_GENERATORS))
+    residue_current(X)
+    Xr = reoriented(X, {X.faces_of_dim(X.dim)[0]})
+    assert set(Xr._derived) == {"corner_simplex_complex", "vertex_ideal"}
+    for name, value in Xr._derived.items():
+        assert value is X._derived[name]
+    assert residue_current(Xr) is not residue_current(X)
 
 
 def test_subcomplex_has_its_own_free_complex():

@@ -29,6 +29,7 @@ from conftest import (
     random_staircase_ideal,
 )
 from oracles import (
+    _face_points,
     affine,
     all_k_bounded_face_sets,
     face_volume_rel,
@@ -111,7 +112,7 @@ def test_embedded_top_volumes_fill_simplex(ex61_embedded):
     Y = corner_simplex_complex(ex61_embedded)
     top = Y.faces_of_dim(2)[0]
     basis = Y.face(top).basis
-    origin = Y.face_points(top)[0]
+    origin = _face_points(Y, top)[0]
     total = sum(
         face_volume_rel(ex61_embedded, fid, basis, origin)
         for fid in ex61_embedded.faces_of_dim(2)

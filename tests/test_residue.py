@@ -1,3 +1,7 @@
+import io
+import json
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,17 +19,16 @@ from cellres import (
     fundamental_cycle_check,
     irreducible_intersection,
     minimize,
-    monomial_times_ch,
     pure_power_exponents,
     reoriented,
     residue_current,
-    residue_via_chain_maps,
     sign_same_span,
     verify_chain_maps,
 )
 from cellres.residue import ResidueCurrent
 from cellres.resolution import SignedMonomial
 from conftest import (
+    EX61_GENERATORS,
     artinian_ideals,
     complete_intersection,
     embedded_hull,
@@ -35,7 +38,7 @@ from conftest import (
     square_verdict,
 )
 from itertools import product
-from oracles import ch_action, first_difference_by_box_scan
+from oracles import ch_action, closed_form_current, first_difference_by_box_scan
 
 
 def test_complete_intersection_residue():
@@ -85,15 +88,6 @@ def test_ch_action():
     assert ch_action(CHProduct(0, (0, 0)), (0, 0)) == 0
 
 
-def test_monomial_times_ch():
-    assert monomial_times_ch((0, 1, 1), ch_product(1, (2, 2, 2))) == CHProduct(
-        1, (2, 1, 1)
-    )
-    assert monomial_times_ch((2, 1), ch_product(1, (2, 1))).is_zero
-    c = ch_product(-1, (3, 1))
-    assert monomial_times_ch((0, 0), c) == c
-
-
 def test_chain_maps_identity_on_delta():
     D = embedded_hull(complete_intersection((3, 2)))
     maps = chain_maps(D)
@@ -133,32 +127,77 @@ def test_verify_chain_maps(ex61_embedded):
     assert ok and witness is None
 
 
+# flipping one sign of a_k breaks the square first at level k
+CORRUPTED_SQUARES = [
+    (0, (0, (), (0,))),
+    (1, (1, (0,), (0, 1))),
+    (2, (2, (0, 1), (0, 1, 2))),
+]
+
+
 def test_corrupted_chain_map_fails_with_witness(ex61_embedded):
     maps = chain_maps(ex61_embedded)
-    for k, witness in (
-        (0, (0, (), (0,))),
-        (1, (1, (0,), (0, 1))),
-        (2, (2, (0, 1), (0, 1, 2))),
-    ):
+    for k, witness in CORRUPTED_SQUARES:
         corrupted = flip_sign(maps, k)
         assert square_verdict(ex61_embedded, corrupted) == (False, witness)
 
 
+def _with_corrupted_maps(X, k):
+    """X with its stored chain maps replaced by a copy with one sign of a_k
+    flipped, before any current is built."""
+    X._derived["chain_maps"] = flip_sign(chain_maps(X), k)
+    return X
+
+
+@pytest.mark.parametrize("k, witness", CORRUPTED_SQUARES)
+def test_current_needs_a_commuting_square(k, witness):
+    X = _with_corrupted_maps(embedded_hull(minimize(EX61_GENERATORS)), k)
+    with pytest.raises(PreconditionError) as err:
+        residue_current(X)
+    assert str(err.value) == f"comparison square does not commute at {witness}"
+
+
+def _run_with_corrupted_maps(monkeypatch, subcommand, k):
+    """(exit code, payload) of a CLI job on Example 6.1 whose complex has
+    corrupted chain maps at level k."""
+    from cellres import cli
+
+    build = cli._build_complex
+    monkeypatch.setattr(cli, "_build_complex",
+                        lambda M, args: _with_corrupted_maps(build(M, args), k))
+    job = {"n": 3, "generators": [list(g) for g in EX61_GENERATORS]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    code = cli.run([subcommand])
+    return code, json.loads(sys.stdout.getvalue())
+
+
+@pytest.mark.parametrize("k, witness", CORRUPTED_SQUARES)
+def test_cli_residue_exits_2_when_the_square_fails(monkeypatch, k, witness):
+    assert _run_with_corrupted_maps(monkeypatch, "residue", k) == (2, {
+        "error": f"comparison square does not commute at {witness}",
+        "schema": "cellres/1",
+    })
+
+
+def test_cli_compare_reports_the_failing_square(monkeypatch):
+    code, payload = _run_with_corrupted_maps(monkeypatch, "compare", 1)
+    assert (code, payload["ok"], payload["witness"]) == (1, False, [1, [0], [0, 1]])
+
+
 def test_route_equality_small(ex61_embedded):
-    R1 = residue_current(ex61_embedded)
-    R2 = residue_via_chain_maps(ex61_embedded)
-    assert R1.entries == R2.entries
+    assert residue_current(ex61_embedded).entries == closed_form_current(ex61_embedded)
 
 
 def test_route_equality_random(rng):
     for _ in range(8):
         M = random_staircase_ideal(rng)
         X = embedded_hull(M)
-        assert residue_current(X).entries == residue_via_chain_maps(X).entries
+        assert residue_current(X).entries == closed_form_current(X)
     for _ in range(2):
         M = random_generic_ideal_3(rng)
         X = embedded_hull(M)
-        assert residue_current(X).entries == residue_via_chain_maps(X).entries
+        assert residue_current(X).entries == closed_form_current(X)
 
 
 def test_residue_entry_invariants(rng):
@@ -282,10 +321,7 @@ def test_residue_invariant_under_lower_reorientation(ex61_embedded, rng):
         residue_current(Xr).entries
         == residue_current(X).entries
     )
-    assert (
-        residue_via_chain_maps(Xr).entries
-        == residue_current(X).entries
-    )
+    assert closed_form_current(Xr) == residue_current(X).entries
 
 
 @settings(max_examples=40)
@@ -293,5 +329,5 @@ def test_residue_invariant_under_lower_reorientation(ex61_embedded, rng):
 def test_routes_agree_and_fundamental_cycle_on_random_ideals(M):
     X = embedded_hull(M)
     R = residue_current(X)
-    assert residue_via_chain_maps(X).entries == R.entries
+    assert closed_form_current(X) == R.entries
     assert fundamental_cycle_check(X)["ok"]

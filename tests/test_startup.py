@@ -50,8 +50,10 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 """
 
 
-# fractions brings decimal and numbers; argparse brings gettext and locale
-HEAVY = {"fractions", "decimal", "numbers", "argparse", "gettext", "locale"}
+# fractions brings decimal and numbers; argparse brings gettext and locale;
+# no module of the package postpones its annotations
+HEAVY = {"fractions", "decimal", "numbers", "argparse", "gettext", "locale",
+         "__future__"}
 
 
 def _loaded(argv, tmp_path, job):
