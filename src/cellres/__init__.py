@@ -19,8 +19,8 @@ _EXPORTS = {
         "staircase_corners_2d", "staircase_partition_2d",
     ),
     "cellcomplex": (
-        "Face", "LabeledCellComplex", "complex_from_json", "complex_to_json",
-        "contained_faces", "corner_simplex_complex", "homogeneous", "make_complex",
+        "Face", "LabeledCellComplex", "carried_faces", "complex_from_json",
+        "complex_to_json", "corner_simplex_complex", "homogeneous", "make_complex",
         "refinement_failure", "reoriented", "sign_facet", "sign_same_span",
         "vertex_ideal",
     ),

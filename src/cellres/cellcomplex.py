@@ -70,12 +70,11 @@ class LabeledCellComplex:
     built from the complex by ``derived`` functions.
     """
 
-    def __init__(self, n, vertices, faces, facet_ids, lift_base=None):
+    def __init__(self, n, vertices, faces, facet_ids):
         self.n = n
         self.vertices = vertices
         self.faces = faces
         self.facet_ids = facet_ids
-        self.lift_base = lift_base
         self._derived = {}
 
     @property
@@ -192,15 +191,8 @@ def _geometric_facets(points_by_vertex, sigma_ids, candidates):
     return facets
 
 
-def make_complex(
-    n,
-    vertex_points,
-    vertex_labels,
-    face_sets,
-    bases=None,
-    lift_base=None,
-    simplicial=False,
-):
+def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
+                 simplicial=False):
     """Assemble a labeled complex from vertex data and face vertex sets.
 
     Points are homogeneous integer vectors with a positive last entry, any
@@ -303,7 +295,7 @@ def make_complex(
         facet_ids[fid] = tuple(sorted(found))
 
     vertices = {v: (points[v], tuple(vertex_labels[v])) for v in ids}
-    return LabeledCellComplex(n, vertices, faces, facet_ids, lift_base=lift_base)
+    return LabeledCellComplex(n, vertices, faces, facet_ids)
 
 
 def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
@@ -355,26 +347,11 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
             faces[fid] = Face(f.vertices, f.dim, f.label, basis)
         else:
             faces[fid] = f
-    copy = LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids,
-                              lift_base=X.lift_base)
+    copy = LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids)
     copy._derived.update((name, X._derived[name])
                          for name in ("vertex_ideal", "corner_simplex_complex")
                          if name in X._derived)
     return copy
-
-
-def barycentric_coordinates(point, simplex_points):
-    """One homogeneous solve of point against the simplex vertices:
-    (mu, d) with d > 0, or None when the point is outside their affine
-    hull.
-
-    The simplex vertices y_j are the columns, so sum_j (mu_j / d) y_j is
-    the homogeneous point; the barycentric coordinates are
-    lambda_j = mu_j w_j / (d w), with w the point's weight and w_j the
-    j-th vertex's, and have the signs and the support of mu.  d depends
-    only on the simplex.
-    """
-    return linalg.solve(list(zip(*simplex_points)), point)
 
 
 def _triangulate(X: LabeledCellComplex, fid):
@@ -396,25 +373,26 @@ def _triangulate(X: LabeledCellComplex, fid):
 def _vertex_barycentrics(X: LabeledCellComplex):
     """Homogeneous barycentric coordinates of every vertex of X against the
     corner simplex Y: ({vertex: {variable: mu}}, d), with None for a vertex
-    outside aff |Y|; see barycentric_coordinates.
+    outside aff |Y|, from one solve per vertex with Y's vertices y_j as the
+    columns: sum_j (mu_j / d) y_j is the vertex's homogeneous point.
 
-    One solve per vertex.  Y's vertices are affinely independent, so mu is
-    unique and a point lies in the face S of Y exactly when its mu is
-    nonnegative and supported in S.
+    d > 0 depends only on Y, and lambda_j = mu_j w_j / (d w), w the vertex's
+    weight and w_j the j-th corner's, has the signs and support of mu.  Y's
+    vertices are affinely independent, so mu is unique and a point lies in
+    the face S of Y exactly when its mu is nonnegative and supported in S.
     """
     Y = corner_simplex_complex(X)
-    points = [Y.vertex_point(y) for y in range(X.n)]
-    solved = {v: barycentric_coordinates(X.vertex_point(v), points) for v in X.vertices}
+    columns = list(zip(*(Y.vertex_point(y) for y in range(X.n))))
+    solved = {v: linalg.solve(columns, X.vertex_point(v)) for v in X.vertices}
     d = next((s[1] for s in solved.values() if s), 1)
     return {v: s and dict(enumerate(s[0])) for v, s in solved.items()}, d
 
 
-def _in_face(mu, members) -> bool:
-    return (
-        mu is not None
-        and all(c >= 0 for c in mu.values())
-        and all(y in members for y, c in mu.items() if c)
-    )
+def _carrier(coords, fid) -> tuple:
+    """The union of the barycentric supports of a face's vertices: the
+    smallest face of the corner simplex holding the face, once every
+    vertex lies in the simplex."""
+    return tuple(sorted({y for v in fid for y, c in coords[v].items() if c}))
 
 
 def _mu_volume(X: LabeledCellComplex, fid, coords, span):
@@ -457,14 +435,14 @@ def refinement_failure(X: LabeledCellComplex):
     Y = corner_simplex_complex(X)
     coords, d = _vertex_barycentrics(X)
     for v in sorted(X.vertices):
-        if not _in_face(coords[v], Y.vertices):
+        if coords[v] is None or min(coords[v].values()) < 0:
             return f"vertex {v} lies outside the simplex"
     covered = {}
     for fid in sorted(X.faces):
         f = X.face(fid)
         if f.dim < 0:
             continue
-        span = tuple(sorted({y for v in fid for y, c in coords[v].items() if c}))
+        span = _carrier(coords, fid)
         if not divides(f.label, Y.face(span).label):
             return f"label of face {fid} does not divide the label of {span}"
         if len(span) == f.dim + 1:
@@ -483,34 +461,38 @@ def refinement_failure(X: LabeledCellComplex):
     return None
 
 
-def contained_faces(X: LabeledCellComplex, sigma_id, k) -> list:
-    """Faces of X of dimension k inside the k-face sigma_id of the corner
-    simplex, whose vertex i is labeled z_i^{b_i}.
+@derived
+def carried_faces(X: LabeledCellComplex) -> dict:
+    """{face S of the corner simplex Y: the faces of X of S's dimension
+    inside S}; X must refine Y.
 
-    Combines the label-support test, variables among sigma_id, with
-    barycentric containment, a support test on the vertices' barycentric
-    coordinates; the two agree on genuine refinements.
+    One pass over X's faces takes each face's carrier, the smallest face of
+    Y holding it, and its label support.  A face lies in S when its carrier
+    does, and on a genuine refinement when its label support does; the
+    first face (by dimension, face of Y, face of X) where the two disagree
+    is refused.
     """
-    sigma = corner_simplex_complex(X).face(sigma_id)
-    if sigma.dim != k:
-        raise PreconditionError("contained-face query needs a face of dimension k")
+    failure = refinement_failure(X)
+    if failure is not None:
+        raise PreconditionError(f"complex does not refine the corner simplex: {failure}")
     coords = _vertex_barycentrics(X)[0]
-    result = []
-    for fid in X.faces_of_dim(k):
-        support_ok = all(
-            i in sigma_id
-            for v in fid
-            for i, e in enumerate(X.vertex_label(v))
-            if e > 0
-        )
-        geometric_ok = all(_in_face(coords[v], sigma_id) for v in fid)
-        if support_ok != geometric_ok:
+    levels = {}
+    for fid, face in X.faces.items():
+        support = {i for i, e in enumerate(face.label) if e}
+        levels.setdefault(face.dim, []).append((fid, set(_carrier(coords, fid)), support))
+    carried = {}
+    for sid in sorted(corner_simplex_complex(X).faces, key=lambda s: (len(s), s))[1:]:
+        members = set(sid)
+        level = levels.get(len(sid) - 1, ())
+        inside = {fid for fid, carrier, _ in level if carrier <= members}
+        labeled = {fid for fid, _, support in level if support <= members}
+        if inside != labeled:
             raise PreconditionError(
-                f"support and geometry disagree on {fid}: X does not refine the simplex"
+                f"support and geometry disagree on {min(inside ^ labeled)}: "
+                "X does not refine the simplex"
             )
-        if support_ok:
-            result.append(fid)
-    return result
+        carried[sid] = sorted(inside)
+    return carried
 
 
 def _corner_vertex_ids(X: LabeledCellComplex) -> tuple:
@@ -536,8 +518,7 @@ def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
     corners = _corner_vertex_ids(X)
     points = {i: X.vertex_point(v) for i, v in enumerate(corners)}
     labels = {i: X.vertex_label(v) for i, v in enumerate(corners)}
-    return make_complex(X.n, points, labels, _subsets(X.n),
-                        simplicial=True, lift_base=X.lift_base)
+    return make_complex(X.n, points, labels, _subsets(X.n), simplicial=True)
 
 
 def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex:

@@ -169,15 +169,15 @@ def _cmd_compare(M, args):
     X = _build_complex(M, args)
     from .residue import chain_maps, verify_chain_maps
     maps = chain_maps(X)
-    ok, witness = verify_chain_maps(X)
+    witness = verify_chain_maps(X)
     payload = {
         "maps": {str(k): _signed_matrix_json(maps.matrix(k)) for k in maps.columns},
         "row_bases": {str(k): bases for k, bases in maps.row_bases.items()},
         "col_bases": {str(k): bases for k, bases in maps.col_bases.items()},
-        "ok": ok,
+        "ok": witness is None,
         "witness": witness,
     }
-    return payload, 0 if ok else 1
+    return payload, 0 if witness is None else 1
 
 
 def _cmd_annihilator(M, args):

@@ -17,11 +17,11 @@ from operator import mul
 from . import linalg
 from .cellcomplex import (
     LabeledCellComplex,
+    _corner_vertex_ids,
     _subsets,
     corner_simplex_complex,
     make_complex,
     orient_tops_to,
-    vertex_ideal,
 )
 from .errors import CellresError, InputError, PreconditionError
 from .monomial import (
@@ -160,19 +160,18 @@ def hull_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
         raise CellresError("hull face poset differs between t and t+1")
     points = {i: p + (1,) for i, p in enumerate(_lifted_points(M, t))}
     labels = dict(enumerate(M.generators))
-    return make_complex(M.n, points, labels, sets_t, lift_base=t)
+    return make_complex(M.n, points, labels, sets_t)
 
 
-def _projection_to_simplex(point, b, t):
+def _projection_to_simplex(point, steps):
     """Intersection of the line through (1,...,1) and the homogeneous point
     (x, w) with the hyperplane sum_i (y_i - 1) / T_i = 1 spanned by the
-    corner points (1,..,t^{b_i},..,1), T_i = t^{b_i} - 1, in lowest terms.
+    corner points 1 + T_i e_i, T_i = ``steps[i]``, in lowest terms.
 
     With L = lcm(T) and N = sum_i (x_i - w) L / T_i, the point
     y = 1 + (x / w - 1) w L / N is (N + (x_i - w) L, ..., N) / N.
     """
     *x, w = point
-    steps = [t**bi - 1 for bi in b]
     common = math.lcm(*steps)
     denom = sum((xi - w) * (common // s) for xi, s in zip(x, steps))
     if denom == 0:
@@ -185,21 +184,28 @@ def _projection_to_simplex(point, b, t):
 
 
 def embed_in_simplex(H: LabeledCellComplex) -> LabeledCellComplex:
-    """Project a hull complex onto the corner simplex along lines through 1.
+    """Project a hull complex onto its corner simplex along lines through 1.
 
-    Labels and the face poset are unchanged; top faces are flipped to agree
-    with the simplex orientation.
+    The simplex is read off H's corner vertices: the one (x, w) of
+    variable i must lie at 1 + T_i e_i with T_i = (x_i - w) / w a positive
+    integer, as the corner of z_i^{b_i} in a hull does with
+    T_i = t^{b_i} - 1.  Labels and the face poset are unchanged; top faces
+    are flipped to agree with the simplex orientation.
     """
-    t = H.lift_base
-    if t is None:
-        raise PreconditionError("complex carries no lift base; cannot embed")
-    b = pure_power_exponents(vertex_ideal(H))
+    steps = []
+    for i, v in enumerate(_corner_vertex_ids(H)):
+        *x, w = H.vertex_point(v)
+        step, rest = divmod(x[i] - w, w) if len(x) == H.n else (0, 0)
+        if step < 1 or rest or any(xj != w for j, xj in enumerate(x) if j != i):
+            raise PreconditionError(f"corner vertex {v} is not at 1 + T e_{i} "
+                                    "for a positive integer T; cannot embed")
+        steps.append(step)
     points = {
-        v: _projection_to_simplex(H.vertex_point(v), b, t) for v in H.vertices
+        v: _projection_to_simplex(H.vertex_point(v), steps) for v in H.vertices
     }
     labels = {v: H.vertex_label(v) for v in H.vertices}
     face_sets = [fid for fid in H.faces if len(fid) >= 2]
-    embedded = make_complex(H.n, points, labels, face_sets, lift_base=t)
+    embedded = make_complex(H.n, points, labels, face_sets)
     if embedded.facet_ids != H.facet_ids:
         raise CellresError("projection changed the face poset")
     top = corner_simplex_complex(embedded).face(tuple(range(H.n)))
@@ -253,17 +259,15 @@ def scarf_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
         )
     if not is_artinian(M):
         raise PreconditionError("the embedded realization requires an Artinian ideal")
-    b = pure_power_exponents(M)
     t = _check_lift_base(M.n, t)
+    steps = [t**b - 1 for b in pure_power_exponents(M)]
     points = {
-        i: _projection_to_simplex(
-            tuple(t**a for a in M.generators[i]) + (1,), b, t
-        )
-        for i in range(r)
+        i: _projection_to_simplex(tuple(t**a for a in g) + (1,), steps)
+        for i, g in enumerate(M.generators)
     }
     labels = dict(enumerate(M.generators))
     return make_complex(M.n, points, labels, _scarf_faces(M.generators),
-                        simplicial=True, lift_base=t)
+                        simplicial=True)
 
 
 def taylor_complex(M: MonomialIdeal) -> LabeledCellComplex:

@@ -10,10 +10,9 @@ from collections import namedtuple
 
 from .cellcomplex import (
     LabeledCellComplex,
-    contained_faces,
+    carried_faces,
     corner_simplex_complex,
     derived,
-    refinement_failure,
     sign_same_span,
 )
 from .errors import PreconditionError
@@ -22,14 +21,9 @@ from .resolution import _compose, _dense_view, cellular_complex, exactness_witne
 
 
 class CHProduct(namedtuple("CHProduct", "sign alpha")):
-    """sign * dbar[1/z_n^{a_n}] ^ ... ^ dbar[1/z_1^{a_1}]; sign 0 is the
-    absorbed zero element."""
+    """sign * dbar[1/z_n^{a_n}] ^ ... ^ dbar[1/z_1^{a_1}]."""
 
     __slots__ = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
 
 
 def ch_product(sign: int, alpha) -> CHProduct:
@@ -61,14 +55,6 @@ class ChainMap(
                            self.row_labels, self.col_labels, self.n)
 
 
-def _reference_complex(X: LabeledCellComplex):
-    """The corner simplex Y, once X is known to refine it."""
-    failure = refinement_failure(X)
-    if failure is not None:
-        raise PreconditionError(f"complex does not refine the corner simplex: {failure}")
-    return corner_simplex_complex(X)
-
-
 def _check_exact(X: LabeledCellComplex):
     witness = exactness_witness(X)
     if witness is not None:
@@ -80,9 +66,10 @@ def chain_maps(X: LabeledCellComplex) -> ChainMap:
     """Comparison maps from the corner-simplex complex into X.
 
     a_k sends a simplex face to the signed label quotients of the X-faces
-    of the same dimension it contains; a_{-1} is the identity.
+    it carries (carried_faces); a_{-1} is the identity.
     """
-    Y = _reference_complex(X)
+    carried = carried_faces(X)
+    Y = corner_simplex_complex(X)
     row_bases, col_bases, columns = {-1: ((),)}, {-1: ((),)}, {-1: ({0: 1},)}
     for k in range(0, X.n):
         rows = row_bases[k] = tuple(X.faces_of_dim(k))
@@ -90,7 +77,7 @@ def chain_maps(X: LabeledCellComplex) -> ChainMap:
         row_index = {fid: i for i, fid in enumerate(rows)}
         columns[k] = tuple(
             {row_index[fid]: sign_same_span(X.face(fid), Y.face(sid))
-             for fid in contained_faces(X, sid, k)}
+             for fid in carried[sid]}
             for sid in cols
         )
     labels = [{fid: face.label for fid, face in Z.faces.items()} for Z in (X, Y)]
@@ -98,15 +85,16 @@ def chain_maps(X: LabeledCellComplex) -> ChainMap:
 
 
 def verify_chain_maps(X: LabeledCellComplex):
-    """(ok, witness) for the comparison square of the chain maps, the
-    witness the first failing level, row face and column face."""
+    """The first level, row face and column face where the comparison
+    square of the chain maps fails, or None."""
     maps = chain_maps(X)
-    Y = _reference_complex(X)
+    Y = corner_simplex_complex(X)
     return _verify_square(cellular_complex(X), cellular_complex(Y), maps)
 
 
 def _verify_square(phi, psi, maps: ChainMap):
-    """(ok, witness) for a_{k-1} psi_k = phi_k a_k at levels 0 .. n - 1.
+    """The first failure (level, row face, column face) of
+    a_{k-1} psi_k = phi_k a_k at levels 0 .. n - 1, or None.
 
     Entry (rho, sigma) of both sides is the same monomial
     z^{m_sigma - m_rho} times an integer sum of signs, so the square
@@ -123,8 +111,8 @@ def _verify_square(phi, psi, maps: ChainMap):
         ]
         if failures:
             i, j = min(failures)
-            return False, (k, phi.basis(k - 1)[i], psi.basis(k)[j])
-    return True, None
+            return k, phi.basis(k - 1)[i], psi.basis(k)[j]
+    return None
 
 
 @derived
@@ -137,10 +125,10 @@ def residue_current(X: LabeledCellComplex) -> ResidueCurrent:
     of its entry in the single column of a_{n-1} and its label as the
     exponents.
     """
-    _reference_complex(X)
+    carried_faces(X)
     _check_exact(X)
-    ok, witness = verify_chain_maps(X)
-    if not ok:
+    witness = verify_chain_maps(X)
+    if witness is not None:
         raise PreconditionError(f"comparison square does not commute at {witness}")
     maps = chain_maps(X)
     column = maps.columns[X.n - 1][0]
@@ -155,13 +143,7 @@ def residue_current(X: LabeledCellComplex) -> ResidueCurrent:
 
 def annihilator_contains(R: ResidueCurrent, beta) -> bool:
     """Whether z^beta kills every entry: some exponent reaches alpha in each."""
-    beta = tuple(beta)
-    for c in R.entries.values():
-        if c.is_zero:
-            continue
-        if not any(beta[i] >= c.alpha[i] for i in range(len(beta))):
-            return False
-    return True
+    return all(any(x >= a for x, a in zip(beta, c.alpha)) for c in R.entries.values())
 
 
 def duality_counterexample(R: ResidueCurrent, M: MonomialIdeal):
@@ -169,7 +151,7 @@ def duality_counterexample(R: ResidueCurrent, M: MonomialIdeal):
     membership in M differ, or None.
 
     ann R is the intersection of the irreducible ideals
-    (z_1^{a_1}, ..., z_n^{a_n}) over the nonzero entries, so the witness is
+    (z_1^{a_1}, ..., z_n^{a_n}) over the entries, so the witness is
     the first difference of its minimal generators with M's
     (monomial.irreducible_intersection, monomial.first_difference): the
     cost depends on the numbers of entries and generators but not on the
@@ -177,5 +159,5 @@ def duality_counterexample(R: ResidueCurrent, M: MonomialIdeal):
     [0, b]: every generator of M divides z^b, and a generator of ann R
     with some exponent a_i >= b_i lies in M.
     """
-    alphas = [c.alpha for c in R.entries.values() if not c.is_zero]
+    alphas = [c.alpha for c in R.entries.values()]
     return first_difference(M, irreducible_intersection(alphas, M.n))

@@ -742,7 +742,6 @@ def subcomplex_leq(X, beta):
         {fid[0]: X.vertices[fid[0]] for fid in keep if len(fid) == 1},
         {fid: X.faces[fid] for fid in keep},
         {fid: X.facet_ids[fid] for fid in keep},
-        lift_base=X.lift_base,
     )
 
 

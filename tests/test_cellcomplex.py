@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from cellres import (
     InputError,
     PreconditionError,
+    carried_faces,
     complex_from_json,
     complex_to_json,
-    contained_faces,
     corner_simplex_complex,
     homogeneous,
     hull_complex,
@@ -31,6 +31,7 @@ from cellres.cellcomplex import (
     _vertex_barycentrics,
 )
 from conftest import (
+    DUPLICATE_CORNER_JSON,
     EX61_GENERATORS,
     artinian_ideals,
     artinian_ideals_2_to_4,
@@ -198,17 +199,15 @@ def test_bumped_corner_relabels_the_corner_simplex(ex61_embedded):
 
 def test_contained_faces_top_and_vertices(ex61_embedded):
     X = ex61_embedded
-    assert contained_faces(X, (0, 1, 2), 2) == X.faces_of_dim(2)
+    assert carried_faces(X)[(0, 1, 2)] == X.faces_of_dim(2)
     for i, vid in enumerate([0, 3, 5]):
-        assert contained_faces(X, (i,), 0) == [(vid,)]
-    with pytest.raises(PreconditionError, match="dimension k"):
-        contained_faces(X, (0, 1), 2)
+        assert carried_faces(X)[(i,)] == [(vid,)]
 
 
 def test_contained_faces_edge(ex61_embedded):
     X = ex61_embedded
     Y = _delta(ex61_embedded)
-    inside = contained_faces(X, (0, 1), 1)
+    inside = carried_faces(X)[(0, 1)]
     assert inside == [(0, 1), (1, 3)]
     assert {X.face(f).label for f in inside} == {(2, 1, 0), (1, 2, 0)}
     # barycentric containment oracle
@@ -229,7 +228,7 @@ def test_contained_faces_partition_volumes(ex61_embedded):
             origin = _face_points(Y, sid)[0]
             total = sum(
                 face_volume_rel(X, fid, basis, origin)
-                for fid in contained_faces(X, sid, k)
+                for fid in carried_faces(X)[sid]
             )
             assert total == face_volume_rel(Y, sid, basis, origin)
 
@@ -254,7 +253,7 @@ def test_refinement_sign_identity(ex61_embedded):
     checked = 0
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
-            for sprime in contained_faces(X, sid, k):
+            for sprime in carried_faces(X)[sid]:
                 for tau in Y.facets(sid):
                     if Y.face(tau).dim < 0:
                         continue
@@ -287,7 +286,7 @@ def test_interior_facet_cancellation(ex61_embedded):
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
             spts = _face_points(Y, sid)
-            inside_k = contained_faces(X, sid, k)
+            inside_k = carried_faces(X)[sid]
             inside_km1 = [
                 fid
                 for fid in X.faces_of_dim(k - 1)
@@ -666,24 +665,31 @@ def test_refinement_witness_names_the_failure(ex61_embedded):
         residue_current(scarf_complex(minimize(EX61_GENERATORS)))
 
 
-def _containment(X, refines, contained):
-    """The refinement verdict and the faces of X inside each face of its
-    corner simplex; a disagreement of support and geometry counts as an
-    outcome."""
-    outcomes = [refines()]
-    for sid in sorted(corner_simplex_complex(X).faces):
-        if not sid:
-            continue
-        try:
-            outcomes.append(contained(sid, len(sid) - 1))
-        except (PreconditionError, ValueError) as exc:
-            outcomes.append(str(exc).split(":")[0])
-    return outcomes
-
-
 def _library_containment(X):
-    return _containment(X, lambda: refinement_failure(X) is None,
-                        lambda sid, k: contained_faces(X, sid, k))
+    """False when X does not refine its corner simplex, else the faces of X
+    carried by each face of the simplex, in (dimension, face) order, or the
+    first face where support and geometry disagree."""
+    if refinement_failure(X) is not None:
+        with pytest.raises(PreconditionError, match="does not refine the corner simplex"):
+            carried_faces(X)
+        return False
+    try:
+        return list(carried_faces(X).items())
+    except PreconditionError as exc:
+        return str(exc).split(":")[0]
+
+
+def _oracle_containment(X, Y):
+    """_library_containment by the pairwise oracles, handed the simplex Y."""
+    if not pairwise_is_refinement(X, Y):
+        return False
+    carried = []
+    for sid in sorted(Y.faces, key=lambda s: (len(s), s))[1:]:
+        try:
+            carried.append((sid, pairwise_contained_faces(Y, sid, X, len(sid) - 1)))
+        except ValueError as exc:
+            return str(exc)
+    return carried
 
 
 def _assert_containment_matches_oracle(X):
@@ -695,10 +701,7 @@ def _assert_containment_matches_oracle(X):
         with pytest.raises(PreconditionError, match="not Artinian"):
             refinement_failure(X)
         return
-    assert _library_containment(X) == _containment(
-        X, lambda: pairwise_is_refinement(X, Y),
-        lambda sid, k: pairwise_contained_faces(Y, sid, X, k),
-    )
+    assert _library_containment(X) == _oracle_containment(X, Y)
 
 
 def _perturbations(X):
@@ -781,6 +784,13 @@ def test_containment_matches_pairwise_oracle_on_perturbed_ex61(ex61_embedded):
         assert any(kind in (f or "") for f in failures), kind
 
 
+def test_containment_disagreement_matches_pairwise_oracle():
+    X = complex_from_json(DUPLICATE_CORNER_JSON)
+    assert refinement_failure(X) is None
+    assert _library_containment(X) == "support and geometry disagree on (1,)"
+    _assert_containment_matches_oracle(X)
+
+
 @settings(max_examples=20)
 @given(artinian_ideals())
 def test_barycentric_coordinates_solved_once_per_vertex(M):
@@ -788,9 +798,7 @@ def test_barycentric_coordinates_solved_once_per_vertex(M):
     with mock.patch.object(linalg, "solve", side_effect=linalg.solve) as solve:
         assert refinement_failure(X) is None
         assert solve.call_count == len(X.vertices)
-        for sid in corner_simplex_complex(X).faces:
-            if sid:
-                contained_faces(X, sid, len(sid) - 1)
+        carried_faces(X)
         assert solve.call_count == len(X.vertices)
 
 
@@ -876,7 +884,6 @@ def _scaled(X, scales):
         {v: tuple(scales[v] * x for x in X.vertex_point(v)) for v in X.vertices},
         {v: X.vertex_label(v) for v in X.vertices},
         [fid for fid in X.faces if len(fid) >= 2],
-        lift_base=X.lift_base,
     )
 
 

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from cellres.cli import run
+from conftest import DUPLICATE_CORNER_JSON
 from oracles import multiplicity_by_inclusion_exclusion
 
 EX61 = {
@@ -342,6 +343,18 @@ def test_file_complex_for_another_ideal_exits_2(tmp_path, capsys, monkeypatch):
     job = {"n": 3, "generators": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}
     code, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], job)
     assert code == 0 and len(out["entries"]) == 1
+
+
+def test_support_and_geometry_disagreement_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "duplicate-corner.json"
+    path.write_text(json.dumps(DUPLICATE_CORNER_JSON))
+    job = {"n": 2, "generators": [[2, 0], [0, 2]]}
+    for sub in ("compare", "residue"):
+        code, out = invoke(capsys, monkeypatch, [sub, "--complex", f"file:{path}"], job)
+        assert code == 2, sub
+        assert out["error"] == (
+            "support and geometry disagree on (1,): X does not refine the simplex"
+        ), sub
 
 
 def test_job_object_exits_2(capsys, monkeypatch):

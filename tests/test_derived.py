@@ -135,6 +135,7 @@ def test_fundamental_cycle_builds_each_object_once(
     assert _builds(stores) == {
         "_prepare": 1,
         "_vertex_barycentrics": 1,
+        "carried_faces": 1,
         "cellular_complex": 2,  # F of X and F of the simplex Y
         "chain_maps": 1,
         "corner_simplex_complex": 1,  # shared by refinement, containment and the maps
@@ -161,6 +162,7 @@ def test_compare_builds_each_object_once(monkeypatch):
     }
     assert _builds(stores) == {
         "_vertex_barycentrics": 1,
+        "carried_faces": 1,
         "cellular_complex": 2,  # F of X and F of the simplex Y
         "chain_maps": 1,
         "corner_simplex_complex": 1,  # shared by refinement, containment and the maps
@@ -253,6 +255,6 @@ def test_changed_copies_leave_the_stored_objects_alone():
     maps = chain_maps(X)
     stored = [dict(column) for column in maps.columns[1]]
     corrupted = flip_sign(maps, 1)
-    assert not square_verdict(X, corrupted)[0]
-    assert verify_chain_maps(X) == (True, None)
+    assert square_verdict(X, corrupted) is not None
+    assert verify_chain_maps(X) is None
     assert list(chain_maps(X).columns[1]) == stored != list(corrupted.columns[1])

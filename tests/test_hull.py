@@ -95,7 +95,7 @@ def test_embedding_fixes_corner_vertices(ex61_hull, ex61_embedded):
 def test_embedding_of_mixed_vertex(ex61_hull, ex61_embedded):
     # vertex 1 carries z1 z2 at (t, t, 1); its image solves the one linear
     # equation for the line through (1,1,1) meeting the corner hyperplane
-    t = Fraction(ex61_hull.lift_base)
+    t = Fraction(default_lift_base(3))
     p = affine(ex61_hull.vertex_point(1))
     assert p == (t, t, 1)
     weights = [1 / (t**2 - 1)] * 3
@@ -125,11 +125,19 @@ def test_embedded_ci_hull_is_its_corner_simplex():
     M = minimize([(2, 0), (0, 3)])
     H = embed_in_simplex(hull_complex(M))
     D = corner_simplex_complex(H)
-    t = H.lift_base
+    t = default_lift_base(2)
     assert set(H.faces) == set(D.faces) == {(), (0,), (1,), (0, 1)}
     for v in H.vertices:
         corner = tuple(t ** b[v] if j == v else 1 for j in range(2)) + (1,)
         assert H.vertex_point(v) == D.vertex_point(v) == corner
+
+
+def test_embedding_reads_the_simplex_off_the_corners(ex61_ideal, ex61_embedded):
+    # the embedded hull keeps the hull's corners, so it embeds to itself
+    assert embed_in_simplex(ex61_embedded).vertices == ex61_embedded.vertices
+    # the Taylor complex puts its corners on a standard simplex
+    with pytest.raises(PreconditionError, match=r"^corner vertex 0 is not at 1 \+ T e_0 "):
+        embed_in_simplex(taylor_complex(ex61_ideal))
 
 
 def test_scarf_equals_hull_for_generic(rng):
