@@ -147,48 +147,25 @@ def _validate_basis(basis, dirs, dim, fid):
         raise InputError(f"face {fid}: basis vector outside the face's span")
 
 
-def _face_dirs(points):
-    return [_direction(p, points[0]) for p in points[1:]]
+def _geometric_facets(points_by_vertex, sigma: Face, candidates) -> list:
+    """The vertex tuples of the candidate faces that are facets of sigma, by
+    exact orientation tests.
 
-
-def _orthogonal_residual(v, dirs):
-    """A positive multiple of the component of v orthogonal to span(dirs),
-    from one solve of the Gram system (dirs^T dirs) c = dirs^T v."""
-    gram = [[linalg.dot(a, b) for b in dirs] for a in dirs]
-    coeffs, d = linalg.solve(gram, [linalg.dot(a, v) for a in dirs])
-    return tuple(
-        d * x - sum(c * e[i] for c, e in zip(coeffs, dirs) if c)
-        for i, x in enumerate(v)
-    )
-
-
-def _geometric_facets(points_by_vertex, sigma_ids, candidates):
-    """Facet candidates of a face, by exact supporting-flat tests.
-
-    ``candidates`` are vertex-id tuples inside the face, one dimension
-    lower; a candidate is a facet when the face lies weakly on one side of
-    its affine hull and touches it exactly in the candidate's vertices.
-    The side is the one of (sum of x, sum of w), the homogeneous sum of
-    the face's vertices, which is a point of its relative interior.
+    ``candidates`` are faces inside sigma, one dimension lower; a candidate
+    tau is a facet when sigma lies weakly on one side of tau's affine hull
+    and touches it exactly in tau's vertices.  A vertex v of sigma is on
+    the side given by the orientation of (direction from tau's first vertex
+    to v, tau's basis) against sigma's basis, 0 on the hull; tau's own
+    vertices lie on it, so tau is a facet when every other vertex gives the
+    same nonzero sign.  One ``linalg.orientations`` call reads them all.
     """
-    inner = tuple(map(sum, zip(*(points_by_vertex[v] for v in sigma_ids))))
-    facets = []
-    for tau in candidates:
-        tau_pts = [points_by_vertex[v] for v in tau]
-        normal = _orthogonal_residual(
-            _direction(inner, tau_pts[0]), _face_dirs(tau_pts)
-        )
-        if not any(normal):
-            continue
-        values = {
-            v: linalg.dot(normal, _direction(points_by_vertex[v], tau_pts[0]))
-            for v in sigma_ids
-        }
-        if all(val >= 0 for val in values.values()) and set(tau) == {
-            v for v, val in values.items() if val == 0
-        }:
-            facets.append(tau)
-    return facets
+    outside = [[v for v in sigma.vertices if v not in tau.vertices] for tau in candidates]
+    sides = iter(linalg.orientations(sigma.basis, [
+        (_direction(points_by_vertex[v], points_by_vertex[tau.vertices[0]]),) + tau.basis
+        for tau, vs in zip(candidates, outside) for v in vs
+    ]))
+    return [tau.vertices for tau, vs in zip(candidates, outside)
+            if {next(sides) for _ in vs} in ({1}, {-1})]
 
 
 def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
@@ -253,7 +230,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
             basis = _pivot_basis(pts, idx)
         else:
             basis = tuple(tuple(b) for b in basis)
-            _validate_basis(basis, _face_dirs(pts), dim, fid)
+            _validate_basis(basis, [_direction(p, pts[0]) for p in pts[1:]], dim, fid)
         faces[fid] = Face(fid, dim, label, basis)
 
     # closure under vertex-set intersections (faces of a complex intersect
@@ -284,7 +261,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
             members = set(fid)
             inside = [t for t in face_ids if set(t) < members]
             found = _geometric_facets(
-                points, fid, [t for t in inside if faces[t].dim == f.dim - 1]
+                points, f, [faces[t] for t in inside if faces[t].dim == f.dim - 1]
             )
         if len(found) < f.dim + 1:
             raise InputError(f"face {fid}: boundary is not covered by listed faces")
@@ -299,8 +276,9 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
 
 
 def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
-    """Incidence sign of a facet: orientation of (inward normal, facet basis)
-    against the face's orientation."""
+    """Incidence sign of a facet: the orientation of (inward direction,
+    tau's basis) against sigma's basis, read by ``linalg.orientations`` on
+    k coordinates of sigma's basis."""
     sigma = X.face(sigma_id)
     if tau_id not in X.facets(sigma_id):
         raise PreconditionError(f"{tau_id} is not a facet of {sigma_id}")
@@ -313,22 +291,23 @@ def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
     # positive scale.
     outside = next(v for v in sigma.vertices if v not in tau_id)
     eta = _direction(X.vertex_point(outside), X.vertex_point(tau_id[0]))
-    columns = (eta,) + X.face(tau_id).basis
-    sign = linalg.det_sign([[linalg.dot(b, c) for c in columns] for b in sigma.basis])
+    (sign,) = linalg.orientations(sigma.basis, [(eta,) + X.face(tau_id).basis])
     if sign == 0:
         raise PreconditionError(f"degenerate orientation data for {tau_id} in {sigma_id}")
     return sign
 
 
 def sign_same_span(face_a: Face, face_b: Face) -> int:
-    """Orientation comparison of two faces spanning the same subspace."""
+    """Orientation of face_a's basis against face_b's, for two faces
+    spanning the same subspace: the sign of det C where
+    basis_a = C · basis_b, from ``linalg.orientations``."""
     if face_a.dim != face_b.dim:
         raise PreconditionError("orientation comparison needs equal dimensions")
     if face_a.dim <= 0:
         return 1
     if linalg.rank(face_a.basis + face_b.basis) != face_a.dim:
         raise PreconditionError("orientation comparison needs equal spans")
-    sign = linalg.basis_change_det_sign(face_a.basis, face_b.basis)
+    (sign,) = linalg.orientations(face_b.basis, [face_a.basis])
     if sign == 0:
         raise PreconditionError("degenerate orientation basis")
     return sign
@@ -372,9 +351,11 @@ def _triangulate(X: LabeledCellComplex, fid):
 @derived
 def _vertex_barycentrics(X: LabeledCellComplex):
     """Homogeneous barycentric coordinates of every vertex of X against the
-    corner simplex Y: ({vertex: {variable: mu}}, d), with None for a vertex
-    outside aff |Y|, from one solve per vertex with Y's vertices y_j as the
-    columns: sum_j (mu_j / d) y_j is the vertex's homogeneous point.
+    corner simplex Y, and the carrier of every nonempty face whose vertices
+    all have them: ({vertex: {variable: mu}}, d, {face: carrier}), with
+    None for a vertex outside aff |Y|, from one solve per vertex with Y's
+    vertices y_j as the columns: sum_j (mu_j / d) y_j is the vertex's
+    homogeneous point.
 
     d > 0 depends only on Y, and lambda_j = mu_j w_j / (d w), w the vertex's
     weight and w_j the j-th corner's, has the signs and support of mu.  Y's
@@ -385,7 +366,10 @@ def _vertex_barycentrics(X: LabeledCellComplex):
     columns = list(zip(*(Y.vertex_point(y) for y in range(X.n))))
     solved = {v: linalg.solve(columns, X.vertex_point(v)) for v in X.vertices}
     d = next((s[1] for s in solved.values() if s), 1)
-    return {v: s and dict(enumerate(s[0])) for v, s in solved.items()}, d
+    coords = {v: s and dict(enumerate(s[0])) for v, s in solved.items()}
+    carriers = {fid: _carrier(coords, fid) for fid in X.faces
+                if fid and all(coords[v] is not None for v in fid)}
+    return coords, d, carriers
 
 
 def _carrier(coords, fid) -> tuple:
@@ -419,11 +403,12 @@ def _add_ratio(x, y):
 def refinement_failure(X: LabeledCellComplex):
     """Why X does not refine its corner simplex Y, or None if it does.
 
-    Reads the barycentric coordinates of X's vertices once.  For a face f,
-    the union U(f) of its vertices' supports is the smallest face of Y
-    containing f.  X refines Y when every vertex lies in |Y|, each label of
-    f divides the label of U(f), and the faces f with |U(f)| = dim f + 1
-    cover each face of Y with relative volume exactly 1.
+    Reads the barycentric coordinates of X's vertices and the carriers of
+    its faces once.  For a face f, the carrier U(f), the union of its
+    vertices' supports, is the smallest face of Y containing f.  X refines
+    Y when every vertex lies in |Y|, each label of f divides the label of
+    U(f), and the faces f with |U(f)| = dim f + 1 cover each face of Y with
+    relative volume exactly 1.
 
     That volume is the sum, over the k-simplices s triangulating those
     faces, of |det lambda_s|, the rows the barycentric coordinates of the
@@ -433,7 +418,7 @@ def refinement_failure(X: LabeledCellComplex):
     an integer identity after cross-multiplication.
     """
     Y = corner_simplex_complex(X)
-    coords, d = _vertex_barycentrics(X)
+    coords, d, carriers = _vertex_barycentrics(X)
     for v in sorted(X.vertices):
         if coords[v] is None or min(coords[v].values()) < 0:
             return f"vertex {v} lies outside the simplex"
@@ -442,7 +427,7 @@ def refinement_failure(X: LabeledCellComplex):
         f = X.face(fid)
         if f.dim < 0:
             continue
-        span = _carrier(coords, fid)
+        span = carriers[fid]
         if not divides(f.label, Y.face(span).label):
             return f"label of face {fid} does not divide the label of {span}"
         if len(span) == f.dim + 1:
@@ -475,11 +460,11 @@ def carried_faces(X: LabeledCellComplex) -> dict:
     failure = refinement_failure(X)
     if failure is not None:
         raise PreconditionError(f"complex does not refine the corner simplex: {failure}")
-    coords = _vertex_barycentrics(X)[0]
     levels = {}
-    for fid, face in X.faces.items():
+    for fid, carrier in _vertex_barycentrics(X)[2].items():
+        face = X.face(fid)
         support = {i for i, e in enumerate(face.label) if e}
-        levels.setdefault(face.dim, []).append((fid, set(_carrier(coords, fid)), support))
+        levels.setdefault(face.dim, []).append((fid, set(carrier), support))
     carried = {}
     for sid in sorted(corner_simplex_complex(X).faces, key=lambda s: (len(s), s))[1:]:
         members = set(sid)

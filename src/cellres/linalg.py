@@ -4,12 +4,9 @@ Everything in this package that touches geometry goes through these
 helpers; no floating point and no rationals anywhere.  Points are
 homogeneous integer vectors (see ``cellcomplex``), so every matrix here has
 integer entries, and every elimination is the one fraction-free routine
-``_bareiss``.
+``_bareiss``.  Orientations are read on k coordinates where a basis has
+full rank, never through dot products.
 """
-
-
-def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _bareiss(m, full=False):
@@ -58,8 +55,9 @@ def rank(matrix) -> int:
     return len(_bareiss([list(row) for row in matrix])[0])
 
 
-# det_sign calls _det, not det: the benchmark's tracer times every public
-# function, and sign_facet asks for a sign once per facet incidence
+# orientations calls _det, not det: the benchmark's tracer times every
+# public function, and sign_facet asks for an orientation once per facet
+# incidence
 def _det(matrix) -> int:
     m = [list(row) for row in matrix]
     pivots, sign = _bareiss(m)
@@ -73,9 +71,26 @@ def det(matrix) -> int:
     return _det(matrix)
 
 
-def det_sign(matrix) -> int:
-    d = _det(matrix)
-    return (d > 0) - (d < 0)
+def orientations(basis, families) -> list:
+    """Per family of k vectors = C · ``basis``, the sign of det C, or 0 when
+    the vectors are dependent; ``basis`` is k independent integer rows and
+    every vector lies in their span.
+
+    One elimination of ``basis`` picks k pivot coordinates J, where it has
+    full rank, and gives the sign of det(basis_J) as the swap parity times
+    the sign of the last pivot.  A vector of the span is fixed by its J
+    coordinates, so vectors_J = C · basis_J and the sign is that of
+    det(vectors_J) · det(basis_J); no Gram matrix is built.  A dependent
+    ``basis`` gives 0 for every family.
+    """
+    m = [list(row) for row in basis]
+    cols, sign = _bareiss(m)
+    if len(cols) < len(m):
+        return [0] * len(families)
+    if m and m[-1][cols[-1]] < 0:
+        sign = -sign
+    dets = (_det([[v[j] for j in cols] for v in vectors]) for vectors in families)
+    return [sign * ((d > 0) - (d < 0)) for d in dets]
 
 
 def cross_product(vectors, k):
@@ -134,13 +149,3 @@ def affine_basis_indices(points) -> list[int]:
     if not points:
         return []
     return _bareiss([list(r) for r in zip(*points)])[0]
-
-
-def basis_change_det_sign(basis_from, basis_to) -> int:
-    """Sign of det C where columns(basis_from) = columns(basis_to) @ C.
-
-    Both bases must span the same subspace; uses the Gram trick
-    det(B^T A) = det(B^T B) det(C) with det(B^T B) > 0.
-    """
-    g = [[dot(b, a) for a in basis_from] for b in basis_to]
-    return det_sign(g)

@@ -15,7 +15,8 @@ too: the lcm of every generator subset for the Scarf faces instead of a
 depth-first search, candidate normals on every coordinate subset instead
 of the n coordinate facets in closed form, a Gram-Schmidt pass and a scan
 over the faces one dimension lower for the dimension, orientation basis
-and facets of a face, barycenter differences for incidence signs, and for
+and facets of a face, Gram matrices of dot products for orientations and
+barycenter differences for incidence signs, and for
 exactness a subcomplex rebuilt at every lcm-lattice degree with its own
 boundary matrices instead of the free complex's signs restricted to the
 faces under the degree, for the intersection rule of a complex every pair
@@ -713,11 +714,37 @@ def all_pairs_intersection_failure(vertex_ids, face_sets):
     return None
 
 
+def gram_orientation(basis, vectors):
+    """The sign of det C for vectors = C . basis, k vectors in the span of
+    k independent rows, by the Gram rule ``sign_facet`` and
+    ``sign_same_span`` had: det(basis . vectors^T) = det(basis . basis^T)
+    det C^T, and the Gram determinant det(basis . basis^T) is positive."""
+    det = fraction_det([[_dot(b, v) for v in vectors] for b in basis])
+    return (det > 0) - (det < 0)
+
+
+def gram_sign_facet(X, tau_id, sigma_id):
+    """Incidence sign of the facet tau of sigma by the Gram rule, with the
+    inward direction from tau's first vertex to sigma's first vertex
+    outside tau (the rule ``sign_facet`` had)."""
+    sigma = X.face(sigma_id)
+    if sigma.dim == 0:
+        return 1
+    outside = next(v for v in sigma.vertices if v not in tau_id)
+    eta = [x - y for x, y in zip(_point(X, outside), _point(X, tau_id[0]))]
+    return gram_orientation(sigma.basis, [eta] + list(X.face(tau_id).basis))
+
+
+def gram_sign_same_span(face_a, face_b):
+    """Orientation of face_a's basis against face_b's by the Gram rule (the
+    rule ``sign_same_span`` had); both faces span one subspace."""
+    return gram_orientation(face_b.basis, face_a.basis) if face_a.dim > 0 else 1
+
+
 def barycenter_sign_facet(X, tau_id, sigma_id):
     """Incidence sign of the facet tau of sigma with the inward direction
-    from tau's barycenter to sigma's (the rule ``sign_facet`` had): the
-    sign of det of the Gram matrix of sigma's basis against (inward
-    direction, tau's basis)."""
+    from tau's barycenter to sigma's (the rule ``sign_facet`` had before
+    that direction started at tau's first vertex), by the Gram rule."""
     sigma = X.face(sigma_id)
     if sigma.dim == 0:
         return 1
@@ -727,9 +754,7 @@ def barycenter_sign_facet(X, tau_id, sigma_id):
         return [Fraction(sum(c), len(pts)) for c in zip(*pts)]
 
     eta = [x - y for x, y in zip(barycenter(sigma_id), barycenter(tau_id))]
-    columns = [eta] + list(X.face(tau_id).basis)
-    det = fraction_det([[_dot(b, c) for c in columns] for b in sigma.basis])
-    return (det > 0) - (det < 0)
+    return gram_orientation(sigma.basis, [eta] + list(X.face(tau_id).basis))
 
 
 def subcomplex_leq(X, beta):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -8,6 +9,7 @@ from cellres import (
     InputError,
     PreconditionError,
     carried_faces,
+    cellcomplex,
     complex_from_json,
     complex_to_json,
     corner_simplex_complex,
@@ -27,7 +29,9 @@ from cellres import (
     vertex_ideal,
 )
 from cellres.cellcomplex import (
+    Face,
     _geometric_facets,
+    _pivot_basis,
     _vertex_barycentrics,
 )
 from conftest import (
@@ -44,11 +48,14 @@ from conftest import (
 )
 from oracles import (
     _face_points,
+    _is_geometric_facet,
     affine,
     all_pairs_intersection_failure,
     barycenter_sign_facet,
     cofaces,
     face_volume_rel,
+    gram_sign_facet,
+    gram_sign_same_span,
     pairwise_contained_faces,
     pairwise_is_refinement,
     point_in_simplex,
@@ -122,10 +129,19 @@ def test_sign_same_span_subtriangle_det_oracle():
 
 def test_sign_same_span_errors():
     X = triangle_complex()
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="orientation comparison needs equal dimensions"):
         sign_same_span(X.face((0, 1)), X.face((0, 1, 2)))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="orientation comparison needs equal spans"):
         sign_same_span(X.face((0, 1)), X.face((1, 2)))
+
+
+def test_sign_facet_refuses_a_zero_orientation(monkeypatch):
+    X = triangle_complex()
+    monkeypatch.setattr(linalg, "orientations", lambda basis, families: [0] * len(families))
+    with pytest.raises(PreconditionError) as exc:
+        sign_facet(X, (1, 2), (0, 1, 2))
+    assert str(exc.value) == "degenerate orientation data for (1, 2) in (0, 1, 2)"
 
 
 def test_signs_invariant_under_positive_basis_change():
@@ -547,8 +563,8 @@ def _assert_facets_are_geometric(X):
     for fid, face in X.faces.items():
         if face.dim <= 0:
             continue
-        candidates = [t for t in X.faces_of_dim(face.dim - 1) if set(t) < set(fid)]
-        assert X.facets(fid) == tuple(sorted(_geometric_facets(points, fid, candidates)))
+        candidates = [X.face(t) for t in X.faces_of_dim(face.dim - 1) if set(t) < set(fid)]
+        assert X.facets(fid) == tuple(sorted(_geometric_facets(points, face, candidates)))
 
 
 def _assert_all_complexes_geometric(M):
@@ -596,22 +612,66 @@ def test_listed_diagonal_inside_a_face_is_rejected():
         make_complex(2, points, labels, square + [(0, 2)])
 
 
+# the unit cube with its squares and edges; vertex v is at the bits of v
+CUBE = (
+    3,
+    homogeneous_points({v: (v & 1, v >> 1 & 1, v >> 2) for v in range(8)}),
+    dict.fromkeys(range(8), (1, 1, 1)),
+    [tuple(range(8))]
+    + [tuple(v for v in range(8) if v >> bit & 1 == side)
+       for bit in range(3) for side in (0, 1)]
+    + [(v, v | 1 << bit) for v in range(8) for bit in range(3) if not v >> bit & 1],
+)
+
+
 def test_listed_space_diagonal_of_a_cube_is_rejected():
     # the space diagonal lies in the cube and in none of its squares
-    points = homogeneous_points(
-        {v: (v & 1, v >> 1 & 1, v >> 2) for v in range(8)}
-    )
-    labels = {v: (1, 1, 1) for v in range(8)}
-    squares = [
-        tuple(v for v in range(8) if v >> bit & 1 == side)
-        for bit in range(3) for side in (0, 1)
-    ]
-    edges = [(v, v | 1 << bit) for v in range(8) for bit in range(3) if not v >> bit & 1]
-    cube = [tuple(range(8))] + squares + edges
-    X = make_complex(3, points, labels, cube)
+    _, points, labels, cube = CUBE
+    X = make_complex(*CUBE)
     assert len(X.facets(tuple(range(8)))) == 6
     with pytest.raises(InputError, match=r"face \(0, 7\) lies in face \(0, 1, 2, 3, 4, 5, 6, 7\)"):
         make_complex(3, points, labels, cube + [(0, 7)])
+
+
+def _non_simplex_inputs():
+    """make_complex inputs with faces that are not simplices: the hulls and
+    embedded hulls of m^2 and m^3 in 4 variables, the minimal complex of
+    Example 6.1 as its file loads, each of the two squares alone and the
+    cube."""
+    from conftest import minimal_ex61_json
+
+    inputs = [_complex_data(build(maximal_ideal_power(4, d)))
+              for d in (2, 3) for build in (hull_complex, embedded_hull)]
+    inputs.append(_complex_data(complex_from_json(
+        minimal_ex61_json(embedded_hull(minimize(EX61_GENERATORS))))))
+    n, points, labels, faces = TWO_SQUARES
+    for square in faces[0], faces[5]:
+        inputs.append((n, points, labels, [f for f in faces if len(f) == 2 or f == square]))
+    return inputs + [CUBE]
+
+
+def test_facets_match_the_geometric_oracle_on_non_simplices():
+    # every vertex set of a non-simplex one dimension lower is a candidate,
+    # listed or not, so the test also meets diagonals and inner planes
+    for inputs in _non_simplex_inputs():
+        X = make_complex(*inputs)
+        points = inputs[1]
+        rational = {v: affine(p) for v, p in points.items()}
+        non_simplices = [f for f in X.faces.values() if len(f.vertices) > f.dim + 1]
+        assert non_simplices
+        for sigma in non_simplices:
+            candidates = []
+            for size in range(sigma.dim, len(sigma.vertices)):
+                for vs in combinations(sigma.vertices, size):
+                    pts = [points[v] for v in vs]
+                    idx = linalg.affine_basis_indices(pts)
+                    tau = X.faces.get(vs) or Face(vs, len(idx) - 1, None, _pivot_basis(pts, idx))
+                    if tau.dim == sigma.dim - 1:
+                        candidates.append(tau)
+            expected = [tau.vertices for tau in candidates
+                        if _is_geometric_facet(rational, sigma.vertices, tau.vertices)]
+            assert _geometric_facets(points, sigma, candidates) == expected
+            assert X.facets(sigma.vertices) == tuple(sorted(t for t in expected if t in X.faces))
 
 
 def _bumped(X, vid, var):
@@ -802,6 +862,15 @@ def test_barycentric_coordinates_solved_once_per_vertex(M):
         assert solve.call_count == len(X.vertices)
 
 
+def test_each_carrier_is_worked_out_once():
+    # the refinement check and the containment pass read one carrier per
+    # nonempty face, 19 on the embedded hull of Example 6.1
+    X = embedded_hull(minimize(EX61_GENERATORS))
+    with mock.patch.object(cellcomplex, "_carrier", side_effect=cellcomplex._carrier) as carrier:
+        residue_current(X)
+    assert carrier.call_count == len(X.faces) - 1 == 19
+
+
 def _assert_face_data_matches_scan(X, tops_may_flip=False):
     """Dimensions, orientation bases and facets agree with the rule
     make_complex had, each basis vector up to a positive scale; tops that
@@ -828,11 +897,38 @@ def _positive_multiple(b, e):
     return c > 0 and all(x == c * y for x, y in zip(b, e))
 
 
-def _assert_signs_match_barycenter_rule(X):
-    for sigma, face in X.faces.items():
-        if face.dim >= 1:
-            for tau in X.facets(sigma):
-                assert sign_facet(X, tau, sigma) == barycenter_sign_facet(X, tau, sigma)
+def _sheared(X, factor):
+    """X rebuilt with each face's basis (b_1, ..., b_k) given as the user
+    basis (factor b_1 + b_2, b_2, ..., b_k), or (factor b_1,) for an edge:
+    its orientation times the sign of factor."""
+    def shear(basis):
+        second = basis[1] if len(basis) > 1 else (0,) * len(basis[0])
+        return (tuple(factor * x + y for x, y in zip(basis[0], second)),) + basis[1:]
+
+    n, points, labels, faces = _complex_data(X)
+    return make_complex(n, points, labels, faces, bases={
+        fid: shear(face.basis) for fid, face in X.faces.items() if face.dim >= 1})
+
+
+def _assert_signs_match_retired_rules(X):
+    """sign_facet against the Gram and barycenter rules on every incidence
+    of X and of its copies sheared by 2 and by -3; sign_same_span against
+    the Gram rule on each face of those three against its own copies, and
+    on every two top faces of X that span one subspace."""
+    copies = [X, _sheared(X, 2), _sheared(X, -3)]
+    for Z in copies:
+        for sigma, face in Z.faces.items():
+            if face.dim >= 1:
+                for tau in Z.facets(sigma):
+                    assert (sign_facet(Z, tau, sigma) == gram_sign_facet(Z, tau, sigma)
+                            == barycenter_sign_facet(Z, tau, sigma))
+    for fid in X.faces:
+        for a, b in product((Z.face(fid) for Z in copies), repeat=2):
+            assert sign_same_span(a, b) == gram_sign_same_span(a, b)
+    tops = [X.face(fid) for fid in X.faces_of_dim(X.dim)]
+    for a, b in product(tops, repeat=2):
+        if linalg.rank(a.basis + b.basis) == a.dim:
+            assert sign_same_span(a, b) == gram_sign_same_span(a, b)
 
 
 def _assert_retired_rules_hold(M):
@@ -845,8 +941,8 @@ def _assert_retired_rules_hold(M):
         found.append((taylor_complex(M), False))
     for Y, tops_may_flip in found:
         _assert_face_data_matches_scan(Y, tops_may_flip)
-        _assert_signs_match_barycenter_rule(Y)
-    _assert_signs_match_barycenter_rule(reoriented(X, set(sorted(X.faces)[::2])))
+        _assert_signs_match_retired_rules(Y)
+    _assert_signs_match_retired_rules(reoriented(X, set(sorted(X.faces)[::2])))
 
 
 @settings(max_examples=25)
@@ -860,7 +956,7 @@ def test_face_data_and_signs_match_retired_rules_on_fixed_complexes(
     loaded = complex_from_json(ex61_minimal_fixture)
     assert (0, 1, 2, 4) in loaded.faces
     _assert_face_data_matches_scan(loaded, tops_may_flip=True)
-    _assert_signs_match_barycenter_rule(loaded)
+    _assert_signs_match_retired_rules(loaded)
     for M in (ex61_ideal, maximal_ideal_power(3, 4), maximal_ideal_power(4, 2)):
         _assert_retired_rules_hold(M)
 

@@ -37,7 +37,8 @@ STAIRCASE = {"n": 2, "generators": [[4, 0], [3, 1], [1, 2], [0, 4]]}
 def _cases():
     cases = [([sub], EX61) for sub in SUBCOMMANDS]
     for source in ("scarf", "taylor", "file:@minimal"):
-        for sub in ("residue", "compare", "check-exact", "fundamental-cycle"):
+        for sub in ("residue", "compare", "check-exact", "fundamental-cycle",
+                    "resolve", "check-minimal"):
             cases.append(([sub, "--complex", source], EX61))
     cases.append((["fundamental-cycle"], M2_IN_4))
     cases += [(["partition", "--order", order], STAIRCASE) for order in ("P", "Q")]

@@ -20,6 +20,7 @@ from oracles import (
     fraction_det,
     fraction_rank,
     fraction_solve,
+    gram_orientation,
 )
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 5]))
@@ -122,7 +123,9 @@ def test_det_and_sign_match_fraction_elimination(a):
     expected = fraction_det(a)
     m, scale = integer_rows(a)
     assert Fraction(linalg.det(m), scale) == expected
-    assert linalg.det_sign(m) == (expected > 0) - (expected < 0)
+    # against the identity basis, the rows of m are their own coefficients
+    identity = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+    assert linalg.orientations(identity, [m]) == [(expected > 0) - (expected < 0)]
 
 
 @settings(max_examples=300)
@@ -143,8 +146,55 @@ def test_affine_basis_matches_gram_schmidt(points):
     assert chosen == affine_basis_by_gram_schmidt(points)
 
 
+INTS = st.integers(-5, 5)
+
+
+@st.composite
+def spans(draw):
+    """(basis, families): k independent integer rows in Z^d, k <= d, with
+    or without a common factor of 10^15, and families of k integer
+    combinations C . basis, some of them with a dependent C."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, d))
+    scale = draw(st.sampled_from([1, 1, 10**15]))
+    basis = draw(st.lists(st.lists(INTS.map(lambda x: scale * x), min_size=d, max_size=d),
+                          min_size=k, max_size=k)
+                 .filter(lambda rows: fraction_rank(rows) == k))
+    families = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(matrices(nrows=k, ncols=k).map(
+            lambda m: [[int(x) for x in row] for row in m]))
+        families.append([[sum(c * b[j] for c, b in zip(row, basis)) for j in range(d)]
+                         for row in coeffs])
+    return basis, families
+
+
+@settings(max_examples=300)
+@given(spans())
+def test_orientations_match_gram_rule(drawn):
+    basis, families = drawn
+    assert linalg.orientations(basis, families) == [
+        gram_orientation(basis, vectors) for vectors in families
+    ]
+
+
+def test_orientations_of_dependent_vectors_are_zero():
+    basis = [[1, 2, 0, 3], [0, 1, 1, -1], [2, 0, 5, 1]]
+    twice = [2 * x for x in basis[0]]
+    summed = [x + y for x, y in zip(basis[0], basis[1])]
+    assert linalg.orientations(basis, [
+        [basis[0], twice, basis[2]],        # two parallel rows
+        [basis[0], basis[1], summed],       # a sum of two rows
+        [basis[0], [0, 0, 0, 0], basis[2]],  # a zero row
+        basis,
+        [basis[1], basis[0], basis[2]],
+    ]) == [0, 0, 0, 1, -1]
+    # a dependent basis orients nothing
+    assert linalg.orientations([basis[0], twice], [basis[:2]]) == [0]
+
+
 def test_kernel_small_cases():
-    assert linalg.det([]) == 1 and linalg.det_sign([]) == 1
+    assert linalg.det([]) == 1 and linalg.orientations([], [[], []]) == [1, 1]
     assert linalg.det([[0, 1], [1, 0]]) == -1
     m, scale = integer_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
     assert Fraction(linalg.det(m), scale) == Fraction(1, 3)

@@ -11,3 +11,27 @@ def test_differences_names_changed_and_missing_jobs():
     # b changes its exit code, e its stdout, and c and d are each on one side
     assert same_outputs.differences(base, head) == ["b", "c", "d", "e"]
     assert same_outputs.differences(base, dict(base)) == []
+
+
+def test_resolve_compare_and_check_minimal_run_also_on_scarf_and_taylor():
+    def job(i, command, *complex_file):
+        argv = [command, "--input", "ideal.json"]
+        if complex_file:
+            argv += ["--complex", "file:" + complex_file[0]]
+        return {"id": f"{i:02d} {command} ideal", "command": command, "argv": argv}
+
+    manifest = {
+        "jobs": [job(0, "compare"), job(1, "residue"), job(2, "resolve", "x.json"),
+                 job(3, "check-minimal")],
+        "setup": job(4, "generators"),
+    }
+    argvs = same_outputs.job_argvs(manifest)
+    assert list(argvs) == [
+        "00 compare ideal", "00 compare ideal --complex scarf",
+        "00 compare ideal --complex taylor", "01 residue ideal", "02 resolve ideal",
+        "03 check-minimal ideal", "03 check-minimal ideal --complex scarf",
+        "03 check-minimal ideal --complex taylor", "04 generators ideal",
+    ]
+    assert argvs["03 check-minimal ideal --complex taylor"] == [
+        "check-minimal", "--input", "ideal.json", "--complex", "taylor"]
+    assert argvs["02 resolve ideal"] == manifest["jobs"][2]["argv"]

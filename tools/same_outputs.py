@@ -9,6 +9,9 @@ workload of BENCHMARK.json are written at each seed by ``write_jobs`` of this
 checkout's ``benchmark/jobs.py``, and every job, the setup job included,
 runs as one ``python -m cellres.cli`` process under
 ``PYTHONDONTWRITEBYTECODE=1`` against the ``src/`` of each revision in turn.
+Each ``resolve``, ``compare`` or ``check-minimal`` job that passes no
+``--complex`` runs also with ``--complex scarf`` and with ``--complex
+taylor``, so that the incidence signs of those complexes are compared too.
 The tool prints the number of jobs compared and exits 1, naming each job
 whose stdout or exit code differs between the two, or 0 when none does.
 """
@@ -36,18 +39,35 @@ def differences(base: dict, head: dict) -> list:
                   if base.get(job) != head.get(job))
 
 
+VARIANT_COMMANDS = ("resolve", "compare", "check-minimal")
+
+
+def job_argvs(manifest: dict) -> dict:
+    """{job id: argv} of every job of a manifest, the setup job included,
+    and of each job of ``VARIANT_COMMANDS`` without ``--complex`` run also
+    on the Scarf and the Taylor complex, under its id with the option
+    appended."""
+    argvs = {}
+    for job in manifest["jobs"] + [manifest["setup"]]:
+        argvs[job["id"]] = job["argv"]
+        if job["command"] in VARIANT_COMMANDS and "--complex" not in job["argv"]:
+            for source in ("scarf", "taylor"):
+                argvs[f"{job['id']} --complex {source}"] = job["argv"] + ["--complex", source]
+    return argvs
+
+
 def write_all(root: Path, workloads, seeds) -> dict:
     """{job id: argv} for every job of every workload at every seed, with
-    the job files written under ``root``."""
+    the variants of ``job_argvs``, and the job files written under
+    ``root``."""
     sys.path.insert(0, str(REPO / "benchmark"))
     from jobs import write_jobs
 
     argvs = {}
     for workload in workloads:
         for seed in seeds:
-            manifest = write_jobs(root, workload, seed)
-            for job in manifest["jobs"] + [manifest["setup"]]:
-                argvs[f"{workload} seed {seed}: {job['id']}"] = job["argv"]
+            for job, argv in job_argvs(write_jobs(root, workload, seed)).items():
+                argvs[f"{workload} seed {seed}: {job}"] = argv
     return argvs
 
 
