@@ -20,8 +20,8 @@ _EXPORTS = {
     ),
     "cellcomplex": (
         "Face", "LabeledCellComplex", "carried_faces", "complex_from_json",
-        "complex_to_json", "corner_simplex_complex", "homogeneous", "make_complex",
-        "refinement_failure", "reoriented", "sign_facet", "sign_same_span",
+        "complex_to_json", "corner_simplex_complex", "facet_signs", "homogeneous",
+        "make_complex", "refinement_failure", "reoriented", "same_span_signs",
         "vertex_ideal",
     ),
     "hull": (

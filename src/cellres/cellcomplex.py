@@ -147,9 +147,9 @@ def _validate_basis(basis, dirs, dim, fid):
         raise InputError(f"face {fid}: basis vector outside the face's span")
 
 
-def _geometric_facets(points_by_vertex, sigma: Face, candidates) -> list:
-    """The vertex tuples of the candidate faces that are facets of sigma, by
-    exact orientation tests.
+def _facet_sides(points_by_vertex, sigma: Face, candidates) -> list:
+    """Per candidate face tau, the side of tau's affine hull on which sigma
+    lies: +1 or -1 when tau is a facet of sigma, 0 when it is not.
 
     ``candidates`` are faces inside sigma, one dimension lower; a candidate
     tau is a facet when sigma lies weakly on one side of tau's affine hull
@@ -157,15 +157,16 @@ def _geometric_facets(points_by_vertex, sigma: Face, candidates) -> list:
     the side given by the orientation of (direction from tau's first vertex
     to v, tau's basis) against sigma's basis, 0 on the hull; tau's own
     vertices lie on it, so tau is a facet when every other vertex gives the
-    same nonzero sign.  One ``linalg.orientations`` call reads them all.
+    same nonzero sign, and that sign is the incidence sign of tau in sigma.
+    One ``linalg.orientations`` call reads them all.
     """
     outside = [[v for v in sigma.vertices if v not in tau.vertices] for tau in candidates]
-    sides = iter(linalg.orientations(sigma.basis, [
+    signs = iter(linalg.orientations(sigma.basis, [
         (_direction(points_by_vertex[v], points_by_vertex[tau.vertices[0]]),) + tau.basis
         for tau, vs in zip(candidates, outside) for v in vs
     ]))
-    return [tau.vertices for tau, vs in zip(candidates, outside)
-            if {next(sides) for _ in vs} in ({1}, {-1})]
+    sides = [{next(signs) for _ in vs} for vs in outside]
+    return [side.pop() if side in ({1}, {-1}) else 0 for side in sides]
 
 
 def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
@@ -177,7 +178,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
     Singleton faces and the empty face are added automatically.  A face's
     facets are its listed faces of one dimension less: all of them for a
     simplex, where each is the simplex minus one vertex, and otherwise those
-    passing ``_geometric_facets``; they must cover the boundary, and every
+    with a nonzero side (``_facet_sides``); they must cover the boundary, and every
     listed face inside a face must be one of its faces.  With
     ``simplicial`` every face must be a non-degenerate simplex.  One
     elimination per face gives its dimension and its default orientation
@@ -260,9 +261,9 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
         else:
             members = set(fid)
             inside = [t for t in face_ids if set(t) < members]
-            found = _geometric_facets(
-                points, f, [faces[t] for t in inside if faces[t].dim == f.dim - 1]
-            )
+            candidates = [faces[t] for t in inside if faces[t].dim == f.dim - 1]
+            found = [tau.vertices for tau, side in
+                     zip(candidates, _facet_sides(points, f, candidates)) if side]
         if len(found) < f.dim + 1:
             raise InputError(f"face {fid}: boundary is not covered by listed faces")
         # a face inside a facet tau is checked against tau's facets in turn
@@ -275,42 +276,34 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
     return LabeledCellComplex(n, vertices, faces, facet_ids)
 
 
-def sign_facet(X: LabeledCellComplex, tau_id, sigma_id) -> int:
-    """Incidence sign of a facet: the orientation of (inward direction,
-    tau's basis) against sigma's basis, read by ``linalg.orientations`` on
-    k coordinates of sigma's basis."""
-    sigma = X.face(sigma_id)
-    if tau_id not in X.facets(sigma_id):
-        raise PreconditionError(f"{tau_id} is not a facet of {sigma_id}")
-    if sigma.dim == 0:
-        return 1
-    # The inward direction is from tau's first vertex to the first vertex of
-    # sigma outside tau, which lies strictly on sigma's side of tau.  It
-    # need not be projected off tau's span: adding a combination of tau's
-    # basis to it leaves the determinant unchanged, and neither does a
-    # positive scale.
-    outside = next(v for v in sigma.vertices if v not in tau_id)
-    eta = _direction(X.vertex_point(outside), X.vertex_point(tau_id[0]))
-    (sign,) = linalg.orientations(sigma.basis, [(eta,) + X.face(tau_id).basis])
-    if sign == 0:
-        raise PreconditionError(f"degenerate orientation data for {tau_id} in {sigma_id}")
-    return sign
+def facet_signs(X: LabeledCellComplex, sigma_id) -> dict:
+    """{facet tau of sigma: incidence sign}, in ``X.facets(sigma_id)`` order:
+    the side of tau's hull on which sigma lies, from one ``_facet_sides`` call."""
+    sigma, facets = X.face(sigma_id), X.facets(sigma_id)
+    if sigma.dim <= 0:
+        return dict.fromkeys(facets, 1)
+    points = {v: X.vertex_point(v) for v in sigma_id}
+    sides = _facet_sides(points, sigma, [X.face(tau) for tau in facets])
+    for tau, side in zip(facets, sides):
+        if side == 0:
+            raise PreconditionError(f"degenerate orientation data for {tau} in {sigma_id}")
+    return dict(zip(facets, sides))
 
 
-def sign_same_span(face_a: Face, face_b: Face) -> int:
-    """Orientation of face_a's basis against face_b's, for two faces
-    spanning the same subspace: the sign of det C where
-    basis_a = C · basis_b, from ``linalg.orientations``."""
-    if face_a.dim != face_b.dim:
+def same_span_signs(reference: Face, faces) -> list:
+    """Orientation of each face's basis against the reference's, for faces
+    spanning the reference's subspace: the sign of det C where
+    basis = C · reference basis, all from one ``linalg.orientations``
+    call; a vertex has the empty basis, and sign 1."""
+    if any(face.dim != reference.dim for face in faces):
         raise PreconditionError("orientation comparison needs equal dimensions")
-    if face_a.dim <= 0:
-        return 1
-    if linalg.rank(face_a.basis + face_b.basis) != face_a.dim:
+    rows = [*reference.basis, *(v for face in faces for v in face.basis)]
+    if linalg.rank(rows) != len(reference.basis):
         raise PreconditionError("orientation comparison needs equal spans")
-    (sign,) = linalg.orientations(face_b.basis, [face_a.basis])
-    if sign == 0:
+    signs = linalg.orientations(reference.basis, [face.basis for face in faces])
+    if 0 in signs:
         raise PreconditionError("degenerate orientation basis")
-    return sign
+    return signs
 
 
 def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
@@ -508,11 +501,9 @@ def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
 
 def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex:
     """Flip top-dimensional faces so each agrees with the reference orientation."""
-    flips = {
-        fid
-        for fid in X.faces_of_dim(X.dim)
-        if sign_same_span(X.face(fid), reference) < 0
-    }
+    tops = X.faces_of_dim(X.dim)
+    signs = same_span_signs(reference, [X.face(fid) for fid in tops])
+    flips = {fid for fid, sign in zip(tops, signs) if sign < 0}
     return reoriented(X, flips) if flips else X
 
 
@@ -565,6 +556,13 @@ def _json_rational(x):
     if isinstance(x, str):
         from fractions import Fraction
         try:
+            # Fraction("1e10000000") computes 10**10000000: the mantissa's
+            # digits and the exponent bound the digits of the exact value,
+            # refused past the int-string limit that caps JSON integers too
+            mantissa, _, exponent = x.lower().partition("e")
+            size = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
+            if 0 < (limit := sys.get_int_max_str_digits()) < size:
+                raise InputError(f"coordinate {x!r} needs more than {limit} digits")
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass

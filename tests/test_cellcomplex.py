@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -22,15 +22,15 @@ from cellres import (
     refinement_failure,
     residue_current,
     reoriented,
+    facet_signs,
+    same_span_signs,
     scarf_complex,
-    sign_facet,
-    sign_same_span,
     taylor_complex,
     vertex_ideal,
 )
 from cellres.cellcomplex import (
     Face,
-    _geometric_facets,
+    _facet_sides,
     _pivot_basis,
     _vertex_barycentrics,
 )
@@ -77,29 +77,25 @@ def triangle_complex(bases=None):
 
 def test_simplex_facet_signs_match_vertex_removal():
     X = triangle_complex()
-    top = (0, 1, 2)
-    assert sign_facet(X, (1, 2), top) == 1   # removing the first vertex
-    assert sign_facet(X, (0, 2), top) == -1  # removing the second
-    assert sign_facet(X, (0, 1), top) == 1
+    assert facet_signs(X, (0, 1, 2)) == {
+        (0, 1): 1,
+        (0, 2): -1,  # removing the second vertex
+        (1, 2): 1,   # removing the first
+    }
+    assert list(facet_signs(X, (0, 1, 2))) == list(X.facets((0, 1, 2)))
 
 
 def test_edge_facet_signs():
     X = triangle_complex()
-    assert sign_facet(X, (1,), (0, 1)) == 1
-    assert sign_facet(X, (0,), (0, 1)) == -1
-    assert sign_facet(X, (), (0,)) == 1
-
-
-def test_sign_facet_requires_facet():
-    X = triangle_complex()
-    with pytest.raises(PreconditionError):
-        sign_facet(X, (0,), (0, 1, 2))
+    assert facet_signs(X, (0, 1)) == {(0,): -1, (1,): 1}
+    assert facet_signs(X, (0,)) == {(): 1}
+    assert facet_signs(X, ()) == {}
 
 
 def test_sign_same_span():
     X = triangle_complex()
     top = X.face((0, 1, 2))
-    assert sign_same_span(top, top) == 1
+    assert same_span_signs(top, [top]) == [1]
     swapped = make_complex(
         3,
         homogeneous_points({0: (0, 0), 1: (1, 0), 2: (0, 1)}),
@@ -107,8 +103,9 @@ def test_sign_same_span():
         [(0, 1, 2), (0, 1), (0, 2), (1, 2)],
         bases={(0, 1, 2): [top.basis[1], top.basis[0]]},
     )
-    assert sign_same_span(swapped.face((0, 1, 2)), top) == -1
-    assert sign_same_span(X.face((0,)), X.face((1,))) == 1
+    assert same_span_signs(top, [swapped.face((0, 1, 2)), top]) == [-1, 1]
+    assert same_span_signs(X.face((1,)), [X.face((0,)), X.face((2,))]) == [1, 1]
+    assert same_span_signs(top, []) == []
 
 
 def test_sign_same_span_subtriangle_det_oracle():
@@ -124,24 +121,33 @@ def test_sign_same_span_subtriangle_det_oracle():
     b = outer.face((0, 1, 2))
     det = lambda u, v: u[0] * v[1] - u[1] * v[0]
     expected = 1 if det(*a.basis) * det(*b.basis) > 0 else -1
-    assert sign_same_span(a, b) == expected
+    assert same_span_signs(b, [a]) == [expected]
 
 
 def test_sign_same_span_errors():
     X = triangle_complex()
     with pytest.raises(PreconditionError,
                        match="orientation comparison needs equal dimensions"):
-        sign_same_span(X.face((0, 1)), X.face((0, 1, 2)))
+        same_span_signs(X.face((0, 1, 2)), [X.face((0, 1))])
     with pytest.raises(PreconditionError, match="orientation comparison needs equal spans"):
-        sign_same_span(X.face((0, 1)), X.face((1, 2)))
+        same_span_signs(X.face((1, 2)), [X.face((0, 1))])
+    # one refusal for the whole list: a later face's dimension is checked
+    # before an earlier face's span, and any face's span before the bases
+    with pytest.raises(PreconditionError, match="needs equal dimensions"):
+        same_span_signs(X.face((1, 2)), [X.face((0, 1)), X.face((0, 1, 2))])
+    with pytest.raises(PreconditionError, match="needs equal spans"):
+        same_span_signs(X.face((1, 2)), [X.face((1, 2)), X.face((0, 1))])
+    degenerate = Face((0, 1), 1, None, ((0, 0),))
+    with pytest.raises(PreconditionError, match="degenerate orientation basis"):
+        same_span_signs(X.face((1, 2)), [X.face((1, 2)), degenerate])
 
 
 def test_sign_facet_refuses_a_zero_orientation(monkeypatch):
     X = triangle_complex()
     monkeypatch.setattr(linalg, "orientations", lambda basis, families: [0] * len(families))
     with pytest.raises(PreconditionError) as exc:
-        sign_facet(X, (1, 2), (0, 1, 2))
-    assert str(exc.value) == "degenerate orientation data for (1, 2) in (0, 1, 2)"
+        facet_signs(X, (0, 1, 2))
+    assert str(exc.value) == "degenerate orientation data for (0, 1) in (0, 1, 2)"
 
 
 def test_signs_invariant_under_positive_basis_change():
@@ -151,16 +157,15 @@ def test_signs_invariant_under_positive_basis_change():
     sheared = triangle_complex(bases={
         (0, 1, 2): [tuple(2 * x + y for x, y in zip(b1, b2)), b2],
     })
-    for tau in X.facets((0, 1, 2)):
-        assert sign_facet(sheared, tau, (0, 1, 2)) == sign_facet(X, tau, (0, 1, 2))
-    assert sign_same_span(sheared.face((0, 1, 2)), top) == 1
+    assert facet_signs(sheared, (0, 1, 2)) == facet_signs(X, (0, 1, 2))
+    assert same_span_signs(top, [sheared.face((0, 1, 2))]) == [1]
 
 
 def test_reorientation_flips_signs():
     X = triangle_complex()
     flipped = reoriented(X, {(0, 1, 2)})
-    for tau in X.facets((0, 1, 2)):
-        assert sign_facet(flipped, tau, (0, 1, 2)) == -sign_facet(X, tau, (0, 1, 2))
+    signs = facet_signs(X, (0, 1, 2))
+    assert facet_signs(flipped, (0, 1, 2)) == {tau: -s for tau, s in signs.items()}
 
 
 def _delta(ex61_embedded):
@@ -282,12 +287,12 @@ def test_refinement_sign_identity(ex61_embedded):
                             for v in tprime
                         ):
                             continue
-                        lhs = sign_same_span(X.face(sprime), Y.face(sid)) * sign_facet(
-                            X, tprime, sprime
+                        lhs = same_span_signs(Y.face(sid), [X.face(sprime)])[0] * (
+                            facet_signs(X, sprime)[tprime]
                         )
-                        rhs = sign_facet(Y, tau, sid) * sign_same_span(
-                            X.face(tprime), Y.face(tau)
-                        )
+                        rhs = facet_signs(Y, sid)[tau] * same_span_signs(
+                            Y.face(tau), [X.face(tprime)]
+                        )[0]
                         assert lhs == rhs
                         checked += 1
     assert checked > 0
@@ -313,9 +318,8 @@ def test_interior_facet_cancellation(ex61_embedded):
                 if len(cof) != 2:
                     continue
                 s1, s2 = cof
-                total = sign_same_span(X.face(s1), Y.face(sid)) * sign_facet(
-                    X, tau, s1
-                ) + sign_same_span(X.face(s2), Y.face(sid)) * sign_facet(X, tau, s2)
+                c1, c2 = same_span_signs(Y.face(sid), [X.face(s1), X.face(s2)])
+                total = c1 * facet_signs(X, s1)[tau] + c2 * facet_signs(X, s2)[tau]
                 assert total == 0
                 checked += 1
     assert checked > 0
@@ -408,10 +412,10 @@ def test_json_loader_honors_explicit_bases(ex61_embedded):
             f["orientation_basis"] = [[str(-c) for c in basis[0]]]
         del f["label"], f["dim"]
     loaded = complex_from_json(obj)
-    assert sign_same_span(loaded.face((1, 4)), ex61_embedded.face((1, 4))) == -1
+    assert same_span_signs(ex61_embedded.face((1, 4)), [loaded.face((1, 4))]) == [-1]
     # top faces still canonical (the loader reflips only top dimension)
     for fid in loaded.faces_of_dim(2):
-        assert sign_same_span(loaded.face(fid), ex61_embedded.face(fid)) == 1
+        assert same_span_signs(ex61_embedded.face(fid), [loaded.face(fid)]) == [1]
 
 
 def test_json_loader_rejects_garbage(ex61_embedded):
@@ -564,7 +568,8 @@ def _assert_facets_are_geometric(X):
         if face.dim <= 0:
             continue
         candidates = [X.face(t) for t in X.faces_of_dim(face.dim - 1) if set(t) < set(fid)]
-        assert X.facets(fid) == tuple(sorted(_geometric_facets(points, face, candidates)))
+        sides = _facet_sides(points, face, candidates)
+        assert X.facets(fid) == tuple(sorted(t.vertices for t, s in zip(candidates, sides) if s))
 
 
 def _assert_all_complexes_geometric(M):
@@ -670,7 +675,8 @@ def test_facets_match_the_geometric_oracle_on_non_simplices():
                         candidates.append(tau)
             expected = [tau.vertices for tau in candidates
                         if _is_geometric_facet(rational, sigma.vertices, tau.vertices)]
-            assert _geometric_facets(points, sigma, candidates) == expected
+            sides = _facet_sides(points, sigma, candidates)
+            assert [tau.vertices for tau, side in zip(candidates, sides) if side] == expected
             assert X.facets(sigma.vertices) == tuple(sorted(t for t in expected if t in X.faces))
 
 
@@ -911,24 +917,27 @@ def _sheared(X, factor):
 
 
 def _assert_signs_match_retired_rules(X):
-    """sign_facet against the Gram and barycenter rules on every incidence
-    of X and of its copies sheared by 2 and by -3; sign_same_span against
+    """facet_signs against the Gram and barycenter rules on every incidence
+    of X and of its copies sheared by 2 and by -3; same_span_signs against
     the Gram rule on each face of those three against its own copies, and
     on every two top faces of X that span one subspace."""
     copies = [X, _sheared(X, 2), _sheared(X, -3)]
     for Z in copies:
         for sigma, face in Z.faces.items():
             if face.dim >= 1:
+                signs = facet_signs(Z, sigma)
+                assert list(signs) == list(Z.facets(sigma))
                 for tau in Z.facets(sigma):
-                    assert (sign_facet(Z, tau, sigma) == gram_sign_facet(Z, tau, sigma)
+                    assert (signs[tau] == gram_sign_facet(Z, tau, sigma)
                             == barycenter_sign_facet(Z, tau, sigma))
     for fid in X.faces:
-        for a, b in product((Z.face(fid) for Z in copies), repeat=2):
-            assert sign_same_span(a, b) == gram_sign_same_span(a, b)
+        faces = [Z.face(fid) for Z in copies]
+        for b in faces:
+            assert same_span_signs(b, faces) == [gram_sign_same_span(a, b) for a in faces]
     tops = [X.face(fid) for fid in X.faces_of_dim(X.dim)]
-    for a, b in product(tops, repeat=2):
-        if linalg.rank(a.basis + b.basis) == a.dim:
-            assert sign_same_span(a, b) == gram_sign_same_span(a, b)
+    for b in tops:
+        same = [a for a in tops if linalg.rank(a.basis + b.basis) == a.dim]
+        assert same_span_signs(b, same) == [gram_sign_same_span(a, b) for a in same]
 
 
 def _assert_retired_rules_hold(M):
@@ -988,8 +997,7 @@ def _geometry(X):
     signs of the barycentric coordinates against the corner simplex, the
     refinement verdict and the faces of X inside each face of the
     simplex."""
-    signs = {(tau, sigma): sign_facet(X, tau, sigma)
-             for sigma in X.faces for tau in X.facets(sigma)}
+    signs = {sigma: facet_signs(X, sigma) for sigma in X.faces}
     coords = _vertex_barycentrics(X)[0]
     supports = {v: mu and {y: (c > 0) - (c < 0) for y, c in mu.items()}
                 for v, mu in coords.items()}

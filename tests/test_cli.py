@@ -290,6 +290,31 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     assert code == 2 and out["error"] == "malformed complex JSON at byte 26: not UTF-8"
 
 
+def test_coordinate_past_the_digit_limit_exits_2_at_once(tmp_path, capsys, monkeypatch):
+    # Fraction("1e10000000") alone takes seconds; the exact value of either
+    # exponent sign needs more digits than the int-string limit allows
+    import time
+
+    job = {"n": 2, "generators": [[2, 0], [0, 2]]}
+    path = tmp_path / "segment.json"
+    for coordinate, code in (("1e10000000", 2), ("1e-10000000", 2),
+                             ("1/3", 0), ("0.5", 0), ("1e3", 0)):
+        path.write_text(json.dumps({
+            "vertices": [{"id": 0, "coords": ["0"], "label": [2, 0]},
+                         {"id": 1, "coords": [coordinate], "label": [0, 2]}],
+            "faces": [{"vertices": [0, 1]}],
+        }))
+        start = time.perf_counter()
+        got, out = invoke(capsys, monkeypatch, ["residue", "--complex", f"file:{path}"], job)
+        assert time.perf_counter() - start < 0.5, coordinate
+        assert got == code, coordinate
+        if code == 2:
+            assert out["error"] == (f"coordinate {coordinate!r} needs more than "
+                                    f"{sys.get_int_max_str_digits()} digits")
+        else:
+            assert len(out["entries"]) == 1
+
+
 def test_non_artinian_multiplicity_precondition(capsys, monkeypatch):
     code, out = invoke(
         capsys, monkeypatch, ["multiplicity"], {"n": 2, "generators": [[1, 1]]}

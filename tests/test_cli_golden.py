@@ -32,6 +32,12 @@ M2_IN_4 = {
     "generators": [list(e) for e in product(range(3), repeat=4) if sum(e) == 2],
 }
 STAIRCASE = {"n": 2, "generators": [[4, 0], [3, 1], [1, 2], [0, 4]]}
+# Scarf tops keep their own orientation, so the current's signs show the
+# same-span rule: residue --complex scarf prints sign -1 on face [1, 2, 4]
+GENERIC = {
+    "n": 3,
+    "generators": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [2, 1, 0], [0, 2, 1], [1, 0, 2]],
+}
 
 
 def _cases():
@@ -41,6 +47,8 @@ def _cases():
                     "resolve", "check-minimal"):
             cases.append(([sub, "--complex", source], EX61))
     cases.append((["fundamental-cycle"], M2_IN_4))
+    cases += [([sub, "--complex", "scarf"], GENERIC)
+              for sub in ("residue", "compare", "fundamental-cycle")]
     cases += [(["partition", "--order", order], STAIRCASE) for order in ("P", "Q")]
     return cases
 
@@ -81,9 +89,13 @@ def _record():
 _RECORD = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"files": {}, "cases": []}
 
 
-@pytest.mark.parametrize(
-    "case", _RECORD["cases"], ids=lambda c: " ".join(c["args"]).replace("file:@", "file:")
-)
+def _case_id(case):
+    name = " ".join(case["args"]).replace("file:@", "file:")
+    # the cases on GENERIC repeat arguments of cases on Example 6.1
+    return f"{name} generic" if case["stdin"] == GENERIC else name
+
+
+@pytest.mark.parametrize("case", _RECORD["cases"], ids=_case_id)
 def test_cli_output_matches_record(case, tmp_path):
     stdout, code = _invoke(case["args"], case["stdin"], _RECORD["files"], tmp_path)
     assert code == case["code"]

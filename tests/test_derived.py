@@ -3,8 +3,8 @@
 The free complex, the corner simplex, the refinement and exactness
 verdicts, the chain maps, the current and the multiplicity are stored on
 the complex X under their function's name (``cellcomplex.derived``).
-These tests count the builds one command makes, and the incidence signs,
-which only the free complex computes, and check that a new complex gets
+These tests count the builds one command makes and the orientation reads
+of the sign rules, one per reference face, and check that a new complex gets
 its own objects and that a caller's changed copy leaves the stored ones
 alone.
 """
@@ -26,6 +26,7 @@ from cellres import (
     reoriented,
     residue_current,
     scarf_complex,
+    taylor_complex,
     verify_chain_maps,
     vertex_ideal,
 )
@@ -43,7 +44,7 @@ M2_IN_4 = {
 
 COUNTED = (
     "resolution._compose",  # one product of sign columns per level checked
-    "cellcomplex.sign_facet",  # one call per facet incidence of a built F
+    "linalg.orientations",  # one call per reference face of a sign rule
     "monomial.lcm_lattice",  # one call per exactness scan
     "monomial.multiplicity",
 )
@@ -111,15 +112,17 @@ def _run(monkeypatch, args, job):
     return run(args)
 
 
-# the simplex Y of n vertices has k facets on each of its C(n, k) k-vertex faces
+# the simplex Y of n vertices has 2^n - 1 nonempty faces, n of them vertices
 @pytest.mark.parametrize(
-    "job, dim, incidences, simplex_incidences",
-    [(EX61, 2, 36, 12), (M2_IN_4, 3, 142, 32)], ids=["n3", "n4"],
+    "job, dim, faces, non_simplices",
+    [(EX61, 2, 13, 0), (M2_IN_4, 3, 49, 1)], ids=["n3", "n4"],
 )
 def test_fundamental_cycle_builds_each_object_once(
-        monkeypatch, job, dim, incidences, simplex_incidences):
+        monkeypatch, job, dim, faces, non_simplices):
     X = embedded_hull(minimize([tuple(g) for g in job["generators"]]))
-    assert sum(len(X.facets(fid)) for fid in X.faces) == incidences
+    assert sum(f.dim >= 1 for f in X.faces.values()) == faces
+    assert sum(len(f.vertices) > f.dim + 1 for f in X.faces.values()) == non_simplices
+    simplex_faces = 2 ** job["n"] - 1
     counts = _counting(monkeypatch)
     stores = _recording(monkeypatch)
     assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
@@ -127,8 +130,12 @@ def test_fundamental_cycle_builds_each_object_once(
         # d^2 = 0 at levels 1..dim of F of X and of F of Y, then the two
         # sides of the comparison square at levels 0..dim
         "resolution._compose": dim + dim + 2 * (dim + 1),
-        # incidences of X, which the exactness scan reads off F, and of Y
-        "cellcomplex.sign_facet": incidences + simplex_incidences,
+        # the facet test of each non-simplex of the hull and of its
+        # projection, the embedding's top faces, the facets of each face of
+        # dimension >= 1 of X (which the exactness scan reads off F) and of
+        # Y, and the carried faces of each face of Y in the chain maps
+        "linalg.orientations": 2 * non_simplices + 1 + faces
+                               + (simplex_faces - job["n"]) + simplex_faces,
         "monomial.lcm_lattice": 1,
         "monomial.multiplicity": 1,
     }
@@ -148,6 +155,16 @@ def test_fundamental_cycle_builds_each_object_once(
     }
 
 
+def test_free_complex_reads_one_orientation_per_face(monkeypatch):
+    # the Taylor complex of a 10-corner plane staircase has 2^10 faces, 1013
+    # of dimension >= 1; each reads all its incidence signs at once
+    X = taylor_complex(minimize([(i, 9 - i) for i in range(10)]))
+    assert sum(f.dim >= 1 for f in X.faces.values()) == 1013
+    counts = _counting(monkeypatch)
+    cellular_complex(X)
+    assert counts["linalg.orientations"] == 1013
+
+
 def test_compare_builds_each_object_once(monkeypatch):
     counts = _counting(monkeypatch)
     stores = _recording(monkeypatch)
@@ -156,7 +173,10 @@ def test_compare_builds_each_object_once(monkeypatch):
         # d^2 = 0 at levels 1..2 of F of X and of F of Y, then the two sides
         # a_{k-1} psi_k and phi_k a_k of the square at levels 0..2
         "resolution._compose": 2 + 2 + 2 * 3,
-        "cellcomplex.sign_facet": 36 + 12,  # incidences of X and of the simplex Y
+        # the embedding's top faces, the facets of the 13 faces of
+        # dimension >= 1 of X and the 4 of the simplex Y, and the carried
+        # faces of each of the 7 faces of Y in the chain maps
+        "linalg.orientations": 1 + 13 + 4 + 7,
         "monomial.lcm_lattice": 0,
         "monomial.multiplicity": 0,
     }

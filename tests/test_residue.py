@@ -22,7 +22,7 @@ from cellres import (
     pure_power_exponents,
     reoriented,
     residue_current,
-    sign_same_span,
+    same_span_signs,
     verify_chain_maps,
 )
 from cellres.residue import ResidueCurrent
@@ -212,9 +212,9 @@ def test_residue_entry_invariants(rng):
             c = R.entries[fid]
             assert c.alpha == X.face(fid).label
             assert all(x <= y for x, y in zip(c.alpha, b))
-            assert ch_action(c, tuple(a - 1 for a in c.alpha)) == sign_same_span(
-                X.face(fid), delta
-            )
+            assert ch_action(c, tuple(a - 1 for a in c.alpha)) == same_span_signs(
+                delta, [X.face(fid)]
+            )[0]
             bumped = (c.alpha[0],) + tuple(c.alpha[1:])
             assert ch_action(c, bumped) == 0
 

@@ -11,6 +11,7 @@ from cellres import (
     corner_simplex_complex,
     cellular_complex,
     exactness_witness,
+    facet_signs,
     homogeneous,
     hull_complex,
     make_complex,
@@ -19,7 +20,6 @@ from cellres import (
     reduced_homology_ranks,
     reoriented,
     scarf_complex,
-    sign_facet,
     staircase_corners_2d,
     taylor_complex,
     verify_chain_maps,
@@ -130,8 +130,9 @@ def test_edge_with_equal_vertex_signs_is_rejected(monkeypatch):
     X = taylor_complex(minimize([(2, 0), (1, 1), (0, 2)]))
     edge = X.faces_of_dim(1)[0]
     monkeypatch.setattr(
-        "cellres.resolution.sign_facet",
-        lambda Z, tau, sigma: 1 if sigma == edge else sign_facet(Z, tau, sigma),
+        "cellres.resolution.facet_signs",
+        lambda Z, sigma: (dict.fromkeys(Z.facets(sigma), 1) if sigma == edge
+                          else facet_signs(Z, sigma)),
     )
     with pytest.raises(CellresError, match="between levels 1 and -1"):
         cellular_complex(X)
@@ -154,13 +155,8 @@ def test_face_deleted_ex61_is_inexact(ex61_embedded):
     edges = sub.faces_of_dim(1)
     verts = sub.faces_of_dim(0)
     assert len(edges) == 3 and len(verts) == 3
-    boundary = [
-        [
-            sign_facet(sub, tau, sigma) if tau in sub.facets(sigma) else 0
-            for sigma in edges
-        ]
-        for tau in verts
-    ]
+    signs = {sigma: facet_signs(sub, sigma) for sigma in edges}
+    boundary = [[signs[sigma].get(tau, 0) for sigma in edges] for tau in verts]
     diag = smith_diagonal(boundary)
     rank = len(diag)
     assert len(edges) - rank == 1  # one-dimensional cycle space survives
@@ -323,8 +319,8 @@ def _d_squared_verdict(X, G):
         for i, sign in column.items()
     }
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("cellres.resolution.sign_facet",
-                   lambda Z, tau, sigma: signs[tau, sigma])
+        mp.setattr("cellres.resolution.facet_signs",
+                   lambda Z, sigma: {tau: signs[tau, sigma] for tau in Z.facets(sigma)})
         try:
             cellular_complex(reoriented(X, ()))
         except CellresError as exc:

@@ -22,15 +22,21 @@ def test_resolve_compare_and_check_minimal_run_also_on_scarf_and_taylor():
 
     manifest = {
         "jobs": [job(0, "compare"), job(1, "residue"), job(2, "resolve", "x.json"),
-                 job(3, "check-minimal")],
+                 job(3, "check-minimal"), job(5, "fundamental-cycle"),
+                 job(6, "multiplicity")],
         "setup": job(4, "generators"),
     }
     argvs = same_outputs.job_argvs(manifest)
+    # residue and fundamental-cycle too, so that the current's signs are compared
     assert list(argvs) == [
         "00 compare ideal", "00 compare ideal --complex scarf",
-        "00 compare ideal --complex taylor", "01 residue ideal", "02 resolve ideal",
-        "03 check-minimal ideal", "03 check-minimal ideal --complex scarf",
-        "03 check-minimal ideal --complex taylor", "04 generators ideal",
+        "00 compare ideal --complex taylor", "01 residue ideal",
+        "01 residue ideal --complex scarf", "01 residue ideal --complex taylor",
+        "02 resolve ideal", "03 check-minimal ideal",
+        "03 check-minimal ideal --complex scarf", "03 check-minimal ideal --complex taylor",
+        "05 fundamental-cycle ideal", "05 fundamental-cycle ideal --complex scarf",
+        "05 fundamental-cycle ideal --complex taylor", "06 multiplicity ideal",
+        "04 generators ideal",
     ]
     assert argvs["03 check-minimal ideal --complex taylor"] == [
         "check-minimal", "--input", "ideal.json", "--complex", "taylor"]

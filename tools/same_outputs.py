@@ -9,9 +9,14 @@ workload of BENCHMARK.json are written at each seed by ``write_jobs`` of this
 checkout's ``benchmark/jobs.py``, and every job, the setup job included,
 runs as one ``python -m cellres.cli`` process under
 ``PYTHONDONTWRITEBYTECODE=1`` against the ``src/`` of each revision in turn.
-Each ``resolve``, ``compare`` or ``check-minimal`` job that passes no
-``--complex`` runs also with ``--complex scarf`` and with ``--complex
-taylor``, so that the incidence signs of those complexes are compared too.
+Each ``resolve``, ``compare``, ``check-minimal``, ``residue`` or
+``fundamental-cycle`` job that passes no ``--complex`` runs also with
+``--complex scarf`` and with ``--complex taylor``, so that the incidence
+signs of those complexes are compared too.  The embedded hull has its top
+faces flipped to the corner simplex's orientation, so each sign of its
+current is +1; a Scarf complex keeps its own, so on the generic
+verify-pipeline ideals the ``residue`` and ``fundamental-cycle`` variants
+also compare the chain maps' same-span signs that no flip fixed.
 The tool prints the number of jobs compared and exits 1, naming each job
 whose stdout or exit code differs between the two, or 0 when none does.
 """
@@ -39,7 +44,7 @@ def differences(base: dict, head: dict) -> list:
                   if base.get(job) != head.get(job))
 
 
-VARIANT_COMMANDS = ("resolve", "compare", "check-minimal")
+VARIANT_COMMANDS = ("resolve", "compare", "check-minimal", "residue", "fundamental-cycle")
 
 
 def job_argvs(manifest: dict) -> dict:
