@@ -19,15 +19,15 @@ _EXPORTS = {
         "staircase_corners_2d", "staircase_partition_2d",
     ),
     "cellcomplex": (
-        "Face", "LabeledCellComplex", "carried_faces", "complex_from_json",
-        "complex_to_json", "corner_simplex_complex", "facet_signs", "homogeneous",
-        "make_complex", "refinement_failure", "reoriented", "same_span_signs",
-        "vertex_ideal",
+        "Face", "LabeledCellComplex", "complex_to_json", "facet_signs", "homogeneous",
+        "make_complex", "vertex_ideal",
     ),
-    "hull": (
-        "default_lift_base", "embed_in_simplex", "hull_complex", "scarf_complex",
-        "taylor_complex",
+    "simplex": (
+        "carried_faces", "corner_simplex_complex", "embed_in_simplex",
+        "refinement_failure", "reoriented", "same_span_signs",
     ),
+    "complexfile": ("complex_from_json",),
+    "hull": ("default_lift_base", "hull_complex", "scarf_complex", "taylor_complex"),
     "resolution": (
         "FreeComplex", "SignedMonomial", "cellular_complex", "exactness_witness",
         "minimality_witness", "reduced_homology_ranks",

@@ -2,9 +2,10 @@
 
 A point x in Q^d is stored as the homogeneous integer vector
 (x_1 w, ..., x_d w, w) with w > 0; ``homogeneous`` gives the one in lowest
-terms.  Every question asked of the geometry (dimensions, facets,
-orientations, containment, volumes) is invariant under a positive scale of
-each vertex, so the whole module computes on integers.  Each face carries
+terms.  Every question asked of the geometry (dimensions, facets and
+orientations here, containment and volumes in ``simplex``) is invariant
+under a positive scale of each vertex, so the whole module computes on
+integers.  Each face carries
 an orientation as an ordered spanning basis of its direction space, a
 tuple of integer vectors; a face's label is the componentwise maximum of
 its vertices' labels.  The empty face (dimension -1, label the zero vector)
@@ -14,11 +15,11 @@ is always part of a complex.
 import sys
 from collections import namedtuple
 from functools import wraps
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import linalg
 from .errors import CellresError, InputError, PreconditionError
-from .monomial import divides, is_int, lcm_many, minimize, pure_power_exponents
+from .monomial import lcm_many, minimize
 
 EMPTY = ()
 
@@ -290,221 +291,9 @@ def facet_signs(X: LabeledCellComplex, sigma_id) -> dict:
     return dict(zip(facets, sides))
 
 
-def same_span_signs(reference: Face, faces) -> list:
-    """Orientation of each face's basis against the reference's, for faces
-    spanning the reference's subspace: the sign of det C where
-    basis = C · reference basis, all from one ``linalg.orientations``
-    call; a vertex has the empty basis, and sign 1."""
-    if any(face.dim != reference.dim for face in faces):
-        raise PreconditionError("orientation comparison needs equal dimensions")
-    rows = [*reference.basis, *(v for face in faces for v in face.basis)]
-    if linalg.rank(rows) != len(reference.basis):
-        raise PreconditionError("orientation comparison needs equal spans")
-    signs = linalg.orientations(reference.basis, [face.basis for face in faces])
-    if 0 in signs:
-        raise PreconditionError("degenerate orientation basis")
-    return signs
-
-
-def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
-    """Copy of X with the orientation of the given faces reversed.
-
-    The copy starts with X's stored vertex ideal and corner simplex, which
-    depend only on the vertex points and labels.
-    """
-    faces = {}
-    for fid, f in X.faces.items():
-        if fid in flip_ids and f.dim >= 1:
-            basis = (tuple(-x for x in f.basis[0]),) + f.basis[1:]
-            faces[fid] = Face(f.vertices, f.dim, f.label, basis)
-        else:
-            faces[fid] = f
-    copy = LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids)
-    copy._derived.update((name, X._derived[name])
-                         for name in ("vertex_ideal", "corner_simplex_complex")
-                         if name in X._derived)
-    return copy
-
-
-def _triangulate(X: LabeledCellComplex, fid):
-    """Simplices (as vertex-id tuples) decomposing a face: cones from its
-    first vertex over the simplices of the facets that miss it."""
-    face = X.face(fid)
-    if face.dim <= 0 or len(face.vertices) == face.dim + 1:
-        return [face.vertices]
-    apex = face.vertices[0]
-    return [
-        (apex,) + s
-        for tau in X.facets(fid)
-        if apex not in tau
-        for s in _triangulate(X, tau)
-    ]
-
-
-@derived
-def _vertex_barycentrics(X: LabeledCellComplex):
-    """Homogeneous barycentric coordinates of every vertex of X against the
-    corner simplex Y, and the carrier of every nonempty face whose vertices
-    all have them: ({vertex: {variable: mu}}, d, {face: carrier}), with
-    None for a vertex outside aff |Y|, from one solve per vertex with Y's
-    vertices y_j as the columns: sum_j (mu_j / d) y_j is the vertex's
-    homogeneous point.
-
-    d > 0 depends only on Y, and lambda_j = mu_j w_j / (d w), w the vertex's
-    weight and w_j the j-th corner's, has the signs and support of mu.  Y's
-    vertices are affinely independent, so mu is unique and a point lies in
-    the face S of Y exactly when its mu is nonnegative and supported in S.
-    """
-    Y = corner_simplex_complex(X)
-    columns = list(zip(*(Y.vertex_point(y) for y in range(X.n))))
-    solved = {v: linalg.solve(columns, X.vertex_point(v)) for v in X.vertices}
-    d = next((s[1] for s in solved.values() if s), 1)
-    coords = {v: s and dict(enumerate(s[0])) for v, s in solved.items()}
-    carriers = {fid: _carrier(coords, fid) for fid in X.faces
-                if fid and all(coords[v] is not None for v in fid)}
-    return coords, d, carriers
-
-
-def _carrier(coords, fid) -> tuple:
-    """The union of the barycentric supports of a face's vertices: the
-    smallest face of the corner simplex holding the face, once every
-    vertex lies in the simplex."""
-    return tuple(sorted({y for v in fid for y, c in coords[v].items() if c}))
-
-
-def _mu_volume(X: LabeledCellComplex, fid, coords, span):
-    """Sum over the simplices s of a face of X of |det mu_s| / prod of the
-    weights of s, as (numerator, denominator); mu_s has a row of mu,
-    restricted to the face ``span`` of Y containing the face, per vertex
-    of s.  See refinement_failure."""
-    total = (0, 1)
-    for simplex in _triangulate(X, fid):
-        volume = abs(linalg.det([[coords[v][y] for y in span] for v in simplex]))
-        weight = prod(X.vertex_point(v)[-1] for v in simplex)
-        total = _add_ratio(total, (volume, weight))
-    return total
-
-
-def _add_ratio(x, y):
-    """The sum of the ratios (a, b) and (c, e), over lcm(b, e)."""
-    (a, b), (c, e) = x, y
-    common = lcm(b, e)
-    return a * (common // b) + c * (common // e), common
-
-
-@derived
-def refinement_failure(X: LabeledCellComplex):
-    """Why X does not refine its corner simplex Y, or None if it does.
-
-    Reads the barycentric coordinates of X's vertices and the carriers of
-    its faces once.  For a face f, the carrier U(f), the union of its
-    vertices' supports, is the smallest face of Y containing f.  X refines
-    Y when every vertex lies in |Y|, each label of f divides the label of
-    U(f), and the faces f with |U(f)| = dim f + 1 cover each face of Y with
-    relative volume exactly 1.
-
-    That volume is the sum, over the k-simplices s triangulating those
-    faces, of |det lambda_s|, the rows the barycentric coordinates of the
-    vertices of s restricted to the k + 1 vertices of U(f).  With
-    lambda_j = mu_j w_j / (d w_v) it is 1 exactly when
-    sum_s |det mu_s| / prod_{v in s} w_v = d^(k+1) / prod_{y in U(f)} w_y,
-    an integer identity after cross-multiplication.
-    """
-    Y = corner_simplex_complex(X)
-    coords, d, carriers = _vertex_barycentrics(X)
-    for v in sorted(X.vertices):
-        if coords[v] is None or min(coords[v].values()) < 0:
-            return f"vertex {v} lies outside the simplex"
-    covered = {}
-    for fid in sorted(X.faces):
-        f = X.face(fid)
-        if f.dim < 0:
-            continue
-        span = carriers[fid]
-        if not divides(f.label, Y.face(span).label):
-            return f"label of face {fid} does not divide the label of {span}"
-        if len(span) == f.dim + 1:
-            covered[span] = _add_ratio(
-                covered.get(span, (0, 1)), _mu_volume(X, fid, coords, span)
-            )
-    for sid in sorted(Y.faces):
-        if not sid:
-            continue
-        total, den = covered.get(sid, (0, 1))
-        corner_weight = prod(Y.vertex_point(y)[-1] for y in sid)
-        scale = d ** len(sid)
-        if total * corner_weight != scale * den:
-            volume = _fraction_str(total * corner_weight, scale * den)
-            return f"face {sid} is covered with volume {volume.removesuffix('/1')}"
-    return None
-
-
-@derived
-def carried_faces(X: LabeledCellComplex) -> dict:
-    """{face S of the corner simplex Y: the faces of X of S's dimension
-    inside S}; X must refine Y.
-
-    One pass over X's faces takes each face's carrier, the smallest face of
-    Y holding it, and its label support.  A face lies in S when its carrier
-    does, and on a genuine refinement when its label support does; the
-    first face (by dimension, face of Y, face of X) where the two disagree
-    is refused.
-    """
-    failure = refinement_failure(X)
-    if failure is not None:
-        raise PreconditionError(f"complex does not refine the corner simplex: {failure}")
-    levels = {}
-    for fid, carrier in _vertex_barycentrics(X)[2].items():
-        face = X.face(fid)
-        support = {i for i, e in enumerate(face.label) if e}
-        levels.setdefault(face.dim, []).append((fid, set(carrier), support))
-    carried = {}
-    for sid in sorted(corner_simplex_complex(X).faces, key=lambda s: (len(s), s))[1:]:
-        members = set(sid)
-        level = levels.get(len(sid) - 1, ())
-        inside = {fid for fid, carrier, _ in level if carrier <= members}
-        labeled = {fid for fid, _, support in level if support <= members}
-        if inside != labeled:
-            raise PreconditionError(
-                f"support and geometry disagree on {min(inside ^ labeled)}: "
-                "X does not refine the simplex"
-            )
-        carried[sid] = sorted(inside)
-    return carried
-
-
-def _corner_vertex_ids(X: LabeledCellComplex) -> tuple:
-    """Per variable i, the first vertex labeled z_i^{b_i}, a pure power of
-    X's ideal; every minimal generator is a vertex label."""
-    b = pure_power_exponents(vertex_ideal(X))
-    powers = [tuple(bi if j == i else 0 for j in range(X.n)) for i, bi in enumerate(b)]
-    return tuple(min(v for v in X.vertices if X.vertex_label(v) == p) for p in powers)
-
-
 def _subsets(r):
     """The nonempty subsets of range(r) as sorted tuples, in bit-mask order."""
     return [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1, 1 << r)]
-
-
-@derived
-def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
-    """The simplex complex on X's corner vertices, labeled by the pure powers
-    of X's ideal.
-
-    Vertex ids are the variable indices, so faces are subsets of 0..n-1.
-    """
-    corners = _corner_vertex_ids(X)
-    points = {i: X.vertex_point(v) for i, v in enumerate(corners)}
-    labels = {i: X.vertex_label(v) for i, v in enumerate(corners)}
-    return make_complex(X.n, points, labels, _subsets(X.n), simplicial=True)
-
-
-def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex:
-    """Flip top-dimensional faces so each agrees with the reference orientation."""
-    tops = X.faces_of_dim(X.dim)
-    signs = same_span_signs(reference, [X.face(fid) for fid in tops])
-    flips = {fid for fid, sign in zip(tops, signs) if sign < 0}
-    return reoriented(X, flips) if flips else X
 
 
 def _fraction_str(a, b) -> str:
@@ -538,110 +327,3 @@ def complex_to_json(X: LabeledCellComplex) -> dict:
     return {"n": X.n, "vertices": vertices, "faces": faces}
 
 
-def _json_objects(value, what):
-    if not (isinstance(value, list) and all(isinstance(e, dict) for e in value)):
-        raise InputError(f"complex {what} must be a list of objects")
-    return value
-
-
-def _json_ints(value, what):
-    if not (isinstance(value, list) and all(is_int(x) for x in value)):
-        raise InputError(f"{what} must be a list of integers, got {value!r}")
-    return tuple(value)
-
-
-def _json_rational(x):
-    if is_int(x):
-        return x
-    if isinstance(x, str):
-        from fractions import Fraction
-        try:
-            # Fraction("1e10000000") computes 10**10000000: the mantissa's
-            # digits and the exponent bound the digits of the exact value,
-            # refused past the int-string limit that caps JSON integers too
-            mantissa, _, exponent = x.lower().partition("e")
-            size = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
-            if 0 < (limit := sys.get_int_max_str_digits()) < size:
-                raise InputError(f"coordinate {x!r} needs more than {limit} digits")
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise InputError(f"coordinate {x!r} is neither an integer nor a rational string")
-
-
-def _json_point(value, what) -> tuple:
-    """The homogeneous vector of a list of JSON coordinates."""
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a list of coordinates")
-    return _homogeneous([_json_rational(c) for c in value])
-
-
-def complex_from_json(obj) -> LabeledCellComplex:
-    """Load a complex from its JSON form; see complex_to_json for the shape.
-
-    Coordinates are integers or exact rational strings, ids are integers and
-    labels are lists of n nonnegative integers.  Faces with omitted bases get
-    the deterministic orientation rule; if the labels carry a full set of
-    pure powers and the top faces span the corresponding simplex, top faces
-    are flipped to agree with it.
-    """
-    if not isinstance(obj, dict) or not {"vertices", "faces"} <= set(obj):
-        raise InputError('complex JSON needs "vertices" and "faces"')
-    extra = set(obj) - {"vertices", "faces", "n", "schema"}
-    if extra:
-        raise InputError(f"complex JSON has unknown keys: {sorted(extra)}")
-    points, labels = {}, {}
-    for entry in _json_objects(obj["vertices"], "vertices"):
-        if set(entry) != {"id", "coords", "label"}:
-            raise InputError('complex vertices need exactly "id", "coords", "label"')
-        vid = entry["id"]
-        if not is_int(vid):
-            raise InputError(f"vertex id {vid!r} is not an integer")
-        if vid in points:
-            raise InputError(f"duplicate vertex id {vid}")
-        points[vid] = _json_point(entry["coords"], f"vertex {vid}: coords")
-        labels[vid] = _json_ints(entry["label"], f"vertex {vid}: label")
-    n = obj.get("n", len(next(iter(labels.values()))) if labels else 0)
-    if not is_int(n):
-        raise InputError(f"complex n must be an integer, got {n!r}")
-    face_sets = []
-    bases = {}
-    for entry in _json_objects(obj["faces"], "faces"):
-        unknown = set(entry) - {"vertices", "orientation_basis", "dim", "label"}
-        if unknown:
-            raise InputError(f"complex face has unknown keys: {sorted(unknown)}")
-        if "vertices" not in entry:
-            raise InputError('complex faces need "vertices"')
-        fid = tuple(sorted(_json_ints(entry["vertices"], "face vertices")))
-        face_sets.append(fid)
-        if "orientation_basis" in entry:
-            rows = entry["orientation_basis"]
-            if not isinstance(rows, list):
-                raise InputError(f"face {fid}: orientation basis must be a list")
-            # a positive scale of a basis vector keeps the orientation
-            bases[fid] = [_json_point(row, f"face {fid}: basis vector")[:-1]
-                          for row in rows]
-    X = make_complex(n, points, labels, face_sets, bases=bases)
-    for entry in obj["faces"]:
-        fid = tuple(sorted(entry["vertices"]))
-        if "label" in entry:
-            stated = _json_ints(entry["label"], f"face {fid}: label")
-            if stated != X.face(fid).label:
-                raise InputError(f"face {fid}: stated label disagrees with the vertex lcm")
-        if "dim" in entry and not is_int(entry["dim"]):
-            raise InputError(f"face {fid}: dim must be an integer, got {entry['dim']!r}")
-        if "dim" in entry and entry["dim"] != X.face(fid).dim:
-            raise InputError(f"face {fid}: stated dimension disagrees with the geometry")
-    return _orient_tops_by_pure_powers(X)
-
-
-def _orient_tops_by_pure_powers(X: LabeledCellComplex) -> LabeledCellComplex:
-    """Apply the canonical top orientation when the corner simplex is visible:
-    the one of the top face of ``corner_simplex_complex``, oriented by
-    ascending variable order."""
-    if X.dim != X.n - 1:
-        return X
-    try:
-        return orient_tops_to(X, corner_simplex_complex(X).face(tuple(range(X.n))))
-    except (InputError, PreconditionError):  # no pure powers, or dependent corners
-        return X

@@ -87,7 +87,8 @@ def _load_job(args):
 def _build_complex(M: MonomialIdeal, args):
     source = args.complex or "hull"
     if source == "hull":
-        from .hull import embed_in_simplex, hull_complex
+        from .hull import hull_complex
+        from .simplex import embed_in_simplex
         return embed_in_simplex(hull_complex(M, args.t))
     if source == "scarf":
         from .hull import scarf_complex
@@ -96,7 +97,8 @@ def _build_complex(M: MonomialIdeal, args):
         from .hull import taylor_complex
         return taylor_complex(M)
     if source.startswith("file:"):
-        from .cellcomplex import complex_from_json, vertex_ideal
+        from .cellcomplex import vertex_ideal
+        from .complexfile import complex_from_json
         X = complex_from_json(_read_json(source[len("file:"):], "complex JSON"))
         if vertex_ideal(X) != M:
             raise PreconditionError("vertex labels do not generate the given ideal")

@@ -11,18 +11,12 @@ the corner simplex in lowest terms.
 """
 
 import math
+import sys
 from itertools import combinations
 from operator import mul
 
 from . import linalg
-from .cellcomplex import (
-    LabeledCellComplex,
-    _corner_vertex_ids,
-    _subsets,
-    corner_simplex_complex,
-    make_complex,
-    orient_tops_to,
-)
+from .cellcomplex import LabeledCellComplex, _subsets, make_complex
 from .errors import CellresError, InputError, PreconditionError
 from .monomial import (
     MonomialIdeal,
@@ -46,6 +40,25 @@ def _check_lift_base(n: int, t) -> int:
     if t < default_lift_base(n):
         raise InputError(f"lift base must be at least {default_lift_base(n)} for n={n}")
     return t
+
+
+def _check_lift_digits(M: MonomialIdeal, base: int):
+    """Refuse, before any power is taken, a lift whose largest coordinate
+    base^a, a the largest exponent of M, has more decimal digits than the
+    interpreter's int-string limit, which also caps the JSON read and
+    written.
+
+    base^16 has L = floor(16 log2(base)) + 1 bits, so base^a has at least
+    a (L - 1) log10(2) / 16 + 1 digits; with 0.30102 < log10(2) the integer
+    estimate stays such a lower bound, within a few percent of the count,
+    so every lift refused is past the limit.
+    """
+    a = max(map(max, M.generators))
+    digits = a * ((base**16).bit_length() - 1) * 30102 // 1_600_000 + 1
+    if 0 < (limit := sys.get_int_max_str_digits()) < digits:
+        raise PreconditionError(
+            f"lifted coordinate {base}^{a} has at least {digits} digits, more than {limit}"
+        )
 
 
 def _lifted_points(M: MonomialIdeal, t: int):
@@ -150,6 +163,7 @@ def hull_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
     if not is_artinian(M):
         raise PreconditionError("hull complex requires an Artinian ideal")
     t = _check_lift_base(M.n, t)
+    _check_lift_digits(M, t + 1)  # the recheck's lift is the larger
 
     def face_sets(base):
         points = _lifted_points(M, base)
@@ -181,35 +195,6 @@ def _projection_to_simplex(point, steps):
     y = [denom + (xi - w) * common for xi in x] + [denom]
     g = math.gcd(*y)
     return tuple(c // g for c in y)
-
-
-def embed_in_simplex(H: LabeledCellComplex) -> LabeledCellComplex:
-    """Project a hull complex onto its corner simplex along lines through 1.
-
-    The simplex is read off H's corner vertices: the one (x, w) of
-    variable i must lie at 1 + T_i e_i with T_i = (x_i - w) / w a positive
-    integer, as the corner of z_i^{b_i} in a hull does with
-    T_i = t^{b_i} - 1.  Labels and the face poset are unchanged; top faces
-    are flipped to agree with the simplex orientation.
-    """
-    steps = []
-    for i, v in enumerate(_corner_vertex_ids(H)):
-        *x, w = H.vertex_point(v)
-        step, rest = divmod(x[i] - w, w) if len(x) == H.n else (0, 0)
-        if step < 1 or rest or any(xj != w for j, xj in enumerate(x) if j != i):
-            raise PreconditionError(f"corner vertex {v} is not at 1 + T e_{i} "
-                                    "for a positive integer T; cannot embed")
-        steps.append(step)
-    points = {
-        v: _projection_to_simplex(H.vertex_point(v), steps) for v in H.vertices
-    }
-    labels = {v: H.vertex_label(v) for v in H.vertices}
-    face_sets = [fid for fid in H.faces if len(fid) >= 2]
-    embedded = make_complex(H.n, points, labels, face_sets)
-    if embedded.facet_ids != H.facet_ids:
-        raise CellresError("projection changed the face poset")
-    top = corner_simplex_complex(embedded).face(tuple(range(H.n)))
-    return orient_tops_to(embedded, top)
 
 
 def _scarf_faces(generators):
@@ -260,6 +245,7 @@ def scarf_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
     if not is_artinian(M):
         raise PreconditionError("the embedded realization requires an Artinian ideal")
     t = _check_lift_base(M.n, t)
+    _check_lift_digits(M, t)
     steps = [t**b - 1 for b in pure_power_exponents(M)]
     points = {
         i: _projection_to_simplex(tuple(t**a for a in g) + (1,), steps)

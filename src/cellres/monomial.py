@@ -35,7 +35,7 @@ def lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
     """Componentwise maximum (least common multiple of the monomials)."""
     if len(a) != len(b):
         raise InputError("lcm of exponent vectors of different lengths")
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def lcm_many(vectors) -> ExponentVector:

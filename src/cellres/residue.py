@@ -8,16 +8,11 @@ coefficient extraction, so every identity here is an integer identity.
 
 from collections import namedtuple
 
-from .cellcomplex import (
-    LabeledCellComplex,
-    carried_faces,
-    corner_simplex_complex,
-    derived,
-    same_span_signs,
-)
+from .cellcomplex import LabeledCellComplex, derived
 from .errors import PreconditionError
 from .monomial import MonomialIdeal, first_difference, irreducible_intersection
 from .resolution import _compose, _dense_view, cellular_complex, exactness_witness
+from .simplex import carried_faces, corner_simplex_complex, same_span_signs
 
 
 class CHProduct(namedtuple("CHProduct", "sign alpha")):

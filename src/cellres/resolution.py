@@ -120,6 +120,67 @@ def reduced_homology_ranks(F: FreeComplex, beta) -> list[int]:
     ]
 
 
+def _face_masks(F: FreeComplex):
+    """F's basis elements of levels 0 .. top, the nonempty faces of its
+    complex, as bits: face i of ``F.basis(0)``, ``F.basis(1)``, ... in turn
+    is bit i.  Returns per face its facets' bits and the mask of its
+    cofaces, and per coordinate c a {value: mask of the faces whose label
+    has c-th exponent <= value} table, so that the faces whose label
+    divides z^beta are the AND of one entry per coordinate."""
+    start, faces = {}, []
+    for k in range(0, F.top + 1):
+        start[k] = len(faces)
+        faces += F.basis(k)
+    facets = [[start[k - 1] + i for i in column] if k else []
+              for k in range(0, F.top + 1) for column in F.columns[k]]
+    cofaces = [0] * len(faces)
+    for sigma, below in enumerate(facets):
+        for tau in below:
+            cofaces[tau] |= 1 << sigma
+    tables = []
+    for c in range(F.n):
+        at = {}
+        for i, fid in enumerate(faces):
+            value = F.labels[fid][c]
+            at[value] = at.get(value, 0) | 1 << i
+        table, below = {}, 0
+        for value in sorted(at):
+            below = table[value] = below | at[value]
+        tables.append(table)
+    return facets, cofaces, tables
+
+
+def _collapses_to_a_vertex(live, facets, cofaces) -> bool:
+    """Whether the subcomplex of the faces in the bit mask ``live`` collapses
+    to one vertex by removing free pairs greedily, highest faces first.
+
+    A free pair is a face tau with exactly one live coface sigma.  The live
+    faces form a subcomplex: at the start because a face's label is the lcm
+    of its vertices' labels, so the faces of a face under z^beta are under
+    it too.  Then sigma has no live coface rho, for by the diamond property
+    of a polyhedral complex the faces between tau and rho are sigma and a
+    second one, which would be live and a second coface of tau.  So
+    removing the pair is an elementary collapse and leaves a subcomplex, a
+    complex that ends as one vertex is contractible and has no reduced
+    homology, and one where the removals get stuck proves nothing.
+    """
+    stack = []
+    rest = live
+    while rest:
+        low = rest & -rest
+        stack.append(low.bit_length() - 1)
+        rest ^= low
+    while stack:
+        tau = stack.pop()
+        above = cofaces[tau] & live
+        if live >> tau & 1 and above and not above & (above - 1):
+            sigma = above.bit_length() - 1
+            live ^= 1 << tau | 1 << sigma
+            stack += facets[sigma]
+            stack += facets[tau]
+    return live.bit_count() == 1
+
+
 @derived
 def exactness_witness(X: LabeledCellComplex):
     """First degree among the joins of X's vertex labels where the free
@@ -131,11 +192,19 @@ def exactness_witness(X: LabeledCellComplex):
     dividing a degree only changes at joins of face labels, which are
     joins of vertex labels.  A vertex label need not be a minimal
     generator of X's ideal, so these joins can be more than its lcm
-    lattice.
+    lattice.  A degree whose subcomplex collapses to one vertex
+    (``_collapses_to_a_vertex``) is acyclic; only the others are ranked
+    (``reduced_homology_ranks``), so the witness is the one ranking every
+    degree gives.
     """
     F = cellular_complex(X)
+    facets, cofaces, tables = _face_masks(F)
     for beta in sorted(lcm_lattice([X.vertex_label(v) for v in X.vertices])):
-        if any(reduced_homology_ranks(F, beta)):
+        live = -1
+        for table, b in zip(tables, beta):
+            live &= table[b]
+        if not _collapses_to_a_vertex(live, facets, cofaces) and any(
+                reduced_homology_ranks(F, beta)):
             return beta
     return None
 

@@ -1,0 +1,271 @@
+"""A complex against its corner simplex.
+
+The corner simplex Y of a complex X is the simplex on X's vertices labeled
+by the pure powers z_i^{b_i} of its ideal.  This module builds Y, tests
+whether X refines it (barycentric coordinates of X's vertices against Y,
+carriers and relative volumes), files X's faces under the faces of Y that
+carry them, compares orientations of faces spanning one subspace, and
+projects a hull complex onto its corner simplex.  The comparison maps of
+``residue`` and the embedded hull read everything here; building a hull,
+Scarf or Taylor complex needs none of it.
+"""
+
+from math import lcm, prod
+
+from . import linalg
+from .cellcomplex import (
+    Face,
+    LabeledCellComplex,
+    _fraction_str,
+    _subsets,
+    derived,
+    make_complex,
+    vertex_ideal,
+)
+from .errors import CellresError, PreconditionError
+from .monomial import divides, pure_power_exponents
+
+
+def _corner_vertex_ids(X: LabeledCellComplex) -> tuple:
+    """Per variable i, the first vertex labeled z_i^{b_i}, a pure power of
+    X's ideal; every minimal generator is a vertex label."""
+    b = pure_power_exponents(vertex_ideal(X))
+    powers = [tuple(bi if j == i else 0 for j in range(X.n)) for i, bi in enumerate(b)]
+    return tuple(min(v for v in X.vertices if X.vertex_label(v) == p) for p in powers)
+
+
+@derived
+def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
+    """The simplex complex on X's corner vertices, labeled by the pure powers
+    of X's ideal.
+
+    Vertex ids are the variable indices, so faces are subsets of 0..n-1.
+    """
+    corners = _corner_vertex_ids(X)
+    points = {i: X.vertex_point(v) for i, v in enumerate(corners)}
+    labels = {i: X.vertex_label(v) for i, v in enumerate(corners)}
+    return make_complex(X.n, points, labels, _subsets(X.n), simplicial=True)
+
+
+def _triangulate(X: LabeledCellComplex, fid):
+    """Simplices (as vertex-id tuples) decomposing a face: cones from its
+    first vertex over the simplices of the facets that miss it."""
+    face = X.face(fid)
+    if face.dim <= 0 or len(face.vertices) == face.dim + 1:
+        return [face.vertices]
+    apex = face.vertices[0]
+    return [
+        (apex,) + s
+        for tau in X.facets(fid)
+        if apex not in tau
+        for s in _triangulate(X, tau)
+    ]
+
+
+@derived
+def _vertex_barycentrics(X: LabeledCellComplex):
+    """Homogeneous barycentric coordinates of every vertex of X against the
+    corner simplex Y, and the carrier of every nonempty face whose vertices
+    all have them: ({vertex: {variable: mu}}, d, {face: carrier}), with
+    None for a vertex outside aff |Y|, from one solve per vertex with Y's
+    vertices y_j as the columns: sum_j (mu_j / d) y_j is the vertex's
+    homogeneous point.
+
+    d > 0 depends only on Y, and lambda_j = mu_j w_j / (d w), w the vertex's
+    weight and w_j the j-th corner's, has the signs and support of mu.  Y's
+    vertices are affinely independent, so mu is unique and a point lies in
+    the face S of Y exactly when its mu is nonnegative and supported in S.
+    """
+    Y = corner_simplex_complex(X)
+    columns = list(zip(*(Y.vertex_point(y) for y in range(X.n))))
+    solved = {v: linalg.solve(columns, X.vertex_point(v)) for v in X.vertices}
+    d = next((s[1] for s in solved.values() if s), 1)
+    coords = {v: s and dict(enumerate(s[0])) for v, s in solved.items()}
+    carriers = {fid: _carrier(coords, fid) for fid in X.faces
+                if fid and all(coords[v] is not None for v in fid)}
+    return coords, d, carriers
+
+
+def _carrier(coords, fid) -> tuple:
+    """The union of the barycentric supports of a face's vertices: the
+    smallest face of the corner simplex holding the face, once every
+    vertex lies in the simplex."""
+    return tuple(sorted({y for v in fid for y, c in coords[v].items() if c}))
+
+
+def _mu_volume(X: LabeledCellComplex, fid, coords, span):
+    """Sum over the simplices s of a face of X of |det mu_s| / prod of the
+    weights of s, as (numerator, denominator); mu_s has a row of mu,
+    restricted to the face ``span`` of Y containing the face, per vertex
+    of s.  See refinement_failure."""
+    total = (0, 1)
+    for simplex in _triangulate(X, fid):
+        volume = abs(linalg.det([[coords[v][y] for y in span] for v in simplex]))
+        weight = prod(X.vertex_point(v)[-1] for v in simplex)
+        total = _add_ratio(total, (volume, weight))
+    return total
+
+
+def _add_ratio(x, y):
+    """The sum of the ratios (a, b) and (c, e), over lcm(b, e)."""
+    (a, b), (c, e) = x, y
+    common = lcm(b, e)
+    return a * (common // b) + c * (common // e), common
+
+
+@derived
+def refinement_failure(X: LabeledCellComplex):
+    """Why X does not refine its corner simplex Y, or None if it does.
+
+    Reads the barycentric coordinates of X's vertices and the carriers of
+    its faces once.  For a face f, the carrier U(f), the union of its
+    vertices' supports, is the smallest face of Y containing f.  X refines
+    Y when every vertex lies in |Y|, each label of f divides the label of
+    U(f), and the faces f with |U(f)| = dim f + 1 cover each face of Y with
+    relative volume exactly 1.
+
+    That volume is the sum, over the k-simplices s triangulating those
+    faces, of |det lambda_s|, the rows the barycentric coordinates of the
+    vertices of s restricted to the k + 1 vertices of U(f).  With
+    lambda_j = mu_j w_j / (d w_v) it is 1 exactly when
+    sum_s |det mu_s| / prod_{v in s} w_v = d^(k+1) / prod_{y in U(f)} w_y,
+    an integer identity after cross-multiplication.
+    """
+    Y = corner_simplex_complex(X)
+    coords, d, carriers = _vertex_barycentrics(X)
+    for v in sorted(X.vertices):
+        if coords[v] is None or min(coords[v].values()) < 0:
+            return f"vertex {v} lies outside the simplex"
+    covered = {}
+    for fid in sorted(X.faces):
+        f = X.face(fid)
+        if f.dim < 0:
+            continue
+        span = carriers[fid]
+        if not divides(f.label, Y.face(span).label):
+            return f"label of face {fid} does not divide the label of {span}"
+        if len(span) == f.dim + 1:
+            covered[span] = _add_ratio(
+                covered.get(span, (0, 1)), _mu_volume(X, fid, coords, span)
+            )
+    for sid in sorted(Y.faces):
+        if not sid:
+            continue
+        total, den = covered.get(sid, (0, 1))
+        corner_weight = prod(Y.vertex_point(y)[-1] for y in sid)
+        scale = d ** len(sid)
+        if total * corner_weight != scale * den:
+            volume = _fraction_str(total * corner_weight, scale * den)
+            return f"face {sid} is covered with volume {volume.removesuffix('/1')}"
+    return None
+
+
+@derived
+def carried_faces(X: LabeledCellComplex) -> dict:
+    """{face S of the corner simplex Y: the faces of X of S's dimension
+    inside S}; X must refine Y.
+
+    One pass over X's faces takes each face's carrier, the smallest face of
+    Y holding it, and its label support.  A face lies in S when its carrier
+    does, and on a genuine refinement when its label support does; the
+    first face (by dimension, face of Y, face of X) where the two disagree
+    is refused.
+    """
+    failure = refinement_failure(X)
+    if failure is not None:
+        raise PreconditionError(f"complex does not refine the corner simplex: {failure}")
+    levels = {}
+    for fid, carrier in _vertex_barycentrics(X)[2].items():
+        face = X.face(fid)
+        support = {i for i, e in enumerate(face.label) if e}
+        levels.setdefault(face.dim, []).append((fid, set(carrier), support))
+    carried = {}
+    for sid in sorted(corner_simplex_complex(X).faces, key=lambda s: (len(s), s))[1:]:
+        members = set(sid)
+        level = levels.get(len(sid) - 1, ())
+        inside = {fid for fid, carrier, _ in level if carrier <= members}
+        labeled = {fid for fid, _, support in level if support <= members}
+        if inside != labeled:
+            raise PreconditionError(
+                f"support and geometry disagree on {min(inside ^ labeled)}: "
+                "X does not refine the simplex"
+            )
+        carried[sid] = sorted(inside)
+    return carried
+
+
+def same_span_signs(reference: Face, faces) -> list:
+    """Orientation of each face's basis against the reference's, for faces
+    spanning the reference's subspace: the sign of det C where
+    basis = C · reference basis, all from one ``linalg.orientations``
+    call; a vertex has the empty basis, and sign 1."""
+    if any(face.dim != reference.dim for face in faces):
+        raise PreconditionError("orientation comparison needs equal dimensions")
+    rows = [*reference.basis, *(v for face in faces for v in face.basis)]
+    if linalg.rank(rows) != len(reference.basis):
+        raise PreconditionError("orientation comparison needs equal spans")
+    signs = linalg.orientations(reference.basis, [face.basis for face in faces])
+    if 0 in signs:
+        raise PreconditionError("degenerate orientation basis")
+    return signs
+
+
+def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
+    """Copy of X with the orientation of the given faces reversed.
+
+    The copy starts with X's stored vertex ideal and corner simplex, which
+    depend only on the vertex points and labels.
+    """
+    faces = {}
+    for fid, f in X.faces.items():
+        if fid in flip_ids and f.dim >= 1:
+            basis = (tuple(-x for x in f.basis[0]),) + f.basis[1:]
+            faces[fid] = Face(f.vertices, f.dim, f.label, basis)
+        else:
+            faces[fid] = f
+    copy = LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids)
+    copy._derived.update((name, X._derived[name])
+                         for name in ("vertex_ideal", "corner_simplex_complex")
+                         if name in X._derived)
+    return copy
+
+
+def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex:
+    """Flip top-dimensional faces so each agrees with the reference orientation."""
+    tops = X.faces_of_dim(X.dim)
+    signs = same_span_signs(reference, [X.face(fid) for fid in tops])
+    flips = {fid for fid, sign in zip(tops, signs) if sign < 0}
+    return reoriented(X, flips) if flips else X
+
+
+def embed_in_simplex(H: LabeledCellComplex) -> LabeledCellComplex:
+    """Project a hull complex onto its corner simplex along lines through 1.
+
+    The simplex is read off H's corner vertices: the one (x, w) of
+    variable i must lie at 1 + T_i e_i with T_i = (x_i - w) / w a positive
+    integer, as the corner of z_i^{b_i} in a hull does with
+    T_i = t^{b_i} - 1.  Labels and the face poset are unchanged; top faces
+    are flipped to agree with the simplex orientation.
+    """
+    # the Scarf realization projects the same way; imported here, so that a
+    # job on a complex file, which reads this module, loads no hull code
+    from .hull import _projection_to_simplex
+
+    steps = []
+    for i, v in enumerate(_corner_vertex_ids(H)):
+        *x, w = H.vertex_point(v)
+        step, rest = divmod(x[i] - w, w) if len(x) == H.n else (0, 0)
+        if step < 1 or rest or any(xj != w for j, xj in enumerate(x) if j != i):
+            raise PreconditionError(f"corner vertex {v} is not at 1 + T e_{i} "
+                                    "for a positive integer T; cannot embed")
+        steps.append(step)
+    points = {
+        v: _projection_to_simplex(H.vertex_point(v), steps) for v in H.vertices
+    }
+    labels = {v: H.vertex_label(v) for v in H.vertices}
+    face_sets = [fid for fid in H.faces if len(fid) >= 2]
+    embedded = make_complex(H.n, points, labels, face_sets)
+    if embedded.facet_ids != H.facet_ids:
+        raise CellresError("projection changed the face poset")
+    top = corner_simplex_complex(embedded).face(tuple(range(H.n)))
+    return orient_tops_to(embedded, top)

@@ -19,8 +19,10 @@ and facets of a face, Gram matrices of dot products for orientations and
 barycenter differences for incidence signs, and for
 exactness a subcomplex rebuilt at every lcm-lattice degree with its own
 boundary matrices instead of the free complex's signs restricted to the
-faces under the degree, for the intersection rule of a complex every pair
-of listed faces instead of the pairs of non-simplices, for the fundamental
+faces under the degree, and every degree ranked instead of only those
+whose subcomplex does not collapse to a vertex, for the intersection rule
+of a complex every pair of listed faces instead of the pairs of
+non-simplices, for the fundamental
 cycle a general algebra of wedge forms, each term sorted by a bubble sort,
 instead of one polynomial row per set of used variables, and for d^2 = 0
 and the comparison square a product of dense signed-monomial matrices as
@@ -794,6 +796,20 @@ def subcomplex_exactness_witness(X, generators):
     for beta in sorted(subset_lcm_lattice(generators) | {(0,) * n}):
         S = subcomplex_leq(X, beta)
         if len(S.faces) > 1 and any(subcomplex_homology_ranks(S)):
+            return beta
+    return None
+
+
+def rank_exactness_witness(X):
+    """First join of X's vertex labels, in sorted order, where the free
+    complex restricted to the faces under it has reduced homology, from the
+    ranks of every degree (the scan ``exactness_witness`` had before it
+    collapsed each subcomplex first)."""
+    from cellres import cellular_complex, lcm_lattice, reduced_homology_ranks
+
+    F = cellular_complex(X)
+    for beta in sorted(lcm_lattice([X.vertex_label(v) for v in X.vertices])):
+        if any(reduced_homology_ranks(F, beta)):
             return beta
     return None
 

@@ -9,7 +9,6 @@ from cellres import (
     InputError,
     PreconditionError,
     carried_faces,
-    cellcomplex,
     complex_from_json,
     complex_to_json,
     corner_simplex_complex,
@@ -25,15 +24,12 @@ from cellres import (
     facet_signs,
     same_span_signs,
     scarf_complex,
+    simplex,
     taylor_complex,
     vertex_ideal,
 )
-from cellres.cellcomplex import (
-    Face,
-    _facet_sides,
-    _pivot_basis,
-    _vertex_barycentrics,
-)
+from cellres.cellcomplex import Face, _facet_sides, _pivot_basis
+from cellres.simplex import _vertex_barycentrics
 from conftest import (
     DUPLICATE_CORNER_JSON,
     EX61_GENERATORS,
@@ -872,7 +868,7 @@ def test_each_carrier_is_worked_out_once():
     # the refinement check and the containment pass read one carrier per
     # nonempty face, 19 on the embedded hull of Example 6.1
     X = embedded_hull(minimize(EX61_GENERATORS))
-    with mock.patch.object(cellcomplex, "_carrier", side_effect=cellcomplex._carrier) as carrier:
+    with mock.patch.object(simplex, "_carrier", side_effect=simplex._carrier) as carrier:
         residue_current(X)
     assert carrier.call_count == len(X.faces) - 1 == 19
 

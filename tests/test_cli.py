@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,16 @@ def test_large_exponents(capsys, monkeypatch):
     code, out = invoke(capsys, monkeypatch, ["fundamental-cycle"], big)
     assert code == 0 and out["ok"] is True
     assert out["lhs"] == out["n_factorial_times_m"] == 6 * m
+
+
+def test_huge_lift_is_refused_before_it_is_computed(capsys, monkeypatch):
+    # 8^100000000 has more than 10^8 bits; computing it does not end
+    huge = {"n": 2, "generators": [[100000000, 0], [0, 1]]}
+    for command in ("hull", "scarf", "check-exact"):
+        start = time.perf_counter()
+        code, out = invoke(capsys, monkeypatch, [command], huge)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out["error"].startswith("lifted coordinate ")
 
 
 def test_fundamental_cycle_nongeneric_reported(capsys, monkeypatch):
@@ -274,12 +285,15 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     assert code == 2 and out["error"] == (
         f"result has an integer longer than {sys.get_int_max_str_digits()} digits"
     )
-    # the lift base is 7, so the vertex coordinate 7^6000 has 5071 digits
+    # the lift base is 7, so the vertex coordinate 7^6000 has 5071 digits,
+    # and the hull's recheck at 8 lifts to 8^6000, 5419 digits: both are
+    # refused before the power is taken, with a lower bound on the digits
     wide = {"n": 2, "generators": [[6000, 0], [0, 6000], [1, 1]]}
-    for command in ("hull", "scarf"):
+    for command, lift, digits in (("hull", "8^6000", 5419), ("scarf", "7^6000", 4967)):
         code, out = invoke(capsys, monkeypatch, [command], wide)
         assert code == 2 and out["error"] == (
-            f"result has an integer longer than {sys.get_int_max_str_digits()} digits"
+            f"lifted coordinate {lift} has at least {digits} digits, "
+            f"more than {sys.get_int_max_str_digits()}"
         )
     # a file that is not UTF-8, as the job and as the complex
     path = tmp_path / "latin-1.json"

@@ -22,6 +22,8 @@ from cellres import (
     cellular_complex,
     chain_maps,
     duality_counterexample,
+    exactness_witness,
+    linalg,
     minimize,
     reoriented,
     residue_current,
@@ -163,6 +165,23 @@ def test_free_complex_reads_one_orientation_per_face(monkeypatch):
     counts = _counting(monkeypatch)
     cellular_complex(X)
     assert counts["linalg.orientations"] == 1013
+
+
+@pytest.mark.parametrize("generators", [
+    EX61_GENERATORS,
+    [e for e in product(range(5), repeat=3) if sum(e) == 4],  # m^4 in 3 variables
+], ids=["ex61", "m4-n3"])
+def test_exactness_scan_ranks_no_degree_of_an_embedded_hull(monkeypatch, generators):
+    # every degree's subcomplex collapses to one vertex, so no boundary is
+    # ranked; ranking every degree, one call per level, took 69 calls on
+    # Example 6.1 and 315 on m^4 (counted the same way before the collapse)
+    X = embedded_hull(minimize(generators))
+    cellular_complex(X)
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda matrix: calls.append(1) or rank(matrix))
+    assert exactness_witness(X) is None
+    assert calls == []
 
 
 def test_compare_builds_each_object_once(monkeypatch):

@@ -14,6 +14,7 @@ from cellres import (
     facet_signs,
     homogeneous,
     hull_complex,
+    linalg,
     make_complex,
     minimality_witness,
     minimize,
@@ -32,6 +33,7 @@ from conftest import (
     complete_intersection,
     embedded_hull,
     flip_sign,
+    maximal_ideal_power,
     random_staircase_ideal,
     without_face,
 )
@@ -39,6 +41,7 @@ from oracles import (
     boundary_squared_failure,
     comparison_square_failure,
     graded_strand_inexact_degree,
+    rank_exactness_witness,
     smith_diagonal,
     subcomplex_exactness_witness,
     subcomplex_homology_ranks,
@@ -277,6 +280,52 @@ def test_whisker_with_a_non_minimal_label_can_break_exactness(ex61_ideal, ex61_e
 def test_exactness_witness_matches_rebuilt_subcomplex_oracle(M, data):
     for X in _exactness_cases(M, data):
         _assert_witnesses_agree(X, M)
+
+
+@settings(max_examples=40)
+@given(artinian_ideals_2_to_4())
+def test_collapse_scan_matches_rank_only_scan(M):
+    # hull, embedded hull, Scarf (inexact when M is not generic) and Taylor
+    complexes = [hull_complex(M), embedded_hull(M), scarf_complex(M)]
+    if len(M.generators) <= 6:
+        complexes.append(taylor_complex(M))
+    for X in complexes:
+        assert exactness_witness(X) == rank_exactness_witness(X)
+
+
+def test_collapse_scan_matches_rank_only_scan_on_inexact_scarf_complexes():
+    # m^4 in 3 and m^2 in 4 variables are not generic, and their Scarf
+    # complexes fail where the collapse gets stuck
+    for n, d in ((3, 4), (4, 2), (3, 2)):
+        X = scarf_complex(maximal_ideal_power(n, d))
+        witness = exactness_witness(X)
+        assert witness is not None and witness == rank_exactness_witness(X)
+
+
+def _rank_calls(monkeypatch, X):
+    """exactness_witness(X) and the number of linalg.rank calls its scan
+    makes; F is built first."""
+    cellular_complex(X)
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda matrix: calls.append(1) or rank(matrix))
+    return exactness_witness(X), len(calls)
+
+
+def test_a_stuck_collapse_leaves_the_verdict_to_rank(monkeypatch):
+    # a hollow triangle under one label: every vertex has two cofaces, so
+    # no pair is free, and the ranks at levels 0 and 1 find the 1-cycle
+    points = {v: homogeneous(p) for v, p in enumerate([(0, 0), (1, 0), (0, 1), (3, 3)])}
+    labels = dict.fromkeys(range(4), (1, 1))
+    edges = [(0, 1), (0, 2), (1, 2)]
+    hollow = make_complex(2, {v: points[v] for v in range(3)},
+                          {v: labels[v] for v in range(3)}, edges)
+    assert _rank_calls(monkeypatch, hollow) == ((1, 1), 2)
+    # beside a lone vertex: a collapse that took a face with two cofaces as
+    # free would remove the triangle and leave that vertex, a false "acyclic"
+    apart = make_complex(2, points, labels, edges)
+    assert _rank_calls(monkeypatch, apart) == ((1, 1), 2)
+    assert rank_exactness_witness(apart) == (1, 1)
 
 
 def test_exactness_invariant_under_reorientation(ex61_embedded, rng):

@@ -8,6 +8,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,28 @@ def test_monomial_subcommands_load_monomial_only(sub, tmp_path):
     assert _cellres(_loaded([sub], tmp_path, SUBCOMMANDS[sub])) == {
         "cellres", "cellres.cli", "cellres.errors", "cellres.monomial",
     }
+
+
+@pytest.mark.parametrize("sub", ["hull", "scarf", "generators", "multiplicity", "partition"])
+def test_complex_free_and_hull_jobs_load_no_corner_simplex_or_reader(sub, tmp_path):
+    loaded = _cellres(_loaded([sub], tmp_path, SUBCOMMANDS[sub]))
+    assert not loaded & {"cellres.simplex", "cellres.complexfile"}
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+def test_only_file_complex_jobs_load_the_reader(sub, tmp_path, ex61_minimal_fixture):
+    assert "cellres.complexfile" not in _loaded([sub], tmp_path, SUBCOMMANDS[sub])
+    if sub in ("check-exact", "residue", "fundamental-cycle"):
+        path = tmp_path / "ex61.complex.json"
+        path.write_text(json.dumps(ex61_minimal_fixture))
+        loaded = _loaded([sub, "--complex", f"file:{path}"], tmp_path, EX61)
+        assert "cellres.complexfile" in loaded and "cellres.hull" not in loaded
+
+
+def test_no_module_postpones_its_annotations():
+    package = Path(cellres.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        assert "from __future__" not in source.read_text(encoding="utf-8"), source.name
 
 
 def test_hull_loads_no_later_layer(tmp_path):

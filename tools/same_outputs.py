@@ -9,10 +9,14 @@ workload of BENCHMARK.json are written at each seed by ``write_jobs`` of this
 checkout's ``benchmark/jobs.py``, and every job, the setup job included,
 runs as one ``python -m cellres.cli`` process under
 ``PYTHONDONTWRITEBYTECODE=1`` against the ``src/`` of each revision in turn.
-Each ``resolve``, ``compare``, ``check-minimal``, ``residue`` or
-``fundamental-cycle`` job that passes no ``--complex`` runs also with
-``--complex scarf`` and with ``--complex taylor``, so that the incidence
-signs of those complexes are compared too.  The embedded hull has its top
+Each ``resolve``, ``compare``, ``check-exact``, ``check-minimal``,
+``residue`` or ``fundamental-cycle`` job that passes no ``--complex`` runs
+also with ``--complex scarf`` and with ``--complex taylor``, so that the
+incidence signs of those complexes are compared too, and the exactness
+witnesses of the Scarf complexes that are not resolutions.  The Taylor
+variant runs only on ideals of at most ``TAYLOR_MAX_GENERATORS``
+generators: the Taylor complex of r generators has 2^r faces, and the
+hull-dense ``check-exact`` jobs have 12 and 15.  The embedded hull has its top
 faces flipped to the corner simplex's orientation, so each sign of its
 current is +1; a Scarf complex keeps its own, so on the generic
 verify-pipeline ideals the ``residue`` and ``fundamental-cycle`` variants
@@ -44,19 +48,25 @@ def differences(base: dict, head: dict) -> list:
                   if base.get(job) != head.get(job))
 
 
-VARIANT_COMMANDS = ("resolve", "compare", "check-minimal", "residue", "fundamental-cycle")
+VARIANT_COMMANDS = ("resolve", "compare", "check-exact", "check-minimal", "residue",
+                    "fundamental-cycle")
+TAYLOR_MAX_GENERATORS = 10
 
 
 def job_argvs(manifest: dict) -> dict:
     """{job id: argv} of every job of a manifest, the setup job included,
     and of each job of ``VARIANT_COMMANDS`` without ``--complex`` run also
-    on the Scarf and the Taylor complex, under its id with the option
-    appended."""
+    on the Scarf complex and, when its ideal has at most
+    ``TAYLOR_MAX_GENERATORS`` generators, on the Taylor complex, under its
+    id with the option appended."""
     argvs = {}
     for job in manifest["jobs"] + [manifest["setup"]]:
         argvs[job["id"]] = job["argv"]
         if job["command"] in VARIANT_COMMANDS and "--complex" not in job["argv"]:
-            for source in ("scarf", "taylor"):
+            sources = ["scarf"]
+            if len(manifest["ideals"][job["ideal"]]) <= TAYLOR_MAX_GENERATORS:
+                sources.append("taylor")
+            for source in sources:
                 argvs[f"{job['id']} --complex {source}"] = job["argv"] + ["--complex", source]
     return argvs
 
