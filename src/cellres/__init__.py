@@ -23,11 +23,14 @@ _EXPORTS = {
         "make_complex", "vertex_ideal",
     ),
     "simplex": (
-        "carried_faces", "corner_simplex_complex", "embed_in_simplex",
-        "refinement_failure", "reoriented", "same_span_signs",
+        "carried_faces", "corner_simplex_complex", "refinement_failure",
+        "reoriented", "same_span_signs",
     ),
     "complexfile": ("complex_from_json",),
-    "hull": ("default_lift_base", "hull_complex", "scarf_complex", "taylor_complex"),
+    "hull": (
+        "default_lift_base", "embedded_hull", "hull_complex", "scarf_complex",
+        "taylor_complex",
+    ),
     "resolution": (
         "FreeComplex", "SignedMonomial", "cellular_complex", "exactness_witness",
         "minimality_witness", "reduced_homology_ranks",

@@ -170,8 +170,7 @@ def _facet_sides(points_by_vertex, sigma: Face, candidates) -> list:
     return [side.pop() if side in ({1}, {-1}) else 0 for side in sides]
 
 
-def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
-                 simplicial=False):
+def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
     """Assemble a labeled complex from vertex data and face vertex sets.
 
     Points are homogeneous integer vectors with a positive last entry, any
@@ -180,8 +179,11 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
     facets are its listed faces of one dimension less: all of them for a
     simplex, where each is the simplex minus one vertex, and otherwise those
     with a nonzero side (``_facet_sides``); they must cover the boundary, and every
-    listed face inside a face must be one of its faces.  With
-    ``simplicial`` every face must be a non-degenerate simplex.  One
+    listed face inside a face must be one of its faces.  So a face's facets
+    are its maximal listed proper subsets, and a family closed under subsets
+    that holds an affinely dependent vertex set is refused: the smallest
+    such set has a vertex-drop of its own dimension, which lies in none of
+    its facets.  One
     elimination per face gives its dimension and its default orientation
     basis; only the bases in ``bases`` are validated.
     """
@@ -224,8 +226,6 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None,
         pts = [points[v] for v in fid]
         idx = linalg.affine_basis_indices(pts)
         dim = len(idx) - 1
-        if simplicial and dim != len(fid) - 1:
-            raise InputError(f"face {fid}: degenerate simplex realization")
         label = lcm_many([tuple(vertex_labels[v]) for v in fid])
         basis = bases.get(fid)
         if basis is None:

@@ -87,9 +87,8 @@ def _load_job(args):
 def _build_complex(M: MonomialIdeal, args):
     source = args.complex or "hull"
     if source == "hull":
-        from .hull import hull_complex
-        from .simplex import embed_in_simplex
-        return embed_in_simplex(hull_complex(M, args.t))
+        from .hull import embedded_hull
+        return embedded_hull(M, args.t)
     if source == "scarf":
         from .hull import scarf_complex
         return scarf_complex(M, args.t)

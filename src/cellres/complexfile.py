@@ -9,7 +9,7 @@ import sys
 from .cellcomplex import LabeledCellComplex, _homogeneous, make_complex
 from .errors import InputError, PreconditionError
 from .monomial import is_int
-from .simplex import corner_simplex_complex, orient_tops_to
+from .simplex import orient_tops
 
 
 def _json_objects(value, what):
@@ -110,12 +110,11 @@ def complex_from_json(obj) -> LabeledCellComplex:
 
 
 def _orient_tops_by_pure_powers(X: LabeledCellComplex) -> LabeledCellComplex:
-    """Apply the canonical top orientation when the corner simplex is visible:
-    the one of the top face of ``corner_simplex_complex``, oriented by
-    ascending variable order."""
+    """Apply the canonical top orientation (``orient_tops``) when the corner
+    simplex is visible."""
     if X.dim != X.n - 1:
         return X
     try:
-        return orient_tops_to(X, corner_simplex_complex(X).face(tuple(range(X.n))))
+        return orient_tops(X)
     except (InputError, PreconditionError):  # no pure powers, or dependent corners
         return X

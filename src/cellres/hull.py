@@ -6,8 +6,9 @@ integer cross products of point differences, and a face is bounded exactly
 when the supports of the (nonnegative) normals of the facets containing it
 cover every coordinate.  Everything is checked for stability by
 recomputing at t+1.  Points handed to ``make_complex`` are homogeneous
-integer vectors, the lifted points with weight 1 and their projections onto
-the corner simplex in lowest terms.
+integer vectors: ``hull_complex`` places the generators at their lifted
+points with weight 1, and ``embedded_hull`` and ``scarf_complex`` at their
+projections onto the corner simplex in lowest terms.
 """
 
 import math
@@ -16,7 +17,7 @@ from itertools import combinations
 from operator import mul
 
 from . import linalg
-from .cellcomplex import LabeledCellComplex, _subsets, make_complex
+from .cellcomplex import LabeledCellComplex, _lowest_terms, _subsets, make_complex
 from .errors import CellresError, InputError, PreconditionError
 from .monomial import (
     MonomialIdeal,
@@ -154,12 +155,9 @@ def _bounded_face_sets(points):
     return bounded
 
 
-def hull_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
-    """Bounded faces of conv{t^alpha} + R_+^n with lcm labels.
-
-    Vertices are the minimal generators in descending lexicographic order;
-    the face poset is recomputed at t+1 and must agree.
-    """
+def _hull_face_sets(M: MonomialIdeal, t):
+    """The checked lift base and the point-index sets of the bounded faces
+    of conv{t^alpha} + R_+^n, recomputed at t+1, where they must agree."""
     if not is_artinian(M):
         raise PreconditionError("hull complex requires an Artinian ideal")
     t = _check_lift_base(M.n, t)
@@ -172,29 +170,63 @@ def hull_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
     sets_t = face_sets(t)
     if face_sets(t + 1) != sets_t:
         raise CellresError("hull face poset differs between t and t+1")
+    return t, sets_t
+
+
+def hull_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
+    """Bounded faces of conv{t^alpha} + R_+^n with lcm labels.
+
+    Vertices are the minimal generators in descending lexicographic order;
+    the face poset is recomputed at t+1 and must agree.
+    """
+    t, face_sets = _hull_face_sets(M, t)
     points = {i: p + (1,) for i, p in enumerate(_lifted_points(M, t))}
     labels = dict(enumerate(M.generators))
-    return make_complex(M.n, points, labels, sets_t)
+    return make_complex(M.n, points, labels, face_sets)
 
 
-def _projection_to_simplex(point, steps):
-    """Intersection of the line through (1,...,1) and the homogeneous point
-    (x, w) with the hyperplane sum_i (y_i - 1) / T_i = 1 spanned by the
-    corner points 1 + T_i e_i, T_i = ``steps[i]``, in lowest terms.
+def embedded_hull(M: MonomialIdeal, t=None) -> LabeledCellComplex:
+    """The hull complex realized on its corner simplex: the face sets of
+    ``hull_complex``, each generator at its lifted point projected along
+    the line through 1 onto the simplex (``_simplex_points``), and the top
+    faces flipped to agree with the simplex orientation.
 
-    With L = lcm(T) and N = sum_i (x_i - w) L / T_i, the point
-    y = 1 + (x / w - 1) w L / N is (N + (x_i - w) L, ..., N) / N.
+    The complex is built once, on the projected points.  A realization on
+    the lifted points would have the same ``facet_ids``: ``make_complex``
+    accepts a family of face sets only when each face's facets cover its
+    boundary and every listed face inside it lies in one of them, so the
+    facets of a face are exactly its maximal listed proper subsets, and any
+    two realizations of one family that both pass agree.
     """
-    *x, w = point
+    # imported here, so that a hull or Scarf job loads no corner-simplex code
+    from .simplex import orient_tops
+
+    t, face_sets = _hull_face_sets(M, t)
+    labels = dict(enumerate(M.generators))
+    return orient_tops(make_complex(M.n, _simplex_points(M, t), labels, face_sets))
+
+
+def _simplex_points(M: MonomialIdeal, t: int) -> dict:
+    """{generator index: its lifted point x = t^alpha projected along the
+    line through (1,...,1) onto the corner simplex}, homogeneous vectors in
+    lowest terms.
+
+    The simplex lies in the hyperplane sum_i (y_i - 1) / T_i = 1 through
+    the lifted pure powers 1 + T_i e_i, T_i = t^{b_i} - 1.  With
+    L = lcm(T) and N = sum_i (x_i - 1) L / T_i, positive as x >= 1 and
+    x != 1, the point y = 1 + (x - 1) L / N is (N + (x_i - 1) L, ..., N) / N;
+    x = 1 is the generator 1, which no minimal Artinian ideal has.
+    """
+    steps = [t**b - 1 for b in pure_power_exponents(M)]
     common = math.lcm(*steps)
-    denom = sum((xi - w) * (common // s) for xi, s in zip(x, steps))
-    if denom == 0:
-        raise PreconditionError("cannot project the all-ones point")
-    if denom < 0:
-        denom, common = -denom, -common
-    y = [denom + (xi - w) * common for xi in x] + [denom]
-    g = math.gcd(*y)
-    return tuple(c // g for c in y)
+    scales = [common // s for s in steps]
+    points = {}
+    for i, x in enumerate(_lifted_points(M, t)):
+        denom = sum((xi - 1) * scale for xi, scale in zip(x, scales))
+        if denom == 0:
+            raise PreconditionError("cannot project the all-ones point")
+        points[i] = _lowest_terms([denom + (xi - 1) * common for xi in x] + [denom])
+    return points
 
 
 def _scarf_faces(generators):
@@ -234,8 +266,8 @@ def scarf_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
     """Simplicial complex of generator subsets with a unique lcm.
 
     M must be Artinian.  The faces come from a depth-first search (see
-    _scarf_faces) and are realized on the embedded hull vertex coordinates,
-    with simplex orientations from the sorted vertex order.
+    _scarf_faces) and are realized on the points of the embedded hull
+    (_simplex_points), with simplex orientations from the sorted vertex order.
     """
     r = len(M.generators)
     if r > SCARF_MAX_GENERATORS:
@@ -246,14 +278,8 @@ def scarf_complex(M: MonomialIdeal, t=None) -> LabeledCellComplex:
         raise PreconditionError("the embedded realization requires an Artinian ideal")
     t = _check_lift_base(M.n, t)
     _check_lift_digits(M, t)
-    steps = [t**b - 1 for b in pure_power_exponents(M)]
-    points = {
-        i: _projection_to_simplex(tuple(t**a for a in g) + (1,), steps)
-        for i, g in enumerate(M.generators)
-    }
     labels = dict(enumerate(M.generators))
-    return make_complex(M.n, points, labels, _scarf_faces(M.generators),
-                        simplicial=True)
+    return make_complex(M.n, _simplex_points(M, t), labels, _scarf_faces(M.generators))
 
 
 def taylor_complex(M: MonomialIdeal) -> LabeledCellComplex:
@@ -271,4 +297,4 @@ def taylor_complex(M: MonomialIdeal) -> LabeledCellComplex:
             coords[i] = 1
         points[i] = tuple(coords)
     labels = dict(enumerate(M.generators))
-    return make_complex(M.n, points, labels, _subsets(r), simplicial=True)
+    return make_complex(M.n, points, labels, _subsets(r))

@@ -104,24 +104,26 @@ def contains(M: MonomialIdeal, beta) -> bool:
     return any(divides(g, beta) for g in M.generators)
 
 
-def is_artinian(M: MonomialIdeal) -> bool:
-    """True when every variable appears as a pure power among the generators."""
-    pure = set()
-    for g in M.generators:
-        support = [i for i, e in enumerate(g) if e > 0]
-        if len(support) == 1:
-            pure.add(support[0])
-    return len(pure) == M.n
-
-
-def pure_power_exponents(M: MonomialIdeal) -> ExponentVector:
-    """The exponents (b_1, ..., b_n) of the pure-power generators z_i^{b_i}."""
+def _pure_powers(M: MonomialIdeal) -> list:
+    """Per variable i, the exponent b_i of a pure-power generator z_i^{b_i},
+    or 0 when no generator is a power of z_i."""
     powers = [0] * M.n
     for g in M.generators:
         support = [i for i, e in enumerate(g) if e > 0]
         if len(support) == 1:
             powers[support[0]] = g[support[0]]
-    if any(b == 0 for b in powers):
+    return powers
+
+
+def is_artinian(M: MonomialIdeal) -> bool:
+    """True when every variable appears as a pure power among the generators."""
+    return all(_pure_powers(M))
+
+
+def pure_power_exponents(M: MonomialIdeal) -> ExponentVector:
+    """The exponents (b_1, ..., b_n) of the pure-power generators z_i^{b_i}."""
+    powers = _pure_powers(M)
+    if not all(powers):
         raise PreconditionError("ideal is not Artinian: missing pure powers")
     return tuple(powers)
 

@@ -5,9 +5,10 @@ by the pure powers z_i^{b_i} of its ideal.  This module builds Y, tests
 whether X refines it (barycentric coordinates of X's vertices against Y,
 carriers and relative volumes), files X's faces under the faces of Y that
 carry them, compares orientations of faces spanning one subspace, and
-projects a hull complex onto its corner simplex.  The comparison maps of
-``residue`` and the embedded hull read everything here; building a hull,
-Scarf or Taylor complex needs none of it.
+flips a complex's top faces to the simplex orientation.  The comparison
+maps of ``residue`` read everything here, and the embedded hull and the
+complex-file reader read the flip; building a hull, Scarf or Taylor complex
+needs none of it.
 """
 
 from math import lcm, prod
@@ -22,7 +23,7 @@ from .cellcomplex import (
     make_complex,
     vertex_ideal,
 )
-from .errors import CellresError, PreconditionError
+from .errors import PreconditionError
 from .monomial import divides, pure_power_exponents
 
 
@@ -44,7 +45,7 @@ def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
     corners = _corner_vertex_ids(X)
     points = {i: X.vertex_point(v) for i, v in enumerate(corners)}
     labels = {i: X.vertex_label(v) for i, v in enumerate(corners)}
-    return make_complex(X.n, points, labels, _subsets(X.n), simplicial=True)
+    return make_complex(X.n, points, labels, _subsets(X.n))
 
 
 def _triangulate(X: LabeledCellComplex, fid):
@@ -230,42 +231,11 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
     return copy
 
 
-def orient_tops_to(X: LabeledCellComplex, reference: Face) -> LabeledCellComplex:
-    """Flip top-dimensional faces so each agrees with the reference orientation."""
+def orient_tops(X: LabeledCellComplex) -> LabeledCellComplex:
+    """Flip top-dimensional faces so each agrees with the top face of X's
+    corner simplex, oriented by ascending variable order."""
+    reference = corner_simplex_complex(X).face(tuple(range(X.n)))
     tops = X.faces_of_dim(X.dim)
     signs = same_span_signs(reference, [X.face(fid) for fid in tops])
     flips = {fid for fid, sign in zip(tops, signs) if sign < 0}
     return reoriented(X, flips) if flips else X
-
-
-def embed_in_simplex(H: LabeledCellComplex) -> LabeledCellComplex:
-    """Project a hull complex onto its corner simplex along lines through 1.
-
-    The simplex is read off H's corner vertices: the one (x, w) of
-    variable i must lie at 1 + T_i e_i with T_i = (x_i - w) / w a positive
-    integer, as the corner of z_i^{b_i} in a hull does with
-    T_i = t^{b_i} - 1.  Labels and the face poset are unchanged; top faces
-    are flipped to agree with the simplex orientation.
-    """
-    # the Scarf realization projects the same way; imported here, so that a
-    # job on a complex file, which reads this module, loads no hull code
-    from .hull import _projection_to_simplex
-
-    steps = []
-    for i, v in enumerate(_corner_vertex_ids(H)):
-        *x, w = H.vertex_point(v)
-        step, rest = divmod(x[i] - w, w) if len(x) == H.n else (0, 0)
-        if step < 1 or rest or any(xj != w for j, xj in enumerate(x) if j != i):
-            raise PreconditionError(f"corner vertex {v} is not at 1 + T e_{i} "
-                                    "for a positive integer T; cannot embed")
-        steps.append(step)
-    points = {
-        v: _projection_to_simplex(H.vertex_point(v), steps) for v in H.vertices
-    }
-    labels = {v: H.vertex_label(v) for v in H.vertices}
-    face_sets = [fid for fid in H.faces if len(fid) >= 2]
-    embedded = make_complex(H.n, points, labels, face_sets)
-    if embedded.facet_ids != H.facet_ids:
-        raise CellresError("projection changed the face poset")
-    top = corner_simplex_complex(embedded).face(tuple(range(H.n)))
-    return orient_tops_to(embedded, top)

@@ -21,7 +21,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 from cellres import (
-    embed_in_simplex,
+    embedded_hull,
     hull_complex,
     is_artinian,
     is_generic,
@@ -164,10 +164,6 @@ def artinian_ideals_2_to_4():
                      artinian_ideals(min_n=4, max_n=4, max_side=2))
 
 
-def embedded_hull(M):
-    return embed_in_simplex(hull_complex(M))
-
-
 def flip_sign(record, k, nth=0):
     """A copy of a free complex or chain map whose nth nonzero entry at level
     k, in row-major order, has the opposite sign; the stored sign columns
@@ -209,8 +205,8 @@ def ex61_hull(ex61_ideal):
 
 
 @pytest.fixture(scope="session")
-def ex61_embedded(ex61_hull):
-    return embed_in_simplex(ex61_hull)
+def ex61_embedded(ex61_ideal):
+    return embedded_hull(ex61_ideal)
 
 
 def minimal_ex61_json(ex61_embedded):

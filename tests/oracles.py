@@ -29,13 +29,16 @@ and the comparison square a product of dense signed-monomial matrices as
 polynomial matrices instead of integer sums of incidence signs, and for
 the residue current its closed form, each top face's label signed by a
 Fraction determinant against the corner simplex, instead of the sign
-column of the top comparison map.
+column of the top comparison map, and for the embedded hull each T_i read
+back off the lifted hull's corners, a Fraction projection of its vertices
+and a comparison of the two face posets, instead of T_i = t^{b_i} - 1 and
+one realization on the projected generators.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm
 
 
 def affine(point):
@@ -560,6 +563,47 @@ def _corner_points(X):
                 powers.append((label[i], v))
         points.append(_point(X, min(powers)[1]))
     return points
+
+
+def embed_in_simplex(H):
+    """The embedding of a hull complex the library retired
+    (``simplex.embed_in_simplex``): each T_i read back off H's corner
+    z_i^{b_i}, which must lie at 1 + T_i e_i for a positive integer T_i;
+    every vertex projected along the line through 1 onto the hyperplane
+    sum_i (y_i - 1) / T_i = 1 in Fractions; the complex rebuilt on the
+    projected points, which must keep H's face poset; and each top face
+    flipped whose basis disagrees, by the Gram rule, with the corner
+    simplex's (q_0 - q_{n-1}, ..., q_{n-2} - q_{n-1}).  Raises ValueError
+    where the library raised."""
+    from cellres import Face, LabeledCellComplex, make_complex
+
+    steps = []
+    for i, corner in enumerate(_corner_points(H)):
+        step = corner[i] - 1
+        if step < 1 or step.denominator != 1 or any(
+                x != 1 for j, x in enumerate(corner) if j != i):
+            raise ValueError(f"corner of z_{i} is not at 1 + T e_{i} for a positive integer T")
+        steps.append(step)
+    points = {}
+    for v in H.vertices:
+        x = _point(H, v)
+        scale = 1 / sum((xi - 1) / step for xi, step in zip(x, steps))
+        y = [1 + scale * (xi - 1) for xi in x]
+        w = lcm(*(c.denominator for c in y))
+        points[v] = tuple(int(c * w) for c in y) + (w,)
+    labels = {v: H.vertex_label(v) for v in H.vertices}
+    X = make_complex(H.n, points, labels, [fid for fid in H.faces if len(fid) >= 2])
+    if X.facet_ids != H.facet_ids:
+        raise ValueError("projection changed the face poset")
+    q = _corner_points(X)
+    reference = [[a - b for a, b in zip(p, q[-1])] for p in q[:-1]]
+    faces = dict(X.faces)
+    for fid in X.faces_of_dim(X.dim):
+        face = X.face(fid)
+        if face.dim >= 1 and gram_orientation(reference, face.basis) < 0:
+            basis = (tuple(-c for c in face.basis[0]),) + face.basis[1:]
+            faces[fid] = Face(fid, face.dim, face.label, basis)
+    return LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids)
 
 
 def closed_form_current(X):

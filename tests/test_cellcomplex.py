@@ -28,7 +28,7 @@ from cellres import (
     taylor_complex,
     vertex_ideal,
 )
-from cellres.cellcomplex import Face, _facet_sides, _pivot_basis
+from cellres.cellcomplex import Face, _facet_sides, _pivot_basis, _subsets
 from cellres.simplex import _vertex_barycentrics
 from conftest import (
     DUPLICATE_CORNER_JSON,
@@ -393,8 +393,20 @@ def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
     assert X.faces == unflipped.faces
     assert X.facet_ids == unflipped.facet_ids
     assert X.face((1, 2, 3)).basis == ((0, 1), (1, 0))
-    with pytest.raises(InputError, match="degenerate simplex"):
+    with pytest.raises(InputError, match=r"lies in face \(0, 1, 2\) but is not one of its faces"):
         corner_simplex_complex(X)
+
+
+def test_subset_closed_family_is_refused_at_a_dependent_vertex_set():
+    # every subset listed, so a dependent vertex set has a vertex-drop of
+    # its own dimension, which lies in none of its facets
+    collinear = homogeneous_points({0: (0, 0), 1: (1, 1), 2: (2, 2)})
+    with pytest.raises(InputError, match=r"lies in face \(0, 1, 2\) but is not one of its faces"):
+        make_complex(2, collinear, dict.fromkeys(range(3), (1, 1)), _subsets(3))
+    coplanar = homogeneous_points({0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (1, 1, 0)})
+    with pytest.raises(InputError,
+                       match=r"lies in face \(0, 1, 2, 3\) but is not one of its faces"):
+        make_complex(3, coplanar, dict.fromkeys(range(4), (1, 1, 1)), _subsets(4))
 
 
 def test_json_loader_honors_explicit_bases(ex61_embedded):
@@ -676,6 +688,33 @@ def test_facets_match_the_geometric_oracle_on_non_simplices():
             assert X.facets(sigma.vertices) == tuple(sorted(t for t in expected if t in X.faces))
 
 
+def _assert_facets_are_maximal_listed_subsets(X):
+    """Every face's facets are its maximal listed proper subsets, whatever
+    the points: the boundary-cover and containment checks leave no choice,
+    so two realizations of one family that both pass share ``facet_ids``."""
+    for fid in X.faces:
+        inside = [t for t in X.faces if set(t) < set(fid)]
+        maximal = [t for t in inside if not any(set(t) < set(u) for u in inside)]
+        assert X.facets(fid) == tuple(sorted(maximal)), fid
+
+
+@settings(max_examples=40)
+@given(artinian_ideals_2_to_4())
+def test_facets_are_the_maximal_listed_proper_subsets(M):
+    built = [hull_complex(M), embedded_hull(M), scarf_complex(M)]
+    if len(M.generators) <= 7:  # the Taylor complex has 2^r faces
+        built.append(taylor_complex(M))
+    # a complex file of the lifted hull, read back
+    built.append(complex_from_json(complex_to_json(built[0])))
+    for X in built:
+        _assert_facets_are_maximal_listed_subsets(X)
+
+
+def test_facets_are_the_maximal_listed_proper_subsets_of_non_simplices():
+    for inputs in _non_simplex_inputs():
+        _assert_facets_are_maximal_listed_subsets(make_complex(*inputs))
+
+
 def _bumped(X, vid, var):
     """X with one exponent of one vertex label raised by one."""
     obj = complex_to_json(X)
@@ -876,7 +915,7 @@ def test_each_carrier_is_worked_out_once():
 def _assert_face_data_matches_scan(X, tops_may_flip=False):
     """Dimensions, orientation bases and facets agree with the rule
     make_complex had, each basis vector up to a positive scale; tops that
-    orient_tops_to may have flipped can carry the first basis vector
+    orient_tops may have flipped can carry the first basis vector
     negated."""
     points = {v: affine(X.vertex_point(v)) for v in X.vertices}
     expected = scan_face_data(points, [fid for fid in X.faces if fid])

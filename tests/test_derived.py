@@ -45,6 +45,7 @@ M2_IN_4 = {
 }
 
 COUNTED = (
+    "cellcomplex.make_complex",  # one call per complex realized
     "resolution._compose",  # one product of sign columns per level checked
     "linalg.orientations",  # one call per reference face of a sign rule
     "monomial.lcm_lattice",  # one call per exactness scan
@@ -91,7 +92,7 @@ def _counting(monkeypatch):
     counts = dict.fromkeys(COUNTED, 0)
     # a layer first imported while the patches are in place would keep a
     # counting wrapper after they are undone, and the next test would miss it
-    for layer in ("hull", "resolution", "residue", "cycle"):
+    for layer in ("hull", "simplex", "complexfile", "resolution", "residue", "cycle"):
         importlib.import_module(f"cellres.{layer}")
     modules =[m for name, m in sys.modules.items() if name.startswith("cellres")]
     for name in COUNTED:
@@ -129,14 +130,15 @@ def test_fundamental_cycle_builds_each_object_once(
     stores = _recording(monkeypatch)
     assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
     assert counts == {
+        "cellcomplex.make_complex": 2,  # the embedded hull X and its simplex Y
         # d^2 = 0 at levels 1..dim of F of X and of F of Y, then the two
         # sides of the comparison square at levels 0..dim
         "resolution._compose": dim + dim + 2 * (dim + 1),
-        # the facet test of each non-simplex of the hull and of its
-        # projection, the embedding's top faces, the facets of each face of
-        # dimension >= 1 of X (which the exactness scan reads off F) and of
-        # Y, and the carried faces of each face of Y in the chain maps
-        "linalg.orientations": 2 * non_simplices + 1 + faces
+        # the facet test of each non-simplex of X, the flip of its top
+        # faces, the facets of each face of dimension >= 1 of X (which the
+        # exactness scan reads off F) and of Y, and the carried faces of
+        # each face of Y in the chain maps
+        "linalg.orientations": non_simplices + 1 + faces
                                + (simplex_faces - job["n"]) + simplex_faces,
         "monomial.lcm_lattice": 1,
         "monomial.multiplicity": 1,
@@ -151,9 +153,9 @@ def test_fundamental_cycle_builds_each_object_once(
         "exactness_witness": 1,
         "refinement_failure": 1,
         "residue_current": 1,
-        # the hull and the projected hull; a copy with flipped tops takes both
-        # the ideal and the corner simplex from the projected hull
-        "vertex_ideal": 2,
+        # a copy with flipped tops takes both the ideal and the corner
+        # simplex from the embedded hull it copies
+        "vertex_ideal": 1,
     }
 
 
@@ -189,10 +191,11 @@ def test_compare_builds_each_object_once(monkeypatch):
     stores = _recording(monkeypatch)
     assert _run(monkeypatch, ["compare"], EX61) == 0
     assert counts == {
+        "cellcomplex.make_complex": 2,  # the embedded hull X and its simplex Y
         # d^2 = 0 at levels 1..2 of F of X and of F of Y, then the two sides
         # a_{k-1} psi_k and phi_k a_k of the square at levels 0..2
         "resolution._compose": 2 + 2 + 2 * 3,
-        # the embedding's top faces, the facets of the 13 faces of
+        # the flip of X's top faces, the facets of the 13 faces of
         # dimension >= 1 of X and the 4 of the simplex Y, and the carried
         # faces of each of the 7 faces of Y in the chain maps
         "linalg.orientations": 1 + 13 + 4 + 7,
@@ -206,8 +209,23 @@ def test_compare_builds_each_object_once(monkeypatch):
         "chain_maps": 1,
         "corner_simplex_complex": 1,  # shared by refinement, containment and the maps
         "refinement_failure": 1,
-        "vertex_ideal": 2,
+        "vertex_ideal": 1,
     }
+
+
+@pytest.mark.parametrize("args, builds", [
+    (["hull"], 1),  # the lifted hull
+    (["scarf"], 1),
+    (["residue"], 2),  # the embedded hull and its corner simplex
+    (["residue", "--complex", "file:{path}"], 2),  # the file complex and its simplex
+], ids=["hull", "scarf", "residue", "residue-file"])
+def test_each_job_realizes_each_complex_once(
+        monkeypatch, tmp_path, ex61_minimal_fixture, args, builds):
+    path = tmp_path / "ex61.complex.json"
+    path.write_text(json.dumps(ex61_minimal_fixture))
+    counts = _counting(monkeypatch)
+    assert _run(monkeypatch, [a.format(path=path) for a in args], EX61) == 0
+    assert counts["cellcomplex.make_complex"] == builds
 
 
 @pytest.mark.parametrize("subcommand", sorted(_HANDLERS))

@@ -10,7 +10,7 @@ from cellres import (
     PreconditionError,
     corner_simplex_complex,
     default_lift_base,
-    embed_in_simplex,
+    embedded_hull,
     exactness_witness,
     hull_complex,
     minimize,
@@ -22,7 +22,6 @@ from cellres import hull, linalg, monomial
 from conftest import (
     artinian_ideals,
     artinian_ideals_2_to_4,
-    embedded_hull,
     maximal_ideal_power,
     random_generic_ideal,
     random_generic_ideal_3,
@@ -32,6 +31,7 @@ from oracles import (
     _face_points,
     affine,
     all_k_bounded_face_sets,
+    embed_in_simplex,
     face_volume_rel,
     hull_face_sets,
     subset_scan_scarf_faces,
@@ -123,7 +123,7 @@ def test_embedded_top_volumes_fill_simplex(ex61_embedded):
 def test_embedded_ci_hull_is_its_corner_simplex():
     b = (2, 3)
     M = minimize([(2, 0), (0, 3)])
-    H = embed_in_simplex(hull_complex(M))
+    H = embedded_hull(M)
     D = corner_simplex_complex(H)
     t = default_lift_base(2)
     assert set(H.faces) == set(D.faces) == {(), (0,), (1,), (0, 1)}
@@ -133,11 +133,23 @@ def test_embedded_ci_hull_is_its_corner_simplex():
 
 
 def test_embedding_reads_the_simplex_off_the_corners(ex61_ideal, ex61_embedded):
+    # the retired embedding, kept as an oracle, reads T_i off the corners:
     # the embedded hull keeps the hull's corners, so it embeds to itself
     assert embed_in_simplex(ex61_embedded).vertices == ex61_embedded.vertices
     # the Taylor complex puts its corners on a standard simplex
-    with pytest.raises(PreconditionError, match=r"^corner vertex 0 is not at 1 \+ T e_0 "):
+    with pytest.raises(ValueError, match=r"^corner of z_0 is not at 1 \+ T e_0 "):
         embed_in_simplex(taylor_complex(ex61_ideal))
+
+
+@settings(max_examples=60)
+@given(artinian_ideals_2_to_4())
+def test_embedded_hull_matches_the_retired_embedding(M):
+    # one realization on the projected generators, with T_i = t^{b_i} - 1,
+    # against the lifted hull projected with T_i read off its corners
+    X, oracle = embedded_hull(M), embed_in_simplex(hull_complex(M))
+    assert X.vertices == oracle.vertices
+    assert X.faces == oracle.faces  # bases included
+    assert X.facet_ids == oracle.facet_ids
 
 
 def test_scarf_equals_hull_for_generic(rng):
@@ -215,7 +227,7 @@ def test_hull_n1():
     M = minimize([(4,)])
     H = hull_complex(M)
     assert set(H.faces) == {(), (0,)}
-    X = embed_in_simplex(H)
+    X = embedded_hull(M)
     assert X.vertex_point(0) == H.vertex_point(0)
     assert exactness_witness(X) is None
 

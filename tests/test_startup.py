@@ -4,6 +4,7 @@ Each subcommand runs in a fresh interpreter, which reports the modules the
 run added to ``sys.modules``.  Nothing here times anything.
 """
 
+import ast
 import importlib
 import json
 import subprocess
@@ -114,6 +115,33 @@ def test_only_file_complex_jobs_load_the_reader(sub, tmp_path, ex61_minimal_fixt
         path.write_text(json.dumps(ex61_minimal_fixture))
         loaded = _loaded([sub, "--complex", f"file:{path}"], tmp_path, EX61)
         assert "cellres.complexfile" in loaded and "cellres.hull" not in loaded
+
+
+def _imported_modules(nodes) -> set:
+    """The package modules that the import statements among ``nodes``
+    name, relative imports by their module name."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            names |= ({node.module.rpartition(".")[2]} if node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            names |= {a.name.rpartition(".")[2] for a in node.names}
+    return names
+
+
+def test_simplex_imports_no_hull_and_the_embedded_hull_imports_simplex_late():
+    # the embedded hull flips its tops with simplex code, so hull and Scarf
+    # jobs load no simplex and complex-file jobs load no hull only while
+    # simplex never imports hull and hull imports simplex in that body alone
+    package = Path(cellres.__file__).parent
+    simplex = ast.parse((package / "simplex.py").read_text(encoding="utf-8"))
+    assert "hull" not in _imported_modules(ast.walk(simplex))
+    hull = ast.parse((package / "hull.py").read_text(encoding="utf-8"))
+    assert "simplex" not in _imported_modules(hull.body)
+    late = {node.name for node in ast.walk(hull) if isinstance(node, ast.FunctionDef)
+            and "simplex" in _imported_modules(ast.walk(node))}
+    assert late == {"embedded_hull"}
 
 
 def test_no_module_postpones_its_annotations():
