@@ -46,6 +46,8 @@ def _cases():
         for sub in ("residue", "compare", "check-exact", "fundamental-cycle",
                     "resolve", "check-minimal"):
             cases.append(([sub, "--complex", source], EX61))
+    cases += [([sub, "--complex", "file:@bases"], EX61)
+              for sub in ("resolve", "compare", "residue")]
     cases.append((["fundamental-cycle"], M2_IN_4))
     cases += [([sub, "--complex", "scarf"], GENERIC)
               for sub in ("residue", "compare", "fundamental-cycle")]
@@ -71,12 +73,28 @@ def _invoke(args, job, files, directory):
     return out.getvalue(), code
 
 
+def _bases_json(X):
+    """The Example 6.1 embedded hull's file with two orientation bases
+    given: the inner edge (1, 2) negated and the top face (0, 1, 2) with
+    its two vectors swapped, so that the signs a given basis sets show in
+    the output."""
+    from cellres import complex_to_json
+
+    obj = complex_to_json(X)
+    given = {(1, 2): [[-x for x in X.face((1, 2)).basis[0]]],
+             (0, 1, 2): [list(b) for b in reversed(X.face((0, 1, 2)).basis)]}
+    for face in obj["faces"]:
+        if tuple(face["vertices"]) in given:
+            face["orientation_basis"] = given[tuple(face["vertices"])]
+    return obj
+
+
 def _record():
     from cellres import minimize
     from conftest import embedded_hull, minimal_ex61_json
 
-    files = {"minimal": minimal_ex61_json(
-        embedded_hull(minimize([tuple(g) for g in EX61["generators"]])))}
+    X = embedded_hull(minimize([tuple(g) for g in EX61["generators"]]))
+    files = {"minimal": minimal_ex61_json(X), "bases": _bases_json(X)}
     cases = []
     with tempfile.TemporaryDirectory() as directory:
         for args, job in _cases():
