@@ -19,8 +19,8 @@ _EXPORTS = {
         "staircase_corners_2d", "staircase_partition_2d",
     ),
     "cellcomplex": (
-        "Face", "LabeledCellComplex", "complex_to_json", "facet_signs", "homogeneous",
-        "make_complex", "vertex_ideal",
+        "Face", "LabeledCellComplex", "complex_to_json", "homogeneous", "make_complex",
+        "vertex_ideal",
     ),
     "simplex": (
         "carried_faces", "corner_simplex_complex", "refinement_failure",

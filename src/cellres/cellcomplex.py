@@ -8,8 +8,9 @@ under a positive scale of each vertex, so the whole module computes on
 integers.  Each face carries
 an orientation as an ordered spanning basis of its direction space, a
 tuple of integer vectors; a face's label is the componentwise maximum of
-its vertices' labels.  The empty face (dimension -1, label the zero vector)
-is always part of a complex.
+its vertices' labels.  Each face files its facets with their incidence
+signs, decided once when the complex is built.  The empty face
+(dimension -1, label the zero vector) is always part of a complex.
 """
 
 import sys
@@ -18,7 +19,7 @@ from functools import wraps
 from math import gcd, lcm
 
 from . import linalg
-from .errors import CellresError, InputError, PreconditionError
+from .errors import CellresError, InputError
 from .monomial import lcm_many, minimize
 
 EMPTY = ()
@@ -67,8 +68,9 @@ class LabeledCellComplex:
 
     ``vertices`` maps vertex id to (homogeneous point, label); ``faces`` maps the face
     id (the sorted tuple of its vertex ids) to its Face; ``facet_ids`` maps
-    each face to its codimension-one faces.  ``_derived`` holds the objects
-    built from the complex by ``derived`` functions.
+    each face to {facet: incidence sign +1 or -1}, its codimension-one faces
+    in sorted order.  ``_derived`` holds the objects built from the complex
+    by ``derived`` functions.
     """
 
     def __init__(self, n, vertices, faces, facet_ids):
@@ -95,7 +97,7 @@ class LabeledCellComplex:
         return sorted(fid for fid, f in self.faces.items() if f.dim == k)
 
     def facets(self, fid) -> tuple:
-        return self.facet_ids[fid]
+        return tuple(self.facet_ids[fid])
 
 
 def derived(build):
@@ -127,8 +129,6 @@ def _pivot_basis(points, idx):
     """Orientation basis (q_0 - q_k, ..., q_{k-1} - q_k) of the points
     q_0 < ... < q_k at the indices ``linalg.affine_basis_indices`` chose,
     each direction scaled to integers by ``_direction``."""
-    if len(idx) <= 1:
-        return ()
     last = points[idx[-1]]
     return tuple(_direction(points[i], last) for i in idx[:-1])
 
@@ -175,17 +175,25 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
 
     Points are homogeneous integer vectors with a positive last entry, any
     positive multiple naming the same point; bases are integer vectors.
-    Singleton faces and the empty face are added automatically.  A face's
-    facets are its listed faces of one dimension less: all of them for a
-    simplex, where each is the simplex minus one vertex, and otherwise those
-    with a nonzero side (``_facet_sides``); they must cover the boundary, and every
-    listed face inside a face must be one of its faces.  So a face's facets
-    are its maximal listed proper subsets, and a family closed under subsets
-    that holds an affinely dependent vertex set is refused: the smallest
-    such set has a vertex-drop of its own dimension, which lies in none of
-    its facets.  One
+    Singleton faces and the empty face are added automatically.  One
     elimination per face gives its dimension and its default orientation
     basis; only the bases in ``bases`` are validated.
+
+    A face's facets, each filed with its incidence sign, are its listed
+    faces of one dimension less: for a simplex its vertex-drops, otherwise
+    those with a nonzero side (``_facet_sides``), the side being the sign.
+    They must cover the boundary, and every listed face inside a face must
+    be one of its faces.  So a face's facets are its maximal listed proper
+    subsets, and a family closed under subsets that holds an affinely
+    dependent vertex set is refused: the smallest such set has a
+    vertex-drop of its own dimension, which lies in none of its facets.
+
+    The drop tau of the j-th vertex q_j of a simplex sigma = (q_0, ..., q_k)
+    has the sign (-1)^j eps_sigma eps_tau, eps the orientation of a face's
+    basis against its default one: 1 unless a basis is given.  On default
+    bases it is the side: modulo tau's span the direction to q_j is
+    q_j - q_k, j places from the front of sigma's basis (q_0 - q_k, ...,
+    q_{k-1} - q_k), or if j = k, -(q_{k-1} - q_k), k - 1 places from its end.
     """
     bases = dict(bases or {})
     ids = sorted(vertex_points)
@@ -219,7 +227,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
             if v not in points:
                 raise InputError(f"face {fid} references unknown vertex {v}")
 
-    faces = {}
+    faces, eps = {}, {}
     zero_label = (0,) * n
     faces[EMPTY] = Face(EMPTY, -1, zero_label, ())
     for fid in sorted(face_ids):
@@ -227,12 +235,12 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
         idx = linalg.affine_basis_indices(pts)
         dim = len(idx) - 1
         label = lcm_many([tuple(vertex_labels[v]) for v in fid])
-        basis = bases.get(fid)
-        if basis is None:
-            basis = _pivot_basis(pts, idx)
-        else:
-            basis = tuple(tuple(b) for b in basis)
+        basis = pivot = _pivot_basis(pts, idx)
+        if bases.get(fid) is not None:
+            basis = tuple(tuple(b) for b in bases[fid])
             _validate_basis(basis, [_direction(p, pts[0]) for p in pts[1:]], dim, fid)
+            if 1 <= dim == len(fid) - 1:  # only a simplex's signs read eps
+                eps[fid] = linalg.orientations(pivot, [basis])[0]
         faces[fid] = Face(fid, dim, label, basis)
 
     # closure under vertex-set intersections (faces of a complex intersect
@@ -249,46 +257,30 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
                     "which is not a face of the complex"
                 )
 
-    facet_ids = {EMPTY: ()}
+    facet_ids = {EMPTY: {}}
     for fid in sorted(face_ids):
         f = faces[fid]
-        if f.dim == 0:
-            facet_ids[fid] = (EMPTY,)
-            continue
         if len(fid) == f.dim + 1:
-            drops = (fid[:i] + fid[i + 1:] for i in range(len(fid)))
-            found = [sub for sub in drops if sub in faces]
+            drops = ((fid[:j] + fid[j + 1:], (-1) ** j) for j in range(len(fid)))
+            found = {tau: sign * eps.get(fid, 1) * eps.get(tau, 1)
+                     for tau, sign in drops if tau in faces}
             inside = ()
         else:
             members = set(fid)
             inside = [t for t in face_ids if set(t) < members]
             candidates = [faces[t] for t in inside if faces[t].dim == f.dim - 1]
-            found = [tau.vertices for tau, side in
-                     zip(candidates, _facet_sides(points, f, candidates)) if side]
+            found = {tau.vertices: side for tau, side in
+                     zip(candidates, _facet_sides(points, f, candidates)) if side}
         if len(found) < f.dim + 1:
             raise InputError(f"face {fid}: boundary is not covered by listed faces")
         # a face inside a facet tau is checked against tau's facets in turn
         for t in inside:
             if not any(set(t) <= set(tau) for tau in found):
                 raise InputError(f"face {t} lies in face {fid} but is not one of its faces")
-        facet_ids[fid] = tuple(sorted(found))
+        facet_ids[fid] = dict(sorted(found.items()))
 
     vertices = {v: (points[v], tuple(vertex_labels[v])) for v in ids}
     return LabeledCellComplex(n, vertices, faces, facet_ids)
-
-
-def facet_signs(X: LabeledCellComplex, sigma_id) -> dict:
-    """{facet tau of sigma: incidence sign}, in ``X.facets(sigma_id)`` order:
-    the side of tau's hull on which sigma lies, from one ``_facet_sides`` call."""
-    sigma, facets = X.face(sigma_id), X.facets(sigma_id)
-    if sigma.dim <= 0:
-        return dict.fromkeys(facets, 1)
-    points = {v: X.vertex_point(v) for v in sigma_id}
-    sides = _facet_sides(points, sigma, [X.face(tau) for tau in facets])
-    for tau, side in zip(facets, sides):
-        if side == 0:
-            raise PreconditionError(f"degenerate orientation data for {tau} in {sigma_id}")
-    return dict(zip(facets, sides))
 
 
 def _subsets(r):

@@ -192,11 +192,12 @@ def embedded_hull(M: MonomialIdeal, t=None) -> LabeledCellComplex:
     faces flipped to agree with the simplex orientation.
 
     The complex is built once, on the projected points.  A realization on
-    the lifted points would have the same ``facet_ids``: ``make_complex``
+    the lifted points would give each face the same facets, though a
+    non-simplex's incidence signs depend on the points: ``make_complex``
     accepts a family of face sets only when each face's facets cover its
     boundary and every listed face inside it lies in one of them, so the
     facets of a face are exactly its maximal listed proper subsets, and any
-    two realizations of one family that both pass agree.
+    two realizations of one family that both pass agree on them.
     """
     # imported here, so that a hull or Scarf job loads no corner-simplex code
     from .simplex import orient_tops

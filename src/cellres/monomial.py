@@ -132,18 +132,15 @@ def lcm_lattice(M) -> frozenset[ExponentVector]:
     """All joins of nonempty generator subsets, by closure under pairwise lcm.
 
     M is an ideal or any generating set of exponent vectors, which need not
-    be minimal.
+    be minimal; their lengths are checked once, not per join.
     """
     gens = set(M.generators if isinstance(M, MonomialIdeal) else M)
+    if len({len(g) for g in gens}) > 1:
+        raise InputError("lcm of exponent vectors of different lengths")
     lattice = set(gens)
     frontier = set(gens)
     while frontier:
-        new = set()
-        for a in frontier:
-            for b in gens:
-                j = lcm(a, b)
-                if j not in lattice:
-                    new.add(j)
+        new = {tuple(map(max, a, b)) for a in frontier for b in gens} - lattice
         lattice |= new
         frontier = new
     return frozenset(lattice)

@@ -11,7 +11,7 @@ are therefore integer sums of incidence signs.
 from collections import namedtuple
 
 from . import linalg
-from .cellcomplex import LabeledCellComplex, derived, facet_signs
+from .cellcomplex import LabeledCellComplex, derived
 from .errors import CellresError
 from .monomial import divides, lcm_lattice
 
@@ -70,7 +70,8 @@ def _compose(a, b) -> list:
 
 @derived
 def cellular_complex(X: LabeledCellComplex) -> FreeComplex:
-    """Boundary maps with entries sign(tau,sigma) z^{m_sigma - m_tau}.
+    """Boundary maps with entries sign(tau,sigma) z^{m_sigma - m_tau}, the
+    incidence signs X files.
 
     Verifies that consecutive maps compose to zero.
     """
@@ -81,7 +82,7 @@ def cellular_complex(X: LabeledCellComplex) -> FreeComplex:
     for k in range(0, top + 1):
         row_index = {fid: i for i, fid in enumerate(levels[k - 1])}
         columns[k] = tuple(
-            {row_index[tau]: sign for tau, sign in facet_signs(X, sigma).items()}
+            {row_index[tau]: sign for tau, sign in X.facet_ids[sigma].items()}
             for sigma in levels[k]
         )
     for k in range(1, top + 1):

@@ -23,7 +23,7 @@ from .cellcomplex import (
     make_complex,
     vertex_ideal,
 )
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .monomial import divides, pure_power_exponents
 
 
@@ -40,12 +40,17 @@ def corner_simplex_complex(X: LabeledCellComplex) -> LabeledCellComplex:
     """The simplex complex on X's corner vertices, labeled by the pure powers
     of X's ideal.
 
-    Vertex ids are the variable indices, so faces are subsets of 0..n-1.
+    Vertex ids are the variable indices, so faces are subsets of 0..n-1;
+    a refusal names the corners by X's vertex ids.
     """
     corners = _corner_vertex_ids(X)
     points = {i: X.vertex_point(v) for i, v in enumerate(corners)}
     labels = {i: X.vertex_label(v) for i, v in enumerate(corners)}
-    return make_complex(X.n, points, labels, _subsets(X.n))
+    try:
+        return make_complex(X.n, points, labels, _subsets(X.n))
+    except InputError as exc:
+        raise InputError(f"the pure-power corners (vertex ids {', '.join(map(str, corners))}) "
+                         "span no simplex") from exc
 
 
 def _triangulate(X: LabeledCellComplex, fid):
@@ -214,17 +219,17 @@ def same_span_signs(reference: Face, faces) -> list:
 def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
     """Copy of X with the orientation of the given faces reversed.
 
-    The copy starts with X's stored vertex ideal and corner simplex, which
-    depend only on the vertex points and labels.
+    A filed incidence sign changes where exactly one of the face and its
+    facet is flipped.  The copy starts with X's stored vertex ideal and
+    corner simplex, which depend only on the vertex points and labels.
     """
-    faces = {}
-    for fid, f in X.faces.items():
-        if fid in flip_ids and f.dim >= 1:
-            basis = (tuple(-x for x in f.basis[0]),) + f.basis[1:]
-            faces[fid] = Face(f.vertices, f.dim, f.label, basis)
-        else:
-            faces[fid] = f
-    copy = LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids)
+    flipped = {fid for fid, f in X.faces.items() if fid in flip_ids and f.dim >= 1}
+    faces = {fid: f._replace(basis=(tuple(-x for x in f.basis[0]),) + f.basis[1:])
+             if fid in flipped else f for fid, f in X.faces.items()}
+    facet_ids = {sigma: {tau: -s if (sigma in flipped) != (tau in flipped) else s
+                         for tau, s in signs.items()}
+                 for sigma, signs in X.facet_ids.items()}
+    copy = LabeledCellComplex(X.n, X.vertices, faces, facet_ids)
     copy._derived.update((name, X._derived[name])
                          for name in ("vertex_ideal", "corner_simplex_complex")
                          if name in X._derived)

@@ -572,9 +572,9 @@ def embed_in_simplex(H):
     every vertex projected along the line through 1 onto the hyperplane
     sum_i (y_i - 1) / T_i = 1 in Fractions; the complex rebuilt on the
     projected points, which must keep H's face poset; and each top face
-    flipped whose basis disagrees, by the Gram rule, with the corner
-    simplex's (q_0 - q_{n-1}, ..., q_{n-2} - q_{n-1}).  Raises ValueError
-    where the library raised."""
+    flipped, with its filed incidence signs, whose basis disagrees, by the
+    Gram rule, with the corner simplex's (q_0 - q_{n-1}, ...,
+    q_{n-2} - q_{n-1}).  Raises ValueError where the library raised."""
     from cellres import Face, LabeledCellComplex, make_complex
 
     steps = []
@@ -593,17 +593,20 @@ def embed_in_simplex(H):
         points[v] = tuple(int(c * w) for c in y) + (w,)
     labels = {v: H.vertex_label(v) for v in H.vertices}
     X = make_complex(H.n, points, labels, [fid for fid in H.faces if len(fid) >= 2])
-    if X.facet_ids != H.facet_ids:
+    # a non-simplex's incidence signs depend on the points: only its facets
+    # are the same
+    if any(X.facets(fid) != H.facets(fid) for fid in H.faces):
         raise ValueError("projection changed the face poset")
     q = _corner_points(X)
     reference = [[a - b for a, b in zip(p, q[-1])] for p in q[:-1]]
-    faces = dict(X.faces)
+    faces, facet_ids = dict(X.faces), dict(X.facet_ids)
     for fid in X.faces_of_dim(X.dim):
         face = X.face(fid)
         if face.dim >= 1 and gram_orientation(reference, face.basis) < 0:
             basis = (tuple(-c for c in face.basis[0]),) + face.basis[1:]
             faces[fid] = Face(fid, face.dim, face.label, basis)
-    return LabeledCellComplex(X.n, X.vertices, faces, X.facet_ids)
+            facet_ids[fid] = {tau: -s for tau, s in X.facet_ids[fid].items()}
+    return LabeledCellComplex(X.n, X.vertices, faces, facet_ids)
 
 
 def closed_form_current(X):

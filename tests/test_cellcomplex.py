@@ -21,7 +21,6 @@ from cellres import (
     refinement_failure,
     residue_current,
     reoriented,
-    facet_signs,
     same_span_signs,
     scarf_complex,
     simplex,
@@ -73,19 +72,19 @@ def triangle_complex(bases=None):
 
 def test_simplex_facet_signs_match_vertex_removal():
     X = triangle_complex()
-    assert facet_signs(X, (0, 1, 2)) == {
+    assert X.facet_ids[0, 1, 2] == {
         (0, 1): 1,
         (0, 2): -1,  # removing the second vertex
         (1, 2): 1,   # removing the first
     }
-    assert list(facet_signs(X, (0, 1, 2))) == list(X.facets((0, 1, 2)))
+    assert X.facets((0, 1, 2)) == ((0, 1), (0, 2), (1, 2))
 
 
 def test_edge_facet_signs():
     X = triangle_complex()
-    assert facet_signs(X, (0, 1)) == {(0,): -1, (1,): 1}
-    assert facet_signs(X, (0,)) == {(): 1}
-    assert facet_signs(X, ()) == {}
+    assert X.facet_ids[0, 1] == {(0,): -1, (1,): 1}
+    assert X.facet_ids[0,] == {(): 1}
+    assert X.facet_ids[()] == {}
 
 
 def test_sign_same_span():
@@ -138,12 +137,21 @@ def test_sign_same_span_errors():
         same_span_signs(X.face((1, 2)), [X.face((1, 2)), degenerate])
 
 
-def test_sign_facet_refuses_a_zero_orientation(monkeypatch):
-    X = triangle_complex()
-    monkeypatch.setattr(linalg, "orientations", lambda basis, families: [0] * len(families))
-    with pytest.raises(PreconditionError) as exc:
-        facet_signs(X, (0, 1, 2))
-    assert str(exc.value) == "degenerate orientation data for (0, 1) in (0, 1, 2)"
+def test_make_complex_refuses_a_zero_orientation(monkeypatch):
+    # a non-simplex's facets are the candidates with a nonzero side, so a
+    # square whose sides all read 0 has none; a simplex's signs need no
+    # orientation at all
+    points = homogeneous_points({0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)})
+    labels = {i: (1, 1) for i in range(4)}
+    calls = []
+    monkeypatch.setattr(linalg, "orientations",
+                        lambda basis, families: calls.append(1) or [0] * len(families))
+    with pytest.raises(InputError) as exc:
+        make_complex(2, points, labels, [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3)])
+    assert str(exc.value) == "face (0, 1, 2, 3): boundary is not covered by listed faces"
+    calls.clear()
+    assert triangle_complex().facet_ids[0, 1, 2] == {(0, 1): 1, (0, 2): -1, (1, 2): 1}
+    assert calls == []
 
 
 def test_signs_invariant_under_positive_basis_change():
@@ -153,15 +161,20 @@ def test_signs_invariant_under_positive_basis_change():
     sheared = triangle_complex(bases={
         (0, 1, 2): [tuple(2 * x + y for x, y in zip(b1, b2)), b2],
     })
-    assert facet_signs(sheared, (0, 1, 2)) == facet_signs(X, (0, 1, 2))
+    assert sheared.facet_ids[0, 1, 2] == X.facet_ids[0, 1, 2]
     assert same_span_signs(top, [sheared.face((0, 1, 2))]) == [1]
 
 
 def test_reorientation_flips_signs():
     X = triangle_complex()
     flipped = reoriented(X, {(0, 1, 2)})
-    signs = facet_signs(X, (0, 1, 2))
-    assert facet_signs(flipped, (0, 1, 2)) == {tau: -s for tau, s in signs.items()}
+    signs = X.facet_ids[0, 1, 2]
+    assert flipped.facet_ids[0, 1, 2] == {tau: -s for tau, s in signs.items()}
+    # an edge's own signs stay; flipping it and the triangle keeps their sign
+    assert flipped.facet_ids[0, 1] == X.facet_ids[0, 1]
+    both = reoriented(X, {(0, 1, 2), (0, 1)})
+    assert both.facet_ids[0, 1, 2] == {**signs, (0, 2): 1, (1, 2): -1}
+    assert both.facet_ids[0, 1] == {(0,): 1, (1,): -1}
 
 
 def _delta(ex61_embedded):
@@ -284,9 +297,9 @@ def test_refinement_sign_identity(ex61_embedded):
                         ):
                             continue
                         lhs = same_span_signs(Y.face(sid), [X.face(sprime)])[0] * (
-                            facet_signs(X, sprime)[tprime]
+                            X.facet_ids[sprime][tprime]
                         )
-                        rhs = facet_signs(Y, sid)[tau] * same_span_signs(
+                        rhs = Y.facet_ids[sid][tau] * same_span_signs(
                             Y.face(tau), [X.face(tprime)]
                         )[0]
                         assert lhs == rhs
@@ -315,7 +328,7 @@ def test_interior_facet_cancellation(ex61_embedded):
                     continue
                 s1, s2 = cof
                 c1, c2 = same_span_signs(Y.face(sid), [X.face(s1), X.face(s2)])
-                total = c1 * facet_signs(X, s1)[tau] + c2 * facet_signs(X, s2)[tau]
+                total = c1 * X.facet_ids[s1][tau] + c2 * X.facet_ids[s2][tau]
                 assert total == 0
                 checked += 1
     assert checked > 0
@@ -393,7 +406,8 @@ def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
     assert X.faces == unflipped.faces
     assert X.facet_ids == unflipped.facet_ids
     assert X.face((1, 2, 3)).basis == ((0, 1), (1, 0))
-    with pytest.raises(InputError, match=r"lies in face \(0, 1, 2\) but is not one of its faces"):
+    with pytest.raises(InputError, match=r"^the pure-power corners \(vertex ids 0, 1, 2\) "
+                                         "span no simplex$"):
         corner_simplex_complex(X)
 
 
@@ -691,7 +705,7 @@ def test_facets_match_the_geometric_oracle_on_non_simplices():
 def _assert_facets_are_maximal_listed_subsets(X):
     """Every face's facets are its maximal listed proper subsets, whatever
     the points: the boundary-cover and containment checks leave no choice,
-    so two realizations of one family that both pass share ``facet_ids``."""
+    so two realizations of one family that both pass share their facets."""
     for fid in X.faces:
         inside = [t for t in X.faces if set(t) < set(fid)]
         maximal = [t for t in inside if not any(set(t) < set(u) for u in inside)]
@@ -952,7 +966,7 @@ def _sheared(X, factor):
 
 
 def _assert_signs_match_retired_rules(X):
-    """facet_signs against the Gram and barycenter rules on every incidence
+    """The filed signs against the Gram and barycenter rules on every incidence
     of X and of its copies sheared by 2 and by -3; same_span_signs against
     the Gram rule on each face of those three against its own copies, and
     on every two top faces of X that span one subspace."""
@@ -960,8 +974,7 @@ def _assert_signs_match_retired_rules(X):
     for Z in copies:
         for sigma, face in Z.faces.items():
             if face.dim >= 1:
-                signs = facet_signs(Z, sigma)
-                assert list(signs) == list(Z.facets(sigma))
+                signs = Z.facet_ids[sigma]
                 for tau in Z.facets(sigma):
                     assert (signs[tau] == gram_sign_facet(Z, tau, sigma)
                             == barycenter_sign_facet(Z, tau, sigma))
@@ -1005,6 +1018,49 @@ def test_face_data_and_signs_match_retired_rules_on_fixed_complexes(
         _assert_retired_rules_hold(M)
 
 
+def _assert_filed_signs_match_the_gram_rule(X):
+    """Every incidence sign X files is the Gram rule's, which reads the
+    points and the bases X holds and no filed sign."""
+    for sigma, signs in X.facet_ids.items():
+        for tau, sign in signs.items():
+            assert sign == gram_sign_facet(X, tau, sigma), (tau, sigma)
+
+
+def _with_given_bases(X, data):
+    """X's complex file with explicit orientation bases on drawn faces of
+    dimension >= 1: the face's basis with two vectors swapped or one
+    negated, read back."""
+    obj = complex_to_json(X)
+    for face in obj["faces"]:
+        basis = [list(b) for b in X.face(tuple(face["vertices"])).basis]
+        if not basis or not data.draw(st.booleans()):
+            continue
+        i = data.draw(st.integers(0, len(basis) - 1))
+        if len(basis) >= 2 and data.draw(st.booleans()):
+            j = (i + 1) % len(basis)
+            basis[i], basis[j] = basis[j], basis[i]
+        else:
+            basis[i] = [-x for x in basis[i]]
+        face["orientation_basis"] = basis
+    return complex_from_json(obj)
+
+
+@settings(max_examples=30)
+@given(artinian_ideals_2_to_4(), st.data())
+def test_filed_signs_match_the_gram_rule(M, data):
+    # simplices file (-1)^j eps_sigma eps_tau and non-simplices their side;
+    # the copies check the flips of reoriented and the eps of given bases
+    X = embedded_hull(M)
+    built = [hull_complex(M), X, scarf_complex(M)]
+    if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
+        built.append(taylor_complex(M))
+    # the files of the embedded hull, the Scarf and the Taylor complex
+    built += [_with_given_bases(Z, data) for Z in built[1:]]
+    built.append(reoriented(X, data.draw(st.sets(st.sampled_from(sorted(X.faces))))))
+    for Z in built:
+        _assert_filed_signs_match_the_gram_rule(Z)
+
+
 def test_make_complex_rejects_nonpositive_weights_and_repeated_points():
     labels = {0: (1, 0), 1: (0, 1)}
     for bad in ((1, 0), (1, -1), (-2, -1), (Fraction(1, 2), 1), (1.0, 1)):
@@ -1028,15 +1084,14 @@ def _scaled(X, scales):
 
 
 def _geometry(X):
-    """What the geometry decides: dimensions, facets, incidence signs, the
-    signs of the barycentric coordinates against the corner simplex, the
-    refinement verdict and the faces of X inside each face of the
-    simplex."""
-    signs = {sigma: facet_signs(X, sigma) for sigma in X.faces}
+    """What the geometry decides: dimensions, facets with their incidence
+    signs, the signs of the barycentric coordinates against the corner
+    simplex, the refinement verdict and the faces of X inside each face of
+    the simplex."""
     coords = _vertex_barycentrics(X)[0]
     supports = {v: mu and {y: (c > 0) - (c < 0) for y, c in mu.items()}
                 for v, mu in coords.items()}
-    return ({fid: f.dim for fid, f in X.faces.items()}, X.facet_ids, signs, supports,
+    return ({fid: f.dim for fid, f in X.faces.items()}, X.facet_ids, supports,
             refinement_failure(X), _library_containment(X))
 
 

@@ -4,7 +4,8 @@ The free complex, the corner simplex, the refinement and exactness
 verdicts, the chain maps, the current and the multiplicity are stored on
 the complex X under their function's name (``cellcomplex.derived``).
 These tests count the builds one command makes and the orientation reads
-of the sign rules, one per reference face, and check that a new complex gets
+of the sign rules, one per reference face, none for a simplex's incidence
+signs, and check that a new complex gets
 its own objects and that a caller's changed copy leaves the stored ones
 alone.
 """
@@ -21,6 +22,7 @@ from cellres import (
     PreconditionError,
     cellular_complex,
     chain_maps,
+    corner_simplex_complex,
     duality_counterexample,
     exactness_witness,
     linalg,
@@ -135,11 +137,9 @@ def test_fundamental_cycle_builds_each_object_once(
         # sides of the comparison square at levels 0..dim
         "resolution._compose": dim + dim + 2 * (dim + 1),
         # the facet test of each non-simplex of X, the flip of its top
-        # faces, the facets of each face of dimension >= 1 of X (which the
-        # exactness scan reads off F) and of Y, and the carried faces of
-        # each face of Y in the chain maps
-        "linalg.orientations": non_simplices + 1 + faces
-                               + (simplex_faces - job["n"]) + simplex_faces,
+        # faces and the carried faces of each face of Y in the chain maps;
+        # F of X and of Y read the signs make_complex filed
+        "linalg.orientations": non_simplices + 1 + simplex_faces,
         "monomial.lcm_lattice": 1,
         "monomial.multiplicity": 1,
     }
@@ -159,14 +159,21 @@ def test_fundamental_cycle_builds_each_object_once(
     }
 
 
-def test_free_complex_reads_one_orientation_per_face(monkeypatch):
+def test_free_complex_reads_no_orientation(monkeypatch):
     # the Taylor complex of a 10-corner plane staircase has 2^10 faces, 1013
-    # of dimension >= 1; each reads all its incidence signs at once
+    # of dimension >= 1, all simplices: their signs are the vertex-order
+    # signs make_complex files, where reading them off the geometry took
+    # one orientations call per face
+    counts = _counting(monkeypatch)
     X = taylor_complex(minimize([(i, 9 - i) for i in range(10)]))
     assert sum(f.dim >= 1 for f in X.faces.values()) == 1013
-    counts = _counting(monkeypatch)
     cellular_complex(X)
-    assert counts["linalg.orientations"] == 1013
+    assert counts["linalg.orientations"] == 0
+    # the corner simplex of a complex, which every current resolves
+    Y = corner_simplex_complex(embedded_hull(minimize(EX61_GENERATORS)))
+    counts["linalg.orientations"] = 0
+    cellular_complex(Y)
+    assert counts["linalg.orientations"] == 0
 
 
 @pytest.mark.parametrize("generators", [
@@ -195,10 +202,9 @@ def test_compare_builds_each_object_once(monkeypatch):
         # d^2 = 0 at levels 1..2 of F of X and of F of Y, then the two sides
         # a_{k-1} psi_k and phi_k a_k of the square at levels 0..2
         "resolution._compose": 2 + 2 + 2 * 3,
-        # the flip of X's top faces, the facets of the 13 faces of
-        # dimension >= 1 of X and the 4 of the simplex Y, and the carried
-        # faces of each of the 7 faces of Y in the chain maps
-        "linalg.orientations": 1 + 13 + 4 + 7,
+        # the flip of X's top faces and the carried faces of each of the 7
+        # faces of Y in the chain maps
+        "linalg.orientations": 1 + 7,
         "monomial.lcm_lattice": 0,
         "monomial.multiplicity": 0,
     }

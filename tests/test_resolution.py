@@ -11,7 +11,6 @@ from cellres import (
     corner_simplex_complex,
     cellular_complex,
     exactness_witness,
-    facet_signs,
     homogeneous,
     hull_complex,
     linalg,
@@ -127,18 +126,15 @@ def test_broken_boundary_is_rejected():
         cellular_complex(X)
 
 
-def test_edge_with_equal_vertex_signs_is_rejected(monkeypatch):
+def test_edge_with_equal_vertex_signs_is_rejected():
     # both ends of one edge enter its boundary with +1, so edge -> vertices
     # -> empty face sums to 2: only the level-1 product sees it first
     X = taylor_complex(minimize([(2, 0), (1, 1), (0, 2)]))
     edge = X.faces_of_dim(1)[0]
-    monkeypatch.setattr(
-        "cellres.resolution.facet_signs",
-        lambda Z, sigma: (dict.fromkeys(Z.facets(sigma), 1) if sigma == edge
-                          else facet_signs(Z, sigma)),
-    )
+    bad = reoriented(X, ())
+    bad.facet_ids = {**X.facet_ids, edge: dict.fromkeys(X.facets(edge), 1)}
     with pytest.raises(CellresError, match="between levels 1 and -1"):
-        cellular_complex(X)
+        cellular_complex(bad)
 
 
 def test_is_exact_taylor_and_hull(ex61_ideal, ex61_embedded):
@@ -158,8 +154,7 @@ def test_face_deleted_ex61_is_inexact(ex61_embedded):
     edges = sub.faces_of_dim(1)
     verts = sub.faces_of_dim(0)
     assert len(edges) == 3 and len(verts) == 3
-    signs = {sigma: facet_signs(sub, sigma) for sigma in edges}
-    boundary = [[signs[sigma].get(tau, 0) for sigma in edges] for tau in verts]
+    boundary = [[sub.facet_ids[sigma].get(tau, 0) for sigma in edges] for tau in verts]
     diag = smith_diagonal(boundary)
     rank = len(diag)
     assert len(edges) - rank == 1  # one-dimensional cycle space survives
@@ -360,20 +355,17 @@ def _draw_flip(record, data):
 
 def _d_squared_verdict(X, G):
     """The first level cellular_complex reports d^2 != 0 at, or None, when
-    it builds a fresh copy of X with the incidence signs of G."""
-    signs = {
-        (G.basis(k - 1)[i], G.basis(k)[j]): sign
+    it builds a fresh copy of X with the incidence signs of G filed."""
+    copy = reoriented(X, ())
+    copy.facet_ids = {**X.facet_ids, **{
+        sigma: {G.basis(k - 1)[i]: sign for i, sign in column.items()}
         for k, level in G.columns.items()
-        for j, column in enumerate(level)
-        for i, sign in column.items()
-    }
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("cellres.resolution.facet_signs",
-                   lambda Z, sigma: {tau: signs[tau, sigma] for tau in Z.facets(sigma)})
-        try:
-            cellular_complex(reoriented(X, ()))
-        except CellresError as exc:
-            return int(re.search(r"between levels (\d+) and", str(exc)).group(1))
+        for sigma, column in zip(G.basis(k), level)
+    }}
+    try:
+        cellular_complex(copy)
+    except CellresError as exc:
+        return int(re.search(r"between levels (\d+) and", str(exc)).group(1))
     return None
 
 
