@@ -38,6 +38,15 @@ GENERIC = {
     "n": 3,
     "generators": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [2, 1, 0], [0, 2, 1], [1, 0, 2]],
 }
+M3_IN_2 = {"n": 2, "generators": [[3, 0], [2, 1], [1, 2], [0, 3]]}
+# a tree on the generators of M3_IN_2 that refines its corner segment but
+# is no resolution: z1z2^2 (vertex 2) and z2^3 (vertex 3) share no edge
+# whose label divides z1z2^3, so exactness fails at degree (1, 3)
+TREE = {
+    "vertices": [{"id": i, "coords": [x, 0], "label": g}
+                 for i, (x, g) in enumerate(zip((0, 2, 1, 3), M3_IN_2["generators"]))],
+    "faces": [{"vertices": [0, 2]}, {"vertices": [1, 2]}, {"vertices": [1, 3]}],
+}
 
 
 def _cases():
@@ -48,6 +57,8 @@ def _cases():
             cases.append(([sub, "--complex", source], EX61))
     cases += [([sub, "--complex", "file:@bases"], EX61)
               for sub in ("resolve", "compare", "residue")]
+    cases += [([sub, "--complex", "file:@tree"], M3_IN_2)
+              for sub in ("residue", "check-exact")]
     cases.append((["fundamental-cycle"], M2_IN_4))
     cases += [([sub, "--complex", "scarf"], GENERIC)
               for sub in ("residue", "compare", "fundamental-cycle")]
@@ -94,7 +105,7 @@ def _record():
     from conftest import embedded_hull, minimal_ex61_json
 
     X = embedded_hull(minimize([tuple(g) for g in EX61["generators"]]))
-    files = {"minimal": minimal_ex61_json(X), "bases": _bases_json(X)}
+    files = {"minimal": minimal_ex61_json(X), "bases": _bases_json(X), "tree": TREE}
     cases = []
     with tempfile.TemporaryDirectory() as directory:
         for args, job in _cases():
