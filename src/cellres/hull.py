@@ -66,21 +66,6 @@ def _lifted_points(M: MonomialIdeal, t: int):
     return [tuple(t**a for a in g) for g in M.generators]
 
 
-def _closure_under_intersection(face_sets):
-    faces = set(face_sets)
-    frontier = set(face_sets)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in faces:
-                c = a & b
-                if c and c not in faces and c not in new:
-                    new.add(c)
-        faces |= new
-        frontier = new
-    return faces
-
-
 def _facet_supports(points):
     """Point-index sets of the facets of conv(points) + R_+^n, each mapped
     to the union of the supports of its inner normals, as a bit mask.
@@ -131,28 +116,34 @@ def _bounded_face_sets(points):
     The face with point set S is bounded exactly when its normal cone holds
     a strictly positive vector; as the cone is spanned by the nonnegative
     normals of the facets containing S, that is when their supports cover
-    all coordinates.
+    all coordinates.  Every face is the intersection of the facets that
+    contain it, so closing the supporting sets under intersection with them
+    reaches every face, and a face, while in the frontier, meets each
+    supporting set once and ORs in the support of every one containing it.
     """
-    npoints = len(points)
-    if npoints == 1:
+    if len(points) == 1:
         return [frozenset({0})]
-    facets = _facet_supports(points)
+    supports = _facet_supports(points)
+    covers = dict(supports)
+    frontier = list(supports)
+    while frontier:
+        new = []
+        for face in frontier:
+            for members, support in supports.items():
+                meet = face & members
+                if meet == face:
+                    covers[face] |= support
+                elif meet and meet not in covers:
+                    covers[meet] = 0
+                    new.append(meet)
+        frontier = new
     everything = (1 << len(points[0])) - 1
-    bounded = []
-    for members in _closure_under_intersection(facets):
-        cover = 0
-        for fac, support in facets.items():
-            if members <= fac:
-                cover |= support
-        if cover == everything:
-            bounded.append(members)
-    for i in range(npoints):
-        if frozenset({i}) not in bounded:
-            raise CellresError(
-                "a generator point is not a vertex of the bounded hull; "
-                "the lift base is too small"
-            )
-    return bounded
+    if any(covers.get(frozenset({i})) != everything for i in range(len(points))):
+        raise CellresError(
+            "a generator point is not a vertex of the bounded hull; "
+            "the lift base is too small"
+        )
+    return [face for face, cover in covers.items() if cover == everything]
 
 
 def _hull_face_sets(M: MonomialIdeal, t):
@@ -224,8 +215,6 @@ def _simplex_points(M: MonomialIdeal, t: int) -> dict:
     points = {}
     for i, x in enumerate(_lifted_points(M, t)):
         denom = sum((xi - 1) * scale for xi, scale in zip(x, scales))
-        if denom == 0:
-            raise PreconditionError("cannot project the all-ones point")
         points[i] = _lowest_terms([denom + (xi - 1) * common for xi in x] + [denom])
     return points
 

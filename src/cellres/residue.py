@@ -50,12 +50,6 @@ class ChainMap(
                            self.row_labels, self.col_labels, self.n)
 
 
-def _check_exact(X: LabeledCellComplex):
-    witness = exactness_witness(X)
-    if witness is not None:
-        raise PreconditionError(f"complex is not a resolution; fails at degree {witness}")
-
-
 @derived
 def chain_maps(X: LabeledCellComplex) -> ChainMap:
     """Comparison maps from the corner-simplex complex into X.
@@ -116,23 +110,22 @@ def residue_current(X: LabeledCellComplex) -> ResidueCurrent:
     carried to X through the top comparison map.
 
     The complex must refine the simplex, support an exact complex and have
-    a commuting comparison square.  Each top face of X then gets the sign
-    of its entry in the single column of a_{n-1} and its label as the
-    exponents.
+    a commuting comparison square, checked in that order: the chain maps
+    come first, as they file X's faces under their carriers, which refuses
+    a complex that does not refine the simplex.  Once it refines, every top
+    face is carried by the whole simplex, so it gets the sign of its entry
+    in the single column of a_{n-1}, and its label as the exponents.
     """
-    carried_faces(X)
-    _check_exact(X)
+    maps = chain_maps(X)
+    witness = exactness_witness(X)
+    if witness is not None:
+        raise PreconditionError(f"complex is not a resolution; fails at degree {witness}")
     witness = verify_chain_maps(X)
     if witness is not None:
         raise PreconditionError(f"comparison square does not commute at {witness}")
-    maps = chain_maps(X)
     column = maps.columns[X.n - 1][0]
-    entries = {}
-    for i, fid in enumerate(maps.row_bases[X.n - 1]):
-        sign = column.get(i)
-        if sign is None:
-            raise PreconditionError(f"top face {fid} is missing from the chain map")
-        entries[fid] = ch_product(sign, maps.row_labels[fid])
+    entries = {fid: ch_product(column[i], maps.row_labels[fid])
+               for i, fid in enumerate(maps.row_bases[X.n - 1])}
     return ResidueCurrent(X.n, entries)
 
 

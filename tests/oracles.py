@@ -685,17 +685,15 @@ def all_k_facet_supports(points):
     return facets
 
 
-def all_k_bounded_face_sets(points):
-    """Point-index sets of the bounded faces of conv(points) + R_+^n: the
-    intersections of the facets of ``all_k_facet_supports`` whose
-    containing facets' supports cover every coordinate."""
-    if len(points) == 1:
-        return {frozenset({0})}
-    facets = all_k_facet_supports(points)
-    lattice = _intersection_closure(facets)
-    everything = (1 << len(points[0])) - 1
+def bounded_faces_by_closure(facets, ambient):
+    """The retired lattice step of ``hull._bounded_face_sets``: from
+    {point-index set of a supporting set: bit mask of its normals' support}
+    in R^ambient, the sets of the pairwise intersection closure for which
+    the supports of the supporting sets containing them, found by a rescan
+    of all of them, cover every coordinate."""
+    everything = (1 << ambient) - 1
     bounded = set()
-    for members in lattice:
+    for members in _intersection_closure(facets):
         cover = 0
         for fac, support in facets.items():
             if members <= fac:
@@ -703,6 +701,15 @@ def all_k_bounded_face_sets(points):
         if cover == everything:
             bounded.add(members)
     return bounded
+
+
+def all_k_bounded_face_sets(points):
+    """Point-index sets of the bounded faces of conv(points) + R_+^n: the
+    intersections of the facets of ``all_k_facet_supports`` whose
+    containing facets' supports cover every coordinate."""
+    if len(points) == 1:
+        return {frozenset({0})}
+    return bounded_faces_by_closure(all_k_facet_supports(points), len(points[0]))
 
 
 def _is_geometric_facet(points, sigma, tau):

@@ -31,6 +31,7 @@ from oracles import (
     _face_points,
     affine,
     all_k_bounded_face_sets,
+    bounded_faces_by_closure,
     embed_in_simplex,
     face_volume_rel,
     hull_face_sets,
@@ -285,6 +286,27 @@ def test_scarf_and_bounded_faces_match_retired_scans_on_generic_ideals(rng):
     for M in seeded_generic_ideals(rng):
         assert_scarf_matches_subset_scan(M)
         assert_bounded_faces_match_all_k_scan(M)
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 2), (3, 6), (3, 10)])
+def test_face_lattice_matches_the_retired_closure_on_degenerate_hulls(monkeypatch, n, d):
+    """On powers of the maximal ideal, whose hulls have many supporting
+    sets through each face, the one-pass lattice equals the pairwise
+    intersection closure with its cover rescan, applied to the supporting
+    sets that ``_bounded_face_sets`` reads, at t and at t+1.  (The all-k
+    oracle takes seconds on the first two.)"""
+    read = []
+    facet_supports = hull._facet_supports
+
+    def recorded(points):
+        read.append(facet_supports(points))
+        return read[-1]
+
+    monkeypatch.setattr(hull, "_facet_supports", recorded)
+    t = default_lift_base(n)
+    for base in (t, t + 1):
+        points = [tuple(base ** a for a in g) for g in maximal_ideal_power(n, d).generators]
+        assert set(hull._bounded_face_sets(points)) == bounded_faces_by_closure(read[-1], n)
 
 
 def test_scarf_search_matches_subset_scan_on_maximal_ideal_powers():

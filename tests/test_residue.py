@@ -15,11 +15,13 @@ from cellres import (
     contains,
     corner_simplex_complex,
     duality_counterexample,
+    exactness_witness,
     first_difference,
     fundamental_cycle_check,
     irreducible_intersection,
     minimize,
     pure_power_exponents,
+    refinement_failure,
     reoriented,
     residue_current,
     same_span_signs,
@@ -79,6 +81,39 @@ def test_residue_rejects_inexact_complex(ex61_embedded, ex61_ideal):
     X = complex_from_json({"vertices": obj["vertices"], "faces": faces})
     with pytest.raises(PreconditionError):
         residue_current(X)
+
+
+def test_refining_complex_that_is_no_resolution_names_its_degree(tmp_path, monkeypatch):
+    """A tree on the generators of m^3 in 2 variables that covers the corner
+    segment but leaves z1z2^2 (vertex 2) and z2^3 (vertex 3) apart at
+    degree (1, 3): the refinement check passes, so the current is refused
+    by the exactness check, with its witness."""
+    from cellres import cli
+
+    generators = [[3, 0], [2, 1], [1, 2], [0, 3]]
+    tree = {
+        "vertices": [{"id": i, "coords": [x, 0], "label": g}
+                     for i, (x, g) in enumerate(zip((0, 2, 1, 3), generators))],
+        "faces": [{"vertices": [0, 2]}, {"vertices": [1, 2]}, {"vertices": [1, 3]}],
+    }
+    X = complex_from_json(tree)
+    assert refinement_failure(X) is None
+    assert exactness_witness(X) == (1, 3)
+    message = "complex is not a resolution; fails at degree (1, 3)"
+    with pytest.raises(PreconditionError) as err:
+        residue_current(X)
+    assert str(err.value) == message
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    for subcommand, code, payload in (
+        ("residue", 2, {"error": message, "schema": "cellres/1"}),
+        ("check-exact", 1, {"ok": False, "schema": "cellres/1", "witness": [1, 3]}),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+            {"n": 2, "generators": generators})))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert cli.run([subcommand, "--complex", f"file:{path}"]) == code
+        assert json.loads(sys.stdout.getvalue()) == payload
 
 
 def test_ch_action():
