@@ -482,6 +482,37 @@ def test_json_loader_rejects_garbage(ex61_embedded):
             complex_from_json(obj)
 
 
+def test_json_loader_names_the_fault_of_a_given_basis(ex61_embedded):
+    # the last face listed is the triangle (2, 4, 5), in the plane of the
+    # first two coordinate directions' differences
+    obj = complex_to_json(ex61_embedded)
+    top = obj["faces"][-1]
+    assert top["vertices"] == [2, 4, 5]
+    b = [list(v) for v in ex61_embedded.face((2, 4, 5)).basis]
+    for basis, message in (
+        ([b[0]], "face (2, 4, 5): orientation basis must have 2 vectors"),
+        ([[1, 1], [1, 0]],
+         "face (2, 4, 5): basis vectors must be integer vectors of the ambient dimension"),
+        ([[0.5, 1, 1], [1, 1, 1]], "coordinate 0.5 is neither an integer nor a rational string"),
+        ([[True, 0, 0], b[1]], "coordinate True is neither an integer nor a rational string"),
+        ([b[0], b[0]], "face (2, 4, 5): degenerate orientation basis"),
+        ([[1, 0, 0], [0, 1, 0]], "face (2, 4, 5): basis vector outside the face's span"),
+    ):
+        top["orientation_basis"] = basis
+        with pytest.raises(InputError) as exc:
+            complex_from_json(obj)
+        assert str(exc.value) == message
+
+
+def test_json_loader_ignores_a_basis_on_the_empty_face(ex61_embedded):
+    obj = complex_to_json(ex61_embedded)
+    plain = complex_from_json(obj)
+    obj["faces"].append({"vertices": [], "orientation_basis": [[1, 2, 3], [4]]})
+    loaded = complex_from_json(obj)
+    assert loaded.faces == plain.faces
+    assert loaded.facet_ids == plain.facet_ids
+
+
 def test_make_complex_rejects_missing_intersection_face():
     points = homogeneous_points({0: (0, 0), 1: (2, 0), 2: (1, 1), 3: (1, -1)})
     labels = {i: (1, 1) for i in range(4)}

@@ -56,6 +56,9 @@ def _cases():
                     "resolve", "check-minimal"):
             cases.append(([sub, "--complex", source], EX61))
     cases += [([sub, "--complex", "file:@bases"], EX61)
+              for sub in ("resolve", "compare", "residue", "check-exact",
+                          "check-minimal", "fundamental-cycle", "duality-check")]
+    cases += [([sub, "--complex", "file:@minimal-bases"], EX61)
               for sub in ("resolve", "compare", "residue")]
     cases += [([sub, "--complex", "file:@tree"], M3_IN_2)
               for sub in ("residue", "check-exact")]
@@ -100,12 +103,29 @@ def _bases_json(X):
     return obj
 
 
+def _minimal_bases_json(minimal):
+    """The minimal-resolution file with two orientation bases given: the
+    square (0, 1, 2, 4) with its two default vectors swapped and its edge
+    (0, 1) negated, so that the sides of a face that is no simplex are read
+    against given bases."""
+    from cellres.complexfile import complex_from_json
+
+    Z = complex_from_json(minimal)
+    given = {(0, 1): [[-x for x in Z.face((0, 1)).basis[0]]],
+             (0, 1, 2, 4): [list(b) for b in reversed(Z.face((0, 1, 2, 4)).basis)]}
+    faces = [dict(face, orientation_basis=given[tuple(face["vertices"])])
+             if tuple(face["vertices"]) in given else face for face in minimal["faces"]]
+    return dict(minimal, faces=faces)
+
+
 def _record():
     from cellres import minimize
     from conftest import embedded_hull, minimal_ex61_json
 
     X = embedded_hull(minimize([tuple(g) for g in EX61["generators"]]))
-    files = {"minimal": minimal_ex61_json(X), "bases": _bases_json(X), "tree": TREE}
+    minimal = minimal_ex61_json(X)
+    files = {"minimal": minimal, "bases": _bases_json(X),
+             "minimal-bases": _minimal_bases_json(minimal), "tree": TREE}
     cases = []
     with tempfile.TemporaryDirectory() as directory:
         for args, job in _cases():

@@ -117,6 +117,24 @@ def test_only_file_complex_jobs_load_the_reader(sub, tmp_path, ex61_minimal_fixt
         assert "cellres.complexfile" in loaded and "cellres.hull" not in loaded
 
 
+@pytest.mark.parametrize("sub", ["check-exact", "residue"])
+def test_given_bases_load_no_further_module(sub, tmp_path, ex61_minimal_fixture):
+    # the square (0, 1, 2, 4) spans the directions (1, 0, -1) and (0, 1, -1)
+    # and the edge (0, 1) the direction (1, -1, 0); the file gives the square
+    # the two swapped and the edge its negative
+    given = {(0, 1): [[-1, 1, 0]], (0, 1, 2, 4): [[0, 1, -1], [1, 0, -1]]}
+    faces = [dict(face, orientation_basis=given[tuple(face["vertices"])])
+             if tuple(face["vertices"]) in given else face
+             for face in ex61_minimal_fixture["faces"]]
+    loaded = {}
+    for name, obj in (("plain", ex61_minimal_fixture),
+                      ("bases", dict(ex61_minimal_fixture, faces=faces))):
+        path = tmp_path / f"{name}.complex.json"
+        path.write_text(json.dumps(obj))
+        loaded[name] = _loaded([sub, "--complex", f"file:{path}"], tmp_path, EX61)
+    assert loaded["bases"] == loaded["plain"]
+
+
 def _imported_modules(nodes) -> set:
     """The package modules that the import statements among ``nodes``
     name, relative imports by their module name."""
