@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import CellresError, InputError
-from .monomial import lcm_many, minimize
+from .monomial import is_int, lcm_many, minimize
 
 EMPTY = ()
 
@@ -49,11 +49,6 @@ def _homogeneous(point) -> tuple:
 def _lowest_terms(p) -> tuple:
     g = gcd(*p)
     return tuple(x // g for x in p)
-
-
-def _is_int_vector(v) -> bool:
-    # no bool: JSON true decodes to True
-    return all(type(x) is int for x in v)
 
 
 def _direction(p, q):
@@ -133,21 +128,6 @@ def _pivot_basis(points, idx):
     return tuple(_direction(points[i], last) for i in idx[:-1])
 
 
-def _validate_basis(basis, dirs, dim, fid):
-    if len(basis) != max(dim, 0):
-        raise InputError(f"face {fid}: orientation basis must have {dim} vectors")
-    if dim <= 0:
-        return
-    if any(len(b) != len(dirs[0]) or not _is_int_vector(b) for b in basis):
-        raise InputError(
-            f"face {fid}: basis vectors must be integer vectors of the ambient dimension"
-        )
-    if linalg.rank(basis) != dim:
-        raise InputError(f"face {fid}: degenerate orientation basis")
-    if linalg.rank(list(dirs) + list(basis)) != dim:
-        raise InputError(f"face {fid}: basis vector outside the face's span")
-
-
 def _facet_sides(points_by_vertex, sigma: Face, candidates) -> list:
     """Per candidate face tau, the side of tau's affine hull on which sigma
     lies: +1 or -1 when tau is a facet of sigma, 0 when it is not.
@@ -170,14 +150,14 @@ def _facet_sides(points_by_vertex, sigma: Face, candidates) -> list:
     return [side.pop() if side in ({1}, {-1}) else 0 for side in sides]
 
 
-def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
+def make_complex(n, vertex_points, vertex_labels, face_sets):
     """Assemble a labeled complex from vertex data and face vertex sets.
 
     Points are homogeneous integer vectors with a positive last entry, any
-    positive multiple naming the same point; bases are integer vectors.
-    Singleton faces and the empty face are added automatically.  One
-    elimination per face gives its dimension and its default orientation
-    basis; only the bases in ``bases`` are validated.
+    positive multiple naming the same point.  Singleton faces and the empty
+    face are added automatically.  One elimination per face gives its
+    dimension and its orientation, the default (pivot) basis;
+    ``simplex.reoriented`` reverses the orientation of chosen faces.
 
     A face's facets, each filed with its incidence sign, are its listed
     faces of one dimension less: for a simplex its vertex-drops, otherwise
@@ -189,13 +169,10 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
     vertex-drop of its own dimension, which lies in none of its facets.
 
     The drop tau of the j-th vertex q_j of a simplex sigma = (q_0, ..., q_k)
-    has the sign (-1)^j eps_sigma eps_tau, eps the orientation of a face's
-    basis against its default one: 1 unless a basis is given.  On default
-    bases it is the side: modulo tau's span the direction to q_j is
-    q_j - q_k, j places from the front of sigma's basis (q_0 - q_k, ...,
+    has the sign (-1)^j, the side: modulo tau's span the direction to q_j
+    is q_j - q_k, j places from the front of sigma's basis (q_0 - q_k, ...,
     q_{k-1} - q_k), or if j = k, -(q_{k-1} - q_k), k - 1 places from its end.
     """
-    bases = dict(bases or {})
     ids = sorted(vertex_points)
     if not ids:
         raise InputError("a complex needs at least one vertex")
@@ -206,7 +183,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
     if len(ambient) != 1:
         raise InputError("vertex coordinates must share one ambient dimension")
     for v, p in points.items():
-        if not (p and _is_int_vector(p) and p[-1] > 0):
+        if not (p and all(map(is_int, p)) and p[-1] > 0):
             raise InputError(
                 f"vertex {v}: point must be a homogeneous integer vector "
                 "with a positive last entry"
@@ -227,7 +204,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
             if v not in points:
                 raise InputError(f"face {fid} references unknown vertex {v}")
 
-    faces, eps = {}, {}
+    faces = {}
     zero_label = (0,) * n
     faces[EMPTY] = Face(EMPTY, -1, zero_label, ())
     for fid in sorted(face_ids):
@@ -235,13 +212,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
         idx = linalg.affine_basis_indices(pts)
         dim = len(idx) - 1
         label = lcm_many([tuple(vertex_labels[v]) for v in fid])
-        basis = pivot = _pivot_basis(pts, idx)
-        if bases.get(fid) is not None:
-            basis = tuple(tuple(b) for b in bases[fid])
-            _validate_basis(basis, [_direction(p, pts[0]) for p in pts[1:]], dim, fid)
-            if 1 <= dim == len(fid) - 1:  # only a simplex's signs read eps
-                eps[fid] = linalg.orientations(pivot, [basis])[0]
-        faces[fid] = Face(fid, dim, label, basis)
+        faces[fid] = Face(fid, dim, label, _pivot_basis(pts, idx))
 
     # closure under vertex-set intersections (faces of a complex intersect
     # in common faces), checked between non-simplices only: the facet rule
@@ -262,8 +233,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets, bases=None):
         f = faces[fid]
         if len(fid) == f.dim + 1:
             drops = ((fid[:j] + fid[j + 1:], (-1) ** j) for j in range(len(fid)))
-            found = {tau: sign * eps.get(fid, 1) * eps.get(tau, 1)
-                     for tau, sign in drops if tau in faces}
+            found = {tau: sign for tau, sign in drops if tau in faces}
             inside = ()
         else:
             members = set(fid)

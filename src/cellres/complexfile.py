@@ -6,10 +6,11 @@ read it.
 
 import sys
 
-from .cellcomplex import LabeledCellComplex, _homogeneous, make_complex
+from . import linalg
+from .cellcomplex import Face, LabeledCellComplex, _homogeneous, make_complex
 from .errors import InputError, PreconditionError
 from .monomial import is_int
-from .simplex import orient_tops
+from .simplex import orient_tops, reoriented
 
 
 def _json_objects(value, what):
@@ -50,14 +51,37 @@ def _json_point(value, what) -> tuple:
     return _homogeneous([_json_rational(c) for c in value])
 
 
+def _basis_sign(face: Face, basis) -> int:
+    """The orientation of a given basis against the face's default one,
+    which spans the face: +1 or -1, or an ``InputError`` naming the fault.
+    The basis vectors are integers, as ``_json_point`` gives them."""
+    fid, dim = face.vertices, face.dim
+    if len(basis) != dim:
+        raise InputError(f"face {fid}: orientation basis must have {dim} vectors")
+    if dim == 0:
+        return 1
+    if any(len(b) != len(face.basis[0]) for b in basis):
+        raise InputError(
+            f"face {fid}: basis vectors must be integer vectors of the ambient dimension"
+        )
+    if linalg.rank(basis) != dim:
+        raise InputError(f"face {fid}: degenerate orientation basis")
+    if linalg.rank(face.basis + basis) != dim:
+        raise InputError(f"face {fid}: basis vector outside the face's span")
+    return linalg.orientations(face.basis, [basis])[0]
+
+
 def complex_from_json(obj) -> LabeledCellComplex:
     """Load a complex from its JSON form; see complex_to_json for the shape.
 
     Coordinates are integers or exact rational strings, ids are integers and
-    labels are lists of n nonnegative integers.  Faces with omitted bases get
-    the deterministic orientation rule; if the labels carry a full set of
-    pure powers and the top faces span the corresponding simplex, top faces
-    are flipped to agree with it.
+    labels are lists of n nonnegative integers.  Every face is built on its
+    default basis (``make_complex``); a face's ``orientation_basis``, which
+    must span the face, sets only its orientation against that basis, and
+    the faces where the two disagree are flipped (``reoriented``).  A basis
+    on the empty face is ignored.  If the labels carry a full set of pure
+    powers and the top faces span the corresponding simplex, top faces are
+    then flipped to agree with it.
     """
     if not isinstance(obj, dict) or not {"vertices", "faces"} <= set(obj):
         raise InputError('complex JSON needs "vertices" and "faces"')
@@ -93,9 +117,11 @@ def complex_from_json(obj) -> LabeledCellComplex:
             if not isinstance(rows, list):
                 raise InputError(f"face {fid}: orientation basis must be a list")
             # a positive scale of a basis vector keeps the orientation
-            bases[fid] = [_json_point(row, f"face {fid}: basis vector")[:-1]
-                          for row in rows]
-    X = make_complex(n, points, labels, face_sets, bases=bases)
+            bases[fid] = tuple(_json_point(row, f"face {fid}: basis vector")[:-1]
+                               for row in rows)
+    X = make_complex(n, points, labels, face_sets)
+    X = reoriented(X, {fid for fid in sorted(bases)
+                       if fid and _basis_sign(X.face(fid), bases[fid]) < 0})
     for entry in obj["faces"]:
         fid = tuple(sorted(entry["vertices"]))
         if "label" in entry:

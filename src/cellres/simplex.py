@@ -217,13 +217,17 @@ def same_span_signs(reference: Face, faces) -> list:
 
 
 def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
-    """Copy of X with the orientation of the given faces reversed.
+    """Copy of X with the orientation of the given faces reversed, or X
+    itself when no face of dimension 1 or more is among them.
 
-    A filed incidence sign changes where exactly one of the face and its
-    facet is flipped.  The copy starts with X's stored vertex ideal and
-    corner simplex, which depend only on the vertex points and labels.
+    A flip negates the face's first basis vector.  A filed incidence sign
+    changes where exactly one of the face and its facet is flipped.  The
+    copy starts with X's stored vertex ideal and corner simplex, which
+    depend only on the vertex points and labels.
     """
     flipped = {fid for fid, f in X.faces.items() if fid in flip_ids and f.dim >= 1}
+    if not flipped:
+        return X
     faces = {fid: f._replace(basis=(tuple(-x for x in f.basis[0]),) + f.basis[1:])
              if fid in flipped else f for fid, f in X.faces.items()}
     facet_ids = {sigma: {tau: -s if (sigma in flipped) != (tau in flipped) else s
@@ -242,5 +246,4 @@ def orient_tops(X: LabeledCellComplex) -> LabeledCellComplex:
     reference = corner_simplex_complex(X).face(tuple(range(X.n)))
     tops = X.faces_of_dim(X.dim)
     signs = same_span_signs(reference, [X.face(fid) for fid in tops])
-    flips = {fid for fid, sign in zip(tops, signs) if sign < 0}
-    return reoriented(X, flips) if flips else X
+    return reoriented(X, {fid for fid, sign in zip(tops, signs) if sign < 0})

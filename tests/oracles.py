@@ -15,8 +15,9 @@ too: the lcm of every generator subset for the Scarf faces instead of a
 depth-first search, candidate normals on every coordinate subset instead
 of the n coordinate facets in closed form, a Gram-Schmidt pass and a scan
 over the faces one dimension lower for the dimension, orientation basis
-and facets of a face, Gram matrices of dot products for orientations and
-barycenter differences for incidence signs, and for
+and facets of a face, given orientation bases kept on their faces instead
+of flips of the default ones, Gram matrices of dot products for
+orientations and barycenter differences for incidence signs, and for
 exactness a subcomplex rebuilt at every lcm-lattice degree with its own
 boundary matrices instead of the free complex's signs restricted to the
 faces under the degree, and every degree ranked instead of only those
@@ -753,6 +754,43 @@ def scan_face_data(points, face_ids):
             found = [t for t in found if _is_geometric_facet(points, fid, t)]
         data[fid] = (dim, bases[fid], tuple(sorted(found)))
     return data
+
+
+def _integer_multiple(vector):
+    """The positive multiple of a rational vector by its denominators' lcm."""
+    scale = lcm(*(Fraction(x).denominator for x in vector))
+    return tuple(int(x * scale) for x in vector)
+
+
+def given_basis_face_data(points, face_ids, bases):
+    """{face: (dim, orientation basis, {facet: incidence sign})} by the rule
+    ``make_complex`` had when a complex file gave orientation bases: a face
+    keeps its given basis, or else its default one from ``scan_face_data``
+    scaled to integers; a simplex files the drop of its j-th vertex with
+    (-1)^j eps_sigma eps_tau, eps the orientation of the basis a face keeps
+    against its default one, and a face that is no simplex files each facet
+    with the side of the facet's hull it lies on, read on the bases kept."""
+    data = scan_face_data(points, face_ids)
+    kept, eps = {}, {}
+    for fid, (dim, default, _) in data.items():
+        default = tuple(map(_integer_multiple, default))
+        kept[fid] = tuple(map(tuple, bases.get(fid) or default))
+        eps[fid] = gram_orientation(default, kept[fid]) if dim > 0 else 1
+    result = {}
+    for fid, (dim, _, facets) in data.items():
+        signs = {}
+        for tau in facets:
+            if dim == 0:
+                signs[tau] = 1
+            elif len(fid) == dim + 1:
+                j = next(j for j, v in enumerate(fid) if v not in tau)
+                signs[tau] = (-1) ** j * eps[fid] * eps[tau]
+            else:
+                outside = next(v for v in fid if v not in tau)
+                eta = [x - y for x, y in zip(points[outside], points[tau[0]])]
+                signs[tau] = gram_orientation(kept[fid], [eta, *kept[tau]])
+        result[fid] = (dim, kept[fid], signs)
+    return result
 
 
 def all_pairs_intersection_failure(vertex_ids, face_sets):

@@ -3,7 +3,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from cellres import (
     InputError,
@@ -27,7 +27,15 @@ from cellres import (
     taylor_complex,
     vertex_ideal,
 )
-from cellres.cellcomplex import Face, _facet_sides, _pivot_basis, _subsets
+from cellres.cellcomplex import (
+    EMPTY,
+    Face,
+    LabeledCellComplex,
+    _facet_sides,
+    _pivot_basis,
+    _subsets,
+)
+from cellres.complexfile import _orient_tops_by_pure_powers
 from cellres.simplex import _vertex_barycentrics
 from conftest import (
     DUPLICATE_CORNER_JSON,
@@ -51,6 +59,7 @@ from oracles import (
     face_volume_rel,
     gram_sign_facet,
     gram_sign_same_span,
+    given_basis_face_data,
     pairwise_contained_faces,
     pairwise_is_refinement,
     point_in_simplex,
@@ -63,11 +72,26 @@ def homogeneous_points(points):
     return {v: homogeneous(p) for v, p in points.items()}
 
 
-def triangle_complex(bases=None):
-    points = homogeneous_points({0: (0, 0), 1: (1, 0), 2: (0, 1)})
-    labels = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
-    return make_complex(3, points, labels, [(0, 1, 2), (0, 1), (0, 2), (1, 2)],
-                        bases=bases)
+TRIANGLE_POINTS = {0: (0, 0), 1: (1, 0), 2: (0, 1)}
+TRIANGLE_LABELS = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
+TRIANGLE_FACES = [(0, 1, 2), (0, 1), (0, 2), (1, 2)]
+
+
+def triangle_complex():
+    return make_complex(3, homogeneous_points(TRIANGLE_POINTS), TRIANGLE_LABELS,
+                        TRIANGLE_FACES)
+
+
+def triangle_file(bases):
+    """The triangle complex read from its complex file, with the given
+    orientation bases."""
+    return complex_from_json({
+        "vertices": [{"id": v, "coords": list(p), "label": list(TRIANGLE_LABELS[v])}
+                     for v, p in TRIANGLE_POINTS.items()],
+        "faces": [{"vertices": list(fid), **({"orientation_basis": bases[fid]}
+                                             if fid in bases else {})}
+                  for fid in TRIANGLE_FACES],
+    })
 
 
 def test_simplex_facet_signs_match_vertex_removal():
@@ -91,14 +115,9 @@ def test_sign_same_span():
     X = triangle_complex()
     top = X.face((0, 1, 2))
     assert same_span_signs(top, [top]) == [1]
-    swapped = make_complex(
-        3,
-        homogeneous_points({0: (0, 0), 1: (1, 0), 2: (0, 1)}),
-        {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)},
-        [(0, 1, 2), (0, 1), (0, 2), (1, 2)],
-        bases={(0, 1, 2): [top.basis[1], top.basis[0]]},
-    )
-    assert same_span_signs(top, [swapped.face((0, 1, 2)), top]) == [-1, 1]
+    swapped = top._replace(basis=top.basis[::-1])
+    flipped = reoriented(X, {(0, 1, 2)})
+    assert same_span_signs(top, [swapped, flipped.face((0, 1, 2)), top]) == [-1, -1, 1]
     assert same_span_signs(X.face((1,)), [X.face((0,)), X.face((2,))]) == [1, 1]
     assert same_span_signs(top, []) == []
 
@@ -155,14 +174,21 @@ def test_make_complex_refuses_a_zero_orientation(monkeypatch):
 
 
 def test_signs_invariant_under_positive_basis_change():
+    # the file's top agrees with the corner simplex whatever basis it is
+    # given, so the edge (0, 1) shows whether a given basis flips a face
     X = triangle_complex()
-    top = X.face((0, 1, 2))
+    top, edge = X.face((0, 1, 2)), X.face((0, 1))
     b1, b2 = top.basis
-    sheared = triangle_complex(bases={
-        (0, 1, 2): [tuple(2 * x + y for x, y in zip(b1, b2)), b2],
+    sheared = triangle_file({
+        (0, 1, 2): [[2 * x + y for x, y in zip(b1, b2)], list(b2)],
+        (0, 1): [[3 * x for x in edge.basis[0]]],
     })
-    assert sheared.facet_ids[0, 1, 2] == X.facet_ids[0, 1, 2]
+    assert sheared.facet_ids == X.facet_ids
     assert same_span_signs(top, [sheared.face((0, 1, 2))]) == [1]
+    assert same_span_signs(edge, [sheared.face((0, 1))]) == [1]
+    negated = triangle_file({(0, 1): [[-3 * x for x in edge.basis[0]]]})
+    assert negated.facet_ids == reoriented(X, {(0, 1)}).facet_ids
+    assert same_span_signs(edge, [negated.face((0, 1))]) == [-1]
 
 
 def test_reorientation_flips_signs():
@@ -388,7 +414,7 @@ def test_loader_orients_tops_by_the_minimal_pure_powers():
 
 def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
     # the pure powers of z1, z2, z3 sit on one line, so they span no simplex
-    # to orient by; the top faces keep the bases they were given or got
+    # to orient by; the top faces keep the orientations they were given or got
     points = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (1, 1)}
     labels = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1), 3: (1, 1, 1)}
     faces = [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (0, 1, 3), (1, 2, 3)]
@@ -400,12 +426,14 @@ def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
     }
     obj["faces"][-1]["orientation_basis"] = [[0, 1], [1, 0]]
     X = complex_from_json(obj)
-    unflipped = make_complex(3, {v: homogeneous(p) for v, p in points.items()},
-                             labels, faces, bases={(1, 2, 3): [(0, 1), (1, 0)]})
+    # the given basis is opposite to the default ((0, -1), (1, -1))
+    unflipped = reoriented(make_complex(3, {v: homogeneous(p) for v, p in points.items()},
+                                        labels, faces), {(1, 2, 3)})
     assert X.dim == X.n - 1
     assert X.faces == unflipped.faces
     assert X.facet_ids == unflipped.facet_ids
-    assert X.face((1, 2, 3)).basis == ((0, 1), (1, 0))
+    given = X.face((1, 2, 3))._replace(basis=((0, 1), (1, 0)))
+    assert same_span_signs(given, [X.face((1, 2, 3))]) == [1]
     with pytest.raises(InputError, match=r"^the pure-power corners \(vertex ids 0, 1, 2\) "
                                          "span no simplex$"):
         corner_simplex_complex(X)
@@ -984,16 +1012,18 @@ def _positive_multiple(b, e):
 
 
 def _sheared(X, factor):
-    """X rebuilt with each face's basis (b_1, ..., b_k) given as the user
-    basis (factor b_1 + b_2, b_2, ..., b_k), or (factor b_1,) for an edge:
-    its orientation times the sign of factor."""
+    """X's complex file with each face's basis (b_1, ..., b_k) given as
+    (factor b_1 + b_2, b_2, ..., b_k), or (factor b_1,) for an edge, read
+    back: its orientation times the sign of factor, the tops then flipped
+    as the reader flips them."""
     def shear(basis):
         second = basis[1] if len(basis) > 1 else (0,) * len(basis[0])
-        return (tuple(factor * x + y for x, y in zip(basis[0], second)),) + basis[1:]
+        return [[factor * x + y for x, y in zip(basis[0], second)], *map(list, basis[1:])]
 
-    n, points, labels, faces = _complex_data(X)
-    return make_complex(n, points, labels, faces, bases={
-        fid: shear(face.basis) for fid, face in X.faces.items() if face.dim >= 1})
+    obj = complex_to_json(X)
+    for face in obj["faces"]:
+        face["orientation_basis"] = shear(X.face(tuple(face["vertices"])).basis)
+    return complex_from_json(obj)
 
 
 def _assert_signs_match_retired_rules(X):
@@ -1057,39 +1087,77 @@ def _assert_filed_signs_match_the_gram_rule(X):
             assert sign == gram_sign_facet(X, tau, sigma), (tau, sigma)
 
 
-def _with_given_bases(X, data):
-    """X's complex file with explicit orientation bases on drawn faces of
-    dimension >= 1: the face's basis with two vectors swapped or one
-    negated, read back."""
+def _drawn_bases_file(X, data):
+    """X's complex file with drawn faces of dimension >= 1 given the basis
+    C · (the face's basis in X), C a swap of two vectors, a negated vector
+    or an integer shear b_i -> a b_i + c b_(i+1), a of either sign: the
+    file and {face: given basis}."""
     obj = complex_to_json(X)
+    given = {}
     for face in obj["faces"]:
-        basis = [list(b) for b in X.face(tuple(face["vertices"])).basis]
-        if not basis or not data.draw(st.booleans()):
+        fid = tuple(face["vertices"])
+        basis = [list(b) for b in X.face(fid).basis]
+        if not data.draw(st.booleans()):
             continue
         i = data.draw(st.integers(0, len(basis) - 1))
-        if len(basis) >= 2 and data.draw(st.booleans()):
-            j = (i + 1) % len(basis)
-            basis[i], basis[j] = basis[j], basis[i]
-        else:
+        other = basis[(i + 1) % len(basis)] if len(basis) > 1 else [0] * len(basis[i])
+        move = data.draw(st.sampled_from(("swap", "negate", "shear")[len(basis) == 1:]))
+        if move == "swap":
+            basis[i], basis[(i + 1) % len(basis)] = other, basis[i]
+        elif move == "negate":
             basis[i] = [-x for x in basis[i]]
+        else:
+            a = data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+            c = data.draw(st.integers(-3, 3))
+            basis[i] = [a * x + c * y for x, y in zip(basis[i], other)]
         face["orientation_basis"] = basis
-    return complex_from_json(obj)
+        given[fid] = tuple(map(tuple, basis))
+    return obj, given
 
 
 @settings(max_examples=30)
 @given(artinian_ideals_2_to_4(), st.data())
 def test_filed_signs_match_the_gram_rule(M, data):
-    # simplices file (-1)^j eps_sigma eps_tau and non-simplices their side;
-    # the copies check the flips of reoriented and the eps of given bases
+    # simplices file (-1)^j and non-simplices their side; the copies check
+    # the flips of reoriented and of given bases
     X = embedded_hull(M)
     built = [hull_complex(M), X, scarf_complex(M)]
     if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
         built.append(taylor_complex(M))
     # the files of the embedded hull, the Scarf and the Taylor complex
-    built += [_with_given_bases(Z, data) for Z in built[1:]]
+    built += [complex_from_json(_drawn_bases_file(Z, data)[0]) for Z in built[1:]]
     built.append(reoriented(X, data.draw(st.sets(st.sampled_from(sorted(X.faces))))))
     for Z in built:
         _assert_filed_signs_match_the_gram_rule(Z)
+
+
+@settings(max_examples=30)
+@given(artinian_ideals_2_to_4(), st.data())
+def test_given_bases_match_the_retired_rule(ex61_minimal_fixture, M, data):
+    """A file's bases, read as flips of the default ones, orient every face
+    and file every sign as make_complex did when it kept the given bases:
+    on the files of the embedded hull, the Scarf and the Taylor complex of
+    M and of Example 6.1's minimal resolution, whose square is no simplex,
+    the tops then flipped alike."""
+    files = [complex_to_json(X) for X in (embedded_hull(M), scarf_complex(M))]
+    if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
+        files.append(complex_to_json(taylor_complex(M)))
+    built = [complex_from_json(obj) for obj in files + [ex61_minimal_fixture]]
+    event(f"a face of M's complexes is no simplex: "
+          f"{any(len(fid) > f.dim + 1 for X in built[:-1] for fid, f in X.faces.items())}")
+    for X in built:
+        obj, given = _drawn_bases_file(X, data)
+        Z = complex_from_json(obj)
+        points = {v: affine(Z.vertex_point(v)) for v in Z.vertices}
+        retired = given_basis_face_data(points, [fid for fid in Z.faces if fid], given)
+        faces = {fid: Face(fid, dim, Z.face(fid).label, basis)
+                 for fid, (dim, basis, _) in retired.items()}
+        facet_ids = {fid: signs for fid, (_, _, signs) in retired.items()}
+        O = _orient_tops_by_pure_powers(LabeledCellComplex(
+            Z.n, Z.vertices, {EMPTY: Z.face(EMPTY), **faces}, {EMPTY: {}, **facet_ids}))
+        assert Z.facet_ids == O.facet_ids
+        for fid in Z.faces:
+            assert same_span_signs(O.face(fid), [Z.face(fid)]) == [1], fid
 
 
 def test_make_complex_rejects_nonpositive_weights_and_repeated_points():

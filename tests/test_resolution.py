@@ -24,6 +24,7 @@ from cellres import (
     taylor_complex,
     verify_chain_maps,
 )
+from cellres.cellcomplex import LabeledCellComplex
 from cellres.monomial import lcm_many
 from cellres.residue import _verify_square
 from cellres.resolution import SignedMonomial
@@ -131,8 +132,8 @@ def test_edge_with_equal_vertex_signs_is_rejected():
     # -> empty face sums to 2: only the level-1 product sees it first
     X = taylor_complex(minimize([(2, 0), (1, 1), (0, 2)]))
     edge = X.faces_of_dim(1)[0]
-    bad = reoriented(X, ())
-    bad.facet_ids = {**X.facet_ids, edge: dict.fromkeys(X.facets(edge), 1)}
+    bad = LabeledCellComplex(X.n, X.vertices, X.faces,
+                             {**X.facet_ids, edge: dict.fromkeys(X.facets(edge), 1)})
     with pytest.raises(CellresError, match="between levels 1 and -1"):
         cellular_complex(bad)
 
@@ -356,12 +357,11 @@ def _draw_flip(record, data):
 def _d_squared_verdict(X, G):
     """The first level cellular_complex reports d^2 != 0 at, or None, when
     it builds a fresh copy of X with the incidence signs of G filed."""
-    copy = reoriented(X, ())
-    copy.facet_ids = {**X.facet_ids, **{
+    copy = LabeledCellComplex(X.n, X.vertices, X.faces, {**X.facet_ids, **{
         sigma: {G.basis(k - 1)[i]: sign for i, sign in column.items()}
         for k, level in G.columns.items()
         for sigma, column in zip(G.basis(k), level)
-    }}
+    }})
     try:
         cellular_complex(copy)
     except CellresError as exc:
