@@ -47,6 +47,8 @@ TREE = {
                  for i, (x, g) in enumerate(zip((0, 2, 1, 3), M3_IN_2["generators"]))],
     "faces": [{"vertices": [0, 2]}, {"vertices": [1, 2]}, {"vertices": [1, 3]}],
 }
+# one variable: the hull of the one lifted point z1^3 is a single vertex
+CUBE_IN_1 = {"n": 1, "generators": [[3]]}
 
 
 def _cases():
@@ -66,6 +68,9 @@ def _cases():
     cases += [([sub, "--complex", "scarf"], GENERIC)
               for sub in ("residue", "compare", "fundamental-cycle")]
     cases += [(["partition", "--order", order], STAIRCASE) for order in ("P", "Q")]
+    cases += [([sub], CUBE_IN_1)
+              for sub in ("hull", "scarf", "check-exact", "resolve", "compare", "residue",
+                          "fundamental-cycle")]
     return cases
 
 
@@ -140,8 +145,9 @@ _RECORD = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"files": {}, "
 
 def _case_id(case):
     name = " ".join(case["args"]).replace("file:@", "file:")
-    # the cases on GENERIC repeat arguments of cases on Example 6.1
-    return f"{name} generic" if case["stdin"] == GENERIC else name
+    # the cases on GENERIC and CUBE_IN_1 repeat arguments of cases on Example 6.1
+    suffix = {"generic": GENERIC, "n1": CUBE_IN_1}
+    return next((f"{name} {key}" for key, job in suffix.items() if case["stdin"] == job), name)
 
 
 @pytest.mark.parametrize("case", _RECORD["cases"], ids=_case_id)
