@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import CellresError, InputError
-from .monomial import is_int, lcm_many, minimize
+from .monomial import is_int, minimize
 
 EMPTY = ()
 
@@ -211,7 +211,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
         pts = [points[v] for v in fid]
         idx = linalg.affine_basis_indices(pts)
         dim = len(idx) - 1
-        label = lcm_many([tuple(vertex_labels[v]) for v in fid])
+        label = tuple(max(c) for c in zip(*(vertex_labels[v] for v in fid)))
         faces[fid] = Face(fid, dim, label, _pivot_basis(pts, idx))
 
     # closure under vertex-set intersections (faces of a complex intersect

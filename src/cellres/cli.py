@@ -173,8 +173,8 @@ def _cmd_compare(M, args):
     witness = verify_chain_maps(X)
     payload = {
         "maps": {str(k): _signed_matrix_json(maps.matrix(k)) for k in maps.columns},
-        "row_bases": {str(k): bases for k, bases in maps.row_bases.items()},
-        "col_bases": {str(k): bases for k, bases in maps.col_bases.items()},
+        "row_bases": {str(k): maps.target.basis(k) for k in maps.columns},
+        "col_bases": {str(k): maps.source.basis(k) for k in maps.columns},
         "ok": witness is None,
         "witness": witness,
     }

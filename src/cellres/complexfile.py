@@ -54,8 +54,9 @@ def _json_point(value, what) -> tuple:
 def _basis_sign(face: Face, basis) -> int:
     """The orientation of a given basis against the face's default one,
     which spans the face: +1 or -1, or an ``InputError`` naming the fault.
-    The basis vectors are integers, as ``_json_point`` gives them."""
-    fid, dim = face.vertices, face.dim
+    The basis vectors are integers, as ``_json_point`` gives them; the
+    empty face, like a vertex, takes only the empty basis."""
+    fid, dim = face.vertices, max(face.dim, 0)
     if len(basis) != dim:
         raise InputError(f"face {fid}: orientation basis must have {dim} vectors")
     if dim == 0:
@@ -78,8 +79,8 @@ def complex_from_json(obj) -> LabeledCellComplex:
     labels are lists of n nonnegative integers.  Every face is built on its
     default basis (``make_complex``); a face's ``orientation_basis``, which
     must span the face, sets only its orientation against that basis, and
-    the faces where the two disagree are flipped (``reoriented``).  A basis
-    on the empty face is ignored.  If the labels carry a full set of pure
+    the faces where the two disagree are flipped (``reoriented``).  A face
+    listed twice is refused.  If the labels carry a full set of pure
     powers and the top faces span the corresponding simplex, top faces are
     then flipped to agree with it.
     """
@@ -102,7 +103,7 @@ def complex_from_json(obj) -> LabeledCellComplex:
     n = obj.get("n", len(next(iter(labels.values()))) if labels else 0)
     if not is_int(n):
         raise InputError(f"complex n must be an integer, got {n!r}")
-    face_sets = []
+    face_sets = set()
     bases = {}
     for entry in _json_objects(obj["faces"], "faces"):
         unknown = set(entry) - {"vertices", "orientation_basis", "dim", "label"}
@@ -111,7 +112,9 @@ def complex_from_json(obj) -> LabeledCellComplex:
         if "vertices" not in entry:
             raise InputError('complex faces need "vertices"')
         fid = tuple(sorted(_json_ints(entry["vertices"], "face vertices")))
-        face_sets.append(fid)
+        if fid in face_sets:
+            raise InputError(f"face {fid} is listed twice")
+        face_sets.add(fid)
         if "orientation_basis" in entry:
             rows = entry["orientation_basis"]
             if not isinstance(rows, list):
@@ -121,7 +124,7 @@ def complex_from_json(obj) -> LabeledCellComplex:
                                for row in rows)
     X = make_complex(n, points, labels, face_sets)
     X = reoriented(X, {fid for fid in sorted(bases)
-                       if fid and _basis_sign(X.face(fid), bases[fid]) < 0})
+                       if _basis_sign(X.face(fid), bases[fid]) < 0})
     for entry in obj["faces"]:
         fid = tuple(sorted(entry["vertices"]))
         if "label" in entry:

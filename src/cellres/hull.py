@@ -88,7 +88,7 @@ def _facet_supports(points):
     for combo in combinations(range(len(points)), ambient):
         base = points[combo[0]]
         diffs = [[x - y for x, y in zip(points[j], base)] for j in combo[1:]]
-        w = linalg.cross_product(diffs, ambient)
+        w = linalg.kernel_vector(diffs, ambient)
         if w is None:
             continue
         if any(x < 0 for x in w):
@@ -121,8 +121,6 @@ def _bounded_face_sets(points):
     reaches every face, and a face, while in the frontier, meets each
     supporting set once and ORs in the support of every one containing it.
     """
-    if len(points) == 1:
-        return [frozenset({0})]
     supports = _facet_supports(points)
     covers = dict(supports)
     frontier = list(supports)

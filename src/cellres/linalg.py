@@ -92,48 +92,25 @@ def orientations(basis, families) -> list:
     return [sign * ((d > 0) - (d < 0)) for d in dets]
 
 
-def cross_product(vectors, k):
-    """Integer vector orthogonal to k-1 integer vectors in Z^k, or None.
+def kernel_vector(rows, k):
+    """A nonzero integer x in Z^k with rows . x = 0 when the integer rows
+    have rank k - 1, or None.
 
-    It is the generalized cross product (the signed (k-1)-minors) up to a
-    global sign, read off the fraction-free Gauss-Jordan form; None when
-    the vectors are linearly dependent.
+    Read off the fraction-free Gauss-Jordan form: the one free column gets
+    the last pivot P, and each pivot column c minus the free entry of its
+    row; for k - 1 independent rows x is the generalized cross product (the
+    signed (k-1)-minors) up to a global sign.
     """
-    m = [list(v) for v in vectors]
+    m = [list(r) for r in rows]
     pivots = _bareiss(m, full=True)[0]
     if len(pivots) != k - 1:
         return None
     free = next(c for c in range(k) if c not in pivots)
-    normal = [0] * k
-    normal[free] = m[-1][pivots[-1]] if pivots else 1
+    x = [0] * k
+    x[free] = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     for row, c in zip(m, pivots):
-        normal[c] = -row[free]
-    return normal
-
-
-def solve(matrix, rhs):
-    """Solve A x = b exactly for integer A and b.
-
-    Returns (numerators, d) with d > 0 and x = numerators / d, free
-    variables zero, or None when the system is inconsistent.  Read off the
-    fraction-free Gauss-Jordan form of [A | b]: every pivot entry equals
-    the last pivot P, x_c is the b entry of the pivot row of column c over
-    P, and the system is inconsistent when the b column holds a pivot.  So
-    d = |P| depends on A only.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = _bareiss(m, full=True)[0]
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [0] * ncols
-    if not pivots:
-        return tuple(x), 1
-    last = m[len(pivots) - 1][pivots[-1]]
-    s = 1 if last > 0 else -1
-    for row, c in zip(m, pivots):
-        x[c] = s * row[ncols]
-    return tuple(x), s * last
+        x[c] = -row[free]
+    return x
 
 
 def affine_basis_indices(points) -> list[int]:

@@ -38,14 +38,6 @@ def lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
     return tuple(map(max, a, b))
 
 
-def lcm_many(vectors) -> ExponentVector:
-    vectors = list(vectors)
-    result = vectors[0]
-    for v in vectors[1:]:
-        result = lcm(result, v)
-    return result
-
-
 class MonomialIdeal(namedtuple("MonomialIdeal", "n generators")):
     """A monomial ideal given by its minimal monomial generators.
 

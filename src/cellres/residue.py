@@ -32,22 +32,17 @@ class ResidueCurrent(namedtuple("ResidueCurrent", "n entries")):
     __slots__ = ()
 
 
-class ChainMap(
-    namedtuple("ChainMap", "n columns row_bases col_bases row_labels col_labels")
-):
-    """Maps a_k from the corner-simplex resolution into the refined one, as
-    one {row index: sign} dict per basis element of level k of the simplex.
-
-    Rows are faces of X and columns faces of the simplex Y; both number
-    their faces by vertex tuples, so their labels are kept apart.
-    """
+class ChainMap(namedtuple("ChainMap", "source target columns")):
+    """Maps a_k from ``source``, the free complex of the corner simplex Y,
+    into ``target``, the free complex of a complex X refining it, as one
+    {row index: sign} dict per basis element of level k of the source."""
 
     __slots__ = ()
 
     def matrix(self, k):
         """a_k as a dense matrix of signed monomials z^{m_sigma - m_tau}."""
-        return _dense_view(self.columns[k], self.row_bases[k], self.col_bases[k],
-                           self.row_labels, self.col_labels, self.n)
+        return _dense_view(self.columns[k], self.target.basis(k), self.source.basis(k),
+                           self.target.labels, self.source.labels, self.target.n)
 
 
 @derived
@@ -59,37 +54,35 @@ def chain_maps(X: LabeledCellComplex) -> ChainMap:
     """
     carried = carried_faces(X)
     Y = corner_simplex_complex(X)
-    row_bases, col_bases, columns = {-1: ((),)}, {-1: ((),)}, {-1: ({0: 1},)}
+    source, target = cellular_complex(Y), cellular_complex(X)
+    columns = {-1: ({0: 1},)}
     for k in range(0, X.n):
-        rows = row_bases[k] = tuple(X.faces_of_dim(k))
-        cols = col_bases[k] = tuple(Y.faces_of_dim(k))
-        row_index = {fid: i for i, fid in enumerate(rows)}
+        row_index = {fid: i for i, fid in enumerate(target.basis(k))}
         columns[k] = tuple(
             {row_index[fid]: sign for fid, sign in zip(carried[sid], same_span_signs(
                 Y.face(sid), [X.face(fid) for fid in carried[sid]]))}
-            for sid in cols
+            for sid in source.basis(k)
         )
-    labels = [{fid: face.label for fid, face in Z.faces.items()} for Z in (X, Y)]
-    return ChainMap(X.n, columns, row_bases, col_bases, *labels)
+    return ChainMap(source, target, columns)
 
 
 def verify_chain_maps(X: LabeledCellComplex):
     """The first level, row face and column face where the comparison
     square of the chain maps fails, or None."""
-    maps = chain_maps(X)
-    Y = corner_simplex_complex(X)
-    return _verify_square(cellular_complex(X), cellular_complex(Y), maps)
+    return _verify_square(chain_maps(X))
 
 
-def _verify_square(phi, psi, maps: ChainMap):
+def _verify_square(maps: ChainMap):
     """The first failure (level, row face, column face) of
-    a_{k-1} psi_k = phi_k a_k at levels 0 .. n - 1, or None.
+    a_{k-1} psi_k = phi_k a_k at levels 0 .. n - 1, or None; psi is the
+    boundary of the source and phi that of the target.
 
     Entry (rho, sigma) of both sides is the same monomial
     z^{m_sigma - m_rho} times an integer sum of signs, so the square
     commutes when the two sums agree.
     """
-    for k in range(0, maps.n):
+    phi, psi = maps.target, maps.source
+    for k in range(0, phi.n):
         lhs = _compose(maps.columns[k - 1], psi.columns[k])
         rhs = _compose(phi.columns[k], maps.columns[k])
         failures = [
@@ -123,9 +116,9 @@ def residue_current(X: LabeledCellComplex) -> ResidueCurrent:
     witness = verify_chain_maps(X)
     if witness is not None:
         raise PreconditionError(f"comparison square does not commute at {witness}")
-    column = maps.columns[X.n - 1][0]
-    entries = {fid: ch_product(column[i], maps.row_labels[fid])
-               for i, fid in enumerate(maps.row_bases[X.n - 1])}
+    column, F = maps.columns[X.n - 1][0], maps.target
+    entries = {fid: ch_product(column[i], F.labels[fid])
+               for i, fid in enumerate(F.basis(X.n - 1))}
     return ResidueCurrent(X.n, entries)
 
 

@@ -72,21 +72,29 @@ def _triangulate(X: LabeledCellComplex, fid):
 def _vertex_barycentrics(X: LabeledCellComplex):
     """Homogeneous barycentric coordinates of every vertex of X against the
     corner simplex Y, and the carrier of every nonempty face whose vertices
-    all have them: ({vertex: {variable: mu}}, d, {face: carrier}), with
-    None for a vertex outside aff |Y|, from one solve per vertex with Y's
-    vertices y_j as the columns: sum_j (mu_j / d) y_j is the vertex's
-    homogeneous point.
+    all have them: ({vertex: mu}, d, {face: carrier}), mu a tuple indexed
+    by variable and None for a vertex outside aff |Y|, such that
+    sum_j (mu_j / d) y_j is the vertex's homogeneous point, y_j the
+    vertices of Y.
 
-    d > 0 depends only on Y, and lambda_j = mu_j w_j / (d w), w the vertex's
-    weight and w_j the j-th corner's, has the signs and support of mu.  Y's
-    vertices are affinely independent, so mu is unique and a point lies in
-    the face S of Y exactly when its mu is nonnegative and supported in S.
+    Each vertex v takes one ``linalg.kernel_vector`` of the matrix with
+    columns y_0, ..., y_{n-1}, v.  Y's vertices are independent, so they
+    are the pivot columns and v's entry is the last pivot P, which depends
+    on Y only: d = |P| > 0, and mu is minus the other entries, taken with
+    the sign of P.  Rank n + 1, no kernel vector, puts v off aff |Y|.
+
+    lambda_j = mu_j w_j / (d w), w the vertex's weight and w_j the j-th
+    corner's, has the signs and support of mu.  Y's vertices are affinely
+    independent, so mu is unique and a point lies in the face S of Y
+    exactly when its mu is nonnegative and supported in S.
     """
     Y = corner_simplex_complex(X)
-    columns = list(zip(*(Y.vertex_point(y) for y in range(X.n))))
-    solved = {v: linalg.solve(columns, X.vertex_point(v)) for v in X.vertices}
-    d = next((s[1] for s in solved.values() if s), 1)
-    coords = {v: s and dict(enumerate(s[0])) for v, s in solved.items()}
+    corners = [Y.vertex_point(y) for y in range(X.n)]
+    kernels = {v: linalg.kernel_vector(list(zip(*corners, X.vertex_point(v))), X.n + 1)
+               for v in X.vertices}
+    d = next(abs(x[-1]) for x in kernels.values() if x)
+    coords = {v: x and tuple(-c if x[-1] > 0 else c for c in x[:-1])
+              for v, x in kernels.items()}
     carriers = {fid: _carrier(coords, fid) for fid in X.faces
                 if fid and all(coords[v] is not None for v in fid)}
     return coords, d, carriers
@@ -96,7 +104,7 @@ def _carrier(coords, fid) -> tuple:
     """The union of the barycentric supports of a face's vertices: the
     smallest face of the corner simplex holding the face, once every
     vertex lies in the simplex."""
-    return tuple(sorted({y for v in fid for y, c in coords[v].items() if c}))
+    return tuple(sorted({y for v in fid for y, c in enumerate(coords[v]) if c}))
 
 
 def _mu_volume(X: LabeledCellComplex, fid, coords, span):
@@ -140,7 +148,7 @@ def refinement_failure(X: LabeledCellComplex):
     Y = corner_simplex_complex(X)
     coords, d, carriers = _vertex_barycentrics(X)
     for v in sorted(X.vertices):
-        if coords[v] is None or min(coords[v].values()) < 0:
+        if coords[v] is None or min(coords[v]) < 0:
             return f"vertex {v} lies outside the simplex"
     covered = {}
     for fid in sorted(X.faces):

@@ -174,16 +174,6 @@ def flip_sign(record, k, nth=0):
     return record._replace(columns={**record.columns, k: tuple(level)})
 
 
-def square_verdict(X, maps):
-    """The witness of verify_chain_maps(X), or None, with ``maps`` in
-    place of the chain maps the library builds."""
-    from cellres import cellular_complex, corner_simplex_complex
-    from cellres.residue import _verify_square
-
-    phi, psi = cellular_complex(X), cellular_complex(corner_simplex_complex(X))
-    return _verify_square(phi, psi, maps)
-
-
 def without_face(X, fid):
     """X with the face fid left out, reloaded from its JSON form as a file
     complex is."""

@@ -11,7 +11,8 @@ support-cover test, and for refinement and contained faces a containment
 solve per pair of a face of X and a face of the simplex, with volumes in
 the simplex face's orientation basis, instead of one set of barycentric
 coordinates per vertex.  The enumerations the library retired live here
-too: the lcm of every generator subset for the Scarf faces instead of a
+too: the integer Gauss-Jordan solve and cross product that one kernel
+vector reader replaced, the lcm of every generator subset for the Scarf faces instead of a
 depth-first search, candidate normals on every coordinate subset instead
 of the n coordinate facets in closed form, a Gram-Schmidt pass and a scan
 over the faces one dimension lower for the dimension, orientation basis
@@ -160,8 +161,8 @@ def fraction_det(matrix):
 
 def fraction_solve(matrix, rhs):
     """A solution of A x = b with free variables 0, or None when
-    inconsistent, by Gauss-Jordan over Fractions (the retired
-    ``linalg.solve``)."""
+    inconsistent, by Gauss-Jordan over Fractions (the rational solve the
+    integer ``bareiss_solve`` once replaced)."""
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     nrows = len(a)
     ncols = len(matrix[0]) if nrows else 0
@@ -186,6 +187,65 @@ def fraction_solve(matrix, rhs):
     for i, col in enumerate(piv_cols):
         x[col] = a[i][ncols]
     return tuple(x)
+
+
+def _bareiss_gauss_jordan(m):
+    """The pivot columns of the fraction-free Gauss-Jordan form of an
+    integer matrix, made in place: every pivot entry ends equal to the
+    last pivot (the retired ``linalg._bareiss(m, full=True)``)."""
+    ncols = len(m[0]) if m else 0
+    pivots, prev = [], 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top, p = m[r], m[r][col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+    return pivots
+
+
+def bareiss_cross_product(vectors, k):
+    """Integer vector orthogonal to k-1 integer vectors in Z^k, or None when
+    they are dependent, read off the last row of the Gauss-Jordan form (the
+    retired ``linalg.cross_product``)."""
+    m = [list(v) for v in vectors]
+    pivots = _bareiss_gauss_jordan(m)
+    if len(pivots) != k - 1:
+        return None
+    free = next(c for c in range(k) if c not in pivots)
+    normal = [0] * k
+    normal[free] = m[-1][pivots[-1]] if pivots else 1
+    for row, c in zip(m, pivots):
+        normal[c] = -row[free]
+    return normal
+
+
+def bareiss_solve(matrix, rhs):
+    """(numerators, d) with d > 0 and x = numerators / d solving A x = b,
+    free variables zero, or None when inconsistent, read off the
+    Gauss-Jordan form of [A | b] (the retired ``linalg.solve``)."""
+    ncols = len(matrix[0]) if matrix else 0
+    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    pivots = _bareiss_gauss_jordan(m)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [0] * ncols
+    if not pivots:
+        return tuple(x), 1
+    last = m[len(pivots) - 1][pivots[-1]]
+    s = 1 if last > 0 else -1
+    for row, c in zip(m, pivots):
+        x[c] = s * row[ncols]
+    return tuple(x), s * last
 
 
 def _orthogonal_residual(v, basis):
@@ -299,7 +359,7 @@ def smith_diagonal(matrix):
     return [d for d in diag if d != 0]
 
 
-def _nullspace(rows, ncols):
+def fraction_nullspace(rows, ncols):
     """Basis of the right nullspace, by reduced row echelon form over Q."""
     rows = [[Fraction(x) for x in r] for r in rows]
     pivots = []
@@ -367,7 +427,7 @@ def _convex_facets(points):
         if d == 0 or len(affine_basis_by_gram_schmidt([points[i] for i in combo])) != d:
             continue
         dirs = [[x - y for x, y in zip(points[i], points[combo[0]])] for i in combo[1:]]
-        kernel = _nullspace([[_dot(dv, hv) for hv in hull_dirs] for dv in dirs], d)
+        kernel = fraction_nullspace([[_dot(dv, hv) for hv in hull_dirs] for dv in dirs], d)
         if len(kernel) != 1:
             continue
         normal = [_dot(kernel[0], col) for col in zip(*hull_dirs)]
@@ -406,7 +466,7 @@ def hull_face_sets(generators, t):
         return {(0,)}
     facets = _convex_facets(points)
     basis = affine_basis_by_gram_schmidt(points)
-    lineality = _nullspace(
+    lineality = fraction_nullspace(
         [[x - y for x, y in zip(points[i], points[basis[0]])] for i in basis[1:]],
         ambient,
     )
@@ -668,7 +728,7 @@ def all_k_facet_supports(points):
             for combo in combinations(range(npoints), k):
                 base = proj[combo[0]]
                 diffs = [[x - y for x, y in zip(proj[j], base)] for j in combo[1:]]
-                kernel = _nullspace(diffs, k)
+                kernel = fraction_nullspace(diffs, k)
                 if len(kernel) != 1:
                     continue
                 w = kernel[0]

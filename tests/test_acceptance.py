@@ -36,6 +36,7 @@ from cellres import (
     verify_chain_maps,
 )
 from cellres.hull import default_lift_base
+from cellres.residue import _verify_square
 from conftest import (
     EX61_GENERATORS,
     embedded_hull,
@@ -43,7 +44,6 @@ from conftest import (
     minimal_ex61_json,
     random_generic_ideal_3,
     random_staircase_ideal,
-    square_verdict,
 )
 from oracles import (
     closed_form_current,
@@ -151,7 +151,7 @@ def test_criterion_4_commuting_diagram(staircase_pool, generic3_pool, ex61):
             assert verify_chain_maps(X) is None
         X = ex61[1]
         corrupted = flip_sign(chain_maps(X), 1)
-        assert square_verdict(X, corrupted) == (1, (0,), (0, 1))
+        assert _verify_square(corrupted) == (1, (0,), (0, 1))
 
 
 def test_criterion_5_exactness_oracle_agreement(ex61):

@@ -55,8 +55,10 @@ from oracles import (
     affine,
     all_pairs_intersection_failure,
     barycenter_sign_facet,
+    bareiss_solve,
     cofaces,
     face_volume_rel,
+    fraction_solve,
     gram_sign_facet,
     gram_sign_same_span,
     given_basis_face_data,
@@ -532,13 +534,37 @@ def test_json_loader_names_the_fault_of_a_given_basis(ex61_embedded):
         assert str(exc.value) == message
 
 
-def test_json_loader_ignores_a_basis_on_the_empty_face(ex61_embedded):
+def test_json_loader_takes_only_the_empty_basis_on_the_empty_face(ex61_embedded):
     obj = complex_to_json(ex61_embedded)
     plain = complex_from_json(obj)
-    obj["faces"].append({"vertices": [], "orientation_basis": [[1, 2, 3], [4]]})
+    obj["faces"].append({"vertices": [], "orientation_basis": []})
     loaded = complex_from_json(obj)
     assert loaded.faces == plain.faces
     assert loaded.facet_ids == plain.facet_ids
+    # any other basis gets the refusal of a vertex's basis of the wrong size
+    for vertices, message in (([], "face (): orientation basis must have 0 vectors"),
+                              ([0], "face (0,): orientation basis must have 0 vectors")):
+        obj["faces"][-1] = {"vertices": vertices, "orientation_basis": [[1, 2, 3], [4]]}
+        with pytest.raises(InputError) as exc:
+            complex_from_json(obj)
+        assert str(exc.value) == message
+
+
+def test_json_loader_refuses_a_face_listed_twice():
+    # without a full set of pure powers no top flip hides which of two
+    # conflicting bases the edge would take
+    segment = {
+        "vertices": [{"id": 0, "coords": [0], "label": [1, 1]},
+                     {"id": 1, "coords": [1], "label": [0, 1]}],
+        "faces": [{"vertices": [0, 1], "orientation_basis": [[1]]},
+                  {"vertices": [1, 0], "orientation_basis": [[-1]]}],
+    }
+    for faces in (segment["faces"], segment["faces"][::-1], segment["faces"][:1] * 2):
+        with pytest.raises(InputError) as exc:
+            complex_from_json(dict(segment, faces=faces))
+        assert str(exc.value) == "face (0, 1) is listed twice"
+    once = complex_from_json(dict(segment, faces=segment["faces"][1:]))
+    assert once.face((0, 1)).basis == ((-1,),)
 
 
 def test_make_complex_rejects_missing_intersection_face():
@@ -969,11 +995,59 @@ def test_containment_disagreement_matches_pairwise_oracle():
 @given(artinian_ideals())
 def test_barycentric_coordinates_solved_once_per_vertex(M):
     X = embedded_hull(M)
-    with mock.patch.object(linalg, "solve", side_effect=linalg.solve) as solve:
+    with mock.patch.object(linalg, "kernel_vector",
+                           side_effect=linalg.kernel_vector) as kernel_vector:
         assert refinement_failure(X) is None
-        assert solve.call_count == len(X.vertices)
+        assert kernel_vector.call_count == len(X.vertices)
         carried_faces(X)
-        assert solve.call_count == len(X.vertices)
+        assert kernel_vector.call_count == len(X.vertices)
+
+
+def _assert_barycentrics_match_the_solves(X):
+    """Each vertex's mu / d solves for its point against the corner simplex
+    over Fractions, (mu, d) is what the retired integer solve gave, with one
+    d > 0 for all vertices, and each carrier is the union of the supports
+    of its vertices' Fraction solutions."""
+    try:
+        Y = corner_simplex_complex(X)
+    except PreconditionError:  # a bumped corner left no pure power
+        return
+    columns = list(zip(*(Y.vertex_point(y) for y in range(X.n))))
+    coords, d, carriers = _vertex_barycentrics(X)
+    solved = {v: fraction_solve(columns, X.vertex_point(v)) for v in X.vertices}
+    for v, mu in coords.items():
+        assert (mu and tuple(Fraction(c, d) for c in mu)) == solved[v]
+        assert (mu and (mu, d)) == bareiss_solve(columns, X.vertex_point(v))
+    assert carriers == {
+        fid: tuple(sorted({y for v in fid for y, c in enumerate(solved[v]) if c}))
+        for fid in X.faces if fid and all(solved[v] is not None for v in fid)
+    }
+
+
+def _mirrored(X):
+    """X reloaded with the first two coordinates of every vertex swapped: a
+    reflection, which keeps the barycentric coordinates and puts the last
+    pivot of the corner simplex's columns below 0."""
+    obj = complex_to_json(X)
+    for v in obj["vertices"]:
+        v["coords"][:2] = v["coords"][1::-1]
+    return complex_from_json(obj)
+
+
+@settings(max_examples=30)
+@given(artinian_ideals(), st.data())
+def test_barycentrics_match_the_retired_solves(M, data):
+    # the lifted hull's inner vertices lie off the simplex's affine hull;
+    # the perturbed files move inner vertices out of the simplex or off it
+    X = embedded_hull(M)
+    mirror = _mirrored(X)
+    assert refinement_failure(mirror) is None
+    cases = [hull_complex(M), X, mirror,
+             _mirrored(data.draw(st.sampled_from(list(_perturbations(X)))))]
+    if len(M.generators) <= 15:
+        cases.append(scarf_complex(M))
+    for Z in cases:
+        _assert_barycentrics_match_the_solves(Z)
 
 
 def test_each_carrier_is_worked_out_once():
@@ -1188,7 +1262,7 @@ def _geometry(X):
     simplex, the refinement verdict and the faces of X inside each face of
     the simplex."""
     coords = _vertex_barycentrics(X)[0]
-    supports = {v: mu and {y: (c > 0) - (c < 0) for y, c in mu.items()}
+    supports = {v: mu and tuple((c > 0) - (c < 0) for c in mu)
                 for v, mu in coords.items()}
     return ({fid: f.dim for fid, f in X.faces.items()}, X.facet_ids, supports,
             refinement_failure(X), _library_containment(X))

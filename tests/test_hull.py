@@ -333,7 +333,7 @@ def counting(monkeypatch, targets):
 def test_facet_supports_makes_one_cross_product_per_n_subset(monkeypatch, n, d):
     M = maximal_ideal_power(n, d)
     points = [tuple(default_lift_base(n) ** a for a in g) for g in M.generators]
-    calls = counting(monkeypatch, [(linalg, "cross_product")])
+    calls = counting(monkeypatch, [(linalg, "kernel_vector")])
     hull._facet_supports(points)
     assert calls[0] == comb(len(points), n)
 

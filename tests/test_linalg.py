@@ -5,9 +5,9 @@ elimination of an integer matrix; the oracles in ``oracles.py`` are the
 Gaussian eliminations over Fractions it replaced.  The drawn rational
 matrices reach the kernel with each row scaled to integers, which changes
 no rank and no solution and scales the determinant by the known factor;
-rational points reach it as homogeneous vectors.  Both pick the
-lexicographically first pivot columns and set free variables to zero, so
-``solve`` must agree tuple for tuple, not only up to the solution space.
+rational points reach it as homogeneous vectors.  ``kernel_vector`` is
+checked against the integer cross product it replaced, which reads the same
+Gauss-Jordan form, and against the rational null space.
 """
 
 from fractions import Fraction
@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 from cellres import homogeneous, linalg
 from oracles import (
     affine_basis_by_gram_schmidt,
+    bareiss_cross_product,
     fraction_det,
+    fraction_nullspace,
     fraction_rank,
-    fraction_solve,
     gram_orientation,
 )
 
@@ -38,17 +39,6 @@ def integer_rows(matrix):
         rows.append(scaled)
         scale *= d
     return rows, scale
-
-
-def rational_solve(a, b):
-    """linalg.solve on the rows of [A | b] scaled to integers, as Fractions."""
-    rows = integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])[0]
-    solved = linalg.solve([row[:-1] for row in rows], [row[-1] for row in rows])
-    if solved is None:
-        return None
-    x, d = solved
-    assert d > 0
-    return tuple(Fraction(c, d) for c in x)
 
 
 @st.composite
@@ -81,16 +71,12 @@ def square_matrices(draw):
 
 
 @st.composite
-def systems(draw):
-    """(A, b): b is either A x0 for a drawn x0 (consistent) or arbitrary."""
-    a = draw(matrices())
-    ncols = len(a[0]) if a else 0
-    if draw(st.booleans()):
-        x0 = [draw(COEFFS) for _ in range(ncols)]
-        b = [sum((Fraction(x) * y for x, y in zip(row, x0)), Fraction(0)) for row in a]
-    else:
-        b = [draw(ENTRIES) for _ in a]
-    return a, b
+def kernel_problems(draw):
+    """(rows, k): integer matrices with k >= 1 columns and of every rank,
+    half of them with k - 1 rows, the others with 0 to 6."""
+    k = draw(st.integers(1, 5))
+    nrows = k - 1 if draw(st.booleans()) else draw(st.integers(0, 6))
+    return integer_rows(draw(matrices(nrows=nrows, ncols=k)))[0], k
 
 
 @st.composite
@@ -129,14 +115,18 @@ def test_det_and_sign_match_fraction_elimination(a):
 
 
 @settings(max_examples=300)
-@given(systems())
-def test_solve_matches_fraction_elimination(system):
-    a, b = system
-    x = rational_solve(a, b)
-    assert x == fraction_solve(a, b)
-    if x is not None:
-        assert all(sum(Fraction(c) * v for c, v in zip(row, x)) == rhs
-                   for row, rhs in zip(a, b))
+@given(kernel_problems())
+def test_kernel_vector_matches_retired_readers(problem):
+    rows, k = problem
+    x = linalg.kernel_vector(rows, k)
+    if len(rows) == k - 1:
+        assert x == bareiss_cross_product(rows, k)
+    # rank k - 1 is a one-dimensional null space, which x then spans
+    if len(fraction_nullspace(rows, k)) != 1:
+        assert x is None
+    else:
+        assert len(x) == k and all(isinstance(c, int) for c in x) and any(x)
+        assert all(sum(a * c for a, c in zip(row, x)) == 0 for row in rows)
 
 
 @settings(max_examples=300)
@@ -198,10 +188,11 @@ def test_kernel_small_cases():
     assert linalg.det([[0, 1], [1, 0]]) == -1
     m, scale = integer_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
     assert Fraction(linalg.det(m), scale) == Fraction(1, 3)
-    assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
-    assert linalg.solve([[0, 2, 4]], [2]) == ((0, 2, 0), 2)
-    assert linalg.solve([[0, -2, 4]], [2]) == ((0, -2, 0), 2)
-    assert linalg.solve([], []) == ((), 1)
+    assert linalg.kernel_vector([], 1) == [1] and linalg.kernel_vector([], 2) is None
+    assert linalg.kernel_vector([[0, 2, 4]], 3) is None
+    assert linalg.kernel_vector([[0, 2, 4], [1, 0, 0]], 3) == [0, -4, 2]
+    # the last pivot is read off the last pivot row, not the last row
+    assert linalg.kernel_vector([[1, 1], [2, 2], [3, 3]], 2) == [-1, 1]
     assert linalg.rank([[0, 0], [0, 0]]) == 0
     points = [(1, 1), (2, 2), (3, 3), (0, 1)]
     assert linalg.affine_basis_indices([homogeneous(p) for p in points]) == [0, 1, 3]

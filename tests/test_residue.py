@@ -27,7 +27,7 @@ from cellres import (
     same_span_signs,
     verify_chain_maps,
 )
-from cellres.residue import ResidueCurrent
+from cellres.residue import ResidueCurrent, _verify_square
 from cellres.resolution import SignedMonomial
 from conftest import (
     EX61_GENERATORS,
@@ -37,7 +37,6 @@ from conftest import (
     flip_sign,
     random_generic_ideal_3,
     random_staircase_ideal,
-    square_verdict,
 )
 from itertools import product
 from oracles import ch_action, closed_form_current, first_difference_by_box_scan
@@ -128,7 +127,7 @@ def test_chain_maps_identity_on_delta():
     maps = chain_maps(D)
     for k in range(-1, 2):
         matrix = maps.matrix(k)
-        assert maps.row_bases[k] == maps.col_bases[k]
+        assert maps.target.basis(k) == maps.source.basis(k)
         for i, row in enumerate(matrix):
             for j, cell in enumerate(row):
                 if i == j:
@@ -140,14 +139,14 @@ def test_chain_maps_identity_on_delta():
 def test_chain_maps_ex61(ex61_embedded):
     maps = chain_maps(ex61_embedded)
     top = maps.matrix(2)
-    rows = maps.row_bases[2]
+    rows = maps.target.basis(2)
     entries = {rows[i]: top[i][0] for i in range(len(rows))}
     assert entries[(0, 1, 2)] == SignedMonomial(1, (0, 1, 1))  # z2 z3
     assert entries[(1, 2, 4)] == SignedMonomial(1, (1, 1, 1))
     # vertex level: each corner maps to the coinciding vertex with unit
     a0 = maps.matrix(0)
-    rows0 = maps.row_bases[0]
-    for j, corner in enumerate(maps.col_bases[0]):
+    rows0 = maps.target.basis(0)
+    for j, corner in enumerate(maps.source.basis(0)):
         column = [a0[i][j] for i in range(len(rows0))]
         nonzero = [(rows0[i], c) for i, c in enumerate(column) if c.sign != 0]
         assert len(nonzero) == 1
@@ -173,7 +172,7 @@ def test_corrupted_chain_map_fails_with_witness(ex61_embedded):
     maps = chain_maps(ex61_embedded)
     for k, witness in CORRUPTED_SQUARES:
         corrupted = flip_sign(maps, k)
-        assert square_verdict(ex61_embedded, corrupted) == witness
+        assert _verify_square(corrupted) == witness
 
 
 def _with_corrupted_maps(X, k):

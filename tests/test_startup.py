@@ -209,8 +209,9 @@ RECORDS = [
     (FreeComplex, (1, {}, {}, {}), "FreeComplex(n=1, levels={}, labels={}, columns={})"),
     (CHProduct, (1, (2, 1)), "CHProduct(sign=1, alpha=(2, 1))"),
     (ResidueCurrent, (2, {}), "ResidueCurrent(n=2, entries={})"),
-    (ChainMap, (1, {}, {}, {}, {}, {}),
-     "ChainMap(n=1, columns={}, row_bases={}, col_bases={}, row_labels={}, col_labels={})"),
+    (ChainMap, (FreeComplex(1, {}, {}, {}), FreeComplex(1, {}, {}, {}), {}),
+     "ChainMap(source=FreeComplex(n=1, levels={}, labels={}, columns={}), "
+     "target=FreeComplex(n=1, levels={}, labels={}, columns={}), columns={})"),
 ]
 
 
