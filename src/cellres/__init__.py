@@ -32,7 +32,7 @@ _EXPORTS = {
         "taylor_complex",
     ),
     "resolution": (
-        "FreeComplex", "SignedMonomial", "cellular_complex", "exactness_witness",
+        "FreeComplex", "cellular_complex", "exactness_witness",
         "minimality_witness", "reduced_homology_ranks",
     ),
     "residue": (

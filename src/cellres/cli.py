@@ -105,11 +105,18 @@ def _build_complex(M: MonomialIdeal, args):
     raise InputError(f"unknown complex source: {source}")
 
 
-def _signed_matrix_json(matrix):
-    return [
-        [{"sign": cell.sign, "exp": cell.exp} for cell in row]
-        for row in matrix
-    ]
+def _matrix_json(columns, row_basis, col_basis, row_labels, col_labels, n):
+    """The rows of a map given as sign columns: entry (tau, sigma) is
+    {"sign": s, "exp": m_sigma - m_tau}, and every zero entry is one shared
+    object."""
+    zero = {"sign": 0, "exp": [0] * n}
+    matrix = [[zero] * len(col_basis) for _ in row_basis]
+    for j, column in enumerate(columns):
+        top = col_labels[col_basis[j]]
+        for i, sign in column.items():
+            exp = [a - b for a, b in zip(top, row_labels[row_basis[i]])]
+            matrix[i][j] = {"sign": sign, "exp": exp}
+    return matrix
 
 
 def _cmd_generators(M, args):
@@ -137,7 +144,11 @@ def _cmd_resolve(M, args):
     from .resolution import cellular_complex
     F = cellular_complex(X)
     levels = {str(k): F.basis(k) for k in F.levels}
-    matrices = {str(k): _signed_matrix_json(F.matrix(k)) for k in F.columns}
+    matrices = {
+        str(k): _matrix_json(F.columns[k], F.basis(k - 1), F.basis(k),
+                             F.labels, F.labels, F.n)
+        for k in F.columns
+    }
     return {"levels": levels, "matrices": matrices}, 0
 
 
@@ -171,10 +182,15 @@ def _cmd_compare(M, args):
     from .residue import chain_maps, verify_chain_maps
     maps = chain_maps(X)
     witness = verify_chain_maps(X)
+    Y, F = maps.source, maps.target
     payload = {
-        "maps": {str(k): _signed_matrix_json(maps.matrix(k)) for k in maps.columns},
-        "row_bases": {str(k): maps.target.basis(k) for k in maps.columns},
-        "col_bases": {str(k): maps.source.basis(k) for k in maps.columns},
+        "maps": {
+            str(k): _matrix_json(maps.columns[k], F.basis(k), Y.basis(k),
+                                 F.labels, Y.labels, F.n)
+            for k in maps.columns
+        },
+        "row_bases": {str(k): F.basis(k) for k in maps.columns},
+        "col_bases": {str(k): Y.basis(k) for k in maps.columns},
         "ok": witness is None,
         "witness": witness,
     }

@@ -11,7 +11,7 @@ from collections import namedtuple
 from .cellcomplex import LabeledCellComplex, derived
 from .errors import PreconditionError
 from .monomial import MonomialIdeal, first_difference, irreducible_intersection
-from .resolution import _compose, _dense_view, cellular_complex, exactness_witness
+from .resolution import _compose, cellular_complex, exactness_witness
 from .simplex import carried_faces, corner_simplex_complex, same_span_signs
 
 
@@ -35,14 +35,11 @@ class ResidueCurrent(namedtuple("ResidueCurrent", "n entries")):
 class ChainMap(namedtuple("ChainMap", "source target columns")):
     """Maps a_k from ``source``, the free complex of the corner simplex Y,
     into ``target``, the free complex of a complex X refining it, as one
-    {row index: sign} dict per basis element of level k of the source."""
+    {row index: sign} dict per basis element of level k of the source;
+    entry (tau, sigma) is sign z^{m_sigma - m_tau}, m_tau from the target's
+    labels and m_sigma from the source's."""
 
     __slots__ = ()
-
-    def matrix(self, k):
-        """a_k as a dense matrix of signed monomials z^{m_sigma - m_tau}."""
-        return _dense_view(self.columns[k], self.target.basis(k), self.source.basis(k),
-                           self.target.labels, self.source.labels, self.target.n)
 
 
 @derived

@@ -16,29 +16,11 @@ from .errors import CellresError
 from .monomial import divides, lcm_lattice
 
 
-class SignedMonomial(namedtuple("SignedMonomial", "sign exp")):
-    """An entry sign * z^exp of a dense view; sign 0 is a zero entry."""
-
-    __slots__ = ()
-
-
-def _dense_view(columns, rows, cols, row_labels, col_labels, n):
-    """Dense view of sign columns: entry (tau, sigma) is
-    sign * z^{m_sigma - m_tau}, zero entries SignedMonomial(0, (0,) * n)."""
-    zero = SignedMonomial(0, (0,) * n)
-    matrix = [[zero] * len(cols) for _ in rows]
-    for j, column in enumerate(columns):
-        top = col_labels[cols[j]]
-        for i, sign in column.items():
-            exp = tuple(a - b for a, b in zip(top, row_labels[rows[i]]))
-            matrix[i][j] = SignedMonomial(sign, exp)
-    return tuple(tuple(row) for row in matrix)
-
-
 class FreeComplex(namedtuple("FreeComplex", "n levels labels columns")):
-    """Graded free complex: bases of face ids per level, and the boundary
-    phi_k: A_k -> A_{k-1} as one {row index: sign} dict per basis element
-    of level k."""
+    """Graded free complex: bases of face ids per level, the face labels,
+    and the boundary phi_k: A_k -> A_{k-1} as one {row index: sign} dict per
+    basis element of level k; entry (tau, sigma) is sign z^{m_sigma - m_tau},
+    its exponent read off ``labels``."""
 
     __slots__ = ()
 
@@ -48,11 +30,6 @@ class FreeComplex(namedtuple("FreeComplex", "n levels labels columns")):
 
     def basis(self, k) -> tuple:
         return self.levels.get(k, ())
-
-    def matrix(self, k):
-        """phi_k as a dense matrix of signed monomials."""
-        return _dense_view(self.columns[k], self.basis(k - 1), self.basis(k),
-                           self.labels, self.labels, self.n)
 
 
 def _compose(a, b) -> list:

@@ -174,6 +174,36 @@ def flip_sign(record, k, nth=0):
     return record._replace(columns={**record.columns, k: tuple(level)})
 
 
+def drawn_bases_file(X, data):
+    """X's complex file with drawn faces of dimension >= 1 given the basis
+    C · (the face's basis in X), C a swap of two vectors, a negated vector
+    or an integer shear b_i -> a b_i + c b_(i+1), a of either sign: the
+    file and {face: given basis}."""
+    from cellres import complex_to_json
+
+    obj = complex_to_json(X)
+    given = {}
+    for face in obj["faces"]:
+        fid = tuple(face["vertices"])
+        basis = [list(b) for b in X.face(fid).basis]
+        if not data.draw(st.booleans()):
+            continue
+        i = data.draw(st.integers(0, len(basis) - 1))
+        other = basis[(i + 1) % len(basis)] if len(basis) > 1 else [0] * len(basis[i])
+        move = data.draw(st.sampled_from(("swap", "negate", "shear")[len(basis) == 1:]))
+        if move == "swap":
+            basis[i], basis[(i + 1) % len(basis)] = other, basis[i]
+        elif move == "negate":
+            basis[i] = [-x for x in basis[i]]
+        else:
+            a = data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+            c = data.draw(st.integers(-3, 3))
+            basis[i] = [a * x + c * y for x, y in zip(basis[i], other)]
+        face["orientation_basis"] = basis
+        given[fid] = tuple(map(tuple, basis))
+    return obj, given
+
+
 def without_face(X, fid):
     """X with the face fid left out, reloaded from its JSON form as a file
     complex is."""

@@ -28,7 +28,9 @@ non-simplices, for the fundamental
 cycle a general algebra of wedge forms, each term sorted by a bubble sort,
 instead of one polynomial row per set of used variables, and for d^2 = 0
 and the comparison square a product of dense signed-monomial matrices as
-polynomial matrices instead of integer sums of incidence signs, and for
+polynomial matrices instead of integer sums of incidence signs, the
+dense views themselves (``dense_matrix``, ``dense_map``) instead of the
+entries the command line writes straight from the sign columns, and for
 the residue current its closed form, each top face's label signed by a
 Fraction determinant against the corner simplex, instead of the sign
 column of the top comparison map, and for the embedded hull each T_i read
@@ -281,6 +283,38 @@ def affine_basis_by_gram_schmidt(points):
     return chosen
 
 
+class SignedMonomial(namedtuple("SignedMonomial", "sign exp")):
+    """An entry sign * z^exp of a dense view; sign 0 is a zero entry."""
+
+    __slots__ = ()
+
+
+def _dense_view(columns, rows, cols, row_labels, col_labels, n):
+    zero = SignedMonomial(0, (0,) * n)
+    matrix = [[zero] * len(cols) for _ in rows]
+    for j, column in enumerate(columns):
+        top = col_labels[cols[j]]
+        for i, sign in column.items():
+            exp = tuple(a - b for a, b in zip(top, row_labels[rows[i]]))
+            matrix[i][j] = SignedMonomial(sign, exp)
+    return tuple(tuple(row) for row in matrix)
+
+
+def dense_matrix(F, k):
+    """phi_k of a free complex as a dense matrix of SignedMonomials: entry
+    (tau, sigma) is sign * z^{m_sigma - m_tau}, zero entries
+    SignedMonomial(0, (0,) * n)."""
+    return _dense_view(F.columns[k], F.basis(k - 1), F.basis(k),
+                       F.labels, F.labels, F.n)
+
+
+def dense_map(maps, k):
+    """a_k of a chain map as a dense matrix of SignedMonomials, rows read
+    off the target's labels and columns off the source's."""
+    return _dense_view(maps.columns[k], maps.target.basis(k), maps.source.basis(k),
+                       maps.target.labels, maps.source.labels, maps.target.n)
+
+
 def graded_strand_inexact_degree(free_complex, box):
     """First degree in [0, box] whose graded strand is not exact, or None.
 
@@ -300,7 +334,7 @@ def graded_strand_inexact_degree(free_complex, box):
         for k in range(0, top + 1):
             rows = bases[k - 1]
             cols = bases[k]
-            phi = F.matrix(k)
+            phi = dense_matrix(F, k)
             matrix = [[phi[i][j].sign for j in cols] for i in rows]
             ranks[k] = fraction_rank(matrix)
         ranks[top + 1] = 0
@@ -1040,7 +1074,7 @@ def _combine_forms(terms):
 def _form_differential(F, k, only):
     n = F.n
     entries = []
-    for row in F.matrix(k):
+    for row in dense_matrix(F, k):
         out_row = []
         for cell in row:
             terms = []
@@ -1147,7 +1181,8 @@ def boundary_squared_failure(F):
     """The first level k whose polynomial product phi_{k-1} phi_k over F's
     dense views is nonzero, or None."""
     for k in range(1, F.top + 1):
-        if any(entry for row in poly_matmul(F.matrix(k - 1), F.matrix(k)) for entry in row):
+        square = poly_matmul(dense_matrix(F, k - 1), dense_matrix(F, k))
+        if any(entry for row in square for entry in row):
             return k
     return None
 
@@ -1157,8 +1192,8 @@ def comparison_square_failure(phi, psi, maps, n):
     where the polynomial products a_{k-1} psi_k and phi_k a_k over the
     dense views differ, or None."""
     for k in range(n):
-        lhs = poly_matmul(maps.matrix(k - 1), psi.matrix(k))
-        rhs = poly_matmul(phi.matrix(k), maps.matrix(k))
+        lhs = poly_matmul(dense_map(maps, k - 1), dense_matrix(psi, k))
+        rhs = poly_matmul(dense_matrix(phi, k), dense_map(maps, k))
         for i, (left, right) in enumerate(zip(lhs, rhs)):
             for j, (x, y) in enumerate(zip(left, right)):
                 if x != y:

@@ -42,6 +42,7 @@ from conftest import (
     EX61_GENERATORS,
     artinian_ideals,
     artinian_ideals_2_to_4,
+    drawn_bases_file,
     embedded_hull,
     maximal_ideal_power,
     random_complete_intersection,
@@ -1161,34 +1162,6 @@ def _assert_filed_signs_match_the_gram_rule(X):
             assert sign == gram_sign_facet(X, tau, sigma), (tau, sigma)
 
 
-def _drawn_bases_file(X, data):
-    """X's complex file with drawn faces of dimension >= 1 given the basis
-    C · (the face's basis in X), C a swap of two vectors, a negated vector
-    or an integer shear b_i -> a b_i + c b_(i+1), a of either sign: the
-    file and {face: given basis}."""
-    obj = complex_to_json(X)
-    given = {}
-    for face in obj["faces"]:
-        fid = tuple(face["vertices"])
-        basis = [list(b) for b in X.face(fid).basis]
-        if not data.draw(st.booleans()):
-            continue
-        i = data.draw(st.integers(0, len(basis) - 1))
-        other = basis[(i + 1) % len(basis)] if len(basis) > 1 else [0] * len(basis[i])
-        move = data.draw(st.sampled_from(("swap", "negate", "shear")[len(basis) == 1:]))
-        if move == "swap":
-            basis[i], basis[(i + 1) % len(basis)] = other, basis[i]
-        elif move == "negate":
-            basis[i] = [-x for x in basis[i]]
-        else:
-            a = data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
-            c = data.draw(st.integers(-3, 3))
-            basis[i] = [a * x + c * y for x, y in zip(basis[i], other)]
-        face["orientation_basis"] = basis
-        given[fid] = tuple(map(tuple, basis))
-    return obj, given
-
-
 @settings(max_examples=30)
 @given(artinian_ideals_2_to_4(), st.data())
 def test_filed_signs_match_the_gram_rule(M, data):
@@ -1199,7 +1172,7 @@ def test_filed_signs_match_the_gram_rule(M, data):
     if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
         built.append(taylor_complex(M))
     # the files of the embedded hull, the Scarf and the Taylor complex
-    built += [complex_from_json(_drawn_bases_file(Z, data)[0]) for Z in built[1:]]
+    built += [complex_from_json(drawn_bases_file(Z, data)[0]) for Z in built[1:]]
     built.append(reoriented(X, data.draw(st.sets(st.sampled_from(sorted(X.faces))))))
     for Z in built:
         _assert_filed_signs_match_the_gram_rule(Z)
@@ -1220,7 +1193,7 @@ def test_given_bases_match_the_retired_rule(ex61_minimal_fixture, M, data):
     event(f"a face of M's complexes is no simplex: "
           f"{any(len(fid) > f.dim + 1 for X in built[:-1] for fid, f in X.faces.items())}")
     for X in built:
-        obj, given = _drawn_bases_file(X, data)
+        obj, given = drawn_bases_file(X, data)
         Z = complex_from_json(obj)
         points = {v: affine(Z.vertex_point(v)) for v in Z.vertices}
         retired = given_basis_face_data(points, [fid for fid in Z.faces if fid], given)

@@ -1,12 +1,35 @@
+import contextlib
+import io
 import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cellres import (
+    PreconditionError,
+    cellular_complex,
+    chain_maps,
+    complex_from_json,
+    scarf_complex,
+    taylor_complex,
+)
 from cellres.cli import run
-from conftest import DUPLICATE_CORNER_JSON
-from oracles import multiplicity_by_inclusion_exclusion
+from conftest import (
+    DUPLICATE_CORNER_JSON,
+    artinian_ideals_2_to_4,
+    drawn_bases_file,
+    embedded_hull,
+)
+from oracles import (
+    comparison_square_failure,
+    dense_map,
+    dense_matrix,
+    multiplicity_by_inclusion_exclusion,
+)
 
 EX61 = {
     "n": 3,
@@ -424,3 +447,69 @@ def test_check_exact_scans_non_minimal_vertex_labels(tmp_path, capsys, monkeypat
     code, out = invoke(capsys, monkeypatch, ["check-exact", "--complex", f"file:{path}"], job)
     assert code == 1
     assert out == {"ok": False, "witness": [2, 1], "schema": "cellres/1"}
+
+
+def _dense_json(dense):
+    return [[{"sign": e.sign, "exp": e.exp} for e in row] for row in dense]
+
+
+def _dense_payload(subcommand, X):
+    """The payload and exit code of resolve or compare on X, each map
+    written from the oracle's dense view and compare's verdict from the
+    oracle's polynomial products."""
+    if subcommand == "resolve":
+        F = cellular_complex(X)
+        return {
+            "levels": {str(k): F.basis(k) for k in F.levels},
+            "matrices": {str(k): _dense_json(dense_matrix(F, k)) for k in F.columns},
+        }, 0
+    try:
+        maps = chain_maps(X)
+    except PreconditionError as exc:
+        return {"error": str(exc)}, 2
+    Y, F = maps.source, maps.target
+    witness = comparison_square_failure(F, Y, maps, X.n)
+    return {
+        "maps": {str(k): _dense_json(dense_map(maps, k)) for k in maps.columns},
+        "row_bases": {str(k): F.basis(k) for k in maps.columns},
+        "col_bases": {str(k): Y.basis(k) for k in maps.columns},
+        "ok": witness is None,
+        "witness": witness,
+    }, 0 if witness is None else 1
+
+
+def _stdout_and_code(args, M):
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps({"n": M.n, "generators": M.generators}))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(args)
+    finally:
+        sys.stdin = stdin
+    return out.getvalue(), code
+
+
+@settings(max_examples=30)
+@given(artinian_ideals_2_to_4(), st.data())
+def test_resolve_and_compare_print_the_dense_payloads(M, data):
+    """resolve and compare print json.dumps of the payload built from the
+    oracle's dense views, byte for byte: on the embedded hull, the Scarf
+    complex, the Taylor complex and the embedded hull's file with drawn
+    faces given other bases, flips among them, each complex drawn once
+    for both subcommands."""
+    hull = embedded_hull(M)
+    complexes = [("hull", hull), ("scarf", scarf_complex(M))]
+    if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
+        complexes.append(("taylor", taylor_complex(M)))
+    obj = drawn_bases_file(hull, data)[0]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "bases.json"
+        path.write_text(json.dumps(obj))
+        complexes.append((f"file:{path}", complex_from_json(obj)))
+        for source, X in complexes:
+            for subcommand in ("resolve", "compare"):
+                payload, code = _dense_payload(subcommand, X)
+                expected = json.dumps({**payload, "schema": "cellres/1"}, sort_keys=True)
+                assert _stdout_and_code([subcommand, "--complex", source], M) == (
+                    expected + "\n", code), (subcommand, source)

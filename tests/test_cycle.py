@@ -33,6 +33,7 @@ from oracles import (
     FormMonomial,
     closed_form_current,
     compose,
+    dense_matrix,
     differentiate,
     form_term,
     staircase_lattice_points,
@@ -76,7 +77,7 @@ def test_differentiate_constant_entry_is_zero(ex61_embedded):
     F = cellular_complex(ex61_embedded)
     row = F.basis(1).index((1, 2))
     col = F.basis(2).index((1, 2, 4))
-    cell = F.matrix(2)[row][col]
+    cell = dense_matrix(F, 2)[row][col]
     assert cell.sign != 0 and cell.exp == (0, 0, 0)
     assert differentiate(F, 2).entries[row][col] == ()
 

@@ -38,7 +38,7 @@ from cellres.cellcomplex import LabeledCellComplex
 from cellres.cli import _HANDLERS, run
 from cellres.residue import ResidueCurrent, _verify_square
 from conftest import EX61_GENERATORS, embedded_hull, flip_sign
-from oracles import subcomplex_leq
+from oracles import dense_matrix, subcomplex_leq
 
 EX61 = {"n": 3, "generators": [list(g) for g in EX61_GENERATORS]}
 M2_IN_4 = {
@@ -264,7 +264,7 @@ def test_reoriented_complex_has_its_own_free_complex():
     Fr = cellular_complex(Xr)
     assert Fr is not F
     j = F.basis(1).index(edge)
-    for row, row_r in zip(F.matrix(1), Fr.matrix(1)):
+    for row, row_r in zip(dense_matrix(F, 1), dense_matrix(Fr, 1)):
         assert row_r[j].sign == -row[j].sign
     assert cellular_complex(X) is F
     assert residue_current(Xr).entries == residue_current(X).entries

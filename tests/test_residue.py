@@ -28,7 +28,6 @@ from cellres import (
     verify_chain_maps,
 )
 from cellres.residue import ResidueCurrent, _verify_square
-from cellres.resolution import SignedMonomial
 from conftest import (
     EX61_GENERATORS,
     artinian_ideals,
@@ -39,7 +38,13 @@ from conftest import (
     random_staircase_ideal,
 )
 from itertools import product
-from oracles import ch_action, closed_form_current, first_difference_by_box_scan
+from oracles import (
+    SignedMonomial,
+    ch_action,
+    closed_form_current,
+    dense_map,
+    first_difference_by_box_scan,
+)
 
 
 def test_complete_intersection_residue():
@@ -126,7 +131,7 @@ def test_chain_maps_identity_on_delta():
     D = embedded_hull(complete_intersection((3, 2)))
     maps = chain_maps(D)
     for k in range(-1, 2):
-        matrix = maps.matrix(k)
+        matrix = dense_map(maps, k)
         assert maps.target.basis(k) == maps.source.basis(k)
         for i, row in enumerate(matrix):
             for j, cell in enumerate(row):
@@ -138,13 +143,13 @@ def test_chain_maps_identity_on_delta():
 
 def test_chain_maps_ex61(ex61_embedded):
     maps = chain_maps(ex61_embedded)
-    top = maps.matrix(2)
+    top = dense_map(maps, 2)
     rows = maps.target.basis(2)
     entries = {rows[i]: top[i][0] for i in range(len(rows))}
     assert entries[(0, 1, 2)] == SignedMonomial(1, (0, 1, 1))  # z2 z3
     assert entries[(1, 2, 4)] == SignedMonomial(1, (1, 1, 1))
     # vertex level: each corner maps to the coinciding vertex with unit
-    a0 = maps.matrix(0)
+    a0 = dense_map(maps, 0)
     rows0 = maps.target.basis(0)
     for j, corner in enumerate(maps.source.basis(0)):
         column = [a0[i][j] for i in range(len(rows0))]

@@ -26,7 +26,6 @@ from cellres import (
 )
 from cellres.cellcomplex import LabeledCellComplex
 from cellres.residue import _verify_square
-from cellres.resolution import SignedMonomial
 from conftest import (
     artinian_ideals_2_to_4,
     complete_intersection,
@@ -37,8 +36,10 @@ from conftest import (
     without_face,
 )
 from oracles import (
+    SignedMonomial,
     boundary_squared_failure,
     comparison_square_failure,
+    dense_matrix,
     graded_strand_inexact_degree,
     rank_exactness_witness,
     smith_diagonal,
@@ -78,7 +79,7 @@ def test_delta_cellular_complex_is_koszul(b):
         assert list(F.basis(k)) == levels[k]
         for i, row in enumerate(matrices[k]):
             for j, expected in enumerate(row):
-                assert F.matrix(k)[i][j] == expected
+                assert dense_matrix(F, k)[i][j] == expected
 
 
 def test_staircase_mapping_shape():
@@ -90,10 +91,11 @@ def test_staircase_mapping_shape():
         a_i, b_i = corners[i]
         a_next, b_next = corners[i + 1]
         col = F.basis(1).index((i, i + 1))
+        phi1 = dense_matrix(F, 1)
         entries = {
-            F.basis(0)[row]: F.matrix(1)[row][col]
+            F.basis(0)[row]: phi1[row][col]
             for row in range(len(F.basis(0)))
-            if F.matrix(1)[row][col].sign != 0
+            if phi1[row][col].sign != 0
         }
         assert entries == {
             (i + 1,): SignedMonomial(1, (a_i - a_next, 0)),
@@ -105,7 +107,7 @@ def test_single_vertex_complex():
     X = make_complex(2, {0: homogeneous((0, 0))}, {0: (1, 2)}, [])
     F = cellular_complex(X)
     assert F.basis(0) == ((0,),)
-    assert F.matrix(0) == ((SignedMonomial(1, (1, 2)),),)
+    assert dense_matrix(F, 0) == ((SignedMonomial(1, (1, 2)),),)
 
 
 def test_boundary_squared_zero_everywhere(ex61_embedded, rng):

@@ -18,7 +18,7 @@ from cellres import InputError, PreconditionError
 from cellres.cellcomplex import Face
 from cellres.monomial import MonomialIdeal, Rectangle2D
 from cellres.residue import ChainMap, CHProduct, ResidueCurrent
-from cellres.resolution import FreeComplex, SignedMonomial
+from cellres.resolution import FreeComplex
 
 EX61 = {
     "n": 3,
@@ -195,7 +195,8 @@ def test_every_export_is_its_defining_object():
     assert cellres.__version__ == "0.1.0"
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "cofaces", "ch_action"])
+@pytest.mark.parametrize("name", ["no_such_name", "cofaces", "ch_action",
+                                  "SignedMonomial"])
 def test_unknown_export_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(cellres, name)
@@ -205,7 +206,6 @@ RECORDS = [
     (MonomialIdeal, (2, ((2, 0), (0, 2))), "MonomialIdeal(n=2, generators=((2, 0), (0, 2)))"),
     (Rectangle2D, (0, 2, 1, 3), "Rectangle2D(x_lo=0, x_hi=2, y_lo=1, y_hi=3)"),
     (Face, ((0, 1), 1, (2, 1), ((1, -1),)), "Face(vertices=(0, 1), dim=1, label=(2, 1), basis=((1, -1),))"),
-    (SignedMonomial, (-1, (1, 0)), "SignedMonomial(sign=-1, exp=(1, 0))"),
     (FreeComplex, (1, {}, {}, {}), "FreeComplex(n=1, levels={}, labels={}, columns={})"),
     (CHProduct, (1, (2, 1)), "CHProduct(sign=1, alpha=(2, 1))"),
     (ResidueCurrent, (2, {}), "ResidueCurrent(n=2, entries={})"),
@@ -235,12 +235,10 @@ def test_record_fields_repr_and_immutability(cls, args, text):
 
 
 def test_records_differ_by_fields():
-    assert SignedMonomial(1, (0, 1)) != SignedMonomial(-1, (0, 1))
     assert CHProduct(1, (2, 1)) != CHProduct(1, (1, 2))
     assert Rectangle2D(0, 1, 0, 2) != Rectangle2D(0, 2, 0, 1)
     assert MonomialIdeal(1, ((2,),)) != MonomialIdeal(1, ((3,),))
-    assert len({SignedMonomial(1, (0,)), SignedMonomial(1, (0,)),
-                SignedMonomial(-1, (0,))}) == 2
+    assert len({CHProduct(1, (1,)), CHProduct(1, (1,)), CHProduct(-1, (1,))}) == 2
 
 
 def test_record_validation_messages():
