@@ -77,9 +77,10 @@ def test_delta_cellular_complex_is_koszul(b):
     levels, matrices = koszul_matrices(b)
     for k in range(0, len(b)):
         assert list(F.basis(k)) == levels[k]
+        phi = dense_matrix(F, k)
         for i, row in enumerate(matrices[k]):
             for j, expected in enumerate(row):
-                assert dense_matrix(F, k)[i][j] == expected
+                assert phi[i][j] == expected
 
 
 def test_staircase_mapping_shape():
