@@ -23,8 +23,7 @@ _EXPORTS = {
         "vertex_ideal",
     ),
     "simplex": (
-        "carried_faces", "corner_simplex_complex", "refinement_failure",
-        "reoriented", "same_span_signs",
+        "carried_faces", "corner_simplex_complex", "refinement_failure", "reoriented",
     ),
     "complexfile": ("complex_from_json",),
     "hull": (

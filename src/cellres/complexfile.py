@@ -81,8 +81,8 @@ def complex_from_json(obj) -> LabeledCellComplex:
     must span the face, sets only its orientation against that basis, and
     the faces where the two disagree are flipped (``reoriented``).  A face
     listed twice is refused.  If the labels carry a full set of pure
-    powers and the top faces span the corresponding simplex, top faces are
-    then flipped to agree with it.
+    powers and the top faces lie in the corresponding simplex's affine
+    hull, top faces are then flipped to agree with it.
     """
     if not isinstance(obj, dict) or not {"vertices", "faces"} <= set(obj):
         raise InputError('complex JSON needs "vertices" and "faces"')
@@ -141,9 +141,7 @@ def complex_from_json(obj) -> LabeledCellComplex:
 def _orient_tops_by_pure_powers(X: LabeledCellComplex) -> LabeledCellComplex:
     """Apply the canonical top orientation (``orient_tops``) when the corner
     simplex is visible."""
-    if X.dim != X.n - 1:
-        return X
     try:
         return orient_tops(X)
-    except (InputError, PreconditionError):  # no pure powers, or dependent corners
+    except (InputError, PreconditionError):  # no corner simplex, or tops off its hull
         return X

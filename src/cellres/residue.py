@@ -12,7 +12,7 @@ from .cellcomplex import LabeledCellComplex, derived
 from .errors import PreconditionError
 from .monomial import MonomialIdeal, first_difference, irreducible_intersection
 from .resolution import _compose, cellular_complex, exactness_witness
-from .simplex import carried_faces, corner_simplex_complex, same_span_signs
+from .simplex import carried_faces, corner_simplex_complex
 
 
 class CHProduct(namedtuple("CHProduct", "sign alpha")):
@@ -47,19 +47,16 @@ def chain_maps(X: LabeledCellComplex) -> ChainMap:
     """Comparison maps from the corner-simplex complex into X.
 
     a_k sends a simplex face to the signed label quotients of the X-faces
-    it carries (carried_faces); a_{-1} is the identity.
+    it carries, each signed by the orientation ``carried_faces`` filed it
+    with; a_{-1} is the identity.
     """
     carried = carried_faces(X)
-    Y = corner_simplex_complex(X)
-    source, target = cellular_complex(Y), cellular_complex(X)
+    source, target = cellular_complex(corner_simplex_complex(X)), cellular_complex(X)
     columns = {-1: ({0: 1},)}
     for k in range(0, X.n):
         row_index = {fid: i for i, fid in enumerate(target.basis(k))}
-        columns[k] = tuple(
-            {row_index[fid]: sign for fid, sign in zip(carried[sid], same_span_signs(
-                Y.face(sid), [X.face(fid) for fid in carried[sid]]))}
-            for sid in source.basis(k)
-        )
+        columns[k] = tuple({row_index[fid]: sign for fid, sign in carried[sid].items()}
+                           for sid in source.basis(k))
     return ChainMap(source, target, columns)
 
 

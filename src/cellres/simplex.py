@@ -1,22 +1,22 @@
 """A complex against its corner simplex.
 
 The corner simplex Y of a complex X is the simplex on X's vertices labeled
-by the pure powers z_i^{b_i} of its ideal.  This module builds Y, tests
-whether X refines it (barycentric coordinates of X's vertices against Y,
-carriers and relative volumes), files X's faces under the faces of Y that
-carry them, compares orientations of faces spanning one subspace, and
-flips a complex's top faces to the simplex orientation.  The comparison
-maps of ``residue`` read everything here, and the embedded hull and the
-complex-file reader read the flip; building a hull, Scarf or Taylor complex
-needs none of it.
+by the pure powers z_i^{b_i} of its ideal.  This module builds Y and reads
+X against it once, by the barycentric coordinates of X's vertices: each
+face's carrier, and the relative volume and orientation of each face that
+spans its carrier.  So it tests whether X refines Y, files X's faces under
+the faces of Y that carry them, each with its orientation, and flips a
+complex's top faces to the simplex orientation.  The comparison maps of
+``residue`` read everything here, and the embedded hull and the complex-file
+reader read the flip; building a hull, Scarf or Taylor complex needs none.
 """
 
 from math import lcm, prod
 
 from . import linalg
 from .cellcomplex import (
-    Face,
     LabeledCellComplex,
+    _direction,
     _fraction_str,
     _subsets,
     derived,
@@ -107,17 +107,25 @@ def _carrier(coords, fid) -> tuple:
     return tuple(sorted({y for v in fid for y, c in enumerate(coords[v]) if c}))
 
 
-def _mu_volume(X: LabeledCellComplex, fid, coords, span):
-    """Sum over the simplices s of a face of X of |det mu_s| / prod of the
-    weights of s, as (numerator, denominator); mu_s has a row of mu,
-    restricted to the face ``span`` of Y containing the face, per vertex
-    of s.  See refinement_failure."""
-    total = (0, 1)
-    for simplex in _triangulate(X, fid):
-        volume = abs(linalg.det([[coords[v][y] for y in span] for v in simplex]))
-        weight = prod(X.vertex_point(v)[-1] for v in simplex)
-        total = _add_ratio(total, (volume, weight))
-    return total
+def _orientation(X: LabeledCellComplex, fid, coords, span, det=None) -> int:
+    """The orientation, +1 or -1, of a face's basis against the face
+    ``span`` of Y, which holds the face and has its dimension.
+
+    The basis is (q_0 - q_k, ..., q_{k-1} - q_k) = C . B up to positive
+    scales, q_i the pivot vertices ``make_complex`` built it on and B span's
+    basis, built alike.  det C is the determinant of the q_i's barycentric
+    coordinates restricted to span, and has the sign of det mu over the q_i:
+    ``det`` for a simplex, whose pivots are all its vertices, if given.  A
+    face ``reoriented`` flipped has its first basis vector negated.
+    """
+    face, pivots = X.face(fid), fid
+    if len(fid) > face.dim + 1:
+        pivots = [fid[i] for i in linalg.affine_basis_indices([X.vertex_point(v) for v in fid])]
+        det = None
+    if det is None:
+        det = linalg.det([[coords[v][y] for y in span] for v in pivots])
+    first = _direction(X.vertex_point(pivots[-1]), X.vertex_point(pivots[0]))
+    return -1 if (det < 0) != (face.basis[:1] == (first,)) else 1
 
 
 def _add_ratio(x, y):
@@ -125,6 +133,25 @@ def _add_ratio(x, y):
     (a, b), (c, e) = x, y
     common = lcm(b, e)
     return a * (common // b) + c * (common // e), common
+
+
+@derived
+def _covering(X: LabeledCellComplex):
+    """({face S of Y: the sum over the faces f of X with carrier S and
+    dim f + 1 = |S|, and over the simplices s triangulating them, of
+    |det mu_s| / prod of the weights of s, as (numerator, denominator)},
+    {each such f: its orientation against S}), mu_s with a row of mu,
+    restricted to S, per vertex of s.  See refinement_failure."""
+    coords, _, carriers = _vertex_barycentrics(X)
+    covered, orientations = {}, {}
+    for fid, span in carriers.items():
+        if len(span) == X.face(fid).dim + 1:
+            for simplex in _triangulate(X, fid):
+                det = linalg.det([[coords[v][y] for y in span] for v in simplex])
+                weight = prod(X.vertex_point(v)[-1] for v in simplex)
+                covered[span] = _add_ratio(covered.get(span, (0, 1)), (abs(det), weight))
+            orientations[fid] = _orientation(X, fid, coords, span, det)
+    return covered, orientations
 
 
 @derived
@@ -150,21 +177,11 @@ def refinement_failure(X: LabeledCellComplex):
     for v in sorted(X.vertices):
         if coords[v] is None or min(coords[v]) < 0:
             return f"vertex {v} lies outside the simplex"
-    covered = {}
     for fid in sorted(X.faces):
-        f = X.face(fid)
-        if f.dim < 0:
-            continue
-        span = carriers[fid]
-        if not divides(f.label, Y.face(span).label):
-            return f"label of face {fid} does not divide the label of {span}"
-        if len(span) == f.dim + 1:
-            covered[span] = _add_ratio(
-                covered.get(span, (0, 1)), _mu_volume(X, fid, coords, span)
-            )
-    for sid in sorted(Y.faces):
-        if not sid:
-            continue
+        if fid and not divides(X.face(fid).label, Y.face(carriers[fid]).label):
+            return f"label of face {fid} does not divide the label of {carriers[fid]}"
+    covered = _covering(X)[0]
+    for sid in sorted(Y.faces)[1:]:  # the empty face sorts first
         total, den = covered.get(sid, (0, 1))
         corner_weight = prod(Y.vertex_point(y)[-1] for y in sid)
         scale = d ** len(sid)
@@ -176,14 +193,14 @@ def refinement_failure(X: LabeledCellComplex):
 
 @derived
 def carried_faces(X: LabeledCellComplex) -> dict:
-    """{face S of the corner simplex Y: the faces of X of S's dimension
-    inside S}; X must refine Y.
+    """{face S of the corner simplex Y: {face of X of S's dimension inside
+    S: its orientation against S}}; X must refine Y.
 
     One pass over X's faces takes each face's carrier, the smallest face of
     Y holding it, and its label support.  A face lies in S when its carrier
     does, and on a genuine refinement when its label support does; the
     first face (by dimension, face of Y, face of X) where the two disagree
-    is refused.
+    is refused.  Each face's orientation was read with its volume.
     """
     failure = refinement_failure(X)
     if failure is not None:
@@ -193,6 +210,7 @@ def carried_faces(X: LabeledCellComplex) -> dict:
         face = X.face(fid)
         support = {i for i, e in enumerate(face.label) if e}
         levels.setdefault(face.dim, []).append((fid, set(carrier), support))
+    orientations = _covering(X)[1]
     carried = {}
     for sid in sorted(corner_simplex_complex(X).faces, key=lambda s: (len(s), s))[1:]:
         members = set(sid)
@@ -204,24 +222,8 @@ def carried_faces(X: LabeledCellComplex) -> dict:
                 f"support and geometry disagree on {min(inside ^ labeled)}: "
                 "X does not refine the simplex"
             )
-        carried[sid] = sorted(inside)
+        carried[sid] = {fid: orientations[fid] for fid in sorted(inside)}
     return carried
-
-
-def same_span_signs(reference: Face, faces) -> list:
-    """Orientation of each face's basis against the reference's, for faces
-    spanning the reference's subspace: the sign of det C where
-    basis = C · reference basis, all from one ``linalg.orientations``
-    call; a vertex has the empty basis, and sign 1."""
-    if any(face.dim != reference.dim for face in faces):
-        raise PreconditionError("orientation comparison needs equal dimensions")
-    rows = [*reference.basis, *(v for face in faces for v in face.basis)]
-    if linalg.rank(rows) != len(reference.basis):
-        raise PreconditionError("orientation comparison needs equal spans")
-    signs = linalg.orientations(reference.basis, [face.basis for face in faces])
-    if 0 in signs:
-        raise PreconditionError("degenerate orientation basis")
-    return signs
 
 
 def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
@@ -230,8 +232,9 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
 
     A flip negates the face's first basis vector.  A filed incidence sign
     changes where exactly one of the face and its facet is flipped.  The
-    copy starts with X's stored vertex ideal and corner simplex, which
-    depend only on the vertex points and labels.
+    copy starts with X's stored vertex ideal, corner simplex and
+    barycentric coordinates with their carriers, which depend only on the
+    vertex points, labels and face sets, and not with any orientation.
     """
     flipped = {fid for fid, f in X.faces.items() if fid in flip_ids and f.dim >= 1}
     if not flipped:
@@ -242,16 +245,17 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
                          for tau, s in signs.items()}
                  for sigma, signs in X.facet_ids.items()}
     copy = LabeledCellComplex(X.n, X.vertices, faces, facet_ids)
-    copy._derived.update((name, X._derived[name])
-                         for name in ("vertex_ideal", "corner_simplex_complex")
-                         if name in X._derived)
+    copy._derived.update((name, X._derived[name]) for name in (
+        "vertex_ideal", "corner_simplex_complex", "_vertex_barycentrics") if name in X._derived)
     return copy
 
 
 def orient_tops(X: LabeledCellComplex) -> LabeledCellComplex:
     """Flip top-dimensional faces so each agrees with the top face of X's
-    corner simplex, oriented by ascending variable order."""
-    reference = corner_simplex_complex(X).face(tuple(range(X.n)))
+    corner simplex, oriented by ascending variable order (``_orientation``);
+    the tops must have its dimension and lie in its affine hull."""
+    coords = _vertex_barycentrics(X)[0]
     tops = X.faces_of_dim(X.dim)
-    signs = same_span_signs(reference, [X.face(fid) for fid in tops])
-    return reoriented(X, {fid for fid, sign in zip(tops, signs) if sign < 0})
+    if X.dim != X.n - 1 or any(coords[v] is None for fid in tops for v in fid):
+        raise PreconditionError("the top faces do not lie in the corner simplex's affine hull")
+    return reoriented(X, {fid for fid in tops if _orientation(X, fid, coords, range(X.n)) < 0})

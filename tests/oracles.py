@@ -18,7 +18,9 @@ of the n coordinate facets in closed form, a Gram-Schmidt pass and a scan
 over the faces one dimension lower for the dimension, orientation basis
 and facets of a face, given orientation bases kept on their faces instead
 of flips of the default ones, Gram matrices of dot products for
-orientations and barycenter differences for incidence signs, and for
+orientations and barycenter differences for incidence signs, one
+orientation comparison per face of the corner simplex (``same_span_signs``)
+instead of signs read off the barycentric coordinates, and for
 exactness a subcomplex rebuilt at every lcm-lattice degree with its own
 boundary matrices instead of the free complex's signs restricted to the
 faces under the degree, and every degree ranked instead of only those
@@ -927,6 +929,46 @@ def gram_sign_same_span(face_a, face_b):
     """Orientation of face_a's basis against face_b's by the Gram rule (the
     rule ``sign_same_span`` had); both faces span one subspace."""
     return gram_orientation(face_b.basis, face_a.basis) if face_a.dim > 0 else 1
+
+
+def same_span_signs(reference, faces) -> list:
+    """Orientation of each face's basis against the reference's, for faces
+    spanning the reference's subspace: the sign of det C where
+    basis = C · reference basis, all from one ``linalg.orientations`` call;
+    a vertex has the empty basis, and sign 1.  The rule the library had
+    (``simplex.same_span_signs``) before it read orientations off the
+    barycentric coordinates, with its refusals."""
+    from cellres import PreconditionError, linalg
+
+    if any(face.dim != reference.dim for face in faces):
+        raise PreconditionError("orientation comparison needs equal dimensions")
+    rows = [*reference.basis, *(v for face in faces for v in face.basis)]
+    if linalg.rank(rows) != len(reference.basis):
+        raise PreconditionError("orientation comparison needs equal spans")
+    signs = linalg.orientations(reference.basis, [face.basis for face in faces])
+    if 0 in signs:
+        raise PreconditionError("degenerate orientation basis")
+    return signs
+
+
+def orient_tops_by_same_span(X):
+    """X with its top faces flipped as the complex-file reader flipped them
+    before orientations were read off the barycentric coordinates: each top
+    face against the corner simplex's top face by ``same_span_signs``, the
+    opposite ones flipped by ``reoriented``; X itself when the tops do not
+    have the simplex's dimension or the comparison is refused.  The faces
+    may hold any bases, where the library reads a flip of the pivot one."""
+    from cellres import InputError, PreconditionError, corner_simplex_complex, reoriented
+
+    if X.dim != X.n - 1:
+        return X
+    tops = X.faces_of_dim(X.dim)
+    try:
+        reference = corner_simplex_complex(X).face(tuple(range(X.n)))
+        signs = same_span_signs(reference, [X.face(fid) for fid in tops])
+    except (InputError, PreconditionError):
+        return X
+    return reoriented(X, {fid for fid, sign in zip(tops, signs) if sign < 0})
 
 
 def barycenter_sign_facet(X, tau_id, sigma_id):

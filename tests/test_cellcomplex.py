@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -21,7 +22,6 @@ from cellres import (
     refinement_failure,
     residue_current,
     reoriented,
-    same_span_signs,
     scarf_complex,
     simplex,
     taylor_complex,
@@ -35,7 +35,6 @@ from cellres.cellcomplex import (
     _pivot_basis,
     _subsets,
 )
-from cellres.complexfile import _orient_tops_by_pure_powers
 from cellres.simplex import _vertex_barycentrics
 from conftest import (
     DUPLICATE_CORNER_JSON,
@@ -63,9 +62,11 @@ from oracles import (
     gram_sign_facet,
     gram_sign_same_span,
     given_basis_face_data,
+    orient_tops_by_same_span,
     pairwise_contained_faces,
     pairwise_is_refinement,
     point_in_simplex,
+    same_span_signs,
     scan_face_data,
     subcomplex_leq,
 )
@@ -258,15 +259,15 @@ def test_bumped_corner_relabels_the_corner_simplex(ex61_embedded):
 
 def test_contained_faces_top_and_vertices(ex61_embedded):
     X = ex61_embedded
-    assert carried_faces(X)[(0, 1, 2)] == X.faces_of_dim(2)
+    assert list(carried_faces(X)[(0, 1, 2)]) == X.faces_of_dim(2)
     for i, vid in enumerate([0, 3, 5]):
-        assert carried_faces(X)[(i,)] == [(vid,)]
+        assert carried_faces(X)[(i,)] == {(vid,): 1}
 
 
 def test_contained_faces_edge(ex61_embedded):
     X = ex61_embedded
     Y = _delta(ex61_embedded)
-    inside = carried_faces(X)[(0, 1)]
+    inside = list(carried_faces(X)[(0, 1)])
     assert inside == [(0, 1), (1, 3)]
     assert {X.face(f).label for f in inside} == {(2, 1, 0), (1, 2, 0)}
     # barycentric containment oracle
@@ -875,7 +876,7 @@ def _library_containment(X):
             carried_faces(X)
         return False
     try:
-        return list(carried_faces(X).items())
+        return [(sid, list(faces)) for sid, faces in carried_faces(X).items()]
     except PreconditionError as exc:
         return str(exc).split(":")[0]
 
@@ -995,9 +996,13 @@ def test_containment_disagreement_matches_pairwise_oracle():
 @settings(max_examples=20)
 @given(artinian_ideals())
 def test_barycentric_coordinates_solved_once_per_vertex(M):
-    X = embedded_hull(M)
+    # the reader's top flip solves them, and the flipped copy, the
+    # refinement check and the containment pass read them
+    obj = complex_to_json(embedded_hull(M))
     with mock.patch.object(linalg, "kernel_vector",
                            side_effect=linalg.kernel_vector) as kernel_vector:
+        X = complex_from_json(obj)
+        assert kernel_vector.call_count == len(X.vertices)
         assert refinement_failure(X) is None
         assert kernel_vector.call_count == len(X.vertices)
         carried_faces(X)
@@ -1052,10 +1057,12 @@ def test_barycentrics_match_the_retired_solves(M, data):
 
 
 def test_each_carrier_is_worked_out_once():
-    # the refinement check and the containment pass read one carrier per
-    # nonempty face, 19 on the embedded hull of Example 6.1
-    X = embedded_hull(minimize(EX61_GENERATORS))
+    # the reader's top flip works out one carrier per nonempty face, 19 on
+    # the embedded hull of Example 6.1, and the flipped copy, the
+    # refinement check and the containment pass read them
+    obj = complex_to_json(embedded_hull(minimize(EX61_GENERATORS)))
     with mock.patch.object(simplex, "_carrier", side_effect=simplex._carrier) as carrier:
+        X = complex_from_json(obj)
         residue_current(X)
     assert carrier.call_count == len(X.faces) - 1 == 19
 
@@ -1185,7 +1192,8 @@ def test_given_bases_match_the_retired_rule(ex61_minimal_fixture, M, data):
     and file every sign as make_complex did when it kept the given bases:
     on the files of the embedded hull, the Scarf and the Taylor complex of
     M and of Example 6.1's minimal resolution, whose square is no simplex,
-    the tops then flipped alike."""
+    the tops then flipped alike, by the retired comparison on the retired
+    side."""
     files = [complex_to_json(X) for X in (embedded_hull(M), scarf_complex(M))]
     if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
         files.append(complex_to_json(taylor_complex(M)))
@@ -1200,11 +1208,96 @@ def test_given_bases_match_the_retired_rule(ex61_minimal_fixture, M, data):
         faces = {fid: Face(fid, dim, Z.face(fid).label, basis)
                  for fid, (dim, basis, _) in retired.items()}
         facet_ids = {fid: signs for fid, (_, _, signs) in retired.items()}
-        O = _orient_tops_by_pure_powers(LabeledCellComplex(
+        # the retired bases are no flips of the pivot ones, which the
+        # library's top flip reads, so the retired comparison flips them
+        O = orient_tops_by_same_span(LabeledCellComplex(
             Z.n, Z.vertices, {EMPTY: Z.face(EMPTY), **faces}, {EMPTY: {}, **facet_ids}))
         assert Z.facet_ids == O.facet_ids
         for fid in Z.faces:
             assert same_span_signs(O.face(fid), [Z.face(fid)]) == [1], fid
+
+
+def _assert_orientations_match_the_gram_rule(Z):
+    """Every orientation ``carried_faces`` files against a face of the
+    corner simplex, when Z refines it, and every flip ``orient_tops`` makes
+    against its top face are the Gram rule's, which reads the points and
+    the bases Z holds and no barycentric coordinate; ``orient_tops``
+    refuses exactly the complexes whose tops have another dimension or a
+    vertex off the simplex's affine hull, by a Fraction solve.  Returns the
+    number of faces that are no simplex among those checked."""
+    Y = corner_simplex_complex(Z)
+    checked = []
+    if refinement_failure(Z) is None:
+        for sid, faces in carried_faces(Z).items():
+            for fid, sign in faces.items():
+                assert sign == gram_sign_same_span(Z.face(fid), Y.face(sid)), (sid, fid)
+            checked += faces
+    columns = list(zip(*(Y.vertex_point(y) for y in range(Z.n))))
+    tops = Z.faces_of_dim(Z.dim)
+    if Z.dim != Z.n - 1 or any(fraction_solve(columns, Z.vertex_point(v)) is None
+                               for v in {v for fid in tops for v in fid}):
+        with pytest.raises(PreconditionError, match="affine hull"):
+            simplex.orient_tops(Z)
+    else:
+        O, reference = simplex.orient_tops(Z), Y.face(tuple(range(Z.n)))
+        for fid in tops:
+            flipped = O.face(fid).basis != Z.face(fid).basis
+            assert flipped == (gram_sign_same_span(Z.face(fid), reference) < 0), fid
+        checked += tops
+    return sum(len(fid) > Z.face(fid).dim + 1 for fid in checked)
+
+
+def _assert_orientations_match_with_drawn_flips(Z, data):
+    """The Gram rule on Z and on a copy with drawn faces flipped by
+    ``reoriented``, made after Z has read its own orientations."""
+    non_simplices = _assert_orientations_match_the_gram_rule(Z)
+    flips = data.draw(st.sets(st.sampled_from(sorted(Z.faces))))
+    return non_simplices + _assert_orientations_match_the_gram_rule(reoriented(Z, flips))
+
+
+@settings(max_examples=30)
+@given(artinian_ideals_2_to_4(), st.data())
+def test_orientations_match_the_gram_rule(M, data):
+    # the lifted hull's inner vertices, and every Taylor complex of more
+    # generators than variables, leave the top flip nothing to read
+    X = embedded_hull(M)
+    built = [hull_complex(M), X, scarf_complex(M)]
+    if len(M.generators) <= 6:  # the Taylor complex has 2^r faces
+        built.append(taylor_complex(M))
+    built += [complex_from_json(drawn_bases_file(Z, data)[0]) for Z in built[1:3]]
+    non_simplices = sum(_assert_orientations_match_with_drawn_flips(Z, data) for Z in built)
+    event(f"a checked face is no simplex: {non_simplices > 0}")
+
+
+_FIXED_IDEALS = {
+    "m4-n3": maximal_ideal_power(3, 4),
+    "m2-n4": maximal_ideal_power(4, 2),
+    "m2-n5": maximal_ideal_power(5, 2),
+    # the first four vertices of its face (1, 2, 3, 4, 5) are affinely
+    # dependent, so that face's pivot vertices skip one
+    "skipped-pivot": minimize([(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0),
+                               (0, 0, 2, 0), (0, 0, 0, 1)]),
+}
+
+
+@functools.cache
+def _fixed_complex(name):
+    return embedded_hull(_FIXED_IDEALS[name])
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(sorted(_FIXED_IDEALS) + ["ex61-minimal"]), st.data())
+def test_orientations_match_the_gram_rule_on_non_simplices(ex61_minimal_fixture, name, data):
+    # m^2 in 4 and 5 variables carry faces that are no simplex, of the top
+    # dimension and below it, and so do the skipped-pivot ideal and Example
+    # 6.1's minimal resolution, its square; m^4 in 3 variables carries none
+    if name == "ex61-minimal":
+        X = complex_from_json(ex61_minimal_fixture)
+    else:
+        X = _fixed_complex(name)
+    file = complex_from_json(drawn_bases_file(X, data)[0])
+    non_simplices = sum(_assert_orientations_match_with_drawn_flips(Z, data) for Z in (X, file))
+    assert (non_simplices > 0) == (name != "m4-n3")
 
 
 def test_make_complex_rejects_nonpositive_weights_and_repeated_points():

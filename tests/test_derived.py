@@ -4,10 +4,10 @@ The free complex, the corner simplex, the refinement and exactness
 verdicts, the chain maps, the current and the multiplicity are stored on
 the complex X under their function's name (``cellcomplex.derived``).
 These tests count the builds one command makes and the orientation reads
-of the sign rules, one per reference face, none for a simplex's incidence
-signs, and check that a new complex gets
-its own objects and that a caller's changed copy leaves the stored ones
-alone.
+of the sign rules: one per face that is no simplex, none for a simplex's
+incidence signs, the chain maps or the top flip.  They check that a new
+complex gets its own objects and that a caller's changed copy leaves the
+stored ones alone.
 """
 
 import importlib
@@ -49,7 +49,8 @@ M2_IN_4 = {
 COUNTED = (
     "cellcomplex.make_complex",  # one call per complex realized
     "resolution._compose",  # one product of sign columns per level checked
-    "linalg.orientations",  # one call per reference face of a sign rule
+    "linalg.orientations",  # one call per face that is no simplex
+    "linalg.rank",  # none: the chain maps and the top flip read no span
     "monomial.lcm_lattice",  # one call per exactness scan
     "monomial.multiplicity",
 )
@@ -136,15 +137,18 @@ def test_fundamental_cycle_builds_each_object_once(
         # d^2 = 0 at levels 1..dim of F of X and of F of Y, then the two
         # sides of the comparison square at levels 0..dim
         "resolution._compose": dim + dim + 2 * (dim + 1),
-        # the facet test of each non-simplex of X, the flip of its top
-        # faces and the carried faces of each face of Y in the chain maps;
-        # F of X and of Y read the signs make_complex filed
-        "linalg.orientations": non_simplices + 1 + simplex_faces,
+        # the facet test of each non-simplex of X; the flip of its top
+        # faces and the chain maps read the barycentric coordinates, and F
+        # of X and of Y the signs make_complex filed
+        "linalg.orientations": non_simplices,
+        "linalg.rank": 0,
         "monomial.lcm_lattice": 1,
         "monomial.multiplicity": 1,
     }
     assert _builds(stores) == {
+        "_covering": 1,  # the volumes and orientations, on the flipped copy
         "_prepare": 1,
+        # solved for the top flip, before the flipped copy, which takes them
         "_vertex_barycentrics": 1,
         "carried_faces": 1,
         "cellular_complex": 2,  # F of X and F of the simplex Y
@@ -202,13 +206,15 @@ def test_compare_builds_each_object_once(monkeypatch):
         # d^2 = 0 at levels 1..2 of F of X and of F of Y, then the two sides
         # a_{k-1} psi_k and phi_k a_k of the square at levels 0..2
         "resolution._compose": 2 + 2 + 2 * 3,
-        # the flip of X's top faces and the carried faces of each of the 7
-        # faces of Y in the chain maps
-        "linalg.orientations": 1 + 7,
+        # the flip of X's top faces and the carried faces of the 7 faces of
+        # Y in the chain maps read the barycentric coordinates instead
+        "linalg.orientations": 0,
+        "linalg.rank": 0,
         "monomial.lcm_lattice": 0,
         "monomial.multiplicity": 0,
     }
     assert _builds(stores) == {
+        "_covering": 1,
         "_vertex_barycentrics": 1,
         "carried_faces": 1,
         "cellular_complex": 2,  # F of X and F of the simplex Y
@@ -274,10 +280,34 @@ def test_flipped_copy_starts_with_the_vertex_only_objects():
     X = embedded_hull(minimize(EX61_GENERATORS))
     residue_current(X)
     Xr = reoriented(X, {X.faces_of_dim(X.dim)[0]})
-    assert set(Xr._derived) == {"corner_simplex_complex", "vertex_ideal"}
+    assert set(Xr._derived) == {"_vertex_barycentrics", "corner_simplex_complex",
+                                "vertex_ideal"}
     for name, value in Xr._derived.items():
         assert value is X._derived[name]
     assert residue_current(Xr) is not residue_current(X)
+
+
+@pytest.mark.parametrize("job", [EX61, M2_IN_4], ids=["n3", "n4"])
+def test_reoriented_chain_maps_differ_exactly_on_the_flipped_faces(job):
+    # the copy reads its own orientations: each entry of a flipped face of
+    # X that a face of the simplex carries, the non-simplex of m^2 in 4
+    # variables among them, changes sign, and every other entry stays
+    X = embedded_hull(minimize([tuple(g) for g in job["generators"]]))
+    maps = chain_maps(X)
+    flips = set(sorted(X.faces)[::2])
+    Xr = reoriented(X, flips)
+    maps_r = chain_maps(Xr)
+    assert maps_r is not maps and verify_chain_maps(Xr) is None
+    carried, changed = set(), set()
+    for k in range(X.n):
+        rows = maps.target.basis(k)
+        assert maps_r.target.basis(k) == rows
+        for column, column_r in zip(maps.columns[k], maps_r.columns[k], strict=True):
+            assert column.keys() == column_r.keys()
+            carried |= {rows[i] for i in column}
+            changed |= {rows[i] for i, sign in column.items() if column_r[i] == -sign}
+    assert changed == {fid for fid in flips & carried if X.face(fid).dim >= 1} != set()
+    assert any(len(fid) > X.face(fid).dim + 1 for fid in changed) == (job is M2_IN_4)
 
 
 def test_subcomplex_has_its_own_free_complex():

@@ -24,7 +24,6 @@ from cellres import (
     refinement_failure,
     reoriented,
     residue_current,
-    same_span_signs,
     verify_chain_maps,
 )
 from cellres.residue import ResidueCurrent, _verify_square
@@ -44,6 +43,7 @@ from oracles import (
     closed_form_current,
     dense_map,
     first_difference_by_box_scan,
+    same_span_signs,
 )
 
 

@@ -196,7 +196,7 @@ def test_every_export_is_its_defining_object():
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "cofaces", "ch_action",
-                                  "SignedMonomial"])
+                                  "SignedMonomial", "same_span_signs"])
 def test_unknown_export_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(cellres, name)

@@ -20,7 +20,7 @@ hull-dense ``check-exact`` jobs have 12 and 15.  The embedded hull has its top
 faces flipped to the corner simplex's orientation, so each sign of its
 current is +1; a Scarf complex keeps its own, so on the generic
 verify-pipeline ideals the ``residue`` and ``fundamental-cycle`` variants
-also compare the chain maps' same-span signs that no flip fixed.
+also compare the chain maps' orientation signs that no flip fixed.
 The tool prints the number of jobs compared and exits 1, naming each job
 whose stdout or exit code differs between the two, or 0 when none does.
 """
