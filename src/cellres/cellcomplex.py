@@ -5,10 +5,10 @@ A point x in Q^d is stored as the homogeneous integer vector
 terms.  Every question asked of the geometry (dimensions, facets and
 orientations here, containment and volumes in ``simplex``) is invariant
 under a positive scale of each vertex, so the whole module computes on
-integers.  Each face carries
-an orientation as an ordered spanning basis of its direction space, a
-tuple of integer vectors; a face's label is the componentwise maximum of
-its vertices' labels.  Each face files its facets with their incidence
+integers.  Each face carries its orientation as one sign, its flip
+against its pivot basis, which only ``_pivot_basis`` builds, and only
+where a basis is read; a face's label is the componentwise maximum of its
+vertices' labels.  Each face files its facets with their incidence
 signs, decided once when the complex is built.  The empty face
 (dimension -1, label the zero vector) is always part of a complex.
 """
@@ -25,9 +25,9 @@ from .monomial import is_int, minimize
 EMPTY = ()
 
 
-class Face(namedtuple("Face", "vertices dim label basis")):
-    """Vertex ids, dimension, label and orientation basis (integer vectors)
-    of one face."""
+class Face(namedtuple("Face", "vertices dim label flip")):
+    """Vertex ids, dimension, label and orientation of one face: flip +1
+    for its pivot basis, -1 for the reverse."""
 
     __slots__ = ()
 
@@ -120,31 +120,37 @@ def vertex_ideal(X: LabeledCellComplex):
     return minimize([X.vertex_label(v) for v in X.vertices])
 
 
-def _pivot_basis(points, idx):
-    """Orientation basis (q_0 - q_k, ..., q_{k-1} - q_k) of the points
-    q_0 < ... < q_k at the indices ``linalg.affine_basis_indices`` chose,
-    each direction scaled to integers by ``_direction``."""
+def _pivot_basis(points, idx) -> tuple:
+    """The basis (q_0 - q_k, ..., q_{k-1} - q_k) a face with flip +1 is
+    oriented by: q_0 < ... < q_k are its ``points`` at the indices
+    ``linalg.affine_basis_indices`` chose, all of a simplex's, and each
+    direction is scaled to integers by ``_direction``."""
     last = points[idx[-1]]
     return tuple(_direction(points[i], last) for i in idx[:-1])
 
 
-def _facet_sides(points_by_vertex, sigma: Face, candidates) -> list:
+def _facet_sides(points_by_vertex, pivots, sigma: Face, candidates) -> list:
     """Per candidate face tau, the side of tau's affine hull on which sigma
     lies: +1 or -1 when tau is a facet of sigma, 0 when it is not.
 
-    ``candidates`` are faces inside sigma, one dimension lower; a candidate
-    tau is a facet when sigma lies weakly on one side of tau's affine hull
-    and touches it exactly in tau's vertices.  A vertex v of sigma is on
-    the side given by the orientation of (direction from tau's first vertex
-    to v, tau's basis) against sigma's basis, 0 on the hull; tau's own
-    vertices lie on it, so tau is a facet when every other vertex gives the
-    same nonzero sign, and that sign is the incidence sign of tau in sigma.
-    One ``linalg.orientations`` call reads them all.
+    ``candidates`` are faces inside sigma, one dimension lower; ``pivots``
+    holds the pivot indices of the faces that are no simplices.  A
+    candidate tau is a facet when sigma lies weakly on one side of tau's
+    affine hull and touches it exactly in tau's vertices.  A vertex v of
+    sigma is on the side given by the orientation of (direction from tau's
+    first vertex to v, tau's pivot basis) against sigma's, 0 on the hull;
+    tau's own vertices lie on it, so tau is a facet when every other vertex
+    gives the same nonzero sign, the incidence sign of tau in sigma when
+    neither is flipped.  One ``linalg.orientations`` call reads them all.
     """
+    def basis(face):
+        fid = face.vertices
+        return _pivot_basis([points_by_vertex[v] for v in fid], pivots.get(fid, range(len(fid))))
+
     outside = [[v for v in sigma.vertices if v not in tau.vertices] for tau in candidates]
-    signs = iter(linalg.orientations(sigma.basis, [
-        (_direction(points_by_vertex[v], points_by_vertex[tau.vertices[0]]),) + tau.basis
-        for tau, vs in zip(candidates, outside) for v in vs
+    signs = iter(linalg.orientations(basis(sigma), [
+        (_direction(points_by_vertex[v], points_by_vertex[tau.vertices[0]]),) + tau_basis
+        for tau, tau_basis, vs in zip(candidates, map(basis, candidates), outside) for v in vs
     ]))
     sides = [{next(signs) for _ in vs} for vs in outside]
     return [side.pop() if side in ({1}, {-1}) else 0 for side in sides]
@@ -156,8 +162,9 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
     Points are homogeneous integer vectors with a positive last entry, any
     positive multiple naming the same point.  Singleton faces and the empty
     face are added automatically.  One elimination per face gives its
-    dimension and its orientation, the default (pivot) basis;
-    ``simplex.reoriented`` reverses the orientation of chosen faces.
+    dimension and pivot vertices; every face is built with flip +1, the
+    orientation of its pivot basis, and ``simplex.reoriented`` reverses
+    the orientation of chosen faces.
 
     A face's facets, each filed with its incidence sign, are its listed
     faces of one dimension less: for a simplex its vertex-drops, otherwise
@@ -205,20 +212,21 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
                 raise InputError(f"face {fid} references unknown vertex {v}")
 
     faces = {}
+    pivots = {}  # the pivot indices of each face that is no simplex
     zero_label = (0,) * n
-    faces[EMPTY] = Face(EMPTY, -1, zero_label, ())
+    faces[EMPTY] = Face(EMPTY, -1, zero_label, 1)
     for fid in sorted(face_ids):
-        pts = [points[v] for v in fid]
-        idx = linalg.affine_basis_indices(pts)
-        dim = len(idx) - 1
+        idx = linalg.affine_basis_indices([points[v] for v in fid])
+        if len(idx) < len(fid):
+            pivots[fid] = idx
         label = tuple(max(c) for c in zip(*(vertex_labels[v] for v in fid)))
-        faces[fid] = Face(fid, dim, label, _pivot_basis(pts, idx))
+        faces[fid] = Face(fid, len(idx) - 1, label, 1)
 
     # closure under vertex-set intersections (faces of a complex intersect
     # in common faces), checked between non-simplices only: the facet rule
     # below lists every vertex-drop of a listed simplex, so the listed
     # simplices are closed under subsets and a simplex meets any face in one
-    listed = [fid for fid in sorted(face_ids) if len(fid) > faces[fid].dim + 1]
+    listed = sorted(pivots)
     for i in range(len(listed)):
         for j in range(i + 1, len(listed)):
             inter = tuple(sorted(set(listed[i]) & set(listed[j])))
@@ -231,7 +239,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
     facet_ids = {EMPTY: {}}
     for fid in sorted(face_ids):
         f = faces[fid]
-        if len(fid) == f.dim + 1:
+        if fid not in pivots:
             drops = ((fid[:j] + fid[j + 1:], (-1) ** j) for j in range(len(fid)))
             found = {tau: sign for tau, sign in drops if tau in faces}
             inside = ()
@@ -240,7 +248,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
             inside = [t for t in face_ids if set(t) < members]
             candidates = [faces[t] for t in inside if faces[t].dim == f.dim - 1]
             found = {tau.vertices: side for tau, side in
-                     zip(candidates, _facet_sides(points, f, candidates)) if side}
+                     zip(candidates, _facet_sides(points, pivots, f, candidates)) if side}
         if len(found) < f.dim + 1:
             raise InputError(f"face {fid}: boundary is not covered by listed faces")
         # a face inside a facet tau is checked against tau's facets in turn

@@ -7,7 +7,7 @@ read it.
 import sys
 
 from . import linalg
-from .cellcomplex import Face, LabeledCellComplex, _homogeneous, make_complex
+from .cellcomplex import LabeledCellComplex, _homogeneous, _pivot_basis, make_complex
 from .errors import InputError, PreconditionError
 from .monomial import is_int
 from .simplex import orient_tops, reoriented
@@ -51,38 +51,41 @@ def _json_point(value, what) -> tuple:
     return _homogeneous([_json_rational(c) for c in value])
 
 
-def _basis_sign(face: Face, basis) -> int:
-    """The orientation of a given basis against the face's default one,
-    which spans the face: +1 or -1, or an ``InputError`` naming the fault.
-    The basis vectors are integers, as ``_json_point`` gives them; the
+def _basis_sign(X: LabeledCellComplex, fid, basis) -> int:
+    """The orientation of a given basis against the pivot basis of the
+    unflipped face fid of X: +1 or -1, or an ``InputError`` naming the
+    fault.  The vectors are integers, as ``_json_point`` gives them; the
     empty face, like a vertex, takes only the empty basis."""
-    fid, dim = face.vertices, max(face.dim, 0)
+    dim = max(X.face(fid).dim, 0)
     if len(basis) != dim:
         raise InputError(f"face {fid}: orientation basis must have {dim} vectors")
     if dim == 0:
         return 1
-    if any(len(b) != len(face.basis[0]) for b in basis):
+    points = [X.vertex_point(v) for v in fid]
+    if any(len(b) != len(points[0]) - 1 for b in basis):
         raise InputError(
             f"face {fid}: basis vectors must be integer vectors of the ambient dimension"
         )
     if linalg.rank(basis) != dim:
         raise InputError(f"face {fid}: degenerate orientation basis")
-    if linalg.rank(face.basis + basis) != dim:
+    pivot = _pivot_basis(points, linalg.affine_basis_indices(points))
+    if linalg.rank(pivot + basis) != dim:
         raise InputError(f"face {fid}: basis vector outside the face's span")
-    return linalg.orientations(face.basis, [basis])[0]
+    return linalg.orientations(pivot, [basis])[0]
 
 
 def complex_from_json(obj) -> LabeledCellComplex:
     """Load a complex from its JSON form; see complex_to_json for the shape.
 
     Coordinates are integers or exact rational strings, ids are integers and
-    labels are lists of n nonnegative integers.  Every face is built on its
-    default basis (``make_complex``); a face's ``orientation_basis``, which
-    must span the face, sets only its orientation against that basis, and
-    the faces where the two disagree are flipped (``reoriented``).  A face
-    listed twice is refused.  If the labels carry a full set of pure
-    powers and the top faces lie in the corresponding simplex's affine
-    hull, top faces are then flipped to agree with it.
+    labels are lists of n nonnegative integers.  Every face is built
+    unflipped, on its pivot basis (``make_complex``); a face's
+    ``orientation_basis``, which must span the face, sets only its
+    orientation against that basis, and the faces where the two disagree
+    are flipped (``reoriented``).  A face listed twice is refused.  If the
+    labels carry a full set of pure powers and the top faces lie in the
+    corresponding simplex's affine hull, top faces are then flipped to
+    agree with it.
     """
     if not isinstance(obj, dict) or not {"vertices", "faces"} <= set(obj):
         raise InputError('complex JSON needs "vertices" and "faces"')
@@ -123,8 +126,7 @@ def complex_from_json(obj) -> LabeledCellComplex:
             bases[fid] = tuple(_json_point(row, f"face {fid}: basis vector")[:-1]
                                for row in rows)
     X = make_complex(n, points, labels, face_sets)
-    X = reoriented(X, {fid for fid in sorted(bases)
-                       if _basis_sign(X.face(fid), bases[fid]) < 0})
+    X = reoriented(X, {fid for fid in sorted(bases) if _basis_sign(X, fid, bases[fid]) < 0})
     for entry in obj["faces"]:
         fid = tuple(sorted(entry["vertices"]))
         if "label" in entry:
@@ -135,12 +137,6 @@ def complex_from_json(obj) -> LabeledCellComplex:
             raise InputError(f"face {fid}: dim must be an integer, got {entry['dim']!r}")
         if "dim" in entry and entry["dim"] != X.face(fid).dim:
             raise InputError(f"face {fid}: stated dimension disagrees with the geometry")
-    return _orient_tops_by_pure_powers(X)
-
-
-def _orient_tops_by_pure_powers(X: LabeledCellComplex) -> LabeledCellComplex:
-    """Apply the canonical top orientation (``orient_tops``) when the corner
-    simplex is visible."""
     try:
         return orient_tops(X)
     except (InputError, PreconditionError):  # no corner simplex, or tops off its hull

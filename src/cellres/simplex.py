@@ -16,7 +16,6 @@ from math import lcm, prod
 from . import linalg
 from .cellcomplex import (
     LabeledCellComplex,
-    _direction,
     _fraction_str,
     _subsets,
     derived,
@@ -71,11 +70,9 @@ def _triangulate(X: LabeledCellComplex, fid):
 @derived
 def _vertex_barycentrics(X: LabeledCellComplex):
     """Homogeneous barycentric coordinates of every vertex of X against the
-    corner simplex Y, and the carrier of every nonempty face whose vertices
-    all have them: ({vertex: mu}, d, {face: carrier}), mu a tuple indexed
-    by variable and None for a vertex outside aff |Y|, such that
-    sum_j (mu_j / d) y_j is the vertex's homogeneous point, y_j the
-    vertices of Y.
+    corner simplex Y: ({vertex: mu}, d), mu a tuple indexed by variable and
+    None for a vertex outside aff |Y|, such that sum_j (mu_j / d) y_j is
+    the vertex's homogeneous point, y_j the vertices of Y.
 
     Each vertex v takes one ``linalg.kernel_vector`` of the matrix with
     columns y_0, ..., y_{n-1}, v.  Y's vertices are independent, so they
@@ -95,9 +92,7 @@ def _vertex_barycentrics(X: LabeledCellComplex):
     d = next(abs(x[-1]) for x in kernels.values() if x)
     coords = {v: x and tuple(-c if x[-1] > 0 else c for c in x[:-1])
               for v, x in kernels.items()}
-    carriers = {fid: _carrier(coords, fid) for fid in X.faces
-                if fid and all(coords[v] is not None for v in fid)}
-    return coords, d, carriers
+    return coords, d
 
 
 def _carrier(coords, fid) -> tuple:
@@ -108,15 +103,14 @@ def _carrier(coords, fid) -> tuple:
 
 
 def _orientation(X: LabeledCellComplex, fid, coords, span, det=None) -> int:
-    """The orientation, +1 or -1, of a face's basis against the face
-    ``span`` of Y, which holds the face and has its dimension.
+    """The orientation, +1 or -1, of a face against the face ``span`` of
+    Y, which holds the face and has its dimension: its flip times the sign
+    of its pivot basis against span's.
 
-    The basis is (q_0 - q_k, ..., q_{k-1} - q_k) = C . B up to positive
-    scales, q_i the pivot vertices ``make_complex`` built it on and B span's
-    basis, built alike.  det C is the determinant of the q_i's barycentric
-    coordinates restricted to span, and has the sign of det mu over the q_i:
-    ``det`` for a simplex, whose pivots are all its vertices, if given.  A
-    face ``reoriented`` flipped has its first basis vector negated.
+    The pivot basis is (q_0 - q_k, ..., q_{k-1} - q_k) = C . B up to
+    positive scales, q_i the face's pivot vertices and B span's pivot basis.
+    det C, the determinant of the q_i's barycentric coordinates on span,
+    has the sign of det mu over the q_i: ``det`` for a simplex, if given.
     """
     face, pivots = X.face(fid), fid
     if len(fid) > face.dim + 1:
@@ -124,8 +118,7 @@ def _orientation(X: LabeledCellComplex, fid, coords, span, det=None) -> int:
         det = None
     if det is None:
         det = linalg.det([[coords[v][y] for y in span] for v in pivots])
-    first = _direction(X.vertex_point(pivots[-1]), X.vertex_point(pivots[0]))
-    return -1 if (det < 0) != (face.basis[:1] == (first,)) else 1
+    return -face.flip if det < 0 else face.flip
 
 
 def _add_ratio(x, y):
@@ -137,21 +130,23 @@ def _add_ratio(x, y):
 
 @derived
 def _covering(X: LabeledCellComplex):
-    """({face S of Y: the sum over the faces f of X with carrier S and
-    dim f + 1 = |S|, and over the simplices s triangulating them, of
-    |det mu_s| / prod of the weights of s, as (numerator, denominator)},
-    {each such f: its orientation against S}), mu_s with a row of mu,
-    restricted to S, per vertex of s.  See refinement_failure."""
-    coords, _, carriers = _vertex_barycentrics(X)
-    covered, orientations = {}, {}
-    for fid, span in carriers.items():
+    """({nonempty face of X: its carrier}, {face S of Y: the sum over the faces
+    f of X with carrier S and dim f + 1 = |S|, and over the simplices s
+    triangulating them, of |det mu_s| / prod of the weights of s, as
+    (numerator, denominator)}, {each such f: its orientation against S}), mu_s
+    with a row of mu, restricted to S, per vertex of s; every vertex must have
+    coordinates.  See refinement_failure."""
+    coords = _vertex_barycentrics(X)[0]
+    carriers, covered, orientations = {}, {}, {}
+    for fid in filter(None, X.faces):
+        span = carriers[fid] = _carrier(coords, fid)
         if len(span) == X.face(fid).dim + 1:
             for simplex in _triangulate(X, fid):
                 det = linalg.det([[coords[v][y] for y in span] for v in simplex])
                 weight = prod(X.vertex_point(v)[-1] for v in simplex)
                 covered[span] = _add_ratio(covered.get(span, (0, 1)), (abs(det), weight))
             orientations[fid] = _orientation(X, fid, coords, span, det)
-    return covered, orientations
+    return carriers, covered, orientations
 
 
 @derived
@@ -173,14 +168,14 @@ def refinement_failure(X: LabeledCellComplex):
     an integer identity after cross-multiplication.
     """
     Y = corner_simplex_complex(X)
-    coords, d, carriers = _vertex_barycentrics(X)
+    coords, d = _vertex_barycentrics(X)
     for v in sorted(X.vertices):
         if coords[v] is None or min(coords[v]) < 0:
             return f"vertex {v} lies outside the simplex"
-    for fid in sorted(X.faces):
-        if fid and not divides(X.face(fid).label, Y.face(carriers[fid]).label):
+    carriers, covered, _ = _covering(X)
+    for fid in sorted(carriers):
+        if not divides(X.face(fid).label, Y.face(carriers[fid]).label):
             return f"label of face {fid} does not divide the label of {carriers[fid]}"
-    covered = _covering(X)[0]
     for sid in sorted(Y.faces)[1:]:  # the empty face sorts first
         total, den = covered.get(sid, (0, 1))
         corner_weight = prod(Y.vertex_point(y)[-1] for y in sid)
@@ -205,12 +200,12 @@ def carried_faces(X: LabeledCellComplex) -> dict:
     failure = refinement_failure(X)
     if failure is not None:
         raise PreconditionError(f"complex does not refine the corner simplex: {failure}")
+    carriers, _, orientations = _covering(X)
     levels = {}
-    for fid, carrier in _vertex_barycentrics(X)[2].items():
+    for fid, carrier in carriers.items():
         face = X.face(fid)
         support = {i for i, e in enumerate(face.label) if e}
         levels.setdefault(face.dim, []).append((fid, set(carrier), support))
-    orientations = _covering(X)[1]
     carried = {}
     for sid in sorted(corner_simplex_complex(X).faces, key=lambda s: (len(s), s))[1:]:
         members = set(sid)
@@ -230,17 +225,17 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
     """Copy of X with the orientation of the given faces reversed, or X
     itself when no face of dimension 1 or more is among them.
 
-    A flip negates the face's first basis vector.  A filed incidence sign
-    changes where exactly one of the face and its facet is flipped.  The
-    copy starts with X's stored vertex ideal, corner simplex and
-    barycentric coordinates with their carriers, which depend only on the
-    vertex points, labels and face sets, and not with any orientation.
+    A flip negates the face's ``flip``.  A filed incidence sign changes
+    where exactly one of the face and its facet is flipped.  The copy
+    starts with X's stored vertex ideal, corner simplex and barycentric
+    coordinates, which depend only on the vertex points, labels and face
+    sets, and not with any orientation.
     """
     flipped = {fid for fid, f in X.faces.items() if fid in flip_ids and f.dim >= 1}
     if not flipped:
         return X
-    faces = {fid: f._replace(basis=(tuple(-x for x in f.basis[0]),) + f.basis[1:])
-             if fid in flipped else f for fid, f in X.faces.items()}
+    faces = {fid: f._replace(flip=-f.flip) if fid in flipped else f
+             for fid, f in X.faces.items()}
     facet_ids = {sigma: {tau: -s if (sigma in flipped) != (tau in flipped) else s
                          for tau, s in signs.items()}
                  for sigma, signs in X.facet_ids.items()}

@@ -176,16 +176,17 @@ def flip_sign(record, k, nth=0):
 
 def drawn_bases_file(X, data):
     """X's complex file with drawn faces of dimension >= 1 given the basis
-    C · (the face's basis in X), C a swap of two vectors, a negated vector
+    C · (the face's ``oracles.oriented_basis`` in X), C a swap of two vectors, a negated vector
     or an integer shear b_i -> a b_i + c b_(i+1), a of either sign: the
     file and {face: given basis}."""
     from cellres import complex_to_json
+    from oracles import oriented_basis
 
     obj = complex_to_json(X)
     given = {}
     for face in obj["faces"]:
         fid = tuple(face["vertices"])
-        basis = [list(b) for b in X.face(fid).basis]
+        basis = [list(b) for b in oriented_basis(X, fid)]
         if not data.draw(st.booleans()):
             continue
         i = data.draw(st.integers(0, len(basis) - 1))

@@ -16,8 +16,9 @@ vector reader replaced, the lcm of every generator subset for the Scarf faces in
 depth-first search, candidate normals on every coordinate subset instead
 of the n coordinate facets in closed form, a Gram-Schmidt pass and a scan
 over the faces one dimension lower for the dimension, orientation basis
-and facets of a face, given orientation bases kept on their faces instead
-of flips of the default ones, Gram matrices of dot products for
+and facets of a face, an orientation basis per face (``oriented_basis``,
+and given bases in a map beside the complex) instead of one flip per face
+against its pivot basis, Gram matrices of dot products for
 orientations and barycenter differences for incidence signs, one
 orientation comparison per face of the corner simplex (``same_span_signs``)
 instead of signs read off the barycentric coordinates, and for
@@ -283,6 +284,27 @@ def affine_basis_by_gram_schmidt(points):
             directions.append(d)
             chosen.append(i)
     return chosen
+
+
+def pivot_basis(X, fid) -> tuple:
+    """The basis (q_0 - q_k, ..., q_{k-1} - q_k) of the face fid of X on
+    the points q_0 < ... < q_k a Gram-Schmidt pass picks, each direction
+    from q to p written w_q x_p - w_p x_q on the homogeneous points; the
+    empty basis for the empty face.  It does not read the face's flip."""
+    points = [X.vertex_point(v) for v in fid]
+    q = [points[i] for i in affine_basis_by_gram_schmidt([affine(p) for p in points])]
+    return tuple(tuple(q[-1][-1] * a - p[-1] * b for a, b in zip(p[:-1], q[-1][:-1]))
+                 for p in q[:-1])
+
+
+def oriented_basis(X, fid) -> tuple:
+    """The orientation basis the face fid of X kept before a face kept only
+    its flip: its ``pivot_basis`` with the first vector negated when the
+    flip is -1."""
+    basis = pivot_basis(X, fid)
+    if X.face(fid).flip < 0:
+        return (tuple(-x for x in basis[0]),) + basis[1:]
+    return basis
 
 
 class SignedMonomial(namedtuple("SignedMonomial", "sign exp")):
@@ -594,7 +616,7 @@ def pairwise_is_refinement(X, Y):
                 if len(inside) != 1:
                     return False
                 continue
-            basis = Y.face(sid).basis
+            basis = oriented_basis(Y, sid)
             try:
                 total = sum(
                     (face_volume_rel(X, fid, basis, spts[0]) for fid in inside),
@@ -671,8 +693,9 @@ def embed_in_simplex(H):
     projected points, which must keep H's face poset; and each top face
     flipped, with its filed incidence signs, whose basis disagrees, by the
     Gram rule, with the corner simplex's (q_0 - q_{n-1}, ...,
-    q_{n-2} - q_{n-1}).  Raises ValueError where the library raised."""
-    from cellres import Face, LabeledCellComplex, make_complex
+    q_{n-2} - q_{n-1}).  The rebuilt faces are unflipped, so a flipped top
+    holds flip -1.  Raises ValueError where the library raised."""
+    from cellres import LabeledCellComplex, make_complex
 
     steps = []
     for i, corner in enumerate(_corner_points(H)):
@@ -699,9 +722,8 @@ def embed_in_simplex(H):
     faces, facet_ids = dict(X.faces), dict(X.facet_ids)
     for fid in X.faces_of_dim(X.dim):
         face = X.face(fid)
-        if face.dim >= 1 and gram_orientation(reference, face.basis) < 0:
-            basis = (tuple(-c for c in face.basis[0]),) + face.basis[1:]
-            faces[fid] = Face(fid, face.dim, face.label, basis)
+        if face.dim >= 1 and gram_orientation(reference, pivot_basis(X, fid)) < 0:
+            faces[fid] = face._replace(flip=-1)
             facet_ids[fid] = {tau: -s for tau, s in X.facet_ids[fid].items()}
     return LabeledCellComplex(X.n, X.vertices, faces, facet_ids)
 
@@ -718,7 +740,7 @@ def closed_form_current(X):
     entries = {}
     for fid in X.faces_of_dim(X.n - 1):
         face = X.face(fid)
-        det = fraction_det([_coords_in_basis(b, reference) for b in face.basis])
+        det = fraction_det([_coords_in_basis(b, reference) for b in oriented_basis(X, fid)])
         alpha = tuple(map(max, zip(*(X.vertex_label(v) for v in fid))))
         if det == 0 or min(alpha) < 1:
             raise ValueError(f"no closed-form entry for face {fid}")
@@ -913,62 +935,72 @@ def gram_orientation(basis, vectors):
     return (det > 0) - (det < 0)
 
 
-def gram_sign_facet(X, tau_id, sigma_id):
+def gram_sign_facet(X, tau_id, sigma_id, bases=None):
     """Incidence sign of the facet tau of sigma by the Gram rule, with the
     inward direction from tau's first vertex to sigma's first vertex
-    outside tau (the rule ``sign_facet`` had)."""
+    outside tau (the rule ``sign_facet`` had), on the bases ``bases`` maps
+    the two faces to, by default their ``oriented_basis``."""
     sigma = X.face(sigma_id)
     if sigma.dim == 0:
         return 1
+    sigma_basis, tau_basis = (oriented_basis(X, fid) if bases is None else bases[fid]
+                              for fid in (sigma_id, tau_id))
     outside = next(v for v in sigma.vertices if v not in tau_id)
     eta = [x - y for x, y in zip(_point(X, outside), _point(X, tau_id[0]))]
-    return gram_orientation(sigma.basis, [eta] + list(X.face(tau_id).basis))
+    return gram_orientation(sigma_basis, [eta] + list(tau_basis))
 
 
-def gram_sign_same_span(face_a, face_b):
-    """Orientation of face_a's basis against face_b's by the Gram rule (the
-    rule ``sign_same_span`` had); both faces span one subspace."""
-    return gram_orientation(face_b.basis, face_a.basis) if face_a.dim > 0 else 1
+def gram_sign_same_span(basis_a, basis_b):
+    """Orientation of basis_a against basis_b by the Gram rule (the rule
+    ``sign_same_span`` had); both span one subspace, and two empty bases
+    agree."""
+    return gram_orientation(basis_b, basis_a) if basis_a else 1
 
 
-def same_span_signs(reference, faces) -> list:
-    """Orientation of each face's basis against the reference's, for faces
+def same_span_signs(reference, bases) -> list:
+    """Orientation of each basis against the reference basis, for bases
     spanning the reference's subspace: the sign of det C where
-    basis = C · reference basis, all from one ``linalg.orientations`` call;
-    a vertex has the empty basis, and sign 1.  The rule the library had
+    basis = C · reference, all from one ``linalg.orientations`` call; a
+    vertex has the empty basis, and sign 1.  The rule the library had
     (``simplex.same_span_signs``) before it read orientations off the
-    barycentric coordinates, with its refusals."""
+    barycentric coordinates, with its refusals, on bases a face kept."""
     from cellres import PreconditionError, linalg
 
-    if any(face.dim != reference.dim for face in faces):
+    if any(len(basis) != len(reference) for basis in bases):
         raise PreconditionError("orientation comparison needs equal dimensions")
-    rows = [*reference.basis, *(v for face in faces for v in face.basis)]
-    if linalg.rank(rows) != len(reference.basis):
+    rows = [*reference, *(v for basis in bases for v in basis)]
+    if linalg.rank(rows) != len(reference):
         raise PreconditionError("orientation comparison needs equal spans")
-    signs = linalg.orientations(reference.basis, [face.basis for face in faces])
+    signs = linalg.orientations(reference, list(bases))
     if 0 in signs:
         raise PreconditionError("degenerate orientation basis")
     return signs
 
 
-def orient_tops_by_same_span(X):
+def orient_tops_by_same_span(X, bases):
     """X with its top faces flipped as the complex-file reader flipped them
-    before orientations were read off the barycentric coordinates: each top
-    face against the corner simplex's top face by ``same_span_signs``, the
-    opposite ones flipped by ``reoriented``; X itself when the tops do not
-    have the simplex's dimension or the comparison is refused.  The faces
-    may hold any bases, where the library reads a flip of the pivot one."""
+    before orientations were read off the barycentric coordinates, and the
+    bases of its faces after the flips: each top face's basis in ``bases``
+    against the corner simplex's top face by ``same_span_signs``, the
+    opposite ones flipped by ``reoriented`` and their first basis vector
+    negated; X and ``bases`` themselves when the tops do not have the
+    simplex's dimension or the comparison is refused.  ``bases`` may hold
+    any bases, where the library reads a flip of the pivot one."""
     from cellres import InputError, PreconditionError, corner_simplex_complex, reoriented
 
     if X.dim != X.n - 1:
-        return X
+        return X, bases
     tops = X.faces_of_dim(X.dim)
     try:
-        reference = corner_simplex_complex(X).face(tuple(range(X.n)))
-        signs = same_span_signs(reference, [X.face(fid) for fid in tops])
+        Y = corner_simplex_complex(X)
+        reference = oriented_basis(Y, tuple(range(X.n)))
+        signs = same_span_signs(reference, [bases[fid] for fid in tops])
     except (InputError, PreconditionError):
-        return X
-    return reoriented(X, {fid for fid, sign in zip(tops, signs) if sign < 0})
+        return X, bases
+    flipped = {fid for fid, sign in zip(tops, signs) if sign < 0}
+    bases = {fid: ((tuple(-x for x in basis[0]),) + basis[1:] if fid in flipped else basis)
+             for fid, basis in bases.items()}
+    return reoriented(X, flipped), bases
 
 
 def barycenter_sign_facet(X, tau_id, sigma_id):
@@ -984,7 +1016,7 @@ def barycenter_sign_facet(X, tau_id, sigma_id):
         return [Fraction(sum(c), len(pts)) for c in zip(*pts)]
 
     eta = [x - y for x, y in zip(barycenter(sigma_id), barycenter(tau_id))]
-    return gram_orientation(sigma.basis, [eta] + list(X.face(tau_id).basis))
+    return gram_orientation(oriented_basis(X, sigma_id), [eta] + list(oriented_basis(X, tau_id)))
 
 
 def subcomplex_leq(X, beta):

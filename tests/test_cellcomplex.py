@@ -32,7 +32,6 @@ from cellres.cellcomplex import (
     Face,
     LabeledCellComplex,
     _facet_sides,
-    _pivot_basis,
     _subsets,
 )
 from cellres.simplex import _vertex_barycentrics
@@ -59,12 +58,15 @@ from oracles import (
     cofaces,
     face_volume_rel,
     fraction_solve,
+    gram_orientation,
     gram_sign_facet,
     gram_sign_same_span,
     given_basis_face_data,
     orient_tops_by_same_span,
+    oriented_basis,
     pairwise_contained_faces,
     pairwise_is_refinement,
+    pivot_basis,
     point_in_simplex,
     same_span_signs,
     scan_face_data,
@@ -117,12 +119,13 @@ def test_edge_facet_signs():
 
 def test_sign_same_span():
     X = triangle_complex()
-    top = X.face((0, 1, 2))
+    basis = functools.partial(oriented_basis, X)
+    top = basis((0, 1, 2))
     assert same_span_signs(top, [top]) == [1]
-    swapped = top._replace(basis=top.basis[::-1])
-    flipped = reoriented(X, {(0, 1, 2)})
-    assert same_span_signs(top, [swapped, flipped.face((0, 1, 2)), top]) == [-1, -1, 1]
-    assert same_span_signs(X.face((1,)), [X.face((0,)), X.face((2,))]) == [1, 1]
+    swapped = top[::-1]
+    flipped = oriented_basis(reoriented(X, {(0, 1, 2)}), (0, 1, 2))
+    assert same_span_signs(top, [swapped, flipped, top]) == [-1, -1, 1]
+    assert same_span_signs(basis((1,)), [basis((0,)), basis((2,))]) == [1, 1]
     assert same_span_signs(top, []) == []
 
 
@@ -135,29 +138,29 @@ def test_sign_same_span_subtriangle_det_oracle():
     inner = make_complex(3, inner_pts, labels,
                          [(0, 1, 2), (0, 1), (0, 2), (1, 2)])
     outer = triangle_complex()
-    a = inner.face((0, 1, 2))
-    b = outer.face((0, 1, 2))
+    a = oriented_basis(inner, (0, 1, 2))
+    b = oriented_basis(outer, (0, 1, 2))
     det = lambda u, v: u[0] * v[1] - u[1] * v[0]
-    expected = 1 if det(*a.basis) * det(*b.basis) > 0 else -1
+    expected = 1 if det(*a) * det(*b) > 0 else -1
     assert same_span_signs(b, [a]) == [expected]
 
 
 def test_sign_same_span_errors():
-    X = triangle_complex()
+    basis = functools.partial(oriented_basis, triangle_complex())
     with pytest.raises(PreconditionError,
                        match="orientation comparison needs equal dimensions"):
-        same_span_signs(X.face((0, 1, 2)), [X.face((0, 1))])
+        same_span_signs(basis((0, 1, 2)), [basis((0, 1))])
     with pytest.raises(PreconditionError, match="orientation comparison needs equal spans"):
-        same_span_signs(X.face((1, 2)), [X.face((0, 1))])
+        same_span_signs(basis((1, 2)), [basis((0, 1))])
     # one refusal for the whole list: a later face's dimension is checked
     # before an earlier face's span, and any face's span before the bases
     with pytest.raises(PreconditionError, match="needs equal dimensions"):
-        same_span_signs(X.face((1, 2)), [X.face((0, 1)), X.face((0, 1, 2))])
+        same_span_signs(basis((1, 2)), [basis((0, 1)), basis((0, 1, 2))])
     with pytest.raises(PreconditionError, match="needs equal spans"):
-        same_span_signs(X.face((1, 2)), [X.face((1, 2)), X.face((0, 1))])
-    degenerate = Face((0, 1), 1, None, ((0, 0),))
+        same_span_signs(basis((1, 2)), [basis((1, 2)), basis((0, 1))])
+    degenerate = ((0, 0),)
     with pytest.raises(PreconditionError, match="degenerate orientation basis"):
-        same_span_signs(X.face((1, 2)), [X.face((1, 2)), degenerate])
+        same_span_signs(basis((1, 2)), [basis((1, 2)), degenerate])
 
 
 def test_make_complex_refuses_a_zero_orientation(monkeypatch):
@@ -181,18 +184,18 @@ def test_signs_invariant_under_positive_basis_change():
     # the file's top agrees with the corner simplex whatever basis it is
     # given, so the edge (0, 1) shows whether a given basis flips a face
     X = triangle_complex()
-    top, edge = X.face((0, 1, 2)), X.face((0, 1))
-    b1, b2 = top.basis
+    top, edge = oriented_basis(X, (0, 1, 2)), oriented_basis(X, (0, 1))
+    b1, b2 = top
     sheared = triangle_file({
         (0, 1, 2): [[2 * x + y for x, y in zip(b1, b2)], list(b2)],
-        (0, 1): [[3 * x for x in edge.basis[0]]],
+        (0, 1): [[3 * x for x in edge[0]]],
     })
     assert sheared.facet_ids == X.facet_ids
-    assert same_span_signs(top, [sheared.face((0, 1, 2))]) == [1]
-    assert same_span_signs(edge, [sheared.face((0, 1))]) == [1]
-    negated = triangle_file({(0, 1): [[-3 * x for x in edge.basis[0]]]})
+    assert same_span_signs(top, [oriented_basis(sheared, (0, 1, 2))]) == [1]
+    assert same_span_signs(edge, [oriented_basis(sheared, (0, 1))]) == [1]
+    negated = triangle_file({(0, 1): [[-3 * x for x in edge[0]]]})
     assert negated.facet_ids == reoriented(X, {(0, 1)}).facet_ids
-    assert same_span_signs(edge, [negated.face((0, 1))]) == [-1]
+    assert same_span_signs(edge, [oriented_basis(negated, (0, 1))]) == [-1]
 
 
 def test_reorientation_flips_signs():
@@ -284,7 +287,7 @@ def test_contained_faces_partition_volumes(ex61_embedded):
     Y = _delta(ex61_embedded)
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
-            basis = Y.face(sid).basis
+            basis = oriented_basis(Y, sid)
             origin = _face_points(Y, sid)[0]
             total = sum(
                 face_volume_rel(X, fid, basis, origin)
@@ -326,11 +329,11 @@ def test_refinement_sign_identity(ex61_embedded):
                             for v in tprime
                         ):
                             continue
-                        lhs = same_span_signs(Y.face(sid), [X.face(sprime)])[0] * (
-                            X.facet_ids[sprime][tprime]
-                        )
+                        lhs = same_span_signs(
+                            oriented_basis(Y, sid), [oriented_basis(X, sprime)]
+                        )[0] * X.facet_ids[sprime][tprime]
                         rhs = Y.facet_ids[sid][tau] * same_span_signs(
-                            Y.face(tau), [X.face(tprime)]
+                            oriented_basis(Y, tau), [oriented_basis(X, tprime)]
                         )[0]
                         assert lhs == rhs
                         checked += 1
@@ -357,7 +360,8 @@ def test_interior_facet_cancellation(ex61_embedded):
                 if len(cof) != 2:
                     continue
                 s1, s2 = cof
-                c1, c2 = same_span_signs(Y.face(sid), [X.face(s1), X.face(s2)])
+                c1, c2 = same_span_signs(oriented_basis(Y, sid),
+                                         [oriented_basis(X, s1), oriented_basis(X, s2)])
                 total = c1 * X.facet_ids[s1][tau] + c2 * X.facet_ids[s2][tau]
                 assert total == 0
                 checked += 1
@@ -413,7 +417,7 @@ def test_loader_orients_tops_by_the_minimal_pure_powers():
     assert [Y.vertex_point(i) for i in Y.vertices] == [X.vertex_point(1),
                                                         X.vertex_point(2)]
     assert X.faces_of_dim(1) == [(0, 2), (1, 2)]
-    assert all(X.face(fid).basis[0][0] < 0 for fid in X.faces_of_dim(1))
+    assert all(oriented_basis(X, fid)[0][0] < 0 for fid in X.faces_of_dim(1))
 
 
 def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
@@ -436,8 +440,8 @@ def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
     assert X.dim == X.n - 1
     assert X.faces == unflipped.faces
     assert X.facet_ids == unflipped.facet_ids
-    given = X.face((1, 2, 3))._replace(basis=((0, 1), (1, 0)))
-    assert same_span_signs(given, [X.face((1, 2, 3))]) == [1]
+    given = ((0, 1), (1, 0))
+    assert same_span_signs(given, [oriented_basis(X, (1, 2, 3))]) == [1]
     with pytest.raises(InputError, match=r"^the pure-power corners \(vertex ids 0, 1, 2\) "
                                          "span no simplex$"):
         corner_simplex_complex(X)
@@ -460,16 +464,17 @@ def test_json_loader_honors_explicit_bases(ex61_embedded):
 
     # flip one interior edge by reversing its basis vector
     target = [1, 4]
-    basis = ex61_embedded.face((1, 4)).basis
+    basis = oriented_basis(ex61_embedded, (1, 4))
     for f in obj["faces"]:
         if f["vertices"] == target:
             f["orientation_basis"] = [[str(-c) for c in basis[0]]]
         del f["label"], f["dim"]
     loaded = complex_from_json(obj)
-    assert same_span_signs(ex61_embedded.face((1, 4)), [loaded.face((1, 4))]) == [-1]
+    assert same_span_signs(basis, [oriented_basis(loaded, (1, 4))]) == [-1]
     # top faces still canonical (the loader reflips only top dimension)
     for fid in loaded.faces_of_dim(2):
-        assert same_span_signs(ex61_embedded.face(fid), [loaded.face(fid)]) == [1]
+        assert same_span_signs(oriented_basis(ex61_embedded, fid),
+                               [oriented_basis(loaded, fid)]) == [1]
 
 
 def test_json_loader_rejects_garbage(ex61_embedded):
@@ -520,7 +525,7 @@ def test_json_loader_names_the_fault_of_a_given_basis(ex61_embedded):
     obj = complex_to_json(ex61_embedded)
     top = obj["faces"][-1]
     assert top["vertices"] == [2, 4, 5]
-    b = [list(v) for v in ex61_embedded.face((2, 4, 5)).basis]
+    b = [list(v) for v in oriented_basis(ex61_embedded, (2, 4, 5))]
     for basis, message in (
         ([b[0]], "face (2, 4, 5): orientation basis must have 2 vectors"),
         ([[1, 1], [1, 0]],
@@ -566,7 +571,7 @@ def test_json_loader_refuses_a_face_listed_twice():
             complex_from_json(dict(segment, faces=faces))
         assert str(exc.value) == "face (0, 1) is listed twice"
     once = complex_from_json(dict(segment, faces=segment["faces"][1:]))
-    assert once.face((0, 1)).basis == ((-1,),)
+    assert oriented_basis(once, (0, 1)) == ((-1,),)
 
 
 def test_make_complex_rejects_missing_intersection_face():
@@ -669,15 +674,25 @@ def test_intersection_rule_matches_all_pairs_oracle(inputs):
             pass
 
 
+def _pivot_indices(points, vertex_sets) -> dict:
+    """{vertex set: the indices ``linalg.affine_basis_indices`` picks in it}
+    for the vertex sets that are affinely dependent, as ``_facet_sides``
+    takes them."""
+    pivots = {vs: linalg.affine_basis_indices([points[v] for v in vs]) for vs in vertex_sets}
+    return {vs: idx for vs, idx in pivots.items() if len(idx) < len(vs)}
+
+
 def _assert_facets_are_geometric(X):
     """Every face's facets equal the supporting-flat test on the same
     candidates: the listed faces of one dimension less inside it."""
     points = {v: X.vertex_point(v) for v in X.vertices}
+    pivots = _pivot_indices(points, X.faces)
     for fid, face in X.faces.items():
         if face.dim <= 0:
             continue
-        candidates = [X.face(t) for t in X.faces_of_dim(face.dim - 1) if set(t) < set(fid)]
-        sides = _facet_sides(points, face, candidates)
+        candidates = [X.face(t)._replace(flip=1)
+                      for t in X.faces_of_dim(face.dim - 1) if set(t) < set(fid)]
+        sides = _facet_sides(points, pivots, face._replace(flip=1), candidates)
         assert X.facets(fid) == tuple(sorted(t.vertices for t, s in zip(candidates, sides) if s))
 
 
@@ -774,17 +789,17 @@ def test_facets_match_the_geometric_oracle_on_non_simplices():
         non_simplices = [f for f in X.faces.values() if len(f.vertices) > f.dim + 1]
         assert non_simplices
         for sigma in non_simplices:
+            subsets = [vs for size in range(sigma.dim, len(sigma.vertices))
+                       for vs in combinations(sigma.vertices, size)]
+            pivots = _pivot_indices(points, subsets + [sigma.vertices])
             candidates = []
-            for size in range(sigma.dim, len(sigma.vertices)):
-                for vs in combinations(sigma.vertices, size):
-                    pts = [points[v] for v in vs]
-                    idx = linalg.affine_basis_indices(pts)
-                    tau = X.faces.get(vs) or Face(vs, len(idx) - 1, None, _pivot_basis(pts, idx))
-                    if tau.dim == sigma.dim - 1:
-                        candidates.append(tau)
+            for vs in subsets:
+                dim = len(pivots.get(vs, vs)) - 1
+                if dim == sigma.dim - 1:
+                    candidates.append(Face(vs, dim, None, 1))
             expected = [tau.vertices for tau in candidates
                         if _is_geometric_facet(rational, sigma.vertices, tau.vertices)]
-            sides = _facet_sides(points, sigma, candidates)
+            sides = _facet_sides(points, pivots, sigma, candidates)
             assert [tau.vertices for tau, side in zip(candidates, sides) if side] == expected
             assert X.facets(sigma.vertices) == tuple(sorted(t for t in expected if t in X.faces))
 
@@ -1012,22 +1027,26 @@ def test_barycentric_coordinates_solved_once_per_vertex(M):
 def _assert_barycentrics_match_the_solves(X):
     """Each vertex's mu / d solves for its point against the corner simplex
     over Fractions, (mu, d) is what the retired integer solve gave, with one
-    d > 0 for all vertices, and each carrier is the union of the supports
-    of its vertices' Fraction solutions."""
+    d > 0 for all vertices, and the carrier of each face whose vertices all
+    have them is the union of the supports of its vertices' Fraction
+    solutions, as the refinement pass files it when every vertex has them."""
     try:
         Y = corner_simplex_complex(X)
     except PreconditionError:  # a bumped corner left no pure power
         return
     columns = list(zip(*(Y.vertex_point(y) for y in range(X.n))))
-    coords, d, carriers = _vertex_barycentrics(X)
+    coords, d = _vertex_barycentrics(X)
     solved = {v: fraction_solve(columns, X.vertex_point(v)) for v in X.vertices}
     for v, mu in coords.items():
         assert (mu and tuple(Fraction(c, d) for c in mu)) == solved[v]
         assert (mu and (mu, d)) == bareiss_solve(columns, X.vertex_point(v))
-    assert carriers == {
+    expected = {
         fid: tuple(sorted({y for v in fid for y, c in enumerate(solved[v]) if c}))
         for fid in X.faces if fid and all(solved[v] is not None for v in fid)
     }
+    assert {fid: simplex._carrier(coords, fid) for fid in expected} == expected
+    if None not in coords.values():
+        assert simplex._covering(X)[0] == expected
 
 
 def _mirrored(X):
@@ -1057,12 +1076,13 @@ def test_barycentrics_match_the_retired_solves(M, data):
 
 
 def test_each_carrier_is_worked_out_once():
-    # the reader's top flip works out one carrier per nonempty face, 19 on
-    # the embedded hull of Example 6.1, and the flipped copy, the
-    # refinement check and the containment pass read them
+    # the reader's top flip reads only vertex coordinates; the refinement
+    # check works out one carrier per nonempty face, 19 on the embedded
+    # hull of Example 6.1, and the containment pass reads them
     obj = complex_to_json(embedded_hull(minimize(EX61_GENERATORS)))
     with mock.patch.object(simplex, "_carrier", side_effect=simplex._carrier) as carrier:
         X = complex_from_json(obj)
+        assert carrier.call_count == 0
         residue_current(X)
     assert carrier.call_count == len(X.faces) - 1 == 19
 
@@ -1075,14 +1095,14 @@ def _assert_face_data_matches_scan(X, tops_may_flip=False):
     points = {v: affine(X.vertex_point(v)) for v in X.vertices}
     expected = scan_face_data(points, [fid for fid in X.faces if fid])
     for fid, (dim, basis, facets) in expected.items():
-        face = X.face(fid)
+        face, kept = X.face(fid), oriented_basis(X, fid)
         allowed = [basis]
         if tops_may_flip and dim == X.dim and basis:
             allowed.append((tuple(-x for x in basis[0]),) + basis[1:])
         assert (face.dim, X.facets(fid)) == (dim, facets), fid
         assert any(
-            len(face.basis) == len(vectors)
-            and all(map(_positive_multiple, face.basis, vectors))
+            len(kept) == len(vectors)
+            and all(map(_positive_multiple, kept, vectors))
             for vectors in allowed
         ), fid
 
@@ -1104,7 +1124,7 @@ def _sheared(X, factor):
 
     obj = complex_to_json(X)
     for face in obj["faces"]:
-        face["orientation_basis"] = shear(X.face(tuple(face["vertices"])).basis)
+        face["orientation_basis"] = shear(oriented_basis(X, tuple(face["vertices"])))
     return complex_from_json(obj)
 
 
@@ -1122,12 +1142,12 @@ def _assert_signs_match_retired_rules(X):
                     assert (signs[tau] == gram_sign_facet(Z, tau, sigma)
                             == barycenter_sign_facet(Z, tau, sigma))
     for fid in X.faces:
-        faces = [Z.face(fid) for Z in copies]
-        for b in faces:
-            assert same_span_signs(b, faces) == [gram_sign_same_span(a, b) for a in faces]
-    tops = [X.face(fid) for fid in X.faces_of_dim(X.dim)]
+        bases = [oriented_basis(Z, fid) for Z in copies]
+        for b in bases:
+            assert same_span_signs(b, bases) == [gram_sign_same_span(a, b) for a in bases]
+    tops = [oriented_basis(X, fid) for fid in X.faces_of_dim(X.dim)]
     for b in tops:
-        same = [a for a in tops if linalg.rank(a.basis + b.basis) == a.dim]
+        same = [a for a in tops if linalg.rank(a + b) == len(a)]
         assert same_span_signs(b, same) == [gram_sign_same_span(a, b) for a in same]
 
 
@@ -1205,16 +1225,18 @@ def test_given_bases_match_the_retired_rule(ex61_minimal_fixture, M, data):
         Z = complex_from_json(obj)
         points = {v: affine(Z.vertex_point(v)) for v in Z.vertices}
         retired = given_basis_face_data(points, [fid for fid in Z.faces if fid], given)
-        faces = {fid: Face(fid, dim, Z.face(fid).label, basis)
-                 for fid, (dim, basis, _) in retired.items()}
+        faces = {fid: Face(fid, dim, Z.face(fid).label, 1)
+                 for fid, (dim, _, _) in retired.items()}
         facet_ids = {fid: signs for fid, (_, _, signs) in retired.items()}
-        # the retired bases are no flips of the pivot ones, which the
-        # library's top flip reads, so the retired comparison flips them
-        O = orient_tops_by_same_span(LabeledCellComplex(
-            Z.n, Z.vertices, {EMPTY: Z.face(EMPTY), **faces}, {EMPTY: {}, **facet_ids}))
+        # the retired bases, kept beside the complex, are no flips of the
+        # pivot ones, which the library's top flip reads, so the retired
+        # comparison flips them
+        O, kept = orient_tops_by_same_span(LabeledCellComplex(
+            Z.n, Z.vertices, {EMPTY: Z.face(EMPTY), **faces}, {EMPTY: {}, **facet_ids}),
+            {EMPTY: (), **{fid: basis for fid, (_, basis, _) in retired.items()}})
         assert Z.facet_ids == O.facet_ids
         for fid in Z.faces:
-            assert same_span_signs(O.face(fid), [Z.face(fid)]) == [1], fid
+            assert same_span_signs(kept[fid], [oriented_basis(Z, fid)]) == [1], fid
 
 
 def _assert_orientations_match_the_gram_rule(Z):
@@ -1230,7 +1252,8 @@ def _assert_orientations_match_the_gram_rule(Z):
     if refinement_failure(Z) is None:
         for sid, faces in carried_faces(Z).items():
             for fid, sign in faces.items():
-                assert sign == gram_sign_same_span(Z.face(fid), Y.face(sid)), (sid, fid)
+                assert sign == gram_sign_same_span(oriented_basis(Z, fid),
+                                                   oriented_basis(Y, sid)), (sid, fid)
             checked += faces
     columns = list(zip(*(Y.vertex_point(y) for y in range(Z.n))))
     tops = Z.faces_of_dim(Z.dim)
@@ -1239,10 +1262,10 @@ def _assert_orientations_match_the_gram_rule(Z):
         with pytest.raises(PreconditionError, match="affine hull"):
             simplex.orient_tops(Z)
     else:
-        O, reference = simplex.orient_tops(Z), Y.face(tuple(range(Z.n)))
+        O, reference = simplex.orient_tops(Z), oriented_basis(Y, tuple(range(Z.n)))
         for fid in tops:
-            flipped = O.face(fid).basis != Z.face(fid).basis
-            assert flipped == (gram_sign_same_span(Z.face(fid), reference) < 0), fid
+            flipped = O.face(fid).flip != Z.face(fid).flip
+            assert flipped == (gram_sign_same_span(oriented_basis(Z, fid), reference) < 0), fid
         checked += tops
     return sum(len(fid) > Z.face(fid).dim + 1 for fid in checked)
 
@@ -1300,6 +1323,99 @@ def test_orientations_match_the_gram_rule_on_non_simplices(ex61_minimal_fixture,
     assert (non_simplices > 0) == (name != "m4-n3")
 
 
+def _oracle_bases(Z, given, tops_flipped):
+    """The bases the oracle carries for Z's faces and their Gram-Schmidt
+    pivot bases, both read on Z's points only: each face keeps its given basis or its
+    Gram-Schmidt pivot basis (``given_basis_face_data``), and with
+    ``tops_flipped`` each top face has its first vector negated where the
+    Gram rule puts it against the corner simplex's top, when the tops have
+    the simplex's dimension and lie in its affine hull (a Fraction solve),
+    as ``orient_tops`` flips them."""
+    points = {v: affine(Z.vertex_point(v)) for v in Z.vertices}
+    kept = {EMPTY: (), **{fid: basis for fid, (_, basis, _) in given_basis_face_data(
+        points, [fid for fid in Z.faces if fid], given).items()}}
+    pivot = {fid: pivot_basis(Z, fid) for fid in Z.faces}
+    if not tops_flipped or Z.dim != Z.n - 1:
+        return kept, pivot
+    try:
+        Y = corner_simplex_complex(Z)
+    except InputError:  # the pure-power corners span no simplex
+        return kept, pivot
+    columns = list(zip(*(Y.vertex_point(y) for y in range(Z.n))))
+    tops = Z.faces_of_dim(Z.dim)
+    if all(fraction_solve(columns, Z.vertex_point(v)) is not None for fid in tops for v in fid):
+        q = [affine(Y.vertex_point(y)) for y in range(Z.n)]
+        reference = [[a - b for a, b in zip(p, q[-1])] for p in q[:-1]]
+        for fid in tops:
+            if gram_orientation(reference, kept[fid]) < 0:
+                kept[fid] = (tuple(-x for x in kept[fid][0]),) + kept[fid][1:]
+    return kept, pivot
+
+
+def _assert_flips_match_the_carried_bases(Z, kept, pivot):
+    """Each face's flip is the Gram orientation of the basis the oracle
+    carries against its pivot basis."""
+    for fid, face in Z.faces.items():
+        expected = gram_orientation(pivot[fid], kept[fid]) if face.dim >= 1 else 1
+        assert face.flip == expected, fid
+
+
+def _assert_flips_follow_drawn_reorientations(Z, given, tops_flipped, data):
+    """The flips of Z and, after a drawn sequence of ``reoriented`` calls,
+    one face of dimension >= 1 flipped in the first and the last, so twice,
+    the flips and every filed incidence sign (the Gram rule on the carried
+    bases); the oracle negates a carried basis's first vector per flip.
+    The signs Z filed itself are checked against the Gram rule in
+    ``test_filed_signs_match_the_gram_rule``."""
+    kept, pivot = _oracle_bases(Z, given, tops_flipped)
+    _assert_flips_match_the_carried_bases(Z, kept, pivot)
+    calls = data.draw(st.lists(st.sets(st.sampled_from(sorted(Z.faces))), min_size=2, max_size=4))
+    if Z.dim >= 1:
+        twice = data.draw(st.sampled_from([f for f in sorted(Z.faces) if Z.face(f).dim >= 1]))
+        calls[0].add(twice)
+        calls[-1].add(twice)
+    for flips in calls:
+        Z = reoriented(Z, flips)
+        for fid in flips:
+            if Z.face(fid).dim >= 1:
+                kept[fid] = (tuple(-x for x in kept[fid][0]),) + kept[fid][1:]
+    _assert_flips_match_the_carried_bases(Z, kept, pivot)
+    for sigma, signs in Z.facet_ids.items():
+        for tau, sign in signs.items():
+            assert sign == gram_sign_facet(Z, tau, sigma, kept), (tau, sigma)
+
+
+def _assert_flips_match_the_oracle_bases(M, data):
+    """The hull, embedded hull, Scarf and (r <= 6) Taylor complexes of M,
+    and the drawn-bases files of the last three, each also after drawn
+    reorientations, against bases the oracle carries itself."""
+    X = embedded_hull(M)
+    built = [(hull_complex(M), False), (X, True), (scarf_complex(M), False)]
+    if len(M.generators) <= 6:  # the Taylor complex has 2^r faces
+        built.append((taylor_complex(M), False))
+    for Z, tops_flipped in built:
+        _assert_flips_follow_drawn_reorientations(Z, {}, tops_flipped, data)
+    for Z, _ in built[1:]:
+        obj, given = drawn_bases_file(Z, data)
+        _assert_flips_follow_drawn_reorientations(complex_from_json(obj), given, True, data)
+
+
+@settings(max_examples=15)
+@given(artinian_ideals_2_to_4(), st.data())
+def test_flips_match_the_oracle_bases(M, data):
+    _assert_flips_match_the_oracle_bases(M, data)
+
+
+@pytest.mark.parametrize("name", ["m2-n4", "skipped-pivot"])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_flips_match_the_oracle_bases_on_non_simplices(name, data):
+    # the octahedron of m^2 in 4 variables is no simplex, and the face
+    # (1, 2, 3, 4, 5) of the skipped-pivot ideal has dependent first
+    # vertices, so its pivot basis skips one
+    _assert_flips_match_the_oracle_bases(_FIXED_IDEALS[name], data)
+
+
 def test_make_complex_rejects_nonpositive_weights_and_repeated_points():
     labels = {0: (1, 0), 1: (0, 1)}
     for bad in ((1, 0), (1, -1), (-2, -1), (Fraction(1, 2), 1), (1.0, 1)):
@@ -1347,5 +1463,5 @@ def test_positive_vertex_scales_change_no_geometry(M, data):
         Zs = _scaled(Z, {v: data.draw(scale) for v in Z.vertices})
         Z1 = _scaled(Z, dict.fromkeys(Z.vertices, 1))
         assert _geometry(Zs) == _geometry(Z1)
-        for fid, face in Zs.faces.items():
-            assert all(map(_positive_multiple, face.basis, Z1.face(fid).basis))
+        for fid in Zs.faces:
+            assert all(map(_positive_multiple, oriented_basis(Zs, fid), oriented_basis(Z1, fid)))

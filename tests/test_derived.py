@@ -5,7 +5,8 @@ verdicts, the chain maps, the current and the multiplicity are stored on
 the complex X under their function's name (``cellcomplex.derived``).
 These tests count the builds one command makes and the orientation reads
 of the sign rules: one per face that is no simplex, none for a simplex's
-incidence signs, the chain maps or the top flip.  They check that a new
+incidence signs, the chain maps or the top flip; and the pivot bases
+built, only for a face that is no simplex and its candidate facets.  They check that a new
 complex gets its own objects and that a caller's changed copy leaves the
 stored ones alone.
 """
@@ -48,6 +49,9 @@ M2_IN_4 = {
 
 COUNTED = (
     "cellcomplex.make_complex",  # one call per complex realized
+    # one call per face that is no simplex and per candidate facet of one
+    "cellcomplex._pivot_basis",
+    "linalg.affine_basis_indices",  # one call per face realized, and per non-simplex oriented
     "resolution._compose",  # one product of sign columns per level checked
     "linalg.orientations",  # one call per face that is no simplex
     "linalg.rank",  # none: the chain maps and the top flip read no span
@@ -128,12 +132,20 @@ def test_fundamental_cycle_builds_each_object_once(
     X = embedded_hull(minimize([tuple(g) for g in job["generators"]]))
     assert sum(f.dim >= 1 for f in X.faces.values()) == faces
     assert sum(len(f.vertices) > f.dim + 1 for f in X.faces.values()) == non_simplices
+    candidates = [t for sigma, f in X.faces.items() if len(sigma) > f.dim + 1
+                  for t in X.faces_of_dim(f.dim - 1) if set(t) < set(sigma)]
     simplex_faces = 2 ** job["n"] - 1
     counts = _counting(monkeypatch)
     stores = _recording(monkeypatch)
     assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
     assert counts == {
         "cellcomplex.make_complex": 2,  # the embedded hull X and its simplex Y
+        # the facet test of each non-simplex of X and its candidate facets:
+        # 1 + 8 on m^2 in 4 variables, whose octahedron has 8 triangles
+        "cellcomplex._pivot_basis": non_simplices + len(candidates),
+        # the realizations of X and Y, and each non-simplex's pivots in
+        # the top flip and in the refinement pass
+        "linalg.affine_basis_indices": len(X.faces) - 1 + simplex_faces + 2 * non_simplices,
         # d^2 = 0 at levels 1..dim of F of X and of F of Y, then the two
         # sides of the comparison square at levels 0..dim
         "resolution._compose": dim + dim + 2 * (dim + 1),
@@ -180,6 +192,17 @@ def test_free_complex_reads_no_orientation(monkeypatch):
     assert counts["linalg.orientations"] == 0
 
 
+def test_taylor_check_exact_builds_no_basis(monkeypatch):
+    # the 63 nonempty faces of the Taylor complex of Example 6.1 are
+    # simplices: one elimination each gives its dimension, and no pivot
+    # basis is built
+    counts = _counting(monkeypatch)
+    assert _run(monkeypatch, ["check-exact", "--complex", "taylor"], EX61) == 0
+    assert counts["cellcomplex.make_complex"] == 1
+    assert counts["linalg.affine_basis_indices"] == 2 ** 6 - 1
+    assert counts["cellcomplex._pivot_basis"] == 0
+
+
 @pytest.mark.parametrize("generators", [
     EX61_GENERATORS,
     [e for e in product(range(5), repeat=3) if sum(e) == 4],  # m^4 in 3 variables
@@ -203,6 +226,8 @@ def test_compare_builds_each_object_once(monkeypatch):
     assert _run(monkeypatch, ["compare"], EX61) == 0
     assert counts == {
         "cellcomplex.make_complex": 2,  # the embedded hull X and its simplex Y
+        "cellcomplex._pivot_basis": 0,  # every face is a simplex
+        "linalg.affine_basis_indices": 19 + 7,  # the nonempty faces of X and Y
         # d^2 = 0 at levels 1..2 of F of X and of F of Y, then the two sides
         # a_{k-1} psi_k and phi_k a_k of the square at levels 0..2
         "resolution._compose": 2 + 2 + 2 * 3,

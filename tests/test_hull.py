@@ -35,6 +35,7 @@ from oracles import (
     embed_in_simplex,
     face_volume_rel,
     hull_face_sets,
+    oriented_basis,
     subset_scan_scarf_faces,
 )
 
@@ -112,7 +113,7 @@ def test_embedded_hull_refines_corner_simplex(ex61_embedded):
 def test_embedded_top_volumes_fill_simplex(ex61_embedded):
     Y = corner_simplex_complex(ex61_embedded)
     top = Y.faces_of_dim(2)[0]
-    basis = Y.face(top).basis
+    basis = oriented_basis(Y, top)
     origin = _face_points(Y, top)[0]
     total = sum(
         face_volume_rel(ex61_embedded, fid, basis, origin)
@@ -149,7 +150,7 @@ def test_embedded_hull_matches_the_retired_embedding(M):
     # against the lifted hull projected with T_i read off its corners
     X, oracle = embedded_hull(M), embed_in_simplex(hull_complex(M))
     assert X.vertices == oracle.vertices
-    assert X.faces == oracle.faces  # bases included
+    assert X.faces == oracle.faces  # flips included
     assert X.facet_ids == oracle.facet_ids
 
 

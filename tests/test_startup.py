@@ -205,7 +205,7 @@ def test_unknown_export_raises_attribute_error(name):
 RECORDS = [
     (MonomialIdeal, (2, ((2, 0), (0, 2))), "MonomialIdeal(n=2, generators=((2, 0), (0, 2)))"),
     (Rectangle2D, (0, 2, 1, 3), "Rectangle2D(x_lo=0, x_hi=2, y_lo=1, y_hi=3)"),
-    (Face, ((0, 1), 1, (2, 1), ((1, -1),)), "Face(vertices=(0, 1), dim=1, label=(2, 1), basis=((1, -1),))"),
+    (Face, ((0, 1), 1, (2, 1), -1), "Face(vertices=(0, 1), dim=1, label=(2, 1), flip=-1)"),
     (FreeComplex, (1, {}, {}, {}), "FreeComplex(n=1, levels={}, labels={}, columns={})"),
     (CHProduct, (1, (2, 1)), "CHProduct(sign=1, alpha=(2, 1))"),
     (ResidueCurrent, (2, {}), "ResidueCurrent(n=2, entries={})"),
