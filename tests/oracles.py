@@ -44,6 +44,7 @@ one realization on the projected generators.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, lcm
 
@@ -291,7 +292,13 @@ def pivot_basis(X, fid) -> tuple:
     the points q_0 < ... < q_k a Gram-Schmidt pass picks, each direction
     from q to p written w_q x_p - w_p x_q on the homogeneous points; the
     empty basis for the empty face.  It does not read the face's flip."""
-    points = [X.vertex_point(v) for v in fid]
+    return _pivot_basis_on(tuple(X.vertex_point(v) for v in fid))
+
+
+# the sign oracles ask for each face's basis once per incidence, on the
+# complex, its files and its reoriented copies, which share their points
+@lru_cache(maxsize=1 << 14)
+def _pivot_basis_on(points) -> tuple:
     q = [points[i] for i in affine_basis_by_gram_schmidt([affine(p) for p in points])]
     return tuple(tuple(q[-1][-1] * a - p[-1] * b for a, b in zip(p[:-1], q[-1][:-1]))
                  for p in q[:-1])

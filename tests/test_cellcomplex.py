@@ -1324,13 +1324,13 @@ def test_orientations_match_the_gram_rule_on_non_simplices(ex61_minimal_fixture,
 
 
 def _oracle_bases(Z, given, tops_flipped):
-    """The bases the oracle carries for Z's faces and their Gram-Schmidt
-    pivot bases, both read on Z's points only: each face keeps its given basis or its
-    Gram-Schmidt pivot basis (``given_basis_face_data``), and with
-    ``tops_flipped`` each top face has its first vector negated where the
-    Gram rule puts it against the corner simplex's top, when the tops have
-    the simplex's dimension and lie in its affine hull (a Fraction solve),
-    as ``orient_tops`` flips them."""
+    """The bases the oracle carries for Z's faces, and their Gram-Schmidt
+    pivot bases (``pivot_basis``), both read on Z's points only: each face
+    keeps its given basis or its pivot basis (``given_basis_face_data``),
+    and with ``tops_flipped`` each top face has its first vector negated
+    where the Gram rule puts it against the corner simplex's top, when the
+    tops have the simplex's dimension and lie in its affine hull (a
+    Fraction solve), as ``orient_tops`` flips them."""
     points = {v: affine(Z.vertex_point(v)) for v in Z.vertices}
     kept = {EMPTY: (), **{fid: basis for fid, (_, basis, _) in given_basis_face_data(
         points, [fid for fid in Z.faces if fid], given).items()}}
