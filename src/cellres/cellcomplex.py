@@ -8,9 +8,9 @@ under a positive scale of each vertex, so the whole module computes on
 integers.  Each face carries its orientation as one sign, its flip
 against its pivot basis, which only ``_pivot_basis`` builds, and only
 where a basis is read; a face's label is the componentwise maximum of its
-vertices' labels.  Each face files its facets with their incidence
-signs, decided once when the complex is built.  The empty face
-(dimension -1, label the zero vector) is always part of a complex.
+vertices' labels.  A face's pivots and its facets' incidence signs are
+decided once, when the complex is built.  The empty face (dimension -1,
+label the zero vector) is always part of a complex.
 """
 
 import sys
@@ -64,15 +64,17 @@ class LabeledCellComplex:
     ``vertices`` maps vertex id to (homogeneous point, label); ``faces`` maps the face
     id (the sorted tuple of its vertex ids) to its Face; ``facet_ids`` maps
     each face to {facet: incidence sign +1 or -1}, its codimension-one faces
-    in sorted order.  ``_derived`` holds the objects built from the complex
-    by ``derived`` functions.
+    in sorted order; ``pivots`` maps each face that is no simplex to its
+    pivot vertex ids (a simplex's are its vertices).  ``_derived`` holds
+    the objects built from the complex by ``derived`` functions.
     """
 
-    def __init__(self, n, vertices, faces, facet_ids):
+    def __init__(self, n, vertices, faces, facet_ids, pivots):
         self.n = n
         self.vertices = vertices
         self.faces = faces
         self.facet_ids = facet_ids
+        self.pivots = pivots
         self._derived = {}
 
     @property
@@ -120,13 +122,12 @@ def vertex_ideal(X: LabeledCellComplex):
     return minimize([X.vertex_label(v) for v in X.vertices])
 
 
-def _pivot_basis(points, idx) -> tuple:
+def _pivot_basis(points) -> tuple:
     """The basis (q_0 - q_k, ..., q_{k-1} - q_k) a face with flip +1 is
-    oriented by: q_0 < ... < q_k are its ``points`` at the indices
-    ``linalg.affine_basis_indices`` chose, all of a simplex's, and each
-    direction is scaled to integers by ``_direction``."""
-    last = points[idx[-1]]
-    return tuple(_direction(points[i], last) for i in idx[:-1])
+    oriented by: q_0 < ... < q_k are the ``points`` of its pivot vertices,
+    all of a simplex's, and each direction is scaled to integers by
+    ``_direction``."""
+    return tuple(_direction(p, points[-1]) for p in points[:-1])
 
 
 def _facet_sides(points_by_vertex, pivots, sigma: Face, candidates) -> list:
@@ -134,7 +135,7 @@ def _facet_sides(points_by_vertex, pivots, sigma: Face, candidates) -> list:
     lies: +1 or -1 when tau is a facet of sigma, 0 when it is not.
 
     ``candidates`` are faces inside sigma, one dimension lower; ``pivots``
-    holds the pivot indices of the faces that are no simplices.  A
+    holds the pivot vertex ids of the faces that are no simplices.  A
     candidate tau is a facet when sigma lies weakly on one side of tau's
     affine hull and touches it exactly in tau's vertices.  A vertex v of
     sigma is on the side given by the orientation of (direction from tau's
@@ -145,7 +146,7 @@ def _facet_sides(points_by_vertex, pivots, sigma: Face, candidates) -> list:
     """
     def basis(face):
         fid = face.vertices
-        return _pivot_basis([points_by_vertex[v] for v in fid], pivots.get(fid, range(len(fid))))
+        return _pivot_basis([points_by_vertex[v] for v in pivots.get(fid, fid)])
 
     outside = [[v for v in sigma.vertices if v not in tau.vertices] for tau in candidates]
     signs = iter(linalg.orientations(basis(sigma), [
@@ -161,10 +162,10 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
 
     Points are homogeneous integer vectors with a positive last entry, any
     positive multiple naming the same point.  Singleton faces and the empty
-    face are added automatically.  One elimination per face gives its
-    dimension and pivot vertices; every face is built with flip +1, the
-    orientation of its pivot basis, and ``simplex.reoriented`` reverses
-    the orientation of chosen faces.
+    face are added automatically.  Taken by decreasing size, a face inside
+    a listed face found affinely independent is a simplex; one elimination
+    of any other gives its dimension and pivot vertices.  Faces are built
+    with flip +1 (their pivot basis), which ``simplex.reoriented`` reverses.
 
     A face's facets, each filed with its incidence sign, are its listed
     faces of one dimension less: for a simplex its vertex-drops, otherwise
@@ -211,16 +212,19 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
             if v not in points:
                 raise InputError(f"face {fid} references unknown vertex {v}")
 
-    faces = {}
-    pivots = {}  # the pivot indices of each face that is no simplex
-    zero_label = (0,) * n
-    faces[EMPTY] = Face(EMPTY, -1, zero_label, 1)
+    pivots = {}  # the pivot vertex ids of each face that is no simplex
+    independent = set()  # the vertex-drops of the simplices taken so far
+    for fid in sorted(face_ids, key=len, reverse=True):
+        if fid not in independent:
+            idx = linalg.affine_basis_indices([points[v] for v in fid])
+            if len(idx) < len(fid):
+                pivots[fid] = tuple(fid[i] for i in idx)
+                continue
+        independent.update(fid[:j] + fid[j + 1:] for j in range(len(fid)))
+    faces = {EMPTY: Face(EMPTY, -1, (0,) * n, 1)}
     for fid in sorted(face_ids):
-        idx = linalg.affine_basis_indices([points[v] for v in fid])
-        if len(idx) < len(fid):
-            pivots[fid] = idx
         label = tuple(max(c) for c in zip(*(vertex_labels[v] for v in fid)))
-        faces[fid] = Face(fid, len(idx) - 1, label, 1)
+        faces[fid] = Face(fid, len(pivots.get(fid, fid)) - 1, label, 1)
 
     # closure under vertex-set intersections (faces of a complex intersect
     # in common faces), checked between non-simplices only: the facet rule
@@ -258,7 +262,7 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
         facet_ids[fid] = dict(sorted(found.items()))
 
     vertices = {v: (points[v], tuple(vertex_labels[v])) for v in ids}
-    return LabeledCellComplex(n, vertices, faces, facet_ids)
+    return LabeledCellComplex(n, vertices, faces, facet_ids, pivots)
 
 
 def _subsets(r):

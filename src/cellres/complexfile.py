@@ -53,22 +53,21 @@ def _json_point(value, what) -> tuple:
 
 def _basis_sign(X: LabeledCellComplex, fid, basis) -> int:
     """The orientation of a given basis against the pivot basis of the
-    unflipped face fid of X: +1 or -1, or an ``InputError`` naming the
-    fault.  The vectors are integers, as ``_json_point`` gives them; the
-    empty face, like a vertex, takes only the empty basis."""
+    unflipped face fid of X, on the pivots X keeps: +1 or -1, or an
+    ``InputError`` naming the fault.  The vectors are integers (``_json_point``);
+    the empty face, like a vertex, takes only the empty basis."""
     dim = max(X.face(fid).dim, 0)
     if len(basis) != dim:
         raise InputError(f"face {fid}: orientation basis must have {dim} vectors")
     if dim == 0:
         return 1
-    points = [X.vertex_point(v) for v in fid]
-    if any(len(b) != len(points[0]) - 1 for b in basis):
+    pivot = _pivot_basis([X.vertex_point(v) for v in X.pivots.get(fid, fid)])
+    if any(len(b) != len(pivot[0]) for b in basis):
         raise InputError(
             f"face {fid}: basis vectors must be integer vectors of the ambient dimension"
         )
     if linalg.rank(basis) != dim:
         raise InputError(f"face {fid}: degenerate orientation basis")
-    pivot = _pivot_basis(points, linalg.affine_basis_indices(points))
     if linalg.rank(pivot + basis) != dim:
         raise InputError(f"face {fid}: basis vector outside the face's span")
     return linalg.orientations(pivot, [basis])[0]

@@ -108,16 +108,13 @@ def _orientation(X: LabeledCellComplex, fid, coords, span, det=None) -> int:
     of its pivot basis against span's.
 
     The pivot basis is (q_0 - q_k, ..., q_{k-1} - q_k) = C . B up to
-    positive scales, q_i the face's pivot vertices and B span's pivot basis.
+    positive scales, q_i the pivot vertices X keeps and B span's pivot basis.
     det C, the determinant of the q_i's barycentric coordinates on span,
     has the sign of det mu over the q_i: ``det`` for a simplex, if given.
     """
-    face, pivots = X.face(fid), fid
-    if len(fid) > face.dim + 1:
-        pivots = [fid[i] for i in linalg.affine_basis_indices([X.vertex_point(v) for v in fid])]
-        det = None
-    if det is None:
-        det = linalg.det([[coords[v][y] for y in span] for v in pivots])
+    face, pivots = X.face(fid), X.pivots.get(fid)
+    if pivots or det is None:
+        det = linalg.det([[coords[v][y] for y in span] for v in pivots or fid])
     return -face.flip if det < 0 else face.flip
 
 
@@ -227,9 +224,9 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
 
     A flip negates the face's ``flip``.  A filed incidence sign changes
     where exactly one of the face and its facet is flipped.  The copy
-    starts with X's stored vertex ideal, corner simplex and barycentric
-    coordinates, which depend only on the vertex points, labels and face
-    sets, and not with any orientation.
+    shares X's pivot table and starts with X's stored vertex ideal, corner
+    simplex and barycentric coordinates, which depend only on the vertex
+    points, labels and face sets, and not with any orientation.
     """
     flipped = {fid for fid, f in X.faces.items() if fid in flip_ids and f.dim >= 1}
     if not flipped:
@@ -239,7 +236,7 @@ def reoriented(X: LabeledCellComplex, flip_ids) -> LabeledCellComplex:
     facet_ids = {sigma: {tau: -s if (sigma in flipped) != (tau in flipped) else s
                          for tau, s in signs.items()}
                  for sigma, signs in X.facet_ids.items()}
-    copy = LabeledCellComplex(X.n, X.vertices, faces, facet_ids)
+    copy = LabeledCellComplex(X.n, X.vertices, faces, facet_ids, X.pivots)
     copy._derived.update((name, X._derived[name]) for name in (
         "vertex_ideal", "corner_simplex_complex", "_vertex_barycentrics") if name in X._derived)
     return copy

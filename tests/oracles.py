@@ -287,6 +287,14 @@ def affine_basis_by_gram_schmidt(points):
     return chosen
 
 
+def gram_pivots(X, vertex_sets) -> dict:
+    """{vertex set of X's points that is affinely dependent: the vertex ids
+    a Gram-Schmidt pass picks in it}, the table of pivots ``make_complex``
+    keeps for the faces that are no simplices."""
+    picked = {vs: _gram_indices(tuple(X.vertex_point(v) for v in vs)) for vs in vertex_sets}
+    return {vs: tuple(vs[i] for i in idx) for vs, idx in picked.items() if len(idx) < len(vs)}
+
+
 def pivot_basis(X, fid) -> tuple:
     """The basis (q_0 - q_k, ..., q_{k-1} - q_k) of the face fid of X on
     the points q_0 < ... < q_k a Gram-Schmidt pass picks, each direction
@@ -295,11 +303,17 @@ def pivot_basis(X, fid) -> tuple:
     return _pivot_basis_on(tuple(X.vertex_point(v) for v in fid))
 
 
-# the sign oracles ask for each face's basis once per incidence, on the
-# complex, its files and its reoriented copies, which share their points
+# the sign oracles ask for each face's basis once per incidence, and the
+# pivot oracles for its pivots once per face, on the complex, its files and
+# its reoriented copies, which share their points
+@lru_cache(maxsize=1 << 14)
+def _gram_indices(points) -> tuple:
+    return tuple(affine_basis_by_gram_schmidt([affine(p) for p in points]))
+
+
 @lru_cache(maxsize=1 << 14)
 def _pivot_basis_on(points) -> tuple:
-    q = [points[i] for i in affine_basis_by_gram_schmidt([affine(p) for p in points])]
+    q = [points[i] for i in _gram_indices(points)]
     return tuple(tuple(q[-1][-1] * a - p[-1] * b for a, b in zip(p[:-1], q[-1][:-1]))
                  for p in q[:-1])
 
@@ -732,7 +746,7 @@ def embed_in_simplex(H):
         if face.dim >= 1 and gram_orientation(reference, pivot_basis(X, fid)) < 0:
             faces[fid] = face._replace(flip=-1)
             facet_ids[fid] = {tau: -s for tau, s in X.facet_ids[fid].items()}
-    return LabeledCellComplex(X.n, X.vertices, faces, facet_ids)
+    return LabeledCellComplex(X.n, X.vertices, faces, facet_ids, X.pivots)
 
 
 def closed_form_current(X):
@@ -1036,6 +1050,7 @@ def subcomplex_leq(X, beta):
         {fid[0]: X.vertices[fid[0]] for fid in keep if len(fid) == 1},
         {fid: X.faces[fid] for fid in keep},
         {fid: X.facet_ids[fid] for fid in keep},
+        {fid: pivots for fid, pivots in X.pivots.items() if fid in keep},
     )
 
 

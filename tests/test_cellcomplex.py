@@ -62,6 +62,7 @@ from oracles import (
     gram_sign_facet,
     gram_sign_same_span,
     given_basis_face_data,
+    gram_pivots,
     orient_tops_by_same_span,
     oriented_basis,
     pairwise_contained_faces,
@@ -674,19 +675,13 @@ def test_intersection_rule_matches_all_pairs_oracle(inputs):
             pass
 
 
-def _pivot_indices(points, vertex_sets) -> dict:
-    """{vertex set: the indices ``linalg.affine_basis_indices`` picks in it}
-    for the vertex sets that are affinely dependent, as ``_facet_sides``
-    takes them."""
-    pivots = {vs: linalg.affine_basis_indices([points[v] for v in vs]) for vs in vertex_sets}
-    return {vs: idx for vs, idx in pivots.items() if len(idx) < len(vs)}
-
-
 def _assert_facets_are_geometric(X):
     """Every face's facets equal the supporting-flat test on the same
-    candidates: the listed faces of one dimension less inside it."""
+    candidates, the listed faces of one dimension less inside it, and the
+    complex keeps the pivots the oracle picks."""
     points = {v: X.vertex_point(v) for v in X.vertices}
-    pivots = _pivot_indices(points, X.faces)
+    pivots = gram_pivots(X, X.faces)
+    assert X.pivots == pivots
     for fid, face in X.faces.items():
         if face.dim <= 0:
             continue
@@ -791,7 +786,7 @@ def test_facets_match_the_geometric_oracle_on_non_simplices():
         for sigma in non_simplices:
             subsets = [vs for size in range(sigma.dim, len(sigma.vertices))
                        for vs in combinations(sigma.vertices, size)]
-            pivots = _pivot_indices(points, subsets + [sigma.vertices])
+            pivots = gram_pivots(X, subsets + [sigma.vertices])
             candidates = []
             for vs in subsets:
                 dim = len(pivots.get(vs, vs)) - 1
@@ -1232,7 +1227,8 @@ def test_given_bases_match_the_retired_rule(ex61_minimal_fixture, M, data):
         # pivot ones, which the library's top flip reads, so the retired
         # comparison flips them
         O, kept = orient_tops_by_same_span(LabeledCellComplex(
-            Z.n, Z.vertices, {EMPTY: Z.face(EMPTY), **faces}, {EMPTY: {}, **facet_ids}),
+            Z.n, Z.vertices, {EMPTY: Z.face(EMPTY), **faces}, {EMPTY: {}, **facet_ids},
+            gram_pivots(Z, faces)),
             {EMPTY: (), **{fid: basis for fid, (_, basis, _) in retired.items()}})
         assert Z.facet_ids == O.facet_ids
         for fid in Z.faces:
@@ -1414,6 +1410,39 @@ def test_flips_match_the_oracle_bases_on_non_simplices(name, data):
     # (1, 2, 3, 4, 5) of the skipped-pivot ideal has dependent first
     # vertices, so its pivot basis skips one
     _assert_flips_match_the_oracle_bases(_FIXED_IDEALS[name], data)
+
+
+def _assert_pivots_match_the_gram_oracle(Z):
+    """Each face's dimension and the pivots Z keeps are those a Gram-Schmidt
+    pass picks in the face's points (``gram_pivots``), with no ``_bareiss``
+    elimination; a face missing from the table is a simplex."""
+    pivots = gram_pivots(Z, Z.faces)
+    assert Z.pivots == pivots
+    for fid, face in Z.faces.items():
+        assert face.dim == len(pivots.get(fid, fid)) - 1, fid
+
+
+@settings(max_examples=30)
+@given(st.one_of(st.sampled_from(sorted(_FIXED_IDEALS)).map(_FIXED_IDEALS.get),
+                 artinian_ideals_2_to_4()), st.data())
+def test_stored_pivots_match_the_gram_oracle(M, data):
+    # make_complex eliminates only the faces inside no listed simplex; the
+    # skipped-pivot ideal's face (1, 2, 3, 4, 5) is a pyramid whose
+    # vertex-drop (1, 2, 3, 4) is no simplex either.  The hull, embedded
+    # hull, Scarf and (r <= 8) Taylor complexes, the drawn-bases files of
+    # the last three and a reoriented copy of each, which shares the table
+    X = embedded_hull(M)
+    built = [hull_complex(M), X, scarf_complex(M)]
+    if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
+        built.append(taylor_complex(M))
+    built += [complex_from_json(drawn_bases_file(Z, data)[0]) for Z in built[1:]]
+    for Z in built:
+        copy = reoriented(Z, data.draw(st.sets(st.sampled_from(sorted(Z.faces)))))
+        for W in (Z, copy):
+            _assert_pivots_match_the_gram_oracle(W)
+    # the top flip and the carried orientations read the stored pivots
+    non_simplices = _assert_orientations_match_with_drawn_flips(X, data)
+    event(f"a face of the embedded hull is no simplex: {non_simplices > 0}")
 
 
 def test_make_complex_rejects_nonpositive_weights_and_repeated_points():

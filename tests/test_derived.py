@@ -5,10 +5,11 @@ verdicts, the chain maps, the current and the multiplicity are stored on
 the complex X under their function's name (``cellcomplex.derived``).
 These tests count the builds one command makes and the orientation reads
 of the sign rules: one per face that is no simplex, none for a simplex's
-incidence signs, the chain maps or the top flip; and the pivot bases
-built, only for a face that is no simplex and its candidate facets.  They check that a new
-complex gets its own objects and that a caller's changed copy leaves the
-stored ones alone.
+incidence signs, the chain maps or the top flip; the pivot bases built,
+only for a face that is no simplex and its candidate facets; and the
+eliminations that find a face's pivots, only for a face inside no listed
+simplex, once per complex.  They check that a new complex gets its own
+objects and that a caller's changed copy leaves the stored ones alone.
 """
 
 import importlib
@@ -51,7 +52,9 @@ COUNTED = (
     "cellcomplex.make_complex",  # one call per complex realized
     # one call per face that is no simplex and per candidate facet of one
     "cellcomplex._pivot_basis",
-    "linalg.affine_basis_indices",  # one call per face realized, and per non-simplex oriented
+    # one call per face realized that lies in no listed simplex; a face's
+    # pivots are read from the complex after that
+    "linalg.affine_basis_indices",
     "resolution._compose",  # one product of sign columns per level checked
     "linalg.orientations",  # one call per face that is no simplex
     "linalg.rank",  # none: the chain maps and the top flip read no span
@@ -122,19 +125,23 @@ def _run(monkeypatch, args, job):
     return run(args)
 
 
-# the simplex Y of n vertices has 2^n - 1 nonempty faces, n of them vertices
 @pytest.mark.parametrize(
-    "job, dim, faces, non_simplices",
-    [(EX61, 2, 13, 0), (M2_IN_4, 3, 49, 1)], ids=["n3", "n4"],
+    "job, dim, faces, non_simplices, eliminated",
+    [(EX61, 2, 13, 0, 4), (M2_IN_4, 3, 49, 1, 9)], ids=["n3", "n4"],
 )
 def test_fundamental_cycle_builds_each_object_once(
-        monkeypatch, job, dim, faces, non_simplices):
+        monkeypatch, job, dim, faces, non_simplices, eliminated):
     X = embedded_hull(minimize([tuple(g) for g in job["generators"]]))
     assert sum(f.dim >= 1 for f in X.faces.values()) == faces
     assert sum(len(f.vertices) > f.dim + 1 for f in X.faces.values()) == non_simplices
     candidates = [t for sigma, f in X.faces.items() if len(sigma) > f.dim + 1
                   for t in X.faces_of_dim(f.dim - 1) if set(t) < set(sigma)]
-    simplex_faces = 2 ** job["n"] - 1
+    # the top faces of X on Example 6.1; on m^2 in 4 variables its four
+    # corner tetrahedra, the octahedron and the octahedron's four triangles
+    # that lie in no tetrahedron
+    outside_simplices = [fid for fid in X.faces if fid and not any(
+        set(fid) < set(s) and len(s) == X.face(s).dim + 1 for s in X.faces)]
+    assert len(outside_simplices) == eliminated
     counts = _counting(monkeypatch)
     stores = _recording(monkeypatch)
     assert _run(monkeypatch, ["fundamental-cycle"], job) == 0
@@ -143,9 +150,11 @@ def test_fundamental_cycle_builds_each_object_once(
         # the facet test of each non-simplex of X and its candidate facets:
         # 1 + 8 on m^2 in 4 variables, whose octahedron has 8 triangles
         "cellcomplex._pivot_basis": non_simplices + len(candidates),
-        # the realizations of X and Y, and each non-simplex's pivots in
-        # the top flip and in the refinement pass
-        "linalg.affine_basis_indices": len(X.faces) - 1 + simplex_faces + 2 * non_simplices,
+        # the faces of X inside no simplex of X, and Y's top face; the top
+        # flip and the refinement pass read the stored pivots (eliminating
+        # every face of X and Y, and each non-simplex twice more, took 26
+        # calls on Example 6.1 and 76 on m^2 in 4 variables)
+        "linalg.affine_basis_indices": len(outside_simplices) + 1,
         # d^2 = 0 at levels 1..dim of F of X and of F of Y, then the two
         # sides of the comparison square at levels 0..dim
         "resolution._compose": dim + dim + 2 * (dim + 1),
@@ -194,12 +203,13 @@ def test_free_complex_reads_no_orientation(monkeypatch):
 
 def test_taylor_check_exact_builds_no_basis(monkeypatch):
     # the 63 nonempty faces of the Taylor complex of Example 6.1 are
-    # simplices: one elimination each gives its dimension, and no pivot
-    # basis is built
+    # simplices: one elimination of the top face shows it independent, so
+    # every other face is a simplex with no elimination (one per face, 63,
+    # before), and no pivot basis is built
     counts = _counting(monkeypatch)
     assert _run(monkeypatch, ["check-exact", "--complex", "taylor"], EX61) == 0
     assert counts["cellcomplex.make_complex"] == 1
-    assert counts["linalg.affine_basis_indices"] == 2 ** 6 - 1
+    assert counts["linalg.affine_basis_indices"] == 1
     assert counts["cellcomplex._pivot_basis"] == 0
 
 
@@ -227,7 +237,9 @@ def test_compare_builds_each_object_once(monkeypatch):
     assert counts == {
         "cellcomplex.make_complex": 2,  # the embedded hull X and its simplex Y
         "cellcomplex._pivot_basis": 0,  # every face is a simplex
-        "linalg.affine_basis_indices": 19 + 7,  # the nonempty faces of X and Y
+        # X's four triangles and Y's top face, each inside no other listed
+        # simplex (19 + 7 before, every nonempty face of X and Y)
+        "linalg.affine_basis_indices": 4 + 1,
         # d^2 = 0 at levels 1..2 of F of X and of F of Y, then the two sides
         # a_{k-1} psi_k and phi_k a_k of the square at levels 0..2
         "resolution._compose": 2 + 2 + 2 * 3,

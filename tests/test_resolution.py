@@ -135,7 +135,7 @@ def test_edge_with_equal_vertex_signs_is_rejected():
     X = taylor_complex(minimize([(2, 0), (1, 1), (0, 2)]))
     edge = X.faces_of_dim(1)[0]
     bad = LabeledCellComplex(X.n, X.vertices, X.faces,
-                             {**X.facet_ids, edge: dict.fromkeys(X.facets(edge), 1)})
+                             {**X.facet_ids, edge: dict.fromkeys(X.facets(edge), 1)}, X.pivots)
     with pytest.raises(CellresError, match="between levels 1 and -1"):
         cellular_complex(bad)
 
@@ -363,7 +363,7 @@ def _d_squared_verdict(X, G):
         sigma: {G.basis(k - 1)[i]: sign for i, sign in column.items()}
         for k, level in G.columns.items()
         for sigma, column in zip(G.basis(k), level)
-    }})
+    }}, X.pivots)
     try:
         cellular_complex(copy)
     except CellresError as exc:
