@@ -67,21 +67,27 @@ def _parse_json(text, what):
         raise InputError(f"{what} nests too deeply") from exc
 
 
+def _decode(data, what) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"malformed {what} at byte {exc.start}: not UTF-8") from exc
+
+
 def _read_json(path, what):
     """The JSON value of a UTF-8 file; see _parse_json."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"malformed {what} at byte {exc.start}: not UTF-8") from exc
-    return _parse_json(text, what)
+        return _parse_json(_decode(handle.read(), what), what)
 
 
 def _load_job(args):
     if args.input:
         return ideal_from_json(_read_json(args.input, "JSON"))
-    return ideal_from_json(_parse_json(sys.stdin.read(), "JSON"))
+    # stdin's bytes are UTF-8 whatever the locale, as a file's are; a text
+    # stream without bytes beneath it is read as it is
+    stdin = getattr(sys.stdin, "buffer", None)
+    text = _decode(stdin.read(), "JSON") if stdin else sys.stdin.read()
+    return ideal_from_json(_parse_json(text, "JSON"))
 
 
 def _build_complex(M: MonomialIdeal, args):

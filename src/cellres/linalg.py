@@ -1,11 +1,12 @@
 """Exact linear algebra over the integers.
 
-Everything in this package that touches geometry goes through these
-helpers; no floating point and no rationals anywhere.  Points are
-homogeneous integer vectors (see ``cellcomplex``), so every matrix here has
-integer entries, and every elimination is the one fraction-free routine
-``_bareiss``.  Orientations are read on k coordinates where a basis has
-full rank, never through dot products.
+Every elimination in this package is the one fraction-free routine
+``_bareiss``; no floating point anywhere.  Points are homogeneous integer
+vectors (see ``cellcomplex``), so every matrix here has integer entries.
+Rationals appear only where a complex file is read: its coordinates are
+parsed as ``Fraction``s and turned into integer vectors at once.
+Orientations are read on k coordinates where a basis has full rank, never
+through dot products.
 """
 
 

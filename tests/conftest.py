@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import sys
@@ -26,6 +27,8 @@ from cellres import (
     is_artinian,
     is_generic,
     minimize,
+    scarf_complex,
+    taylor_complex,
 )
 
 EX61_GENERATORS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
@@ -174,31 +177,33 @@ def flip_sign(record, k, nth=0):
     return record._replace(columns={**record.columns, k: tuple(level)})
 
 
-def drawn_bases_file(X, data):
+def drawn_bases_file(X, draw):
     """X's complex file with drawn faces of dimension >= 1 given the basis
-    C · (the face's ``oracles.oriented_basis`` in X), C a swap of two vectors, a negated vector
-    or an integer shear b_i -> a b_i + c b_(i+1), a of either sign: the
-    file and {face: given basis}."""
+    C · (the basis the face's flip names, ``oracles.oriented_oracle``), C a
+    swap of two vectors, a negated vector or an integer shear
+    b_i -> a b_i + c b_(i+1), a of either sign: the file and
+    {face: given basis}.  ``draw`` draws a value from a strategy."""
     from cellres import complex_to_json
-    from oracles import oriented_basis
+    from oracles import oriented_oracle
 
     obj = complex_to_json(X)
+    bases = oriented_oracle(X).bases
     given = {}
     for face in obj["faces"]:
         fid = tuple(face["vertices"])
-        basis = [list(b) for b in oriented_basis(X, fid)]
-        if not data.draw(st.booleans()):
+        basis = [list(b) for b in bases[fid]]
+        if not draw(st.booleans()):
             continue
-        i = data.draw(st.integers(0, len(basis) - 1))
+        i = draw(st.integers(0, len(basis) - 1))
         other = basis[(i + 1) % len(basis)] if len(basis) > 1 else [0] * len(basis[i])
-        move = data.draw(st.sampled_from(("swap", "negate", "shear")[len(basis) == 1:]))
+        move = draw(st.sampled_from(("swap", "negate", "shear")[len(basis) == 1:]))
         if move == "swap":
             basis[i], basis[(i + 1) % len(basis)] = other, basis[i]
         elif move == "negate":
             basis[i] = [-x for x in basis[i]]
         else:
-            a = data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
-            c = data.draw(st.integers(-3, 3))
+            a = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+            c = draw(st.integers(-3, 3))
             basis[i] = [a * x + c * y for x, y in zip(basis[i], other)]
         face["orientation_basis"] = basis
         given[fid] = tuple(map(tuple, basis))
@@ -247,6 +252,82 @@ def minimal_ex61_json(ex61_embedded):
     ]
     faces.append({"vertices": [0, 1, 2, 4]})
     return {"vertices": obj["vertices"], "faces": faces}
+
+
+_FIXED_IDEALS = {
+    "m4-n3": maximal_ideal_power(3, 4),
+    "m2-n4": maximal_ideal_power(4, 2),
+    "m2-n5": maximal_ideal_power(5, 2),
+    # the first four vertices of its face (1, 2, 3, 4, 5) are affinely
+    # dependent, so that face's pivot vertices skip one
+    "skipped-pivot": minimize([(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0),
+                               (0, 0, 2, 0), (0, 0, 0, 1)]),
+}
+FIXED_CORPUS = sorted(_FIXED_IDEALS) + ["ex61-minimal"]
+
+
+def _builds(M):
+    """[(complex, its sign oracle)] for the hull, embedded hull, Scarf and
+    (r <= 8) Taylor complexes of M; the embedded hull's oracle makes the
+    top flip, as ``embedded_hull`` does."""
+    from oracles import sign_oracle
+
+    built = [(hull_complex(M), False), (embedded_hull(M), True), (scarf_complex(M), False)]
+    if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
+        built.append((taylor_complex(M), False))
+    return [(Z, sign_oracle(Z).oriented_tops() if tops else sign_oracle(Z)) for Z, tops in built]
+
+
+@functools.cache
+def _fixed_builds(name):
+    """The builds of a fixed ideal, made once; "ex61-minimal" has those of
+    Example 6.1 and its minimal resolution's file, whose square is no
+    simplex."""
+    from cellres import complex_from_json
+    from oracles import sign_oracle
+
+    if name != "ex61-minimal":
+        return _builds(_FIXED_IDEALS[name])
+    builds = _builds(minimize(EX61_GENERATORS))
+    minimal = complex_from_json(minimal_ex61_json(builds[1][0]))
+    return builds + [(minimal, sign_oracle(minimal).oriented_tops())]
+
+
+@st.composite
+def sign_corpus(draw, source="drawn"):
+    """The complexes the sign oracle checks, each drawn once:
+    [(complex, its sign oracle, reorientations)].
+
+    The builds (``_builds``) of an ideal drawn by ``artinian_ideals_2_to_4``,
+    or of the ``FIXED_CORPUS`` entry ``source``, and the drawn-bases file
+    (``drawn_bases_file``) of each, read back, whose oracle carries the
+    given bases and makes the reader's top flip.  The reorientations of a
+    complex are 2 to 4 drawn sets of its faces for successive ``reoriented``
+    calls, a face of dimension 1 or more, where there is one, in the first
+    and the last, so flipped twice.
+    """
+    from cellres import complex_from_json
+    from oracles import sign_oracle
+
+    if source == "drawn":
+        builds = _builds(draw(artinian_ideals_2_to_4()))
+    else:
+        builds = _fixed_builds(source)
+    corpus = list(builds)
+    for Z, _ in builds:
+        obj, given = drawn_bases_file(Z, draw)
+        F = complex_from_json(obj)
+        corpus.append((F, sign_oracle(F, given).oriented_tops()))
+    entries = []
+    for Z, O in corpus:
+        calls = draw(st.lists(st.sets(st.sampled_from(sorted(Z.faces))), min_size=2, max_size=4))
+        edges = [fid for fid, dim in sorted(O.dims.items()) if dim >= 1]
+        if edges:
+            twice = draw(st.sampled_from(edges))
+            calls[0].add(twice)
+            calls[-1].add(twice)
+        entries.append((Z, O, calls))
+    return entries
 
 
 @pytest.fixture(scope="session")

@@ -1,50 +1,26 @@
 """Independent brute-force oracles for the test suite.
 
-These deliberately avoid the library's computation paths: subset
-enumeration instead of join closure, inclusion-exclusion and box scans
-instead of slicing the staircase, a box scan instead of comparing minimal
-generators for the duality witness, graded strand ranks with a local
-elimination instead of subcomplex homology, and for the hull the facets of
-conv(points) in its affine hull with a Fourier-Motzkin test per face
-instead of integer facet enumeration of conv(points) + R_+^n with a
-support-cover test, and for refinement and contained faces a containment
-solve per pair of a face of X and a face of the simplex, with volumes in
-the simplex face's orientation basis, instead of one set of barycentric
-coordinates per vertex.  The enumerations the library retired live here
-too: the integer Gauss-Jordan solve and cross product that one kernel
-vector reader replaced, the lcm of every generator subset for the Scarf faces instead of a
-depth-first search, candidate normals on every coordinate subset instead
-of the n coordinate facets in closed form, a Gram-Schmidt pass and a scan
-over the faces one dimension lower for the dimension, orientation basis
-and facets of a face, an orientation basis per face (``oriented_basis``,
-and given bases in a map beside the complex) instead of one flip per face
-against its pivot basis, Gram matrices of dot products for
-orientations and barycenter differences for incidence signs, one
-orientation comparison per face of the corner simplex (``same_span_signs``)
-instead of signs read off the barycentric coordinates, and for
-exactness a subcomplex rebuilt at every lcm-lattice degree with its own
-boundary matrices instead of the free complex's signs restricted to the
-faces under the degree, and every degree ranked instead of only those
-whose subcomplex does not collapse to a vertex, for the intersection rule
-of a complex every pair of listed faces instead of the pairs of
-non-simplices, for the fundamental
-cycle a general algebra of wedge forms, each term sorted by a bubble sort,
-instead of one polynomial row per set of used variables, and for d^2 = 0
-and the comparison square a product of dense signed-monomial matrices as
-polynomial matrices instead of integer sums of incidence signs, the
-dense views themselves (``dense_matrix``, ``dense_map``) instead of the
-entries the command line writes straight from the sign columns, and for
-the residue current its closed form, each top face's label signed by a
-Fraction determinant against the corner simplex, instead of the sign
-column of the top comparison map, and for the embedded hull each T_i read
-back off the lifted hull's corners, a Fraction projection of its vertices
-and a comparison of the two face posets, instead of T_i = t^{b_i} - 1 and
-one realization on the projected generators.
+Each oracle reaches its answer another way than the library: subset
+enumeration instead of join closure, box scans and inclusion-exclusion
+instead of staircase slicing, Fraction elimination and Gram-Schmidt
+instead of the integer Bareiss kernel, the facets of conv(points) with a
+Fourier-Motzkin test instead of integer facet enumeration, containment
+solves and volumes per pair of faces instead of barycentric supports,
+rebuilt subcomplexes and every degree ranked instead of a collapse, and
+wedge forms and dense polynomial matrices instead of sign columns.
+
+``SignOracle`` is the one sign oracle: every facet incidence sign, flip,
+orientation against the corner simplex and top flip of a complex, from
+its vertex points, its face sets and bases it carries itself, by Gram
+determinants.  An oracle imports from ``cellres`` only records and errors
+(``LabeledCellComplex``, the error classes, ``cli.SUBCOMMANDS``), never
+the code it checks; ``test_oracles`` holds it to that.
 """
 
 from collections import namedtuple
+from copy import copy
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial, lcm
 
@@ -295,37 +271,11 @@ def gram_pivots(X, vertex_sets) -> dict:
     return {vs: tuple(vs[i] for i in idx) for vs, idx in picked.items() if len(idx) < len(vs)}
 
 
-def pivot_basis(X, fid) -> tuple:
-    """The basis (q_0 - q_k, ..., q_{k-1} - q_k) of the face fid of X on
-    the points q_0 < ... < q_k a Gram-Schmidt pass picks, each direction
-    from q to p written w_q x_p - w_p x_q on the homogeneous points; the
-    empty basis for the empty face.  It does not read the face's flip."""
-    return _pivot_basis_on(tuple(X.vertex_point(v) for v in fid))
-
-
-# the sign oracles ask for each face's basis once per incidence, and the
-# pivot oracles for its pivots once per face, on the complex, its files and
-# its reoriented copies, which share their points
+# the sign oracle asks again for the pivots of a complex's faces on its
+# files, its reoriented copies and their subcomplexes, which share points
 @lru_cache(maxsize=1 << 14)
 def _gram_indices(points) -> tuple:
     return tuple(affine_basis_by_gram_schmidt([affine(p) for p in points]))
-
-
-@lru_cache(maxsize=1 << 14)
-def _pivot_basis_on(points) -> tuple:
-    q = [points[i] for i in _gram_indices(points)]
-    return tuple(tuple(q[-1][-1] * a - p[-1] * b for a, b in zip(p[:-1], q[-1][:-1]))
-                 for p in q[:-1])
-
-
-def oriented_basis(X, fid) -> tuple:
-    """The orientation basis the face fid of X kept before a face kept only
-    its flip: its ``pivot_basis`` with the first vector negated when the
-    flip is -1."""
-    basis = pivot_basis(X, fid)
-    if X.face(fid).flip < 0:
-        return (tuple(-x for x in basis[0]),) + basis[1:]
-    return basis
 
 
 class SignedMonomial(namedtuple("SignedMonomial", "sign exp")):
@@ -629,6 +579,7 @@ def pairwise_is_refinement(X, Y):
     top_points = _face_points(Y, top)
     if not all(point_in_simplex(_point(X, v), top_points) for v in X.vertices):
         return False
+    bases = sign_oracle(Y).bases
     for k in range(0, len(top)):
         for sid in Y.faces_of_dim(k):
             spts = _face_points(Y, sid)
@@ -637,7 +588,7 @@ def pairwise_is_refinement(X, Y):
                 if len(inside) != 1:
                     return False
                 continue
-            basis = oriented_basis(Y, sid)
+            basis = bases[sid]
             try:
                 total = sum(
                     (face_volume_rel(X, fid, basis, spts[0]) for fid in inside),
@@ -691,18 +642,21 @@ def cofaces(X, tau_id, k):
     return [fid for fid in X.faces_of_dim(k) if tau_id in X.facets(fid)]
 
 
-def _corner_points(X):
-    """Per variable i, the point of the first vertex labeled by the smallest
-    pure power z_i^{b_i} among the vertex labels."""
-    points = []
-    for i in range(X.n):
-        powers = []
-        for v in sorted(X.vertices):
-            label = X.vertex_label(v)
-            if label[i] == sum(label) > 0:
-                powers.append((label[i], v))
-        points.append(_point(X, min(powers)[1]))
-    return points
+def _corner_vertices(n, labels):
+    """Per variable i, the first vertex labeled by the smallest pure power
+    z_i^{b_i} among the labels {vertex: label}, or None when a variable
+    has no pure power."""
+    corners = []
+    for i in range(n):
+        powers = [(label[i], v) for v, label in sorted(labels.items())
+                  if label[i] == sum(label) > 0]
+        if not powers:
+            return None
+        corners.append(min(powers)[1])
+    return corners
+
+
+Face = namedtuple("Face", "vertices dim label flip")
 
 
 def embed_in_simplex(H):
@@ -710,58 +664,56 @@ def embed_in_simplex(H):
     (``simplex.embed_in_simplex``): each T_i read back off H's corner
     z_i^{b_i}, which must lie at 1 + T_i e_i for a positive integer T_i;
     every vertex projected along the line through 1 onto the hyperplane
-    sum_i (y_i - 1) / T_i = 1 in Fractions; the complex rebuilt on the
-    projected points, which must keep H's face poset; and each top face
-    flipped, with its filed incidence signs, whose basis disagrees, by the
-    Gram rule, with the corner simplex's (q_0 - q_{n-1}, ...,
-    q_{n-2} - q_{n-1}).  The rebuilt faces are unflipped, so a flipped top
-    holds flip -1.  Raises ValueError where the library raised."""
-    from cellres import LabeledCellComplex, make_complex
+    sum_i (y_i - 1) / T_i = 1 in Fractions; and the faces, pivots, flips
+    and signs of the sign oracle on the projected points after its top
+    flip, whose facets must be H's.  Raises ValueError where the library
+    raised."""
+    from cellres import LabeledCellComplex
 
+    corners = _corner_vertices(H.n, {v: H.vertex_label(v) for v in H.vertices})
+    if corners is None:
+        raise ValueError("the vertex labels miss a pure power")
     steps = []
-    for i, corner in enumerate(_corner_points(H)):
+    for i, v in enumerate(corners):
+        corner = _point(H, v)
         step = corner[i] - 1
         if step < 1 or step.denominator != 1 or any(
                 x != 1 for j, x in enumerate(corner) if j != i):
             raise ValueError(f"corner of z_{i} is not at 1 + T e_{i} for a positive integer T")
         steps.append(step)
-    points = {}
+    vertices = {}
     for v in H.vertices:
         x = _point(H, v)
         scale = 1 / sum((xi - 1) / step for xi, step in zip(x, steps))
         y = [1 + scale * (xi - 1) for xi in x]
         w = lcm(*(c.denominator for c in y))
-        points[v] = tuple(int(c * w) for c in y) + (w,)
-    labels = {v: H.vertex_label(v) for v in H.vertices}
-    X = make_complex(H.n, points, labels, [fid for fid in H.faces if len(fid) >= 2])
+        vertices[v] = (tuple(int(c * w) for c in y) + (w,), H.vertex_label(v))
+    O = SignOracle(H.n, vertices, H.faces)
     # a non-simplex's incidence signs depend on the points: only its facets
     # are the same
-    if any(X.facets(fid) != H.facets(fid) for fid in H.faces):
+    if any(O.facets[fid] != H.facets(fid) for fid in H.faces):
         raise ValueError("projection changed the face poset")
-    q = _corner_points(X)
-    reference = [[a - b for a, b in zip(p, q[-1])] for p in q[:-1]]
-    faces, facet_ids = dict(X.faces), dict(X.facet_ids)
-    for fid in X.faces_of_dim(X.dim):
-        face = X.face(fid)
-        if face.dim >= 1 and gram_orientation(reference, pivot_basis(X, fid)) < 0:
-            faces[fid] = face._replace(flip=-1)
-            facet_ids[fid] = {tau: -s for tau, s in X.facet_ids[fid].items()}
-    return LabeledCellComplex(X.n, X.vertices, faces, facet_ids, X.pivots)
+    O = O.oriented_tops()
+    flips = O.flips()
+    faces = {fid: Face(fid, dim, tuple(map(max, zip(*(vertices[v][1] for v in fid)))) if fid
+                       else (0,) * H.n, flips[fid])
+             for fid, dim in O.dims.items()}
+    return LabeledCellComplex(H.n, vertices, faces, O.facet_ids(), O.pivot_table())
 
 
 def closed_form_current(X):
     """The residue current in closed form (the retired
     ``residue.residue_current``): {top face: (sign, label)}, the sign that
-    of det C for the face's orientation basis written in the corner
-    simplex's basis (q_0 - q_{n-1}, ..., q_{n-2} - q_{n-1}), q_i the corner
-    points, by a Fraction solve per basis vector.  Raises ValueError for a
-    label with a zero exponent."""
-    q = _corner_points(X)
+    of det C for the basis the face's flip names (``oriented_oracle``)
+    written in the corner simplex's basis (q_0 - q_{n-1}, ...,
+    q_{n-2} - q_{n-1}), q_i the corner points, by a Fraction solve per
+    basis vector.  Raises ValueError for a label with a zero exponent."""
+    O = oriented_oracle(X)
+    q = [affine(p) for p in O.corners]
     reference = [[x - y for x, y in zip(p, q[-1])] for p in q[:-1]]
     entries = {}
     for fid in X.faces_of_dim(X.n - 1):
-        face = X.face(fid)
-        det = fraction_det([_coords_in_basis(b, reference) for b in oriented_basis(X, fid)])
+        det = fraction_det([_coords_in_basis(b, reference) for b in O.bases[fid]])
         alpha = tuple(map(max, zip(*(X.vertex_label(v) for v in fid))))
         if det == 0 or min(alpha) < 1:
             raise ValueError(f"no closed-form entry for face {fid}")
@@ -852,84 +804,20 @@ def all_k_bounded_face_sets(points):
     return bounded_faces_by_closure(all_k_facet_supports(points), len(points[0]))
 
 
-def _is_geometric_facet(points, sigma, tau):
-    """Whether the face with vertex set tau is a facet of the face with
-    vertex set sigma: sigma lies weakly on one side of tau's affine hull,
-    inside sigma's, and touches it exactly in tau."""
-    origin = points[tau[0]]
-    tau_dirs = [[x - y for x, y in zip(points[v], origin)] for v in tau[1:]]
-    inside = [Fraction(sum(c), len(sigma)) - o
-              for c, o in zip(zip(*(points[v] for v in sigma)), origin)]
+@lru_cache(maxsize=1 << 14)
+def _is_geometric_facet(sigma, tau):
+    """Whether the face on the points tau is a facet of the face on the
+    points sigma, tuples of affine points: sigma lies weakly on one side of
+    tau's affine hull, inside sigma's, and touches it exactly in tau."""
+    origin = tau[0]
+    tau_dirs = [[x - y for x, y in zip(p, origin)] for p in tau[1:]]
+    inside = [Fraction(sum(c), len(sigma)) - o for c, o in zip(zip(*sigma), origin)]
     normal = _orthogonal_residual(inside, tau_dirs)
     if all(x == 0 for x in normal):
         return False
-    values = {v: _dot(normal, [x - y for x, y in zip(points[v], origin)]) for v in sigma}
+    values = {p: _dot(normal, [x - y for x, y in zip(p, origin)]) for p in sigma}
     return (all(val >= 0 for val in values.values())
-            and set(tau) == {v for v, val in values.items() if val == 0})
-
-
-def scan_face_data(points, face_ids):
-    """{face: (dim, orientation basis, facets)} by the rule ``make_complex``
-    had: the dimension and the chosen points q_0 < ... < q_k from a
-    Gram-Schmidt pass, the basis (q_0 - q_k, ..., q_{k-1} - q_k), and as
-    facets the listed faces of one dimension less inside the face, kept
-    for a face that is not a simplex when they pass the supporting-flat
-    test."""
-    dims, bases = {}, {}
-    for fid in face_ids:
-        pts = [points[v] for v in fid]
-        chosen = [pts[i] for i in affine_basis_by_gram_schmidt(pts)]
-        dims[fid] = len(chosen) - 1
-        bases[fid] = tuple(
-            tuple(Fraction(x) - y for x, y in zip(q, chosen[-1])) for q in chosen[:-1]
-        )
-    data = {}
-    for fid in face_ids:
-        dim = dims[fid]
-        found = [t for t in face_ids if dims[t] == dim - 1 and set(t) < set(fid)]
-        if dim == 0:
-            found = [()]
-        elif len(fid) > dim + 1:
-            found = [t for t in found if _is_geometric_facet(points, fid, t)]
-        data[fid] = (dim, bases[fid], tuple(sorted(found)))
-    return data
-
-
-def _integer_multiple(vector):
-    """The positive multiple of a rational vector by its denominators' lcm."""
-    scale = lcm(*(Fraction(x).denominator for x in vector))
-    return tuple(int(x * scale) for x in vector)
-
-
-def given_basis_face_data(points, face_ids, bases):
-    """{face: (dim, orientation basis, {facet: incidence sign})} by the rule
-    ``make_complex`` had when a complex file gave orientation bases: a face
-    keeps its given basis, or else its default one from ``scan_face_data``
-    scaled to integers; a simplex files the drop of its j-th vertex with
-    (-1)^j eps_sigma eps_tau, eps the orientation of the basis a face keeps
-    against its default one, and a face that is no simplex files each facet
-    with the side of the facet's hull it lies on, read on the bases kept."""
-    data = scan_face_data(points, face_ids)
-    kept, eps = {}, {}
-    for fid, (dim, default, _) in data.items():
-        default = tuple(map(_integer_multiple, default))
-        kept[fid] = tuple(map(tuple, bases.get(fid) or default))
-        eps[fid] = gram_orientation(default, kept[fid]) if dim > 0 else 1
-    result = {}
-    for fid, (dim, _, facets) in data.items():
-        signs = {}
-        for tau in facets:
-            if dim == 0:
-                signs[tau] = 1
-            elif len(fid) == dim + 1:
-                j = next(j for j, v in enumerate(fid) if v not in tau)
-                signs[tau] = (-1) ** j * eps[fid] * eps[tau]
-            else:
-                outside = next(v for v in fid if v not in tau)
-                eta = [x - y for x, y in zip(points[outside], points[tau[0]])]
-                signs[tau] = gram_orientation(kept[fid], [eta, *kept[tau]])
-        result[fid] = (dim, kept[fid], signs)
-    return result
+            and set(tau) == {p for p, val in values.items() if val == 0})
 
 
 def all_pairs_intersection_failure(vertex_ids, face_sets):
@@ -949,95 +837,194 @@ def all_pairs_intersection_failure(vertex_ids, face_sets):
 
 def gram_orientation(basis, vectors):
     """The sign of det C for vectors = C . basis, k vectors in the span of
-    k independent rows, by the Gram rule ``sign_facet`` and
-    ``sign_same_span`` had: det(basis . vectors^T) = det(basis . basis^T)
-    det C^T, and the Gram determinant det(basis . basis^T) is positive."""
+    k independent rows, by the Gram rule: det(basis . vectors^T) =
+    det(basis . basis^T) det C^T, and the Gram determinant
+    det(basis . basis^T) is positive."""
+    return _gram_sign(tuple(map(tuple, basis)), tuple(map(tuple, vectors)))
+
+
+# the sign oracle asks again for most signs of a complex on its files, its
+# reoriented copies and their subcomplexes, which share points and bases
+@lru_cache(maxsize=1 << 16)
+def _gram_sign(basis, vectors):
     det = fraction_det([[_dot(b, v) for v in vectors] for b in basis])
     return (det > 0) - (det < 0)
 
 
-def gram_sign_facet(X, tau_id, sigma_id, bases=None):
-    """Incidence sign of the facet tau of sigma by the Gram rule, with the
-    inward direction from tau's first vertex to sigma's first vertex
-    outside tau (the rule ``sign_facet`` had), on the bases ``bases`` maps
-    the two faces to, by default their ``oriented_basis``."""
-    sigma = X.face(sigma_id)
-    if sigma.dim == 0:
-        return 1
-    sigma_basis, tau_basis = (oriented_basis(X, fid) if bases is None else bases[fid]
-                              for fid in (sigma_id, tau_id))
-    outside = next(v for v in sigma.vertices if v not in tau_id)
-    eta = [x - y for x, y in zip(_point(X, outside), _point(X, tau_id[0]))]
-    return gram_orientation(sigma_basis, [eta] + list(tau_basis))
+def same_span_orientation(reference, basis):
+    """``gram_orientation`` of a basis against a reference basis of the same
+    subspace; a ValueError when their sizes or spans differ or the basis is
+    degenerate.  Two empty bases agree."""
+    if len(basis) != len(reference):
+        raise ValueError("orientation comparison needs equal dimensions")
+    if fraction_rank([*reference, *basis]) != len(reference):
+        raise ValueError("orientation comparison needs equal spans")
+    sign = gram_orientation(reference, basis)
+    if sign == 0:
+        raise ValueError("degenerate orientation basis")
+    return sign
 
 
-def gram_sign_same_span(basis_a, basis_b):
-    """Orientation of basis_a against basis_b by the Gram rule (the rule
-    ``sign_same_span`` had); both span one subspace, and two empty bases
-    agree."""
-    return gram_orientation(basis_b, basis_a) if basis_a else 1
+def _direction(p, q):
+    """w_q x_p - w_p x_q, a positive multiple of the direction from the
+    homogeneous point q to p."""
+    return tuple(q[-1] * a - p[-1] * b for a, b in zip(p[:-1], q[:-1]))
 
 
-def same_span_signs(reference, bases) -> list:
-    """Orientation of each basis against the reference basis, for bases
-    spanning the reference's subspace: the sign of det C where
-    basis = C · reference, all from one ``linalg.orientations`` call; a
-    vertex has the empty basis, and sign 1.  The rule the library had
-    (``simplex.same_span_signs``) before it read orientations off the
-    barycentric coordinates, with its refusals, on bases a face kept."""
-    from cellres import PreconditionError, linalg
-
-    if any(len(basis) != len(reference) for basis in bases):
-        raise PreconditionError("orientation comparison needs equal dimensions")
-    rows = [*reference, *(v for basis in bases for v in basis)]
-    if linalg.rank(rows) != len(reference):
-        raise PreconditionError("orientation comparison needs equal spans")
-    signs = linalg.orientations(reference, list(bases))
-    if 0 in signs:
-        raise PreconditionError("degenerate orientation basis")
-    return signs
+def _pivot_basis(points):
+    """(q_0 - q_k, ..., q_{k-1} - q_k) on homogeneous points q_0, ..., q_k."""
+    return tuple(_direction(p, points[-1]) for p in points[:-1])
 
 
-def orient_tops_by_same_span(X, bases):
-    """X with its top faces flipped as the complex-file reader flipped them
-    before orientations were read off the barycentric coordinates, and the
-    bases of its faces after the flips: each top face's basis in ``bases``
-    against the corner simplex's top face by ``same_span_signs``, the
-    opposite ones flipped by ``reoriented`` and their first basis vector
-    negated; X and ``bases`` themselves when the tops do not have the
-    simplex's dimension or the comparison is refused.  ``bases`` may hold
-    any bases, where the library reads a flip of the pivot one."""
-    from cellres import InputError, PreconditionError, corner_simplex_complex, reoriented
+class SignOracle:
+    """Every sign of a complex from its vertex points, its face sets and
+    bases it carries itself, by Gram determinants (``gram_orientation``);
+    it reads no flip, pivot, facet or sign of the complex.
 
-    if X.dim != X.n - 1:
-        return X, bases
-    tops = X.faces_of_dim(X.dim)
-    try:
-        Y = corner_simplex_complex(X)
-        reference = oriented_basis(Y, tuple(range(X.n)))
-        signs = same_span_signs(reference, [bases[fid] for fid in tops])
-    except (InputError, PreconditionError):
-        return X, bases
-    flipped = {fid for fid, sign in zip(tops, signs) if sign < 0}
-    bases = {fid: ((tuple(-x for x in basis[0]),) + basis[1:] if fid in flipped else basis)
-             for fid, basis in bases.items()}
-    return reoriented(X, flipped), bases
+    A face's pivots q_0 < ... < q_k are the vertices a Gram-Schmidt pass
+    picks in its points, and (q_0 - q_k, ..., q_{k-1} - q_k) is its pivot
+    basis.  Its facets are its listed vertex-drops, or for a face that is
+    no simplex the listed faces one dimension lower that pass the
+    supporting-flat test.  A face carries its given basis or its pivot
+    basis, and a flip negates the carried basis's first vector.  The
+    corner simplex's vertices are, per variable, the first vertex labeled
+    by its smallest pure power.  The signs, on carried bases:
+
+    - a facet tau of sigma: (eta, tau's basis) against sigma's, eta the
+      direction from tau's first vertex to sigma's first vertex outside
+      tau; +1 on a vertex (``facet_ids``);
+    - a face's flip: its basis against its pivot basis (``flips``);
+    - a face against the face S of the corner simplex whose dimension it
+      has and in which its vertices' barycentric coordinates, by a
+      Fraction solve, are nonnegative and supported: its basis against S's
+      pivot basis (``carried``);
+    - the top flip: the tops opposite to the simplex's top face, when they
+      have its dimension and lie in its affine hull (``top_flips``).
+    """
+
+    def __init__(self, n, vertices, face_ids, given=None):
+        """``vertices`` maps vertex id to (homogeneous point, label) and
+        ``given`` face to basis."""
+        self.n = n
+        self.points = {v: tuple(point) for v, (point, _) in vertices.items()}
+        self.labels = {v: tuple(label) for v, (_, label) in vertices.items()}
+        faces = sorted({tuple(sorted(f)) for f in face_ids} | {(v,) for v in self.points})
+        self.pivots = {fid: tuple(fid[i] for i in _gram_indices(tuple(self.points[v] for v in fid)))
+                       for fid in faces}
+        self.dims = {fid: len(pivots) - 1 for fid, pivots in self.pivots.items()}
+        rational = {v: affine(p) for v, p in self.points.items()}
+        self.facets = {}
+        for fid, dim in self.dims.items():
+            if len(fid) == dim + 1:
+                found = [fid[:j] + fid[j + 1:] for j in range(len(fid))]
+            else:
+                found = [t for t in faces if self.dims[t] == dim - 1 and set(t) < set(fid)
+                         and _is_geometric_facet(*(tuple(rational[v] for v in f) for f in (fid, t)))]
+            self.facets[fid] = tuple(sorted(t for t in found if t in self.dims))
+        self.pivot_bases = {fid: _pivot_basis([self.points[v] for v in pivots])
+                            for fid, pivots in self.pivots.items()}
+        given = given or {}
+        self.bases = {fid: tuple(map(tuple, given[fid])) if fid in given else basis
+                      for fid, basis in self.pivot_bases.items()}
+
+    def pivot_table(self):
+        """{face that is no simplex: its pivots}, the table a complex keeps."""
+        return {fid: pivots for fid, pivots in self.pivots.items() if len(pivots) < len(fid)}
+
+    def flipped(self, fids):
+        """A copy whose faces among fids of dimension 1 or more carry their
+        basis with the first vector negated."""
+        fids = set(fids)
+        flipped = copy(self)
+        flipped.bases = {fid: ((tuple(-x for x in b[0]),) + b[1:]
+                               if fid in fids and self.dims[fid] >= 1 else b)
+                         for fid, b in self.bases.items()}
+        return flipped
+
+    def flips(self):
+        return {fid: gram_orientation(self.pivot_bases[fid], basis)
+                for fid, basis in self.bases.items()}
+
+    def incidence(self, tau, sigma):
+        if self.dims[sigma] == 0:
+            return 1
+        outside = next(v for v in sigma if v not in tau)
+        eta = _direction(self.points[outside], self.points[tau[0]])
+        return gram_orientation(self.bases[sigma], [eta, *self.bases[tau]])
+
+    def facet_ids(self):
+        return {sigma: {tau: self.incidence(tau, sigma) for tau in facets}
+                for sigma, facets in self.facets.items()}
+
+    @cached_property
+    def corners(self):
+        """The corner simplex's points by variable, or None when a variable
+        has no pure power among the labels or they are dependent."""
+        ids = _corner_vertices(self.n, self.labels)
+        if ids is None or len(_gram_indices(tuple(self.points[v] for v in ids))) < self.n:
+            return None
+        return [self.points[v] for v in ids]
+
+    @cached_property
+    def barycentrics(self):
+        """{vertex: its barycentric coordinates against the corner simplex,
+        None off its affine hull}, or None without a corner simplex."""
+        if self.corners is None:
+            return None
+        return {v: _barycentric(tuple(self.corners), p) for v, p in self.points.items()}
+
+    def simplex_basis(self, sid):
+        return _pivot_basis([self.corners[y] for y in sid])
+
+    def carried(self):
+        """{nonempty face S of the corner simplex: {face carried by S: its
+        orientation against S}}."""
+        coords = self.barycentrics
+        carried = {sid: {} for size in range(1, self.n + 1)
+                   for sid in combinations(range(self.n), size)}
+        for fid, dim in self.dims.items():
+            if dim < 0 or any(coords[v] is None or min(coords[v]) < 0 for v in fid):
+                continue
+            support = tuple(sorted({y for v in fid for y, c in enumerate(coords[v]) if c}))
+            if len(support) == dim + 1:
+                carried[support][fid] = gram_orientation(self.simplex_basis(support),
+                                                         self.bases[fid])
+        return {sid: dict(sorted(faces.items())) for sid, faces in carried.items()}
+
+    def top_flips(self):
+        """The set of top faces the top flip reverses, or None where it
+        refuses."""
+        coords = self.barycentrics
+        tops = [fid for fid, dim in self.dims.items() if dim == self.n - 1]
+        if (coords is None or max(self.dims.values()) != self.n - 1
+                or any(coords[v] is None for fid in tops for v in fid)):
+            return None
+        reference = self.simplex_basis(tuple(range(self.n)))
+        return {fid for fid in tops if gram_orientation(reference, self.bases[fid]) < 0}
+
+    def oriented_tops(self):
+        """A copy with the top flip made where it does not refuse, as the
+        embedded hull and the complex-file reader make it."""
+        return self.flipped(self.top_flips() or ())
 
 
-def barycenter_sign_facet(X, tau_id, sigma_id):
-    """Incidence sign of the facet tau of sigma with the inward direction
-    from tau's barycenter to sigma's (the rule ``sign_facet`` had before
-    that direction started at tau's first vertex), by the Gram rule."""
-    sigma = X.face(sigma_id)
-    if sigma.dim == 0:
-        return 1
+@lru_cache(maxsize=1 << 14)
+def _barycentric(corners, point):
+    rows = [list(row) for row in zip(*map(affine, corners))] + [[1] * len(corners)]
+    return fraction_solve(rows, [*affine(point), 1])
 
-    def barycenter(fid):
-        pts = _face_points(X, fid)
-        return [Fraction(sum(c), len(pts)) for c in zip(*pts)]
 
-    eta = [x - y for x, y in zip(barycenter(sigma_id), barycenter(tau_id))]
-    return gram_orientation(oriented_basis(X, sigma_id), [eta] + list(oriented_basis(X, tau_id)))
+def sign_oracle(X, given=None):
+    """The sign oracle on X's vertices and face sets, each face carrying its
+    given basis or its pivot basis."""
+    return SignOracle(X.n, X.vertices, X.faces, given)
+
+
+def oriented_oracle(X):
+    """The sign oracle carrying the bases X's flips name: each face's pivot
+    basis, reversed where the face has flip -1; for oracles that take an
+    oriented complex as input."""
+    return sign_oracle(X).flipped(fid for fid, face in X.faces.items() if face.flip < 0)
 
 
 def subcomplex_leq(X, beta):
@@ -1056,17 +1043,16 @@ def subcomplex_leq(X, beta):
 
 def subcomplex_homology_ranks(S):
     """Ranks of reduced rational homology of a complex in degrees -1 .. dim,
-    from boundary matrices built for it with barycenter incidence signs."""
-    top = max(f.dim for f in S.faces.values())
-    levels = {k: sorted(fid for fid, f in S.faces.items() if f.dim == k)
+    from boundary matrices of the sign oracle's incidence signs."""
+    O = sign_oracle(S)
+    signs = O.facet_ids()
+    top = max(O.dims.values())
+    levels = {k: sorted(fid for fid, dim in O.dims.items() if dim == k)
               for k in range(-1, top + 1)}
     ranks = {-1: 0, top + 1: 0}
     for k in range(0, top + 1):
-        ranks[k] = fraction_rank([
-            [barycenter_sign_facet(S, tau, sigma) if tau in S.facet_ids[sigma] else 0
-             for sigma in levels[k]]
-            for tau in levels[k - 1]
-        ])
+        ranks[k] = fraction_rank([[signs[sigma].get(tau, 0) for sigma in levels[k]]
+                                  for tau in levels[k - 1]])
     return [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)]
 
 
@@ -1083,15 +1069,21 @@ def subcomplex_exactness_witness(X, generators):
 
 
 def rank_exactness_witness(X):
-    """First join of X's vertex labels, in sorted order, where the free
-    complex restricted to the faces under it has reduced homology, from the
-    ranks of every degree (the scan ``exactness_witness`` had before it
-    collapsed each subcomplex first)."""
-    from cellres import cellular_complex, lcm_lattice, reduced_homology_ranks
-
-    F = cellular_complex(X)
-    for beta in sorted(lcm_lattice([X.vertex_label(v) for v in X.vertices])):
-        if any(reduced_homology_ranks(F, beta)):
+    """First join of X's vertex labels, in sorted order, where the faces
+    whose label divides it have nonzero reduced homology, from the Fraction
+    ranks of boundary matrices of the incidence signs X files, every
+    degree ranked (the scan ``exactness_witness`` had before it collapsed
+    each subcomplex first)."""
+    top = X.dim
+    for beta in sorted(subset_lcm_lattice([X.vertex_label(v) for v in X.vertices])):
+        keep = {k: [fid for fid in X.faces_of_dim(k)
+                    if all(x <= y for x, y in zip(X.face(fid).label, beta))]
+                for k in range(-1, top + 1)}
+        ranks = {-1: 0, top + 1: 0}
+        for k in range(0, top + 1):
+            ranks[k] = fraction_rank([[X.facet_ids[sigma].get(tau, 0) for sigma in keep[k]]
+                                      for tau in keep[k - 1]])
+        if any(len(keep[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)):
             return beta
     return None
 

@@ -1,4 +1,3 @@
-import functools
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -28,9 +27,7 @@ from cellres import (
     vertex_ideal,
 )
 from cellres.cellcomplex import (
-    EMPTY,
     Face,
-    LabeledCellComplex,
     _facet_sides,
     _subsets,
 )
@@ -38,14 +35,15 @@ from cellres.simplex import _vertex_barycentrics
 from conftest import (
     DUPLICATE_CORNER_JSON,
     EX61_GENERATORS,
+    FIXED_CORPUS,
     artinian_ideals,
     artinian_ideals_2_to_4,
-    drawn_bases_file,
     embedded_hull,
     maximal_ideal_power,
     random_complete_intersection,
     random_generic_ideal_3,
     random_staircase_ideal,
+    sign_corpus,
     without_face,
 )
 from oracles import (
@@ -53,24 +51,17 @@ from oracles import (
     _is_geometric_facet,
     affine,
     all_pairs_intersection_failure,
-    barycenter_sign_facet,
     bareiss_solve,
     cofaces,
     face_volume_rel,
     fraction_solve,
-    gram_orientation,
-    gram_sign_facet,
-    gram_sign_same_span,
-    given_basis_face_data,
     gram_pivots,
-    orient_tops_by_same_span,
-    oriented_basis,
+    oriented_oracle,
     pairwise_contained_faces,
     pairwise_is_refinement,
-    pivot_basis,
     point_in_simplex,
-    same_span_signs,
-    scan_face_data,
+    same_span_orientation,
+    sign_oracle,
     subcomplex_leq,
 )
 
@@ -120,14 +111,13 @@ def test_edge_facet_signs():
 
 def test_sign_same_span():
     X = triangle_complex()
-    basis = functools.partial(oriented_basis, X)
-    top = basis((0, 1, 2))
-    assert same_span_signs(top, [top]) == [1]
+    basis = sign_oracle(X).bases
+    top = basis[0, 1, 2]
+    assert same_span_orientation(top, top) == 1
     swapped = top[::-1]
-    flipped = oriented_basis(reoriented(X, {(0, 1, 2)}), (0, 1, 2))
-    assert same_span_signs(top, [swapped, flipped, top]) == [-1, -1, 1]
-    assert same_span_signs(basis((1,)), [basis((0,)), basis((2,))]) == [1, 1]
-    assert same_span_signs(top, []) == []
+    flipped = oriented_oracle(reoriented(X, {(0, 1, 2)})).bases[0, 1, 2]
+    assert [same_span_orientation(top, b) for b in (swapped, flipped, top)] == [-1, -1, 1]
+    assert [same_span_orientation(basis[1,], basis[v,]) for v in (0, 2)] == [1, 1]
 
 
 def test_sign_same_span_subtriangle_det_oracle():
@@ -139,29 +129,21 @@ def test_sign_same_span_subtriangle_det_oracle():
     inner = make_complex(3, inner_pts, labels,
                          [(0, 1, 2), (0, 1), (0, 2), (1, 2)])
     outer = triangle_complex()
-    a = oriented_basis(inner, (0, 1, 2))
-    b = oriented_basis(outer, (0, 1, 2))
+    a = oriented_oracle(inner).bases[0, 1, 2]
+    b = oriented_oracle(outer).bases[0, 1, 2]
     det = lambda u, v: u[0] * v[1] - u[1] * v[0]
     expected = 1 if det(*a) * det(*b) > 0 else -1
-    assert same_span_signs(b, [a]) == [expected]
+    assert same_span_orientation(b, a) == expected
 
 
 def test_sign_same_span_errors():
-    basis = functools.partial(oriented_basis, triangle_complex())
-    with pytest.raises(PreconditionError,
-                       match="orientation comparison needs equal dimensions"):
-        same_span_signs(basis((0, 1, 2)), [basis((0, 1))])
-    with pytest.raises(PreconditionError, match="orientation comparison needs equal spans"):
-        same_span_signs(basis((1, 2)), [basis((0, 1))])
-    # one refusal for the whole list: a later face's dimension is checked
-    # before an earlier face's span, and any face's span before the bases
-    with pytest.raises(PreconditionError, match="needs equal dimensions"):
-        same_span_signs(basis((1, 2)), [basis((0, 1)), basis((0, 1, 2))])
-    with pytest.raises(PreconditionError, match="needs equal spans"):
-        same_span_signs(basis((1, 2)), [basis((1, 2)), basis((0, 1))])
-    degenerate = ((0, 0),)
-    with pytest.raises(PreconditionError, match="degenerate orientation basis"):
-        same_span_signs(basis((1, 2)), [basis((1, 2)), degenerate])
+    basis = sign_oracle(triangle_complex()).bases
+    with pytest.raises(ValueError, match="orientation comparison needs equal dimensions"):
+        same_span_orientation(basis[0, 1, 2], basis[0, 1])
+    with pytest.raises(ValueError, match="orientation comparison needs equal spans"):
+        same_span_orientation(basis[1, 2], basis[0, 1])
+    with pytest.raises(ValueError, match="degenerate orientation basis"):
+        same_span_orientation(basis[1, 2], ((0, 0),))
 
 
 def test_make_complex_refuses_a_zero_orientation(monkeypatch):
@@ -185,18 +167,18 @@ def test_signs_invariant_under_positive_basis_change():
     # the file's top agrees with the corner simplex whatever basis it is
     # given, so the edge (0, 1) shows whether a given basis flips a face
     X = triangle_complex()
-    top, edge = oriented_basis(X, (0, 1, 2)), oriented_basis(X, (0, 1))
+    top, edge = oriented_oracle(X).bases[0, 1, 2], oriented_oracle(X).bases[0, 1]
     b1, b2 = top
     sheared = triangle_file({
         (0, 1, 2): [[2 * x + y for x, y in zip(b1, b2)], list(b2)],
         (0, 1): [[3 * x for x in edge[0]]],
     })
     assert sheared.facet_ids == X.facet_ids
-    assert same_span_signs(top, [oriented_basis(sheared, (0, 1, 2))]) == [1]
-    assert same_span_signs(edge, [oriented_basis(sheared, (0, 1))]) == [1]
+    assert same_span_orientation(top, oriented_oracle(sheared).bases[0, 1, 2]) == 1
+    assert same_span_orientation(edge, oriented_oracle(sheared).bases[0, 1]) == 1
     negated = triangle_file({(0, 1): [[-3 * x for x in edge[0]]]})
     assert negated.facet_ids == reoriented(X, {(0, 1)}).facet_ids
-    assert same_span_signs(edge, [oriented_basis(negated, (0, 1))]) == [-1]
+    assert same_span_orientation(edge, oriented_oracle(negated).bases[0, 1]) == -1
 
 
 def test_reorientation_flips_signs():
@@ -288,7 +270,7 @@ def test_contained_faces_partition_volumes(ex61_embedded):
     Y = _delta(ex61_embedded)
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
-            basis = oriented_basis(Y, sid)
+            basis = sign_oracle(Y).bases[sid]
             origin = _face_points(Y, sid)[0]
             total = sum(
                 face_volume_rel(X, fid, basis, origin)
@@ -314,6 +296,7 @@ def test_refinement_sign_identity(ex61_embedded):
     # sign(sigma',sigma) sign(tau',sigma') = sign(tau,sigma) sign(tau',tau)
     X = ex61_embedded
     Y = _delta(ex61_embedded)
+    carried = oriented_oracle(X).carried()
     checked = 0
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
@@ -330,12 +313,8 @@ def test_refinement_sign_identity(ex61_embedded):
                             for v in tprime
                         ):
                             continue
-                        lhs = same_span_signs(
-                            oriented_basis(Y, sid), [oriented_basis(X, sprime)]
-                        )[0] * X.facet_ids[sprime][tprime]
-                        rhs = Y.facet_ids[sid][tau] * same_span_signs(
-                            oriented_basis(Y, tau), [oriented_basis(X, tprime)]
-                        )[0]
+                        lhs = carried[sid][sprime] * X.facet_ids[sprime][tprime]
+                        rhs = Y.facet_ids[sid][tau] * carried[tau][tprime]
                         assert lhs == rhs
                         checked += 1
     assert checked > 0
@@ -346,6 +325,7 @@ def test_interior_facet_cancellation(ex61_embedded):
     # contribute opposite signed incidences
     X = ex61_embedded
     Y = _delta(ex61_embedded)
+    carried = oriented_oracle(X).carried()
     checked = 0
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
@@ -361,8 +341,7 @@ def test_interior_facet_cancellation(ex61_embedded):
                 if len(cof) != 2:
                     continue
                 s1, s2 = cof
-                c1, c2 = same_span_signs(oriented_basis(Y, sid),
-                                         [oriented_basis(X, s1), oriented_basis(X, s2)])
+                c1, c2 = carried[sid][s1], carried[sid][s2]
                 total = c1 * X.facet_ids[s1][tau] + c2 * X.facet_ids[s2][tau]
                 assert total == 0
                 checked += 1
@@ -418,7 +397,7 @@ def test_loader_orients_tops_by_the_minimal_pure_powers():
     assert [Y.vertex_point(i) for i in Y.vertices] == [X.vertex_point(1),
                                                         X.vertex_point(2)]
     assert X.faces_of_dim(1) == [(0, 2), (1, 2)]
-    assert all(oriented_basis(X, fid)[0][0] < 0 for fid in X.faces_of_dim(1))
+    assert all(oriented_oracle(X).bases[fid][0][0] < 0 for fid in X.faces_of_dim(1))
 
 
 def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
@@ -442,7 +421,7 @@ def test_loader_leaves_tops_alone_when_the_corners_are_dependent():
     assert X.faces == unflipped.faces
     assert X.facet_ids == unflipped.facet_ids
     given = ((0, 1), (1, 0))
-    assert same_span_signs(given, [oriented_basis(X, (1, 2, 3))]) == [1]
+    assert same_span_orientation(given, oriented_oracle(X).bases[1, 2, 3]) == 1
     with pytest.raises(InputError, match=r"^the pure-power corners \(vertex ids 0, 1, 2\) "
                                          "span no simplex$"):
         corner_simplex_complex(X)
@@ -465,17 +444,17 @@ def test_json_loader_honors_explicit_bases(ex61_embedded):
 
     # flip one interior edge by reversing its basis vector
     target = [1, 4]
-    basis = oriented_basis(ex61_embedded, (1, 4))
+    basis = oriented_oracle(ex61_embedded).bases[1, 4]
     for f in obj["faces"]:
         if f["vertices"] == target:
             f["orientation_basis"] = [[str(-c) for c in basis[0]]]
         del f["label"], f["dim"]
     loaded = complex_from_json(obj)
-    assert same_span_signs(basis, [oriented_basis(loaded, (1, 4))]) == [-1]
+    assert same_span_orientation(basis, oriented_oracle(loaded).bases[1, 4]) == -1
     # top faces still canonical (the loader reflips only top dimension)
     for fid in loaded.faces_of_dim(2):
-        assert same_span_signs(oriented_basis(ex61_embedded, fid),
-                               [oriented_basis(loaded, fid)]) == [1]
+        assert same_span_orientation(oriented_oracle(ex61_embedded).bases[fid],
+                                     oriented_oracle(loaded).bases[fid]) == 1
 
 
 def test_json_loader_rejects_garbage(ex61_embedded):
@@ -526,7 +505,7 @@ def test_json_loader_names_the_fault_of_a_given_basis(ex61_embedded):
     obj = complex_to_json(ex61_embedded)
     top = obj["faces"][-1]
     assert top["vertices"] == [2, 4, 5]
-    b = [list(v) for v in oriented_basis(ex61_embedded, (2, 4, 5))]
+    b = [list(v) for v in oriented_oracle(ex61_embedded).bases[2, 4, 5]]
     for basis, message in (
         ([b[0]], "face (2, 4, 5): orientation basis must have 2 vectors"),
         ([[1, 1], [1, 0]],
@@ -572,7 +551,7 @@ def test_json_loader_refuses_a_face_listed_twice():
             complex_from_json(dict(segment, faces=faces))
         assert str(exc.value) == "face (0, 1) is listed twice"
     once = complex_from_json(dict(segment, faces=segment["faces"][1:]))
-    assert oriented_basis(once, (0, 1)) == ((-1,),)
+    assert oriented_oracle(once).bases[0, 1] == ((-1,),)
 
 
 def test_make_complex_rejects_missing_intersection_face():
@@ -793,7 +772,8 @@ def test_facets_match_the_geometric_oracle_on_non_simplices():
                 if dim == sigma.dim - 1:
                     candidates.append(Face(vs, dim, None, 1))
             expected = [tau.vertices for tau in candidates
-                        if _is_geometric_facet(rational, sigma.vertices, tau.vertices)]
+                        if _is_geometric_facet(*(tuple(rational[v] for v in f)
+                                                 for f in (sigma.vertices, tau.vertices)))]
             sides = _facet_sides(points, pivots, sigma, candidates)
             assert [tau.vertices for tau, side in zip(candidates, sides) if side] == expected
             assert X.facets(sigma.vertices) == tuple(sorted(t for t in expected if t in X.faces))
@@ -1082,367 +1062,56 @@ def test_each_carrier_is_worked_out_once():
     assert carrier.call_count == len(X.faces) - 1 == 19
 
 
-def _assert_face_data_matches_scan(X, tops_may_flip=False):
-    """Dimensions, orientation bases and facets agree with the rule
-    make_complex had, each basis vector up to a positive scale; tops that
-    orient_tops may have flipped can carry the first basis vector
-    negated."""
-    points = {v: affine(X.vertex_point(v)) for v in X.vertices}
-    expected = scan_face_data(points, [fid for fid in X.faces if fid])
-    for fid, (dim, basis, facets) in expected.items():
-        face, kept = X.face(fid), oriented_basis(X, fid)
-        allowed = [basis]
-        if tops_may_flip and dim == X.dim and basis:
-            allowed.append((tuple(-x for x in basis[0]),) + basis[1:])
-        assert (face.dim, X.facets(fid)) == (dim, facets), fid
-        assert any(
-            len(kept) == len(vectors)
-            and all(map(_positive_multiple, kept, vectors))
-            for vectors in allowed
-        ), fid
-
-
-def _positive_multiple(b, e):
-    k = next(i for i, x in enumerate(e) if x)
-    c = Fraction(b[k]) / e[k]
-    return c > 0 and all(x == c * y for x, y in zip(b, e))
-
-
-def _sheared(X, factor):
-    """X's complex file with each face's basis (b_1, ..., b_k) given as
-    (factor b_1 + b_2, b_2, ..., b_k), or (factor b_1,) for an edge, read
-    back: its orientation times the sign of factor, the tops then flipped
-    as the reader flips them."""
-    def shear(basis):
-        second = basis[1] if len(basis) > 1 else (0,) * len(basis[0])
-        return [[factor * x + y for x, y in zip(basis[0], second)], *map(list, basis[1:])]
-
-    obj = complex_to_json(X)
-    for face in obj["faces"]:
-        face["orientation_basis"] = shear(oriented_basis(X, tuple(face["vertices"])))
-    return complex_from_json(obj)
-
-
-def _assert_signs_match_retired_rules(X):
-    """The filed signs against the Gram and barycenter rules on every incidence
-    of X and of its copies sheared by 2 and by -3; same_span_signs against
-    the Gram rule on each face of those three against its own copies, and
-    on every two top faces of X that span one subspace."""
-    copies = [X, _sheared(X, 2), _sheared(X, -3)]
-    for Z in copies:
-        for sigma, face in Z.faces.items():
-            if face.dim >= 1:
-                signs = Z.facet_ids[sigma]
-                for tau in Z.facets(sigma):
-                    assert (signs[tau] == gram_sign_facet(Z, tau, sigma)
-                            == barycenter_sign_facet(Z, tau, sigma))
-    for fid in X.faces:
-        bases = [oriented_basis(Z, fid) for Z in copies]
-        for b in bases:
-            assert same_span_signs(b, bases) == [gram_sign_same_span(a, b) for a in bases]
-    tops = [oriented_basis(X, fid) for fid in X.faces_of_dim(X.dim)]
-    for b in tops:
-        same = [a for a in tops if linalg.rank(a + b) == len(a)]
-        assert same_span_signs(b, same) == [gram_sign_same_span(a, b) for a in same]
-
-
-def _assert_retired_rules_hold(M):
-    """On the hull, the embedded hull, the Scarf and (for r <= 6) the
-    Taylor complex of M, and on the embedded hull with every other face
-    reoriented."""
-    X = embedded_hull(M)
-    found = [(hull_complex(M), False), (X, True), (scarf_complex(M), False)]
-    if len(M.generators) <= 6:
-        found.append((taylor_complex(M), False))
-    for Y, tops_may_flip in found:
-        _assert_face_data_matches_scan(Y, tops_may_flip)
-        _assert_signs_match_retired_rules(Y)
-    _assert_signs_match_retired_rules(reoriented(X, set(sorted(X.faces)[::2])))
-
-
-@settings(max_examples=25)
-@given(artinian_ideals_2_to_4())
-def test_face_data_and_signs_match_retired_rules(M):
-    _assert_retired_rules_hold(M)
-
-
-def test_face_data_and_signs_match_retired_rules_on_fixed_complexes(
-        ex61_ideal, ex61_minimal_fixture):
-    loaded = complex_from_json(ex61_minimal_fixture)
-    assert (0, 1, 2, 4) in loaded.faces
-    _assert_face_data_matches_scan(loaded, tops_may_flip=True)
-    _assert_signs_match_retired_rules(loaded)
-    for M in (ex61_ideal, maximal_ideal_power(3, 4), maximal_ideal_power(4, 2)):
-        _assert_retired_rules_hold(M)
-
-
-def _assert_filed_signs_match_the_gram_rule(X):
-    """Every incidence sign X files is the Gram rule's, which reads the
-    points and the bases X holds and no filed sign."""
-    for sigma, signs in X.facet_ids.items():
-        for tau, sign in signs.items():
-            assert sign == gram_sign_facet(X, tau, sigma), (tau, sigma)
-
-
-@settings(max_examples=30)
-@given(artinian_ideals_2_to_4(), st.data())
-def test_filed_signs_match_the_gram_rule(M, data):
-    # simplices file (-1)^j and non-simplices their side; the copies check
-    # the flips of reoriented and of given bases
-    X = embedded_hull(M)
-    built = [hull_complex(M), X, scarf_complex(M)]
-    if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
-        built.append(taylor_complex(M))
-    # the files of the embedded hull, the Scarf and the Taylor complex
-    built += [complex_from_json(drawn_bases_file(Z, data)[0]) for Z in built[1:]]
-    built.append(reoriented(X, data.draw(st.sets(st.sampled_from(sorted(X.faces))))))
-    for Z in built:
-        _assert_filed_signs_match_the_gram_rule(Z)
-
-
-@settings(max_examples=30)
-@given(artinian_ideals_2_to_4(), st.data())
-def test_given_bases_match_the_retired_rule(ex61_minimal_fixture, M, data):
-    """A file's bases, read as flips of the default ones, orient every face
-    and file every sign as make_complex did when it kept the given bases:
-    on the files of the embedded hull, the Scarf and the Taylor complex of
-    M and of Example 6.1's minimal resolution, whose square is no simplex,
-    the tops then flipped alike, by the retired comparison on the retired
-    side."""
-    files = [complex_to_json(X) for X in (embedded_hull(M), scarf_complex(M))]
-    if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
-        files.append(complex_to_json(taylor_complex(M)))
-    built = [complex_from_json(obj) for obj in files + [ex61_minimal_fixture]]
-    event(f"a face of M's complexes is no simplex: "
-          f"{any(len(fid) > f.dim + 1 for X in built[:-1] for fid, f in X.faces.items())}")
-    for X in built:
-        obj, given = drawn_bases_file(X, data)
-        Z = complex_from_json(obj)
-        points = {v: affine(Z.vertex_point(v)) for v in Z.vertices}
-        retired = given_basis_face_data(points, [fid for fid in Z.faces if fid], given)
-        faces = {fid: Face(fid, dim, Z.face(fid).label, 1)
-                 for fid, (dim, _, _) in retired.items()}
-        facet_ids = {fid: signs for fid, (_, _, signs) in retired.items()}
-        # the retired bases, kept beside the complex, are no flips of the
-        # pivot ones, which the library's top flip reads, so the retired
-        # comparison flips them
-        O, kept = orient_tops_by_same_span(LabeledCellComplex(
-            Z.n, Z.vertices, {EMPTY: Z.face(EMPTY), **faces}, {EMPTY: {}, **facet_ids},
-            gram_pivots(Z, faces)),
-            {EMPTY: (), **{fid: basis for fid, (_, basis, _) in retired.items()}})
-        assert Z.facet_ids == O.facet_ids
-        for fid in Z.faces:
-            assert same_span_signs(kept[fid], [oriented_basis(Z, fid)]) == [1], fid
-
-
-def _assert_orientations_match_the_gram_rule(Z):
-    """Every orientation ``carried_faces`` files against a face of the
-    corner simplex, when Z refines it, and every flip ``orient_tops`` makes
-    against its top face are the Gram rule's, which reads the points and
-    the bases Z holds and no barycentric coordinate; ``orient_tops``
-    refuses exactly the complexes whose tops have another dimension or a
-    vertex off the simplex's affine hull, by a Fraction solve.  Returns the
-    number of faces that are no simplex among those checked."""
-    Y = corner_simplex_complex(Z)
+def _assert_signs_match_the_oracle(Z, O):
+    """Every sign fact of Z against its sign oracle O: each face's dimension,
+    the pivots Z keeps, its facets with their incidence signs and its flip;
+    when Z refines its corner simplex, the faces carried by each face of the
+    simplex with their orientations; and the faces ``orient_tops`` flips,
+    or its refusal where the oracle's top flip refuses.  Returns the number
+    of faces that are no simplex among those checked against the simplex."""
+    assert {fid: face.dim for fid, face in Z.faces.items()} == O.dims
+    assert Z.pivots == O.pivot_table()
+    assert Z.facet_ids == O.facet_ids()
+    assert {fid: face.flip for fid, face in Z.faces.items()} == O.flips()
     checked = []
     if refinement_failure(Z) is None:
-        for sid, faces in carried_faces(Z).items():
-            for fid, sign in faces.items():
-                assert sign == gram_sign_same_span(oriented_basis(Z, fid),
-                                                   oriented_basis(Y, sid)), (sid, fid)
-            checked += faces
-    columns = list(zip(*(Y.vertex_point(y) for y in range(Z.n))))
-    tops = Z.faces_of_dim(Z.dim)
-    if Z.dim != Z.n - 1 or any(fraction_solve(columns, Z.vertex_point(v)) is None
-                               for v in {v for fid in tops for v in fid}):
+        carried = carried_faces(Z)
+        assert carried == O.carried()
+        checked += [fid for faces in carried.values() for fid in faces]
+    tops = O.top_flips()
+    if tops is None:
         with pytest.raises(PreconditionError, match="affine hull"):
             simplex.orient_tops(Z)
     else:
-        O, reference = simplex.orient_tops(Z), oriented_basis(Y, tuple(range(Z.n)))
-        for fid in tops:
-            flipped = O.face(fid).flip != Z.face(fid).flip
-            assert flipped == (gram_sign_same_span(oriented_basis(Z, fid), reference) < 0), fid
-        checked += tops
-    return sum(len(fid) > Z.face(fid).dim + 1 for fid in checked)
+        oriented = simplex.orient_tops(Z)
+        top_faces = Z.faces_of_dim(Z.dim)
+        assert {fid for fid in top_faces if oriented.face(fid).flip != Z.face(fid).flip} == tops
+        checked += top_faces
+    return sum(len(fid) > O.dims[fid] + 1 for fid in checked)
 
 
-def _assert_orientations_match_with_drawn_flips(Z, data):
-    """The Gram rule on Z and on a copy with drawn faces flipped by
-    ``reoriented``, made after Z has read its own orientations."""
-    non_simplices = _assert_orientations_match_the_gram_rule(Z)
-    flips = data.draw(st.sets(st.sampled_from(sorted(Z.faces))))
-    return non_simplices + _assert_orientations_match_the_gram_rule(reoriented(Z, flips))
+@pytest.mark.parametrize("source", ["drawn", *FIXED_CORPUS])
+def test_signs_match_the_sign_oracle(source):
+    # the corpus: hull, embedded hull, Scarf and Taylor (r <= 8) complexes,
+    # their drawn-bases files and a reoriented copy of each, made after the
+    # complex has read its own orientations; every fixed entry carries
+    # faces that are no simplex but m^4 in 3 variables, whose complexes are
+    # simplicial.  A fixed entry draws bases and flips 10 times.
+    @settings(max_examples=30 if source == "drawn" else 10)
+    @given(sign_corpus(source))
+    def check(corpus):
+        non_simplices = 0
+        for Z, O, calls in corpus:
+            non_simplices += _assert_signs_match_the_oracle(Z, O)
+            for flips in calls:
+                Z, O = reoriented(Z, flips), O.flipped(flips)
+            non_simplices += _assert_signs_match_the_oracle(Z, O)
+        if source == "drawn":
+            event(f"a checked face is no simplex: {non_simplices > 0}")
+        else:
+            assert (non_simplices > 0) == (source != "m4-n3")
 
-
-@settings(max_examples=30)
-@given(artinian_ideals_2_to_4(), st.data())
-def test_orientations_match_the_gram_rule(M, data):
-    # the lifted hull's inner vertices, and every Taylor complex of more
-    # generators than variables, leave the top flip nothing to read
-    X = embedded_hull(M)
-    built = [hull_complex(M), X, scarf_complex(M)]
-    if len(M.generators) <= 6:  # the Taylor complex has 2^r faces
-        built.append(taylor_complex(M))
-    built += [complex_from_json(drawn_bases_file(Z, data)[0]) for Z in built[1:3]]
-    non_simplices = sum(_assert_orientations_match_with_drawn_flips(Z, data) for Z in built)
-    event(f"a checked face is no simplex: {non_simplices > 0}")
-
-
-_FIXED_IDEALS = {
-    "m4-n3": maximal_ideal_power(3, 4),
-    "m2-n4": maximal_ideal_power(4, 2),
-    "m2-n5": maximal_ideal_power(5, 2),
-    # the first four vertices of its face (1, 2, 3, 4, 5) are affinely
-    # dependent, so that face's pivot vertices skip one
-    "skipped-pivot": minimize([(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0),
-                               (0, 0, 2, 0), (0, 0, 0, 1)]),
-}
-
-
-@functools.cache
-def _fixed_complex(name):
-    return embedded_hull(_FIXED_IDEALS[name])
-
-
-@settings(max_examples=20)
-@given(st.sampled_from(sorted(_FIXED_IDEALS) + ["ex61-minimal"]), st.data())
-def test_orientations_match_the_gram_rule_on_non_simplices(ex61_minimal_fixture, name, data):
-    # m^2 in 4 and 5 variables carry faces that are no simplex, of the top
-    # dimension and below it, and so do the skipped-pivot ideal and Example
-    # 6.1's minimal resolution, its square; m^4 in 3 variables carries none
-    if name == "ex61-minimal":
-        X = complex_from_json(ex61_minimal_fixture)
-    else:
-        X = _fixed_complex(name)
-    file = complex_from_json(drawn_bases_file(X, data)[0])
-    non_simplices = sum(_assert_orientations_match_with_drawn_flips(Z, data) for Z in (X, file))
-    assert (non_simplices > 0) == (name != "m4-n3")
-
-
-def _oracle_bases(Z, given, tops_flipped):
-    """The bases the oracle carries for Z's faces, and their Gram-Schmidt
-    pivot bases (``pivot_basis``), both read on Z's points only: each face
-    keeps its given basis or its pivot basis (``given_basis_face_data``),
-    and with ``tops_flipped`` each top face has its first vector negated
-    where the Gram rule puts it against the corner simplex's top, when the
-    tops have the simplex's dimension and lie in its affine hull (a
-    Fraction solve), as ``orient_tops`` flips them."""
-    points = {v: affine(Z.vertex_point(v)) for v in Z.vertices}
-    kept = {EMPTY: (), **{fid: basis for fid, (_, basis, _) in given_basis_face_data(
-        points, [fid for fid in Z.faces if fid], given).items()}}
-    pivot = {fid: pivot_basis(Z, fid) for fid in Z.faces}
-    if not tops_flipped or Z.dim != Z.n - 1:
-        return kept, pivot
-    try:
-        Y = corner_simplex_complex(Z)
-    except InputError:  # the pure-power corners span no simplex
-        return kept, pivot
-    columns = list(zip(*(Y.vertex_point(y) for y in range(Z.n))))
-    tops = Z.faces_of_dim(Z.dim)
-    if all(fraction_solve(columns, Z.vertex_point(v)) is not None for fid in tops for v in fid):
-        q = [affine(Y.vertex_point(y)) for y in range(Z.n)]
-        reference = [[a - b for a, b in zip(p, q[-1])] for p in q[:-1]]
-        for fid in tops:
-            if gram_orientation(reference, kept[fid]) < 0:
-                kept[fid] = (tuple(-x for x in kept[fid][0]),) + kept[fid][1:]
-    return kept, pivot
-
-
-def _assert_flips_match_the_carried_bases(Z, kept, pivot):
-    """Each face's flip is the Gram orientation of the basis the oracle
-    carries against its pivot basis."""
-    for fid, face in Z.faces.items():
-        expected = gram_orientation(pivot[fid], kept[fid]) if face.dim >= 1 else 1
-        assert face.flip == expected, fid
-
-
-def _assert_flips_follow_drawn_reorientations(Z, given, tops_flipped, data):
-    """The flips of Z and, after a drawn sequence of ``reoriented`` calls,
-    one face of dimension >= 1 flipped in the first and the last, so twice,
-    the flips and every filed incidence sign (the Gram rule on the carried
-    bases); the oracle negates a carried basis's first vector per flip.
-    The signs Z filed itself are checked against the Gram rule in
-    ``test_filed_signs_match_the_gram_rule``."""
-    kept, pivot = _oracle_bases(Z, given, tops_flipped)
-    _assert_flips_match_the_carried_bases(Z, kept, pivot)
-    calls = data.draw(st.lists(st.sets(st.sampled_from(sorted(Z.faces))), min_size=2, max_size=4))
-    if Z.dim >= 1:
-        twice = data.draw(st.sampled_from([f for f in sorted(Z.faces) if Z.face(f).dim >= 1]))
-        calls[0].add(twice)
-        calls[-1].add(twice)
-    for flips in calls:
-        Z = reoriented(Z, flips)
-        for fid in flips:
-            if Z.face(fid).dim >= 1:
-                kept[fid] = (tuple(-x for x in kept[fid][0]),) + kept[fid][1:]
-    _assert_flips_match_the_carried_bases(Z, kept, pivot)
-    for sigma, signs in Z.facet_ids.items():
-        for tau, sign in signs.items():
-            assert sign == gram_sign_facet(Z, tau, sigma, kept), (tau, sigma)
-
-
-def _assert_flips_match_the_oracle_bases(M, data):
-    """The hull, embedded hull, Scarf and (r <= 6) Taylor complexes of M,
-    and the drawn-bases files of the last three, each also after drawn
-    reorientations, against bases the oracle carries itself."""
-    X = embedded_hull(M)
-    built = [(hull_complex(M), False), (X, True), (scarf_complex(M), False)]
-    if len(M.generators) <= 6:  # the Taylor complex has 2^r faces
-        built.append((taylor_complex(M), False))
-    for Z, tops_flipped in built:
-        _assert_flips_follow_drawn_reorientations(Z, {}, tops_flipped, data)
-    for Z, _ in built[1:]:
-        obj, given = drawn_bases_file(Z, data)
-        _assert_flips_follow_drawn_reorientations(complex_from_json(obj), given, True, data)
-
-
-@settings(max_examples=15)
-@given(artinian_ideals_2_to_4(), st.data())
-def test_flips_match_the_oracle_bases(M, data):
-    _assert_flips_match_the_oracle_bases(M, data)
-
-
-@pytest.mark.parametrize("name", ["m2-n4", "skipped-pivot"])
-@settings(max_examples=4)
-@given(data=st.data())
-def test_flips_match_the_oracle_bases_on_non_simplices(name, data):
-    # the octahedron of m^2 in 4 variables is no simplex, and the face
-    # (1, 2, 3, 4, 5) of the skipped-pivot ideal has dependent first
-    # vertices, so its pivot basis skips one
-    _assert_flips_match_the_oracle_bases(_FIXED_IDEALS[name], data)
-
-
-def _assert_pivots_match_the_gram_oracle(Z):
-    """Each face's dimension and the pivots Z keeps are those a Gram-Schmidt
-    pass picks in the face's points (``gram_pivots``), with no ``_bareiss``
-    elimination; a face missing from the table is a simplex."""
-    pivots = gram_pivots(Z, Z.faces)
-    assert Z.pivots == pivots
-    for fid, face in Z.faces.items():
-        assert face.dim == len(pivots.get(fid, fid)) - 1, fid
-
-
-@settings(max_examples=30)
-@given(st.one_of(st.sampled_from(sorted(_FIXED_IDEALS)).map(_FIXED_IDEALS.get),
-                 artinian_ideals_2_to_4()), st.data())
-def test_stored_pivots_match_the_gram_oracle(M, data):
-    # make_complex eliminates only the faces inside no listed simplex; the
-    # skipped-pivot ideal's face (1, 2, 3, 4, 5) is a pyramid whose
-    # vertex-drop (1, 2, 3, 4) is no simplex either.  The hull, embedded
-    # hull, Scarf and (r <= 8) Taylor complexes, the drawn-bases files of
-    # the last three and a reoriented copy of each, which shares the table
-    X = embedded_hull(M)
-    built = [hull_complex(M), X, scarf_complex(M)]
-    if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
-        built.append(taylor_complex(M))
-    built += [complex_from_json(drawn_bases_file(Z, data)[0]) for Z in built[1:]]
-    for Z in built:
-        copy = reoriented(Z, data.draw(st.sets(st.sampled_from(sorted(Z.faces)))))
-        for W in (Z, copy):
-            _assert_pivots_match_the_gram_oracle(W)
-    # the top flip and the carried orientations read the stored pivots
-    non_simplices = _assert_orientations_match_with_drawn_flips(X, data)
-    event(f"a face of the embedded hull is no simplex: {non_simplices > 0}")
+    check()
 
 
 def test_make_complex_rejects_nonpositive_weights_and_repeated_points():
@@ -1492,5 +1161,5 @@ def test_positive_vertex_scales_change_no_geometry(M, data):
         Zs = _scaled(Z, {v: data.draw(scale) for v in Z.vertices})
         Z1 = _scaled(Z, dict.fromkeys(Z.vertices, 1))
         assert _geometry(Zs) == _geometry(Z1)
-        for fid in Zs.faces:
-            assert all(map(_positive_multiple, oriented_basis(Zs, fid), oriented_basis(Z1, fid)))
+        # the pivots and flips name the orientation bases, up to positive scales
+        assert (Zs.faces, Zs.pivots) == (Z1.faces, Z1.pivots)

@@ -327,6 +327,28 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, ex61_minimal_fixture
     assert code == 2 and out["error"] == "malformed complex JSON at byte 26: not UTF-8"
 
 
+def test_stdin_that_is_not_utf8_exits_2(capsys, monkeypatch):
+    # a job on stdin is refused as the same bytes are with --input, however
+    # strictly the stream decodes
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code = run(["generators"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "malformed JSON at byte 0: not UTF-8"
+
+
+def test_stdin_that_is_not_utf8_exits_2_in_a_subprocess():
+    import os
+    import subprocess
+
+    result = subprocess.run(
+        [sys.executable, "-m", "cellres.cli", "generators"], input=b"\xff\xfe{",
+        capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+    )
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stdout)["error"] == "malformed JSON at byte 0: not UTF-8"
+
+
 def test_coordinate_past_the_digit_limit_exits_2_at_once(tmp_path, capsys, monkeypatch):
     # Fraction("1e10000000") alone takes seconds; the exact value of either
     # exponent sign needs more digits than the int-string limit allows
@@ -502,7 +524,7 @@ def test_resolve_and_compare_print_the_dense_payloads(M, data):
     complexes = [("hull", hull), ("scarf", scarf_complex(M))]
     if len(M.generators) <= 8:  # the Taylor complex has 2^r faces
         complexes.append(("taylor", taylor_complex(M)))
-    obj = drawn_bases_file(hull, data)[0]
+    obj = drawn_bases_file(hull, data.draw)[0]
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "bases.json"
         path.write_text(json.dumps(obj))

@@ -98,11 +98,12 @@ def _bases_json(X):
     its two vectors swapped, so that the signs a given basis sets show in
     the output."""
     from cellres import complex_to_json
-    from oracles import oriented_basis
+    from oracles import sign_oracle
 
     obj = complex_to_json(X)
-    given = {(1, 2): [[-x for x in oriented_basis(X, (1, 2))[0]]],
-             (0, 1, 2): [list(b) for b in reversed(oriented_basis(X, (0, 1, 2)))]}
+    basis = sign_oracle(X).oriented_tops().bases
+    given = {(1, 2): [[-x for x in basis[1, 2][0]]],
+             (0, 1, 2): [list(b) for b in reversed(basis[0, 1, 2])]}
     for face in obj["faces"]:
         if tuple(face["vertices"]) in given:
             face["orientation_basis"] = given[tuple(face["vertices"])]
@@ -115,11 +116,11 @@ def _minimal_bases_json(minimal):
     (0, 1) negated, so that the sides of a face that is no simplex are read
     against given bases."""
     from cellres.complexfile import complex_from_json
-    from oracles import oriented_basis
+    from oracles import sign_oracle
 
-    Z = complex_from_json(minimal)
-    given = {(0, 1): [[-x for x in oriented_basis(Z, (0, 1))[0]]],
-             (0, 1, 2, 4): [list(b) for b in reversed(oriented_basis(Z, (0, 1, 2, 4)))]}
+    basis = sign_oracle(complex_from_json(minimal)).oriented_tops().bases
+    given = {(0, 1): [[-x for x in basis[0, 1][0]]],
+             (0, 1, 2, 4): [list(b) for b in reversed(basis[0, 1, 2, 4])]}
     faces = [dict(face, orientation_basis=given[tuple(face["vertices"])])
              if tuple(face["vertices"]) in given else face for face in minimal["faces"]]
     return dict(minimal, faces=faces)

@@ -35,7 +35,7 @@ from oracles import (
     embed_in_simplex,
     face_volume_rel,
     hull_face_sets,
-    oriented_basis,
+    sign_oracle,
     subset_scan_scarf_faces,
 )
 
@@ -113,7 +113,7 @@ def test_embedded_hull_refines_corner_simplex(ex61_embedded):
 def test_embedded_top_volumes_fill_simplex(ex61_embedded):
     Y = corner_simplex_complex(ex61_embedded)
     top = Y.faces_of_dim(2)[0]
-    basis = oriented_basis(Y, top)
+    basis = sign_oracle(Y).bases[top]
     origin = _face_points(Y, top)[0]
     total = sum(
         face_volume_rel(ex61_embedded, fid, basis, origin)
