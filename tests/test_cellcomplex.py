@@ -142,6 +142,9 @@ def test_sign_same_span_errors():
         same_span_orientation(basis[0, 1, 2], basis[0, 1])
     with pytest.raises(ValueError, match="orientation comparison needs equal spans"):
         same_span_orientation(basis[1, 2], basis[0, 1])
+    # the sizes are compared before the spans
+    with pytest.raises(ValueError, match="needs equal dimensions"):
+        same_span_orientation(basis[1, 2], basis[0, 1, 2])
     with pytest.raises(ValueError, match="degenerate orientation basis"):
         same_span_orientation(basis[1, 2], ((0, 0),))
 
