@@ -296,7 +296,8 @@ def _fixed_builds(name):
 @st.composite
 def sign_corpus(draw, source="drawn"):
     """The complexes the sign oracle checks, each drawn once:
-    [(complex, its sign oracle, reorientations)].
+    [(complex, its sign oracle, reorientations, whether it was read from a
+    drawn-bases file)].
 
     The builds (``_builds``) of an ideal drawn by ``artinian_ideals_2_to_4``,
     or of the ``FIXED_CORPUS`` entry ``source``, and the drawn-bases file
@@ -319,14 +320,14 @@ def sign_corpus(draw, source="drawn"):
         F = complex_from_json(obj)
         corpus.append((F, sign_oracle(F, given).oriented_tops()))
     entries = []
-    for Z, O in corpus:
+    for i, (Z, O) in enumerate(corpus):
         calls = draw(st.lists(st.sets(st.sampled_from(sorted(Z.faces))), min_size=2, max_size=4))
         edges = [fid for fid, dim in sorted(O.dims.items()) if dim >= 1]
         if edges:
             twice = draw(st.sampled_from(edges))
             calls[0].add(twice)
             calls[-1].add(twice)
-        entries.append((Z, O, calls))
+        entries.append((Z, O, calls, i >= len(builds)))
     return entries
 
 

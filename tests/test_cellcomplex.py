@@ -1065,17 +1065,28 @@ def test_each_carrier_is_worked_out_once():
     assert carrier.call_count == len(X.faces) - 1 == 19
 
 
-def _assert_signs_match_the_oracle(Z, O):
-    """Every sign fact of Z against its sign oracle O: each face's dimension,
-    the pivots Z keeps, its facets with their incidence signs and its flip;
-    when Z refines its corner simplex, the faces carried by each face of the
-    simplex with their orientations; and the faces ``orient_tops`` flips,
-    or its refusal where the oracle's top flip refuses.  Returns the number
-    of faces that are no simplex among those checked against the simplex."""
+def _assert_pivots_match_the_oracle(Z, O):
+    """Each face's dimension and the pivots Z keeps."""
     assert {fid: face.dim for fid, face in Z.faces.items()} == O.dims
     assert Z.pivots == O.pivot_table()
+
+
+def _assert_facets_match_the_oracle(Z, O):
+    """Z's facets with their incidence signs."""
     assert Z.facet_ids == O.facet_ids()
+
+
+def _assert_flips_match_the_oracle(Z, O):
+    """Each face's flip."""
     assert {fid: face.flip for fid, face in Z.faces.items()} == O.flips()
+
+
+def _assert_orientations_match_the_oracle(Z, O):
+    """When Z refines its corner simplex, the faces carried by each face of
+    the simplex with their orientations; and the faces ``orient_tops``
+    flips, or its refusal where the oracle's top flip refuses.  Returns the
+    number of faces that are no simplex among those checked against the
+    simplex."""
     checked = []
     if refinement_failure(Z) is None:
         carried = carried_faces(Z)
@@ -1093,26 +1104,119 @@ def _assert_signs_match_the_oracle(Z, O):
     return sum(len(fid) > O.dims[fid] + 1 for fid in checked)
 
 
-@pytest.mark.parametrize("source", ["drawn", *FIXED_CORPUS])
+def _assert_signs_match_the_oracle(Z, O):
+    """Every sign fact of Z against its sign oracle O: each face's dimension,
+    the pivots Z keeps, its facets with their incidence signs, its flips, the
+    orientations of the faces it carries into the corner simplex and its top
+    flips.  Returns the number of faces that are no simplex among those
+    checked against the simplex."""
+    _assert_pivots_match_the_oracle(Z, O)
+    _assert_facets_match_the_oracle(Z, O)
+    _assert_flips_match_the_oracle(Z, O)
+    return _assert_orientations_match_the_oracle(Z, O)
+
+
+def _with_reoriented_copies(corpus):
+    """Yields (complex, its oracle, filed, reoriented): each complex of a
+    sign corpus, then its copy after its drawn ``reoriented`` calls, made
+    only when the caller is done with the complex, so after the complex has
+    read its own orientations."""
+    for Z, O, calls, filed in corpus:
+        yield Z, O, filed, False
+        for flips in calls:
+            Z, O = reoriented(Z, flips), O.flipped(flips)
+        yield Z, O, filed, True
+
+
+def _check_the_drawn_corpus(assert_facts):
+    """Runs assert_facts on the complexes of each drawn sign corpus and
+    their reoriented copies (``_with_reoriented_copies``, to be read in
+    order), 30 examples.  The drawn sign tests each pass their facts
+    through this one function, so hypothesis, derandomized, seeds them
+    alike and they read the same corpora, whose oracle answers are cached."""
+    @settings(max_examples=30)
+    @given(sign_corpus("drawn"))
+    def check(corpus):
+        assert_facts(_with_reoriented_copies(corpus))
+
+    check()
+
+
+def test_stored_pivots_match_the_gram_oracle():
+    # every drawn complex, file and reoriented copy keeps the Gram-Schmidt
+    # pivots the oracle picks; a face missing from the table is a simplex
+    def facts(pairs):
+        for Z, O, _, _ in pairs:
+            _assert_pivots_match_the_oracle(Z, O)
+
+    _check_the_drawn_corpus(facts)
+
+
+def test_face_data_and_signs_match_retired_rules():
+    # the facets and incidence signs of the hull, embedded hull, Scarf and
+    # Taylor (r <= 8) complexes, and of their reoriented copies
+    def facts(pairs):
+        for Z, O, filed, _ in pairs:
+            if not filed:
+                _assert_facets_match_the_oracle(Z, O)
+
+    _check_the_drawn_corpus(facts)
+
+
+def test_filed_signs_match_the_gram_rule():
+    # the incidence signs of the drawn-bases files, read back, and of their
+    # reoriented copies, against the oracle carrying the given bases
+    def facts(pairs):
+        for Z, O, filed, _ in pairs:
+            if filed:
+                _assert_facets_match_the_oracle(Z, O)
+
+    _check_the_drawn_corpus(facts)
+
+
+def test_given_bases_match_the_retired_rule():
+    # a file's bases, read as flips of the pivot ones, then the reader's
+    # top flip
+    def facts(pairs):
+        for Z, O, filed, copy in pairs:
+            if filed and not copy:
+                _assert_flips_match_the_oracle(Z, O)
+
+    _check_the_drawn_corpus(facts)
+
+
+def test_flips_match_the_oracle_bases():
+    # the flips of the builds, the embedded hull's top flip among them, and
+    # of every complex after 2 to 4 reoriented calls flipping one face twice
+    def facts(pairs):
+        for Z, O, filed, copy in pairs:
+            if copy or not filed:
+                _assert_flips_match_the_oracle(Z, O)
+
+    _check_the_drawn_corpus(facts)
+
+
+def test_orientations_match_the_gram_rule():
+    # the lifted hull's inner vertices, and every Taylor complex of more
+    # generators than variables, leave the top flip nothing to read
+    def facts(pairs):
+        non_simplices = sum(_assert_orientations_match_the_oracle(Z, O) for Z, O, _, _ in pairs)
+        event(f"a checked face is no simplex: {non_simplices > 0}")
+
+    _check_the_drawn_corpus(facts)
+
+
+@pytest.mark.parametrize("source", FIXED_CORPUS)
 def test_signs_match_the_sign_oracle(source):
-    # the corpus: hull, embedded hull, Scarf and Taylor (r <= 8) complexes,
-    # their drawn-bases files and a reoriented copy of each, made after the
-    # complex has read its own orientations; every fixed entry carries
-    # faces that are no simplex but m^4 in 3 variables, whose complexes are
-    # simplicial.  A fixed entry draws bases and flips 10 times.
-    @settings(max_examples=30 if source == "drawn" else 10)
+    # every fixed entry carries faces that are no simplex but m^4 in 3
+    # variables, whose complexes are simplicial; each draws its files' bases
+    # and its reorientations 10 times
+    @settings(max_examples=10)
     @given(sign_corpus(source))
     def check(corpus):
-        non_simplices = 0
-        for Z, O, calls in corpus:
-            non_simplices += _assert_signs_match_the_oracle(Z, O)
-            for flips in calls:
-                Z, O = reoriented(Z, flips), O.flipped(flips)
-            non_simplices += _assert_signs_match_the_oracle(Z, O)
-        if source == "drawn":
-            event(f"a checked face is no simplex: {non_simplices > 0}")
-        else:
-            assert (non_simplices > 0) == (source != "m4-n3")
+        non_simplices = sum(_assert_signs_match_the_oracle(Z, O)
+                            for Z, O, _, _ in _with_reoriented_copies(corpus))
+        assert (non_simplices > 0) == (source != "m4-n3")
 
     check()
 
