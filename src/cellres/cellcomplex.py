@@ -14,7 +14,7 @@ label the zero vector) is always part of a complex.
 """
 
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import wraps
 from math import gcd, lcm
 
@@ -170,11 +170,14 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
     A face's facets, each filed with its incidence sign, are its listed
     faces of one dimension less: for a simplex its vertex-drops, otherwise
     those with a nonzero side (``_facet_sides``), the side being the sign.
-    They must cover the boundary, and every listed face inside a face must
-    be one of its faces.  So a face's facets are its maximal listed proper
-    subsets, and a family closed under subsets that holds an affinely
-    dependent vertex set is refused: the smallest such set has a
-    vertex-drop of its own dimension, which lies in none of its facets.
+    They must cover the boundary: there are at least dim + 1, and in a face
+    that is no simplex each facet of a facet lies in exactly two of them
+    (the diamond property, which a simplex's vertex-drops have by
+    construction).  Every listed face inside a face must be one of its
+    faces.  So a face's facets are its maximal listed proper subsets, and a
+    family closed under subsets that holds an affinely dependent vertex set
+    is refused: the smallest such set has a vertex-drop of its own
+    dimension, which lies in none of its facets.
 
     The drop tau of the j-th vertex q_j of a simplex sigma = (q_0, ..., q_k)
     has the sign (-1)^j, the side: modulo tau's span the direction to q_j
@@ -241,19 +244,22 @@ def make_complex(n, vertex_points, vertex_labels, face_sets):
                 )
 
     facet_ids = {EMPTY: {}}
-    for fid in sorted(face_ids):
+    # by size, so that the facets of a face's facets are filed before it
+    for fid in sorted(face_ids, key=lambda t: (len(t), t)):
         f = faces[fid]
         if fid not in pivots:
             drops = ((fid[:j] + fid[j + 1:], (-1) ** j) for j in range(len(fid)))
             found = {tau: sign for tau, sign in drops if tau in faces}
-            inside = ()
+            inside, ridges = (), Counter()
         else:
             members = set(fid)
             inside = [t for t in face_ids if set(t) < members]
             candidates = [faces[t] for t in inside if faces[t].dim == f.dim - 1]
             found = {tau.vertices: side for tau, side in
                      zip(candidates, _facet_sides(points, pivots, f, candidates)) if side}
-        if len(found) < f.dim + 1:
+            # the diamond property: each facet of a facet lies in two facets
+            ridges = Counter(rho for tau in found for rho in facet_ids[tau])
+        if len(found) < f.dim + 1 or set(ridges.values()) - {2}:
             raise InputError(f"face {fid}: boundary is not covered by listed faces")
         # a face inside a facet tau is checked against tau's facets in turn
         for t in inside:

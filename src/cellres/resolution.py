@@ -136,11 +136,12 @@ def _collapses_to_a_vertex(live, facets, cofaces) -> bool:
     faces form a subcomplex: at the start because a face's label is the lcm
     of its vertices' labels, so the faces of a face under z^beta are under
     it too.  Then sigma has no live coface rho, for by the diamond property
-    of a polyhedral complex the faces between tau and rho are sigma and a
-    second one, which would be live and a second coface of tau.  So
-    removing the pair is an elementary collapse and leaves a subcomplex, a
-    complex that ends as one vertex is contractible and has no reduced
-    homology, and one where the removals get stuck proves nothing.
+    of a polyhedral complex, which ``make_complex`` checks, the faces
+    between tau and rho are sigma and a second one, which would be live and
+    a second coface of tau.  So removing the pair is an elementary collapse
+    and leaves a subcomplex, a complex that ends as one vertex is
+    contractible and has no reduced homology, and one where the removals
+    get stuck proves nothing.
     """
     stack = []
     rest = live

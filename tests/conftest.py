@@ -27,6 +27,7 @@ from cellres import (
     is_artinian,
     is_generic,
     minimize,
+    reoriented,
     scarf_complex,
     taylor_complex,
 )
@@ -266,10 +267,11 @@ _FIXED_IDEALS = {
 FIXED_CORPUS = sorted(_FIXED_IDEALS) + ["ex61-minimal"]
 
 
+@functools.cache
 def _builds(M):
     """[(complex, its sign oracle)] for the hull, embedded hull, Scarf and
-    (r <= 8) Taylor complexes of M; the embedded hull's oracle makes the
-    top flip, as ``embedded_hull`` does."""
+    (r <= 8) Taylor complexes of M, made once per ideal; the embedded
+    hull's oracle makes the top flip, as ``embedded_hull`` does."""
     from oracles import sign_oracle
 
     built = [(hull_complex(M), False), (embedded_hull(M), True), (scarf_complex(M), False)]
@@ -329,6 +331,18 @@ def sign_corpus(draw, source="drawn"):
             calls[-1].add(twice)
         entries.append((Z, O, calls, i >= len(builds)))
     return entries
+
+
+def with_reoriented_copies(corpus):
+    """Yields (complex, its oracle, filed, reoriented): each complex of a
+    sign corpus, then its copy after its drawn ``reoriented`` calls, made
+    only when the caller is done with the complex, so after the complex has
+    read its own orientations."""
+    for Z, O, calls, filed in corpus:
+        yield Z, O, filed, False
+        for flips in calls:
+            Z, O = reoriented(Z, flips), O.flipped(flips)
+        yield Z, O, filed, True
 
 
 @pytest.fixture(scope="session")

@@ -6,13 +6,15 @@ instead of staircase slicing, Fraction elimination and Gram-Schmidt
 instead of the integer Bareiss kernel, the facets of conv(points) with a
 Fourier-Motzkin test instead of integer facet enumeration, containment
 solves and volumes per pair of faces instead of barycentric supports,
-rebuilt subcomplexes and every degree ranked instead of a collapse, and
-wedge forms and dense polynomial matrices instead of sign columns.
+every degree ranked instead of a collapse, and wedge forms and dense
+polynomial matrices instead of sign columns.
 
 ``SignOracle`` is the one sign oracle: every facet incidence sign, flip,
 orientation against the corner simplex and top flip of a complex, from
 its vertex points, its face sets and bases it carries itself, by Gram
-determinants.  An oracle imports from ``cellres`` only records and errors
+determinants.  ``ExactnessOracle`` is the one exactness oracle: the
+reduced homology of every X_{<=beta}, from a sign oracle's signs and the
+vertex labels.  An oracle imports from ``cellres`` only records and errors
 (``LabeledCellComplex``, the error classes, ``cli.SUBCOMMANDS``), never
 the code it checks; ``test_oracles`` holds it to that.
 """
@@ -23,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial, lcm
+from operator import le
 
 
 def affine(point):
@@ -96,7 +99,8 @@ def first_difference_by_box_scan(components, generators, box):
 def fraction_rank(matrix):
     """Rank by Gaussian elimination over Fractions (the library's retired
     ``linalg.rank``)."""
-    rows = [[Fraction(x) for x in r] for r in matrix if any(x != 0 for x in r)]
+    # zero entries stay the integer 0, every other entry is a Fraction
+    rows = [[Fraction(x) if x else 0 for x in r] for r in matrix if any(x != 0 for x in r)]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -107,10 +111,11 @@ def fraction_rank(matrix):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][col]
+        support = [c for c in range(col, ncols) if rows[r][c] != 0]
         for i in range(r + 1, len(rows)):
             if rows[i][col] != 0:
                 factor = rows[i][col] * inv
-                for c in range(col, ncols):
+                for c in support:
                     rows[i][c] -= factor * rows[r][c]
         r += 1
         if r == len(rows):
@@ -308,35 +313,6 @@ def dense_map(maps, k):
     off the target's labels and columns off the source's."""
     return _dense_view(maps.columns[k], maps.target.basis(k), maps.source.basis(k),
                        maps.target.labels, maps.source.labels, maps.target.n)
-
-
-def graded_strand_inexact_degree(free_complex, box):
-    """First degree in [0, box] whose graded strand is not exact, or None.
-
-    The strand at beta keeps the basis elements whose label divides z^beta;
-    the induced maps are the bare signs.  Exactness at level k >= 0 means
-    rank d_k + rank d_{k+1} = dim C_k.
-    """
-    F = free_complex
-    top = F.top
-    for beta in product(*(range(b + 1) for b in box)):
-        bases = {
-            k: [i for i, fid in enumerate(F.basis(k))
-                if all(x <= y for x, y in zip(F.labels[fid], beta))]
-            for k in range(-1, top + 1)
-        }
-        ranks = {}
-        for k in range(0, top + 1):
-            rows = bases[k - 1]
-            cols = bases[k]
-            phi = dense_matrix(F, k)
-            matrix = [[phi[i][j].sign for j in cols] for i in rows]
-            ranks[k] = fraction_rank(matrix)
-        ranks[top + 1] = 0
-        for k in range(0, top + 1):
-            if ranks[k] + ranks[k + 1] != len(bases[k]):
-                return beta
-    return None
 
 
 def smith_diagonal(matrix):
@@ -1041,51 +1017,53 @@ def subcomplex_leq(X, beta):
     )
 
 
-def subcomplex_homology_ranks(S):
-    """Ranks of reduced rational homology of a complex in degrees -1 .. dim,
-    from boundary matrices of the sign oracle's incidence signs."""
-    O = sign_oracle(S)
-    signs = O.facet_ids()
-    top = max(O.dims.values())
-    levels = {k: sorted(fid for fid, dim in O.dims.items() if dim == k)
-              for k in range(-1, top + 1)}
-    ranks = {-1: 0, top + 1: 0}
-    for k in range(0, top + 1):
-        ranks[k] = fraction_rank([[signs[sigma].get(tau, 0) for sigma in levels[k]]
-                                  for tau in levels[k - 1]])
-    return [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)]
+class ExactnessOracle:
+    """Reduced rational homology of the subcomplexes X_{<=beta} of a complex,
+    the faces whose label divides z^beta, from the dimensions and incidence
+    signs of its sign oracle and face labels it takes as the lcms of its
+    vertex labels; every degree is ranked by ``fraction_rank``, with no
+    collapse."""
 
+    def __init__(self, O):
+        self.signs = O.facet_ids()
+        self.top = max(O.dims.values())
+        self.labels = {fid: tuple(map(max, zip(*(O.labels[v] for v in fid)))) if fid
+                       else (0,) * O.n for fid in O.dims}
+        self.levels = {k: sorted(fid for fid, dim in O.dims.items() if dim == k)
+                       for k in range(-1, self.top + 1)}
+        self._boundary_ranks = {}
 
-def subcomplex_exactness_witness(X, generators):
-    """First degree among zero and the joins of the generators, in sorted
-    order, whose rebuilt subcomplex has a vertex and nonzero reduced
-    homology, or None (the scan ``exactness_witness`` had)."""
-    n = len(generators[0])
-    for beta in sorted(subset_lcm_lattice(generators) | {(0,) * n}):
-        S = subcomplex_leq(X, beta)
-        if len(S.faces) > 1 and any(subcomplex_homology_ranks(S)):
-            return beta
-    return None
+    def under(self, beta):
+        """{level k in -1 .. dim: the k-faces whose label divides z^beta}."""
+        return {k: tuple(fid for fid in level if all(map(le, self.labels[fid], beta)))
+                for k, level in self.levels.items()}
 
+    def boundary(self, under, k):
+        """The incidence signs from the k-faces to the (k-1)-faces among the
+        faces ``under`` some degree, rows the latter."""
+        return [[self.signs[sigma].get(tau, 0) for sigma in under[k]] for tau in under[k - 1]]
 
-def rank_exactness_witness(X):
-    """First join of X's vertex labels, in sorted order, where the faces
-    whose label divides it have nonzero reduced homology, from the Fraction
-    ranks of boundary matrices of the incidence signs X files, every
-    degree ranked (the scan ``exactness_witness`` had before it collapsed
-    each subcomplex first)."""
-    top = X.dim
-    for beta in sorted(subset_lcm_lattice([X.vertex_label(v) for v in X.vertices])):
-        keep = {k: [fid for fid in X.faces_of_dim(k)
-                    if all(x <= y for x, y in zip(X.face(fid).label, beta))]
-                for k in range(-1, top + 1)}
-        ranks = {-1: 0, top + 1: 0}
-        for k in range(0, top + 1):
-            ranks[k] = fraction_rank([[X.facet_ids[sigma].get(tau, 0) for sigma in keep[k]]
-                                      for tau in keep[k - 1]])
-        if any(len(keep[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)):
-            return beta
-    return None
+    def ranks(self, beta):
+        """The ranks of reduced homology of X_{<=beta} in degrees -1 .. dim."""
+        return self._ranks(self.under(beta))
+
+    def _ranks(self, under):
+        rank = {-1: 0, self.top + 1: 0}
+        for k in range(self.top + 1):
+            key = k, under[k - 1], under[k]
+            if key not in self._boundary_ranks:
+                self._boundary_ranks[key] = fraction_rank(self.boundary(under, k))
+            rank[k] = self._boundary_ranks[key]
+        return [len(under[k]) - rank[k] - rank[k + 1] for k in range(-1, self.top + 1)]
+
+    def witness(self, degrees):
+        """The first degree, in sorted order, with a vertex under it and
+        nonzero ranks, or None."""
+        for beta in sorted(degrees):
+            under = self.under(beta)
+            if under[0] and any(self._ranks(under)):
+                return beta
+        return None
 
 
 def argparse_cli_parser():

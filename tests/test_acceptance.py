@@ -46,8 +46,9 @@ from conftest import (
     random_staircase_ideal,
 )
 from oracles import (
+    ExactnessOracle,
     closed_form_current,
-    graded_strand_inexact_degree,
+    sign_oracle,
     staircase_lattice_points,
 )
 
@@ -176,16 +177,15 @@ def test_criterion_5_exactness_oracle_agreement(ex61):
         for _ in range(3):
             M = random_generic_ideal_3(rng)
             small.append((M, embedded_hull(M)))
-        for M, X in cases + small:
-            F = cellular_complex(X)
+        # the lattice route scans the joins of the labels, the oracle every
+        # degree of the box up to the pure powers
+        for M, X in cases + small + [(M61, deleted)]:
             box = pure_power_exponents(M)
             assert all(x <= 5 for x in box)
-            lattice_route = exactness_witness(X)
-            strand_route = graded_strand_inexact_degree(F, box)
-            assert (lattice_route is None) == (strand_route is None)
-        F = cellular_complex(deleted)
-        assert exactness_witness(deleted) == (1, 1, 1)
-        assert graded_strand_inexact_degree(F, (2, 2, 2)) is not None
+            strand_route = ExactnessOracle(sign_oracle(X)).witness(
+                product(*(range(b + 1) for b in box)))
+            assert exactness_witness(X) == strand_route
+        assert strand_route == (1, 1, 1)
 
 
 def test_criterion_6_fundamental_cycle(staircase_pool, generic3_pool, ex61):

@@ -9,6 +9,7 @@ from cellres import (
     InputError,
     PreconditionError,
     carried_faces,
+    cellular_complex,
     complex_from_json,
     complex_to_json,
     corner_simplex_complex,
@@ -44,6 +45,7 @@ from conftest import (
     random_generic_ideal_3,
     random_staircase_ideal,
     sign_corpus,
+    with_reoriented_copies,
     without_face,
 )
 from oracles import (
@@ -595,6 +597,16 @@ TWO_SQUARES = (
 )
 
 
+# a square with three of its four edges listed: three facets, as many as a
+# triangle's, but the ends of the path lie in one of them each
+OPEN_SQUARE = (
+    2,
+    {0: (0, 0, 1), 1: (1, 0, 1), 2: (1, 1, 1), 3: (0, 1, 1)},
+    {0: (2, 0), 1: (1, 1), 2: (1, 2), 3: (0, 2)},
+    [(0, 1), (1, 2), (2, 3), (0, 1, 2, 3)],
+)
+
+
 def test_make_complex_rejects_squares_meeting_in_a_diagonal():
     with pytest.raises(InputError) as exc:
         make_complex(*TWO_SQUARES)
@@ -643,18 +655,34 @@ def complex_inputs(draw):
 @settings(max_examples=60)
 @given(complex_inputs())
 @example(TWO_SQUARES)
+@example(OPEN_SQUARE)
 def test_intersection_rule_matches_all_pairs_oracle(inputs):
     # make_complex checks the intersection rule between non-simplices only:
     # whatever the check on every pair rejects, it must reject too, and on
-    # the rest it runs the same checks as before, each an InputError
+    # the rest it runs the same checks as before, each an InputError; what
+    # it accepts has d^2 = 0, which a face whose facets left its boundary
+    # open failed
     if all_pairs_intersection_failure(inputs[1], inputs[3]) is not None:
         with pytest.raises(InputError):
             make_complex(*inputs)
     else:
         try:
-            make_complex(*inputs)
+            X = make_complex(*inputs)
         except InputError:
-            pass
+            return
+        cellular_complex(X)
+
+
+def test_make_complex_refuses_a_face_whose_facets_leave_its_boundary_open(
+        ex61_minimal_fixture):
+    with pytest.raises(InputError) as exc:
+        make_complex(*OPEN_SQUARE)
+    assert str(exc.value) == "face (0, 1, 2, 3): boundary is not covered by listed faces"
+    # the square of Example 6.1's minimal resolution without its edge (0, 2)
+    faces = [f for f in ex61_minimal_fixture["faces"] if f["vertices"] != [0, 2]]
+    with pytest.raises(InputError) as exc:
+        complex_from_json({**ex61_minimal_fixture, "faces": faces})
+    assert str(exc.value) == "face (0, 1, 2, 4): boundary is not covered by listed faces"
 
 
 def _assert_facets_are_geometric(X):
@@ -1116,28 +1144,16 @@ def _assert_signs_match_the_oracle(Z, O):
     return _assert_orientations_match_the_oracle(Z, O)
 
 
-def _with_reoriented_copies(corpus):
-    """Yields (complex, its oracle, filed, reoriented): each complex of a
-    sign corpus, then its copy after its drawn ``reoriented`` calls, made
-    only when the caller is done with the complex, so after the complex has
-    read its own orientations."""
-    for Z, O, calls, filed in corpus:
-        yield Z, O, filed, False
-        for flips in calls:
-            Z, O = reoriented(Z, flips), O.flipped(flips)
-        yield Z, O, filed, True
-
-
 def _check_the_drawn_corpus(assert_facts):
     """Runs assert_facts on the complexes of each drawn sign corpus and
-    their reoriented copies (``_with_reoriented_copies``, to be read in
+    their reoriented copies (``with_reoriented_copies``, to be read in
     order), 30 examples.  The drawn sign tests each pass their facts
     through this one function, so hypothesis, derandomized, seeds them
     alike and they read the same corpora, whose oracle answers are cached."""
     @settings(max_examples=30)
     @given(sign_corpus("drawn"))
     def check(corpus):
-        assert_facts(_with_reoriented_copies(corpus))
+        assert_facts(with_reoriented_copies(corpus))
 
     check()
 
@@ -1215,7 +1231,7 @@ def test_signs_match_the_sign_oracle(source):
     @given(sign_corpus(source))
     def check(corpus):
         non_simplices = sum(_assert_signs_match_the_oracle(Z, O)
-                            for Z, O, _, _ in _with_reoriented_copies(corpus))
+                            for Z, O, _, _ in with_reoriented_copies(corpus))
         assert (non_simplices > 0) == (source != "m4-n3")
 
     check()

@@ -429,6 +429,21 @@ def test_file_complex_for_another_ideal_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(out["entries"]) == 1
 
 
+def test_a_face_with_an_open_boundary_exits_2(tmp_path, capsys, monkeypatch,
+                                             ex61_minimal_fixture):
+    # the square of Example 6.1's minimal resolution without its edge
+    # (0, 2): the reader refuses it, where d^2 = 0 or the containment
+    # check failed later
+    faces = [f for f in ex61_minimal_fixture["faces"] if f["vertices"] != [0, 2]]
+    path = tmp_path / "open-square.json"
+    path.write_text(json.dumps({**ex61_minimal_fixture, "faces": faces}))
+    for sub in ("check-exact", "resolve", "residue", "compare"):
+        code, out = invoke(capsys, monkeypatch, [sub, "--complex", f"file:{path}"], EX61)
+        assert code == 2, sub
+        assert out["error"] == (
+            "face (0, 1, 2, 4): boundary is not covered by listed faces"), sub
+
+
 def test_support_and_geometry_disagreement_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "duplicate-corner.json"
     path.write_text(json.dumps(DUPLICATE_CORNER_JSON))

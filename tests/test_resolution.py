@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellres import (
     CellresError,
+    InputError,
     PreconditionError,
     chain_maps,
     corner_simplex_complex,
@@ -33,19 +34,19 @@ from conftest import (
     flip_sign,
     maximal_ideal_power,
     random_staircase_ideal,
+    sign_corpus,
+    with_reoriented_copies,
     without_face,
 )
 from oracles import (
+    ExactnessOracle,
     SignedMonomial,
     boundary_squared_failure,
     comparison_square_failure,
     dense_matrix,
-    graded_strand_inexact_degree,
-    rank_exactness_witness,
+    sign_oracle,
     smith_diagonal,
-    subcomplex_exactness_witness,
-    subcomplex_homology_ranks,
-    subcomplex_leq,
+    subset_lcm_lattice,
 )
 
 
@@ -119,14 +120,20 @@ def test_boundary_squared_zero_everywhere(ex61_embedded, rng):
 
 
 def test_broken_boundary_is_rejected():
+    # make_complex refuses a square with an edge left out; filed by hand, the
+    # open boundary fails d^2 = 0
     points = {v: homogeneous(p) for v, p in
               {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}.items()}
     labels = {i: (1, 1) for i in range(4)}
-    X = make_complex(
-        2, points, labels, [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3)]
-    )
+    edges = [(0, 1), (1, 2), (2, 3)]
+    with pytest.raises(InputError, match="boundary is not covered"):
+        make_complex(2, points, labels, [(0, 1, 2, 3), *edges])
+    X = make_complex(2, points, labels, [(0, 1, 2, 3), (0, 3), *edges])
+    faces = {fid: f for fid, f in X.faces.items() if fid != (0, 3)}
+    facet_ids = {fid: {tau: s for tau, s in X.facet_ids[fid].items() if tau != (0, 3)}
+                 for fid in faces}
     with pytest.raises(CellresError, match="between levels 2 and 0"):
-        cellular_complex(X)
+        cellular_complex(LabeledCellComplex(X.n, X.vertices, faces, facet_ids, X.pivots))
 
 
 def test_edge_with_equal_vertex_signs_is_rejected():
@@ -151,16 +158,13 @@ def test_face_deleted_ex61_is_inexact(ex61_embedded):
     assert exactness_witness(X) == (1, 1, 1)
     # the offending subcomplex is a hollow triangle: one 1-cycle survives
     assert reduced_homology_ranks(cellular_complex(X), (1, 1, 1)) == [0, 0, 1, 0]
-    # the same rank via a Smith-form oracle on the edge boundary of the
-    # subcomplex rebuilt on its own
-    sub = subcomplex_leq(X, (1, 1, 1))
-    edges = sub.faces_of_dim(1)
-    verts = sub.faces_of_dim(0)
-    assert len(edges) == 3 and len(verts) == 3
-    boundary = [[sub.facet_ids[sigma].get(tau, 0) for sigma in edges] for tau in verts]
-    diag = smith_diagonal(boundary)
-    rank = len(diag)
-    assert len(edges) - rank == 1  # one-dimensional cycle space survives
+    # the same rank via a Smith-form oracle on the edge boundary the
+    # exactness oracle reads
+    E = ExactnessOracle(sign_oracle(X))
+    under = E.under((1, 1, 1))
+    assert [len(under[k]) for k in range(3)] == [3, 3, 0]
+    rank = len(smith_diagonal(E.boundary(under, 1)))
+    assert len(under[1]) - rank == 1  # one-dimensional cycle space survives
 
 
 def test_homology_rank_examples(ex61_ideal):
@@ -183,13 +187,13 @@ def test_homology_rank_examples(ex61_ideal):
 
 
 def test_homology_ranks_match_rebuilt_subcomplexes(ex61_ideal, ex61_embedded):
+    # at every degree of the box, joins or not
     for X in (ex61_embedded, without_face(ex61_embedded, (1, 2, 4)),
               taylor_complex(ex61_ideal)):
         F = cellular_complex(X)
+        E = ExactnessOracle(sign_oracle(X))
         for beta in product(range(3), repeat=3):
-            ranks = reduced_homology_ranks(F, beta)
-            rebuilt = subcomplex_homology_ranks(subcomplex_leq(X, beta))
-            assert ranks == rebuilt + [0] * (len(ranks) - len(rebuilt)), beta
+            assert reduced_homology_ranks(F, beta) == E.ranks(beta), beta
 
 
 def test_minimality(ex61_ideal, ex61_embedded, rng):
@@ -204,16 +208,15 @@ def test_minimality(ex61_ideal, ex61_embedded, rng):
     assert minimality_witness(cellular_complex(K)) is None
 
 
-def _assert_witnesses_agree(X, M):
-    """The library scan, the rebuilt-subcomplex scan over the joins of the
-    vertex labels and the graded strands over the box of the labels' lcm
-    (M's pure powers when every label is a generator) name the same first
-    inexact degree, or all None."""
-    labels = [X.vertex_label(v) for v in sorted(X.vertices)]
+def _assert_witnesses_agree(X, O=None):
+    """The library scan and the exactness oracle, on the sign oracle O of X
+    or a new one, over the joins of the vertex labels and over the box up to
+    their lcm, name the same first inexact degree, or all None."""
+    E = ExactnessOracle(O or sign_oracle(X))
+    labels = [X.vertex_label(v) for v in X.vertices]
     witness = exactness_witness(X)
-    assert witness == subcomplex_exactness_witness(X, labels)
-    F = cellular_complex(X)
-    assert witness == graded_strand_inexact_degree(F, tuple(max(c) for c in zip(*labels)))
+    assert witness == E.witness(subset_lcm_lattice(labels))
+    assert witness == E.witness(product(*(range(b + 1) for b in map(max, zip(*labels)))))
     return witness
 
 
@@ -223,81 +226,75 @@ def test_exactness_agrees_with_graded_strand_oracle(ex61_ideal, ex61_embedded, r
     X = ex61_embedded
     complexes = [X, taylor_complex(ex61_ideal), scarf_complex(ex61_ideal)]
     complexes += [without_face(X, fid) for fid in X.faces_of_dim(2)]
-    witnesses = [_assert_witnesses_agree(Z, ex61_ideal) for Z in complexes]
+    witnesses = [_assert_witnesses_agree(Z) for Z in complexes]
     assert witnesses[:2] == [None, None] and None not in witnesses[2:]
     assert witnesses[3 + X.faces_of_dim(2).index((1, 2, 4))] == (1, 1, 1)
     for _ in range(3):
         M = random_staircase_ideal(rng, max_corners=4, max_step=2)
-        assert _assert_witnesses_agree(embedded_hull(M), M) is None
+        assert _assert_witnesses_agree(embedded_hull(M)) is None
 
 
-def _exactness_cases(M, data):
-    """Hull, Scarf (inexact when M is not generic), Taylor for few
-    generators, and a file complex with one top face of the hull left out."""
-    X = embedded_hull(M)
-    yield X
-    if len(M.generators) <= 12:
-        yield scarf_complex(M)
-    if len(M.generators) <= 6:
-        yield taylor_complex(M)
-    if X.dim >= 1:
-        yield without_face(X, data.draw(st.sampled_from(X.faces_of_dim(X.dim))))
-    vertices = sorted(X.vertices)
-    yield with_whisker(X, data.draw(st.sampled_from(vertices)),
-                       data.draw(st.integers(0, M.n - 1)),
-                       data.draw(st.sampled_from(vertices)))
-
-
-def with_whisker(X, u, i, v):
-    """X and one more vertex, joined by an edge to the vertex v, with the
-    label of the vertex u times z_i: not a minimal generator, so the vertex
-    labels still generate M.  It lies beyond X in the first coordinate."""
-    far = 1 + max(abs(x) for v in X.vertices for x in X.vertex_point(v))
+def with_vertex(X, label, v, joined=False):
+    """X and one more vertex with the given label, beyond X in the first
+    coordinate from the vertex v, and joined to v by an edge when
+    ``joined``."""
+    far = 1 + max(abs(x) for w in X.vertices for x in X.vertex_point(w))
     point = list(X.vertex_point(v))
     point[0] += far * point[-1]
-    label = list(X.vertex_label(u))
-    label[i] += 1
     new = max(X.vertices) + 1
     points = {w: X.vertex_point(w) for w in X.vertices}
     labels = {w: X.vertex_label(w) for w in X.vertices}
     return make_complex(
         X.n, {**points, new: tuple(point)}, {**labels, new: tuple(label)},
-        [fid for fid in X.faces if len(fid) >= 2] + [(v, new)],
+        [fid for fid in X.faces if len(fid) >= 2] + ([(v, new)] if joined else []),
     )
 
 
-def test_whisker_with_a_non_minimal_label_can_break_exactness(ex61_ideal, ex61_embedded):
+def with_whisker(X, u, i, v):
+    """X and one more vertex, joined by an edge to the vertex v, with the
+    label of the vertex u times z_i: not a minimal generator, so the vertex
+    labels still generate X's ideal."""
+    label = list(X.vertex_label(u))
+    label[i] += 1
+    return with_vertex(X, label, v, joined=True)
+
+
+def test_whisker_with_a_non_minimal_label_can_break_exactness(ex61_embedded):
     # z1^2 z2 hangs off z2^2: under (2, 1, 0) it is a point apart from z1^2
     X = with_whisker(ex61_embedded, 0, 1, 3)
-    assert _assert_witnesses_agree(X, ex61_ideal) == (2, 1, 0)
-    assert _assert_witnesses_agree(with_whisker(ex61_embedded, 0, 1, 0), ex61_ideal) is None
-
-
-@settings(max_examples=25)
-@given(artinian_ideals_2_to_4(), st.data())
-def test_exactness_witness_matches_rebuilt_subcomplex_oracle(M, data):
-    for X in _exactness_cases(M, data):
-        _assert_witnesses_agree(X, M)
+    assert _assert_witnesses_agree(X) == (2, 1, 0)
+    assert _assert_witnesses_agree(with_whisker(ex61_embedded, 0, 1, 0)) is None
 
 
 @settings(max_examples=40)
-@given(artinian_ideals_2_to_4())
-def test_collapse_scan_matches_rank_only_scan(M):
-    # hull, embedded hull, Scarf (inexact when M is not generic) and Taylor
-    complexes = [hull_complex(M), embedded_hull(M), scarf_complex(M)]
-    if len(M.generators) <= 6:
-        complexes.append(taylor_complex(M))
-    for X in complexes:
-        assert exactness_witness(X) == rank_exactness_witness(X)
+@given(sign_corpus("drawn"), st.data())
+def test_collapse_scan_matches_rank_only_scan(corpus, data):
+    # the hull, embedded hull, Scarf (inexact when the ideal is not generic)
+    # and Taylor complexes, their files and reoriented copies; the Taylor
+    # complex, every vertex set a face, only up to 6 generators
+    for Z, O, _, _ in with_reoriented_copies(corpus):
+        if len(Z.vertices) <= 6 or len(Z.faces) < 1 << len(Z.vertices):
+            _assert_witnesses_agree(Z, O)
+    # the embedded hull X, a resolution, with a drawn top face tau left out
+    # fails first at tau's label, also beside a lone vertex of that label: a
+    # collapse that took a face with two live cofaces as free could empty
+    # the rest and leave that vertex, a false "acyclic"
+    X = corpus[1][0]
+    tau = data.draw(st.sampled_from(X.faces_of_dim(X.dim)))
+    holed = without_face(X, tau)
+    lone = with_vertex(holed, X.face(tau).label, min(X.vertices))
+    assert _assert_witnesses_agree(holed) == _assert_witnesses_agree(lone) == X.face(tau).label
+    vertices = sorted(X.vertices)
+    _assert_witnesses_agree(with_whisker(X, data.draw(st.sampled_from(vertices)),
+                                         data.draw(st.integers(0, X.n - 1)),
+                                         data.draw(st.sampled_from(vertices))))
 
 
 def test_collapse_scan_matches_rank_only_scan_on_inexact_scarf_complexes():
     # m^4 in 3 and m^2 in 4 variables are not generic, and their Scarf
     # complexes fail where the collapse gets stuck
     for n, d in ((3, 4), (4, 2), (3, 2)):
-        X = scarf_complex(maximal_ideal_power(n, d))
-        witness = exactness_witness(X)
-        assert witness is not None and witness == rank_exactness_witness(X)
+        assert _assert_witnesses_agree(scarf_complex(maximal_ideal_power(n, d))) is not None
 
 
 def _rank_calls(monkeypatch, X):
@@ -313,17 +310,14 @@ def _rank_calls(monkeypatch, X):
 def test_a_stuck_collapse_leaves_the_verdict_to_rank(monkeypatch):
     # a hollow triangle under one label: every vertex has two cofaces, so
     # no pair is free, and the ranks at levels 0 and 1 find the 1-cycle
-    points = {v: homogeneous(p) for v, p in enumerate([(0, 0), (1, 0), (0, 1), (3, 3)])}
-    labels = dict.fromkeys(range(4), (1, 1))
-    edges = [(0, 1), (0, 2), (1, 2)]
-    hollow = make_complex(2, {v: points[v] for v in range(3)},
-                          {v: labels[v] for v in range(3)}, edges)
+    points = {v: homogeneous(p) for v, p in enumerate([(0, 0), (1, 0), (0, 1)])}
+    hollow = make_complex(2, points, dict.fromkeys(range(3), (1, 1)), [(0, 1), (0, 2), (1, 2)])
     assert _rank_calls(monkeypatch, hollow) == ((1, 1), 2)
     # beside a lone vertex: a collapse that took a face with two cofaces as
     # free would remove the triangle and leave that vertex, a false "acyclic"
-    apart = make_complex(2, points, labels, edges)
+    apart = with_vertex(hollow, (1, 1), 0)
     assert _rank_calls(monkeypatch, apart) == ((1, 1), 2)
-    assert rank_exactness_witness(apart) == (1, 1)
+    assert _assert_witnesses_agree(apart) == (1, 1)
 
 
 def test_exactness_invariant_under_reorientation(ex61_embedded, rng):
