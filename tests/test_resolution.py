@@ -267,18 +267,25 @@ def test_whisker_with_a_non_minimal_label_can_break_exactness(ex61_embedded):
 
 
 @settings(max_examples=40)
-@given(sign_corpus("drawn"), st.data())
-def test_collapse_scan_matches_rank_only_scan(corpus, data):
+@given(sign_corpus("drawn"))
+def test_collapse_scan_matches_rank_only_scan(corpus):
     # the hull, embedded hull, Scarf (inexact when the ideal is not generic)
     # and Taylor complexes, their files and reoriented copies; the Taylor
     # complex, every vertex set a face, only up to 6 generators
     for Z, O, _, _ in with_reoriented_copies(corpus):
         if len(Z.vertices) <= 6 or len(Z.faces) < 1 << len(Z.vertices):
             _assert_witnesses_agree(Z, O)
-    # the embedded hull X, a resolution, with a drawn top face tau left out
-    # fails first at tau's label, also beside a lone vertex of that label: a
-    # collapse that took a face with two live cofaces as free could empty
-    # the rest and leave that vertex, a false "acyclic"
+
+
+@settings(max_examples=40)
+@given(sign_corpus("drawn"), st.data())
+def test_exactness_witness_matches_rebuilt_subcomplex_oracle(corpus, data):
+    # the oracle rebuilds each subcomplex X_{<=beta} from the face labels;
+    # here on complexes made from the drawn embedded hull X, a resolution,
+    # that are none: X with a drawn top face tau left out fails first at
+    # tau's label, also beside a lone vertex of that label (a collapse that
+    # took a face with two live cofaces as free could empty the rest and
+    # leave that vertex, a false "acyclic"), and X with a drawn whisker
     X = corpus[1][0]
     tau = data.draw(st.sampled_from(X.faces_of_dim(X.dim)))
     holed = without_face(X, tau)
