@@ -204,11 +204,9 @@ def _cmd_compare(M, args):
 
 
 def _cmd_annihilator(M, args):
+    beta = None if args.beta is None else _parse_beta(args.beta, M.n)
     X = _build_complex(M, args)
     from .residue import annihilator_contains, residue_current
-    beta = None
-    if args.beta is not None:
-        beta = _parse_beta(args.beta, M.n)
     R = residue_current(X)
     components = [
         {"face": fid, "alpha": c.alpha}
@@ -230,15 +228,15 @@ def _cmd_duality_check(M, args):
 
 
 def _cmd_fundamental_cycle(M, args):
-    X = _build_complex(M, args)
-    from .cycle import fundamental_cycle_check, permutation_cycle_check
-    result = fundamental_cycle_check(X)
     if args.permutations is not None:
         perms = _parse_permutations(args.permutations)
     elif M.n <= 4:
         perms = list(iter_permutations(range(1, M.n + 1)))
     else:
         perms = []
+    X = _build_complex(M, args)
+    from .cycle import fundamental_cycle_check, permutation_cycle_check
+    result = fundamental_cycle_check(X)
     asserted = is_generic(M)
     per_permutation = {}
     for p in perms:

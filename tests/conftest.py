@@ -295,6 +295,13 @@ def _fixed_builds(name):
     return builds + [(minimal, sign_oracle(minimal).oriented_tops())]
 
 
+def drawn_builds():
+    """The builds (``_builds``) of an ideal drawn by
+    ``artinian_ideals_2_to_4``: the drawn part of ``sign_corpus`` without
+    its files and reorientations."""
+    return artinian_ideals_2_to_4().map(_builds)
+
+
 @st.composite
 def sign_corpus(draw, source="drawn"):
     """The complexes the sign oracle checks, each drawn once:
@@ -313,7 +320,7 @@ def sign_corpus(draw, source="drawn"):
     from oracles import sign_oracle
 
     if source == "drawn":
-        builds = _builds(draw(artinian_ideals_2_to_4()))
+        builds = draw(drawn_builds())
     else:
         builds = _fixed_builds(source)
     corpus = list(builds)

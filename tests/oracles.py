@@ -4,19 +4,22 @@ Each oracle reaches its answer another way than the library: subset
 enumeration instead of join closure, box scans and inclusion-exclusion
 instead of staircase slicing, Fraction elimination and Gram-Schmidt
 instead of the integer Bareiss kernel, the facets of conv(points) with a
-Fourier-Motzkin test instead of integer facet enumeration, containment
-solves and volumes per pair of faces instead of barycentric supports,
-every degree ranked instead of a collapse, and wedge forms and dense
-polynomial matrices instead of sign columns.
+Fourier-Motzkin test instead of integer facet enumeration, affine
+barycentric coordinates and volumes in Fractions instead of integer
+homogeneous ones, every degree ranked instead of a collapse, and wedge
+forms and dense polynomial matrices instead of sign columns.
 
-``SignOracle`` is the one sign oracle: every facet incidence sign, flip,
-orientation against the corner simplex and top flip of a complex, from
-its vertex points, its face sets and bases it carries itself, by Gram
-determinants.  ``ExactnessOracle`` is the one exactness oracle: the
-reduced homology of every X_{<=beta}, from a sign oracle's signs and the
-vertex labels.  An oracle imports from ``cellres`` only records and errors
-(``LabeledCellComplex``, the error classes, ``cli.SUBCOMMANDS``), never
-the code it checks; ``test_oracles`` holds it to that.
+``SignOracle`` is the one sign and containment oracle: every facet
+incidence sign, flip, orientation against the corner simplex and top flip
+of a complex, by Gram determinants, and whether the complex refines that
+simplex and which faces each face of it carries, by barycentric
+coordinates, all from its vertex points and labels, its face sets and
+bases it carries itself.  ``ExactnessOracle`` is the one exactness
+oracle: the reduced homology of every X_{<=beta}, from a sign oracle's
+signs and the vertex labels.  An oracle imports from ``cellres`` only
+records and errors (``LabeledCellComplex``, the error classes,
+``cli.SUBCOMMANDS``), never the code it checks; ``test_oracles`` holds it
+to that.
 """
 
 from collections import namedtuple
@@ -24,7 +27,7 @@ from copy import copy
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import factorial, lcm
+from math import lcm
 from operator import le
 
 
@@ -35,10 +38,6 @@ def affine(point):
 
 def _point(X, v):
     return affine(X.vertex_point(v))
-
-
-def _face_points(X, fid):
-    return [_point(X, v) for v in X.face(fid).vertices]
 
 
 def subset_lcm_lattice(generators):
@@ -149,7 +148,7 @@ def fraction_det(matrix):
 def fraction_solve(matrix, rhs):
     """A solution of A x = b with free variables 0, or None when
     inconsistent, by Gauss-Jordan over Fractions (the rational solve the
-    integer ``bareiss_solve`` once replaced)."""
+    library's retired integer ``linalg.solve`` once replaced)."""
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     nrows = len(a)
     ncols = len(matrix[0]) if nrows else 0
@@ -214,25 +213,6 @@ def bareiss_cross_product(vectors, k):
     for row, c in zip(m, pivots):
         normal[c] = -row[free]
     return normal
-
-
-def bareiss_solve(matrix, rhs):
-    """(numerators, d) with d > 0 and x = numerators / d solving A x = b,
-    free variables zero, or None when inconsistent, read off the
-    Gauss-Jordan form of [A | b] (the retired ``linalg.solve``)."""
-    ncols = len(matrix[0]) if matrix else 0
-    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = _bareiss_gauss_jordan(m)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [0] * ncols
-    if not pivots:
-        return tuple(x), 1
-    last = m[len(pivots) - 1][pivots[-1]]
-    s = 1 if last > 0 else -1
-    for row, c in zip(m, pivots):
-        x[c] = s * row[ncols]
-    return tuple(x), s * last
 
 
 def _orthogonal_residual(v, basis):
@@ -488,126 +468,12 @@ def hull_face_sets(generators, t):
     return bounded
 
 
-def point_in_simplex(point, simplex_points):
-    """Whether the point is a nonnegative affine combination of the simplex
-    vertices, by one solve (the retired ``cellcomplex.point_in_simplex``)."""
-    rows = [[p[c] for p in simplex_points] for c in range(len(point))]
-    rows.append([1] * len(simplex_points))
-    coords = fraction_solve(rows, list(point) + [1])
-    return coords is not None and all(c >= 0 for c in coords)
-
-
-def _face_in_simplex(X, fid, simplex_points):
-    return all(
-        point_in_simplex(_point(X, v), simplex_points)
-        for v in X.face(fid).vertices
-    )
-
-
-def _triangulate(X, fid):
-    """Simplices decomposing a face: cones from its first vertex over the
-    simplices of the facets that miss it."""
-    face = X.face(fid)
-    if face.dim <= 0 or len(face.vertices) == face.dim + 1:
-        return [face.vertices]
-    apex = face.vertices[0]
-    return [
-        (apex,) + s
-        for tau in X.facets(fid)
-        if apex not in tau
-        for s in _triangulate(X, tau)
-    ]
-
-
 def _coords_in_basis(v, basis):
     rows = [[b[c] for b in basis] for c in range(len(v))]
     coords = fraction_solve(rows, list(v))
     if coords is None:
         raise ValueError("vector outside the reference span")
     return coords
-
-
-def face_volume_rel(X, fid, basis, origin):
-    """k-dimensional volume of a face measured in the given reference basis,
-    which must span the face's direction space (the retired
-    ``cellcomplex.face_volume_rel``)."""
-    k = X.face(fid).dim
-    if k <= 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for simplex in _triangulate(X, fid):
-        p0 = _point(X, simplex[0])
-        edges = [
-            _coords_in_basis([x - y for x, y in zip(_point(X, v), p0)], basis)
-            for v in simplex[1:]
-        ]
-        total += abs(fraction_det(edges))
-    return total / factorial(k)
-
-
-def pairwise_is_refinement(X, Y):
-    """Whether X refines the simplex complex Y, by a containment test per
-    pair of a face of X and a face of Y (the retired
-    ``cellcomplex.is_refinement``): every vertex inside the top simplex,
-    the k-faces inside each k-face of Y filling its volume, and the label
-    of every face inside a face of Y dividing that face's label."""
-    top = max(Y.faces, key=len)
-    top_points = _face_points(Y, top)
-    if not all(point_in_simplex(_point(X, v), top_points) for v in X.vertices):
-        return False
-    bases = sign_oracle(Y).bases
-    for k in range(0, len(top)):
-        for sid in Y.faces_of_dim(k):
-            spts = _face_points(Y, sid)
-            inside = [fid for fid in X.faces_of_dim(k) if _face_in_simplex(X, fid, spts)]
-            if k == 0:
-                if len(inside) != 1:
-                    return False
-                continue
-            basis = bases[sid]
-            try:
-                total = sum(
-                    (face_volume_rel(X, fid, basis, spts[0]) for fid in inside),
-                    Fraction(0),
-                )
-            except ValueError:
-                return False
-            if total != face_volume_rel(Y, sid, basis, spts[0]):
-                return False
-    for sid, sface in Y.faces.items():
-        if sface.dim < 0:
-            continue
-        spts = _face_points(Y, sid)
-        for fid, f in X.faces.items():
-            if 0 <= f.dim <= sface.dim and _face_in_simplex(X, fid, spts):
-                if any(a > b for a, b in zip(f.label, sface.label)):
-                    return False
-    return True
-
-
-def pairwise_contained_faces(Y, sigma_id, X, k):
-    """The k-faces of X inside the k-face sigma of the simplex complex Y,
-    by a containment solve per face (the retired
-    ``cellcomplex.contained_faces``); raises ValueError when that
-    disagrees with the test that every vertex label is supported on the
-    variables of sigma's pure powers."""
-    allowed = {
-        i for v in sigma_id for i, e in enumerate(Y.vertex_label(v)) if e > 0
-    }
-    spts = _face_points(Y, sigma_id)
-    result = []
-    for fid in X.faces_of_dim(k):
-        support_ok = all(
-            i in allowed
-            for v in fid
-            for i, e in enumerate(X.vertex_label(v))
-            if e > 0
-        )
-        if support_ok != _face_in_simplex(X, fid, spts):
-            raise ValueError(f"support and geometry disagree on {fid}")
-        if support_ok:
-            result.append(fid)
-    return result
 
 
 def cofaces(X, tau_id, k):
@@ -876,6 +742,12 @@ class SignOracle:
       pivot basis (``carried``);
     - the top flip: the tops opposite to the simplex's top face, when they
       have its dimension and lie in its affine hull (``top_flips``).
+
+    The same barycentric coordinates decide containment: a face's carrier,
+    the union of its vertices' supports, and its volume relative to the
+    carrier (``volume``) give whether the complex refines the corner
+    simplex (``refinement_failure``), and the carriers and labels whether
+    support and geometry agree (``disagreement``).
     """
 
     def __init__(self, n, vertices, face_ids, given=None):
@@ -952,19 +824,87 @@ class SignOracle:
     def simplex_basis(self, sid):
         return _pivot_basis([self.corners[y] for y in sid])
 
+    def simplex_faces(self):
+        """The nonempty faces of the corner simplex, by size, then sorted."""
+        return [sid for size in range(1, self.n + 1) for sid in combinations(range(self.n), size)]
+
+    def label(self, fid):
+        """A face's label, the lcm of its vertices' labels."""
+        return tuple(map(max, zip(*(self.labels[v] for v in fid)))) if fid else (0,) * self.n
+
+    def carrier(self, fid):
+        """The union of the barycentric supports of a face's vertices, which
+        must all have coordinates."""
+        return tuple(sorted({y for v in fid for y, c in enumerate(self.barycentrics[v]) if c}))
+
+    def simplices(self, fid):
+        """Simplices triangulating a face: cones from its first vertex over
+        those of its facets that miss it."""
+        if len(fid) == self.dims[fid] + 1:
+            return [fid]
+        return [(fid[0],) + s for t in self.facets[fid] if fid[0] not in t
+                for s in self.simplices(t)]
+
+    def volume(self, fid):
+        """A face's volume relative to its carrier S, which must have the
+        face's dimension: the sum over the simplices triangulating it of
+        |det| of their vertices' barycentric coordinates restricted to S."""
+        span = self.carrier(fid)
+        return sum(abs(fraction_det([[self.barycentrics[v][y] for y in span] for v in s]))
+                   for s in self.simplices(fid))
+
+    def refinement_failure(self):
+        """Why the complex does not refine its corner simplex, which it must
+        have, or None, in the library's words: the first vertex with no
+        barycentric coordinates or a negative one; else the first face whose
+        label does not divide the label of its carrier S, z_i^{b_i} over i
+        in S; else the first face S of the simplex, in sorted order, where
+        the volumes of the faces with carrier S and dimension |S| - 1 do not
+        sum to 1."""
+        coords = self.barycentrics
+        for v in sorted(coords):
+            if coords[v] is None or min(coords[v]) < 0:
+                return f"vertex {v} lies outside the simplex"
+        b = [self.labels[v][i] for i, v in enumerate(_corner_vertices(self.n, self.labels))]
+        faces = [fid for fid, dim in self.dims.items() if dim >= 0]
+        for fid in faces:
+            span = self.carrier(fid)
+            if any(e > (b[i] if i in span else 0) for i, e in enumerate(self.label(fid))):
+                return f"label of face {fid} does not divide the label of {span}"
+        covered = dict.fromkeys(self.simplex_faces(), 0)
+        for fid in faces:
+            if len(self.carrier(fid)) == self.dims[fid] + 1:
+                covered[self.carrier(fid)] += self.volume(fid)
+        for sid, volume in sorted(covered.items()):
+            if volume != 1:
+                return f"face {sid} is covered with volume {volume}"
+        return None
+
+    def disagreement(self):
+        """The face where support and geometry disagree, or None: at the
+        first face S of the corner simplex, by size, then sorted, where the
+        faces of dimension |S| - 1 with carrier in S are not those with
+        label supported in S, the least face in only one of the two."""
+        for sid in self.simplex_faces():
+            level = [fid for fid, dim in self.dims.items() if dim == len(sid) - 1]
+            inside = {fid for fid in level if set(self.carrier(fid)) <= set(sid)}
+            labeled = {fid for fid in level
+                       if not any(e for i, e in enumerate(self.label(fid)) if i not in sid)}
+            if inside != labeled:
+                return min(inside ^ labeled)
+        return None
+
     def carried(self):
         """{nonempty face S of the corner simplex: {face carried by S: its
         orientation against S}}."""
         coords = self.barycentrics
-        carried = {sid: {} for size in range(1, self.n + 1)
-                   for sid in combinations(range(self.n), size)}
+        carried = {sid: {} for sid in self.simplex_faces()}
         for fid, dim in self.dims.items():
             if dim < 0 or any(coords[v] is None or min(coords[v]) < 0 for v in fid):
                 continue
-            support = tuple(sorted({y for v in fid for y, c in enumerate(coords[v]) if c}))
-            if len(support) == dim + 1:
-                carried[support][fid] = gram_orientation(self.simplex_basis(support),
-                                                         self.bases[fid])
+            span = self.carrier(fid)
+            if len(span) == dim + 1:
+                carried[span][fid] = gram_orientation(self.simplex_basis(span), self.bases[fid])
         return {sid: dict(sorted(faces.items())) for sid, faces in carried.items()}
 
     def top_flips(self):
@@ -1027,8 +967,7 @@ class ExactnessOracle:
     def __init__(self, O):
         self.signs = O.facet_ids()
         self.top = max(O.dims.values())
-        self.labels = {fid: tuple(map(max, zip(*(O.labels[v] for v in fid)))) if fid
-                       else (0,) * O.n for fid in O.dims}
+        self.labels = {fid: O.label(fid) for fid in O.dims}
         self.levels = {k: sorted(fid for fid, dim in O.dims.items() if dim == k)
                        for k in range(-1, self.top + 1)}
         self._boundary_ranks = {}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from unittest import mock
 
@@ -39,6 +40,7 @@ from conftest import (
     FIXED_CORPUS,
     artinian_ideals,
     artinian_ideals_2_to_4,
+    drawn_builds,
     embedded_hull,
     maximal_ideal_power,
     random_complete_intersection,
@@ -49,19 +51,12 @@ from conftest import (
     without_face,
 )
 from oracles import (
-    _face_points,
     _is_geometric_facet,
     affine,
     all_pairs_intersection_failure,
-    bareiss_solve,
     cofaces,
-    face_volume_rel,
-    fraction_solve,
     gram_pivots,
     oriented_oracle,
-    pairwise_contained_faces,
-    pairwise_is_refinement,
-    point_in_simplex,
     same_span_orientation,
     sign_oracle,
     subcomplex_leq,
@@ -204,14 +199,10 @@ def _delta(ex61_embedded):
 
 def test_cofaces_counts(ex61_embedded):
     X = ex61_embedded
-    Y = _delta(ex61_embedded)
-    boundary_simplices = [_face_points(Y, fid) for fid in Y.faces_of_dim(1)]
+    O = sign_oracle(X)
     for edge in X.faces_of_dim(1):
-        pts = _face_points(X, edge)
-        on_boundary = any(
-            all(point_in_simplex(p, spts) for p in pts)
-            for spts in boundary_simplices
-        )
+        # an edge on the simplex's boundary has a carrier of two corners
+        on_boundary = len(O.carrier(edge)) < X.n
         count = len(cofaces(X, edge, 2))
         assert count == (1 if on_boundary else 2)
     top = X.faces_of_dim(2)[0]
@@ -257,31 +248,21 @@ def test_contained_faces_top_and_vertices(ex61_embedded):
 
 def test_contained_faces_edge(ex61_embedded):
     X = ex61_embedded
-    Y = _delta(ex61_embedded)
+    O = sign_oracle(X)
     inside = list(carried_faces(X)[(0, 1)])
     assert inside == [(0, 1), (1, 3)]
     assert {X.face(f).label for f in inside} == {(2, 1, 0), (1, 2, 0)}
-    # barycentric containment oracle
-    segment = _face_points(Y, (0, 1))
     for fid in X.faces_of_dim(1):
-        contained = all(
-            point_in_simplex(affine(X.vertex_point(v)), segment) for v in fid
-        )
-        assert contained == (fid in inside)
+        assert (set(O.carrier(fid)) <= {0, 1}) == (fid in inside)
 
 
 def test_contained_faces_partition_volumes(ex61_embedded):
+    # the faces each face S of the simplex carries fill S's volume
     X = ex61_embedded
-    Y = _delta(ex61_embedded)
+    O = sign_oracle(X)
     for k in (1, 2):
-        for sid in Y.faces_of_dim(k):
-            basis = sign_oracle(Y).bases[sid]
-            origin = _face_points(Y, sid)[0]
-            total = sum(
-                face_volume_rel(X, fid, basis, origin)
-                for fid in carried_faces(X)[sid]
-            )
-            assert total == face_volume_rel(Y, sid, basis, origin)
+        for sid in _delta(ex61_embedded).faces_of_dim(k):
+            assert sum(O.volume(fid) for fid in carried_faces(X)[sid]) == 1
 
 
 def test_subcomplex_leq(ex61_embedded, ex61_ideal):
@@ -301,7 +282,8 @@ def test_refinement_sign_identity(ex61_embedded):
     # sign(sigma',sigma) sign(tau',sigma') = sign(tau,sigma) sign(tau',tau)
     X = ex61_embedded
     Y = _delta(ex61_embedded)
-    carried = oriented_oracle(X).carried()
+    O = oriented_oracle(X)
+    carried = O.carried()
     checked = 0
     for k in (1, 2):
         for sid in Y.faces_of_dim(k):
@@ -309,14 +291,8 @@ def test_refinement_sign_identity(ex61_embedded):
                 for tau in Y.facets(sid):
                     if Y.face(tau).dim < 0:
                         continue
-                    tau_pts = _face_points(Y, tau)
                     for tprime in X.facets(sprime):
-                        if X.face(tprime).dim < 0:
-                            continue
-                        if not all(
-                            point_in_simplex(affine(X.vertex_point(v)), tau_pts)
-                            for v in tprime
-                        ):
+                        if X.face(tprime).dim < 0 or not set(O.carrier(tprime)) <= set(tau):
                             continue
                         lhs = carried[sid][sprime] * X.facet_ids[sprime][tprime]
                         rhs = Y.facet_ids[sid][tau] * carried[tau][tprime]
@@ -329,18 +305,14 @@ def test_interior_facet_cancellation(ex61_embedded):
     # subdividing an oriented polytope: the two cofaces of an interior facet
     # contribute opposite signed incidences
     X = ex61_embedded
-    Y = _delta(ex61_embedded)
-    carried = oriented_oracle(X).carried()
+    O = oriented_oracle(X)
+    carried = O.carried()
     checked = 0
     for k in (1, 2):
-        for sid in Y.faces_of_dim(k):
-            spts = _face_points(Y, sid)
+        for sid in _delta(ex61_embedded).faces_of_dim(k):
             inside_k = carried_faces(X)[sid]
-            inside_km1 = [
-                fid
-                for fid in X.faces_of_dim(k - 1)
-                if all(point_in_simplex(affine(X.vertex_point(v)), spts) for v in fid)
-            ]
+            inside_km1 = [fid for fid in X.faces_of_dim(k - 1)
+                          if set(O.carrier(fid)) <= set(sid)]
             for tau in inside_km1:
                 cof = [s for s in inside_k if tau in X.facets(s)]
                 if len(cof) != 2:
@@ -889,55 +861,63 @@ def test_refinement_witness_names_the_failure(ex61_embedded):
 
 
 def _library_containment(X):
-    """False when X does not refine its corner simplex, else the faces of X
-    carried by each face of the simplex, in (dimension, face) order, or the
-    first face where support and geometry disagree."""
-    if refinement_failure(X) is not None:
+    """Why X does not refine its corner simplex, else the faces of X each
+    face of the simplex carries with their orientations, or the refusal
+    where support and geometry disagree."""
+    failure = refinement_failure(X)
+    if failure is not None:
         with pytest.raises(PreconditionError, match="does not refine the corner simplex"):
             carried_faces(X)
-        return False
+        return failure
     try:
-        return [(sid, list(faces)) for sid, faces in carried_faces(X).items()]
+        return carried_faces(X)
     except PreconditionError as exc:
         return str(exc).split(":")[0]
 
 
-def _oracle_containment(X, Y):
-    """_library_containment by the pairwise oracles, handed the simplex Y."""
-    if not pairwise_is_refinement(X, Y):
-        return False
-    carried = []
-    for sid in sorted(Y.faces, key=lambda s: (len(s), s))[1:]:
-        try:
-            carried.append((sid, pairwise_contained_faces(Y, sid, X, len(sid) - 1)))
-        except ValueError as exc:
-            return str(exc)
-    return carried
+def _oracle_containment(O):
+    """_library_containment by the sign oracle O."""
+    failure = O.refinement_failure()
+    if failure is not None:
+        return failure
+    disagreement = O.disagreement()
+    if disagreement is not None:
+        return f"support and geometry disagree on {disagreement}"
+    return O.carried()
 
 
-def _assert_containment_matches_oracle(X):
-    """The library against the pairwise oracles, which are handed X's own
-    corner simplex; a complex whose labels miss a pure power has none."""
-    try:
-        Y = corner_simplex_complex(X)
-    except PreconditionError:
-        with pytest.raises(PreconditionError, match="not Artinian"):
+def _assert_containment_matches_oracle(X, O=None):
+    """The library against the sign oracle O carrying X's bases, by default
+    ``oriented_oracle(X)``; the library refuses a complex that has no corner
+    simplex, as its labels miss a pure power or its corners are dependent.
+    Returns the verdict: None when X refines the simplex, else the refusal,
+    or "no corner simplex"."""
+    O = O or oriented_oracle(X)
+    if O.corners is None:
+        with pytest.raises((PreconditionError, InputError)):
             refinement_failure(X)
-        return
-    assert _library_containment(X) == _oracle_containment(X, Y)
+        return "no corner simplex"
+    verdict = _oracle_containment(O)
+    assert _library_containment(X) == verdict
+    return None if isinstance(verdict, dict) else verdict
+
+
+def _failure_kind(verdict):
+    """The kind of a containment verdict, for the events of a drawn test."""
+    return next((kind for kind in ("lies outside", "does not divide", "covered with volume",
+                                   "support and geometry", "no corner simplex")
+                 if kind in (verdict or "")), "refines")
 
 
 def _perturbations(X):
-    """Complexes next to X, most of which do not refine its corner simplex:
-    every vertex label bumped in every variable, every top face dropped,
-    and every inner vertex moved towards or away from each corner or off
-    the affine hull of the simplex (moves that leave no complex are
-    skipped).  A bumped corner relabels the simplex with it."""
-    for v in sorted(X.vertices):
-        for var in range(X.n):
-            yield _bumped(X, v, var)
-    for fid in X.faces_of_dim(X.dim):
-        yield without_face(X, fid)
+    """Functions each making a complex next to X, most of which do not
+    refine its corner simplex: every vertex label bumped in every variable,
+    every top face dropped, and every inner vertex moved towards or away
+    from each corner or off the affine hull of the simplex (a move that
+    leaves no complex raises InputError).  A bumped corner relabels the
+    simplex with it."""
+    changes = [partial(_bumped, X, v, var) for v in sorted(X.vertices) for var in range(X.n)]
+    changes += [partial(without_face, X, fid) for fid in X.faces_of_dim(X.dim)]
     Y = corner_simplex_complex(X)
     corners = [affine(Y.vertex_point(y)) for y in sorted(Y.vertices)]
     for v in sorted(X.vertices):
@@ -949,11 +929,25 @@ def _perturbations(X):
             for corner in corners
             for s in (Fraction(-1, 2), Fraction(1, 3), Fraction(2))
         ]
-        for target in targets + [tuple(2 * x for x in p)]:
-            try:
-                yield _moved(X, v, target)
-            except InputError:
-                pass
+        changes += [partial(_moved, X, v, target) for target in targets + [tuple(2 * x for x in p)]]
+    return changes
+
+
+def _made(changes):
+    """The complexes the changes make, skipping the moves that leave none."""
+    for make in changes:
+        try:
+            yield make()
+        except InputError:
+            pass
+
+
+def _drawn_perturbation(data, X):
+    """A complex next to X: that of a drawn change (``_perturbations``), or
+    where it leaves none, of the first change after it that makes one."""
+    changes = _perturbations(X)
+    i = data.draw(st.integers(0, len(changes) - 1))
+    return next(_made(changes[i:] + changes[:i]))
 
 
 def _containment_cases(M):
@@ -963,20 +957,31 @@ def _containment_cases(M):
 
 
 @settings(max_examples=40)
-@given(artinian_ideals())
-def test_containment_matches_pairwise_oracle(M):
-    for X in _containment_cases(M):
-        _assert_containment_matches_oracle(X)
-    assert refinement_failure(next(_containment_cases(M))) is None
+@given(sign_corpus("drawn"), st.data())
+def test_containment_matches_pairwise_oracle(corpus, data):
+    # the builds and their drawn-bases files, against the oracle each was
+    # drawn with: the lifted hull's inner vertices, and those of a Taylor
+    # complex of more generators than variables, lie off the simplex, and
+    # a Scarf complex of an ideal that is not generic leaves it uncovered;
+    # and one drawn complex next to the embedded hull
+    verdicts = [_assert_containment_matches_oracle(Z, O) for Z, O, _, _ in corpus]
+    assert verdicts[1] is None  # the embedded hull refines its simplex
+    X = corpus[1][0]
+    verdicts.append(_assert_containment_matches_oracle(_drawn_perturbation(data, X)))
+    for verdict in verdicts:
+        event(_failure_kind(verdict))
 
 
 @settings(max_examples=40)
-@given(artinian_ideals(), st.data())
-def test_containment_matches_pairwise_oracle_on_perturbed_complexes(M, data):
-    X = next(_containment_cases(M))
-    _assert_containment_matches_oracle(
-        data.draw(st.sampled_from(list(_perturbations(X))))
-    )
+@given(drawn_builds(), st.data())
+def test_containment_matches_pairwise_oracle_on_perturbed_complexes(builds, data):
+    # one drawn complex next to each build of the corpus that refines its
+    # simplex: the embedded hull, a generic ideal's Scarf complex, the
+    # Taylor complex of a complete intersection
+    for Z, O in builds:
+        if O.refinement_failure() is None:
+            perturbed = _drawn_perturbation(data, Z)
+            event(_failure_kind(_assert_containment_matches_oracle(perturbed)))
 
 
 def test_containment_matches_pairwise_oracle_on_seeded_ideals(rng):
@@ -985,25 +990,19 @@ def test_containment_matches_pairwise_oracle_on_seeded_ideals(rng):
     ideals = [minimize(EX61_GENERATORS), maximal_ideal_power(3, 3)]
     for _ in range(3):
         ideals += [random_staircase_ideal(rng), random_generic_ideal_3(rng)]
-    verdicts = []
-    for M in ideals:
-        for X in _containment_cases(M):
-            _assert_containment_matches_oracle(X)
-            verdicts.append(refinement_failure(X) is None)
-    assert True in verdicts and False in verdicts
+    verdicts = [_assert_containment_matches_oracle(X)
+                for M in ideals for X in _containment_cases(M)]
+    assert None in verdicts and any(verdicts)
 
 
 def test_containment_matches_pairwise_oracle_on_perturbed_ex61(ex61_embedded):
-    failures = []
-    for perturbed in _perturbations(ex61_embedded):
-        _assert_containment_matches_oracle(perturbed)
-        try:
-            failures.append(refinement_failure(perturbed))
-        except PreconditionError:  # a corner bumped off its pure power
-            pass
+    failures = [_assert_containment_matches_oracle(perturbed)
+                for perturbed in _made(_perturbations(ex61_embedded))]
     assert failures.count(None) < len(failures) / 2
-    # every kind of failure is among them
-    for kind in ("lies outside the simplex", "does not divide", "is covered with volume"):
+    # every kind of failure is among them, a corner bumped off its pure
+    # power leaving no corner simplex
+    for kind in ("lies outside the simplex", "does not divide", "is covered with volume",
+                 "no corner simplex"):
         assert any(kind in (f or "") for f in failures), kind
 
 
@@ -1011,7 +1010,7 @@ def test_containment_disagreement_matches_pairwise_oracle():
     X = complex_from_json(DUPLICATE_CORNER_JSON)
     assert refinement_failure(X) is None
     assert _library_containment(X) == "support and geometry disagree on (1,)"
-    _assert_containment_matches_oracle(X)
+    assert _assert_containment_matches_oracle(X) == _library_containment(X)
 
 
 @settings(max_examples=20)
@@ -1031,25 +1030,23 @@ def test_barycentric_coordinates_solved_once_per_vertex(M):
 
 
 def _assert_barycentrics_match_the_solves(X):
-    """Each vertex's mu / d solves for its point against the corner simplex
-    over Fractions, (mu, d) is what the retired integer solve gave, with one
-    d > 0 for all vertices, and the carrier of each face whose vertices all
-    have them is the union of the supports of its vertices' Fraction
-    solutions, as the refinement pass files it when every vertex has them."""
-    try:
-        Y = corner_simplex_complex(X)
-    except PreconditionError:  # a bumped corner left no pure power
+    """Each vertex's (mu, d) gives its barycentric coordinates against the
+    corner simplex, lambda_j = mu_j w_j / (d w) with w the vertex's weight
+    and w_j the j-th corner's, as the sign oracle solves them over
+    Fractions, with one d > 0 for all vertices; and the carrier of each face
+    whose vertices all have them is the oracle's, as the refinement pass
+    files it when every vertex has them."""
+    O = sign_oracle(X)
+    if O.corners is None:  # a bumped corner left no pure power
         return
-    columns = list(zip(*(Y.vertex_point(y) for y in range(X.n))))
     coords, d = _vertex_barycentrics(X)
-    solved = {v: fraction_solve(columns, X.vertex_point(v)) for v in X.vertices}
+    assert d > 0
     for v, mu in coords.items():
-        assert (mu and tuple(Fraction(c, d) for c in mu)) == solved[v]
-        assert (mu and (mu, d)) == bareiss_solve(columns, X.vertex_point(v))
-    expected = {
-        fid: tuple(sorted({y for v in fid for y, c in enumerate(solved[v]) if c}))
-        for fid in X.faces if fid and all(solved[v] is not None for v in fid)
-    }
+        w = X.vertex_point(v)[-1]
+        assert (mu and tuple(Fraction(c * corner[-1], d * w)
+                             for c, corner in zip(mu, O.corners))) == O.barycentrics[v]
+    expected = {fid: O.carrier(fid) for fid in X.faces
+                if fid and None not in map(O.barycentrics.get, fid)}
     assert {fid: simplex._carrier(coords, fid) for fid in expected} == expected
     if None not in coords.values():
         assert simplex._covering(X)[0] == expected
@@ -1074,7 +1071,7 @@ def test_barycentrics_match_the_retired_solves(M, data):
     mirror = _mirrored(X)
     assert refinement_failure(mirror) is None
     cases = [hull_complex(M), X, mirror,
-             _mirrored(data.draw(st.sampled_from(list(_perturbations(X)))))]
+             _mirrored(_drawn_perturbation(data, X))]
     if len(M.generators) <= 15:
         cases.append(scarf_complex(M))
     for Z in cases:
@@ -1268,7 +1265,7 @@ def _geometry(X):
     supports = {v: mu and tuple((c > 0) - (c < 0) for c in mu)
                 for v, mu in coords.items()}
     return ({fid: f.dim for fid, f in X.faces.items()}, X.facet_ids, supports,
-            refinement_failure(X), _library_containment(X))
+            _library_containment(X))
 
 
 @settings(max_examples=30)

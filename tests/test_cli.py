@@ -139,6 +139,21 @@ def test_permutation_parse_errors_exit_2(capsys, monkeypatch):
         assert code == 2 and "permutations" in out["error"]
 
 
+def test_malformed_flags_exit_2_before_the_complex_is_built(capsys, monkeypatch):
+    # a hull of many generators takes long to build, so a flag's fault is
+    # named first; that a list is a permutation is checked on the complex
+    from cellres import cli
+
+    built = []
+    monkeypatch.setattr(cli, "_build_complex", lambda M, args: built.append(args))
+    for args, flag in ((["annihilator", "--beta", "1,1"], "--beta"),
+                       (["annihilator", "--beta", "a"], "integer vector"),
+                       (["fundamental-cycle", "--permutations", "a"], "permutations")):
+        code, out = invoke(capsys, monkeypatch, args, EX61)
+        assert code == 2 and flag in out["error"]
+    assert built == []
+
+
 def test_large_exponents(capsys, monkeypatch):
     big = {
         "n": 3,

@@ -27,9 +27,11 @@ from cellres import (
 )
 from cellres.cellcomplex import LabeledCellComplex
 from cellres.residue import _verify_square
+from cellres.resolution import _face_masks
 from conftest import (
     artinian_ideals_2_to_4,
     complete_intersection,
+    drawn_builds,
     embedded_hull,
     flip_sign,
     maximal_ideal_power,
@@ -275,6 +277,27 @@ def test_collapse_scan_matches_rank_only_scan(corpus):
     for Z, O, _, _ in with_reoriented_copies(corpus):
         if len(Z.vertices) <= 6 or len(Z.faces) < 1 << len(Z.vertices):
             _assert_witnesses_agree(Z, O)
+
+
+@settings(max_examples=30)
+@given(drawn_builds())
+def test_face_masks_select_the_faces_under_each_join(builds):
+    # the scan's live set at a degree, the AND of one table entry per
+    # coordinate, is the nonempty faces whose label divides it, whether or
+    # not the collapse then settles the degree; on the builds of the drawn
+    # corpus, whose files have the same faces and labels
+    for Z, O in builds:
+        F = cellular_complex(Z)
+        faces = [fid for k in range(F.top + 1) for fid in F.basis(k)]
+        tables = _face_masks(F)[2]
+        E = ExactnessOracle(O)
+        for beta in subset_lcm_lattice([Z.vertex_label(v) for v in Z.vertices]):
+            live = -1
+            for table, b in zip(tables, beta):
+                live &= table[b]
+            under = E.under(beta)
+            assert {fid for i, fid in enumerate(faces) if live >> i & 1} == {
+                fid for k in range(F.top + 1) for fid in under[k]}
 
 
 @settings(max_examples=40)

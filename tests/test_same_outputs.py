@@ -27,12 +27,14 @@ def test_resolve_compare_and_check_minimal_run_also_on_scarf_and_taylor():
         "jobs": [job(0, "compare"), job(1, "residue"), job(2, "resolve", "x.json"),
                  job(3, "check-minimal"), job(5, "fundamental-cycle"),
                  job(6, "multiplicity"), job(7, "check-exact"),
-                 job(8, "check-exact", ideal="wide")],
+                 job(8, "check-exact", ideal="wide"), job(9, "annihilator"),
+                 job(10, "duality-check")],
         "setup": job(4, "generators"),
     }
     argvs = same_outputs.job_argvs(manifest)
-    # residue and fundamental-cycle too, so that the current's signs are
-    # compared, and check-exact, so that the witnesses of inexact complexes are
+    # residue, annihilator, duality-check and fundamental-cycle too, so that
+    # the current's signs are compared, and check-exact, so that the
+    # witnesses of inexact complexes are
     assert list(argvs) == [
         "00 compare ideal", "00 compare ideal --complex scarf",
         "00 compare ideal --complex taylor", "01 residue ideal",
@@ -45,6 +47,9 @@ def test_resolve_compare_and_check_minimal_run_also_on_scarf_and_taylor():
         "07 check-exact ideal --complex taylor",
         # 11 generators: a Taylor complex of 2^11 faces is left out
         "08 check-exact wide", "08 check-exact wide --complex scarf",
+        "09 annihilator ideal", "09 annihilator ideal --complex scarf",
+        "09 annihilator ideal --complex taylor", "10 duality-check ideal",
+        "10 duality-check ideal --complex scarf", "10 duality-check ideal --complex taylor",
         "04 generators ideal",
     ]
     assert argvs["03 check-minimal ideal --complex taylor"] == [

@@ -10,10 +10,11 @@ checkout's ``benchmark/jobs.py``, and every job, the setup job included,
 runs as one ``python -m cellres.cli`` process under
 ``PYTHONDONTWRITEBYTECODE=1`` against the ``src/`` of each revision in turn.
 Each ``resolve``, ``compare``, ``check-exact``, ``check-minimal``,
-``residue`` or ``fundamental-cycle`` job that passes no ``--complex`` runs
-also with ``--complex scarf`` and with ``--complex taylor``, so that the
-incidence signs of those complexes are compared too, and the exactness
-witnesses of the Scarf complexes that are not resolutions.  The Taylor
+``residue``, ``annihilator``, ``duality-check`` or ``fundamental-cycle`` job
+that passes no ``--complex`` runs also with ``--complex scarf`` and with
+``--complex taylor``, so that the incidence signs of those complexes are
+compared too, and the exactness witnesses and refinement refusals of the
+Scarf complexes that are not resolutions.  The Taylor
 variant runs only on ideals of at most ``TAYLOR_MAX_GENERATORS``
 generators: the Taylor complex of r generators has 2^r faces, and the
 hull-dense ``check-exact`` jobs have 12 and 15.  The embedded hull has its top
@@ -49,7 +50,7 @@ def differences(base: dict, head: dict) -> list:
 
 
 VARIANT_COMMANDS = ("resolve", "compare", "check-exact", "check-minimal", "residue",
-                    "fundamental-cycle")
+                    "annihilator", "duality-check", "fundamental-cycle")
 TAYLOR_MAX_GENERATORS = 10
 
 
