@@ -950,12 +950,6 @@ def _drawn_perturbation(data, X):
     return next(_made(changes[i:] + changes[:i]))
 
 
-def _containment_cases(M):
-    yield embedded_hull(M)
-    if len(M.generators) <= 15:
-        yield scarf_complex(M)
-
-
 @settings(max_examples=40)
 @given(sign_corpus("drawn"), st.data())
 def test_containment_matches_pairwise_oracle(corpus, data):
@@ -991,7 +985,7 @@ def test_containment_matches_pairwise_oracle_on_seeded_ideals(rng):
     for _ in range(3):
         ideals += [random_staircase_ideal(rng), random_generic_ideal_3(rng)]
     verdicts = [_assert_containment_matches_oracle(X)
-                for M in ideals for X in _containment_cases(M)]
+                for M in ideals for X in (embedded_hull(M), scarf_complex(M))]
     assert None in verdicts and any(verdicts)
 
 
