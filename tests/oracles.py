@@ -27,7 +27,7 @@ from copy import copy
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from operator import le
 
 
@@ -426,6 +426,78 @@ def _convex_facets(points):
             level = -level
         facets[frozenset(i for i, v in enumerate(values) if v == level)] = normal
     return facets
+
+
+def _primitive(v):
+    divisor = 0
+    for x in v:
+        divisor = gcd(divisor, x)
+    return tuple(x // divisor for x in v)
+
+
+def hull_facets(points):
+    """[(point-index set, inner normal)] of the facets of conv(points) +
+    R_+^n, integer points, by double description (Motzkin, Raiffa,
+    Thompson and Thrall 1953; Fukuda and Prodon 1996).
+
+    The inequalities w.x >= c valid on the polyhedron are the cone of the
+    (w, c) with w >= 0 and w.p >= c for every point p.  The cone holds no
+    line, and the polyhedron has full dimension, so the cone's extreme rays
+    are (0, -1) and the facets' (w, c), each once up to a positive factor.
+    The cone of w >= 0 and the first point's inequality is simplicial, with
+    the rays (e_i, p_i) and (0, -1); each further point's inequality keeps
+    the rays on its side and joins each ray p above its hyperplane to each
+    ray q below it into the primitive ray val(p) q - val(q) p on it, when
+    p and q are adjacent: no third ray is tight at every inequality tight
+    at both, and at least n - 1 are.  A ray's tight inequalities are a bit
+    mask: bit i for w_i >= 0, bit n + j for point j.
+    """
+    n = len(points[0])
+    first = points[0]
+    orthant = (1 << n) - 1
+    rays = {tuple(int(k == i) for k in range(n)) + (first[i],): orthant & ~(1 << i) | 1 << n
+            for i in range(n)}
+    rays[(0,) * n + (-1,)] = orthant
+    for j, p in enumerate(points[1:], 1):
+        bit = 1 << (n + j)
+        values = {ray: _dot(ray, p) - ray[n] for ray in rays}
+        kept = {ray: tight | (bit if values[ray] == 0 else 0)
+                for ray, tight in rays.items() if values[ray] >= 0}
+        for a in (ray for ray in rays if values[ray] > 0):
+            for b in (ray for ray in rays if values[ray] < 0):
+                common = rays[a] & rays[b]
+                if common.bit_count() < n - 1 or any(
+                        common & tight == common for ray, tight in rays.items()
+                        if ray != a and ray != b):
+                    continue
+                kept[_primitive([values[a] * y - values[b] * x for x, y in zip(a, b)])] = (
+                    common | bit)
+        rays = kept
+    return [(frozenset(j for j, p in enumerate(points) if _dot(ray, p) == ray[n]), ray[:n])
+            for ray in rays if any(ray[:n])]
+
+
+def hull_face_sets_by_double_description(generators, t):
+    """Sorted point-index tuples of the bounded faces of conv{t^a} + R_+^n.
+
+    Every face is an intersection of facets (``hull_facets``), and its
+    normal cone is spanned by the normals of the facets containing it; the
+    face is bounded when that cone holds a strictly positive vector: a
+    Fourier-Motzkin test on the intersection closure of the facets' point
+    sets.
+    """
+    points = [tuple(t ** a for a in g) for g in generators]
+    ambient = len(points[0])
+    facets = hull_facets(points)
+    bounded = set()
+    for members in _intersection_closure({fac for fac, _ in facets}):
+        normals = [w for fac, w in facets if members <= fac]
+        nvars = len(normals)
+        rows = [([w[c] for w in normals], 1) for c in range(ambient)]
+        rows += [([int(i == j) for i in range(nvars)], 0) for j in range(nvars)]
+        if _fm_feasible(rows, nvars):
+            bounded.add(tuple(sorted(members)))
+    return bounded
 
 
 def _intersection_closure(sets):

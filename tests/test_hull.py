@@ -33,6 +33,7 @@ from oracles import (
     bounded_faces_by_closure,
     embed_in_simplex,
     hull_face_sets,
+    hull_face_sets_by_double_description,
     sign_oracle,
     subset_scan_scarf_faces,
 )
@@ -302,6 +303,42 @@ def test_face_lattice_matches_the_retired_closure_on_degenerate_hulls(monkeypatc
     for base in (t, t + 1):
         points = [tuple(base ** a for a in g) for g in maximal_ideal_power(n, d).generators]
         assert set(hull._bounded_face_sets(points)) == bounded_faces_by_closure(read[-1], n)
+
+
+def assert_double_description_matches_the_scans(M):
+    t = default_lift_base(M.n)
+    for base in (t, t + 1):
+        points = [tuple(base ** a for a in g) for g in M.generators]
+        faces = hull_face_sets_by_double_description(M.generators, base)
+        assert faces == hull_face_sets(M.generators, base)
+        assert faces == {tuple(sorted(f)) for f in all_k_bounded_face_sets(points)}
+
+
+@settings(max_examples=40)
+@given(artinian_ideals_2_to_4())
+def test_double_description_matches_the_scan_oracles(M):
+    assert_double_description_matches_the_scans(M)
+
+
+def test_double_description_matches_the_scan_oracles_on_seeded_ideals(ex61_ideal, rng):
+    ideals = [ex61_ideal] + [maximal_ideal_power(n, d)
+                             for n, d in ((2, 2), (2, 5), (3, 2), (3, 3), (4, 2))]
+    ideals += seeded_generic_ideals(rng)
+    for _ in range(5):
+        ideals += [random_generic_ideal_3(rng), random_staircase_ideal(rng)]
+    for M in ideals:
+        assert_double_description_matches_the_scans(M)
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 2), (3, 6), (3, 10)])
+def test_double_description_matches_the_closure_on_degenerate_hulls(n, d):
+    M = maximal_ideal_power(n, d)
+    t = default_lift_base(n)
+    for base in (t, t + 1):
+        points = [tuple(base ** a for a in g) for g in M.generators]
+        closure = bounded_faces_by_closure(hull._facet_supports(points), n)
+        assert hull_face_sets_by_double_description(M.generators, base) == {
+            tuple(sorted(f)) for f in closure}
 
 
 def test_scarf_search_matches_subset_scan_on_maximal_ideal_powers():
