@@ -3,21 +3,25 @@
 Each oracle reaches its answer another way than the library: subset
 enumeration instead of join closure, box scans and inclusion-exclusion
 instead of staircase slicing, Fraction elimination and Gram-Schmidt
-instead of the integer Bareiss kernel, the facets of conv(points) with a
-Fourier-Motzkin test instead of integer facet enumeration, affine
-barycentric coordinates and volumes in Fractions instead of integer
-homogeneous ones, every degree ranked instead of a collapse, and wedge
-forms and dense polynomial matrices instead of sign columns.
+instead of the integer Bareiss kernel, the facets of conv(points) + R_+^n
+by double description with a Fourier-Motzkin test instead of a scan over
+point subsets, affine barycentric coordinates and volumes in Fractions
+instead of integer homogeneous ones, every degree ranked instead of a
+collapse, and wedge forms and dense polynomial matrices instead of sign
+columns.
 
-``SignOracle`` is the one sign and containment oracle: every facet
-incidence sign, flip, orientation against the corner simplex and top flip
-of a complex, by Gram determinants, and whether the complex refines that
-simplex and which faces each face of it carries, by barycentric
-coordinates, all from its vertex points and labels, its face sets and
-bases it carries itself.  ``ExactnessOracle`` is the one exactness
-oracle: the reduced homology of every X_{<=beta}, from a sign oracle's
-signs and the vertex labels.  An oracle imports from ``cellres`` only
-records and errors (``LabeledCellComplex``, the error classes,
+``hull_face_sets`` is the one hull oracle: the facets of the lifted
+generators' polyhedron as the extreme rays of its cone of valid
+inequalities (``hull_facets``), and its bounded faces among their
+intersections.  ``SignOracle`` is the one sign and containment oracle:
+every facet incidence sign, flip, orientation against the corner simplex
+and top flip of a complex, by Gram determinants, and whether the complex
+refines that simplex and which faces each face of it carries, by
+barycentric coordinates, all from its vertex points and labels, its face
+sets and bases it carries itself.  ``ExactnessOracle`` is the one
+exactness oracle: the reduced homology of every X_{<=beta}, from a sign
+oracle's signs and the vertex labels.  An oracle imports from ``cellres``
+only records and errors (``LabeledCellComplex``, the error classes,
 ``cli.SUBCOMMANDS``), never the code it checks; ``test_oracles`` holds it
 to that.
 """
@@ -400,32 +404,14 @@ def _fm_feasible(rows, nvars):
     return all(rhs <= 0 for _, rhs in system)
 
 
-def _convex_facets(points):
-    """{point-index set: inner normal} of the facets of conv(points) inside
-    its affine hull."""
-    basis = affine_basis_by_gram_schmidt(points)
-    d = len(basis) - 1
-    origin = points[basis[0]]
-    hull_dirs = [[x - y for x, y in zip(points[i], origin)] for i in basis[1:]]
-    facets = {}
-    for combo in combinations(range(len(points)), d):
-        if d == 0 or len(affine_basis_by_gram_schmidt([points[i] for i in combo])) != d:
-            continue
-        dirs = [[x - y for x, y in zip(points[i], points[combo[0]])] for i in combo[1:]]
-        kernel = fraction_nullspace([[_dot(dv, hv) for hv in hull_dirs] for dv in dirs], d)
-        if len(kernel) != 1:
-            continue
-        normal = [_dot(kernel[0], col) for col in zip(*hull_dirs)]
-        values = [_dot(normal, p) for p in points]
-        level = values[combo[0]]
-        if not all(v >= level for v in values):
-            if not all(v <= level for v in values):
-                continue
-            normal = [-x for x in normal]
-            values = [-v for v in values]
-            level = -level
-        facets[frozenset(i for i, v in enumerate(values) if v == level)] = normal
-    return facets
+def _intersection_closure(sets):
+    """The sets and all their nonempty pairwise intersections, repeated."""
+    lattice = set(sets)
+    frontier = set(lattice)
+    while frontier:
+        frontier = {a & b for a in frontier for b in lattice} - lattice - {frozenset()}
+        lattice |= frontier
+    return lattice
 
 
 def _primitive(v):
@@ -460,7 +446,7 @@ def hull_facets(points):
     rays[(0,) * n + (-1,)] = orthant
     for j, p in enumerate(points[1:], 1):
         bit = 1 << (n + j)
-        values = {ray: _dot(ray, p) - ray[n] for ray in rays}
+        values = {ray: _dot(ray, p) - ray[n] for ray in rays}  # w.p - c
         kept = {ray: tight | (bit if values[ray] == 0 else 0)
                 for ray, tight in rays.items() if values[ray] >= 0}
         for a in (ray for ray in rays if values[ray] > 0):
@@ -477,7 +463,7 @@ def hull_facets(points):
             for ray in rays if any(ray[:n])]
 
 
-def hull_face_sets_by_double_description(generators, t):
+def hull_face_sets(generators, t):
     """Sorted point-index tuples of the bounded faces of conv{t^a} + R_+^n.
 
     Every face is an intersection of facets (``hull_facets``), and its
@@ -495,46 +481,6 @@ def hull_face_sets_by_double_description(generators, t):
         nvars = len(normals)
         rows = [([w[c] for w in normals], 1) for c in range(ambient)]
         rows += [([int(i == j) for i in range(nvars)], 0) for j in range(nvars)]
-        if _fm_feasible(rows, nvars):
-            bounded.add(tuple(sorted(members)))
-    return bounded
-
-
-def _intersection_closure(sets):
-    """The sets and all their nonempty pairwise intersections, repeated."""
-    lattice = set(sets)
-    frontier = set(lattice)
-    while frontier:
-        frontier = {a & b for a in frontier for b in lattice} - lattice - {frozenset()}
-        lattice |= frontier
-    return lattice
-
-
-def hull_face_sets(generators, t):
-    """Sorted point-index tuples of the bounded faces of conv{t^a} + R_+^n.
-
-    A face of conv(points) is bounded when the cone of the inner normals of
-    the facets containing it, plus the orthogonal complement of the affine
-    hull, holds a strictly positive vector: a Fourier-Motzkin test.
-    """
-    points = [tuple(Fraction(t) ** a for a in g) for g in generators]
-    ambient = len(points[0])
-    if len(points) == 1:
-        return {(0,)}
-    facets = _convex_facets(points)
-    basis = affine_basis_by_gram_schmidt(points)
-    lineality = fraction_nullspace(
-        [[x - y for x, y in zip(points[i], points[basis[0]])] for i in basis[1:]],
-        ambient,
-    )
-    lattice = _intersection_closure({frozenset(range(len(points)))} | set(facets))
-    bounded = set()
-    for members in lattice:
-        gens = [w for fac, w in facets.items() if members <= fac] + lineality
-        nvars = len(gens)
-        rows = [([g[c] for g in gens], 1) for c in range(ambient)]
-        rows += [([int(i == j) for i in range(nvars)], 0)
-                 for j in range(nvars - len(lineality))]
         if _fm_feasible(rows, nvars):
             bounded.add(tuple(sorted(members)))
     return bounded
@@ -658,64 +604,6 @@ def subset_scan_scarf_faces(generators):
             key = tuple(max(col) for col in zip(*(gens[i] for i in combo)))
             by_lcm.setdefault(key, []).append(combo)
     return {combos[0] for combos in by_lcm.values() if len(combos) == 1}
-
-
-def all_k_facet_supports(points):
-    """{point-index set: union of normal supports} of the facets of
-    conv(points) + R_+^n, from a candidate normal for every coordinate set C
-    and every |C| points, the kernel of their differences projected to C
-    (the retired scan of ``hull._facet_supports``)."""
-    npoints, ambient = len(points), len(points[0])
-    facets = {}
-    for k in range(1, ambient + 1):
-        for coords in combinations(range(ambient), k):
-            proj = [tuple(p[i] for i in coords) for p in points]
-            for combo in combinations(range(npoints), k):
-                base = proj[combo[0]]
-                diffs = [[x - y for x, y in zip(proj[j], base)] for j in combo[1:]]
-                kernel = fraction_nullspace(diffs, k)
-                if len(kernel) != 1:
-                    continue
-                w = kernel[0]
-                if any(x < 0 for x in w):
-                    if any(x > 0 for x in w):
-                        continue
-                    w = [-x for x in w]
-                level = _dot(w, base)
-                values = [_dot(w, q) for q in proj]
-                if min(values) < level:
-                    continue
-                members = frozenset(j for j, v in enumerate(values) if v == level)
-                support = sum(1 << coords[i] for i, x in enumerate(w) if x)
-                facets[members] = facets.get(members, 0) | support
-    return facets
-
-
-def bounded_faces_by_closure(facets, ambient):
-    """The retired lattice step of ``hull._bounded_face_sets``: from
-    {point-index set of a supporting set: bit mask of its normals' support}
-    in R^ambient, the sets of the pairwise intersection closure for which
-    the supports of the supporting sets containing them, found by a rescan
-    of all of them, cover every coordinate."""
-    everything = (1 << ambient) - 1
-    bounded = set()
-    for members in _intersection_closure(facets):
-        cover = 0
-        for fac, support in facets.items():
-            if members <= fac:
-                cover |= support
-        if cover == everything:
-            bounded.add(members)
-    return bounded
-
-
-def all_k_bounded_face_sets(points):
-    """Point-index sets of the bounded faces of conv(points) + R_+^n: the
-    intersections of the facets of ``all_k_facet_supports`` whose
-    containing facets' supports cover every coordinate."""
-    if len(points) == 1:
-        return {frozenset({0})}
-    return bounded_faces_by_closure(all_k_facet_supports(points), len(points[0]))
 
 
 @lru_cache(maxsize=1 << 14)

@@ -80,3 +80,15 @@ def test_untracked_code_is_refused(monkeypatch):
         bench_pairs.check_tracked()
     status = " M src/cellres/hull.py"
     bench_pairs.check_tracked()
+
+
+def test_line_counts_read_the_package_and_the_oracles(tmp_path):
+    (tmp_path / "src" / "cellres" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "cellres" / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (tmp_path / "src" / "cellres" / "sub" / "b.py").write_text("z = 3\n", encoding="utf-8")
+    (tmp_path / "src" / "cellres" / "notes.txt").write_text("not\ncode\n", encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "oracles.py").write_text("a = 1\n\nb = 2\n", encoding="utf-8")
+    (tmp_path / "tests" / "test_a.py").write_text("c = 3\n", encoding="utf-8")
+    assert bench_pairs.src_lines(tmp_path) == 3
+    assert bench_pairs.oracle_lines(tmp_path) == 3

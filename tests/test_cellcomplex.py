@@ -980,12 +980,15 @@ def test_containment_matches_pairwise_oracle_on_perturbed_complexes(builds, data
 
 def test_containment_matches_pairwise_oracle_on_seeded_ideals(rng):
     # fixed and seeded families beside the random draws above; Scarf
-    # complexes of non-generic ideals among them do not refine the simplex
+    # complexes of non-generic ideals among them do not refine the simplex,
+    # and each mirrored embedded hull puts the last pivot of its corner
+    # columns below 0
     ideals = [minimize(EX61_GENERATORS), maximal_ideal_power(3, 3)]
     for _ in range(3):
         ideals += [random_staircase_ideal(rng), random_generic_ideal_3(rng)]
-    verdicts = [_assert_containment_matches_oracle(X)
-                for M in ideals for X in (embedded_hull(M), scarf_complex(M))]
+    hulls = [embedded_hull(M) for M in ideals]
+    verdicts = [_assert_containment_matches_oracle(X) for M, H in zip(ideals, hulls)
+                for X in (H, _mirrored(H), scarf_complex(M))]
     assert None in verdicts and any(verdicts)
 
 

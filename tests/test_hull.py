@@ -29,11 +29,9 @@ from conftest import (
 )
 from oracles import (
     affine,
-    all_k_bounded_face_sets,
-    bounded_faces_by_closure,
     embed_in_simplex,
     hull_face_sets,
-    hull_face_sets_by_double_description,
+    hull_facets,
     sign_oracle,
     subset_scan_scarf_faces,
 )
@@ -264,81 +262,60 @@ def assert_scarf_matches_subset_scan(M):
     assert set(S.faces) - {()} == subset_scan_scarf_faces(M.generators)
 
 
-def assert_bounded_faces_match_all_k_scan(M):
+def assert_bounded_faces_match_oracle(M):
     t = default_lift_base(M.n)
     for base in (t, t + 1):
         points = [tuple(base ** a for a in g) for g in M.generators]
-        assert set(hull._bounded_face_sets(points)) == all_k_bounded_face_sets(points)
+        assert {tuple(sorted(face)) for face in hull._bounded_face_sets(points)} == (
+            hull_face_sets(M.generators, base))
 
 
 @settings(max_examples=40)
 @given(artinian_ideals_2_to_4())
 def test_scarf_and_bounded_faces_match_retired_scans(M):
     assert_scarf_matches_subset_scan(M)
-    assert_bounded_faces_match_all_k_scan(M)
+    assert_bounded_faces_match_oracle(M)
 
 
 def test_scarf_and_bounded_faces_match_retired_scans_on_generic_ideals(rng):
     for M in seeded_generic_ideals(rng):
         assert_scarf_matches_subset_scan(M)
-        assert_bounded_faces_match_all_k_scan(M)
+        assert_bounded_faces_match_oracle(M)
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (5, 2), (3, 6), (3, 10)])
-def test_face_lattice_matches_the_retired_closure_on_degenerate_hulls(monkeypatch, n, d):
-    """On powers of the maximal ideal, whose hulls have many supporting
-    sets through each face, the one-pass lattice equals the pairwise
-    intersection closure with its cover rescan, applied to the supporting
-    sets that ``_bounded_face_sets`` reads, at t and at t+1.  (The all-k
-    oracle takes seconds on the first two.)"""
-    read = []
-    facet_supports = hull._facet_supports
-
-    def recorded(points):
-        read.append(facet_supports(points))
-        return read[-1]
-
-    monkeypatch.setattr(hull, "_facet_supports", recorded)
-    t = default_lift_base(n)
-    for base in (t, t + 1):
-        points = [tuple(base ** a for a in g) for g in maximal_ideal_power(n, d).generators]
-        assert set(hull._bounded_face_sets(points)) == bounded_faces_by_closure(read[-1], n)
+def test_face_lattice_matches_the_retired_closure_on_degenerate_hulls(n, d):
+    """On powers of the maximal ideal, whose hulls have many points on one
+    facet and many supporting sets through each face, the library's
+    supporting sets and one-pass lattice give the oracle's bounded faces at
+    t and at t+1."""
+    assert_bounded_faces_match_oracle(maximal_ideal_power(n, d))
 
 
-def assert_double_description_matches_the_scans(M):
-    t = default_lift_base(M.n)
-    for base in (t, t + 1):
-        points = [tuple(base ** a for a in g) for g in M.generators]
-        faces = hull_face_sets_by_double_description(M.generators, base)
-        assert faces == hull_face_sets(M.generators, base)
-        assert faces == {tuple(sorted(f)) for f in all_k_bounded_face_sets(points)}
+def test_hull_oracle_on_example_6_1_by_hand():
+    # at t = 25 the lifted points of z1^2, z1z2, z1z3, z2^2, z2z3, z3^2 span
+    # three coordinate facets, x_i = 1 through the generators without z_i,
+    # and four triangles with positive normals; the hull is the triangles
+    generators = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    points = [tuple(25 ** a for a in g) for g in generators]
+    facets = {tuple(sorted(members)): w for members, w in hull_facets(points)}
+    assert {members: w for members, w in facets.items() if sum(w) == 1} == {
+        (3, 4, 5): (1, 0, 0), (0, 2, 5): (0, 1, 0), (0, 1, 3): (0, 0, 1)}
+    triangles = {(0, 1, 2), (1, 2, 4), (1, 3, 4), (2, 4, 5)}
+    assert set(facets) == triangles | {(3, 4, 5), (0, 2, 5), (0, 1, 3)}
+    assert all(min(facets[tri]) > 0 for tri in triangles)
+    assert hull_face_sets(generators, 25) == {
+        face for tri in triangles for k in (1, 2, 3) for face in combinations(tri, k)}
 
 
-@settings(max_examples=40)
-@given(artinian_ideals_2_to_4())
-def test_double_description_matches_the_scan_oracles(M):
-    assert_double_description_matches_the_scans(M)
-
-
-def test_double_description_matches_the_scan_oracles_on_seeded_ideals(ex61_ideal, rng):
-    ideals = [ex61_ideal] + [maximal_ideal_power(n, d)
-                             for n, d in ((2, 2), (2, 5), (3, 2), (3, 3), (4, 2))]
-    ideals += seeded_generic_ideals(rng)
-    for _ in range(5):
-        ideals += [random_generic_ideal_3(rng), random_staircase_ideal(rng)]
-    for M in ideals:
-        assert_double_description_matches_the_scans(M)
-
-
-@pytest.mark.parametrize("n,d", [(4, 3), (5, 2), (3, 6), (3, 10)])
-def test_double_description_matches_the_closure_on_degenerate_hulls(n, d):
-    M = maximal_ideal_power(n, d)
-    t = default_lift_base(n)
-    for base in (t, t + 1):
-        points = [tuple(base ** a for a in g) for g in M.generators]
-        closure = bounded_faces_by_closure(hull._facet_supports(points), n)
-        assert hull_face_sets_by_double_description(M.generators, base) == {
-            tuple(sorted(f)) for f in closure}
+def test_hull_oracle_on_one_generator_and_a_staircase_by_hand():
+    assert hull_facets([(3 ** 4,)]) == [(frozenset({0}), (1,))]
+    assert hull_face_sets([(4,)], 3) == {(0,)}
+    # z1^4, z1^2 z2, z1 z2^3, z2^5 lift at t = 7 to (2401, 1), (49, 7),
+    # (7, 343), (1, 16807), whose slopes -1/392, -8, -2744 fall in turn:
+    # the bounded faces are the path
+    staircase = [(4, 0), (2, 1), (1, 3), (0, 5)]
+    assert hull_face_sets(staircase, 7) == {(0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3)}
 
 
 def test_scarf_search_matches_subset_scan_on_maximal_ideal_powers():

@@ -22,9 +22,10 @@ The output holds, per workload and end-to-end metric of BENCHMARK.json, each
 side's median and quartiles, how many pairs the change won (ties count for
 neither side), how much worse the change's median is and the verdict of the
 benchmark's rule against the metric's bound (see ``summarize``), plus the
-``src/`` line count of both trees, the Python version, ``nproc``, both
-revisions and the git tree ids of both ``src/`` directories, which identify
-the measured code even when the change was an uncommitted working tree.
+line counts of ``src/`` and of ``tests/oracles.py`` in both trees, the
+Python version, ``nproc``, both revisions and the git tree ids of both
+``src/`` directories, which identify the measured code even when the change
+was an uncommitted working tree.
 
 The ``peak_rss_mb`` verdicts say nothing about ``src/``: ``benchmark/run.py``
 reads each job's ``ru_maxrss`` from ``os.wait4``, and a child process
@@ -86,6 +87,10 @@ def check_tracked() -> None:
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_text(encoding="utf-8").splitlines())
                for p in sorted((tree / "src").rglob("*.py")))
+
+
+def oracle_lines(tree: Path) -> int:
+    return len((tree / "tests" / "oracles.py").read_text(encoding="utf-8").splitlines())
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -196,6 +201,7 @@ def main(argv=None) -> int:
         "revisions": revs,
         "src_trees": {side: git("rev-parse", f"{revs[side]}:src") for side in SIDES},
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+        "oracle_lines": {side: oracle_lines(trees[side]) for side in SIDES},
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "pairs": PAIRS,
