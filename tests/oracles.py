@@ -415,9 +415,7 @@ def _intersection_closure(sets):
 
 
 def _primitive(v):
-    divisor = 0
-    for x in v:
-        divisor = gcd(divisor, x)
+    divisor = gcd(*v)
     return tuple(x // divisor for x in v)
 
 
